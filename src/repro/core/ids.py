@@ -8,12 +8,32 @@ so request routing is reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _fnv1a(data) -> int:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    elif isinstance(data, int):
+        data = data.to_bytes(8, "little", signed=True)
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise TypeError(f"stable_hash does not support {type(data).__name__}")
+    h = _FNV_OFFSET
+    for byte in bytes(data):
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    return h
+
+
+# The same few keys, ids and small integers are hashed once per request;
+# the byte loop is pure Python.  ``typed`` keeps ``1.0`` from being served
+# the answer for ``1``; the bound keeps one-shot ids from accumulating.
+_fnv1a_memo = functools.lru_cache(maxsize=1 << 12, typed=True)(_fnv1a)
 
 
 def stable_hash(data) -> int:
@@ -27,18 +47,10 @@ def stable_hash(data) -> int:
         for part in data:
             h = (h ^ stable_hash(part)) * _FNV_PRIME & _MASK64
         return h
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    elif isinstance(data, int):
-        data = data.to_bytes(8, "little", signed=True)
-    elif isinstance(data, bool):  # pragma: no cover - bool is int subclass
-        data = bytes([int(data)])
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise TypeError(f"stable_hash does not support {type(data).__name__}")
-    h = _FNV_OFFSET
-    for byte in bytes(data):
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
+    try:
+        return _fnv1a_memo(data)
+    except TypeError:  # unhashable (bytearray), or not supported at all
+        return _fnv1a(data)
 
 
 class IdAllocator:

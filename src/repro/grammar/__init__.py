@@ -1,7 +1,7 @@
 """Message grammars: model, DSL front end, codec engine, protocol library."""
 
 from repro.grammar.dsl import parse_grammar, parse_unit
-from repro.grammar.engine import IncrementalUnitParser, UnitCodec, make_codec
+from repro.grammar.engine import UnitCodec, UnitParser, make_codec
 from repro.grammar.model import (
     BIG,
     Binary,
@@ -21,8 +21,8 @@ from repro.grammar.model import (
 __all__ = [
     "parse_grammar",
     "parse_unit",
-    "IncrementalUnitParser",
     "UnitCodec",
+    "UnitParser",
     "make_codec",
     "BIG",
     "Binary",

@@ -1,45 +1,48 @@
 """Parser/serialiser generation from message grammars (section 4.2).
 
-:class:`UnitCodec` compiles a :class:`repro.grammar.model.Unit` into
+:func:`make_codec` lowers a :class:`repro.grammar.model.Unit` to two
+generated-and-``exec``'d Python functions (:mod:`repro.grammar.codegen`
+writes them; ``UnitCodec.source`` is their text):
 
-* an **incremental parser** (:class:`IncrementalUnitParser`) that consumes
-  a byte stream in arbitrary chunks, never allocates per-message scratch
-  beyond the reusable buffer, and emits :class:`repro.lang.values.Record`
-  messages as they complete — mirroring the generated input-task code;
+* an **incremental parser** — a :class:`UnitParser` whose ``poll`` is
+  straight-line code for this unit — that consumes a byte stream in
+  arbitrary chunks and emits :class:`repro.lang.values.Record` messages
+  as they complete, mirroring the generated input-task code;
 * a **serialiser** that re-encodes records, automatically recomputing
   dependent length fields (Listing 2's ``key_len``/``total_len``), with a
   zero-work fast path for unmodified records (raw copy).
 
 A codec may be **specialised** with ``project=...`` — the set of fields
 the FLICK program actually accesses.  Non-structural fields outside the
-projection are *skipped*: their bytes are located but never decoded, and
+projection are *skipped*: their bytes are located but never sliced, and
 serialisation splices their raw spans back verbatim.  This is the paper's
-"only parse and serialise the required fields and their dependencies".
+"only parse and serialise the required fields and their dependencies";
+the projection is resolved when the code is generated.
 
 Parsing/serialisation cost is reported in abstract **ops** (see
 ``OPS_PER_*`` constants); the runtime converts ops into virtual CPU time.
+A message's ops are charged when it completes, bit-identical to the
+field-by-field reference codec in ``tests/grammar_oracle.py``.
+
+Codecs are stateless and memoised: every caller asking for the same
+``(unit, projection)`` shares one instance and generation is paid once.
+All per-stream state lives in the parser objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import functools
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import ParseError, SerializeError
-from repro.grammar.model import (
-    ConstField,
-    DataField,
-    Field,
-    FieldRef,
-    IntField,
-    Unit,
-    VarField,
-    eval_expr,
-)
+from repro.core.generated import exec_generated
+from repro.grammar.model import Unit
 from repro.lang.values import Record
 
 # Abstract cost weights (ops).  Decoded payload costs per byte; skipped
 # payload is only pointer arithmetic.  Chosen so that a full parse of a
 # typical Memcached command is ~an order of magnitude above a skip-parse.
+# Powers of two, so that sums of charges are exact in any order.
 OPS_PER_FIELD = 1.0
 OPS_PER_DECODED_BYTE = 1.0 / 16.0
 OPS_PER_SKIPPED_BYTE = 1.0 / 512.0
@@ -48,189 +51,84 @@ OPS_PER_RAW_COPY_BYTE = 1.0 / 256.0
 _COMPACT_THRESHOLD = 1 << 16
 
 
-class IncrementalUnitParser:
-    """Resumable parser for one byte stream of ``unit`` messages."""
+class UnitParser:
+    """Resumable parser for one byte stream of a unit's messages.
 
-    def __init__(self, codec: "UnitCodec"):
-        self._codec = codec
+    ``poll`` is generated per codec: it returns the next complete message,
+    or None if more bytes are needed (remembering in ``_need`` how many,
+    so that a short feed costs one comparison), and raises
+    :class:`ParseError` on malformed input.
+    """
+
+    __slots__ = ("_buf", "_pos", "_need", "ops")
+
+    first_need = 0  # bytes without which the generated code cannot start
+
+    def __init__(self):
         self._buf = bytearray()
-        self._pos = 0  # consume offset into _buf
-        self._msg_start = 0  # start of the in-progress message
-        self._field_idx = 0
-        self._values: Dict[str, object] = {}
-        self._spans: Dict[str, Tuple[int, int]] = {}  # relative to message
+        self._pos = 0  # start of the in-progress message in _buf
+        self._need = self.first_need
         self.ops = 0.0
-
-    # -- byte intake -------------------------------------------------------
 
     def feed(self, data: bytes) -> None:
         """Append stream bytes; call :meth:`poll` to harvest messages."""
-        self._buf.extend(data)
+        self._buf += data
 
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet consumed by a complete message."""
-        return len(self._buf) - self._msg_start
+        return len(self._buf) - self._pos
 
     def take_ops(self) -> float:
         ops, self.ops = self.ops, 0.0
         return ops
 
-    # -- message extraction ---------------------------------------------------
-
-    def poll(self) -> Optional[Record]:
-        """Return the next complete message, or None if more bytes are
-        needed.  Raises :class:`ParseError` on malformed input."""
-        unit = self._codec.unit
-        fields = unit.fields
-        while self._field_idx < len(fields):
-            if not self._step(fields[self._field_idx]):
-                return None
-            self._field_idx += 1
-        return self._finish_message()
+    def poll(self) -> Optional[Record]:  # pragma: no cover - generated
+        raise NotImplementedError
 
     def messages(self) -> Iterator[Record]:
         """Drain every complete message currently buffered."""
-        while True:
-            record = self.poll()
-            if record is None:
-                return
-            yield record
-
-    # -- internals ---------------------------------------------------------------
-
-    def _step(self, field: Field) -> bool:
-        """Try to consume ``field``; False if more bytes are needed."""
-        codec = self._codec
-        if isinstance(field, VarField):
-            value = eval_expr(field.parse_expr, self._int_values())
-            if value < 0:
-                raise ParseError(
-                    f"{codec.unit.name}.{field.name}: computed negative "
-                    f"value {value}"
-                )
-            self._values[field.name] = value
-            self.ops += OPS_PER_FIELD
-            return True
-        size = self._field_size(field)
-        if len(self._buf) - self._pos < size:
-            return False
-        start = self._pos
-        end = start + size
-        rel = (start - self._msg_start, end - self._msg_start)
-        if isinstance(field, IntField):
-            if field.name is not None:
-                self._values[field.name] = int.from_bytes(
-                    self._buf[start:end],
-                    codec.unit.byteorder,
-                    signed=field.signed,
-                )
-                self._spans[field.name] = rel
-            else:
-                self._spans[f"__anon_{self._field_idx}"] = rel
-            self.ops += OPS_PER_FIELD
-        elif isinstance(field, ConstField):
-            if bytes(self._buf[start:end]) != field.value:
-                raise ParseError(
-                    f"{codec.unit.name}: constant field mismatch at "
-                    f"offset {start - self._msg_start}"
-                )
-            self.ops += OPS_PER_FIELD
-        elif isinstance(field, DataField):
-            span_key = (
-                field.name
-                if field.name is not None
-                else f"__anon_{self._field_idx}"
-            )
-            self._spans[span_key] = rel
-            if field.name in codec.decoded_fields:
-                raw = bytes(self._buf[start:end])
-                self._values[field.name] = (
-                    raw.decode("utf-8", "replace") if field.text else raw
-                )
-                self.ops += OPS_PER_FIELD + size * OPS_PER_DECODED_BYTE
-            else:
-                self.ops += OPS_PER_FIELD + size * OPS_PER_SKIPPED_BYTE
-        else:  # pragma: no cover - exhaustive over field kinds
-            raise ParseError(f"unknown field kind {field!r}")
-        self._pos = end
-        return True
-
-    def _field_size(self, field: Field) -> int:
-        if isinstance(field, IntField):
-            return field.size
-        if isinstance(field, ConstField):
-            return len(field.value)
-        if isinstance(field, DataField):
-            size = eval_expr(field.length_expr(), self._int_values())
-            if size < 0:
-                raise ParseError(
-                    f"{self._codec.unit.name}.{field.name}: negative "
-                    f"length {size}"
-                )
-            return size
-        raise ParseError(f"field {field!r} has no wire size")
-
-    def _int_values(self) -> Dict[str, int]:
-        return self._values
-
-    def _finish_message(self) -> Record:
-        codec = self._codec
-        raw = bytes(self._buf[self._msg_start : self._pos])
-        fields = {
-            name: self._values[name]
-            for name in codec.record_fields
-            if name in self._values
-        }
-        record = Record(codec.unit.name, fields, raw)
-        record.spans = dict(self._spans)
-        # Reset per-message state and compact the buffer when it grows.
-        self._msg_start = self._pos
-        self._field_idx = 0
-        self._values = {}
-        self._spans = {}
-        if self._pos > _COMPACT_THRESHOLD:
-            del self._buf[: self._pos]
-            self._msg_start -= self._pos
-            self._pos = 0
-        return record
+        return iter(self.poll, None)
 
 
 class UnitCodec:
-    """Compiled parser/serialiser pair for one grammar unit."""
+    """Generated parser/serialiser pair for one grammar unit."""
 
-    def __init__(self, unit: Unit, project: Optional[Set[str]] = None):
+    def __init__(self, unit: Unit, project: Optional[Iterable[str]] = None):
+        from repro.grammar import codegen  # it imports the weights above
+
         self.unit = unit
-        named = [f.name for f in unit.named_fields()]
-        structural = unit.structural_fields()
-        # Integer and var fields are always decoded: they are cheap and the
-        # serialiser needs them to re-emit spliced messages.  Projection
-        # therefore only elides *payload* (DataField) decoding, which is
-        # where the savings are.
-        always = {
-            f.name
-            for f in unit.fields
-            if isinstance(f, (IntField, VarField)) and f.name is not None
-        }
+        named = {f.name for f in unit.named_fields()}
         if project is None:
-            decoded = set(named)
+            decoded = named
         else:
-            unknown = set(project) - set(named)
+            unknown = set(project) - named
             if unknown:
                 raise SerializeError(
                     f"projection names unknown fields: {sorted(unknown)}"
                 )
-            decoded = set(project) | set(structural) | always
+            # Projection only elides *payload* decoding, which is where
+            # the savings are.
+            decoded = (
+                set(project) | unit.structural_fields() | unit.integer_fields()
+            )
         #: fields whose values are decoded during parsing
         self.decoded_fields: frozenset = frozenset(decoded)
-        #: fields exposed on produced records (decoded, in unit order)
-        self.record_fields: Tuple[str, ...] = tuple(
-            n for n in named if n in decoded
+        poll_source, first_need = codegen.parser_source(unit, self.decoded_fields)
+        #: the generated ``poll`` and ``encode`` functions, as text
+        self.source: str = poll_source + "\n\n" + codegen.encoder_source(unit)
+        namespace = dict(codegen.RUNTIME_NAMESPACE)
+        exec_generated(self.source, __file__, unit.name, namespace)
+        self._encode = namespace["encode"]
+        self._parser_type = type(
+            f"{unit.name}_parser",
+            (UnitParser,),
+            {"__slots__": (), "poll": namespace["poll"], "first_need": first_need},
         )
 
     # -- parsing ------------------------------------------------------------
 
-    def parser(self) -> IncrementalUnitParser:
-        return IncrementalUnitParser(self)
+    def parser(self) -> UnitParser:
+        return self._parser_type()
 
     def parse_all(self, data: bytes) -> List[Record]:
         """Parse a complete buffer; raises if bytes are left over."""
@@ -252,122 +150,18 @@ class UnitCodec:
         bytes.  Otherwise dependent length fields are recomputed and the
         message re-encoded, splicing raw spans for skipped fields.
         """
-        if record.raw is not None and not record.dirty:
-            return record.raw, len(record.raw) * OPS_PER_RAW_COPY_BYTE
+        raw = record.raw
+        if raw is not None and not record.dirty:
+            return raw, len(raw) * OPS_PER_RAW_COPY_BYTE
         return self._encode(record)
 
-    def _encode(self, record: Record) -> Tuple[bytes, float]:
-        unit = self.unit
-        values: Dict[str, object] = {}
-        spans = getattr(record, "spans", None) or {}
-        raw = record.raw
-        for f in unit.named_fields():
-            if f.name in record:
-                values[f.name] = record[f.name]
-        # Pass 1: invert simple length references from payload sizes.
-        for f in unit.fields:
-            if isinstance(f, DataField) and f.name is not None:
-                payload = self._payload_bytes(f, values, spans, raw)
-                if payload is None:
-                    raise SerializeError(
-                        f"{unit.name}.{f.name}: no value and no raw span "
-                        "to serialise"
-                    )
-                values[f.name] = payload
-                expr = f.length_expr()
-                if isinstance(expr, FieldRef):
-                    values[expr.name] = len(payload)
-        # Pass 2: var-field serialisation rules (total_len etc.).
-        for f in unit.fields:
-            if isinstance(f, VarField):
-                own = self._var_own_value(f, values)
-                values[f.name] = own
-                if f.serialize_target is not None:
-                    values[f.serialize_target] = eval_expr(
-                        f.serialize_expr, values, own
-                    )
-        # Pass 3: emit.
-        out = bytearray()
-        ops = 0.0
-        for idx, f in enumerate(unit.fields):
-            ops += OPS_PER_FIELD
-            if isinstance(f, VarField):
-                continue
-            if isinstance(f, ConstField):
-                out.extend(f.value)
-                continue
-            if isinstance(f, IntField):
-                if f.name is None:
-                    span = spans.get(f"__anon_{idx}")
-                    if span is not None and raw is not None:
-                        out.extend(raw[span[0] : span[1]])
-                    else:
-                        out.extend(b"\x00" * f.size)
-                    continue
-                value = values.get(f.name)
-                if value is None:
-                    raise SerializeError(
-                        f"{unit.name}.{f.name}: missing integer value"
-                    )
-                try:
-                    out.extend(
-                        int(value).to_bytes(
-                            f.size, unit.byteorder, signed=f.signed
-                        )
-                    )
-                except OverflowError:
-                    raise SerializeError(
-                        f"{unit.name}.{f.name}: value {value} does not fit "
-                        f"in {f.size} byte(s)"
-                    ) from None
-                continue
-            # DataField
-            length = eval_expr(f.length_expr(), values)
-            if f.name is None:
-                span = spans.get(f"__anon_{idx}")
-                if span is not None and raw is not None:
-                    chunk = bytes(raw[span[0] : span[1]])
-                else:
-                    chunk = b"\x00" * length
-            else:
-                chunk = values[f.name]
-            if len(chunk) != length:
-                raise SerializeError(
-                    f"{unit.name}.{f.name or '_'}: payload is "
-                    f"{len(chunk)} byte(s) but length fields say {length}"
-                )
-            out.extend(chunk)
-            ops += length * OPS_PER_DECODED_BYTE
-        return bytes(out), ops
 
-    def _payload_bytes(
-        self, f: DataField, values, spans, raw
-    ) -> Optional[bytes]:
-        if f.name in values and values[f.name] is not None:
-            value = values[f.name]
-            if isinstance(value, str):
-                return value.encode("utf-8")
-            return bytes(value)
-        span = spans.get(f.name)
-        if span is not None and raw is not None:
-            return bytes(raw[span[0] : span[1]])
-        return None
-
-    def _var_own_value(self, f: VarField, values) -> int:
-        # A var field's serialisation-time value is the recomputed length
-        # of whatever payload its parse expression measured.  For the
-        # common pattern ``var L ... ; data &length = self.L`` the pass-1
-        # inversion already set it; fall back to the parse expression.
-        if f.name in values and values[f.name] is not None:
-            return values[f.name]
-        try:
-            return eval_expr(f.parse_expr, values)
-        except Exception as exc:  # pragma: no cover - defensive
-            raise SerializeError(
-                f"cannot compute var field {f.name!r}: {exc}"
-            ) from exc
-
-
-def make_codec(unit: Unit, project: Optional[Set[str]] = None) -> UnitCodec:
-    """Build a (possibly specialised) codec for ``unit``."""
+@functools.lru_cache(maxsize=None)
+def _cached_codec(unit: Unit, project: Optional[frozenset]) -> UnitCodec:
     return UnitCodec(unit, project)
+
+
+def make_codec(unit: Unit, project: Optional[Iterable[str]] = None) -> UnitCodec:
+    """The (possibly specialised) codec for ``unit``: generated once per
+    ``(unit, projection)`` and shared by every caller."""
+    return _cached_codec(unit, None if project is None else frozenset(project))

@@ -16,7 +16,10 @@ ordered sequence of fields:
 
 Length expressions use the small arithmetic language below
 (:class:`Const`, :class:`FieldRef`, :class:`Binary`) so that grammars are
-data, not code — the engine compiles them to closures once per grammar.
+data, not code — :mod:`repro.grammar.codegen` inlines them as Python
+arithmetic in the parser and serialiser it generates once per codec.
+:func:`eval_expr` is their reference semantics: the generated code never
+calls it, the reference codec in ``tests/grammar_oracle.py`` does.
 """
 
 from __future__ import annotations
@@ -211,6 +214,15 @@ class Unit:
         if not self.fields:
             raise GrammarError(f"unit {self.name!r} has no fields")
 
+    def __hash__(self) -> int:
+        # ``make_codec`` looks units up per call: hash the field tree once.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.name, self.fields, self.byteorder))
+            object.__setattr__(self, "_hash", value)
+            return value
+
     @staticmethod
     def _exprs_of(f: Field):
         if isinstance(f, DataField) and isinstance(f.length, SizeExpr):
@@ -229,6 +241,16 @@ class Unit:
 
     def named_fields(self) -> Tuple[Field, ...]:
         return tuple(f for f in self.fields if f.name is not None)
+
+    def integer_fields(self) -> frozenset:
+        """Named integer and var fields.  Specialised parsers decode these
+        too: they are cheap, and the serialiser needs them to re-emit a
+        message whose skipped payloads it splices back."""
+        return frozenset(
+            f.name
+            for f in self.named_fields()
+            if isinstance(f, (IntField, VarField))
+        )
 
     def structural_fields(self) -> frozenset:
         """Fields whose *values* are required to locate message boundaries

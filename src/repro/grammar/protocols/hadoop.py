@@ -32,8 +32,11 @@ type kv = unit {
 HADOOP_UNIT: Unit = parse_unit(HADOOP_GRAMMAR_TEXT)
 
 
+_CODEC: UnitCodec = make_codec(HADOOP_UNIT)
+
+
 def codec() -> UnitCodec:
-    return make_codec(HADOOP_UNIT)
+    return _CODEC
 
 
 def make_pair(key: str, value: str) -> Record:

@@ -57,9 +57,12 @@ STATUS_KEY_NOT_FOUND = 0x0001
 HEADER_LEN = 24
 
 
+_FULL_CODEC: UnitCodec = make_codec(MEMCACHED_UNIT)
+
+
 def full_codec() -> UnitCodec:
     """Codec that decodes every field (a generic, unspecialised parser)."""
-    return make_codec(MEMCACHED_UNIT)
+    return _FULL_CODEC
 
 
 def specialized_codec(accessed: Optional[frozenset] = None) -> UnitCodec:
@@ -68,8 +71,7 @@ def specialized_codec(accessed: Optional[frozenset] = None) -> UnitCodec:
     With the Listing 1 router, ``accessed`` is ``{opcode, key}`` — the
     ``extras`` and ``value`` payloads are skipped, not decoded.
     """
-    project = set(accessed or ()) or {"opcode", "key"}
-    return make_codec(MEMCACHED_UNIT, project=project)
+    return make_codec(MEMCACHED_UNIT, project=accessed or {"opcode", "key"})
 
 
 def _command(
@@ -139,5 +141,4 @@ def make_response(
 
 def encode(record: Record) -> bytes:
     """Serialise a command record with the full codec."""
-    data, _ = full_codec().serialize(record)
-    return data
+    return _FULL_CODEC.serialize(record)[0]

@@ -45,14 +45,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import FlickError, RuntimeFlickError
+from repro.core.generated import exec_generated
 from repro.lang import ast
 from repro.lang.builtins import BUILTINS, HIGHER_ORDER, VALUE_BUILTINS
 from repro.lang.typecheck import CheckedProgram
 from repro.lang.values import Record
-
-#: Module-ish filename stamped on generated code objects (tracebacks).
-_GEN_FILE = "<flick-codegen>"
-
 
 # ---------------------------------------------------------------------------
 # Runtime helpers injected into the generated namespace
@@ -665,7 +662,7 @@ class CompiledExec:
         funs = checked.program.funs
         chunks = [self._emitter.function_source(f) for f in funs]
         self.source = "\n\n".join(chunks) + ("\n" if chunks else "")
-        exec(compile(self.source, _GEN_FILE, "exec"), namespace)
+        exec_generated(self.source, __file__, "flick", namespace)
         self._namespace = namespace
         self._funs: Dict[str, Callable] = {
             f.name: namespace[f"_fn_{f.name}"] for f in funs
@@ -716,7 +713,7 @@ class CompiledExec:
         if entry is None:
             name = f"_const_{len(self._consts)}"
             source = self._emitter.const_source(name, expr)
-            exec(compile(source, _GEN_FILE, "exec"), self._namespace)
+            exec_generated(source, __file__, "flick", self._namespace)
             entry = (expr, self._namespace[name])
             self._consts[id(expr)] = entry
         return entry[1]()
@@ -733,7 +730,7 @@ class CompiledExec:
             key_name, body_name, source = self._emitter.foldt_source(
                 expr, len(self._foldts)
             )
-            exec(compile(source, _GEN_FILE, "exec"), self._namespace)
+            exec_generated(source, __file__, "flick", self._namespace)
             entry = (
                 expr,
                 self._namespace[key_name],
