@@ -53,8 +53,8 @@ from repro.bench.report import (
     results_to_series,
     summarize,
 )
-from repro.cluster import registered_routings, unknown_routing_message
 from repro.bench.scenarios import (
+    AXES,
     resolve_scenario_selection,
     run_scenario_matrix,
 )
@@ -68,17 +68,7 @@ from repro.bench.testbeds import (
     run_http_experiment,
     run_memcached_experiment,
 )
-from repro.net.faults import registered_faults, unknown_fault_message
 from repro.net.stackprofiles import TOPOLOGIES
-from repro.runtime.admission import (
-    registered_admissions,
-    unknown_admission_message,
-)
-from repro.runtime.allocator import (
-    registered_allocators,
-    unknown_allocator_message,
-)
-from repro.runtime.policy import registered_policies
 from repro.runtime.qos import parse_slo_class_specs
 
 
@@ -207,22 +197,21 @@ def _service_classes(args):
     return parse_slo_class_specs(args.slo_class, valid_endpoints=ENDPOINTS)
 
 
+#: ``scenarios`` flags that override the same-named field on every
+#: selected scenario.
+_OVERRIDE_FLAGS = ("allocator", "admission", "shards", "routing", "faults")
+
+
 def _scenario_overrides(args) -> dict:
-    """Pinned-field overrides from ``--allocator`` / ``--admission`` /
-    ``--shards`` / ``--routing`` / ``--faults``."""
-    overrides = {}
-    if getattr(args, "allocator", None) is not None:
-        overrides["allocator"] = args.allocator
-    if getattr(args, "admission", None) is not None:
-        overrides["admission"] = args.admission
-    if getattr(args, "shards", None) is not None:
-        overrides["shards"] = args.shards
-    if getattr(args, "routing", None) is not None:
-        overrides["routing"] = args.routing
-    if getattr(args, "faults", None) is not None:
+    """Pinned-field overrides from the :data:`_OVERRIDE_FLAGS` flags."""
+    overrides = {
+        flag: getattr(args, flag)
+        for flag in _OVERRIDE_FLAGS
+        if getattr(args, flag, None) is not None
+    }
+    if "faults" in overrides:
         # Replacing the injector invalidates any scenario-pinned
         # parameters (they belong to the original fault's signature).
-        overrides["faults"] = args.faults
         overrides["fault_params"] = ()
     return overrides
 
@@ -331,7 +320,7 @@ def main(argv: List[str] = None) -> int:
         help="fig7 only: which scheduling policies to sweep. 'paper' "
         "(default) runs the three Figure-7 policies, 'all' sweeps every "
         "registered policy, or give a comma-separated list of names. "
-        f"Registered: {', '.join(registered_policies())}.",
+        f"Registered: {', '.join(AXES['policy'].names())}.",
     )
     parser.add_argument(
         "--topology",
@@ -377,7 +366,7 @@ def main(argv: List[str] = None) -> int:
         metavar="NAME",
         help="scenarios only: override the core-allocation policy on "
         "every selected scenario (typos get a near-miss suggestion). "
-        f"Registered: {', '.join(registered_allocators())}.",
+        f"Registered: {', '.join(AXES['allocator'].names())}.",
     )
     parser.add_argument(
         "--admission",
@@ -386,7 +375,7 @@ def main(argv: List[str] = None) -> int:
         help="scenarios only: override the admission-control policy on "
         "every selected scenario; only open-loop request/response "
         "scenarios accept one (typos get a near-miss suggestion). "
-        f"Registered: {', '.join(registered_admissions())}.",
+        f"Registered: {', '.join(AXES['admission'].names())}.",
     )
     parser.add_argument(
         "--jobs",
@@ -415,7 +404,7 @@ def main(argv: List[str] = None) -> int:
         help="scenarios only: override the cross-shard routing policy "
         "on every selected scenario; needs --shards > 1 (typos get a "
         "near-miss suggestion). "
-        f"Registered: {', '.join(registered_routings())}.",
+        f"Registered: {', '.join(AXES['routing'].names())}.",
     )
     parser.add_argument(
         "--faults",
@@ -425,7 +414,7 @@ def main(argv: List[str] = None) -> int:
         "selected scenario (with the injector's default parameters); "
         "only open-loop single-platform request/response scenarios "
         "accept one (typos get a near-miss suggestion). "
-        f"Registered: {', '.join(registered_faults())}.",
+        f"Registered: {', '.join(AXES['faults'].names())}.",
     )
     parser.add_argument(
         "--list",
@@ -463,30 +452,13 @@ def main(argv: List[str] = None) -> int:
         resolve_policy_selection(args.policy)
         _service_classes(args)
         resolve_scenario_selection(args.scenario)
-        if (
-            args.allocator is not None
-            and args.allocator not in registered_allocators()
-        ):
-            raise ConfigError(unknown_allocator_message(args.allocator))
-        if (
-            args.admission is not None
-            and args.admission not in registered_admissions()
-        ):
-            raise ConfigError(unknown_admission_message(args.admission))
+        for flag, value in _scenario_overrides(args).items():
+            if flag in AXES:
+                AXES[flag].check(value)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         if args.shards is not None and args.shards < 1:
             raise ConfigError(f"--shards must be >= 1, got {args.shards}")
-        if (
-            args.routing is not None
-            and args.routing not in registered_routings()
-        ):
-            raise ConfigError(unknown_routing_message(args.routing))
-        if (
-            args.faults is not None
-            and args.faults not in registered_faults()
-        ):
-            raise ConfigError(unknown_fault_message(args.faults))
     except (RuntimeFlickError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,12 @@
 """Generate ``docs/registries.md`` from the live policy registries.
 
-The repo has six string-keyed extension registries (scheduling,
-allocation, admission, routing, arrivals, faults), all following the
-same discipline: a module-level ``_REGISTRY`` dict, a ``register_*``
-class decorator, near-miss suggestions on unknown names.  Their
-documentation is *generated* from the live registries — every
-registered name, its class, its constructor knobs and defaults — so
-the doc cannot drift from the code: ``tests/test_docs.py`` diffs the
-committed ``docs/registries.md`` against :func:`render_markdown` and
-fails the build on any divergence.
+Every pluggable axis (scheduling, allocation, admission, routing,
+arrivals, faults) is one :class:`repro.core.registry.Registry` instance,
+carrying its own title and "consumed by" text.  Their documentation is
+*generated* from the live instances — every registered name, its class,
+its constructor knobs and defaults — so the doc cannot drift from the
+code: ``tests/test_docs.py`` diffs the committed ``docs/registries.md``
+against :func:`render_markdown` and fails the build on any divergence.
 
 Regenerate after adding or changing a registered policy::
 
@@ -23,81 +21,8 @@ import argparse
 import inspect
 import sys
 from pathlib import Path
-from typing import List, NamedTuple
 
-
-class RegistrySpec(NamedTuple):
-    """One registry's identity: where it lives and what consumes it."""
-
-    title: str
-    module: str
-    decorator: str
-    #: How a config/CLI surface reaches it.
-    consumed_by: str
-
-
-#: The six registries, in layer order (runtime -> cluster -> workload).
-REGISTRIES: List[RegistrySpec] = [
-    RegistrySpec(
-        title="Scheduling policies",
-        module="repro.runtime.policy",
-        decorator="register_policy",
-        consumed_by=(
-            "`RuntimeConfig(policy=...)`; CLI `fig7 --policy NAME`"
-        ),
-    ),
-    RegistrySpec(
-        title="Core-allocation policies",
-        module="repro.runtime.allocator",
-        decorator="register_allocator",
-        consumed_by=(
-            "`RuntimeConfig(allocator=...)`; CLI `scenarios "
-            "--allocator NAME`"
-        ),
-    ),
-    RegistrySpec(
-        title="Admission-control policies",
-        module="repro.runtime.admission",
-        decorator="register_admission",
-        consumed_by=(
-            "`RuntimeConfig(admission=...)` / open-loop populations; "
-            "CLI `scenarios --admission NAME`"
-        ),
-    ),
-    RegistrySpec(
-        title="Cross-shard routing policies",
-        module="repro.cluster.routing",
-        decorator="register_routing",
-        consumed_by=(
-            "`ShardRouter(routing=...)`; CLI `scenarios --routing NAME` "
-            "(needs `--shards` > 1)"
-        ),
-    ),
-    RegistrySpec(
-        title="Arrival processes",
-        module="repro.workloads.arrivals",
-        decorator="register_arrival",
-        consumed_by=(
-            "`OpenLoopClients(arrival=...)`; `Scenario(arrival=..., "
-            "arrival_params=...)`"
-        ),
-    ),
-    RegistrySpec(
-        title="Fault injectors",
-        module="repro.net.faults",
-        decorator="register_fault",
-        consumed_by=(
-            "testbeds' `faults=` argument; `Scenario(faults=..., "
-            "fault_params=...)`; CLI `scenarios --faults NAME`"
-        ),
-    ),
-]
-
-
-def _registry_of(spec: RegistrySpec) -> dict:
-    """The live ``_REGISTRY`` dict of ``spec.module``."""
-    module = __import__(spec.module, fromlist=["_REGISTRY"])
-    return module._REGISTRY
+from repro.bench.scenarios import AXES
 
 
 def _summary_of(cls) -> str:
@@ -141,9 +66,10 @@ def render_markdown() -> str:
         "     registries and fails the build on drift. -->",
         "",
         "Every pluggable axis of the simulator is a string-keyed registry:",
-        "a module-level `_REGISTRY` dict mapping a stable name to a policy",
-        "class, filled by a `register_*` class decorator at import time.",
-        "All six share the same contract:",
+        "one `repro.core.registry.Registry` instance per axis, mapping a",
+        "stable name to a policy class and filled by the axis's",
+        "`register_*` class decorator at import time.",
+        "All of them share the same contract:",
         "",
         "- **Lookup by name.** Config objects and CLI flags take the",
         "  registered string; `make_*(name, **params)` instantiates it and",
@@ -161,19 +87,17 @@ def render_markdown() -> str:
         "  parallelism.",
         "",
     ]
-    for spec in REGISTRIES:
-        registry = _registry_of(spec)
-        lines.append(f"## {spec.title}")
+    for registry in AXES.values():
+        lines.append(f"## {registry.title}")
         lines.append("")
         lines.append(
-            f"Registry: `{spec.module}` (decorator "
-            f"`@{spec.decorator}`). Consumed by: {spec.consumed_by}."
+            f"Registry: `{registry.module}` (decorator "
+            f"`@{registry.decorator}`). Consumed by: {registry.consumed_by}."
         )
         lines.append("")
         lines.append("| name | class | knobs | summary |")
         lines.append("| --- | --- | --- | --- |")
-        for name in sorted(registry):
-            cls = registry[name]
+        for name, cls in sorted(registry.classes.items()):
             lines.append(
                 f"| `{name}` | `{cls.__name__}` | {_knobs_of(cls)} "
                 f"| {_summary_of(cls)} |"

@@ -33,30 +33,22 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.apps import hadoop_agg, http_lb, memcached_proxy
-from repro.cluster import registered_routings, unknown_routing_message
-from repro.core.errors import ConfigError
-from repro.net.faults import (
-    make_fault,
-    registered_faults,
-    unknown_fault_message,
-)
 from repro.bench.testbeds import (
+    check_request_axes,
     run_hadoop_experiment,
     run_http_experiment,
     run_memcached_experiment,
 )
-from repro.runtime.admission import (
-    make_admission,
-    registered_admissions,
-    unknown_admission_message,
-)
-from repro.runtime.allocator import (
-    registered_allocators,
-    unknown_allocator_message,
-)
-from repro.runtime.qos import closest_name, parse_slo_class_specs
+from repro.cluster.routing import ROUTINGS
+from repro.core.errors import ConfigError, FlickError
+from repro.core.registry import Registry, did_you_mean
+from repro.net.faults import FAULTS, make_fault
+from repro.runtime.admission import ADMISSIONS, make_admission
+from repro.runtime.allocator import ALLOCATORS
+from repro.runtime.policy import POLICIES
+from repro.runtime.qos import parse_slo_class_specs
 from repro.runtime.scheduler import TaskBase
-from repro.workloads.arrivals import make_arrival
+from repro.workloads.arrivals import ARRIVALS, make_arrival
 
 #: Apps a scenario can target, and the endpoint names their programs
 #: expose to ``service_classes`` specs.
@@ -109,6 +101,19 @@ class Scenario(NamedTuple):
     faults: Optional[str] = None
     #: Parameters for :func:`~repro.net.faults.make_fault`.
     fault_params: Tuple[Tuple[str, object], ...] = ()
+
+
+#: :class:`Scenario` field → the registry its value names.  Scenario
+#: validation, the CLI's override flags and ``docs/registries.md`` all
+#: iterate this table, so a new axis is wired here once.
+AXES: Dict[str, Registry] = {
+    "policy": POLICIES,
+    "allocator": ALLOCATORS,
+    "admission": ADMISSIONS,
+    "routing": ROUTINGS,
+    "arrival": ARRIVALS,
+    "faults": FAULTS,
+}
 
 
 def _burst_trace(
@@ -406,39 +411,35 @@ def resolve_scenario_selection(selection: str) -> Tuple[Scenario, ...]:
         )
     unknown = [name for name in names if name not in _BY_NAME]
     if unknown:
-        message = (
-            f"unknown scenario{'s' if len(unknown) > 1 else ''} "
-            f"{', '.join(map(repr, unknown))}; known: "
-            f"{', '.join(SCENARIO_NAMES)}"
+        raise ConfigError(
+            did_you_mean(
+                "scenario", unknown, SCENARIO_NAMES, listed="known"
+            )
         )
-        if len(unknown) == 1:
-            hints = [
-                f"did you mean {suggestion!r}?"
-                for suggestion in [closest_name(unknown[0], _BY_NAME)]
-                if suggestion is not None
-            ]
-        else:
-            hints = [
-                f"did you mean {suggestion!r} for {name!r}?"
-                for name in unknown
-                for suggestion in [closest_name(name, _BY_NAME)]
-                if suggestion is not None
-            ]
-        if hints:
-            message += "; " + " ".join(hints)
-        raise ConfigError(message)
     return tuple(_BY_NAME[name] for name in names)
 
 
 def _validate_scenario(scenario: Scenario) -> None:
+    """Reject a scenario no testbed would run as written.
+
+    A field the selected app or topology cannot honour must not be
+    silently dropped — the entry would report it as if it were in
+    effect and the gate would pin numbers under a config that never
+    ran.  Every message gains the ``scenario 'name':`` prefix here.
+    """
+    try:
+        _check_scenario(scenario)
+    except (FlickError, ValueError) as exc:
+        raise ConfigError(f"scenario {scenario.name!r}: {exc}") from None
+
+
+def _check_scenario(scenario: Scenario) -> None:
     if scenario.app not in APP_ENDPOINTS:
         raise ConfigError(
-            f"scenario {scenario.name!r}: unknown app {scenario.app!r}; "
-            f"known: {', '.join(sorted(APP_ENDPOINTS))}"
+            did_you_mean(
+                "app", [scenario.app], sorted(APP_ENDPOINTS), listed="known"
+            )
         )
-    # Fields the hadoop testbed does not consume must not be silently
-    # dropped — the entry would report them as if they were in effect
-    # and the gate would pin numbers under a config that never ran.
     if scenario.app == "hadoop_agg":
         unsupported = [
             label
@@ -450,125 +451,42 @@ def _validate_scenario(scenario: Scenario) -> None:
         ]
         if unsupported:
             raise ConfigError(
-                f"scenario {scenario.name!r}: hadoop_agg does not "
-                f"support {', '.join(unsupported)} (mapper streams are "
-                "not per-request workloads)"
+                f"hadoop_agg does not support {', '.join(unsupported)} "
+                "(mapper streams are not per-request workloads)"
             )
     if scenario.mode != "lb" and scenario.app != "http_lb":
         raise ConfigError(
-            f"scenario {scenario.name!r}: mode={scenario.mode!r} is an "
-            "http_lb-only field"
+            f"mode={scenario.mode!r} is an http_lb-only field"
         )
-    if scenario.allocator not in registered_allocators():
-        raise ConfigError(
-            f"scenario {scenario.name!r}: "
-            + unknown_allocator_message(scenario.allocator)
-        )
-    if scenario.admission not in registered_admissions():
-        raise ConfigError(
-            f"scenario {scenario.name!r}: "
-            + unknown_admission_message(scenario.admission)
-        )
-    # Admission control gates open-loop arrivals; everywhere else the
-    # fields would be silently dropped, pinning numbers under a config
-    # that never ran (same rule as hadoop's service_classes above).
-    uses_admission = (
-        scenario.admission != "admit-all"
-        or bool(scenario.admission_params)
-        or bool(scenario.class_mix)
-    )
-    if uses_admission and (
-        scenario.arrival is None or scenario.app == "hadoop_agg"
-    ):
-        raise ConfigError(
-            f"scenario {scenario.name!r}: admission control and "
-            "class_mix need an open-loop arrival process on a "
-            "request/response app (closed-loop clients self-throttle "
-            "and hadoop mapper streams are not per-request workloads)"
-        )
-    # Fault injection follows the same no-silent-drop discipline.
+    for field, registry in AXES.items():
+        value = getattr(scenario, field)
+        if value is not None:
+            registry.check(value)
     if scenario.fault_params and scenario.faults is None:
         raise ConfigError(
-            f"scenario {scenario.name!r}: fault_params without faults "
-            "would be silently dropped"
+            "fault_params without faults would be silently dropped"
         )
-    if scenario.faults is not None:
-        if scenario.faults not in registered_faults():
-            raise ConfigError(
-                f"scenario {scenario.name!r}: "
-                + unknown_fault_message(scenario.faults)
-            )
-        try:
-            fault = make_fault(
-                scenario.faults, **dict(scenario.fault_params)
-            )
-        except ConfigError as exc:
-            raise ConfigError(
-                f"scenario {scenario.name!r}: {exc}"
-            ) from None
-        if scenario.arrival is None or scenario.app == "hadoop_agg":
-            raise ConfigError(
-                f"scenario {scenario.name!r}: fault injection needs an "
-                "open-loop arrival process on a request/response app "
-                "(retry/failure accounting lives there)"
-            )
-        if (
-            fault.needs_backends
-            and scenario.app == "http_lb"
-            and scenario.mode != "lb"
-        ):
-            raise ConfigError(
-                f"scenario {scenario.name!r}: fault {fault.name!r} "
-                "targets backend servers; mode='web' has none"
-            )
-        if scenario.shards != 1:
-            raise ConfigError(
-                f"scenario {scenario.name!r}: fault injection is "
-                "single-platform for now; drop either faults or shards"
-            )
-    if scenario.shards < 1:
-        raise ConfigError(
-            f"scenario {scenario.name!r}: shards must be >= 1, got "
-            f"{scenario.shards}"
-        )
-    if scenario.shards == 1:
-        # Same no-silent-drop rule as above: cluster knobs on a
-        # single-middlebox scenario would report a config that never ran.
-        if scenario.routing != "hash-affinity":
-            raise ConfigError(
-                f"scenario {scenario.name!r}: routing={scenario.routing!r} "
-                "needs shards > 1"
-            )
-        if scenario.fail_shard_at_us is not None:
-            raise ConfigError(
-                f"scenario {scenario.name!r}: fail_shard_at_us needs "
-                "shards > 1"
-            )
-    else:
-        if scenario.app != "http_lb":
-            raise ConfigError(
-                f"scenario {scenario.name!r}: the cluster tier shards "
-                "http_lb platforms only"
-            )
-        if scenario.arrival is None:
-            raise ConfigError(
-                f"scenario {scenario.name!r}: the cluster tier needs an "
-                "open-loop arrival process (connection-failure "
-                "accounting lives there)"
-            )
-        if scenario.routing not in registered_routings():
-            raise ConfigError(
-                f"scenario {scenario.name!r}: "
-                + unknown_routing_message(scenario.routing)
-            )
-        if (
-            scenario.fail_shard_at_us is not None
-            and scenario.fail_shard_at_us <= 0
-        ):
-            raise ConfigError(
-                f"scenario {scenario.name!r}: fail_shard_at_us must be "
-                f"positive, got {scenario.fail_shard_at_us:g}"
-            )
+    if scenario.shards > 1 and scenario.app != "http_lb":
+        raise ConfigError("the cluster tier shards http_lb platforms only")
+    check_request_axes(
+        open_loop=(
+            scenario.arrival is not None and scenario.app != "hadoop_agg"
+        ),
+        uses_admission=(
+            scenario.admission != "admit-all"
+            or bool(scenario.admission_params)
+            or bool(scenario.class_mix)
+        ),
+        fault=(
+            make_fault(scenario.faults, **dict(scenario.fault_params))
+            if scenario.faults is not None
+            else None
+        ),
+        has_backends=scenario.app != "http_lb" or scenario.mode == "lb",
+        shards=scenario.shards,
+        routing=scenario.routing,
+        fail_shard_at_us=scenario.fail_shard_at_us,
+    )
 
 
 def run_scenario(
@@ -620,6 +538,16 @@ def run_scenario(
         slo_us=slo_us,
         exec_tier=exec_tier,
         allocator=scenario.allocator,
+        arrival=arrival,
+    )
+    # What the two request/response testbeds take beyond ``common``.
+    per_request = dict(
+        requests_per_client=max(1, requests // scenario.connections),
+        service_classes=class_map,
+        total_requests=requests,
+        admission=admission,
+        class_mix=scenario.class_mix,
+        faults=fault,
     )
     # Scoped task ids, exactly as the fig7 sweep does: a scenario's
     # numbers must not depend on which scenarios ran before it in this
@@ -634,16 +562,10 @@ def run_scenario(
                 scenario.connections,
                 mode=scenario.mode,
                 cores=scenario.cores,
-                requests_per_client=max(1, requests // scenario.connections),
-                service_classes=class_map,
-                arrival=arrival,
-                total_requests=requests,
-                admission=admission,
-                class_mix=scenario.class_mix,
                 shards=scenario.shards,
                 routing=scenario.routing,
                 fail_shard_at_us=scenario.fail_shard_at_us,
-                faults=fault,
+                **per_request,
                 **common,
             )
             unit = "kreq/s"
@@ -652,13 +574,7 @@ def run_scenario(
                 "flick-kernel",
                 scenario.cores,
                 concurrency=scenario.connections,
-                requests_per_client=max(1, requests // scenario.connections),
-                service_classes=class_map,
-                arrival=arrival,
-                total_requests=requests,
-                admission=admission,
-                class_mix=scenario.class_mix,
-                faults=fault,
+                **per_request,
                 **common,
             )
             unit = "kreq/s"
@@ -666,7 +582,6 @@ def run_scenario(
             result = run_hadoop_experiment(
                 scenario.cores,
                 data_kb_per_mapper=16 if quick else 48,
-                arrival=arrival,
                 **common,
             )
             unit = "Mb/s"

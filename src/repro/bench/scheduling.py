@@ -18,9 +18,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.errors import RuntimeFlickError
 from repro.runtime.policy import (
     PAPER_POLICIES,
-    closest_policy_name,
+    POLICIES,
     registered_policies,
-    unknown_policy_message,
 )
 from repro.runtime.qos import ServiceClassMap
 from repro.runtime.scheduler import Scheduler, TaskBase
@@ -220,21 +219,7 @@ def resolve_policy_selection(selection: str) -> Sequence[str]:
     if unknown:
         # Reject up front: a typo must not surface only after the
         # preceding policies' experiments have already run.
-        if len(unknown) == 1:
-            raise RuntimeFlickError(unknown_policy_message(unknown[0]))
-        message = (
-            f"unknown scheduling policies {', '.join(map(repr, unknown))}; "
-            f"registered: {', '.join(sorted(registered_policies()))}"
-        )
-        hints = [
-            f"did you mean {suggestion!r} for {name!r}?"
-            for name in unknown
-            for suggestion in [closest_policy_name(name)]
-            if suggestion is not None
-        ]
-        if hints:
-            message += "; " + " ".join(hints)
-        raise RuntimeFlickError(message)
+        raise RuntimeFlickError(POLICIES.unknown_message(*unknown))
     return names
 
 

@@ -17,13 +17,15 @@ Systems under test:
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Optional
 
 from repro.apps import hadoop_agg, http_lb, memcached_proxy
 from repro.baselines.apache import ApacheServer
 from repro.baselines.moxi import MoxiProxy
 from repro.baselines.nginx import NginxServer
-from repro.cluster import ShardRouter
+from repro.cluster import ROUTINGS, ShardRouter
+from repro.core.errors import ConfigError
 from repro.core.units import GBPS, throughput_mbps
 from repro.net.faults import resolve_fault
 from repro.net.tcp import TcpNetwork
@@ -58,97 +60,122 @@ def _stack_of(system: str) -> str:
     return "mtcp" if system == "flick-mtcp" else "kernel"
 
 
-def _check_admission_args(arrival, admission, class_mix) -> None:
-    """Admission control needs the open loop: reject it elsewhere."""
-    if arrival is None and (admission != "admit-all" or class_mix):
-        raise ValueError(
+def check_request_axes(
+    open_loop: bool,
+    uses_admission: bool = False,
+    fault=None,
+    has_backends: bool = True,
+    shards: int = 1,
+    routing="hash-affinity",
+    fail_shard_at_us: Optional[float] = None,
+) -> None:
+    """The cross-axis rules of a request/response run, stated once.
+
+    The testbeds call this on their arguments and the scenario runner
+    on a :class:`~repro.bench.scenarios.Scenario`'s fields, so a knob
+    the selected configuration cannot honour is a :class:`ConfigError`
+    (never silently dropped) with the same text from either door.
+    ``open_loop`` is "driven by an arrival process on a
+    request/response app"; ``uses_admission`` is "an admission policy,
+    its parameters or a class mix was asked for"; ``fault`` is a
+    resolved :class:`~repro.net.faults.FaultPolicy` or ``None``.
+    """
+    if uses_admission and not open_loop:
+        raise ConfigError(
             "admission control and class_mix need an open-loop arrival "
-            "process; closed-loop clients self-throttle, so there is "
-            "nothing to shed"
+            "process on a request/response app (closed-loop clients "
+            "self-throttle, so there is nothing to shed, and hadoop "
+            "mapper streams are not per-request workloads)"
+        )
+    if fault is not None:
+        if not open_loop:
+            raise ConfigError(
+                f"fault injection ({fault.name!r}) needs an open-loop "
+                "arrival process on a request/response app "
+                "(retry/failure accounting lives there)"
+            )
+        if fault.needs_backends and not has_backends:
+            raise ConfigError(
+                f"fault {fault.name!r} targets backend servers; "
+                "mode='web' has none"
+            )
+        if shards != 1:
+            raise ConfigError(
+                "fault injection is single-platform for now; drop either "
+                "faults or shards"
+            )
+    if shards < 1:
+        raise ConfigError(f"shards must be >= 1, got {shards}")
+    if shards == 1:
+        if routing != "hash-affinity":
+            raise ConfigError(f"routing={routing!r} needs shards > 1")
+        if fail_shard_at_us is not None:
+            raise ConfigError("fail_shard_at_us needs shards > 1")
+        return
+    if not open_loop:
+        raise ConfigError(
+            "the cluster tier needs an open-loop arrival process "
+            "(connection-failure accounting lives there)"
+        )
+    ROUTINGS.check(routing)
+    if fail_shard_at_us is not None and fail_shard_at_us <= 0:
+        raise ConfigError(
+            f"fail_shard_at_us must be positive, got {fail_shard_at_us:g}"
         )
 
 
-def _resolve_fault_args(faults, arrival, use_backends: bool):
-    """Resolve/validate a testbed's ``faults`` argument (or ``None``).
-
-    Fault injection rides the open-loop machinery (retry/failure
-    accounting lives there), and backend-targeting injectors need
-    backend servers behind the middlebox — both are config errors, not
-    silently dropped knobs.
-    """
+def _resolve_fault(faults, system: str):
+    """A testbed's ``faults`` argument as an instance (or ``None``)."""
     if faults is None:
         return None
     fault = resolve_fault(faults)
-    if arrival is None:
-        raise ValueError(
-            f"fault injection ({fault.name!r}) needs an open-loop "
-            "arrival process; closed-loop clients have no retry/failure "
-            "accounting"
-        )
-    if fault.needs_backends and not use_backends:
-        raise ValueError(
-            f"fault {fault.name!r} targets backend servers; this "
-            "testbed configuration has none"
+    if fault.needs_backends and system not in FLICK_SYSTEMS:
+        raise ConfigError(
+            f"fault {fault.name!r} models the FLICK forwarding path; "
+            f"{system!r} is a cost-model baseline without one"
         )
     return fault
 
 
-def _steal_extra(platform: Optional[FlickPlatform]) -> dict:
-    """Scheduler steal counters for the result's ``extra`` dict."""
-    if platform is None:
+def _steal_extra(platforms) -> dict:
+    """Scheduler steal counters for ``extra``, summed over ``platforms``
+    (one for a single middlebox, one per shard for a fleet, none for a
+    cost-model baseline)."""
+    if not platforms:
         return {}
-    scheduler = platform.scheduler
+    schedulers = [platform.scheduler for platform in platforms]
     return {
-        "steals": float(scheduler.total_steals),
-        "stolen_tasks": float(scheduler.total_stolen_tasks),
-        "steal_us": float(scheduler.total_steal_us),
+        "steals": float(sum(s.total_steals for s in schedulers)),
+        "stolen_tasks": float(sum(s.total_stolen_tasks for s in schedulers)),
+        "steal_us": float(sum(s.total_steal_us for s in schedulers)),
     }
 
 
-def _alloc_extra(platform: Optional[FlickPlatform]) -> dict:
-    """Core-allocator counters for the result's ``extra`` dict.
+def _alloc_extra(platforms) -> dict:
+    """Core-allocator counters for ``extra`` over ``platforms``.
 
-    ``active_workers_min``/``max`` span the whole run (the initial
-    all-active state included), so a static run reads cores/cores with
-    zero changes.
+    Changes and moved tasks are summed; ``active_workers_min``/``max``
+    are the tightest/widest any one platform reached over the whole run
+    (the initial all-active state included, so a static run reads
+    cores/cores with zero changes); ``final`` is the total live cores at
+    the end.
     """
-    if platform is None:
+    if not platforms:
         return {}
-    scheduler = platform.scheduler
-    counts = [scheduler.cores]
-    counts.extend(len(r.active_after) for r in scheduler.alloc_log)
+    schedulers = [platform.scheduler for platform in platforms]
+    counts = [
+        [s.cores, *(len(r.active_after) for r in s.alloc_log)]
+        for s in schedulers
+    ]
     return {
-        "alloc_changes": float(len(scheduler.alloc_log)),
+        "alloc_changes": float(sum(len(s.alloc_log) for s in schedulers)),
         "alloc_moved_tasks": float(
-            sum(r.moved_tasks for r in scheduler.alloc_log)
+            sum(r.moved_tasks for s in schedulers for r in s.alloc_log)
         ),
-        "active_workers_min": float(min(counts)),
-        "active_workers_max": float(max(counts)),
-        "active_workers_final": float(scheduler.active_workers),
-    }
-
-
-def _fleet_steal_extra(platforms) -> dict:
-    """Shard-summed :func:`_steal_extra` (same keys, fleet totals)."""
-    totals = {"steals": 0.0, "stolen_tasks": 0.0, "steal_us": 0.0}
-    for platform in platforms:
-        for key, value in _steal_extra(platform).items():
-            totals[key] += value
-    return totals
-
-
-def _fleet_alloc_extra(platforms) -> dict:
-    """Fleet view of :func:`_alloc_extra`: counters summed across the
-    shards, ``active_workers_min``/``max`` the tightest/widest any one
-    shard reached, ``final`` the fleet's total live cores at the end."""
-    per_shard = [_alloc_extra(p) for p in platforms]
-    return {
-        "alloc_changes": sum(e["alloc_changes"] for e in per_shard),
-        "alloc_moved_tasks": sum(e["alloc_moved_tasks"] for e in per_shard),
-        "active_workers_min": min(e["active_workers_min"] for e in per_shard),
-        "active_workers_max": max(e["active_workers_max"] for e in per_shard),
-        "active_workers_final": sum(
-            e["active_workers_final"] for e in per_shard
+        "active_workers_min": float(min(map(min, counts))),
+        "active_workers_max": float(max(map(max, counts))),
+        "active_workers_final": float(
+            sum(s.active_workers for s in schedulers)
         ),
     }
 
@@ -217,6 +244,98 @@ def _build_topology(n_backends: int = N_BACKENDS):
     return engine, tcpnet, mbox, clients, backends
 
 
+def _run_request_clients(
+    engine,
+    tcpnet,
+    clients,
+    mbox,
+    port: int,
+    *,
+    system: str,
+    x: float,
+    codec,
+    closed_loop,
+    concurrency: int,
+    requests_per_client: int,
+    arrival,
+    total_requests: Optional[int],
+    seed: int,
+    slo_us: Optional[float],
+    admission,
+    class_mix,
+    fault,
+    platforms,
+    scoreboard,
+) -> RunResult:
+    """Drive the clients of a request/response testbed to completion.
+
+    Builds the population — :class:`OpenLoopClients` speaking ``codec``
+    when ``arrival`` is set, the ``closed_loop`` population class
+    otherwise — against ``(mbox, port)``, drains the engine, and
+    assembles the :class:`RunResult`: client-side accounting, the
+    schedulers' steal/allocator counters over ``platforms`` and the
+    fault's counters in ``extra``, ``scoreboard``'s per-class summary.
+    """
+    if arrival is not None:
+        population = OpenLoopClients(
+            engine,
+            tcpnet,
+            clients,
+            mbox,
+            port,
+            codec=codec,
+            arrival=resolve_arrival(arrival),
+            n_requests=(
+                total_requests
+                if total_requests is not None
+                else concurrency * requests_per_client
+            ),
+            connections=concurrency,
+            seed=seed,
+            slo_us=slo_us,
+            admission=admission,
+            class_mix=class_mix,
+            scoreboard=scoreboard,
+            **(fault.population_kwargs() if fault is not None else {}),
+        )
+    else:
+        population = closed_loop(
+            engine,
+            tcpnet,
+            clients,
+            mbox,
+            port,
+            concurrency=concurrency,
+            requests_per_client=requests_per_client,
+            warmup_requests=max(2, requests_per_client // 10),
+        )
+    population.start()
+    engine.run()
+    if not population.finished:
+        raise RuntimeError(f"{system} x={x}: workload did not complete")
+    if arrival is not None:
+        extra = _open_loop_extra(population)
+    else:
+        extra = _closed_loop_extra(
+            population, concurrency * requests_per_client, slo_us
+        )
+    extra.update(_steal_extra(platforms))
+    extra.update(_alloc_extra(platforms))
+    if fault is not None:
+        extra.update(fault.counters(population))
+    return RunResult(
+        system=system,
+        x=x,
+        throughput=population.kreqs_per_sec(),
+        latency_ms=population.mean_latency_ms(),
+        extra=extra,
+        class_stats=scoreboard.summary() if scoreboard is not None else {},
+        admission_stats=(
+            population.admission_summary() if arrival is not None else {}
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # E1 + Figure 4: HTTP (static web server and load balancer)
 # ---------------------------------------------------------------------------
@@ -272,83 +391,49 @@ OpenLoopClients`: ``concurrency`` becomes the size of the persistent
     there is nothing to shed).
 
     ``shards`` > 1 switches to the cluster tier: ``shards`` identical
-    platforms behind one :class:`~repro.cluster.fleet.ShardRouter`
-    (placement chosen by the registered ``routing`` policy), clients
-    connecting to the router exactly as to one middlebox.
-    ``fail_shard_at_us`` kills the highest-indexed shard at that
-    virtual time (failover drills).  The cluster tier requires a FLICK
-    system and an open-loop ``arrival`` (failure accounting lives in
-    the open-loop population).
+    platforms, each on its own 10 Gbps core host, behind one
+    :class:`~repro.cluster.fleet.ShardRouter` on the public ``mbox``
+    host (placement chosen by the registered ``routing`` policy);
+    clients connect to the router exactly as to one middlebox, and LB
+    mode shares one backend pool across the fleet.  ``shards == 1`` is
+    the same body with the one platform on ``mbox`` and no router.
+    ``fail_shard_at_us`` kills the highest-indexed shard — the one
+    whose loss exercises ring-segment hand-off to every survivor — at
+    that virtual time (failover drills).  The cluster tier requires a
+    FLICK system and an open-loop ``arrival`` (failure accounting lives
+    in the open-loop population).
     """
     if mode not in ("lb", "web"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_admission_args(arrival, admission, class_mix)
-    fault = _resolve_fault_args(faults, arrival, use_backends=(mode == "lb"))
-    if fault is not None and system not in FLICK_SYSTEMS and fault.needs_backends:
-        raise ValueError(
-            f"fault {fault.name!r} models the FLICK forwarding path; "
-            f"{system!r} is a cost-model baseline without one"
-        )
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        if fail_shard_at_us is not None:
-            raise ValueError("fail_shard_at_us needs shards > 1")
-        if routing != "hash-affinity":
-            raise ValueError("a non-default routing policy needs shards > 1")
-    else:
-        if system not in FLICK_SYSTEMS:
-            raise ValueError(
-                f"the cluster tier shards FLICK platforms; {system!r} "
-                "is a cost-model baseline"
-            )
-        if arrival is None:
-            raise ValueError(
-                "the cluster tier needs an open-loop arrival process "
-                "(connection-failure accounting lives there)"
-            )
-        if fault is not None:
-            raise ValueError(
-                "fault injection is single-platform for now; drop either "
-                "faults or shards"
-            )
-        return _run_http_fleet(
-            system=system,
-            concurrency=concurrency,
-            mode=mode,
-            cores=cores,
-            requests_per_client=requests_per_client,
-            timeslice_us=timeslice_us,
-            graph_pool_size=graph_pool_size,
-            policy=policy,
-            topology=topology,
-            service_classes=service_classes,
-            slo_us=slo_us,
-            arrival=arrival,
-            total_requests=total_requests,
-            seed=seed,
-            exec_tier=exec_tier,
-            allocator=allocator,
-            admission=admission,
-            class_mix=class_mix,
-            shards=shards,
-            routing=routing,
-            fail_shard_at_us=fail_shard_at_us,
+    if system not in FLICK_SYSTEMS + HTTP_BASELINES:
+        raise ValueError(f"unknown system {system!r}")
+    use_backends = mode == "lb"
+    fault = _resolve_fault(faults, system)
+    check_request_axes(
+        open_loop=arrival is not None,
+        uses_admission=admission != "admit-all" or bool(class_mix),
+        fault=fault,
+        has_backends=use_backends,
+        shards=shards,
+        routing=routing,
+        fail_shard_at_us=fail_shard_at_us,
+    )
+    if shards > 1 and system not in FLICK_SYSTEMS:
+        raise ConfigError(
+            f"the cluster tier shards FLICK platforms; {system!r} "
+            "is a cost-model baseline"
         )
     engine, tcpnet, mbox, clients, backend_hosts = _build_topology()
-    use_backends = mode == "lb"
-    if use_backends:
-        # Bound to keep the servers' identity obvious; they stay alive
-        # through the run via their socket callbacks.
-        _backend_servers = [
-            BackendWebServer(engine, tcpnet, host, 8080)
-            for host in backend_hosts
-        ]
-        targets = [OutboundTarget(host, 8080) for host in backend_hosts]
-    else:
-        targets = []
+    if not use_backends:
+        backend_hosts = []
+    # The servers stay alive through the run via their socket callbacks.
+    backend_servers = [
+        BackendWebServer(engine, tcpnet, host, 8080) for host in backend_hosts
+    ]
+    targets = [OutboundTarget(host, 8080) for host in backend_hosts]
 
-    platform = None
+    router = None
+    platforms = []
     if system in FLICK_SYSTEMS:
         config = RuntimeConfig(
             cores=cores,
@@ -368,220 +453,74 @@ OpenLoopClients`: ``concurrency`` becomes the size of the persistent
                 fault is not None and fault.tears_down_on_backend_close
             ),
         )
-        platform = FlickPlatform(
-            engine, tcpnet, mbox, config, http_lb.http_codec_registry()
-        )
-        if use_backends:
-            platform.register_program(
-                http_lb.compile_http_lb(),
-                "HttpBalancer",
-                80,
-                http_lb.lb_bindings(targets),
+        if shards > 1:
+            router = ShardRouter(
+                engine, tcpnet, mbox, 80, routing=routing, seed=seed
             )
-        else:
-            platform.register_program(
-                http_lb.compile_static_web(), "StaticWeb", 80
+        for i in range(shards):
+            host = (
+                mbox
+                if router is None
+                else tcpnet.add_host(f"shard{i}", 10 * GBPS, "core")
             )
-        platform.start()
+            platform = FlickPlatform(
+                engine, tcpnet, host, config, http_lb.http_codec_registry()
+            )
+            if use_backends:
+                platform.register_program(
+                    http_lb.compile_http_lb(),
+                    "HttpBalancer",
+                    80,
+                    http_lb.lb_bindings(targets),
+                )
+            else:
+                platform.register_program(
+                    http_lb.compile_static_web(), "StaticWeb", 80
+                )
+            platform.start()
+            if router is not None:
+                router.add_shard(platform, 80)
+            platforms.append(platform)
+        if router is not None:
+            router.start()
+            if fail_shard_at_us is not None:
+                router.fail_shard_at(shards - 1, fail_shard_at_us)
     elif system == "apache":
         ApacheServer(engine, tcpnet, mbox, 80, cores=cores, backends=targets or None)
-    elif system == "nginx":
+    else:
         NginxServer(engine, tcpnet, mbox, 80, cores=cores, backends=targets or None)
-    else:
-        raise ValueError(f"unknown system {system!r}")
 
     if fault is not None:
-        fault.install(engine, _backend_servers if use_backends else [])
+        fault.install(engine, backend_servers)
 
-    if arrival is not None:
-        population = OpenLoopClients(
-            engine,
-            tcpnet,
-            clients,
-            mbox,
-            80,
-            codec=HttpRequestCodec(),
-            arrival=resolve_arrival(arrival),
-            n_requests=(
-                total_requests
-                if total_requests is not None
-                else concurrency * requests_per_client
-            ),
-            connections=concurrency,
-            seed=seed,
-            slo_us=slo_us,
-            admission=admission,
-            class_mix=class_mix,
-            scoreboard=platform.scoreboard if platform is not None else None,
-            **(fault.population_kwargs() if fault is not None else {}),
-        )
-        extra_of = _open_loop_extra
+    if router is not None:
+        scoreboard = router.scoreboard
     else:
-        population = HttpClientPopulation(
-            engine,
-            tcpnet,
-            clients,
-            mbox,
-            80,
-            concurrency=concurrency,
-            persistent=persistent,
-            requests_per_client=requests_per_client,
-            warmup_requests=max(2, requests_per_client // 10),
-        )
-
-        def extra_of(pop):
-            return _closed_loop_extra(
-                pop, concurrency * requests_per_client, slo_us
-            )
-
-    population.start()
-    engine.run()
-    if not population.finished:
-        raise RuntimeError(
-            f"{system} x={concurrency}: workload did not complete"
-        )
-    extra = extra_of(population)
-    extra.update(_steal_extra(platform))
-    extra.update(_alloc_extra(platform))
-    if fault is not None:
-        extra.update(fault.counters(population))
-    return RunResult(
-        system=system,
-        x=concurrency,
-        throughput=population.kreqs_per_sec(),
-        latency_ms=population.mean_latency_ms(),
-        extra=extra,
-        class_stats=(
-            platform.scoreboard.summary() if platform is not None else {}
-        ),
-        admission_stats=(
-            population.admission_summary() if arrival is not None else {}
-        ),
-    )
-
-
-def _run_http_fleet(
-    system: str,
-    concurrency: int,
-    mode: str,
-    cores: int,
-    requests_per_client: int,
-    timeslice_us: float,
-    graph_pool_size: Optional[int],
-    policy,
-    topology,
-    service_classes,
-    slo_us: Optional[float],
-    arrival,
-    total_requests: Optional[int],
-    seed: int,
-    exec_tier: str,
-    allocator,
-    admission,
-    class_mix,
-    shards: int,
-    routing,
-    fail_shard_at_us: Optional[float],
-) -> RunResult:
-    """The sharded half of :func:`run_http_experiment`.
-
-    ``shards`` identical FLICK platforms, each on its own 10 Gbps core
-    host, behind a :class:`~repro.cluster.fleet.ShardRouter` on the
-    public ``mbox`` host; LB mode shares one backend pool across the
-    fleet (the paper's topology, scaled out at the middlebox tier).
-    ``fail_shard_at_us`` kills the highest-indexed shard — the one
-    whose loss exercises ring-segment hand-off to every survivor.
-    """
-    engine, tcpnet, mbox, clients, backend_hosts = _build_topology()
-    use_backends = mode == "lb"
-    if use_backends:
-        _backend_servers = [
-            BackendWebServer(engine, tcpnet, host, 8080)
-            for host in backend_hosts
-        ]
-        targets = [OutboundTarget(host, 8080) for host in backend_hosts]
-    else:
-        targets = []
-
-    router = ShardRouter(engine, tcpnet, mbox, 80, routing=routing, seed=seed)
-    platforms = []
-    for i in range(shards):
-        shard_host = tcpnet.add_host(f"shard{i}", 10 * GBPS, "core")
-        config = RuntimeConfig(
-            cores=cores,
-            stack=_stack_of(system),
-            timeslice_us=timeslice_us,
-            graph_pool_size=(
-                graph_pool_size if graph_pool_size is not None else 512
-            ),
-            policy="cooperative" if policy is None else policy,
-            topology=topology,
-            service_classes=service_classes,
-            slo_us=slo_us,
-            exec_tier=exec_tier,
-            allocator=allocator,
-            admission=admission,
-        )
-        platform = FlickPlatform(
-            engine, tcpnet, shard_host, config, http_lb.http_codec_registry()
-        )
-        if use_backends:
-            platform.register_program(
-                http_lb.compile_http_lb(),
-                "HttpBalancer",
-                80,
-                http_lb.lb_bindings(targets),
-            )
-        else:
-            platform.register_program(
-                http_lb.compile_static_web(), "StaticWeb", 80
-            )
-        platform.start()
-        router.add_shard(platform, 80)
-        platforms.append(platform)
-    router.start()
-    if fail_shard_at_us is not None:
-        router.fail_shard_at(shards - 1, fail_shard_at_us)
-
-    population = OpenLoopClients(
+        scoreboard = platforms[0].scoreboard if platforms else None
+    result = _run_request_clients(
         engine,
         tcpnet,
         clients,
         mbox,
         80,
+        system=system,
+        x=concurrency,
         codec=HttpRequestCodec(),
-        arrival=resolve_arrival(arrival),
-        n_requests=(
-            total_requests
-            if total_requests is not None
-            else concurrency * requests_per_client
-        ),
-        connections=concurrency,
+        closed_loop=partial(HttpClientPopulation, persistent=persistent),
+        concurrency=concurrency,
+        requests_per_client=requests_per_client,
+        arrival=arrival,
+        total_requests=total_requests,
         seed=seed,
         slo_us=slo_us,
         admission=admission,
         class_mix=class_mix,
-        scoreboard=router.scoreboard,
+        fault=fault,
+        platforms=platforms,
+        scoreboard=scoreboard,
     )
-    population.start()
-    engine.run()
-    if not population.finished:
-        raise RuntimeError(
-            f"{system} x={concurrency} shards={shards}: "
-            "workload did not complete"
-        )
-    extra = _open_loop_extra(population)
-    extra.update(_fleet_steal_extra(platforms))
-    extra.update(_fleet_alloc_extra(platforms))
-    return RunResult(
-        system=system,
-        x=concurrency,
-        throughput=population.kreqs_per_sec(),
-        latency_ms=population.mean_latency_ms(),
-        extra=extra,
-        class_stats=router.scoreboard.summary(),
-        admission_stats=population.admission_summary(),
-        cluster_stats={
+    if router is not None:
+        result.cluster_stats = {
             "shards": shards,
             "routing": router.routing_name,
             "alive_shards": router.alive_shards,
@@ -590,8 +529,8 @@ def _run_http_fleet(
             "failed_over_connections": router.failed_over_connections,
             "failed_shards": list(router.failed_shards),
             "per_shard": router.shard_report(),
-        },
-    )
+        }
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +568,14 @@ def run_memcached_experiment(
     (the memcached proxy always has backend servers, so every
     registered fault applies here).
     """
-    _check_admission_args(arrival, admission, class_mix)
-    fault = _resolve_fault_args(faults, arrival, use_backends=True)
-    if fault is not None and system not in FLICK_SYSTEMS and fault.needs_backends:
-        raise ValueError(
-            f"fault {fault.name!r} models the FLICK forwarding path; "
-            f"{system!r} is a cost-model baseline without one"
-        )
+    if system not in FLICK_SYSTEMS + ("moxi",):
+        raise ValueError(f"unknown system {system!r}")
+    fault = _resolve_fault(faults, system)
+    check_request_axes(
+        open_loop=arrival is not None,
+        uses_admission=admission != "admit-all" or bool(class_mix),
+        fault=fault,
+    )
     engine, tcpnet, mbox, clients, backend_hosts = _build_topology()
     filler = b"v" * value_bytes
     backend_servers = [
@@ -646,7 +586,7 @@ def run_memcached_experiment(
     ]
     targets = [OutboundTarget(host, 11211) for host in backend_hosts]
 
-    platform = None
+    platforms = []
     if system in FLICK_SYSTEMS:
         if cache_router:
             program = memcached_proxy.compile_cache_router()
@@ -684,79 +624,39 @@ def run_memcached_experiment(
             memcached_proxy.proxy_bindings(targets),
         )
         platform.start()
-    elif system == "moxi":
-        MoxiProxy(engine, tcpnet, mbox, 11211, targets, cores=cores)
+        platforms.append(platform)
     else:
-        raise ValueError(f"unknown system {system!r}")
+        MoxiProxy(engine, tcpnet, mbox, 11211, targets, cores=cores)
 
     if fault is not None:
         fault.install(engine, backend_servers)
 
-    if arrival is not None:
-        population = OpenLoopClients(
-            engine,
-            tcpnet,
-            clients,
-            mbox,
-            11211,
-            codec=MemcachedRequestCodec(key_space=key_space),
-            arrival=resolve_arrival(arrival),
-            n_requests=(
-                total_requests
-                if total_requests is not None
-                else concurrency * requests_per_client
-            ),
-            connections=concurrency,
-            seed=seed,
-            slo_us=slo_us,
-            admission=admission,
-            class_mix=class_mix,
-            scoreboard=platform.scoreboard if platform is not None else None,
-            **(fault.population_kwargs() if fault is not None else {}),
-        )
-        extra_of = _open_loop_extra
-    else:
-        population = MemcachedClientPopulation(
-            engine,
-            tcpnet,
-            clients,
-            mbox,
-            11211,
-            concurrency=concurrency,
-            requests_per_client=requests_per_client,
-            warmup_requests=max(2, requests_per_client // 10),
-            key_space=key_space,
-        )
-
-        def extra_of(pop):
-            return _closed_loop_extra(
-                pop, concurrency * requests_per_client, slo_us
-            )
-
-    population.start()
-    engine.run()
-    if not population.finished:
-        raise RuntimeError(f"{system} cores={cores}: workload did not complete")
-    backend_hits = sum(s.requests_served for s in backend_servers)
-    extra = extra_of(population)
-    extra["backend_requests"] = float(backend_hits)
-    extra.update(_steal_extra(platform))
-    extra.update(_alloc_extra(platform))
-    if fault is not None:
-        extra.update(fault.counters(population))
-    return RunResult(
+    result = _run_request_clients(
+        engine,
+        tcpnet,
+        clients,
+        mbox,
+        11211,
         system=system,
         x=cores,
-        throughput=population.kreqs_per_sec(),
-        latency_ms=population.mean_latency_ms(),
-        extra=extra,
-        class_stats=(
-            platform.scoreboard.summary() if platform is not None else {}
-        ),
-        admission_stats=(
-            population.admission_summary() if arrival is not None else {}
-        ),
+        codec=MemcachedRequestCodec(key_space=key_space),
+        closed_loop=partial(MemcachedClientPopulation, key_space=key_space),
+        concurrency=concurrency,
+        requests_per_client=requests_per_client,
+        arrival=arrival,
+        total_requests=total_requests,
+        seed=seed,
+        slo_us=slo_us,
+        admission=admission,
+        class_mix=class_mix,
+        fault=fault,
+        platforms=platforms,
+        scoreboard=platforms[0].scoreboard if platforms else None,
     )
+    result.extra["backend_requests"] = float(
+        sum(server.requests_served for server in backend_servers)
+    )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +757,8 @@ def run_hadoop_experiment(
         "egress_bytes": float(sink.bytes_received),
         "word_len": float(word_len),
     }
-    extra.update(_steal_extra(platform))
-    extra.update(_alloc_extra(platform))
+    extra.update(_steal_extra([platform]))
+    extra.update(_alloc_extra([platform]))
     return RunResult(
         system=f"flick-{stack}",
         x=cores,

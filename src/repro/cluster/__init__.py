@@ -11,13 +11,12 @@ mid-run shard-failure injection (mechanism).
 from repro.cluster.fleet import FleetScoreboard, ShardRouter
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.routing import (
+    ROUTINGS,
     FleetView,
     RoutingPolicy,
     ShardSnapshot,
-    closest_routing_name,
     make_routing,
     register_routing,
     registered_routings,
     resolve_routing,
-    unknown_routing_message,
 )

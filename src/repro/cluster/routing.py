@@ -32,11 +32,11 @@ suggestions, like every other registry in the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type
+from typing import Optional, Tuple
 
 from repro.cluster.ring import HashRing
 from repro.core.errors import ConfigError
-from repro.runtime.qos import closest_name
+from repro.core.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -108,65 +108,22 @@ class RoutingPolicy:
 
 # -- registry ----------------------------------------------------------------
 
-_REGISTRY: Dict[str, Type[RoutingPolicy]] = {}
-
-
-def register_routing(cls: Type[RoutingPolicy]) -> Type[RoutingPolicy]:
-    """Class decorator adding ``cls`` to the registry under ``cls.name``."""
-    if not cls.name or cls.name == "abstract":
-        raise ConfigError(f"routing class {cls.__name__} needs a name")
-    if cls.name in _REGISTRY:
-        raise ConfigError(f"routing policy {cls.name!r} registered twice")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def registered_routings() -> tuple:
-    """All routing-policy names: ``hash-affinity`` first, rest sorted."""
-    extras = sorted(name for name in _REGISTRY if name != "hash-affinity")
-    return ("hash-affinity",) + tuple(extras)
-
-
-def closest_routing_name(name: str) -> Optional[str]:
-    """The registered name a typo most plausibly meant, or ``None``."""
-    return closest_name(name, _REGISTRY)
-
-
-def unknown_routing_message(name: str) -> str:
-    """Error text for an unregistered routing name, with a near-miss."""
-    message = (
-        f"unknown routing policy {name!r}; registered: "
-        f"{', '.join(sorted(_REGISTRY))}"
-    )
-    suggestion = closest_routing_name(name)
-    if suggestion is not None:
-        message += f"; did you mean {suggestion!r}?"
-    return message
-
-
-def make_routing(name: str, **params) -> RoutingPolicy:
-    """Instantiate the registered routing policy ``name``."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(unknown_routing_message(name)) from None
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise ConfigError(
-            f"bad parameters for routing policy {name!r}: {exc}"
-        ) from None
-
-
-def resolve_routing(spec, **params) -> RoutingPolicy:
-    """Accept a routing name or a ready instance; return an instance."""
-    if isinstance(spec, RoutingPolicy):
-        return spec
-    if isinstance(spec, str):
-        return make_routing(spec, **params)
-    raise ConfigError(
-        f"routing must be a name or RoutingPolicy, got {type(spec).__name__}"
-    )
+ROUTINGS = Registry(
+    "routing policy",
+    RoutingPolicy,
+    ConfigError,
+    first=("hash-affinity",),
+    title="Cross-shard routing policies",
+    decorator="register_routing",
+    consumed_by=(
+        "`ShardRouter(routing=...)`; CLI `scenarios --routing NAME` "
+        "(needs `--shards` > 1)"
+    ),
+)
+register_routing = ROUTINGS.register
+registered_routings = ROUTINGS.names
+make_routing = ROUTINGS.make
+resolve_routing = ROUTINGS.resolve
 
 
 # -- built-in policies -------------------------------------------------------

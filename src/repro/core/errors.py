@@ -89,5 +89,10 @@ class SimulationError(FlickError):
     """Raised by the discrete-event engine on misuse (e.g. past-time events)."""
 
 
-class ConfigError(FlickError):
-    """Raised when a configuration object fails validation."""
+class ConfigError(FlickError, ValueError):
+    """Raised when a configuration object fails validation.
+
+    Also a :class:`ValueError`: the testbeds and the scenario runner
+    state each configuration rule once, and callers of either may catch
+    it as the built-in.
+    """

@@ -33,10 +33,10 @@ Every injector is scheduled on the virtual clock and seeded state only
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+from typing import Dict, Optional
 
 from repro.core.errors import ConfigError
-from repro.runtime.qos import closest_name
+from repro.core.registry import Registry
 
 
 class FaultPolicy:
@@ -94,64 +94,21 @@ class FaultPolicy:
 
 # -- registry ----------------------------------------------------------------
 
-_REGISTRY: Dict[str, Type[FaultPolicy]] = {}
-
-
-def register_fault(cls: Type[FaultPolicy]) -> Type[FaultPolicy]:
-    """Class decorator adding ``cls`` to the registry under ``cls.name``."""
-    if not cls.name or cls.name == "abstract":
-        raise ConfigError(f"fault class {cls.__name__} needs a name")
-    if cls.name in _REGISTRY:
-        raise ConfigError(f"fault policy {cls.name!r} registered twice")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def registered_faults() -> tuple:
-    """All registered fault-policy names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def closest_fault_name(name: str) -> Optional[str]:
-    """The registered name a typo most plausibly meant, or ``None``."""
-    return closest_name(name, _REGISTRY)
-
-
-def unknown_fault_message(name: str) -> str:
-    """Error text for an unregistered fault name, with a near-miss."""
-    message = (
-        f"unknown fault policy {name!r}; registered: "
-        f"{', '.join(sorted(_REGISTRY))}"
-    )
-    suggestion = closest_fault_name(name)
-    if suggestion is not None:
-        message += f"; did you mean {suggestion!r}?"
-    return message
-
-
-def make_fault(name: str, **params) -> FaultPolicy:
-    """Instantiate the registered fault policy ``name``."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(unknown_fault_message(name)) from None
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise ConfigError(
-            f"bad parameters for fault policy {name!r}: {exc}"
-        ) from None
-
-
-def resolve_fault(spec, **params) -> FaultPolicy:
-    """Accept a fault name or a ready instance; return an instance."""
-    if isinstance(spec, FaultPolicy):
-        return spec
-    if isinstance(spec, str):
-        return make_fault(spec, **params)
-    raise ConfigError(
-        f"fault must be a name or FaultPolicy, got {type(spec).__name__}"
-    )
+FAULTS = Registry(
+    "fault policy",
+    FaultPolicy,
+    ConfigError,
+    title="Fault injectors",
+    decorator="register_fault",
+    consumed_by=(
+        "testbeds' `faults=` argument; `Scenario(faults=..., "
+        "fault_params=...)`; CLI `scenarios --faults NAME`"
+    ),
+)
+register_fault = FAULTS.register
+registered_faults = FAULTS.names
+make_fault = FAULTS.make
+resolve_fault = FAULTS.resolve
 
 
 # -- built-in injectors -------------------------------------------------------

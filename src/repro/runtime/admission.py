@@ -28,10 +28,10 @@ Unknown names get near-miss suggestions, mirroring
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple
 
 from repro.core.errors import RuntimeFlickError
-from repro.runtime.qos import closest_name
+from repro.core.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -75,70 +75,22 @@ class AdmissionPolicy:
 
 # -- registry ----------------------------------------------------------------
 
-_REGISTRY: Dict[str, Type[AdmissionPolicy]] = {}
-
-
-def register_admission(cls: Type[AdmissionPolicy]) -> Type[AdmissionPolicy]:
-    """Class decorator adding ``cls`` to the registry under ``cls.name``."""
-    if not cls.name or cls.name == "abstract":
-        raise RuntimeFlickError(
-            f"admission class {cls.__name__} needs a name"
-        )
-    if cls.name in _REGISTRY:
-        raise RuntimeFlickError(
-            f"admission policy {cls.name!r} registered twice"
-        )
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def registered_admissions() -> tuple:
-    """All registered admission names: ``admit-all`` first, rest sorted."""
-    extras = sorted(name for name in _REGISTRY if name != "admit-all")
-    return ("admit-all",) + tuple(extras)
-
-
-def closest_admission_name(name: str) -> Optional[str]:
-    """The registered name a typo most plausibly meant, or ``None``."""
-    return closest_name(name, _REGISTRY)
-
-
-def unknown_admission_message(name: str) -> str:
-    """Error text for an unregistered admission name, with a near-miss."""
-    message = (
-        f"unknown admission policy {name!r}; registered: "
-        f"{', '.join(sorted(_REGISTRY))}"
-    )
-    suggestion = closest_admission_name(name)
-    if suggestion is not None:
-        message += f"; did you mean {suggestion!r}?"
-    return message
-
-
-def make_admission(name: str, **kwargs) -> AdmissionPolicy:
-    """Instantiate the registered admission policy ``name``."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise RuntimeFlickError(unknown_admission_message(name)) from None
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise RuntimeFlickError(
-            f"bad parameters for admission policy {name!r}: {exc}"
-        ) from None
-
-
-def resolve_admission(spec) -> AdmissionPolicy:
-    """Accept an admission name or a ready instance; return an instance."""
-    if isinstance(spec, AdmissionPolicy):
-        return spec
-    if isinstance(spec, str):
-        return make_admission(spec)
-    raise RuntimeFlickError(
-        "admission policy must be a name or AdmissionPolicy, "
-        f"got {type(spec).__name__}"
-    )
+ADMISSIONS = Registry(
+    "admission policy",
+    AdmissionPolicy,
+    RuntimeFlickError,
+    first=("admit-all",),
+    title="Admission-control policies",
+    decorator="register_admission",
+    consumed_by=(
+        "`RuntimeConfig(admission=...)` / open-loop populations; "
+        "CLI `scenarios --admission NAME`"
+    ),
+)
+register_admission = ADMISSIONS.register
+registered_admissions = ADMISSIONS.names
+make_admission = ADMISSIONS.make
+resolve_admission = ADMISSIONS.resolve
 
 
 # -- built-in policies --------------------------------------------------------

@@ -39,10 +39,10 @@ names get near-miss suggestions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type
+from typing import Tuple
 
 from repro.core.errors import RuntimeFlickError
-from repro.runtime.qos import closest_name
+from repro.core.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -113,66 +113,21 @@ class AllocationPolicy:
 
 # -- registry ----------------------------------------------------------------
 
-_REGISTRY: Dict[str, Type[AllocationPolicy]] = {}
-
-
-def register_allocator(cls: Type[AllocationPolicy]) -> Type[AllocationPolicy]:
-    """Class decorator adding ``cls`` to the registry under ``cls.name``."""
-    if not cls.name or cls.name == "abstract":
-        raise RuntimeFlickError(f"allocator class {cls.__name__} needs a name")
-    if cls.name in _REGISTRY:
-        raise RuntimeFlickError(f"allocator {cls.name!r} registered twice")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def registered_allocators() -> tuple:
-    """All registered allocator names: ``static`` first, rest sorted."""
-    extras = sorted(name for name in _REGISTRY if name != "static")
-    return ("static",) + tuple(extras)
-
-
-def closest_allocator_name(name: str) -> Optional[str]:
-    """The registered name a typo most plausibly meant, or ``None``."""
-    return closest_name(name, _REGISTRY)
-
-
-def unknown_allocator_message(name: str) -> str:
-    """Error text for an unregistered allocator name, with a near-miss."""
-    message = (
-        f"unknown core allocator {name!r}; registered: "
-        f"{', '.join(sorted(_REGISTRY))}"
-    )
-    suggestion = closest_allocator_name(name)
-    if suggestion is not None:
-        message += f"; did you mean {suggestion!r}?"
-    return message
-
-
-def make_allocator(name: str, **kwargs) -> AllocationPolicy:
-    """Instantiate the registered allocation policy ``name``."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise RuntimeFlickError(unknown_allocator_message(name)) from None
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise RuntimeFlickError(
-            f"bad parameters for allocator {name!r}: {exc}"
-        ) from None
-
-
-def resolve_allocator(spec) -> AllocationPolicy:
-    """Accept an allocator name or a ready instance; return an instance."""
-    if isinstance(spec, AllocationPolicy):
-        return spec
-    if isinstance(spec, str):
-        return make_allocator(spec)
-    raise RuntimeFlickError(
-        "allocator must be a name or AllocationPolicy, "
-        f"got {type(spec).__name__}"
-    )
+ALLOCATORS = Registry(
+    "core allocator",
+    AllocationPolicy,
+    RuntimeFlickError,
+    first=("static",),
+    title="Core-allocation policies",
+    decorator="register_allocator",
+    consumed_by=(
+        "`RuntimeConfig(allocator=...)`; CLI `scenarios --allocator NAME`"
+    ),
+)
+register_allocator = ALLOCATORS.register
+registered_allocators = ALLOCATORS.names
+make_allocator = ALLOCATORS.make
+resolve_allocator = ALLOCATORS.resolve
 
 
 # -- built-in policies --------------------------------------------------------

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.errors import FlickError
+
 #: Virtual µs charged per abstract interpreter/parser op.
 OP_US = 2.3
 
@@ -126,31 +128,13 @@ SchedulingPolicy` instance for custom parameters.
         if self.slo_us is not None and self.slo_us <= 0:
             raise ValueError(f"slo_us must be positive, got {self.slo_us}")
         if self.service_classes is not None:
-            from repro.core.errors import ConfigError
             from repro.runtime.qos import ServiceClassMap
 
-            try:
-                normalized = ServiceClassMap.from_spec(self.service_classes)
-            except ConfigError as exc:
-                raise ValueError(str(exc)) from None
+            # A bad spec raises ConfigError, which is a ValueError.
+            normalized = ServiceClassMap.from_spec(self.service_classes)
             # Frozen dataclass: normalisation has to go through
             # object.__setattr__, the same escape hatch dataclasses use.
             object.__setattr__(self, "service_classes", normalized)
-        # Imported lazily: this module is a leaf dependency of the
-        # runtime package and must not import it at load time.
-        from repro.runtime.policy import SchedulingPolicy, registered_policies
-
-        if isinstance(self.policy, str):
-            if self.policy not in registered_policies():
-                raise ValueError(
-                    f"unknown scheduling policy {self.policy!r}; "
-                    f"registered: {', '.join(registered_policies())}"
-                )
-        elif not isinstance(self.policy, SchedulingPolicy):
-            raise ValueError(
-                "policy must be a registered name or a SchedulingPolicy, "
-                f"got {type(self.policy).__name__}"
-            )
         if self.topology is not None:
             from repro.net.stackprofiles import CoreTopology, core_topology
 
@@ -164,31 +148,15 @@ SchedulingPolicy` instance for custom parameters.
                     "topology must be a registered name or a CoreTopology, "
                     f"got {type(self.topology).__name__}"
                 )
-        from repro.runtime.allocator import (
-            AllocationPolicy,
-            registered_allocators,
-            unknown_allocator_message,
-        )
+        # Imported lazily: this module is a leaf dependency of the
+        # runtime package and must not import it at load time.
+        from repro.runtime.admission import ADMISSIONS
+        from repro.runtime.allocator import ALLOCATORS
+        from repro.runtime.policy import POLICIES
 
-        if isinstance(self.allocator, str):
-            if self.allocator not in registered_allocators():
-                raise ValueError(unknown_allocator_message(self.allocator))
-        elif not isinstance(self.allocator, AllocationPolicy):
-            raise ValueError(
-                "allocator must be a registered name or an "
-                f"AllocationPolicy, got {type(self.allocator).__name__}"
-            )
-        from repro.runtime.admission import (
-            AdmissionPolicy,
-            registered_admissions,
-            unknown_admission_message,
-        )
-
-        if isinstance(self.admission, str):
-            if self.admission not in registered_admissions():
-                raise ValueError(unknown_admission_message(self.admission))
-        elif not isinstance(self.admission, AdmissionPolicy):
-            raise ValueError(
-                "admission must be a registered name or an "
-                f"AdmissionPolicy, got {type(self.admission).__name__}"
-            )
+        try:
+            POLICIES.check(self.policy)
+            ALLOCATORS.check(self.allocator)
+            ADMISSIONS.check(self.admission)
+        except FlickError as exc:
+            raise ValueError(str(exc)) from None

@@ -46,11 +46,11 @@ and ``steal-half`` are scenarios the paper could not test.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Type
+from typing import Dict, Optional, Sequence
 
 from repro.core.errors import RuntimeFlickError
 from repro.core.ids import stable_hash
-from repro.runtime.qos import closest_name
+from repro.core.registry import Registry
 
 #: The three policies evaluated in the paper (section 6.4, Figure 7).
 PAPER_POLICIES = ("cooperative", "non_cooperative", "round_robin")
@@ -164,70 +164,32 @@ class SchedulingPolicy:
 
 # -- registry ----------------------------------------------------------------
 
-_REGISTRY: Dict[str, Type[SchedulingPolicy]] = {}
-
-
-def register_policy(cls: Type[SchedulingPolicy]) -> Type[SchedulingPolicy]:
-    """Class decorator adding ``cls`` to the registry under ``cls.name``."""
-    if not cls.name or cls.name == "abstract":
-        raise RuntimeFlickError(f"policy class {cls.__name__} needs a name")
-    if cls.name in _REGISTRY:
-        raise RuntimeFlickError(f"policy {cls.name!r} registered twice")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def registered_policies() -> tuple:
-    """All registered policy names, paper policies first, rest sorted."""
-    extras = sorted(name for name in _REGISTRY if name not in PAPER_POLICIES)
-    return PAPER_POLICIES + tuple(extras)
-
-
-def closest_policy_name(name: str) -> Optional[str]:
-    """The registered name a typo most plausibly meant, or ``None``.
-
-    Separator slips (``dead-line``, ``adaptive_timeslice``) are matched
-    exactly after stripping ``-``/``_``; anything else falls back to a
-    difflib closest-match so transpositions like ``roud_robin`` are
-    caught too.  (Shared matcher: :func:`repro.runtime.qos.closest_name`
-    gives ``--slo-class`` endpoints the same suggestions.)
-    """
-    return closest_name(name, _REGISTRY)
-
-
-def unknown_policy_message(name: str) -> str:
-    """Error text for an unregistered policy name: sorted valid names
-    plus a near-miss suggestion when the typo is recognisable."""
-    message = (
-        f"unknown scheduling policy {name!r}; registered: "
-        f"{', '.join(sorted(_REGISTRY))}"
-    )
-    suggestion = closest_policy_name(name)
-    if suggestion is not None:
-        message += f"; did you mean {suggestion!r}?"
-    return message
+POLICIES = Registry(
+    "scheduling policy",
+    SchedulingPolicy,
+    RuntimeFlickError,
+    first=PAPER_POLICIES,
+    title="Scheduling policies",
+    decorator="register_policy",
+    consumed_by="`RuntimeConfig(policy=...)`; CLI `fig7 --policy NAME`",
+)
+register_policy = POLICIES.register
+registered_policies = POLICIES.names
 
 
 def make_policy(
     name: str, timeslice_us: float = 50.0, **kwargs
 ) -> SchedulingPolicy:
     """Instantiate the registered policy ``name``."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise RuntimeFlickError(unknown_policy_message(name)) from None
-    return cls(timeslice_us=timeslice_us, **kwargs)
+    return POLICIES.make(name, timeslice_us=timeslice_us, **kwargs)
 
 
 def resolve_policy(spec, timeslice_us: float = 50.0) -> SchedulingPolicy:
-    """Accept a policy name or a ready instance; return an instance."""
-    if isinstance(spec, SchedulingPolicy):
-        return spec
+    """Accept a policy name or a ready instance; return an instance
+    (a ready instance keeps the timeslice it was built with)."""
     if isinstance(spec, str):
         return make_policy(spec, timeslice_us)
-    raise RuntimeFlickError(
-        f"policy must be a name or SchedulingPolicy, got {type(spec).__name__}"
-    )
+    return POLICIES.resolve(spec)
 
 
 # -- the three paper policies (Figure 7) -------------------------------------

@@ -30,11 +30,11 @@ with near-miss suggestions in the same style as unknown policy names.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigError
+from repro.core.registry import closest_name
 
 #: Class name used for accounting when a task carries no service class.
 DEFAULT_CLASS_NAME = "default"
@@ -67,22 +67,6 @@ class ServiceClass:
                 f"service class {self.name!r} needs a positive weight, "
                 f"got {self.weight!r}"
             )
-
-
-def closest_name(name: str, candidates: Iterable[str]) -> Optional[str]:
-    """The candidate a typo most plausibly meant, or ``None``.
-
-    Same matching style as the policy registry's near-miss helper:
-    separator slips are matched exactly after stripping ``-``/``_``,
-    anything else falls back to difflib.
-    """
-    ordered = sorted(candidates)
-    canon = name.lower().replace("-", "").replace("_", "")
-    for candidate in ordered:
-        if candidate.lower().replace("-", "").replace("_", "") == canon:
-            return candidate
-    matches = difflib.get_close_matches(name, ordered, n=1)
-    return matches[0] if matches else None
 
 
 class ServiceClassMap:

@@ -30,15 +30,16 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Type
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.errors import ConfigError
+from repro.core.registry import Registry
 from repro.grammar.protocols import http
 from repro.grammar.protocols import memcached as mc
 from repro.net.simnet import Host
 from repro.net.tcp import TcpNetwork, TcpSocket
 from repro.runtime.admission import AdmissionRequest, resolve_admission
-from repro.runtime.qos import DEFAULT_CLASS_NAME, closest_name
+from repro.runtime.qos import DEFAULT_CLASS_NAME
 from repro.sim.engine import Engine, Timeout
 from repro.sim.stats import IntervalSeries, LatencySeries, Meter
 
@@ -65,64 +66,21 @@ class ArrivalProcess:
         return self.name
 
 
-_REGISTRY: Dict[str, Type[ArrivalProcess]] = {}
-
-
-def register_arrival(cls: Type[ArrivalProcess]) -> Type[ArrivalProcess]:
-    """Class decorator adding ``cls`` to the registry under ``cls.name``."""
-    if not cls.name or cls.name == "abstract":
-        raise ConfigError(f"arrival class {cls.__name__} needs a name")
-    if cls.name in _REGISTRY:
-        raise ConfigError(f"arrival process {cls.name!r} registered twice")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def registered_arrivals() -> tuple:
-    """All registered arrival-process names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def closest_arrival_name(name: str) -> Optional[str]:
-    """The registered name a typo most plausibly meant, or ``None``."""
-    return closest_name(name, _REGISTRY)
-
-
-def unknown_arrival_message(name: str) -> str:
-    """Error text for an unregistered arrival name, with a near-miss."""
-    message = (
-        f"unknown arrival process {name!r}; registered: "
-        f"{', '.join(sorted(_REGISTRY))}"
-    )
-    suggestion = closest_arrival_name(name)
-    if suggestion is not None:
-        message += f"; did you mean {suggestion!r}?"
-    return message
-
-
-def make_arrival(name: str, **params) -> ArrivalProcess:
-    """Instantiate the registered arrival process ``name``."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(unknown_arrival_message(name)) from None
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise ConfigError(
-            f"bad parameters for arrival process {name!r}: {exc}"
-        ) from None
-
-
-def resolve_arrival(spec, **params) -> ArrivalProcess:
-    """Accept an arrival name or a ready instance; return an instance."""
-    if isinstance(spec, ArrivalProcess):
-        return spec
-    if isinstance(spec, str):
-        return make_arrival(spec, **params)
-    raise ConfigError(
-        f"arrival must be a name or ArrivalProcess, got {type(spec).__name__}"
-    )
+ARRIVALS = Registry(
+    "arrival process",
+    ArrivalProcess,
+    ConfigError,
+    title="Arrival processes",
+    decorator="register_arrival",
+    consumed_by=(
+        "`OpenLoopClients(arrival=...)`; `Scenario(arrival=..., "
+        "arrival_params=...)`"
+    ),
+)
+register_arrival = ARRIVALS.register
+registered_arrivals = ARRIVALS.names
+make_arrival = ARRIVALS.make
+resolve_arrival = ARRIVALS.resolve
 
 
 def _check_rate(rate_rps: float, what: str = "rate_rps") -> float:

@@ -14,10 +14,8 @@ from repro.sim.stats import IntervalSeries, LatencySeries
 from repro.workloads.arrivals import (
     HttpRequestCodec,
     OpenLoopClients,
-    closest_arrival_name,
     make_arrival,
     registered_arrivals,
-    resolve_arrival,
 )
 
 
@@ -31,29 +29,9 @@ class TestRegistry:
             "poisson", "bursty", "ramp", "replay",
         }
 
-    def test_unknown_name_gets_near_miss_suggestion(self):
-        with pytest.raises(ConfigError) as excinfo:
-            make_arrival("poison", rate_rps=1000)
-        assert "unknown arrival process 'poison'" in str(excinfo.value)
-        assert "did you mean 'poisson'?" in str(excinfo.value)
-
-    def test_closest_arrival_name(self):
-        assert closest_arrival_name("burstey") == "bursty"
-        assert closest_arrival_name("zzzzz") is None
-
-    def test_bad_parameters_are_config_errors(self):
-        with pytest.raises(ConfigError, match="bad parameters"):
-            make_arrival("poisson", rate_hz=1000)
+    def test_out_of_range_parameters_are_config_errors(self):
         with pytest.raises(ConfigError, match="must be positive"):
             make_arrival("poisson", rate_rps=-1)
-
-    def test_resolve_accepts_instance_and_name(self):
-        instance = make_arrival("poisson", rate_rps=10.0)
-        assert resolve_arrival(instance) is instance
-        assert resolve_arrival("ramp").name == "ramp"
-        with pytest.raises(ConfigError, match="name or ArrivalProcess"):
-            resolve_arrival(42)
-
 
 class TestProcesses:
     def test_poisson_mean_gap_matches_rate(self):

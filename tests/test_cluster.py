@@ -10,15 +10,11 @@ from repro.bench.testbeds import run_http_experiment
 from repro.cluster import (
     FleetView,
     HashRing,
-    RoutingPolicy,
     ShardRouter,
     ShardSnapshot,
-    closest_routing_name,
     make_routing,
     registered_routings,
-    resolve_routing,
 )
-from repro.cluster.routing import register_routing
 from repro.core.errors import ConfigError, SimulationError
 from repro.core.units import GBPS
 from repro.net.tcp import TcpNetwork
@@ -78,34 +74,6 @@ class TestRoutingRegistry:
         assert set(names) >= {
             "hash-affinity", "least-loaded", "rebalance-watermark",
         }
-
-    def test_unknown_name_gets_near_miss(self):
-        with pytest.raises(ConfigError) as excinfo:
-            make_routing("least-loadd")
-        assert "did you mean 'least-loaded'?" in str(excinfo.value)
-        assert closest_routing_name("hash-afinity") == "hash-affinity"
-
-    def test_bad_params_rejected_with_policy_name(self):
-        with pytest.raises(ConfigError, match="least-loaded"):
-            make_routing("least-loaded", nonsense=3)
-
-    def test_resolve_accepts_instances_and_names_only(self):
-        policy = make_routing("hash-affinity")
-        assert resolve_routing(policy) is policy
-        assert resolve_routing("least-loaded").name == "least-loaded"
-        with pytest.raises(ConfigError, match="name or RoutingPolicy"):
-            resolve_routing(42)
-
-    def test_duplicate_and_abstract_names_rejected(self):
-        with pytest.raises(ConfigError, match="registered twice"):
-            @register_routing
-            class Dup(RoutingPolicy):  # pragma: no cover - rejected
-                name = "hash-affinity"
-        with pytest.raises(ConfigError, match="needs a name"):
-            @register_routing
-            class Nameless(RoutingPolicy):  # pragma: no cover - rejected
-                name = "abstract"
-
 
 class TestHashAffinityPolicy:
     def test_is_the_pure_ring_owner(self):
@@ -346,10 +314,42 @@ class TestShardedRuns:
                 "flick-kernel", 8, shards=1, routing="least-loaded"
             )
 
-    def test_single_shard_keeps_the_classic_path(self):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_shard_is_the_same_body_without_a_router(
+        self, shards, monkeypatch
+    ):
+        """``shards == 1`` is the platform list ``[platform on mbox]``:
+        no :class:`ShardRouter`, no ``shard*`` host; ``shards == 2``
+        runs the same function with a router and one host per shard."""
+        from repro.bench import testbeds
+
+        routers, hosts = [], []
+
+        class RecordingRouter(ShardRouter):
+            def __init__(self, *args, **kwargs):
+                routers.append(self)
+                super().__init__(*args, **kwargs)
+
+        add_host = TcpNetwork.add_host
+
+        def recording_add_host(self, name, *args, **kwargs):
+            hosts.append(name)
+            return add_host(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(testbeds, "ShardRouter", RecordingRouter)
+        monkeypatch.setattr(TcpNetwork, "add_host", recording_add_host)
         result = run_http_experiment(
             "flick-kernel", 16, mode="lb", cores=4,
             arrival=make_arrival("poisson", rate_rps=20_000.0),
-            total_requests=1000, slo_us=5000.0, shards=1,
+            total_requests=1000, slo_us=5000.0, shards=shards,
         )
-        assert result.cluster_stats == {}
+        assert result.extra["completed"] == 1000
+        shard_hosts = [name for name in hosts if name.startswith("shard")]
+        if shards == 1:
+            assert routers == [] and shard_hosts == []
+            assert result.cluster_stats == {}
+        else:
+            assert len(routers) == 1
+            assert shard_hosts == ["shard0", "shard1"]
+            assert result.cluster_stats["shards"] == 2
+        assert hosts.count("mbox") == 1

@@ -13,11 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.registry_docs import (
-    REGISTRIES,
-    default_output_path,
-    render_markdown,
-)
+from repro.bench.registry_docs import default_output_path, render_markdown
+from repro.bench.scenarios import AXES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,19 +37,20 @@ class TestGeneratedRegistryDoc:
         )
 
     def test_all_six_registries_are_documented(self):
-        assert len(REGISTRIES) == 6
+        assert len(AXES) == 6
         text = render_markdown()
-        for spec in REGISTRIES:
-            assert f"`{spec.module}`" in text
+        for registry in AXES.values():
+            assert f"## {registry.title}\n" in text
+            assert f"`{registry.module}`" in text
+            assert f"`@{registry.decorator}`" in text
 
     def test_every_registered_name_appears(self):
         text = render_markdown()
-        for spec in REGISTRIES:
-            module = __import__(spec.module, fromlist=["_REGISTRY"])
-            for name in module._REGISTRY:
+        for registry in AXES.values():
+            for name in registry.classes:
                 assert f"| `{name}` |" in text, (
-                    f"{spec.module} registers {name!r} but the generated "
-                    "doc does not list it"
+                    f"{registry.module} registers {name!r} but the "
+                    "generated doc does not list it"
                 )
 
 

@@ -29,11 +29,8 @@ from repro.bench.testbeds import run_http_experiment
 from repro.core.errors import ConfigError
 from repro.net.faults import (
     FaultPolicy,
-    closest_fault_name,
     make_fault,
     registered_faults,
-    resolve_fault,
-    unknown_fault_message,
 )
 from repro.runtime.scheduler import TaskBase
 from repro.workloads.arrivals import make_arrival
@@ -47,28 +44,6 @@ class TestRegistry:
         assert names == tuple(sorted(names))
         assert set(BUILTINS) <= set(names)
         assert len(set(names)) == len(names)
-
-    def test_unknown_name_gets_near_miss_suggestion(self):
-        with pytest.raises(ConfigError) as excinfo:
-            make_fault("retry-strom")
-        assert "unknown fault policy 'retry-strom'" in str(excinfo.value)
-        assert "did you mean 'retry-storm'?" in str(excinfo.value)
-        assert closest_fault_name("retry-strom") == "retry-storm"
-        assert "retry-storm" in unknown_fault_message("retry-strom")
-
-    def test_bad_parameters_name_the_fault(self):
-        with pytest.raises(ConfigError) as excinfo:
-            make_fault("retry-storm", nonsense=1)
-        assert "bad parameters for fault policy 'retry-storm'" in str(
-            excinfo.value
-        )
-
-    def test_resolve_accepts_instance_and_name(self):
-        fault = make_fault("conn-churn", lifetime_requests=4)
-        assert resolve_fault(fault) is fault
-        assert resolve_fault("conn-churn").name == "conn-churn"
-        with pytest.raises(ConfigError):
-            resolve_fault(42)
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_describe_and_params_are_json_plain(self, name):

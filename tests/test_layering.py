@@ -1,0 +1,40 @@
+"""Layering: the substrate packages never import the layers above them.
+
+``repro.core``, ``repro.sim`` and ``repro.net`` sit under the runtime,
+the cluster tier, the workloads and the bench harness (see the layer map
+in ``docs/architecture.md``).  ``net/faults.py`` once reached *up* into
+``repro.runtime.qos`` for the near-miss matcher; that helper now lives in
+``repro.core.registry``, and this test keeps the inversion from coming
+back.  It walks the AST, so an import hidden inside a function counts.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+LOWER = ("core", "sim", "net")
+UPPER = ("repro.runtime", "repro.cluster", "repro.workloads", "repro.bench")
+
+
+def _imported_modules(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("package", LOWER)
+def test_lower_layers_do_not_import_upper_layers(package):
+    files = sorted((SRC / package).rglob("*.py"))
+    assert files, f"no sources found under {SRC / package}"
+    offenders = [
+        f"{path.relative_to(SRC)} imports {module}"
+        for path in files
+        for module in _imported_modules(path)
+        if module.startswith(UPPER)
+    ]
+    assert not offenders, "upward imports: " + "; ".join(offenders)

@@ -24,13 +24,9 @@ from repro.runtime.policy import (
     LocalityPolicy,
     NumaPolicy,
     PriorityPolicy,
-    SchedulingPolicy,
     StealHalfPolicy,
-    closest_policy_name,
     make_policy,
-    register_policy,
     registered_policies,
-    resolve_policy,
 )
 from repro.runtime.qos import ServiceClass
 from repro.runtime.scheduler import Scheduler, TaskBase
@@ -209,38 +205,6 @@ class TestRegistry:
     def test_paper_policies_listed_first(self):
         assert registered_policies()[:3] == PAPER_POLICIES
 
-    def test_make_policy_unknown_rejected(self):
-        with pytest.raises(RuntimeFlickError):
-            make_policy("fifo")
-
-    def test_unknown_policy_lists_names_sorted(self):
-        with pytest.raises(RuntimeFlickError) as excinfo:
-            make_policy("fifo")
-        message = str(excinfo.value)
-        listed = message.split("registered: ")[1].split(";")[0].split(", ")
-        assert listed == sorted(registered_policies())
-
-    @pytest.mark.parametrize(
-        "typo, meant",
-        [
-            ("dead-line", "deadline"),
-            ("adaptive_timeslice", "adaptive-timeslice"),
-            ("steal_half", "steal-half"),
-            ("roud_robin", "round_robin"),
-            ("cooprative", "cooperative"),
-        ],
-    )
-    def test_unknown_policy_suggests_near_miss(self, typo, meant):
-        with pytest.raises(RuntimeFlickError) as excinfo:
-            make_policy(typo)
-        assert f"did you mean {meant!r}?" in str(excinfo.value)
-
-    def test_closest_policy_name_gives_up_on_garbage(self):
-        assert closest_policy_name("zzzzqqqq") is None
-        with pytest.raises(RuntimeFlickError) as excinfo:
-            make_policy("zzzzqqqq")
-        assert "did you mean" not in str(excinfo.value)
-
     def test_selection_typo_suggests_near_miss(self):
         with pytest.raises(RuntimeFlickError, match="did you mean"):
             resolve_policy_selection("cooperative,dead-line")
@@ -251,25 +215,6 @@ class TestRegistry:
         message = str(excinfo.value)
         assert "did you mean 'deadline' for 'dead-line'?" in message
         assert "did you mean 'steal-half' for 'steal_half'?" in message
-
-    def test_resolve_accepts_instance(self):
-        policy = CooperativePolicy(timeslice_us=25.0)
-        assert resolve_policy(policy) is policy
-
-    def test_resolve_accepts_name(self):
-        policy = resolve_policy("cooperative", timeslice_us=30.0)
-        assert isinstance(policy, CooperativePolicy)
-        assert policy.timeslice_us == 30.0
-
-    def test_resolve_rejects_garbage(self):
-        with pytest.raises(RuntimeFlickError):
-            resolve_policy(42)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(RuntimeFlickError):
-            @register_policy
-            class Clash(SchedulingPolicy):
-                name = "cooperative"
 
     def test_scheduler_exposes_policy_name(self):
         sched = Scheduler(Engine(), 2, 50.0, "locality")
