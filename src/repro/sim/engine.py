@@ -9,48 +9,27 @@ would produce (``seq`` is a global schedule counter breaking same-time
 ties in schedule order).  That contract is what makes runs reproducible,
 and it is locked by the differential oracle harness
 (``tests/test_engine_equivalence.py``), which drives this engine and the
-seed heap-only reference (:mod:`repro.sim.reference`) through generated
+seed heap-only oracle (``tests/engine_oracle.py``) through generated
 schedules and asserts identical firing sequences.
 
-Internal architecture (the hot path, invisible in results)
-----------------------------------------------------------
+Two stages
+----------
 
-The mechanism behind the contract is a four-stage calendar, ordered from
-nearest to farthest virtual time:
+* **Ready queue** — a FIFO ``deque`` of events at the *current* tick.
+  Zero-delay schedules (every ``Event.trigger``/``add_callback`` funnels
+  through here, and so does a delay too small to move the clock) never
+  touch the heap.  Every ready entry carries ``time == now``.
+* **Heap** — one binary heap holding every strictly-future event.
 
-* **Ready queue** — a FIFO of events at the *current* tick.  Zero-delay
-  schedules (every ``Event.trigger``/``add_callback`` funnels through
-  here) never touch a heap; once every other stage's head is strictly
-  later than ``now``, the run loop drains the whole tick without
-  re-comparing keys per pop (anything scheduled during the drain is
-  either strictly later or joins the back of this queue in seq order).
-* **Batch** — a sorted run of imminent events, consumed by index.  Runs
-  of equal-timestamp events drain from it with a single seq comparison
-  against the ready queue per pop, extending the same-tick discipline to
-  equal-*nonzero*-time runs.
-* **Timer wheel** — a bucketed calendar queue of ``_NSLOTS`` slots, each
-  ``_SLOT_US`` µs wide, holding the dense short-delay timeouts the TCP
-  stack and worker budgets generate.  Insertion is O(1): events land in
-  the bucket of their timestamp's slot (slot width is a power of two, so
-  binning is float-exact) and a small heap of occupied slot numbers
-  tracks where the wheel has work.  When a bucket could contain the next
-  event (its slot's lower bound reaches the earliest exact head), it is
-  *promoted*: sorted once — ``seq`` is unique, so tuple comparison never
-  reaches the callbacks — and appended to the batch.  Slots are disjoint
-  time ranges promoted in order, so appends keep the batch sorted.
-* **Overflow heap** — a plain binary heap for far-future events beyond
-  the wheel's ``_SPAN_US`` horizon.  Entries fire straight from the heap
-  (the run loop merges exact heads), so no cascading pass is needed.
-  The heap is also the *preferred* stage while the pending set is small
-  (below ``_HEAP_PREF`` entries): a cache-resident binary heap's C
-  push/pop beat the wheel's bucket and promotion constants until there
-  are thousands of timers in flight.  Placement is purely a performance
-  decision — the run loop merges every stage exactly, so routing never
-  affects firing order.
-
-Event records are flat ``(time, seq, callback, args)`` tuples compared
-whole — ``seq`` is unique, so comparisons stop before the callback field
-and no per-event key slicing happens anywhere.
+The pending set is bounded by live connections, not by run length (35 to
+189 heap entries across the scenario matrix and the host-time ledger), so
+a cache-resident heap's C push/pop is all the calendar this traffic
+needs.  Event records are flat ``(time, seq, callback, args)`` tuples
+compared whole — ``seq`` is unique, so a comparison never reaches the
+callback.  The clock never runs backwards, hence a heap entry is never
+earlier than ``now``, and when both stages hold work one tuple comparison
+of their heads picks the next event: the heap wins only on a same-time
+entry that was scheduled first.
 
 Determinism contract
 --------------------
@@ -60,14 +39,14 @@ Determinism contract
   anywhere; ``engine.now`` is the only clock.
 * ``at()`` schedules the *exact* absolute timestamp given — there is no
   ``when - now`` → ``now + delay`` float round-trip, so an event lands on
-  the requested time to the last ulp and equal-timestamp batching keys
-  on it reliably.
+  the requested time to the last ulp.
 * ``schedule(delay)`` with a delay so small that ``now + delay`` rounds
   back to ``now`` fires at ``now``, after events already queued for the
   tick (its seq is larger).
-* Wheel/batch/heap placement is invisible: moving an event between
-  internal stages never changes its key, and promotion sorts restore the
-  exact global order.
+* Negative and NaN times are rejected; ``run(until)`` with ``until`` in
+  the past is a no-op, so nothing can rewind the clock.
+* A callback that raises consumes exactly its own entry: everything else
+  stays queued and a later ``run()`` carries on in order.
 
 Generator-based **processes** ride on top: a process is a Python
 generator that yields :class:`Timeout` or :class:`Event` objects and is
@@ -77,41 +56,11 @@ loops).
 
 from __future__ import annotations
 
-import heapq
-import math
-from array import array
-from bisect import insort
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
-
-try:  # accelerated promotion sorts; the engine runs fine without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the toolchain
-    _np = None
-
-#: Timer-wheel slot width (µs).  A power of two, so ``time / _SLOT_US``
-#: is exact in IEEE-754 and bucket binning can never disagree with key
-#: comparisons by an ulp.  Narrow slots keep promotion sorts small even
-#: with millions of pending timeouts (sort cost per event is the log of
-#: the *bucket* population, not of the total).
-_SLOT_US = 4.0
-_SLOT_INV = 1.0 / _SLOT_US
-#: Number of wheel slots; the wheel covers ``_SPAN_US`` µs (~65 ms) past
-#: the promotion frontier, chosen to hold the TCP stack's hop/serialise
-#: delays and the scheduler's 10-100 µs budgets with room to spare.
-_NSLOTS = 16384
-_MASK = _NSLOTS - 1
-_SPAN_US = _SLOT_US * _NSLOTS
-
-#: Below this many pending heap entries, near-future events are routed
-#: to the overflow heap instead of the wheel: a small binary heap is
-#: cache-resident and its C push/pop beat the wheel's bucket+promotion
-#: constants, while at scale the wheel's O(1) binning wins.  Placement
-#: is purely a performance decision — the run loop merges all stages
-#: exactly, so any event is correct in the heap.
-_HEAP_PREF = 1024
 
 _INF = float("inf")
 
@@ -160,7 +109,7 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float):
-        if delay < 0:
+        if not delay >= 0:  # negative or NaN
             raise SimulationError(f"negative timeout {delay}")
         self.delay = delay
 
@@ -199,54 +148,16 @@ class Process:
 class Engine:
     """The event loop: schedule callbacks, spawn processes, run."""
 
-    __slots__ = (
-        "now",
-        "_seq",
-        "_running",
-        "_ready",
-        "_batch",
-        "_bi",
-        "_slots",
-        "_occupied",
-        "_wheel_count",
-        "_base",
-        "_batch_hi",
-        "_wheel_end",
-        "_heap",
-        "_heap_pref",
-    )
+    __slots__ = ("now", "_seq", "_running", "_ready", "_heap")
 
     def __init__(self):
         self.now: float = 0.0
         self._seq = 0
         self._running = False
-        # Stage 1: events at the current tick, FIFO in seq order.
+        # Events at the current tick, FIFO in seq order.
         self._ready: Deque[_Entry] = deque()
-        # Stage 2: sorted imminent events, consumed from index _bi.
-        self._batch: List[_Entry] = []
-        self._bi = 0
-        # Stage 3: the timer wheel.  _slots[s & _MASK] is the bucket for
-        # absolute slot s (None when empty); _occupied is a heap of the
-        # occupied absolute slot numbers; _base is the first slot the
-        # wheel may still hold (everything earlier has been promoted into
-        # the batch, whose coverage ends at _batch_hi == _base * _SLOT_US).
-        # Each occupied slot holds parallel (times, entries) sequences;
-        # times live in an array('d') so promotion hands them to the
-        # argsort as a zero-copy buffer view.
-        self._slots: List[
-            Optional[Tuple["array[float]", List[_Entry]]]
-        ] = [None] * _NSLOTS
-        self._occupied: List[int] = []
-        self._wheel_count = 0
-        self._base = 0
-        self._batch_hi = 0.0
-        self._wheel_end = _SPAN_US
-        # Stage 4: far-future overflow, doubling as the preferred home
-        # for near-future events while the pending set is small (see
-        # _HEAP_PREF) — every stage is merged exactly, so placement
-        # never affects firing order.
+        # Every strictly-future event.
         self._heap: List[_Entry] = []
-        self._heap_pref = _HEAP_PREF
 
     # -- scheduling ---------------------------------------------------------
 
@@ -257,57 +168,25 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable, *args) -> None:
         """Run ``callback(*args)`` after ``delay`` µs of virtual time."""
-        if delay <= 0.0:
-            if delay < 0.0:
-                raise SimulationError(f"cannot schedule in the past ({delay})")
-            self._ready.append((self.now, self._seq, callback, args))
-            self._seq += 1
-        else:
-            self._insert(self.now + delay, callback, args)
+        if not delay >= 0.0:  # negative or NaN
+            raise SimulationError(f"cannot schedule in the past ({delay})")
+        self._insert(self.now + delay, callback, args)
 
     def at(self, when: float, callback: Callable, *args) -> None:
         """Run ``callback`` at the exact absolute virtual time ``when``."""
-        now = self.now
-        if when <= now:
-            if when < now:
-                raise SimulationError(
-                    f"cannot schedule in the past ({when - now})"
-                )
-            self._ready.append((when, self._seq, callback, args))
-            self._seq += 1
-        else:
-            self._insert(when, callback, args)
+        if not when >= self.now:  # earlier or NaN
+            raise SimulationError(
+                f"cannot schedule in the past ({when - self.now})"
+            )
+        self._insert(when, callback, args)
 
     def _insert(self, when: float, callback: Callable, args: tuple) -> None:
-        """File a strictly-future event into batch, wheel or overflow.
-
-        Wheel binning needs no bounds paranoia: ``when * _SLOT_INV`` is
-        exact (scaling by a power of two only shifts the exponent), so
-        ``_batch_hi <= when < _wheel_end`` *guarantees* the slot lands in
-        ``[_base, _base + _NSLOTS)``.
-        """
         entry = (when, self._seq, callback, args)
         self._seq += 1
-        if when == self.now:
-            # delay so small that now + delay rounded back down to now.
-            self._ready.append(entry)
-        elif when >= self._batch_hi:
-            if when < self._wheel_end and len(self._heap) >= self._heap_pref:
-                idx = int(when * _SLOT_INV) & _MASK
-                bucket = self._slots[idx]
-                if bucket is not None:
-                    bucket[0].append(when)
-                    bucket[1].append(entry)
-                else:
-                    self._slots[idx] = (array("d", (when,)), [entry])
-                    heapq.heappush(self._occupied, int(when * _SLOT_INV))
-                self._wheel_count += 1
-            else:
-                heapq.heappush(self._heap, entry)
+        if when > self.now:
+            heappush(self._heap, entry)
         else:
-            # The wheel below _batch_hi has already been promoted, so
-            # imminent events join the sorted batch directly.
-            insort(self._batch, entry, lo=self._bi)
+            self._ready.append(entry)
 
     def event(self) -> Event:
         return Event(self)
@@ -321,50 +200,6 @@ class Engine:
 
     # -- execution ------------------------------------------------------------
 
-    def _promote(self, limit: Optional[float]) -> None:
-        """Promote every wheel slot whose lower bound reaches ``limit``.
-
-        A slot with lower bound equal to the earliest exact head must be
-        promoted too: its bucket may hold an equal-timestamp event with a
-        smaller seq.  Afterwards every event left in the wheel is strictly
-        later than ``limit`` (and than ``now``).
-        """
-        occupied = self._occupied
-        slots = self._slots
-        while occupied and (limit is None or occupied[0] * _SLOT_US <= limit):
-            s = heapq.heappop(occupied)
-            idx = s & _MASK
-            times, entries = slots[idx]
-            slots[idx] = None
-            n = len(entries)
-            if _np is not None and n > 256:
-                # Bucket appends happen in schedule order, so position
-                # within the bucket *is* seq order; a stable argsort on
-                # the times alone reproduces the exact (time, seq) order
-                # without paying tuple comparisons on millions of
-                # entries.  Small buckets stay on list.sort, which wins
-                # below numpy's fixed call overhead.
-                order = _np.argsort(
-                    _np.frombuffer(times), kind="stable"  # zero-copy view
-                ).tolist()
-                entries = list(map(entries.__getitem__, order))
-            else:
-                entries.sort()  # seq is unique: callbacks never compared
-            self._wheel_count -= n
-            batch = self._batch
-            if self._bi >= len(batch):
-                self._batch = entries
-                self._bi = 0
-            else:
-                # Promoted entries all live at or past _batch_hi, later
-                # than every batch entry: appending keeps it sorted.
-                batch.extend(entries)
-            self._base = s + 1
-            self._batch_hi = (s + 1) * _SLOT_US
-            self._wheel_end = (s + 1 + _NSLOTS) * _SLOT_US
-            if limit is None:
-                return
-
     def run(self, until: Optional[float] = None) -> float:
         """Execute events until none remain or ``until`` is reached.
 
@@ -372,165 +207,34 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
+        if until is not None and until < self.now:
+            return self.now
+        limit = _INF if until is None else until
         self._running = True
-        ulimit = until if until is not None else _INF
+        ready = self._ready
+        heap = self._heap
         try:
-            ready = self._ready
-            heap = self._heap
             while True:
-                # Exact heads of ready / batch / overflow, then promote
-                # any wheel slot that could still beat (or tie) them.
-                batch = self._batch
-                bi = self._bi
-                ready_head = ready[0] if ready else None
-                batch_head = batch[bi] if bi < len(batch) else None
-                heap_head = heap[0] if heap else None
-                nxt = ready_head
-                if batch_head is not None and (
-                    nxt is None or batch_head < nxt
-                ):
-                    nxt = batch_head
-                if heap_head is not None and (nxt is None or heap_head < nxt):
-                    nxt = heap_head
-                if self._occupied and (
-                    nxt is None
-                    or self._occupied[0] * _SLOT_US <= nxt[0]
-                ):
-                    self._promote(None if nxt is None else nxt[0])
-                    continue
-                if nxt is None:
+                if ready:
+                    if heap and heap[0] < ready[0]:
+                        entry = heappop(heap)
+                    else:
+                        entry = ready.popleft()
+                elif heap:
+                    entry = heap[0]
+                    if entry[0] > limit:
+                        self.now = until
+                        return until
+                    heappop(heap)
+                    self.now = entry[0]
+                else:
                     if until is not None and until > self.now:
                         self.now = until
                     return self.now
-                when = nxt[0]
-                if when > ulimit:
-                    self.now = until
-                    return self.now
-                self.now = when
-                if when >= self._batch_hi:
-                    # The clock galloped past the promotion frontier on
-                    # overflow events; drag the wheel window along so
-                    # short delays keep landing in the wheel.  Every
-                    # occupied slot is strictly later than ``when``
-                    # (promotion above), so no bucket is skipped.
-                    base = int(when * _SLOT_INV)
-                    if base > self._base:
-                        self._base = base
-                        self._batch_hi = base * _SLOT_US
-                        self._wheel_end = (base + _NSLOTS) * _SLOT_US
-                if nxt is ready_head:
-                    ready.popleft()
-                elif nxt is batch_head:
-                    bi += 1
-                    if bi >= len(batch):
-                        del batch[:]
-                        self._bi = 0
-                    elif bi >= 1024:
-                        del batch[:bi]
-                        self._bi = 0
-                    else:
-                        self._bi = bi
-                else:
-                    heapq.heappop(heap)
-                nxt[2](*nxt[3])
-                # Equal-timestamp bulk drain: every batch entry sharing
-                # this timestamp was filed before time advanced here, so
-                # its seq is smaller than that of any ready entry posted
-                # by the callbacks now firing, and same-time inserts made
-                # *during* the drain go to the ready queue (``at(now)``)
-                # — the whole run fires unconditionally in seq order with
-                # zero key comparisons per pop.  Only an overflow entry
-                # tying the timestamp forces the merge loop.
-                batch = self._batch
-                bi = self._bi
-                nb = len(batch)
-                if (
-                    bi < nb
-                    and batch[bi][0] == when
-                    and not (heap and heap[0][0] == when)
-                ):
-                    j = bi
-                    while j < nb and batch[j][0] == when:
-                        j += 1
-                    k = bi - 1
-                    try:
-                        for k in range(bi, j):
-                            entry = batch[k]
-                            entry[2](*entry[3])
-                    except BaseException:
-                        # A raising callback consumes its own entry but
-                        # must leave the rest of the run queued.
-                        self._bi = k + 1
-                        raise
-                    self._bi = j
-                # Same-tick fast drain: once every other stage's head is
-                # strictly later than ``now``, the whole tick drains with
-                # no key comparisons at all — new zero-delay schedules
-                # join the back in seq order, everything else lands
-                # strictly later.
-                if ready:
-                    batch = self._batch
-                    bi = self._bi
-                    if (bi >= len(batch) or batch[bi][0] > when) and (
-                        not heap or heap[0][0] > when
-                    ):
-                        while ready:
-                            entry = ready.popleft()
-                            entry[2](*entry[3])
-                # Distinct-time batch drain: wheel slots and overflow
-                # pushes always land at or past ``_batch_hi`` — strictly
-                # above every batch entry — so while the (pre-drain)
-                # overflow head and ``until`` lie beyond the next batch
-                # time and no same-tick work is queued, the batch is
-                # consumed by index without re-merging stage heads.
-                if not ready and self._bi < len(self._batch):
-                    batch = self._batch
-                    bi = self._bi
-                    # One exclusive stop bound: fire while t < stop.
-                    # ``until`` is inclusive (fire at t == until), so its
-                    # bound is the next float up; the overflow head is
-                    # exclusive (a tie must go through the merge loop).
-                    stop = heap[0][0] if heap else _INF
-                    if ulimit < stop:
-                        stop = math.nextafter(ulimit, _INF)
-                    # The length is cached: a callback insort lands at an
-                    # index >= k (its time is strictly after ``now``), so
-                    # the cursor stays valid, and any entry it shifts past
-                    # ``nb`` is picked up when the merge loop re-enters.
-                    # The cursor is committed on the way out (including
-                    # the exception path) rather than per pop; mid-drain,
-                    # callbacks only consume it as an insort lower-bound
-                    # hint, where a stale-low value stays correct.
-                    nb = len(batch)
-                    k = bi - 1
-                    try:
-                        for k in range(bi, nb):
-                            entry = batch[k]
-                            t = entry[0]
-                            if t >= stop:
-                                self._bi = k
-                                break
-                            self.now = t
-                            entry[2](*entry[3])
-                            if ready:
-                                self._bi = k + 1
-                                break
-                        else:
-                            self._bi = nb
-                    except BaseException:
-                        self._bi = k + 1
-                        raise
-                    if self._bi >= len(self._batch):
-                        del self._batch[:]
-                        self._bi = 0
+                entry[2](*entry[3])
         finally:
             self._running = False
 
     def pending(self) -> int:
         """Number of scheduled events (for tests/diagnostics)."""
-        return (
-            len(self._ready)
-            + len(self._heap)
-            + (len(self._batch) - self._bi)
-            + self._wheel_count
-        )
+        return len(self._ready) + len(self._heap)

@@ -4,24 +4,22 @@ This is the engine the repository grew up on: one binary heap of
 ``(time, seq, callback, args)`` tuples, popped one comparison at a time.
 It is deliberately *not* optimised — its value is that the firing order
 it produces **defines** the determinism contract the production engine
-(:mod:`repro.sim.engine`) must reproduce bit-for-bit, the same way the
-tree-walking interpreter is the oracle for the codegen tier.
+(:mod:`repro.sim.engine`) must reproduce bit-for-bit, the same way
+``tests/grammar_oracle.py`` is the oracle for the generated codecs.
 
-Two consumers:
+One consumer: ``tests/test_engine_equivalence.py`` runs
+hypothesis-generated schedules through both engines and asserts
+identical firing sequences and final clocks — any divergence is a
+production-engine bug by definition.  Nothing under ``src/`` imports
+this module.
 
-* ``tests/test_engine_equivalence.py`` runs hypothesis-generated
-  schedules through both engines and asserts identical firing sequences
-  and final clocks — any divergence is a production-engine bug by
-  definition;
-* ``benchmarks/bench_engine.py`` uses it as the baseline its ≥5x
-  events/sec gate is measured against.
-
-The one intentional upgrade over the seed is shared with the production
-engine: :meth:`ReferenceEngine.at` schedules the exact absolute
-timestamp instead of round-tripping through ``when - now`` →
-``now + delay`` float arithmetic, so both engines agree on absolute
-times to the last ulp and the differential harness can exercise ``at()``
-freely.
+Three intentional departures from the seed, all shared with the
+production engine so the harness can exercise them freely:
+:meth:`ReferenceEngine.at` schedules the exact absolute timestamp
+instead of round-tripping through ``when - now`` → ``now + delay`` float
+arithmetic; a NaN delay or timestamp is rejected like a negative one;
+and ``run(until)`` with ``until`` in the past is a no-op instead of
+rewinding the clock.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ class ReferenceTimeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float):
-        if delay < 0:
+        if not delay >= 0:  # negative or NaN
             raise SimulationError(f"negative timeout {delay}")
         self.delay = delay
 
@@ -122,7 +120,7 @@ class ReferenceEngine:
 
     def schedule(self, delay: float, callback: Callable, *args) -> None:
         """Run ``callback(*args)`` after ``delay`` µs of virtual time."""
-        if delay < 0:
+        if not delay >= 0:  # negative or NaN
             raise SimulationError(f"cannot schedule in the past ({delay})")
         heapq.heappush(
             self._heap, (self.now + delay, self._seq, callback, args)
@@ -131,7 +129,7 @@ class ReferenceEngine:
 
     def at(self, when: float, callback: Callable, *args) -> None:
         """Run ``callback`` at the exact absolute virtual time ``when``."""
-        if when < self.now:
+        if not when >= self.now:  # earlier or NaN
             raise SimulationError(
                 f"cannot schedule in the past ({when - self.now})"
             )
@@ -157,6 +155,8 @@ class ReferenceEngine:
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
+        if until is not None and until < self.now:
+            return self.now
         self._running = True
         try:
             heap = self._heap

@@ -1,19 +1,20 @@
 """Differential oracle harness: production engine vs seed heap engine.
 
-The production engine (`repro.sim.engine.Engine`) stages events through
-a ready queue, a sorted batch, a timer wheel and an overflow heap; the
-reference engine (`repro.sim.reference.ReferenceEngine`) is the seed's
-single binary heap.  The contract — the pattern ``test_exec_tier.py``
+The production engine (`repro.sim.engine.Engine`) keeps same-tick events
+in a FIFO ready queue and everything later in one heap; the reference
+engine (`tests.engine_oracle.ReferenceEngine`) is the seed's single
+binary heap.  The contract — the pattern ``test_exec_tier.py``
 established for the codegen tier — is that the staging must be
 invisible: identical schedules produce identical firing sequences and
 final clocks, so any divergence is a production-engine bug by
 definition.
 
 Schedules are interpreted twice from small declarative "op" programs so
-both engines see the exact same structure: mixed zero/ulp/short/slot-
-boundary/long delays, exact ``at()`` timestamps, chained reschedules
-(events scheduling more events), ``run(until)`` pause/resume, one-shot
-events with multiple waiters, and generator processes.
+both engines see the exact same structure: mixed zero/ulp/short/long
+delays, exact ``at()`` timestamps, chained reschedules (events
+scheduling more events), ``run(until)`` pause/resume (including an
+``until`` already in the past), one-shot events with multiple waiters,
+and generator processes.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
-from repro.sim.engine import _NSLOTS, _SLOT_US, Engine
-from repro.sim.reference import ReferenceEngine
+from repro.sim.engine import Engine
+from tests.engine_oracle import ReferenceEngine
 
 # -- schedule programs -------------------------------------------------------
 #
@@ -37,25 +38,10 @@ from repro.sim.reference import ReferenceEngine
 #   ("proc", [delays])           process sleeping through the delays
 #   ("event", trigger_delay, n)  event with n waiters, triggered later
 
-# Delays that poke every staging boundary: the same tick, sub-ulp
-# arithmetic, sub-slot fractions, exact slot edges, the wheel span edge
-# and far-future overflow.
-DELAYS = [
-    0.0,
-    1e-9,
-    0.5,
-    1.0,
-    7.25,
-    _SLOT_US - 1e-6,
-    _SLOT_US,
-    _SLOT_US + 0.125,
-    3 * _SLOT_US,
-    1000.0,
-    _SLOT_US * _NSLOTS - _SLOT_US,
-    _SLOT_US * _NSLOTS,
-    _SLOT_US * _NSLOTS + 12.5,
-    1e9,
-]
+# A small pool, so timestamps collide often: the same tick, sub-ulp
+# arithmetic (``now + 1e-9 == now`` once the clock is large), short and
+# far-future delays.
+DELAYS = [0.0, 1e-9, 0.5, 1.0, 4.0, 7.25, 12.0, 1000.0, 65536.0, 1e9]
 
 delay_st = st.sampled_from(DELAYS) | st.floats(
     min_value=0.0, max_value=1e7, allow_nan=False, width=32
@@ -130,17 +116,8 @@ def interpret(engine, program, trace):
         install(op)
 
 
-def wheel_engine():
-    """Production engine with the small-set heap preference disabled,
-    so the wheel/batch stages engage from the very first event and the
-    fuzzer's small schedules exercise them too."""
-    engine = Engine()
-    engine._heap_pref = 0
-    return engine
-
-
-#: The oracle first, then the production engine in both routing regimes.
-ENGINE_FACTORIES = (ReferenceEngine, Engine, wheel_engine)
+#: The oracle first, then the production engine.
+ENGINE_FACTORIES = (ReferenceEngine, Engine)
 
 
 def run_all(program, until_points=()):
@@ -175,9 +152,11 @@ def test_firing_sequences_identical(program):
     until_points=st.lists(
         st.floats(min_value=0.0, max_value=2e9, allow_nan=False),
         max_size=3,
-    ).map(sorted),
+    ),
 )
 def test_run_until_pauses_identical(program, until_points):
+    """Unsorted on purpose: an ``until`` behind the clock must be a no-op
+    on both engines."""
     reference, *others = run_all(program, until_points)
     for other in others:
         assert other == reference
@@ -250,11 +229,66 @@ class TestExactAt:
         assert engine.now == 5.0
 
 
+@pytest.mark.parametrize("engine_cls", ENGINE_FACTORIES)
+class TestContractEdges:
+    """Contract edges the oracle and the production engine must share."""
+
+    def test_past_until_is_a_noop(self, engine_cls):
+        engine = engine_cls()
+        fired = []
+
+        def note(label):
+            fired.append((label, engine.now))
+
+        engine.schedule(10, note, "a")
+        engine.schedule(20, note, "b")
+        assert engine.run(until=15) == 15
+        # Behind the clock with "b" still pending: a rewind to 5 would
+        # fire "c" at 6 — *after* "a" at 10.
+        assert engine.run(until=5) == 15
+        assert engine.pending() == 1
+        engine.schedule(1, note, "c")
+        engine.run()
+        assert fired == [("a", 10), ("c", 16), ("b", 20)]
+
+    def test_nan_times_rejected_like_negative_ones(self, engine_cls):
+        engine = engine_cls()
+        nan = math.nan
+        for bad in (nan, -1.0):
+            with pytest.raises(SimulationError):
+                engine.schedule(bad, lambda: None)
+            with pytest.raises(SimulationError):
+                engine.at(bad, lambda: None)
+            with pytest.raises(SimulationError):
+                engine.timeout(bad)
+        assert engine.pending() == 0
+        assert engine.run() == 0.0
+
+    def test_raising_callback_consumes_only_its_own_entry(self, engine_cls):
+        engine = engine_cls()
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        engine.at(5.0, fired.append, "before")
+        engine.at(5.0, boom)
+        engine.at(5.0, fired.append, "same-time")
+        engine.at(5.0, lambda: engine.schedule(0.0, boom))
+        engine.at(9.0, fired.append, "later")
+        for remaining in (3, 1):
+            with pytest.raises(RuntimeError):
+                engine.run()
+            assert engine.pending() == remaining
+        assert engine.run() == 9.0
+        assert fired == ["before", "same-time", "later"]
+
+
 class TestStagingBoundaries:
-    """Directed cases for wheel/batch/overflow seams the fuzzer may miss."""
+    """Directed cases for the ready-queue/heap seam the fuzzer may miss."""
 
     def test_ulp_delay_fires_at_now_after_queued_tick(self):
-        engine = wheel_engine()
+        engine = Engine()
         order = []
         big = 1e12
 
@@ -268,30 +302,29 @@ class TestStagingBoundaries:
         assert order == ["tick", "ulp"]
         assert engine.now == big
 
-    def test_dense_same_slot_ordering(self):
-        engine = wheel_engine()
+    def test_dense_unsorted_times_fire_in_time_then_seq_order(self):
+        engine = Engine()
         fired = []
-        times = [0.5, 15.9, 3.25, 15.9, 0.5, 8.0]  # all in wheel slot 0
+        times = [0.5, 15.9, 3.25, 15.9, 0.5, 8.0]
         for i, t in enumerate(times):
             engine.at(t, fired.append, (t, i))
         engine.run()
         assert fired == sorted(fired, key=lambda x: (x[0], x[1]))
 
-    def test_overflow_event_interleaves_with_wheel_window(self):
-        engine = wheel_engine()
+    def test_far_event_interleaves_with_later_short_delays(self):
+        engine = Engine()
         fired = []
-        span = _SLOT_US * _NSLOTS
-        # Beyond the wheel horizon at insert time -> overflow heap.
-        engine.at(span + 100.0, fired.append, "far")
-        # Walk the clock forward so the wheel window slides past "far",
-        # then add wheel events straddling it.
-        engine.at(span + 50.0, lambda: engine.schedule(49.0, fired.append, "near"))
-        engine.at(span + 50.0, lambda: engine.schedule(51.0, fired.append, "after"))
+        far = 65536.0
+        engine.at(far + 100.0, fired.append, "far")
+        # Scheduled long before, fired between two short delays that
+        # are scheduled once the clock is almost there.
+        engine.at(far + 50.0, lambda: engine.schedule(49.0, fired.append, "near"))
+        engine.at(far + 50.0, lambda: engine.schedule(51.0, fired.append, "after"))
         engine.run()
         assert fired == ["near", "far", "after"]
 
     def test_equal_nonzero_timestamp_run_drains_in_seq_order(self):
-        engine = wheel_engine()
+        engine = Engine()
         fired = []
         when = 4096.0
         for i in range(100):
@@ -303,18 +336,15 @@ class TestStagingBoundaries:
         engine.run()
         assert fired == list(range(100)) + ["child", "later"]
 
-    def test_heap_gallop_keeps_wheel_usable(self):
-        engine = wheel_engine()
+    def test_long_hops_interleave_with_short_delays(self):
+        engine = Engine()
         fired = []
-        span = _SLOT_US * _NSLOTS
 
         def hop(n):
             fired.append((n, engine.now))
             if n < 4:
-                # Far beyond the wheel window every time: the clock
-                # gallops via the overflow heap...
-                engine.schedule(2 * span, hop, n + 1)
-                # ...while short delays must keep firing in between.
+                engine.schedule(131072.0, hop, n + 1)
+                # Short delays must keep firing between the long hops.
                 engine.schedule(1.0, fired.append, ("short", n))
 
         hop(0)
@@ -322,11 +352,9 @@ class TestStagingBoundaries:
         kinds = [f[0] for f in fired]
         assert kinds == [0, "short", 1, "short", 2, "short", 3, "short", 4]
 
-    def test_reschedule_into_promoted_region_insorts(self):
-        engine = wheel_engine()
+    def test_at_before_a_later_queued_event_interleaves(self):
+        engine = Engine()
         fired = []
-        # Promote slot coverage out to ~48µs, then schedule into the
-        # already-promoted region from a callback: must interleave.
         engine.at(40.0, fired.append, "a40")
         engine.at(48.0, fired.append, "a48")
         engine.at(8.0, lambda: engine.at(44.0, fired.append, "mid"))
@@ -334,18 +362,17 @@ class TestStagingBoundaries:
         assert fired == ["a40", "mid", "a48"]
 
     def test_pending_counts_all_stages(self):
-        engine = wheel_engine()
-        engine.schedule(0.0, lambda: None)          # ready
-        engine.at(10.0, lambda: None)               # wheel
-        engine.at(_SLOT_US * _NSLOTS * 3, lambda: None)  # overflow
-        assert engine.pending() == 3
-        engine.run(until=5.0)
+        engine = Engine()
+        engine.schedule(0.0, lambda: None)  # ready queue
+        engine.at(10.0, lambda: None)  # heap
         assert engine.pending() == 2
+        engine.run(until=5.0)
+        assert engine.pending() == 1
         engine.run()
         assert engine.pending() == 0
 
-    def test_huge_and_infinite_times_go_to_overflow(self):
-        engine = wheel_engine()
+    def test_huge_and_infinite_times(self):
+        engine = Engine()
         fired = []
         engine.at(1e300, fired.append, "huge")
         engine.at(math.inf, fired.append, "inf")
@@ -353,27 +380,3 @@ class TestStagingBoundaries:
         engine.run(until=1e301)
         assert fired == ["soon", "huge"]
         assert engine.pending() == 1
-
-    def test_small_pending_sets_prefer_the_heap(self):
-        # Routing is a performance policy, not a semantic one: below the
-        # heap-preference threshold, near-future events live in the
-        # overflow heap (cache-resident C push/pop) instead of paying
-        # the wheel's bucket and promotion constants.
-        engine = Engine()
-        for i in range(10):
-            engine.at(10.0 + i, lambda: None)
-        assert engine._wheel_count == 0
-        assert len(engine._heap) == 10
-        engine.run()
-        assert engine.now == 19.0
-
-    def test_wheel_engages_beyond_heap_preference(self):
-        engine = Engine()
-        engine._heap_pref = 4
-        fired = []
-        for i in range(8):
-            engine.at(10.0 + i, fired.append, i)
-        assert len(engine._heap) == 4
-        assert engine._wheel_count == 4
-        engine.run()
-        assert fired == list(range(8))

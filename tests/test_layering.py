@@ -6,9 +6,15 @@ in ``docs/architecture.md``).  ``net/faults.py`` once reached *up* into
 ``repro.runtime.qos`` for the near-miss matcher; that helper now lives in
 ``repro.core.registry``, and this test keeps the inversion from coming
 back.  It walks the AST, so an import hidden inside a function counts.
+
+The simulator is also pure standard library at run time: importing
+``numpy`` costs every run ~0.1 s of set-up and ~13 MiB of resident
+memory, which the ledger's ``setup_s`` and ``peak_rss_mb`` would carry.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +44,16 @@ def test_lower_layers_do_not_import_upper_layers(package):
         if module.startswith(UPPER)
     ]
     assert not offenders, "upward imports: " + "; ".join(offenders)
+
+
+def test_importing_the_testbeds_does_not_import_numpy():
+    # A fresh interpreter: this one may have numpy loaded already
+    # (hypothesis imports it when it is installed).
+    probe = (
+        "import sys, repro.bench.testbeds; "
+        "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
