@@ -27,7 +27,6 @@ See ``examples/`` for runnable end-to-end scenarios.
 
 from repro.lang import (
     CompiledProgram,
-    Interpreter,
     Record,
     check_program,
     check_termination,
@@ -52,7 +51,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CompiledProgram",
-    "Interpreter",
     "Record",
     "check_program",
     "check_termination",

@@ -84,7 +84,6 @@ def _e1(args) -> None:
                 run_http_experiment(
                     system, 400, persistent=persistent, mode="web",
                     cores=16, requests_per_client=reqs if persistent else 6,
-                    exec_tier=args.exec_tier,
                 )
             ]
             for system in ("flick-kernel", "flick-mtcp", "apache", "nginx")
@@ -104,7 +103,6 @@ def _fig4(args) -> None:
                 run_http_experiment(
                     system, n, persistent=persistent, mode="lb", cores=16,
                     requests_per_client=20 if persistent else 5,
-                    exec_tier=args.exec_tier,
                 )
                 for n in counts
             ]
@@ -127,7 +125,6 @@ def _fig5(args) -> None:
             run_memcached_experiment(
                 system, c, concurrency=64 if quick else 128,
                 requests_per_client=20 if quick else 40,
-                exec_tier=args.exec_tier,
             )
             for c in cores
         ]
@@ -147,7 +144,6 @@ def _fig6(args) -> None:
         f"WC {wl} char": [
             run_hadoop_experiment(
                 c, word_len=wl, data_kb_per_mapper=32 if quick else 64,
-                exec_tier=args.exec_tier,
             )
             for c in cores
         ]
@@ -250,9 +246,7 @@ def _scenarios(args) -> int:
         f"== Scenario matrix ({len(selected)} scenarios"
         f"{', quick' if args.quick else ''}{suffix}) =="
     )
-    results = run_scenario_matrix(
-        selected, quick=args.quick, exec_tier=args.exec_tier, jobs=args.jobs
-    )
+    results = run_scenario_matrix(selected, quick=args.quick, jobs=args.jobs)
     print(format_scenario_table(results))
     document = results_io.results_document(results, quick=args.quick)
     path = results_io.write_results(_scenario_output_path(args), document)
@@ -340,17 +334,6 @@ def main(argv: List[str] = None) -> int:
         "or 'heavy') to a QoS tier — e.g. --slo-class light=gold:1000@4 "
         "--slo-class heavy=bronze:50000. Classified tasks carry the "
         "class SLO/weight and the sweep reports per-class SLO misses.",
-    )
-    parser.add_argument(
-        "--exec-tier",
-        default="compiled",
-        choices=("interp", "compiled"),
-        dest="exec_tier",
-        help="execution backend for FLICK handler bodies: 'compiled' "
-        "(default) runs generated Python, 'interp' the AST-walking "
-        "oracle interpreter. Both produce byte-identical results (all "
-        "costs are modeled); 'interp' exists for golden-parity checks "
-        "and differential debugging. fig7 is synthetic and unaffected.",
     )
     parser.add_argument(
         "--scenario",

@@ -489,19 +489,12 @@ def _check_scenario(scenario: Scenario) -> None:
     )
 
 
-def run_scenario(
-    scenario: Scenario, quick: bool = False, exec_tier: str = "compiled"
-) -> dict:
+def run_scenario(scenario: Scenario, quick: bool = False) -> dict:
     """Run one scenario; return its JSON-ready result dict.
 
     ``quick`` quarters the request volume (CI smoke sizes) — the
     committed baseline is generated with the same flag, so gate
     comparisons are like-for-like (enforced via the document envelope).
-
-    ``exec_tier`` selects the handler execution backend.  It is
-    deliberately *not* recorded in the result: both tiers must produce
-    byte-identical results (all costs are modeled), and the golden-parity
-    CI leg re-runs the matrix under ``interp`` to prove it.
     """
     _validate_scenario(scenario)
     requests = max(256, scenario.requests // 4) if quick else scenario.requests
@@ -536,7 +529,6 @@ def run_scenario(
         policy=scenario.policy,
         topology=scenario.topology,
         slo_us=slo_us,
-        exec_tier=exec_tier,
         allocator=scenario.allocator,
         arrival=arrival,
     )
@@ -673,19 +665,14 @@ def run_scenario(
     return entry
 
 
-def _scenario_job(
-    scenario: Scenario, quick: bool, exec_tier: str
-) -> Tuple[str, dict]:
+def _scenario_job(scenario: Scenario, quick: bool) -> Tuple[str, dict]:
     """Worker-process entry point for the parallel matrix runner."""
-    return scenario.name, run_scenario(
-        scenario, quick=quick, exec_tier=exec_tier
-    )
+    return scenario.name, run_scenario(scenario, quick=quick)
 
 
 def run_scenario_matrix(
     scenarios: Sequence[Scenario],
     quick: bool = False,
-    exec_tier: str = "compiled",
     jobs: int = 1,
 ) -> Dict[str, dict]:
     """Run ``scenarios``; map name → JSON-ready result, selection order.
@@ -702,9 +689,7 @@ def run_scenario_matrix(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(scenarios) <= 1:
         return {
-            scenario.name: run_scenario(
-                scenario, quick=quick, exec_tier=exec_tier
-            )
+            scenario.name: run_scenario(scenario, quick=quick)
             for scenario in scenarios
         }
     # Config errors surface here, in the parent, not as opaque
@@ -714,7 +699,7 @@ def run_scenario_matrix(
     workers = min(jobs, len(scenarios))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_scenario_job, scenario, quick, exec_tier)
+            pool.submit(_scenario_job, scenario, quick)
             for scenario in scenarios
         ]
         return dict(future.result() for future in futures)

@@ -357,7 +357,6 @@ def run_http_experiment(
     arrival=None,
     total_requests: Optional[int] = None,
     seed: int = 0xF11C,
-    exec_tier: str = "compiled",
     allocator="static",
     admission="admit-all",
     class_mix=(),
@@ -446,7 +445,6 @@ OpenLoopClients`: ``concurrency`` becomes the size of the persistent
             topology=topology,
             service_classes=service_classes,
             slo_us=slo_us,
-            exec_tier=exec_tier,
             allocator=allocator,
             admission=admission,
             backend_close_teardown=(
@@ -554,7 +552,6 @@ def run_memcached_experiment(
     arrival=None,
     total_requests: Optional[int] = None,
     seed: int = 0xF11C,
-    exec_tier: str = "compiled",
     allocator="static",
     admission="admit-all",
     class_mix=(),
@@ -601,7 +598,6 @@ def run_memcached_experiment(
             topology=topology,
             service_classes=service_classes,
             slo_us=slo_us,
-            exec_tier=exec_tier,
             allocator=allocator,
             admission=admission,
             backend_close_teardown=(
@@ -681,7 +677,6 @@ def run_hadoop_experiment(
     slo_us: Optional[float] = None,
     arrival=None,
     seed: int = 0xF11C,
-    exec_tier: str = "compiled",
     allocator="static",
 ) -> RunResult:
     """One data point of Figure 6: aggregate ingress throughput (Mb/s).
@@ -716,7 +711,6 @@ def run_hadoop_experiment(
             policy="cooperative" if policy is None else policy,
             topology=topology,
             slo_us=slo_us,
-            exec_tier=exec_tier,
             allocator=allocator,
         ),
         hadoop_agg.hadoop_codec_registry(),

@@ -6,13 +6,10 @@ from repro.lang.codegen import (
     CompiledRuleHandler,
 )
 from repro.lang.compiler import (
-    EXEC_TIERS,
     CompiledProgram,
     EndpointSpec,
-    FoldTHandler,
     FoldTPlan,
     ProcSpec,
-    RuleHandler,
     RuleSpec,
     StageSpec,
     build_foldt_handler,
@@ -20,7 +17,6 @@ from repro.lang.compiler import (
     compile_program,
     compile_source,
 )
-from repro.lang.interpreter import Interpreter
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse
 from repro.lang.pretty import format_program
@@ -29,23 +25,19 @@ from repro.lang.typecheck import CheckedProgram, check_program
 from repro.lang.values import Record, record_size_bytes
 
 __all__ = [
-    "EXEC_TIERS",
     "CompiledExec",
     "CompiledFoldTHandler",
     "CompiledProgram",
     "CompiledRuleHandler",
     "EndpointSpec",
-    "FoldTHandler",
     "FoldTPlan",
     "ProcSpec",
-    "RuleHandler",
     "RuleSpec",
     "StageSpec",
     "build_foldt_handler",
     "build_rule_handler",
     "compile_program",
     "compile_source",
-    "Interpreter",
     "tokenize",
     "parse",
     "format_program",

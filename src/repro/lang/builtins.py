@@ -4,7 +4,8 @@ The paper's listings use ``hash``, ``len``, ``empty_dict`` and
 ``all_ready``; section 4.3 adds the higher-order ``fold``/``map``/
 ``filter`` primitives (which compile to finite loops) and ``foldt``.
 Each builtin carries both a typing rule and a runtime implementation so
-the type checker and the interpreter stay in sync by construction.
+the type checker and the executors (generated code, test-side oracle)
+stay in sync by construction.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ BUILTINS = {
 # (Listing 1 writes ``global cache := empty_dict``).
 VALUE_BUILTINS = frozenset({"empty_dict"})
 
-# Higher-order primitives handled specially by the checker/interpreter.
+# Higher-order primitives handled specially by the checker/code generator.
 HIGHER_ORDER = frozenset({"fold", "map", "filter"})
 
 

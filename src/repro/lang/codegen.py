@@ -1,22 +1,23 @@
-"""Compiled execution tier: FLICK bodies lowered to generated Python.
+"""FLICK bodies lowered to generated Python: the only executor in ``src/``.
 
-The interpreter (``repro.lang.interpreter``) is the semantic **oracle**:
-it defines both the values FLICK code produces and the abstract operation
-counts the runtime converts into virtual CPU time.  This module is the
-fast mechanism underneath it — the stand-in for the paper's generated
-C++ (section 5).  :class:`CompiledExec` lowers every type-checked
-function body, foldt combine step and constant initialiser to plain
-Python source, ``exec``'s it once per program, and exposes handler
-objects that are drop-in replacements for
-:class:`~repro.lang.compiler.RuleHandler` /
-:class:`~repro.lang.compiler.FoldTHandler`.
+This module is the stand-in for the paper's generated C++ (section 5).
+:class:`CompiledExec` lowers every type-checked function body, foldt
+combine step and constant initialiser to plain Python source, ``exec``'s
+it once per program, and hands the runtime its handler objects.
 
-Op accounting must stay **bit-identical** to the interpreter (costs are
-modeled, so execution speed must not change any simulated result).  The
-trick: for every expression the op count decomposes into a *static* part
-known at compile time (one op per AST node, same as ``Interpreter._eval``
-/ ``_exec_stmt``) and a *dynamic* part (callee bodies, ``fold``/``map``/
-``filter`` charging ``len(seq)``, short-circuited right operands).
+The tree-walking interpreter in ``tests/lang_oracle.py`` is the semantic
+**oracle**: it defines both the values FLICK code produces and the
+abstract operation counts the runtime converts into virtual CPU time, and
+the differential suite beside it holds this module to it (the
+``Interpreter`` names below refer to that file).
+
+Op accounting must stay **bit-identical** to the oracle (costs are
+modeled, so how a body executes must not change any simulated result).
+The trick: for every expression the op count decomposes into a *static*
+part known at compile time (one op per AST node, same as
+``Interpreter._eval`` / ``_exec_stmt``) and a *dynamic* part (callee
+bodies, ``fold``/``map``/``filter`` charging ``len(seq)``,
+short-circuited right operands).
 Static ops are batched into a single ``_ops[0] += N`` per straight-line
 block; dynamic contributors add to the same shared cell themselves:
 
@@ -309,8 +310,8 @@ class _Emitter:
             return f"(-{operand})", n + 1
         if isinstance(e, ast.FoldTExpr):
             raise RuntimeFlickError(
-                "foldt must be compiled to a task tree; use "
-                "merge_sorted_streams for reference semantics"
+                "foldt must be compiled to a task tree: guard it with "
+                "all_ready(...) in a process body"
             )
         raise RuntimeFlickError(f"cannot compile expression {e!r}")
 
@@ -513,12 +514,13 @@ class _Emitter:
 
 
 # ---------------------------------------------------------------------------
-# Executable handlers (drop-in for RuleHandler / FoldTHandler)
+# Executable handlers
 # ---------------------------------------------------------------------------
 
 
 def _resolve_bound(expr: ast.Expr, context: Dict[str, object]):
-    """Pre-resolve a stage bound argument (RuleHandler._eval_bound).
+    """Pre-resolve a stage bound argument (the oracle's
+    ``RuleHandler._eval_bound``).
 
     Bound values are stable for the lifetime of a graph binding (channel
     proxies and global stores are mutated in place, never rebound), so
@@ -542,9 +544,8 @@ def _resolve_bound(expr: ast.Expr, context: Dict[str, object]):
 
 
 class CompiledRuleHandler:
-    """Compiled-tier counterpart of :class:`~repro.lang.compiler.\
-RuleHandler`: same call contract (message in, op count out), stages
-    pre-lowered to generated functions."""
+    """Executable form of a ``RuleSpec``: message in, op count out,
+    stages pre-lowered to generated functions."""
 
     __slots__ = ("_rule", "_stages", "_fn", "_bound", "_sink_channel", "_cell")
 
@@ -597,8 +598,7 @@ RuleHandler`: same call contract (message in, op count out), stages
 
 
 class CompiledFoldTHandler:
-    """Compiled-tier counterpart of :class:`~repro.lang.compiler.\
-FoldTHandler` for foldt merge-tree nodes."""
+    """Key extraction and pairwise combine for a foldt merge-tree node."""
 
     __slots__ = ("_key_fn", "_body_fn", "_cell")
 
@@ -632,12 +632,11 @@ FoldTHandler` for foldt merge-tree nodes."""
 
 
 class CompiledExec:
-    """Generated-code execution tier for one checked program.
+    """The generated code of one checked program.
 
-    Mirrors the :class:`~repro.lang.interpreter.Interpreter` surface the
-    runtime uses (``reset_ops``, ``call_function``, ``eval_const``,
-    ``make_record``) so the two tiers are interchangeable; the
-    differential harness in ``tests/test_exec_tier.py`` holds them to
+    The runtime uses ``eval_const``, ``rule_handler`` and
+    ``foldt_handler``; ``reset_ops``/``call_function`` are what the
+    differential suite drives against the oracle, holding this class to
     identical values *and* identical op counts.
     """
 
@@ -652,13 +651,12 @@ class CompiledExec:
         namespace.update(_make_helpers(self.ops_cell))
         for name, builtin in BUILTINS.items():
             namespace[f"_b_{name}"] = builtin.impl
-        self._ctors: Dict[str, Callable] = {}
         for rec_name, rec_type in checked.records.items():
             build = _record_builder(rec_name)
-            ctor = _record_ctor(rec_name, rec_type.field_names(), build)
-            self._ctors[rec_name] = ctor
             namespace[f"_rec_{rec_name}"] = build
-            namespace[f"_rec_chk_{rec_name}"] = ctor
+            namespace[f"_rec_chk_{rec_name}"] = _record_ctor(
+                rec_name, rec_type.field_names(), build
+            )
         funs = checked.program.funs
         chunks = [self._emitter.function_source(f) for f in funs]
         self.source = "\n\n".join(chunks) + ("\n" if chunks else "")
@@ -675,7 +673,7 @@ class CompiledExec:
         self._consts: Dict[int, Tuple[ast.Expr, Callable]] = {}
         self._foldts: Dict[int, Tuple[ast.FoldTExpr, Callable, Callable]] = {}
 
-    # -- interpreter-parity surface --------------------------------------
+    # -- direct execution -------------------------------------------------
 
     def reset_ops(self) -> int:
         """Return the operation count accumulated since the last reset."""
@@ -683,10 +681,6 @@ class CompiledExec:
         count = cell[0]
         cell[0] = 0
         return count
-
-    @property
-    def ops(self) -> int:
-        return self.ops_cell[0]
 
     def function(self, name: str) -> Callable:
         """The generated function object for user function ``name``."""
@@ -717,9 +711,6 @@ class CompiledExec:
             entry = (expr, self._namespace[name])
             self._consts[id(expr)] = entry
         return entry[1]()
-
-    def make_record(self, type_name: str, values: Sequence[object]) -> Record:
-        return self._ctors[type_name](*values)
 
     # -- handler construction --------------------------------------------
 

@@ -15,36 +15,28 @@ process, a :class:`ProcSpec`:
 
 The runtime (``repro.runtime.graph``) turns a ``ProcSpec`` plus a set of
 live connections into an executable task graph.  Compute-task handlers
-execute the rule stages through :class:`repro.lang.interpreter.Interpreter`
-— the stand-in for the paper's generated C++ — and report per-message
-operation counts for virtual-time charging.
+execute the rule stages as generated Python (``repro.lang.codegen``, the
+stand-in for the paper's generated C++) and report per-message operation
+counts for virtual-time charging.  :meth:`CompiledProgram.executor` is
+the one seam everything that runs FLICK code goes through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import FlickError, FlickTypeError
 from repro.lang import ast
 from repro.lang import types as ty
-from repro.lang.interpreter import Interpreter
+from repro.lang.codegen import (
+    CompiledExec,
+    CompiledFoldTHandler,
+    CompiledRuleHandler,
+)
 from repro.lang.parser import parse
 from repro.lang.termination import TerminationReport, check_termination
 from repro.lang.typecheck import CheckedProgram, check_program
-from repro.lang.values import Record
-
-if TYPE_CHECKING:
-    from repro.lang.codegen import (
-        CompiledExec,
-        CompiledFoldTHandler,
-        CompiledRuleHandler,
-    )
-
-#: Execution tiers for handler bodies: the AST-walking interpreter (the
-#: semantic oracle) and the generated-Python compiled tier that must
-#: match it bit-for-bit on values and op counts.
-EXEC_TIERS: Tuple[str, ...] = ("interp", "compiled")
 
 
 @dataclass(frozen=True)
@@ -105,52 +97,29 @@ class ProcSpec:
                 return ep
         raise KeyError(name)
 
-    def client_endpoints(self) -> Tuple[EndpointSpec, ...]:
-        """Endpoints that face incoming connections (non-array first)."""
-        return tuple(ep for ep in self.endpoints if not ep.is_array)
-
-    def array_endpoints(self) -> Tuple[EndpointSpec, ...]:
-        return tuple(ep for ep in self.endpoints if ep.is_array)
-
 
 @dataclass
 class CompiledProgram:
-    """A fully checked and lowered FLICK program.
-
-    ``interpreter`` is lazily initialised: callers normally pass nothing
-    and ``__post_init__`` materialises the oracle interpreter; the
-    ``Optional`` annotation makes that explicit (the field is only
-    ``None`` between field assignment and ``__post_init__``).  The
-    compiled execution tier is built even more lazily — the first
-    ``executor("compiled")`` call triggers code generation.
-    """
+    """A fully checked and lowered FLICK program."""
 
     checked: CheckedProgram
     termination: TerminationReport
     procs: Dict[str, ProcSpec]
-    interpreter: Optional[Interpreter] = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.interpreter is None:
-            self.interpreter = Interpreter(self.checked)
         # Not a dataclass field: purely a cache, invisible to repr/eq.
-        self._codegen: Optional["CompiledExec"] = None
+        self._codegen: Optional[CompiledExec] = None
 
-    def executor(self, tier: str = "interp") -> Union[Interpreter, "CompiledExec"]:
-        """The execution backend for ``tier`` (see :data:`EXEC_TIERS`)."""
-        if tier == "interp":
-            return self.interpreter
-        if tier == "compiled":
-            if self._codegen is None:
-                # Imported lazily: codegen is only needed when the
-                # compiled tier is actually selected.
-                from repro.lang.codegen import CompiledExec
+    def executor(self) -> CompiledExec:
+        """The program's generated code, built on first use.
 
-                self._codegen = CompiledExec(self.checked)
-            return self._codegen
-        raise FlickError(
-            f"unknown exec tier {tier!r}; expected one of {EXEC_TIERS}"
-        )
+        Everything that runs FLICK code — global initialisers
+        (``eval_const``), ``rule_handler`` and ``foldt_handler`` — goes
+        through the object returned here.
+        """
+        if self._codegen is None:
+            self._codegen = CompiledExec(self.checked)
+        return self._codegen
 
     def proc(self, name: str) -> ProcSpec:
         try:
@@ -160,9 +129,6 @@ class CompiledProgram:
 
     def accessed_fields(self, record_name: str) -> frozenset:
         return self.checked.accessed_fields.get(record_name, frozenset())
-
-    def record_names(self) -> Tuple[str, ...]:
-        return tuple(self.checked.records)
 
 
 class Compiler:
@@ -331,113 +297,38 @@ class Compiler:
 # ---------------------------------------------------------------------------
 
 
-class RuleHandler:
-    """Executable form of a :class:`RuleSpec`.
-
-    ``context`` maps channel parameter names to runtime channel objects
-    (single channels expose ``send``; arrays are indexable sequences) and
-    global names to their state objects.  Calling the handler with a
-    message runs the stages and routes the result; it returns the number
-    of interpreter operations consumed, which the runtime converts into
-    virtual CPU time.
-    """
-
-    def __init__(
-        self,
-        rule: RuleSpec,
-        interpreter: Interpreter,
-        context: Dict[str, object],
-    ):
-        self._rule = rule
-        self._interp = interpreter
-        self._context = context
-
-    @property
-    def source(self) -> str:
-        return self._rule.source
-
-    @property
-    def sink(self) -> Optional[str]:
-        return self._rule.sink
-
-    def __call__(self, message) -> int:
-        interp = self._interp
-        interp.reset_ops()
-        value = message
-        for stage in self._rule.stages:
-            bound = [
-                self._eval_bound(arg) for arg in stage.bound_args
-            ]
-            value = interp.call_function(stage.func, (*bound, value))
-        if self._rule.sink is not None:
-            channel = self._context[self._rule.sink]
-            channel.send(value)
-        return interp.reset_ops() + 1
-
-    def _eval_bound(self, expr: ast.Expr):
-        if isinstance(expr, ast.Var):
-            if expr.name in self._context:
-                return self._context[expr.name]
-            raise FlickError(
-                f"pipeline stage references unbound name {expr.name!r}"
-            )
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.StrLit):
-            return expr.value
-        raise FlickError(
-            "pipeline stage bound arguments must be channel parameters, "
-            "globals or literals"
-        )
-
-
-class FoldTHandler:
-    """Key extraction and pairwise combine for a foldt merge tree node."""
-
-    def __init__(self, plan: FoldTPlan, interpreter: Interpreter):
-        self._plan = plan
-        self._interp = interpreter
-
-    def key(self, element: Record):
-        return self._interp.order_key(self._plan.expr, element)
-
-    def combine(self, left: Record, right: Record) -> Record:
-        return self._interp.combine(self._plan.expr, left, right)
-
-    def combine_with_ops(self, left: Record, right: Record):
-        self._interp.reset_ops()
-        merged = self._interp.combine(self._plan.expr, left, right)
-        return merged, self._interp.reset_ops() + 1
+def _no_such_tier(name: str) -> FlickError:
+    return FlickError(
+        f"unknown exec tier {name!r}: handlers only run as generated "
+        "code; the reference interpreter lives in tests/lang_oracle.py"
+    )
 
 
 def build_rule_handler(
     program: CompiledProgram,
     rule: RuleSpec,
     context: Dict[str, object],
-    tier: str = "interp",
-) -> Union[RuleHandler, "CompiledRuleHandler"]:
-    """Construct the rule handler for ``tier``.
+    tier: str = "compiled",
+) -> CompiledRuleHandler:
+    """Construct the handler for ``rule``: ``handler(message) -> op_count``.
 
-    Both tiers share one contract: ``handler(message) -> op_count`` with
-    identical values sent to the sink and bit-identical op counts, so
-    the runtime's virtual-time charging is tier-independent.
+    ``tier`` is vestigial (``benchmarks/hosttime/probes.py`` passes
+    ``"compiled"``); any other value is an error.
     """
-    if tier == "compiled":
-        return program.executor("compiled").rule_handler(rule, context)
-    executor = program.executor(tier)  # validates the tier name
-    return RuleHandler(rule, executor, context)
+    if tier != "compiled":
+        raise _no_such_tier(tier)
+    return program.executor().rule_handler(rule, context)
 
 
 def build_foldt_handler(
     program: CompiledProgram,
     plan: FoldTPlan,
-    tier: str = "interp",
-) -> Union[FoldTHandler, "CompiledFoldTHandler"]:
-    """Construct the foldt merge-tree handler for ``tier``."""
-    if tier == "compiled":
-        return program.executor("compiled").foldt_handler(plan)
-    executor = program.executor(tier)
-    return FoldTHandler(plan, executor)
+    tier: str = "compiled",
+) -> CompiledFoldTHandler:
+    """Construct the foldt merge-tree handler (``tier`` as above)."""
+    if tier != "compiled":
+        raise _no_such_tier(tier)
+    return program.executor().foldt_handler(plan)
 
 
 # ---------------------------------------------------------------------------

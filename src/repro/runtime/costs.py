@@ -1,8 +1,8 @@
 """CPU cost model for task execution (virtual µs).
 
-The compiler-generated C++ of the paper becomes interpreted Python here,
+The compiler-generated C++ of the paper becomes generated Python here,
 so absolute speed is meaningless; instead every task reports abstract
-*ops* (interpreter operations, parser field/byte work) and this module
+*ops* (one per FLICK AST node executed, parser field/byte work) and this module
 converts ops to virtual microseconds on the simulated middlebox cores.
 
 ``OP_US`` is calibrated so that the end-to-end per-request CPU cost of
@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.core.errors import FlickError
 
-#: Virtual µs charged per abstract interpreter/parser op.
+#: Virtual µs charged per abstract handler/parser op.
 OP_US = 2.3
 
 #: Fixed cost of dispatching one message into a task (queue pop, state).
@@ -68,13 +68,6 @@ SchedulingPolicy` instance for custom parameters.
     for the flat single-socket default; it prices cross-socket steals
     (per interconnect hop) and feeds the 'numa' policy's placement.
 
-    ``exec_tier`` selects how handler bodies execute: 'compiled'
-    (default) runs generated Python from ``repro.lang.codegen``;
-    'interp' runs the AST-walking interpreter, which remains the
-    semantic oracle.  Both tiers produce identical values and identical
-    abstract op counts, so the choice changes wall-clock speed only —
-    never any simulated result.
-
     ``allocator`` selects the elastic core-allocation policy by
     registry name (:func:`repro.runtime.allocator.registered_allocators`
     — 'static' keeps every core active, today's behaviour) or is a
@@ -105,7 +98,6 @@ SchedulingPolicy` instance for custom parameters.
     channel_capacity: int = 4096
     buffer_pool_bytes: int = 64 * 1024 * 1024
     buffer_size: int = 16 * 1024
-    exec_tier: str = "compiled"
     allocator: object = "static"
     admission: object = "admit-all"
     backend_close_teardown: bool = False
@@ -118,11 +110,6 @@ SchedulingPolicy` instance for custom parameters.
             )
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
-        if self.exec_tier not in ("interp", "compiled"):
-            raise ValueError(
-                "exec_tier must be 'interp' or 'compiled', "
-                f"got {self.exec_tier!r}"
-            )
         if self.timeslice_us <= 0:
             raise ValueError("timeslice must be positive")
         if self.slo_us is not None and self.slo_us <= 0:

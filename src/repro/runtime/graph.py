@@ -283,7 +283,6 @@ class TaskGraph:
 
         # Install rule handlers with the completed context; raw-forwarded
         # endpoints bypass the compute task entirely.
-        tier = self.config.exec_tier
         for rule in spec.rules:
             if rule.source in self._raw_forward:
                 continue
@@ -296,7 +295,7 @@ class TaskGraph:
                     )
             compute.add_handler(
                 rule.source,
-                build_rule_handler(self.program, rule, handler_context, tier),
+                build_rule_handler(self.program, rule, handler_context),
             )
 
     def _outbound_proxy(
@@ -375,9 +374,7 @@ class TaskGraph:
             )
         source_ep = spec.endpoint(plan.source)
         sink_ep = spec.endpoint(plan.sink)
-        handler = build_foldt_handler(
-            self.program, plan, self.config.exec_tier
-        )
+        handler = build_foldt_handler(self.program, plan)
         if self.bindings.native_foldt is not None:
             key_fn, combine_fn = self.bindings.native_foldt
         else:

@@ -42,9 +42,7 @@ class ProgramInstance:
         self.port = port
         self.bindings = bindings
         # Long-term state shared by all instances of the process (§4.3).
-        # The configured execution tier evaluates initialisers too, so a
-        # codegen bug in eval_const cannot hide behind the interpreter.
-        executor = compiled.executor(platform.config.exec_tier)
+        executor = compiled.executor()
         self.globals_store: Dict[str, object] = {
             name: executor.eval_const(init)
             for name, init in self.spec.globals

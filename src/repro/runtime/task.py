@@ -7,7 +7,7 @@ input values and produces a stream of output values:
   generated incremental parser, emits typed records; charges the stack's
   read costs and the parser's ops.
 * :class:`ComputeTask` — executes the compiled routing rules of a FLICK
-  process on tagged messages; charges interpreter ops.
+  process on tagged messages; charges the handlers' ops.
 * :class:`OutputTask` — serialises records (raw fast path for unmodified
   messages) and writes them to one TCP connection; charges serialiser ops
   and the stack's write costs.
@@ -262,7 +262,7 @@ class ComputeTask(TaskBase):
     """Executes compiled FLICK routing rules on tagged messages.
 
     Input items are ``(endpoint, index, record)`` tuples pushed by input
-    tasks.  ``handlers`` maps endpoint names to the ``RuleHandler``
+    tasks.  ``handlers`` maps endpoint names to the rule-handler
     callables produced by the compiler; the handler's context contains
     the buffering proxies this task owns.
     """

@@ -1,27 +1,37 @@
-"""Evaluator for compiled FLICK function and process logic.
+"""Reference executor: the tree-walking interpreter the generator replaced.
 
-The FLICK compiler (``repro.lang.compiler``) lowers processes into task
-graphs whose compute tasks execute FLICK function bodies.  In the paper
-those bodies are translated to C++; here they are executed by this
-interpreter, which plays the role of the generated code.  It counts the
-abstract operations it performs (``ops`` — one unit per AST node touched)
-so the runtime can charge proportional virtual CPU time, making "heavier
-FLICK code" genuinely cost more simulated time.
+This was ``src/repro/lang/interpreter.py`` (plus the interpreter-backed
+``RuleHandler``/``FoldTHandler`` of ``lang/compiler.py``) until handler
+bodies became generated code only (``repro.lang.codegen``).  It stays
+here as the executable definition of FLICK semantics: the values a body
+produces, its side effects, and the abstract operation counts (``ops`` —
+one unit per AST node touched) the runtime converts into virtual CPU
+time.  Any divergence is a codegen bug by definition.
+
+:class:`Interpreter` implements the three-method seam the product goes
+through (``CompiledProgram.executor()``: ``eval_const``,
+``rule_handler``, ``foldt_handler``), so :func:`under_oracle` can run the
+whole platform on it by patching that one method.
+``tests/test_exec_tier.py`` holds the generated code to it at every
+level; ``tests/test_interpreter.py`` runs the language-semantics tests on
+both.  Nothing under ``src/`` imports it.
 
 Channels appear to the interpreter as any object with a ``send(value)``
-method; channel arrays additionally support ``len`` and indexing.  The
-runtime provides real task channels; tests use simple list-backed stubs.
+method; channel arrays additionally support ``len`` and indexing.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
-from repro.core.errors import RuntimeFlickError
+from repro.core.errors import FlickError, RuntimeFlickError
 from repro.lang import ast
 from repro.lang.builtins import BUILTINS, HIGHER_ORDER, VALUE_BUILTINS
+from repro.lang.compiler import CompiledProgram, FoldTPlan, RuleSpec
 from repro.lang.typecheck import CheckedProgram
 from repro.lang.values import Record
+from repro.runtime.scheduler import TaskBase
 
 
 class _Env:
@@ -103,6 +113,14 @@ class Interpreter:
                 f"constructor {type_name!r} expects {len(names)} values"
             )
         return Record(type_name, dict(zip(names, values)))
+
+    def rule_handler(
+        self, rule: RuleSpec, context: Dict[str, object]
+    ) -> "RuleHandler":
+        return RuleHandler(rule, self, context)
+
+    def foldt_handler(self, plan: FoldTPlan) -> "FoldTHandler":
+        return FoldTHandler(plan, self)
 
     # -- statement execution ------------------------------------------------
 
@@ -235,8 +253,8 @@ class Interpreter:
             return -value
         if isinstance(expr, ast.FoldTExpr):
             raise RuntimeFlickError(
-                "foldt must be compiled to a task tree; use "
-                "merge_sorted_streams for reference semantics"
+                "foldt must be compiled to a task tree: guard it with "
+                "all_ready(...) in a process body"
             )
         raise RuntimeFlickError(f"cannot evaluate expression {expr!r}")
 
@@ -356,3 +374,124 @@ class Interpreter:
                 f"foldt body must produce a record, got {result!r}"
             )
         return result
+
+
+# ---------------------------------------------------------------------------
+# Interpreter-backed handlers (the runtime's compute-task contract)
+# ---------------------------------------------------------------------------
+
+
+class RuleHandler:
+    """Executable form of a :class:`RuleSpec`.
+
+    ``context`` maps channel parameter names to runtime channel objects
+    (single channels expose ``send``; arrays are indexable sequences) and
+    global names to their state objects.  Calling the handler with a
+    message runs the stages and routes the result; it returns the number
+    of interpreter operations consumed, which the runtime converts into
+    virtual CPU time.
+    """
+
+    def __init__(
+        self,
+        rule: RuleSpec,
+        interpreter: Interpreter,
+        context: Dict[str, object],
+    ):
+        self._rule = rule
+        self._interp = interpreter
+        self._context = context
+
+    @property
+    def source(self) -> str:
+        return self._rule.source
+
+    @property
+    def sink(self) -> Optional[str]:
+        return self._rule.sink
+
+    def __call__(self, message) -> int:
+        interp = self._interp
+        interp.reset_ops()
+        value = message
+        for stage in self._rule.stages:
+            bound = [
+                self._eval_bound(arg) for arg in stage.bound_args
+            ]
+            value = interp.call_function(stage.func, (*bound, value))
+        if self._rule.sink is not None:
+            channel = self._context[self._rule.sink]
+            channel.send(value)
+        return interp.reset_ops() + 1
+
+    def _eval_bound(self, expr: ast.Expr):
+        if isinstance(expr, ast.Var):
+            if expr.name in self._context:
+                return self._context[expr.name]
+            raise FlickError(
+                f"pipeline stage references unbound name {expr.name!r}"
+            )
+        if isinstance(expr, ast.IntLit):
+            return expr.value
+        if isinstance(expr, ast.StrLit):
+            return expr.value
+        raise FlickError(
+            "pipeline stage bound arguments must be channel parameters, "
+            "globals or literals"
+        )
+
+
+class FoldTHandler:
+    """Key extraction and pairwise combine for a foldt merge tree node."""
+
+    def __init__(self, plan: FoldTPlan, interpreter: Interpreter):
+        self._plan = plan
+        self._interp = interpreter
+
+    def key(self, element: Record):
+        return self._interp.order_key(self._plan.expr, element)
+
+    def combine(self, left: Record, right: Record) -> Record:
+        return self._interp.combine(self._plan.expr, left, right)
+
+    def combine_with_ops(self, left: Record, right: Record):
+        self._interp.reset_ops()
+        merged = self._interp.combine(self._plan.expr, left, right)
+        return merged, self._interp.reset_ops() + 1
+
+
+# ---------------------------------------------------------------------------
+# Running the product on the oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_for(program: CompiledProgram) -> Interpreter:
+    """The program's oracle, one per program like its ``CompiledExec``
+    (every handler of a program shares one op counter)."""
+    oracle = getattr(program, "_oracle", None)
+    if oracle is None:
+        oracle = program._oracle = Interpreter(program.checked)
+    return oracle
+
+
+#: The two sides of every comparison: program -> executor.  Bound here,
+#: so "generated" stays the product even inside :func:`under_oracle`.
+EXECUTORS = {"generated": CompiledProgram.executor, "oracle": oracle_for}
+
+
+def scoped_ids(fn):
+    """Run ``fn`` with scoped task ids (same discipline as the scenario
+    runner): results must not depend on how many tasks ran before."""
+    resume_from = next(TaskBase._ids)
+    TaskBase.reset_ids()
+    try:
+        return fn()
+    finally:
+        TaskBase.reset_ids(max(resume_from, next(TaskBase._ids)))
+
+
+def under_oracle(fn):
+    """Run ``fn`` (id-scoped) with every ``CompiledProgram.executor()``
+    in the process answering with the oracle instead of generated code."""
+    with mock.patch.object(CompiledProgram, "executor", oracle_for):
+        return scoped_ids(fn)

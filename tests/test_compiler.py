@@ -102,7 +102,7 @@ class TestAccessedFields:
 
 class TestRuleHandler:
     def test_handler_runs_stages_and_sinks(self):
-        from repro.lang.compiler import RuleHandler
+        from repro.lang.compiler import build_rule_handler
 
         prog = compile_source(memcached_proxy.CACHE_ROUTER_SOURCE)
         spec = prog.proc("memcached")
@@ -118,7 +118,7 @@ class TestRuleHandler:
         cache = {}
         context = {"client": client, "cache": cache, "backends": []}
         update_rule = spec.rules[0]
-        handler = RuleHandler(update_rule, prog.interpreter, context)
+        handler = build_rule_handler(prog, update_rule, context)
         getk_resp = Record("cmd", {"opcode": 0x0C, "key": "k1"})
         ops = handler(getk_resp)
         assert ops > 0
@@ -126,7 +126,7 @@ class TestRuleHandler:
         assert cache["k1"] is getk_resp
 
     def test_cache_router_end_to_end_semantics(self):
-        from repro.lang.compiler import RuleHandler
+        from repro.lang.compiler import build_rule_handler
 
         prog = compile_source(memcached_proxy.CACHE_ROUTER_SOURCE)
         spec = prog.proc("memcached")
@@ -142,8 +142,8 @@ class TestRuleHandler:
         backends = [Chan() for _ in range(3)]
         cache = {}
         context = {"client": client, "cache": cache, "backends": backends}
-        update = RuleHandler(spec.rules[0], prog.interpreter, context)
-        test = RuleHandler(spec.rules[1], prog.interpreter, context)
+        update = build_rule_handler(prog, spec.rules[0], context)
+        test = build_rule_handler(prog, spec.rules[1], context)
 
         request = Record("cmd", {"opcode": 0x0C, "key": "hot"})
         test(request)  # miss: goes to a backend

@@ -4,7 +4,7 @@ The production engine (`repro.sim.engine.Engine`) keeps same-tick events
 in a FIFO ready queue and everything later in one heap; the reference
 engine (`tests.engine_oracle.ReferenceEngine`) is the seed's single
 binary heap.  The contract — the pattern ``test_exec_tier.py``
-established for the codegen tier — is that the staging must be
+established for generated handler code — is that the staging must be
 invisible: identical schedules produce identical firing sequences and
 final clocks, so any divergence is a production-engine bug by
 definition.

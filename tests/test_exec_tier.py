@@ -1,11 +1,11 @@
-"""Differential harness: the compiled execution tier vs the interpreter.
+"""Differential harness: generated handler code vs the interpreter.
 
-The interpreter is the semantic **oracle**; ``repro.lang.codegen`` is a
-fast mechanism that must be observationally indistinguishable from it —
-identical values, identical side effects (sends, dict/record mutation)
-and **bit-identical op counts**, so virtual-time charging cannot depend
-on the tier.  This file holds both tiers to that contract at every
-level:
+The interpreter in ``tests/lang_oracle.py`` is the semantic **oracle**;
+``repro.lang.codegen`` — the only executor under ``src/`` — must be
+observationally indistinguishable from it: identical values, identical
+side effects (sends, dict/record mutation) and **bit-identical op
+counts**, so virtual-time charging cannot depend on how a body executes.
+This file holds the product to that contract at every level:
 
 * every user function of every FLICK program in the corpus (the three
   apps, the inline example programs, the parser round-trip sources),
@@ -14,8 +14,10 @@ level:
 * rule handlers driven message-by-message with stub channels;
 * foldt key/combine handlers, including the k-way merge reference;
 * hypothesis-fuzzed programs generated type-correct by construction;
-* end to end through :class:`FlickPlatform`: full experiment runs under
-  both tiers must produce identical ``RunResult``s and scoreboards.
+* end to end through :class:`FlickPlatform` with the oracle patched in
+  behind ``CompiledProgram.executor()``: full experiment runs must
+  produce identical ``RunResult``s and scoreboards, and the whole quick
+  scenario matrix the committed baseline, byte for byte.
 """
 
 import importlib.util
@@ -30,15 +32,16 @@ from hypothesis import strategies as st
 from repro.apps.hadoop_agg import HADOOP_SOURCE
 from repro.apps.http_lb import HTTP_LB_SOURCE, STATIC_WEB_SOURCE
 from repro.apps.memcached_proxy import CACHE_ROUTER_SOURCE, PROXY_SOURCE
+from repro.core.errors import FlickError
 from repro.lang import types as ty
+from repro.lang.codegen import CompiledExec
 from repro.lang.compiler import (
-    EXEC_TIERS,
     build_foldt_handler,
     build_rule_handler,
     compile_source,
 )
 from repro.lang.values import Record
-from repro.runtime.scheduler import TaskBase
+from tests.lang_oracle import EXECUTORS, oracle_for, scoped_ids, under_oracle
 from tests.test_parser import HADOOP, MEMCACHED_FULL, MEMCACHED_SHORT
 
 # ---------------------------------------------------------------------------
@@ -156,8 +159,8 @@ def _snap(value):
 # ---------------------------------------------------------------------------
 
 
-def _run_function(program, tier, fname):
-    executor = program.executor(tier)
+def _run_function(program, side, fname):
+    executor = EXECUTORS[side](program)
     ftype = program.checked.functions[fname]
     counter = itertools.count(1)
     args = [_synth(param, counter) for param in ftype.params]
@@ -165,7 +168,7 @@ def _run_function(program, tier, fname):
     result, error = None, None
     try:
         result = executor.call_function(fname, args)
-    except Exception as exc:  # both tiers must fail identically
+    except Exception as exc:  # both sides must fail identically
         error = f"{type(exc).__name__}: {exc}"
     ops = executor.reset_ops()
     return {
@@ -181,9 +184,9 @@ def _run_function(program, tier, fname):
 def test_function_value_and_op_parity(name):
     program = compile_source(ALL_SOURCES[name])
     for fname in sorted(program.checked.functions):
-        interp = _run_function(program, "interp", fname)
-        compiled = _run_function(program, "compiled", fname)
-        assert compiled == interp, f"{name}:{fname} diverged"
+        oracle = _run_function(program, "oracle", fname)
+        generated = _run_function(program, "generated", fname)
+        assert generated == oracle, f"{name}:{fname} diverged"
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SOURCES))
@@ -192,12 +195,12 @@ def test_global_initialiser_parity(name):
     for spec in program.procs.values():
         for gname, init in spec.globals:
             results = {}
-            for tier in EXEC_TIERS:
-                executor = program.executor(tier)
+            for side, executor_of in EXECUTORS.items():
+                executor = executor_of(program)
                 executor.reset_ops()
                 value = executor.eval_const(init)
-                results[tier] = (_snap(value), executor.reset_ops())
-            assert results["compiled"] == results["interp"], gname
+                results[side] = (_snap(value), executor.reset_ops())
+            assert results["generated"] == results["oracle"], gname
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +208,10 @@ def test_global_initialiser_parity(name):
 # ---------------------------------------------------------------------------
 
 
-def _drive_rules(program, tier):
+def _drive_rules(program, side):
     """Run every rule of every proc over stub channels; trace everything."""
     trace = []
-    executor = program.executor(tier)
+    executor = EXECUTORS[side](program)
     checked = program.checked
     for pname in sorted(program.procs):
         spec = program.procs[pname]
@@ -233,7 +236,7 @@ def _drive_rules(program, tier):
             )
             if record_type is None:
                 continue
-            handler = build_rule_handler(program, rule, dict(context), tier)
+            handler = executor.rule_handler(rule, dict(context))
             assert handler.source == rule.source
             assert handler.sink == rule.sink
             counter = itertools.count(3)
@@ -248,9 +251,30 @@ def _drive_rules(program, tier):
 @pytest.mark.parametrize("name", sorted(ALL_SOURCES))
 def test_rule_handler_parity(name):
     program = compile_source(ALL_SOURCES[name])
-    assert _drive_rules(program, "compiled") == _drive_rules(
-        program, "interp"
+    assert _drive_rules(program, "generated") == _drive_rules(
+        program, "oracle"
     ), name
+
+
+def test_build_handlers_take_only_the_compiled_tier():
+    """The trailing ``tier`` argument survives for the host-time probes,
+    which pass ``"compiled"`` positionally; nothing else is accepted."""
+    program = compile_source(HADOOP_SOURCE)
+    plan = program.procs["hadoop"].foldt
+    assert build_foldt_handler(program, plan, "compiled").key(
+        _kv("a", 1)
+    ) == "a"
+    router = compile_source(CACHE_ROUTER_SOURCE)
+    rule = router.procs["memcached"].rules[0]
+    context = {"client": _StubChannel(), "cache": {}, "backends": []}
+    message = Record("cmd", {"opcode": 0x0C, "key": "k1"})
+    assert build_rule_handler(router, rule, context, "compiled")(message) > 0
+    assert context["client"].sent == [message]
+    for tier in ("interp", "bogus"):
+        with pytest.raises(FlickError, match="tests/lang_oracle.py"):
+            build_rule_handler(router, rule, context, tier)
+        with pytest.raises(FlickError, match="tests/lang_oracle.py"):
+            build_foldt_handler(program, plan, tier)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +289,8 @@ def _kv(key, value):
 def test_foldt_handler_parity():
     program = compile_source(HADOOP_SOURCE)
     plan = program.procs["hadoop"].foldt
-    interp_handler = build_foldt_handler(program, plan, "interp")
-    compiled_handler = build_foldt_handler(program, plan, "compiled")
+    interp_handler = oracle_for(program).foldt_handler(plan)
+    compiled_handler = build_foldt_handler(program, plan)
     records = [_kv(k, n) for k, n in
                [("alpha", 3), ("beta", 11), ("beta", 4), ("gamma", 9)]]
     for record in records:
@@ -278,17 +302,17 @@ def test_foldt_handler_parity():
 
 
 def test_foldt_merge_matches_reference():
-    """The compiled handler, driven by the reference merge algorithm,
+    """The generated handler, driven by the reference merge algorithm,
     reproduces ``Interpreter.merge_sorted_streams`` exactly."""
     program = compile_source(HADOOP_SOURCE)
     plan = program.procs["hadoop"].foldt
-    handler = build_foldt_handler(program, plan, "compiled")
+    handler = build_foldt_handler(program, plan)
     streams = [
         [_kv("a", 1), _kv("b", 2), _kv("d", 7)],
         [_kv("b", 5), _kv("c", 3)],
         [_kv("a", 9), _kv("c", 1), _kv("d", 2)],
     ]
-    reference = program.interpreter.merge_sorted_streams(plan.expr, streams)
+    reference = oracle_for(program).merge_sorted_streams(plan.expr, streams)
     merged = sorted(
         (record for stream in streams for record in stream),
         key=handler.key,
@@ -499,8 +523,8 @@ class TestFuzzedPrograms:
         source = _gen_source(data.draw)
         program = compile_source(source)
 
-        def call(tier):
-            executor = program.executor(tier)
+        def call(side):
+            executor = EXECUTORS[side](program)
             record = Record("rec", {"n": rn, "t": rt})
             mapping = dict(d_items)
             executor.reset_ops()
@@ -509,7 +533,7 @@ class TestFuzzedPrograms:
                 result = executor.call_function(
                     "main", (a, b, s, record, mapping, list(xs))
                 )
-            except Exception as exc:  # both tiers must fail identically
+            except Exception as exc:  # both sides must fail identically
                 error = f"{type(exc).__name__}: {exc}"
             ops = executor.reset_ops()
             return (
@@ -520,23 +544,12 @@ class TestFuzzedPrograms:
                 _snap(mapping),
             )
 
-        assert call("compiled") == call("interp"), source
+        assert call("generated") == call("oracle"), source
 
 
 # ---------------------------------------------------------------------------
 # End-to-end: identical RunResults and scoreboards through FlickPlatform
 # ---------------------------------------------------------------------------
-
-
-def _scoped(fn):
-    """Run ``fn`` with scoped task ids (same discipline as the scenario
-    runner): results must not depend on how many tasks ran before."""
-    resume_from = next(TaskBase._ids)
-    TaskBase.reset_ids()
-    try:
-        return fn()
-    finally:
-        TaskBase.reset_ids(max(resume_from, next(TaskBase._ids)))
 
 
 def _result_snap(result):
@@ -554,29 +567,26 @@ class TestEndToEndParity:
     def test_http_lb_run_identical(self):
         from repro.bench.testbeds import run_http_experiment
 
-        snaps = {}
-        for tier in EXEC_TIERS:
-            result = _scoped(
-                lambda: run_http_experiment(
+        def run():
+            return _result_snap(
+                run_http_experiment(
                     "flick-kernel",
                     16,
                     mode="lb",
                     cores=4,
                     requests_per_client=6,
                     slo_us=5000.0,
-                    exec_tier=tier,
                 )
             )
-            snaps[tier] = _result_snap(result)
-        assert snaps["compiled"] == snaps["interp"]
+
+        assert scoped_ids(run) == under_oracle(run)
 
     def test_cache_router_run_identical(self):
         from repro.bench.testbeds import run_memcached_experiment
 
-        snaps = {}
-        for tier in EXEC_TIERS:
-            result = _scoped(
-                lambda: run_memcached_experiment(
+        def run():
+            return _result_snap(
+                run_memcached_experiment(
                     "flick-kernel",
                     4,
                     concurrency=16,
@@ -584,15 +594,14 @@ class TestEndToEndParity:
                     cache_router=True,
                     key_space=32,
                     slo_us=5000.0,
-                    exec_tier=tier,
                 )
             )
-            snaps[tier] = _result_snap(result)
-        assert snaps["compiled"] == snaps["interp"]
+
+        assert scoped_ids(run) == under_oracle(run)
 
     def test_hadoop_interpreted_foldt_run_identical(self):
         """End-to-end foldt through the merge tree (native combine off,
-        so the tiers' foldt handlers actually execute)."""
+        so the foldt handlers actually execute)."""
         from repro.apps import hadoop_agg
         from repro.core.units import GBPS
         from repro.net.tcp import TcpNetwork
@@ -606,7 +615,7 @@ class TestEndToEndParity:
             reference_wordcount,
         )
 
-        def run(tier):
+        def run():
             engine = Engine()
             net = TcpNetwork(engine)
             mbox = net.add_host("mbox", 10 * GBPS, "core")
@@ -621,7 +630,7 @@ class TestEndToEndParity:
                 engine,
                 net,
                 mbox,
-                RuntimeConfig(cores=4, exec_tier=tier),
+                RuntimeConfig(cores=4),
                 hadoop_agg.hadoop_codec_registry(),
             )
             platform.register_program(
@@ -646,8 +655,35 @@ class TestEndToEndParity:
             final_time = engine.run()
             return sink.pairs, sink.counts(), final_time, outputs
 
-        pairs_i, counts_i, time_i, outputs = _scoped(lambda: run("interp"))
-        pairs_c, counts_c, time_c, _ = _scoped(lambda: run("compiled"))
+        pairs_i, counts_i, time_i, outputs = under_oracle(run)
+        pairs_c, counts_c, time_c, _ = scoped_ids(run)
         assert pairs_c == pairs_i
         assert counts_c == counts_i == reference_wordcount(outputs)
         assert time_c == time_i
+
+    def test_under_oracle_really_runs_the_oracle(self):
+        """The patch is live inside, gone outside (or every comparison
+        above would be the product against itself)."""
+        program = compile_source(HADOOP_SOURCE)
+        assert under_oracle(lambda: program.executor()) is oracle_for(program)
+        assert isinstance(program.executor(), CompiledExec)
+
+    def test_quick_matrix_under_oracle_is_the_committed_baseline(self, tmp_path):
+        """The whole quick scenario matrix, in-process on the oracle,
+        byte-identical to the committed (product-generated) baseline."""
+        from repro.bench import results as results_io
+        from repro.bench.scenarios import SCENARIOS, run_scenario_matrix
+
+        baseline = (
+            Path(__file__).resolve().parent.parent
+            / "benchmarks"
+            / "baseline_scenarios.json"
+        )
+        results = under_oracle(
+            lambda: run_scenario_matrix(SCENARIOS, quick=True, jobs=1)
+        )
+        written = results_io.write_results(
+            tmp_path / "oracle.json",
+            results_io.results_document(results, quick=True),
+        )
+        assert written.read_bytes() == baseline.read_bytes()

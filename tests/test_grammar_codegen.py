@@ -606,7 +606,7 @@ class TestExplainability:
         from repro.apps.hadoop_agg import HADOOP_SOURCE
         from repro.lang.compiler import compile_source
 
-        functions = list(compile_source(HADOOP_SOURCE).executor("compiled")._funs.values())
+        functions = list(compile_source(HADOOP_SOURCE).executor()._funs.values())
         assert functions
         for function in functions:
             filename = function.__code__.co_filename

@@ -1,14 +1,27 @@
-"""Interpreter tests: expression semantics, builtins, side effects."""
+"""Language-semantics tests: expression semantics, builtins, side effects.
+
+Every test runs twice: on the product (the generated code behind
+``CompiledProgram.executor()``) and on the reference interpreter in
+``tests/lang_oracle.py``.
+"""
 
 import pytest
 
 from repro.core.errors import RuntimeFlickError
 from repro.lang.compiler import compile_source
 from repro.lang.values import Record
+from tests.lang_oracle import EXECUTORS
+
+_executor_of = None  # set per test by the fixture below
+
+
+@pytest.fixture(autouse=True, params=sorted(EXECUTORS))
+def _executor(request, monkeypatch):
+    monkeypatch.setitem(globals(), "_executor_of", EXECUTORS[request.param])
 
 
 def interp_for(src):
-    return compile_source(src).interpreter
+    return _executor_of(compile_source(src))
 
 
 def call(src, name, *args):
@@ -78,11 +91,18 @@ class TestControlFlow:
         assert call(src, "f", -1) is True
 
     def test_non_boolean_condition_rejected_at_runtime(self):
-        interp = interp_for(
-            "fun f: (x: integer) -> (integer)\n    x\n"
+        # The typechecker rejects a non-boolean condition; a dict miss
+        # smuggles one in at run time (``d[k]`` is typed by the dict's
+        # declared value type, here boolean, whatever the dict holds).
+        src = (
+            "fun f: (d: ref dict<string*boolean>, k: string) -> (integer)\n"
+            "    if d[k]:\n        1\n"
+            "    else:\n        0\n"
         )
-        with pytest.raises(RuntimeFlickError):
-            interp._truthy(3)
+        assert call(src, "f", {"k": True}, "k") == 1
+        assert call(src, "f", {}, "k") == 0  # a miss is None, i.e. false
+        with pytest.raises(RuntimeFlickError, match="non-boolean 3"):
+            call(src, "f", {"k": 3}, "k")
 
 
 class TestBuiltins:

@@ -10,9 +10,17 @@ back.  It walks the AST, so an import hidden inside a function counts.
 The simulator is also pure standard library at run time: importing
 ``numpy`` costs every run ~0.1 s of set-up and ~13 MiB of resident
 memory, which the ledger's ``setup_s`` and ``peak_rss_mb`` would carry.
+
+And there is one way to run a handler: generated code.  The reference
+interpreter lives test-side (``tests/lang_oracle.py``), nothing under
+``src/`` reaches for it or any other oracle, and no layer carries an
+option that could select it.
 """
 
 import ast
+import dataclasses
+import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +65,36 @@ def test_importing_the_testbeds_does_not_import_numpy():
         [sys.executable, "-c", probe], capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_the_interpreter_is_not_in_the_product():
+    assert importlib.util.find_spec("repro.lang.interpreter") is None
+    offenders = [
+        f"{path.relative_to(SRC)} imports {module}"
+        for path in sorted(SRC.rglob("*.py"))
+        for module in _imported_modules(path)
+        if module.split(".")[0] == "tests" or "oracle" in module
+    ]
+    assert not offenders, "test-side imports: " + "; ".join(offenders)
+
+
+def test_no_layer_has_an_exec_tier_option():
+    from repro.bench.scenarios import Scenario, run_scenario, run_scenario_matrix
+    from repro.bench.testbeds import (
+        run_hadoop_experiment,
+        run_http_experiment,
+        run_memcached_experiment,
+    )
+    from repro.runtime.costs import RuntimeConfig
+
+    names = {field.name for field in dataclasses.fields(RuntimeConfig)}
+    names.update(Scenario._fields)
+    for function in (
+        run_http_experiment,
+        run_memcached_experiment,
+        run_hadoop_experiment,
+        run_scenario,
+        run_scenario_matrix,
+    ):
+        names.update(inspect.signature(function).parameters)
+    assert "exec_tier" not in names

@@ -11,6 +11,7 @@ from repro.grammar.model import DataField, FieldRef, IntField, Unit
 from repro.grammar.protocols import hadoop, http
 from repro.grammar.protocols import memcached as mc
 from repro.lang.values import Record
+from tests.lang_oracle import oracle_for
 
 keys = st.text(string.ascii_lowercase, min_size=1, max_size=32)
 values = st.binary(min_size=0, max_size=200)
@@ -200,7 +201,7 @@ class TestFoldTEquivalence:
 
         program = compile_hadoop()
         plan = program.proc("hadoop").foldt
-        interp = program.interpreter
+        interp = oracle_for(program)
         streams = [
             sorted(
                 (R("kv", {"key": k, "value": str(v)}) for k, v in s),
