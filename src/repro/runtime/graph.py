@@ -5,10 +5,11 @@ A :class:`TaskGraph` is one instance of a FLICK process bound to real
 
 * **rule graphs** (HTTP load balancer, Memcached proxy): one input/output
   task pair per connection, one compute task executing the routing rules;
-  outbound (backend) connections are created lazily on first use and torn
-  down with the graph — FLICK does not pool backend connections, which is
-  exactly why the paper's non-persistent kernel numbers trail Nginx
-  (section 6.3).
+  each outbound (backend) leg — channel, output task, connection,
+  return-path task — is built by the first value sent to it
+  (:class:`_OutboundLeg`) and torn down with the graph.  FLICK does not
+  pool backend connections, which is exactly why the paper's
+  non-persistent kernel numbers trail Nginx (section 6.3).
 * **foldt graphs** (Hadoop aggregator): one input task per mapper
   connection, a binary tree of merge tasks, and one output task to the
   reducer (Figure 3c: 8 inputs, 7 compute, 1 output).
@@ -29,7 +30,7 @@ from repro.lang.values import Record
 from repro.net.stackprofiles import StackProfile
 from repro.runtime.channel import TaskChannel
 from repro.runtime.costs import RuntimeConfig
-from repro.runtime.scheduler import Scheduler
+from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.runtime.task import (
     ChannelArrayView,
     ComputeTask,
@@ -115,6 +116,96 @@ class Bindings:
         #: (record, ops).  Must be observationally equivalent to the FLICK
         #: body (property-tested).
         self.native_foldt = native_foldt
+
+
+class _OutboundLeg(_BufferingSendProxy):
+    """One outbound (backend) connection of a rule graph, and the send
+    proxy FLICK code holds for it.
+
+    ``bind_client`` builds one per target, and all a leg takes there is
+    its output task's id: ids drive hash placement, so the id is
+    reserved where an eagerly built task would have taken it.  The
+    channel, the :class:`OutputTask` and the connection exist from the
+    first value sent on, the return-path task once the connection is
+    established — a connection that talks to one of ten backends builds
+    one leg's worth of objects, not ten.
+    """
+
+    __slots__ = (
+        "_graph", "_ep", "_index", "_target", "_task_id", "_out_task"
+    )
+
+    def __init__(
+        self, graph: "TaskGraph", ep, index: int, target: OutboundTarget
+    ):
+        super().__init__(None)
+        self._graph = graph
+        self._ep = ep
+        self._index = index
+        self._target = target
+        self._task_id = TaskBase.reserve_id()
+        self._out_task: Optional[OutputTask] = None
+
+    def _sink(self, value) -> None:
+        # However many values arrive before the handshake completes,
+        # only the first finds no channel, so the leg opens once.
+        if self._chan is None:
+            self._open()
+        self._chan.push(value)
+
+    def _open(self) -> None:
+        graph, ep, target = self._graph, self._ep, self._target
+        name = f"{ep.name}[{self._index}].out"
+        self._chan = graph._channel(name)
+        self._out_task = OutputTask(
+            f"g{graph.graph_id}:{name}",
+            self._chan,
+            graph.registry.serializer(),
+            graph.stack,
+            graph.config.cores,
+            task_id=self._task_id,
+        )
+        graph._wire_channel_to(self._chan, self._out_task)
+        graph._add_task(self._out_task, endpoint=ep.name)
+        graph.tcpnet.connect(
+            graph.host, target.host, target.port, self._connected
+        )
+
+    def _connected(self, socket) -> None:
+        graph, ep, index = self._graph, self._ep, self._index
+        graph._outbound_sockets.append(socket)
+        self._out_task.bind_socket(socket)
+        if ep.readable:
+            # A backend-side EOF normally just ends that stream; under
+            # backend fault injection it must fell the whole graph or
+            # in-flight requests black-hole.
+            backend_eof = (
+                graph._teardown
+                if graph.config.backend_close_teardown
+                else None
+            )
+            raw_sink = graph._raw_forward.get(ep.name)
+            if raw_sink is not None:
+                in_task = RawForwardTask(
+                    f"g{graph.graph_id}:{ep.name}[{index}].fwd",
+                    graph._endpoint_out_channels[raw_sink],
+                    graph.stack,
+                    graph.config.cores,
+                    on_eof=backend_eof,
+                )
+            else:
+                in_task = InputTask(
+                    f"g{graph.graph_id}:{ep.name}[{index}].in",
+                    graph.registry.new_parser(ep.read_type),
+                    graph.compute.inbox,
+                    graph.stack,
+                    graph.config.cores,
+                    tag=(ep.name, index),
+                    on_eof=backend_eof,
+                )
+            in_task.attach(socket, graph._notify(in_task))
+            graph._add_task(in_task, endpoint=ep.name)
+        graph.scheduler.notify_runnable(self._out_task)
 
 
 class TaskGraph:
@@ -244,17 +335,17 @@ class TaskGraph:
             self._wire_channel_to(out_chan, out_task)
             self._add_task(out_task, endpoint=client_ep.name)
             self._endpoint_out_channels[client_ep.name] = out_chan
-            proxy = _BufferingSendProxy(out_chan.push)
+            proxy = _BufferingSendProxy(out_chan)
             compute.register_proxy(proxy)
             context[client_ep.name] = proxy
 
-        # Outbound endpoints (backends): lazy connections per target.
+        # Outbound endpoints (backends): one lazy leg per target.
         for ep in spec.endpoints:
             targets = self.bindings.outbound.get(ep.name)
             if targets is None:
                 continue
             proxies = [
-                self._outbound_proxy(ep, index, target)
+                _OutboundLeg(self, ep, index, target)
                 for index, target in enumerate(targets)
             ]
             for proxy in proxies:
@@ -297,70 +388,6 @@ class TaskGraph:
                 rule.source,
                 build_rule_handler(self.program, rule, handler_context),
             )
-
-    def _outbound_proxy(
-        self, ep, index: int, target: OutboundTarget
-    ) -> _BufferingSendProxy:
-        """A send proxy that lazily opens the backend connection."""
-        out_chan = self._channel(f"{ep.name}[{index}].out")
-        out_task = OutputTask(
-            f"g{self.graph_id}:{ep.name}[{index}].out",
-            out_chan,
-            self.registry.serializer(),
-            self.stack,
-            self.config.cores,
-        )
-        self._wire_channel_to(out_chan, out_task)
-        self._add_task(out_task, endpoint=ep.name)
-        state = {"connecting": False}
-
-        def ensure_connected() -> None:
-            if state["connecting"] or out_task.bound:
-                return
-            state["connecting"] = True
-
-            def connected(socket) -> None:
-                self._outbound_sockets.append(socket)
-                out_task.bind_socket(socket)
-                if ep.readable:
-                    # A backend-side EOF normally just ends that stream;
-                    # under backend fault injection it must fell the
-                    # whole graph or in-flight requests black-hole.
-                    backend_eof = (
-                        self._teardown
-                        if self.config.backend_close_teardown
-                        else None
-                    )
-                    raw_sink = self._raw_forward.get(ep.name)
-                    if raw_sink is not None:
-                        in_task = RawForwardTask(
-                            f"g{self.graph_id}:{ep.name}[{index}].fwd",
-                            self._endpoint_out_channels[raw_sink],
-                            self.stack,
-                            self.config.cores,
-                            on_eof=backend_eof,
-                        )
-                    else:
-                        in_task = InputTask(
-                            f"g{self.graph_id}:{ep.name}[{index}].in",
-                            self.registry.new_parser(ep.read_type),
-                            self.compute.inbox,
-                            self.stack,
-                            self.config.cores,
-                            tag=(ep.name, index),
-                            on_eof=backend_eof,
-                        )
-                    in_task.attach(socket, self._notify(in_task))
-                    self._add_task(in_task, endpoint=ep.name)
-                self.scheduler.notify_runnable(out_task)
-
-            self.tcpnet.connect(self.host, target.host, target.port, connected)
-
-        def sink(value) -> None:
-            ensure_connected()
-            out_chan.push(value)
-
-        return _BufferingSendProxy(sink)
 
     # -- foldt graphs (Figure 3c) --------------------------------------------------
 

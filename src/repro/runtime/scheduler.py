@@ -556,13 +556,25 @@ class TaskBase:
     #: ``None`` while drained).  Feeds the SLO scoreboard.
     admitted_at: Optional[float] = None
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, task_id: Optional[int] = None):
         self.name = name
-        self.task_id = next(TaskBase._ids)
+        # A caller that builds the task later than it decided to (a lazy
+        # outbound leg) passes the id ``reserve_id`` gave it back then.
+        self.task_id = next(TaskBase._ids) if task_id is None else task_id
         self.sched_state = IDLE
         self.pending_wakeup = False
         self.items_processed = 0
         self.busy_us = 0.0
+
+    @classmethod
+    def reserve_id(cls) -> int:
+        """Take the next task id without building the task.
+
+        Ids are observable through hash placement, so a task built
+        lazily reserves its id where an eager design would have built
+        it and hands it to the constructor later.
+        """
+        return next(cls._ids)
 
     @classmethod
     def reset_ids(cls, start: int = 1) -> None:

@@ -220,14 +220,17 @@ class _BufferingSendProxy:
     timeslice completes.
     """
 
-    __slots__ = ("_sink", "buffered")
+    __slots__ = ("_chan", "buffered")
 
-    def __init__(self, sink: Callable[[object], None]):
-        self._sink = sink
+    def __init__(self, chan: Optional[TaskChannel]):
+        self._chan = chan
         self.buffered: List[object] = []
 
     def send(self, value) -> None:
         self.buffered.append(value)
+
+    def _sink(self, value) -> None:
+        self._chan.push(value)
 
     def flush_thunks(self) -> List[Callable[[], None]]:
         sink = self._sink
@@ -307,7 +310,8 @@ class ComputeTask(TaskBase):
                 ops = handler(record)
                 elapsed += ops_to_us(ops)
             for proxy in self._proxies:
-                emissions.extend(proxy.flush_thunks())
+                if proxy.buffered:
+                    emissions.extend(proxy.flush_thunks())
             self.items_processed += 1
             if budget_us == 0.0:
                 break
@@ -343,8 +347,9 @@ class OutputTask(TaskBase):
         stack: StackProfile,
         cores: int,
         close_on_eos: bool = False,
+        task_id: Optional[int] = None,
     ):
-        super().__init__(name)
+        super().__init__(name, task_id)
         self.inbox = inbox
         self._serialize = serialize
         self._stack = stack
@@ -355,10 +360,6 @@ class OutputTask(TaskBase):
 
     def bind_socket(self, socket) -> None:
         self._socket = socket
-
-    @property
-    def bound(self) -> bool:
-        return self._socket is not None
 
     def has_work(self) -> bool:
         return self._socket is not None and not self.inbox.empty()

@@ -246,9 +246,10 @@ class SloScoreboard:
             self._misses[service_class] = (
                 self._misses.get(service_class, 0) + 1
             )
-        self._latency.setdefault(service_class, LatencySeries()).record(
-            entry.latency_us
-        )
+        series = self._latency.get(service_class)
+        if series is None:
+            series = self._latency[service_class] = LatencySeries()
+        series.record(entry.latency_us)
         return entry
 
     def record_shed(self, service_class: str, count: int = 1) -> None:

@@ -16,7 +16,7 @@ fault-free behaviour the paper models.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.grammar.protocols import http
 from repro.grammar.protocols import memcached as mc
@@ -26,7 +26,16 @@ from repro.sim.engine import Engine
 
 
 class _FaultableBackend:
-    """Shared up/down state + service-time scaling for backend models."""
+    """Shared up/down state + service-time scaling for backend models.
+
+    The live set holds exactly the accepted sockets neither side has
+    closed: a socket leaves it when the peer's EOF arrives *or* when the
+    server closes it itself (:meth:`_close`).  The second half matters
+    because an endpoint that closed first never hears the peer's EOF —
+    with ``Connection: close`` the server always closes first, and a
+    socket remembered past that point pins the peer socket, its input
+    task and through them the whole finished task graph.
+    """
 
     def __init__(self, engine: Engine, service_us: float):
         self.engine = engine
@@ -39,7 +48,8 @@ class _FaultableBackend:
         self.up = True
         #: Connections reset by going down / refused while down.
         self.connections_reset = 0
-        self._live_sockets: List[TcpSocket] = []
+        #: Open accepted sockets, in accept order (dict as ordered set).
+        self._live_sockets: Dict[TcpSocket, None] = {}
 
     def _service_delay(self) -> float:
         if self.service_scale is None:
@@ -52,15 +62,14 @@ class _FaultableBackend:
             self.connections_reset += 1
             socket.close()
             return False
-        self._live_sockets.append(socket)
-        socket.on_close(lambda: self._forget(socket))
+        self._live_sockets[socket] = None
+        socket.on_close(lambda: self._live_sockets.pop(socket, None))
         return True
 
-    def _forget(self, socket: TcpSocket) -> None:
-        try:
-            self._live_sockets.remove(socket)
-        except ValueError:
-            pass
+    def _close(self, socket: TcpSocket) -> None:
+        """Close ``socket`` from the server side and let go of it."""
+        self._live_sockets.pop(socket, None)
+        socket.close()
 
     def set_up(self, up: bool) -> None:
         """Flip server availability; going down resets live connections."""
@@ -68,11 +77,10 @@ class _FaultableBackend:
             return
         self.up = up
         if not up:
-            live, self._live_sockets = self._live_sockets, []
+            live, self._live_sockets = self._live_sockets, {}
             for socket in live:
-                if not socket.closed:
-                    self.connections_reset += 1
-                    socket.close()
+                self.connections_reset += 1
+                socket.close()
 
 
 class BackendWebServer(_FaultableBackend):
@@ -113,13 +121,12 @@ class BackendWebServer(_FaultableBackend):
 
         socket.on_receive(on_data)
 
-    @staticmethod
-    def _respond(socket: TcpSocket, raw: bytes, close: bool) -> None:
+    def _respond(self, socket: TcpSocket, raw: bytes, close: bool) -> None:
         if socket.closed:
             return
         socket.send(raw)
         if close:
-            socket.close()
+            self._close(socket)
 
 
 class BackendMemcachedServer(_FaultableBackend):

@@ -1,15 +1,32 @@
-"""Runtime unit tests: channels, buffers, scheduler, tasks, dispatchers."""
+"""Runtime unit tests: channels, buffers, scheduler, tasks, dispatchers,
+and what a connection's task graph builds and lets go of."""
+
+import gc
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps import http_lb, memcached_proxy
 from repro.core.errors import BufferPoolExhausted, ChannelClosed, ChannelFull
+from repro.core.units import GBPS
+from repro.grammar.protocols import http
 from repro.lang.values import Record
+from repro.net.faults import make_fault
+from repro.net.tcp import TcpNetwork
 from repro.runtime.buffers import BufferPool
 from repro.runtime.channel import EOS, TaskChannel
+from repro.runtime.costs import RuntimeConfig
 from repro.runtime.dispatcher import GraphPool
+from repro.runtime.graph import OutboundTarget, TaskGraph
+from repro.runtime.platform import FlickPlatform
 from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.runtime.task import MergeTask
 from repro.sim.engine import Engine
+from repro.workloads.backends import BackendMemcachedServer, BackendWebServer
+from repro.workloads.http_clients import HttpClientPopulation
+from repro.workloads.memcached_clients import MemcachedClientPopulation
 
 
 class TestChannel:
@@ -75,6 +92,137 @@ class TestChannel:
         for _ in range(5):
             chan.pop()
         assert chan.high_water == 5
+
+
+class _ScanChannel:
+    """Reference model: the channel as it was defined while ``__len__``
+    scanned the queue.  Kept test-side so the O(1) arithmetic in
+    :class:`TaskChannel` is checked against the definition, not against
+    itself.  ``pings`` counts ``on_runnable`` calls."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.queue = []
+        self.closed = False
+        self.eos_delivered = False
+        self.high_water = 0
+        self.pings = 0
+
+    def has_space(self):
+        return len(self.queue) < self.capacity
+
+    def push(self, item):
+        if self.closed:
+            raise ChannelClosed("closed")
+        if len(self.queue) >= self.capacity:
+            raise ChannelFull("full")
+        self.queue.append(item)
+        self.high_water = max(self.high_water, len(self.queue))
+        self.pings += 1
+
+    def close(self):
+        if not self.closed:
+            self.closed = True
+            self.queue.append(EOS)
+            self.pings += 1
+
+    def __len__(self):
+        return sum(1 for item in self.queue if item is not EOS)
+
+    def ready(self):
+        return len(self) > 0
+
+    def empty(self):
+        return not self.queue
+
+    def peek(self):
+        if self.queue and self.queue[0] is not EOS:
+            return self.queue[0]
+        return None
+
+    def at_eos(self):
+        return self.eos_delivered or (
+            self.closed and len(self.queue) == 1 and self.queue[0] is EOS
+        )
+
+    def exhausted(self):
+        return self.eos_delivered
+
+    def pop(self):
+        if not self.queue:
+            raise ChannelClosed("empty")
+        item = self.queue.pop(0)
+        if item is EOS:
+            self.eos_delivered = True
+        return item
+
+
+_CHANNEL_OPS = ("push", "pop", "close")
+
+
+def _apply(chan, op, item):
+    """Run one operation; the outcome is its value or exception class."""
+    try:
+        if op == "push":
+            return chan.push(item)
+        if op == "pop":
+            return chan.pop()
+        return chan.close()
+    except (ChannelClosed, ChannelFull) as exc:
+        return type(exc)
+
+
+def _observe(chan, pings):
+    length = len(chan)
+    assert type(length) is int
+    return (
+        length,
+        chan.ready(),
+        chan.empty(),
+        chan.has_space(),
+        chan.peek(),
+        chan.at_eos(),
+        chan.exhausted(),
+        chan.high_water,
+        pings,
+    )
+
+
+def _check_sequence(capacity, ops):
+    real, model = TaskChannel("c", capacity), _ScanChannel(capacity)
+    pings = []
+    real.on_runnable = lambda: pings.append(1)
+    for step, op in enumerate(ops):
+        trail = ops[: step + 1]
+        assert _apply(real, op, step) == _apply(model, op, step), trail
+        seen = _observe(real, len(pings))
+        assert seen == _observe(model, model.pings), trail
+
+
+class TestChannelAgainstScanModel:
+    """``TaskChannel`` vs its old definition over a stated space: every
+    sequence of push/pop/close up to length 8 on a capacity-2 channel
+    (9,841 sequences) — every observer after every call, and the
+    exception class of every call."""
+
+    def test_every_sequence_up_to_length_8(self):
+        checked = 0
+
+        def extend(prefix):
+            nonlocal checked
+            _check_sequence(2, prefix)
+            checked += 1
+            if len(prefix) < 8:
+                for op in _CHANNEL_OPS:
+                    extend(prefix + (op,))
+
+        extend(())
+        assert checked == sum(3**n for n in range(9))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(_CHANNEL_OPS), max_size=400))
+    def test_long_sequences_at_default_capacity(self, ops):
+        _check_sequence(4096, tuple(ops))
 
 
 class TestBufferPool:
@@ -394,3 +542,231 @@ class TestGraphPool:
         pool = GraphPool(0)
         assert not pool.take()
         assert pool.misses == 1
+
+
+# -- what a connection builds, and what it lets go of -----------------------
+
+
+def _proxy_testbed(app="lb"):
+    """The paper's topology by hand: a 4-core middlebox running the
+    HTTP load balancer (or the Memcached proxy) in front of ten
+    backends."""
+    engine = Engine()
+    net = TcpNetwork(engine)
+    mbox = net.add_host("mbox", 10 * GBPS, "core")
+    client_hosts = [
+        net.add_host(f"client{i}", 1 * GBPS, "edge") for i in range(4)
+    ]
+    backend_hosts = [
+        net.add_host(f"backend{i}", 1 * GBPS, "edge") for i in range(10)
+    ]
+    if app == "lb":
+        port, backend_port, server = 80, 8080, BackendWebServer
+        program, proc = http_lb.compile_http_lb(), "HttpBalancer"
+        registry, bindings = http_lb.http_codec_registry(), http_lb.lb_bindings
+    else:
+        port, backend_port, server = 11211, 11211, BackendMemcachedServer
+        program, proc = memcached_proxy.compile_proxy(), "Memcached"
+        registry = memcached_proxy.memcached_codec_registry(program)
+        bindings = memcached_proxy.proxy_bindings
+    backends = [
+        server(engine, net, host, backend_port) for host in backend_hosts
+    ]
+    platform = FlickPlatform(
+        engine, net, mbox, RuntimeConfig(cores=4), registry
+    )
+    instance = platform.register_program(
+        program,
+        proc,
+        port,
+        bindings([OutboundTarget(h, backend_port) for h in backend_hosts]),
+    )
+    platform.start()
+    graphs = []
+    build = instance.graph_dispatcher._build_graph
+
+    def capture():
+        graphs.append(build())
+        return graphs[-1]
+
+    instance.graph_dispatcher._build_graph = capture
+    return engine, net, mbox, client_hosts, backends, graphs
+
+
+def _one_shot(engine, net, host, mbox, at_us, raw, replies):
+    """At ``at_us`` open a connection, send ``raw``, close on the first
+    reply bytes (or on the middlebox's EOF)."""
+
+    def connected(socket):
+        def on_data(data):
+            replies.append(data)
+            socket.close()
+
+        socket.on_receive(on_data)
+        socket.on_close(socket.close)
+        socket.send(raw)
+
+    engine.schedule(at_us, net.connect, host, mbox, 80, connected)
+
+
+def _task_ids(graphs):
+    return {task.name: task.task_id for g in graphs for task in g.tasks}
+
+
+#: ``(task.name, task.task_id)`` of every task the eager design (the
+#: parent of the lazy-leg change) created for three one-request LB
+#: connections opened at t = 0, 100 and 300 µs — recorded there by
+#: wrapping ``TaskGraph._add_task``.  The second connection binds after
+#: the first one's request went out and before its backend handshake
+#: completed, so the ``.fwd`` ids interleave with a later graph's.  Ids
+#: are observable (hash placement), so a lazily built task must carry
+#: the id this table gives its name.
+_EAGER_LB_IDS = {
+    **{"g1:compute": 5, "g1:client.out": 6, "g1:client.in": 17},
+    **{f"g1:backends[{k}].out": 7 + k for k in range(10)},
+    **{"g2:compute": 18, "g2:client.out": 19, "g2:client.in": 30},
+    **{f"g2:backends[{k}].out": 20 + k for k in range(10)},
+    **{"g1:backends[5].fwd": 31, "g2:backends[9].fwd": 32},
+    **{"g3:compute": 33, "g3:client.out": 34, "g3:client.in": 45},
+    **{f"g3:backends[{k}].out": 35 + k for k in range(10)},
+    **{"g3:backends[2].fwd": 46},
+}
+
+#: The same for one Memcached-proxy connection whose 40 GETKs reach all
+#: ten shards: ``.out`` ids in endpoint order, ``.fwd`` ids in the order
+#: the shards were first used.
+_EAGER_MEMCACHED_IDS = {
+    **{"g1:compute": 5, "g1:client.out": 6, "g1:client.in": 17},
+    **{f"g1:backends[{k}].out": 7 + k for k in range(10)},
+    **{
+        f"g1:backends[{k}].fwd": 18 + order
+        for order, k in enumerate((1, 4, 8, 6, 3, 9, 2, 5, 0, 7))
+    },
+}
+
+
+@pytest.fixture
+def fresh_graph_ids(monkeypatch):
+    """Graph ids restart at g1 for this test only (``conftest.py``
+    restarts task ids for every test), so task names and ids compare
+    against the golden tables; the class-wide counter is put back."""
+    monkeypatch.setattr(TaskGraph, "_next_graph_id", iter(range(1, 1 << 62)))
+
+
+@pytest.mark.usefixtures("fresh_graph_ids")
+class TestLazyLegs:
+    def _three_connections(self):
+        engine, net, mbox, hosts, _backends, graphs = _proxy_testbed()
+        replies = []
+        for index, at_us in enumerate((0.0, 100.0, 300.0)):
+            raw = http.make_request("GET", f"/{index}", keep_alive=False).raw
+            _one_shot(engine, net, hosts[index], mbox, at_us, raw, replies)
+        engine.run()
+        assert len(replies) == 3
+        return graphs
+
+    def test_lazily_built_tasks_carry_their_eager_ids(self):
+        created = _task_ids(self._three_connections())
+        assert created.items() <= _EAGER_LB_IDS.items()
+        # The subset is exactly: everything but the never-used legs.
+        assert set(_EAGER_LB_IDS) - set(created) == {
+            f"g{g}:backends[{k}].out"
+            for g, used in ((1, 5), (2, 9), (3, 2))
+            for k in range(10)
+            if k != used
+        }
+
+    def test_one_request_connection_builds_five_tasks(self):
+        for graph in self._three_connections():
+            names = [task.name.split(":")[1] for task in graph.tasks]
+            assert len(names) == 5, names
+            assert names[:3] == ["compute", "client.out", "client.in"]
+            leg = names[3][: -len(".out")]
+            assert names[3:] == [f"{leg}.out", f"{leg}.fwd"]
+
+    def test_leg_opens_once_however_many_sends_precede_connected(self):
+        engine, net, mbox, hosts, backends, graphs = _proxy_testbed()
+        replies = []
+        # Three pipelined keep-alive requests in one segment: all three
+        # are forwarded to the same leg before its handshake completes.
+        raw = b"".join(
+            http.make_request("GET", f"/{n}").raw for n in range(3)
+        )
+
+        def connected(socket):
+            socket.on_receive(replies.append)
+            socket.send(raw)
+
+        net.connect(hosts[0], mbox, 80, connected)
+        engine.run()
+        assert net.connections_established == 2  # client + one backend
+        assert sum(b.requests_served for b in backends) == 3
+        parser = http.HttpResponseParser()
+        parser.feed(b"".join(replies))
+        assert len(list(parser.messages())) == 3
+        assert len(graphs) == 1 and len(graphs[0].tasks) == 5
+
+    def test_memcached_connection_reaching_all_shards_builds_all_legs(self):
+        engine, net, mbox, hosts, backends, graphs = _proxy_testbed(
+            "memcached"
+        )
+        population = MemcachedClientPopulation(
+            engine, net, hosts, mbox, 11211,
+            concurrency=1, requests_per_client=40,
+        )
+        population.start()
+        engine.run()
+        assert population.finished and population.errors == 0
+        assert all(b.requests_served for b in backends)
+        assert _task_ids(graphs) == _EAGER_MEMCACHED_IDS
+
+
+class TestConnectionRelease:
+    """A finished connection is collectable: nothing outside the cycle
+    collector's reach keeps its graph, tasks, channels or sockets."""
+
+    def test_non_persistent_connections_are_let_go(self):
+        engine, net, mbox, hosts, backends, graphs = _proxy_testbed()
+        concurrency = 8
+        population = HttpClientPopulation(
+            engine, net, hosts, mbox, 80,
+            concurrency=concurrency, persistent=False,
+            requests_per_client=25, warmup_requests=0,
+        )
+        population.start()
+        engine.run()
+        assert population.finished and population.errors == 0
+        assert len(graphs) == 200
+        alive = [weakref.ref(graph) for graph in graphs]
+        del graphs[:]
+        gc.collect()
+        # ``Connection: close``: the backend closes first, so it never
+        # hears the peer's EOF — it must forget the socket on its own
+        # close, or every server socket pins its whole graph.
+        assert [len(b._live_sockets) for b in backends] == [0] * 10
+        assert sum(ref() is not None for ref in alive) <= concurrency
+
+    def test_flapping_resets_count_only_open_connections(self):
+        engine, net, mbox, hosts, backends, _graphs = _proxy_testbed()
+        make_fault(
+            "flapping-backend",
+            first_down_us=3_000.0,
+            downtime_us=1_000.0,
+            period_us=4_000.0,
+            cycles=2,
+            targets=10,
+        ).install(engine, backends)
+        replies = []
+        for index in range(200):
+            raw = http.make_request("GET", f"/{index}", keep_alive=False).raw
+            _one_shot(
+                engine, net, hosts[index % 4], mbox, index * 50.0, raw, replies
+            )
+        engine.run()
+        # 35 is the count recorded at the parent, where the sockets a
+        # backend had closed itself sat in its live set and were skipped
+        # by ``if not socket.closed``; now they are simply not there.
+        # Every connection was either answered or reset.
+        assert sum(b.connections_reset for b in backends) == 35
+        assert len(replies) == 165
+        assert [len(b._live_sockets) for b in backends] == [0] * 10
