@@ -13,8 +13,10 @@ platform itself.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import functools
+from typing import Dict, List, Optional
 
+from repro.grammar.engine import OPS_PER_RAW_COPY_BYTE
 from repro.grammar.protocols import http
 from repro.lang.compiler import CompiledProgram, compile_source
 from repro.lang.values import Record
@@ -80,23 +82,39 @@ def compile_static_web() -> CompiledProgram:
     return compile_source(source, "<static_web.flick>")
 
 
-def _serialize_http_resp(record: Record):
-    """Serialise a response record, completing FLICK-constructed ones."""
-    if "version" in record:
-        return http.serialize(record)
-    body = record.body
+@functools.lru_cache(maxsize=64)
+def _constant_response(status, body) -> bytes:
     if isinstance(body, str):
         body = body.encode("latin-1")
-    full = http.make_response(status=record.status, body=body)
-    return http.serialize(full)
+    return http.make_response(status=status, body=body).raw
 
 
-def http_codec_registry() -> CodecRegistry:
-    """Registry wiring FLICK's http_req/http_resp types to the HTTP codec."""
+def _serialize_http_resp(record: Record):
+    """Serialise a response record, completing FLICK-constructed ones
+    (``http_resp(status, body)``: rendered once per distinct pair)."""
+    if record.raw is not None:
+        return http.serialize(record)
+    fields = record._fields
+    raw = _constant_response(fields["status"], fields["body"])
+    return raw, len(raw) * OPS_PER_RAW_COPY_BYTE
+
+
+def http_codec_registry(program: Optional[CompiledProgram] = None) -> CodecRegistry:
+    """Registry wiring FLICK's http_req/http_resp types to the HTTP codec.
+
+    Given the ``program``, the parsers are projected to the fields it
+    accesses (the load balancer and the static web server read none, so
+    their request parser builds no header map); without one they decode
+    everything.
+    """
+
+    def accessed(record_type: str):
+        return None if program is None else program.accessed_fields(record_type)
+
     registry = CodecRegistry()
-    registry.register_parser("http_req", http.HttpRequestParser)
-    registry.register_parser("http_resp", http.HttpResponseParser)
-    registry.register_serializer("http_req", http.serialize)
+    registry.register_parser("http_req", http.request_codec(accessed("http_req")).parser)
+    registry.register_parser("http_resp", http.response_codec(accessed("http_resp")).parser)
+    registry.register_serializer("http_req", http.request_codec().serialize)
     registry.register_serializer("http_resp", _serialize_http_resp)
     return registry
 

@@ -88,6 +88,7 @@ class BaselineHttpServer:
         self.lb_extra_us = lb_extra_us
         self.backends = backends or []
         self.body = body
+        self._response = http.make_response(body=body).raw  # the same every time
         self.active_connections = 0
         self.requests_served = 0
         self._upstreams: Dict[int, "_Upstream"] = {}
@@ -104,7 +105,7 @@ class BaselineHttpServer:
 
     def _accept(self, socket: TcpSocket) -> None:
         self.active_connections += 1
-        parser = http.HttpRequestParser()
+        parser = http.request_codec(http.KEEP_ALIVE_FIELDS).parser()
         # Each client connection sticks to one upstream, like a round-robin
         # balancer with keep-alive upstream pools.
         backend_idx = (
@@ -142,7 +143,7 @@ class BaselineHttpServer:
         if socket.closed:
             return
         self.requests_served += 1
-        socket.send(http.make_response(body=self.body).raw)
+        socket.send(self._response)
         if not keep_alive:
             socket.close()
 
@@ -158,6 +159,10 @@ class BaselineHttpServer:
         upstream.forward(client, keep)
 
 
+#: What every upstream leg sends per forwarded request.
+_UPSTREAM_REQUEST = http.make_request("GET", "/upstream", keep_alive=True).raw
+
+
 class _Upstream:
     """One persistent upstream connection with FIFO response matching."""
 
@@ -168,16 +173,15 @@ class _Upstream:
         self._connecting = False
         self._send_queue: deque = deque()
         self._pending: deque = deque()  # (client socket, keep_alive)
-        self._parser = http.HttpResponseParser()
+        self._parser = http.response_codec(()).parser()  # forwards raw
 
     def forward(self, client: TcpSocket, keep: bool) -> None:
-        request = http.make_request("GET", "/upstream", keep_alive=True)
         self._pending.append((client, keep))
         if self._socket is None:
-            self._send_queue.append(request.raw)
+            self._send_queue.append(_UPSTREAM_REQUEST)
             self._connect()
         else:
-            self._socket.send(request.raw)
+            self._socket.send(_UPSTREAM_REQUEST)
 
     def _connect(self) -> None:
         if self._connecting:

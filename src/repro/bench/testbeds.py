@@ -461,20 +461,19 @@ OpenLoopClients`: ``concurrency`` becomes the size of the persistent
                 if router is None
                 else tcpnet.add_host(f"shard{i}", 10 * GBPS, "core")
             )
+            if use_backends:
+                program = http_lb.compile_http_lb()
+            else:
+                program = http_lb.compile_static_web()
             platform = FlickPlatform(
-                engine, tcpnet, host, config, http_lb.http_codec_registry()
+                engine, tcpnet, host, config, http_lb.http_codec_registry(program)
             )
             if use_backends:
                 platform.register_program(
-                    http_lb.compile_http_lb(),
-                    "HttpBalancer",
-                    80,
-                    http_lb.lb_bindings(targets),
+                    program, "HttpBalancer", 80, http_lb.lb_bindings(targets)
                 )
             else:
-                platform.register_program(
-                    http_lb.compile_static_web(), "StaticWeb", 80
-                )
+                platform.register_program(program, "StaticWeb", 80)
             platform.start()
             if router is not None:
                 router.add_shard(platform, 80)

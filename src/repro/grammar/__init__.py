@@ -10,9 +10,12 @@ from repro.grammar.model import (
     DataField,
     Field,
     FieldRef,
+    HeaderMapField,
+    HeaderRef,
     IntField,
     LITTLE,
     SelfRef,
+    TokenField,
     Unit,
     VarField,
     eval_expr,
@@ -31,9 +34,12 @@ __all__ = [
     "DataField",
     "Field",
     "FieldRef",
+    "HeaderMapField",
+    "HeaderRef",
     "IntField",
     "LITTLE",
     "SelfRef",
+    "TokenField",
     "Unit",
     "VarField",
     "eval_expr",

@@ -16,6 +16,12 @@ reference would: it asks for more bytes only between fields where nothing
 can fail, so the waits for payloads whose lengths are provably
 non-negative merge into one, and a run ends at a constant field so that
 a bad magic number is reported as soon as its bytes arrive.
+
+A text unit (:func:`text_parser_source`, :func:`text_encoder_source`) is
+lowered the same way, with the start line split once, the header block
+walked once and the body sliced from ``raw``.  Its parse charge does not
+depend on the projection: every field, every head byte decoded, every
+body byte copied — a projection saves host time, never virtual time.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.errors import GrammarError, ParseError, SerializeError
 from repro.grammar.engine import (
     _COMPACT_THRESHOLD,
+    MAX_FILL_BYTES,
     OPS_PER_DECODED_BYTE,
     OPS_PER_FIELD,
+    OPS_PER_RAW_COPY_BYTE,
     OPS_PER_SKIPPED_BYTE,
 )
 from repro.grammar.model import (
@@ -36,6 +44,8 @@ from repro.grammar.model import (
     ConstField,
     DataField,
     FieldRef,
+    HeaderMapField,
+    HeaderRef,
     IntField,
     SelfRef,
     SizeExpr,
@@ -76,6 +86,7 @@ class _Lowering:
         self.order = ">" if unit.byteorder == "big" else "<"
         self.index = {f.name: i for i, f in enumerate(unit.fields)}
         self.integers = unit.integer_fields()
+        self.headers: Dict[HeaderRef, str] = {}  # text units: header -> local
         self.structs: List[str] = []  # precompiled, above the def
         self.lines: List[str] = []
 
@@ -83,6 +94,9 @@ class _Lowering:
         self.lines.append("    " * depth + text)
 
     def emit_dict(self, target: str, entries: List[str]) -> None:
+        if not entries:
+            self.emit(f"{target} = {{}}")
+            return
         self.emit(f"{target} = {{")
         for entry in entries:
             self.emit(f"{entry},", 2)
@@ -113,6 +127,8 @@ class _Lowering:
             return self.local(expr.name, where)
         if isinstance(expr, SelfRef) and own is not None:
             return own
+        if isinstance(expr, HeaderRef) and expr in self.headers:
+            return self.headers[expr]
         if isinstance(expr, Binary) and expr.op in ("+", "-", "*"):
             left = self.expr(expr.left, where, own)
             right = self.expr(expr.right, where, own)
@@ -410,6 +426,14 @@ def encoder_source(unit: Unit) -> str:
             flush_run()
             length = low.expr(f.length_expr(), f"field {f.name!r}")
             if f.name is None:
+                # Zeros are allocated: refuse a huge length before that.
+                emit(f"if {length} > {MAX_FILL_BYTES}:")
+                prefix = f"{label}._ (field {idx}): length "
+                emit(
+                    f"raise SerializeError({prefix!r} + str({length}) + "
+                    f"' exceeds {MAX_FILL_BYTES} zero bytes')",
+                    2,
+                )
                 emit(f"d{idx} = {spliced_or(idx, f'bytes(max({length}, 0))')}")
                 emit(f"n{idx} = len(d{idx})")
             # No check when ``length`` is the local this very payload set.
@@ -426,6 +450,223 @@ def encoder_source(unit: Unit) -> str:
     flush_run()
     out = parts[0] if len(parts) == 1 else f"b''.join(({', '.join(parts)}))"
     emit(f"return {out}, {_ops(len(fields), [(sizes, OPS_PER_DECODED_BYTE)])}")
+    return low.source("def encode(record):")
+
+
+# ---------------------------------------------------------------------------
+# Text units
+# ---------------------------------------------------------------------------
+
+_HEAD_END = b"\r\n\r\n"
+
+
+def _text_parts(unit: Unit):
+    """A text unit's (tokens, header map, body or None), with indices; the
+    model has checked this layout."""
+    fields = list(enumerate(unit.fields))
+    cut = next(i for i, f in fields if isinstance(f, HeaderMapField))
+    body = fields[cut + 1] if cut + 1 < len(fields) else None
+    return fields[:cut], fields[cut], body
+
+
+def _framing(unit: Unit, header_map: HeaderMapField, body):
+    """The headers the body's length reads, and every header name the
+    parser must pick out: those plus the ``refuse`` ones.  ASCII only, so
+    that comparing lower-cased bytes is the same test as comparing
+    lower-cased latin-1 text."""
+    refs: List[HeaderRef] = []
+    pending = [body[1].length_expr()] if body is not None else []
+    while pending:
+        expr = pending.pop()
+        if isinstance(expr, Binary):
+            pending += [expr.right, expr.left]
+        elif isinstance(expr, HeaderRef) and expr not in refs:
+            if expr.field != header_map.name:
+                raise GrammarError(
+                    f"unit {unit.name!r}: {expr.field!r} is not a header map"
+                )
+            refs.append(expr)
+    names = [ref.name for ref in refs]
+    names += [name for name, _ in header_map.refuse if name not in names]
+    for text in names + [value for _, value in header_map.refuse]:
+        if not text.isascii():
+            raise GrammarError(f"unit {unit.name!r}: framing text {text!r} is not ASCII")
+    return refs, names
+
+
+def text_parser_source(unit: Unit, decoded: frozenset) -> Tuple[str, int]:
+    """Text of ``poll(self)`` for a text unit, building only the
+    ``decoded`` fields, and the byte count below which it cannot start.
+
+    ``_scan`` remembers how much of the current message was searched for
+    the blank line without finding it, and a head that is there but whose
+    body is not sets ``_need`` to the message's size, so a short feed
+    costs one comparison and a long head is scanned once.  The head is
+    parsed again when the body completes; nothing is charged until then.
+    """
+    low = _Lowering(unit)
+    emit, label = low.emit, unit.name
+    tokens, (hm, header_map), body = _text_parts(unit)
+    refs, framing = _framing(unit, header_map, body)
+    low.lines.append(_POLL_HEAD)
+    emit(f"e = buf.find({_HEAD_END!r}, p + self._scan)")
+    emit("if e < 0:")
+    emit("self._need = n + 1", 2)
+    emit("self._scan = n - 3 if n > 3 else 0", 2)
+    emit("return None", 2)
+    emit("lines = buf[p:e].split(b'\\r\\n')")
+
+    def fail(message: str, detail: str = "", depth: int = 2, tail: str = "") -> None:
+        detail = f" + {detail}" if detail else ""
+        emit(f"raise ParseError({label + message!r}{detail}){tail}", depth)
+
+    # The start line: one split, unpacked into one word per word token; a
+    # rest-of-line token (only ever last) gets what is left, if anything.
+    rest = tokens[-1][1].rest
+    words = [f"w{at}" for at in range(len(tokens) - rest)]
+    targets = words + ["*r"] * rest
+    split = f"split(None, {len(words)})" if rest else "split()"
+    emit("try:")
+    emit(f"{', '.join(targets)}{',' * (len(targets) == 1)} = lines[0].{split}", 2)
+    emit("except ValueError:")
+    fail(": malformed start line ", "repr(bytes(lines[0]))", tail=" from None")
+    values: Dict[str, str] = {}
+    for word, (idx, f) in zip(words, tokens):
+        values[f.name] = f"{word}.decode('latin-1')"
+        if f.prefix:
+            emit(f"if not {word}.startswith({f.prefix!r}):")
+            fail(f".{f.name}: no {f.prefix!r} in ", f"repr(bytes({word}))")
+        if f.integer:
+            emit("try:")
+            emit(f"t{idx} = int({word})", 2)
+            emit("except ValueError:")
+            fail(f".{f.name}: not an integer: ", f"repr(bytes({word}))", tail=" from None")
+            values[f.name] = f"t{idx}"
+    if rest:
+        values[tokens[-1][1].name] = "r[0].decode('latin-1') if r else ''"
+
+    # The header block: every line needs a colon.  Framing headers are
+    # read from the map when it is built (stripped text), else picked out
+    # as they go by (raw bytes).
+    where = f".{header_map.name}: "
+    locals_ = {name: f"f{i}" for i, name in enumerate(framing)}
+    built = header_map.name in decoded
+    if built:
+        values[header_map.name] = f"t{hm}"
+        emit(f"t{hm} = {{}}")
+    elif framing:
+        emit(" = ".join(locals_.values()) + " = None")
+    emit("for line in lines[1:]:")
+    if built or framing:
+        emit("name, sep, value = line.partition(b':')", 2)
+        emit("if not sep:", 2)
+    else:
+        emit("if b':' not in line:", 2)
+    fail(where + "malformed header line ", "repr(bytes(line))", 3)
+    if built:
+        emit(
+            f"t{hm}[name.strip().decode('latin-1').lower()] = "
+            "value.strip().decode('latin-1')",
+            2,
+        )
+        for name, local in locals_.items():  # no .get(): a call per message
+            emit(f"{local} = t{hm}[{name!r}] if {name!r} in t{hm} else None")
+    elif framing:
+        emit("name = name.strip().lower()", 2)
+        for i, (name, local) in enumerate(locals_.items()):
+            emit(f"{'elif' if i else 'if'} name == {name.encode()!r}:", 2)
+            emit(f"{local} = value", 3)
+    strip = "" if built else ".strip()"
+    for name, value in header_map.refuse:
+        local = locals_[name]
+        target = repr(value if built else value.encode())
+        emit(f"if {local} is not None and {local}{strip}.lower() == {target}:")
+        fail(f"{where}refuses {name}: {value}")
+    for i, ref in enumerate(refs):
+        local = locals_[ref.name]
+        low.headers[ref] = f"h{i}"
+        emit(f"if {local} is None:")
+        emit(f"h{i} = 0", 2)
+        if built:  # str.isdigit() also accepts non-ASCII digits
+            emit(f"elif {local}.isdigit() and {local}.isascii():")
+        else:
+            emit("else:")
+            emit(f"{local} = {local}.strip()", 2)
+            emit(f"if not {local}.isdigit():", 2)
+            fail(f"{where}{ref.name} is not 1*DIGIT: ", f"repr(bytes({local}))", 3)
+        emit(f"h{i} = int({local})", 2)
+        if built:
+            emit("else:")
+            fail(f"{where}{ref.name} is not 1*DIGIT: ", f"repr({local})")
+
+    # The body, if any, and the message's end.
+    emit(f"h = e - p + {len(_HEAD_END)}")
+    end, size = "h", None
+    if body is not None:
+        idx, f = body
+        length = f.length_expr()
+        size = low.expr(length, f"field {f.name!r}")
+        if isinstance(length, Binary):
+            emit(f"n{idx} = {size}")
+            size = f"n{idx}"
+            emit(f"if {size} < 0:")
+            fail(f".{f.name}: negative length ", f"str({size})")
+        elif isinstance(length, Const) and length.value < 0:
+            raise GrammarError(f"unit {label!r}: field {f.name!r} has a negative length")
+        end = f"o{idx}"
+        emit(f"{end} = h + {size}")
+        emit(f"if n < {end}:")
+        emit(f"self._need = {end}", 2)
+        emit(f"self._scan = h - {len(_HEAD_END)}", 2)
+        emit("return None", 2)
+        values[f.name] = f"raw[h:{end}]"
+
+    emit(f"raw = bytes(buf[p:p + {end}])")
+    emit("record = _new_record(Record)")
+    emit(f"record._type_name = {label!r}")
+    low.emit_dict(
+        "record._fields",
+        [f"{f.name!r}: {values[f.name]}" for f in unit.fields if f.name in decoded],
+    )
+    emit("record.raw = raw")
+    emit("record.dirty = False")
+    emit("record.spans = None")
+    emit("self._scan = 0")
+    weighted = [(["h"], OPS_PER_DECODED_BYTE), ([size] if size else [], OPS_PER_RAW_COPY_BYTE)]
+    low.lines.append(
+        _POLL_TAIL.format(
+            ops=_ops(len(unit.fields), weighted),
+            size=end,
+            threshold=_COMPACT_THRESHOLD,
+            first_need=len(_HEAD_END),
+        )
+    )
+    return low.source("def poll(self):"), len(_HEAD_END)
+
+
+def text_encoder_source(unit: Unit) -> str:
+    """Text of ``encode(record)`` for a text unit: the start line's tokens
+    joined by single spaces, one ``name: value`` line per header, a blank
+    line, the body.  A record from a projected parse gets the fields it
+    lacks from its own ``raw`` bytes (``_complete``)."""
+    low = _Lowering(unit)
+    emit = low.emit
+    tokens, (_, header_map), body = _text_parts(unit)
+    required = frozenset(f.name for f in unit.fields)
+    low.structs.append(f"_required = frozenset({sorted(required)!r})")
+    emit("f = record._fields")
+    emit("if not f.keys() >= _required:")
+    emit("f = _complete(record)", 2)
+    line = " ".join(["%s"] * len(tokens)) + "\r\n"
+    args = ", ".join(f"f[{f.name!r}]" for _, f in tokens) + "," * (len(tokens) == 1)
+    headers = f"f[{header_map.name!r}].items()"
+    head = f"({line!r} % ({args}) + ''.join(['%s: %s\\r\\n' % kv for kv in {headers}]))"
+    data = f"{head}.encode('latin-1') + b'\\r\\n'"
+    if body is not None:
+        data += f" + f[{body[1].name!r}]"
+    emit(f"data = {data}")
+    head_fields = len(unit.fields) - (body is not None)
+    emit(f"return data, {_ops(head_fields, [(['len(data)'], OPS_PER_DECODED_BYTE)])}")
     return low.source("def encode(record):")
 
 

@@ -18,6 +18,19 @@ Accepts Spicy-style unit definitions::
         value : bytes &length = self.value_len;
     };
 
+Text units (HTTP/1.1 framing) use three more field types and a header
+reference in length expressions::
+
+    type http_resp = unit {
+        %max_bytes = 65536;           # bytes a head may take
+
+        version : token;              # up to the next whitespace
+        status : token &convert = int;
+        reason : line;                # the rest of the start line
+        headers : header_map &refuse = "transfer-encoding: chunked";
+        body : bytes &length = self.headers["content-length"];
+    };
+
 and compiles them to :class:`repro.grammar.model.Unit` objects.
 """
 
@@ -34,10 +47,13 @@ from repro.grammar.model import (
     DataField,
     Field,
     FieldRef,
+    HeaderMapField,
+    HeaderRef,
     IntField,
     LITTLE,
     SelfRef,
     SizeExpr,
+    TokenField,
     Unit,
     VarField,
 )
@@ -49,7 +65,8 @@ _TOKEN_RE = re.compile(
   | (?P<selfref>\$\$)
   | (?P<number>0x[0-9a-fA-F]+|\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>&[a-z]+|%[a-z]+|[{}();:=+\-*.,])
+  | (?P<string>"[^"\\\n]*")
+  | (?P<op>&[a-z]+|%[a-z_]+|[{}();:=+\-*.,\[\]])
     """,
     re.VERBOSE,
 )
@@ -120,6 +137,12 @@ class _DslParser:
             units.append(self._parse_unit())
         return units
 
+    def _string(self) -> str:
+        tok = self._next()
+        if not tok.startswith('"'):
+            raise GrammarError(f"grammar DSL: expected a string, found {tok!r}")
+        return tok[1:-1]
+
     def _parse_unit(self) -> Unit:
         self._expect("type")
         name = self._next()
@@ -127,6 +150,7 @@ class _DslParser:
         self._expect("unit")
         self._expect("{")
         byteorder = BIG
+        max_bytes = None
         fields: List[Field] = []
         while not self._accept("}"):
             if self._accept("%byteorder"):
@@ -139,9 +163,20 @@ class _DslParser:
                 byteorder = order
                 self._expect(";")
                 continue
+            if self._accept("%max_bytes"):
+                self._expect("=")
+                max_bytes = self._number()
+                self._expect(";")
+                continue
             fields.append(self._parse_field())
         self._accept(";")
-        return Unit(name, tuple(fields), byteorder)
+        return Unit(name, tuple(fields), byteorder, max_bytes)
+
+    def _number(self) -> int:
+        tok = self._next()
+        if not (tok.isdigit() or tok.startswith("0x")):
+            raise GrammarError(f"grammar DSL: expected a number, found {tok!r}")
+        return int(tok, 0)
 
     # -- fields --------------------------------------------------------------
 
@@ -168,7 +203,36 @@ class _DslParser:
                 length = self._parse_expr()
             self._expect(";")
             return DataField(name, length, text=(type_name == "string"))
+        if type_name in ("token", "line"):
+            return self._finish_token(name, rest=(type_name == "line"))
+        if type_name == "header_map":
+            refuse = []
+            while self._accept("&refuse"):
+                self._expect("=")
+                header, sep, value = self._string().partition(":")
+                if not sep:
+                    raise GrammarError(
+                        "grammar DSL: &refuse takes \"name: value\""
+                    )
+                refuse.append((header.strip().lower(), value.strip().lower()))
+            self._expect(";")
+            return HeaderMapField(name, tuple(refuse))
         raise GrammarError(f"grammar DSL: unknown field type {type_name!r}")
+
+    def _finish_token(self, name: Optional[str], rest: bool) -> TokenField:
+        integer, prefix = False, b""
+        while True:
+            if self._accept("&convert"):
+                self._expect("=")
+                self._expect("int")
+                integer = True
+            elif self._accept("&prefix"):
+                self._expect("=")
+                prefix = self._string().encode("latin-1")
+            else:
+                break
+        self._expect(";")
+        return TokenField(name, integer, prefix, rest)
 
     def _parse_var_field(self) -> VarField:
         name = self._next()
@@ -235,10 +299,14 @@ class _DslParser:
         if tok == "self":
             self._next()
             self._expect(".")
-            return FieldRef(self._next())
+            name = self._next()
+            if not self._accept("["):
+                return FieldRef(name)
+            header = self._string().lower()
+            self._expect("]")
+            return HeaderRef(name, header)
         if tok is not None and (tok.isdigit() or tok.startswith("0x")):
-            self._next()
-            return Const(int(tok, 0))
+            return Const(self._number())
         raise GrammarError(
             f"grammar DSL: expected an expression, found {tok!r}"
         )

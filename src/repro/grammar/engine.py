@@ -19,10 +19,20 @@ serialisation splices their raw spans back verbatim.  This is the paper's
 "only parse and serialise the required fields and their dependencies";
 the projection is resolved when the code is generated.
 
+Binary units (Memcached, Hadoop) and text units (HTTP/1.1) go through the
+same generator; a text unit's skipped fields are its tokens, its header
+map (the framing headers are still read) and its body, and a dirty
+record gets them back by re-parsing its ``raw`` bytes.  ``raw`` is always
+the bytes the message was parsed from.  A unit that declares
+``max_bytes`` gets a parser whose ``feed`` refuses a stream that buffers
+more than that before a message can be framed.
+
 Parsing/serialisation cost is reported in abstract **ops** (see
 ``OPS_PER_*`` constants); the runtime converts ops into virtual CPU time.
 A message's ops are charged when it completes, bit-identical to the
-field-by-field reference codec in ``tests/grammar_oracle.py``.
+field-by-field reference codec in ``tests/grammar_oracle.py`` for binary
+units and to the hand-written HTTP codec in ``tests/http_oracle.py`` for
+text units; for text units they do not depend on the projection.
 
 Codecs are stateless and memoised: every caller asking for the same
 ``(unit, projection)`` shares one instance and generation is paid once.
@@ -48,7 +58,15 @@ OPS_PER_DECODED_BYTE = 1.0 / 16.0
 OPS_PER_SKIPPED_BYTE = 1.0 / 512.0
 OPS_PER_RAW_COPY_BYTE = 1.0 / 256.0
 
-_COMPACT_THRESHOLD = 1 << 16
+#: Serialising a payload that has no value and no raw span writes zeros;
+#: a length above this is refused with SerializeError, not allocated.
+MAX_FILL_BYTES = 1 << 20
+
+#: A parser drops consumed bytes once this many have piled up: what an
+#: idle connection's parser holds on to.  HTTP's many connections make it
+#: show: at 64 KiB, http-overload's peak RSS rises above the hand-written
+#: parser's, which dropped consumed bytes per message.
+_COMPACT_THRESHOLD = 1 << 12
 
 
 class UnitParser:
@@ -56,11 +74,12 @@ class UnitParser:
 
     ``poll`` is generated per codec: it returns the next complete message,
     or None if more bytes are needed (remembering in ``_need`` how many,
-    so that a short feed costs one comparison), and raises
-    :class:`ParseError` on malformed input.
+    so that a short feed costs one comparison, and in ``_scan`` how far a
+    text unit's head was searched), and raises :class:`ParseError` on
+    malformed input.
     """
 
-    __slots__ = ("_buf", "_pos", "_need", "ops")
+    __slots__ = ("_buf", "_pos", "_need", "_scan", "ops")
 
     first_need = 0  # bytes without which the generated code cannot start
 
@@ -68,6 +87,7 @@ class UnitParser:
         self._buf = bytearray()
         self._pos = 0  # start of the in-progress message in _buf
         self._need = self.first_need
+        self._scan = 0
         self.ops = 0.0
 
     def feed(self, data: bytes) -> None:
@@ -88,6 +108,38 @@ class UnitParser:
     def messages(self) -> Iterator[Record]:
         """Drain every complete message currently buffered."""
         return iter(self.poll, None)
+
+
+class _BoundedParser(UnitParser):
+    """The parser of a unit that declares ``max_bytes``: ``feed`` refuses
+    a stream that buffers more than that without the current message's
+    frame (:meth:`repro.grammar.model.Unit.frame`)."""
+
+    __slots__ = ()
+
+    label = ""
+    max_bytes = 0
+    frame: Optional[Unit] = None
+
+    def feed(self, data: bytes) -> None:
+        self._buf += data
+        pending = len(self._buf) - self._pos
+        if pending > self.max_bytes and not self._framed():
+            raise ParseError(
+                f"{self.label}: {pending} bytes buffered and no message "
+                f"framed within max_bytes={self.max_bytes}"
+            )
+
+    def _framed(self) -> bool:
+        """Whether the frame parses (or fails to) from what is buffered."""
+        if self.frame is None:
+            return True
+        probe = make_codec(self.frame, ()).parser()  # generated on first use
+        probe._buf = self._buf[self._pos:]
+        try:
+            return probe.poll() is not None
+        except ParseError:
+            return True
 
 
 class UnitCodec:
@@ -113,17 +165,32 @@ class UnitCodec:
             )
         #: fields whose values are decoded during parsing
         self.decoded_fields: frozenset = frozenset(decoded)
-        poll_source, first_need = codegen.parser_source(unit, self.decoded_fields)
+        if unit.text:
+            poll_source, first_need = codegen.text_parser_source(
+                unit, self.decoded_fields
+            )
+            encode_source = codegen.text_encoder_source(unit)
+        else:
+            poll_source, first_need = codegen.parser_source(
+                unit, self.decoded_fields
+            )
+            encode_source = codegen.encoder_source(unit)
         #: the generated ``poll`` and ``encode`` functions, as text
-        self.source: str = poll_source + "\n\n" + codegen.encoder_source(unit)
+        self.source: str = poll_source + "\n\n" + encode_source
         namespace = dict(codegen.RUNTIME_NAMESPACE)
+        if unit.text:
+            namespace["_complete"] = self._complete
         exec_generated(self.source, __file__, unit.name, namespace)
         self._encode = namespace["encode"]
-        self._parser_type = type(
-            f"{unit.name}_parser",
-            (UnitParser,),
-            {"__slots__": (), "poll": namespace["poll"], "first_need": first_need},
-        )
+        base, attrs = UnitParser, {}
+        if unit.max_bytes is not None:
+            base, attrs = _BoundedParser, {
+                "label": unit.name,
+                "max_bytes": unit.max_bytes,
+                "frame": unit.frame(),
+            }
+        attrs.update(__slots__=(), poll=namespace["poll"], first_need=first_need)
+        self._parser_type = type(f"{unit.name}_parser", (base,), attrs)
 
     # -- parsing ------------------------------------------------------------
 
@@ -154,6 +221,17 @@ class UnitCodec:
         if raw is not None and not record.dirty:
             return raw, len(raw) * OPS_PER_RAW_COPY_BYTE
         return self._encode(record)
+
+    def _complete(self, record: Record) -> dict:
+        """Every field of a text unit's record: the ones a projected parse
+        did not build come from parsing its ``raw`` bytes again."""
+        if record.raw is None:
+            missing = sorted(f.name for f in self.unit.fields if f.name not in record)
+            raise SerializeError(
+                f"{self.unit.name}: no value and no raw bytes for {missing}"
+            )
+        parsed = make_codec(self.unit).parse_all(record.raw)[0]
+        return {**parsed._fields, **record._fields}
 
 
 @functools.lru_cache(maxsize=None)

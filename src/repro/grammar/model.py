@@ -14,12 +14,29 @@ ordered sequence of fields:
   (Listing 2's ``value_len`` / ``total_len`` pattern);
 * :class:`ConstField` — a fixed byte literal (magic numbers, delimiters).
 
+Three more field kinds make a **text unit** — CRLF-delimited lines, as
+HTTP/1.1 frames a message (RFC 9112 §2):
+
+* :class:`TokenField` — one delimiter-terminated token of the start line
+  (a run of whitespace ends a token, CRLF ends the line);
+* :class:`HeaderMapField` — the ``name: value`` lines up to the blank
+  line, collected into a dict (names lower-cased, both sides stripped);
+* a :class:`DataField` body whose length names a parsed header
+  (:class:`HeaderRef`, ``self.headers["content-length"]``).
+
+A text unit is its start-line tokens, one header map, then at most one
+body; it mixes with no binary field.
+
 Length expressions use the small arithmetic language below
-(:class:`Const`, :class:`FieldRef`, :class:`Binary`) so that grammars are
-data, not code — :mod:`repro.grammar.codegen` inlines them as Python
-arithmetic in the parser and serialiser it generates once per codec.
-:func:`eval_expr` is their reference semantics: the generated code never
-calls it, the reference codec in ``tests/grammar_oracle.py`` does.
+(:class:`Const`, :class:`FieldRef`, :class:`HeaderRef`, :class:`Binary`)
+so that grammars are data, not code — :mod:`repro.grammar.codegen`
+inlines them as Python arithmetic in the parser and serialiser it
+generates once per codec.  :func:`eval_expr` is their reference
+semantics for binary units: the generated code never calls it, the
+reference codec in ``tests/grammar_oracle.py`` does.
+
+``Unit.max_bytes`` bounds what a parser buffers for a message whose end
+it cannot yet locate (see :meth:`Unit.frame`).
 """
 
 from __future__ import annotations
@@ -60,6 +77,17 @@ class FieldRef(SizeExpr):
 @dataclass(frozen=True)
 class SelfRef(SizeExpr):
     """``$$`` — the value of the field owning the expression."""
+
+
+@dataclass(frozen=True)
+class HeaderRef(SizeExpr):
+    """``self.<field>["<name>"]`` — a header of an earlier header map, read
+    as a length: ``1*DIGIT`` (RFC 9110 §8.6), 0 when the header is absent,
+    anything else a :class:`ParseError`.  Such a header is framing: a
+    parser reads it whether or not the map itself is decoded."""
+
+    field: str
+    name: str
 
 
 @dataclass(frozen=True)
@@ -104,6 +132,8 @@ def referenced_fields(expr: Optional[SizeExpr]) -> Tuple[str, ...]:
         return ()
     if isinstance(expr, FieldRef):
         return (expr.name,)
+    if isinstance(expr, HeaderRef):
+        return (expr.field,)
     if isinstance(expr, Binary):
         seen = []
         for name in referenced_fields(expr.left) + referenced_fields(expr.right):
@@ -177,6 +207,37 @@ class ConstField(Field):
     value: bytes = b""
 
 
+@dataclass(frozen=True)
+class TokenField(Field):
+    """A token of a text unit's start line, decoded as latin-1.
+
+    A token ends at a run of whitespace; the line (and so its last token)
+    ends at CRLF, and must hold exactly one word per token.  ``rest``
+    instead takes whatever follows the previous token up to CRLF —
+    possibly empty, inner whitespace kept (HTTP's reason phrase).
+    ``integer`` converts the word with ``int()``; ``prefix`` is bytes the
+    word must start with.
+    """
+
+    integer: bool = False
+    prefix: bytes = b""
+    rest: bool = False
+
+
+@dataclass(frozen=True)
+class HeaderMapField(Field):
+    """``name: value`` lines up to the blank line that ends a text unit's
+    head, as a dict: names stripped and lower-cased, values stripped, the
+    last of repeated names wins.  A line without ``:`` is a
+    :class:`ParseError`, and so is a header whose lower-cased value a
+    ``refuse`` pair names (``("transfer-encoding", "chunked")``)."""
+
+    refuse: Tuple[Tuple[str, str], ...] = ()
+
+
+_TEXT_FIELDS = (TokenField, HeaderMapField)
+
+
 # ---------------------------------------------------------------------------
 # Units
 # ---------------------------------------------------------------------------
@@ -189,10 +250,13 @@ class Unit:
     name: str
     fields: Tuple[Field, ...]
     byteorder: str = BIG
+    max_bytes: Optional[int] = None
 
     def __post_init__(self):
         if self.byteorder not in (BIG, LITTLE):
             raise GrammarError(f"unknown byte order {self.byteorder!r}")
+        if self.max_bytes is not None and self.max_bytes < 1:
+            raise GrammarError(f"unit {self.name!r}: max_bytes must be positive")
         seen = set()
         available = set()
         for f in self.fields:
@@ -213,15 +277,42 @@ class Unit:
                 available.add(f.name)
         if not self.fields:
             raise GrammarError(f"unit {self.name!r} has no fields")
+        if self.text:
+            self._check_text_layout()
+
+    def _check_text_layout(self) -> None:
+        kinds = [type(f) for f in self.fields]
+        words = [f for f in self.fields if isinstance(f, TokenField)]
+        n = len(words)
+        last = words[-1] if words else None
+        if not (
+            n > 0
+            and kinds[: n + 1] == [TokenField] * n + [HeaderMapField]
+            and kinds[n + 1 :] in ([], [DataField])
+            and not any(body.text for body in self.fields[n + 1 :])
+            and all(f.name is not None for f in self.fields)
+            and not any(f.rest for f in words[:-1])
+            and not (last.rest and (n == 1 or last.integer or last.prefix))
+        ):
+            raise GrammarError(
+                f"unit {self.name!r}: a text unit is named start-line tokens "
+                "(a plain rest-of-line token only last, after a word), one "
+                "header map, then at most one bytes body"
+            )
 
     def __hash__(self) -> int:
         # ``make_codec`` looks units up per call: hash the field tree once.
         try:
             return self._hash
         except AttributeError:
-            value = hash((self.name, self.fields, self.byteorder))
+            value = hash((self.name, self.fields, self.byteorder, self.max_bytes))
             object.__setattr__(self, "_hash", value)
             return value
+
+    @property
+    def text(self) -> bool:
+        """Whether this is a text unit (line-delimited, as HTTP/1.1)."""
+        return any(isinstance(f, _TEXT_FIELDS) for f in self.fields)
 
     @staticmethod
     def _exprs_of(f: Field):
@@ -256,7 +347,9 @@ class Unit:
         """Fields whose *values* are required to locate message boundaries
         or to drive serialisation: anything referenced by a length or var
         expression.  These are always decoded, even by specialised
-        parsers."""
+        parsers.  A header map is not one of them: only the headers its
+        :class:`HeaderRef` and ``refuse`` entries name are framing, and a
+        parser reads those whether or not it builds the map."""
         needed = set()
         for f in self.fields:
             if isinstance(f, DataField) and isinstance(f.length, SizeExpr):
@@ -268,4 +361,28 @@ class Unit:
                     needed.add(f.serialize_target)
                 if f.name is not None:
                     needed.add(f.name)
-        return frozenset(needed)
+        maps = {f.name for f in self.fields if isinstance(f, HeaderMapField)}
+        return frozenset(needed - maps)
+
+    def frame(self) -> Optional["Unit"]:
+        """The leading fields a parser reads before it knows where a
+        message ends — up to the last field a length or var expression
+        names, and in a text unit at least its head (the blank line) — as
+        a unit of their own; None when every field's size is fixed.
+
+        ``max_bytes`` is enforced against it: feeding a parser more than
+        ``max_bytes`` unconsumed bytes that do not hold the current
+        message's frame is a :class:`ParseError` (an HTTP head with no
+        blank line within 64 KiB)."""
+        named = set()
+        for f in self.fields:
+            for expr in self._exprs_of(f):
+                named.update(referenced_fields(expr))
+        ends = [
+            i
+            for i, f in enumerate(self.fields)
+            if f.name in named or isinstance(f, HeaderMapField)
+        ]
+        if not ends:
+            return None
+        return Unit(f"{self.name}_frame", self.fields[: ends[-1] + 1], self.byteorder)

@@ -1,190 +1,83 @@
-"""HTTP/1.1 request/response codec.
+"""HTTP/1.1 request and response grammars (section 4.2).
 
-HTTP's head is line-oriented rather than length-prefixed, so this codec is
-hand-written (the paper ships reusable grammars for common protocols;
-text-protocol support corresponds to the grammar language's "text based
-formats").  It presents exactly the same incremental interface as the
-generated binary parsers — ``feed`` / ``poll`` / ``messages`` /
-``take_ops`` — so input/output tasks treat all protocols uniformly.
+HTTP is declared in the grammar DSL like Memcached and Hadoop, as two
+*text* units: start-line tokens, a ``name: value`` header map and a body
+whose length is the ``Content-Length`` header (``1*DIGIT``, default 0).
+:mod:`repro.grammar.codegen` generates their ``poll`` and ``encode``
+(``python -m repro.grammar http`` prints them), so HTTP gets what the
+binary protocols get: one memoised codec per projection, and a parser
+projected to the fields a FLICK program reads builds no header map.
 
-Only the subset exercised by the evaluation is implemented: request line,
-status line, headers, fixed ``Content-Length`` bodies, and persistent
-vs ``Connection: close`` semantics.  A request with no Content-Length has
-an empty body; chunked transfer encoding is rejected explicitly.
+Only the subset exercised by the evaluation is declared: request line,
+status line, headers, fixed-length bodies; chunked transfer encoding is
+refused, and a head that has not ended within 64 KiB is a
+:class:`~repro.core.errors.ParseError` (``%max_bytes``).  A parsed
+record's ``raw`` is the bytes it was parsed from.  The hand-written
+codec this replaced is the oracle in ``tests/http_oracle.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.core.errors import ParseError
-from repro.grammar.engine import (
-    OPS_PER_DECODED_BYTE,
-    OPS_PER_FIELD,
-    OPS_PER_RAW_COPY_BYTE,
-)
+from repro.grammar.dsl import parse_grammar
+from repro.grammar.engine import UnitCodec, make_codec
 from repro.lang.values import Record
 
-_CRLF = b"\r\n"
-_HEAD_END = b"\r\n\r\n"
-_MAX_HEAD = 64 * 1024
+HTTP_GRAMMAR_TEXT = """
+type http_req = unit {
+    %max_bytes = 65536;
 
-REQUEST_TYPE = "http_req"
-RESPONSE_TYPE = "http_resp"
+    method : token;
+    path : token;
+    version : token &prefix = "HTTP/";
+    headers : header_map &refuse = "transfer-encoding: chunked";
+    body : bytes &length = self.headers["content-length"];
+};
 
+type http_resp = unit {
+    %max_bytes = 65536;
 
-class _HttpParserBase:
-    """Incremental head+body parser shared by requests and responses."""
+    version : token;
+    status : token &convert = int;
+    reason : line;                  # the rest of the status line
+    headers : header_map &refuse = "transfer-encoding: chunked";
+    body : bytes &length = self.headers["content-length"];
+};
+"""
 
-    record_type = ""
+#: Compiled grammar units for HTTP requests and responses.
+REQUEST_UNIT, RESPONSE_UNIT = parse_grammar(HTTP_GRAMMAR_TEXT)
 
-    def __init__(self):
-        self._buf = bytearray()
-        self._head: Optional[Tuple] = None  # parsed head awaiting body
-        self._body_len = 0
-        self.ops = 0.0
+REQUEST_TYPE = REQUEST_UNIT.name
+RESPONSE_TYPE = RESPONSE_UNIT.name
 
-    def feed(self, data: bytes) -> None:
-        self._buf.extend(data)
-        if len(self._buf) > _MAX_HEAD and self._head is None:
-            if _HEAD_END not in self._buf:
-                raise ParseError("HTTP head exceeds maximum size")
-
-    def pending_bytes(self) -> int:
-        return len(self._buf)
-
-    def take_ops(self) -> float:
-        ops, self.ops = self.ops, 0.0
-        return ops
-
-    def poll(self) -> Optional[Record]:
-        if self._head is None:
-            end = self._buf.find(_HEAD_END)
-            if end < 0:
-                return None
-            head_bytes = bytes(self._buf[: end + len(_HEAD_END)])
-            self._head = self._parse_head(head_bytes)
-            self._body_len = self._content_length(self._head[-1])
-            del self._buf[: end + len(_HEAD_END)]
-            self.ops += OPS_PER_FIELD * 4 + len(head_bytes) * OPS_PER_DECODED_BYTE
-        if len(self._buf) < self._body_len:
-            return None
-        body = bytes(self._buf[: self._body_len])
-        del self._buf[: self._body_len]
-        self.ops += OPS_PER_FIELD + len(body) * OPS_PER_RAW_COPY_BYTE
-        head, self._head = self._head, None
-        record = self._make_record(head, body)
-        record.raw = self._render(record)
-        return record
-
-    def messages(self) -> Iterator[Record]:
-        while True:
-            record = self.poll()
-            if record is None:
-                return
-            yield record
-
-    @staticmethod
-    def _content_length(headers: Dict[str, str]) -> int:
-        if headers.get("transfer-encoding", "").lower() == "chunked":
-            raise ParseError("chunked transfer encoding is not supported")
-        try:
-            return int(headers.get("content-length", "0"))
-        except ValueError:
-            raise ParseError("malformed Content-Length header") from None
-
-    @staticmethod
-    def _parse_headers(lines: List[bytes]) -> Dict[str, str]:
-        headers: Dict[str, str] = {}
-        for line in lines:
-            if not line:
-                continue
-            name, sep, value = line.partition(b":")
-            if not sep:
-                raise ParseError(f"malformed header line {line!r}")
-            headers[name.strip().decode("latin-1").lower()] = (
-                value.strip().decode("latin-1")
-            )
-        return headers
-
-    # Subclass hooks -------------------------------------------------------
-
-    def _parse_head(self, head: bytes) -> Tuple:
-        raise NotImplementedError
-
-    def _make_record(self, head: Tuple, body: bytes) -> Record:
-        raise NotImplementedError
-
-    def _render(self, record: Record) -> bytes:
-        raise NotImplementedError
+#: The fields :func:`wants_keep_alive` reads.
+KEEP_ALIVE_FIELDS = frozenset({"version", "headers"})
 
 
-class HttpRequestParser(_HttpParserBase):
-    record_type = REQUEST_TYPE
-
-    def _parse_head(self, head: bytes) -> Tuple:
-        lines = head[: -len(_HEAD_END)].split(_CRLF)
-        parts = lines[0].split()
-        if len(parts) != 3:
-            raise ParseError(f"malformed request line {lines[0]!r}")
-        method, path, version = (p.decode("latin-1") for p in parts)
-        if not version.startswith("HTTP/"):
-            raise ParseError(f"malformed HTTP version {version!r}")
-        return method, path, version, self._parse_headers(lines[1:])
-
-    def _make_record(self, head: Tuple, body: bytes) -> Record:
-        method, path, version, headers = head
-        return Record(
-            REQUEST_TYPE,
-            {
-                "method": method,
-                "path": path,
-                "version": version,
-                "headers": headers,
-                "body": body,
-            },
-        )
-
-    def _render(self, record: Record) -> bytes:
-        return render_request(record)
+def request_codec(project: Optional[Iterable[str]] = None) -> UnitCodec:
+    """The request codec, decoding only ``project`` if given."""
+    return make_codec(REQUEST_UNIT, project)
 
 
-class HttpResponseParser(_HttpParserBase):
-    record_type = RESPONSE_TYPE
-
-    def _parse_head(self, head: bytes) -> Tuple:
-        lines = head[: -len(_HEAD_END)].split(_CRLF)
-        parts = lines[0].split(None, 2)
-        if len(parts) < 2:
-            raise ParseError(f"malformed status line {lines[0]!r}")
-        version = parts[0].decode("latin-1")
-        try:
-            status = int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed status code {parts[1]!r}") from None
-        reason = parts[2].decode("latin-1") if len(parts) == 3 else ""
-        return version, status, reason, self._parse_headers(lines[1:])
-
-    def _make_record(self, head: Tuple, body: bytes) -> Record:
-        version, status, reason, headers = head
-        return Record(
-            RESPONSE_TYPE,
-            {
-                "version": version,
-                "status": status,
-                "reason": reason,
-                "headers": headers,
-                "body": body,
-            },
-        )
-
-    def _render(self, record: Record) -> bytes:
-        return render_response(record)
+def response_codec(project: Optional[Iterable[str]] = None) -> UnitCodec:
+    """The response codec, decoding only ``project`` if given."""
+    return make_codec(RESPONSE_UNIT, project)
 
 
-# ---------------------------------------------------------------------------
-# Constructors and serialisers
-# ---------------------------------------------------------------------------
+_REQUEST = request_codec()
+_RESPONSE = response_codec()
+
+#: Fresh parsers that decode every field.
+HttpRequestParser = _REQUEST.parser
+HttpResponseParser = _RESPONSE.parser
+
+
+def _built(codec: UnitCodec, fields: Dict[str, object]) -> Record:
+    record = Record(codec.unit.name, fields)
+    record.raw = codec.serialize(record)[0]
+    return record
 
 
 def make_request(
@@ -200,8 +93,8 @@ def make_request(
         hdrs["content-length"] = str(len(body))
     if not keep_alive:
         hdrs["connection"] = "close"
-    record = Record(
-        REQUEST_TYPE,
+    return _built(
+        _REQUEST,
         {
             "method": method,
             "path": path,
@@ -210,8 +103,6 @@ def make_request(
             "body": body,
         },
     )
-    record.raw = render_request(record)
-    return record
 
 
 def make_response(
@@ -222,8 +113,8 @@ def make_response(
 ) -> Record:
     hdrs = {k.lower(): v for k, v in (headers or {}).items()}
     hdrs["content-length"] = str(len(body))
-    record = Record(
-        RESPONSE_TYPE,
+    return _built(
+        _RESPONSE,
         {
             "version": "HTTP/1.1",
             "status": status,
@@ -232,36 +123,18 @@ def make_response(
             "body": body,
         },
     )
-    record.raw = render_response(record)
-    return record
-
-
-def render_request(record: Record) -> bytes:
-    head = f"{record.method} {record.path} {record.version}\r\n"
-    head += "".join(f"{k}: {v}\r\n" for k, v in record.headers.items())
-    return head.encode("latin-1") + _CRLF + record.body
-
-
-def render_response(record: Record) -> bytes:
-    head = f"{record.version} {record.status} {record.reason}\r\n"
-    head += "".join(f"{k}: {v}\r\n" for k, v in record.headers.items())
-    return head.encode("latin-1") + _CRLF + record.body
 
 
 def serialize(record: Record) -> Tuple[bytes, float]:
     """Serialise an HTTP record; raw fast path when unmodified."""
-    if record.raw is not None and not record.dirty:
-        return record.raw, len(record.raw) * OPS_PER_RAW_COPY_BYTE
-    if record.type_name == REQUEST_TYPE:
-        data = render_request(record)
-    else:
-        data = render_response(record)
-    return data, OPS_PER_FIELD * 4 + len(data) * OPS_PER_DECODED_BYTE
+    codec = _REQUEST if record._type_name == REQUEST_TYPE else _RESPONSE
+    return codec.serialize(record)
 
 
 def wants_keep_alive(record: Record) -> bool:
     """Connection persistence per RFC 2616 section 8.1."""
-    connection = record.headers.get("connection", "").lower()
-    if record.version == "HTTP/1.0":
-        return connection == "keep-alive"
-    return connection != "close"
+    fields = record._fields
+    connection = fields["headers"].get("connection")
+    if fields["version"] == "HTTP/1.0":
+        return connection is not None and connection.lower() == "keep-alive"
+    return connection is None or connection.lower() != "close"

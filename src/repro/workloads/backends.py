@@ -98,24 +98,24 @@ class BackendWebServer(_FaultableBackend):
         super().__init__(engine, service_us)
         self.host = host
         self.body = body
+        self._response = http.make_response(body=body).raw  # the same every time
         tcpnet.listen(host, port, self._accept)
 
     def _accept(self, socket: TcpSocket) -> None:
         if not self._track(socket):
             return
-        parser = http.HttpRequestParser()
+        parser = http.request_codec(http.KEEP_ALIVE_FIELDS).parser()
 
         def on_data(data: bytes) -> None:
             parser.feed(data)
             for request in parser.messages():
                 self.requests_served += 1
-                response = http.make_response(body=self.body)
                 close = not http.wants_keep_alive(request)
                 self.engine.schedule(
                     self._service_delay(),
                     self._respond,
                     socket,
-                    response.raw,
+                    self._response,
                     close,
                 )
 

@@ -25,6 +25,10 @@ from repro.sim.engine import Engine
 from repro.sim.stats import LatencySeries, Meter
 
 
+#: A client reads a response's status and body, nothing else.
+_new_parser = http.response_codec(("status", "body")).parser
+
+
 class HttpClientPopulation:
     """Closed-loop clients driving one target host:port."""
 
@@ -97,7 +101,7 @@ class _Client:
         self.host = host
         self.sent = 0
         self.socket: Optional[TcpSocket] = None
-        self.parser = http.HttpResponseParser()
+        self.parser = _new_parser()
         self.request_started = 0.0
 
     def start(self) -> None:
@@ -127,7 +131,7 @@ class _Client:
         if self.pop.persistent:
             self._send_next()
         else:
-            self.parser = http.HttpResponseParser()
+            self.parser = _new_parser()
             self._connect(self._send_next)
 
     def _send_next(self) -> None:
@@ -144,11 +148,12 @@ class _Client:
         self.parser.feed(data)
         for response in self.parser.messages():
             latency = self.pop.engine.now - self.request_started
-            if response.status != 200:
+            fields = response._fields
+            if fields["status"] != 200:
                 self.pop.errors += 1
             if self.sent > self.pop.warmup_requests:
                 self.pop.latency.record(latency)
-                self.pop.meter.add(len(response.body))
+                self.pop.meter.add(len(fields["body"]))
             if not self.pop.persistent:
                 self.socket.close()
                 self.socket = None

@@ -8,8 +8,9 @@ and evaluates length expressions through
 :func:`repro.grammar.model.eval_expr`; ``OracleCodec._encode`` is the
 three-pass serialiser.  ``tests/test_grammar_codegen.py`` holds every
 generated codec to it — records, ``raw``, ``spans``, ``pending_bytes()``,
-cumulative ``ops`` (``==``) and exception classes.  Nothing under
-``src/`` imports it.
+cumulative ``ops`` (``==``) and exception classes, including ``feed``'s
+refusal under a unit's ``max_bytes``.  Nothing under ``src/`` imports
+it.  Text units (HTTP) have their own oracle, ``tests/http_oracle.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.core.errors import ParseError, SerializeError
 from repro.grammar.engine import (
     _COMPACT_THRESHOLD,
+    MAX_FILL_BYTES,
     OPS_PER_DECODED_BYTE,
     OPS_PER_FIELD,
     OPS_PER_RAW_COPY_BYTE,
@@ -53,8 +55,24 @@ class IncrementalUnitParser:
     # -- byte intake -------------------------------------------------------
 
     def feed(self, data: bytes) -> None:
-        """Append stream bytes; call :meth:`poll` to harvest messages."""
+        """Append stream bytes; call :meth:`poll` to harvest messages.
+        Refuses more than ``max_bytes`` unconsumed bytes that do not hold
+        the current message's frame."""
         self._buf.extend(data)
+        bound = self._codec.unit.max_bytes
+        if bound is not None and self.pending_bytes() > bound and not self._framed():
+            raise ParseError(f"{self._codec.unit.name}: no frame within {bound} bytes")
+
+    def _framed(self) -> bool:
+        frame = self._codec.unit.frame()
+        if frame is None:
+            return True
+        probe = OracleCodec(frame).parser()
+        probe.feed(bytes(self._buf[self._msg_start:]))
+        try:
+            return probe.poll() is not None
+        except ParseError:
+            return True
 
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet consumed by a complete message."""
@@ -316,6 +334,11 @@ class OracleCodec:
                 span = spans.get(f"__anon_{idx}")
                 if span is not None and raw is not None:
                     chunk = bytes(raw[span[0] : span[1]])
+                elif length > MAX_FILL_BYTES:
+                    raise SerializeError(
+                        f"{unit.name}._ (field {idx}): length {length} exceeds "
+                        f"{MAX_FILL_BYTES} zero bytes"
+                    )
                 else:
                     chunk = b"\x00" * length
             else:

@@ -10,8 +10,11 @@ from repro.grammar.model import (
     Const,
     DataField,
     FieldRef,
+    HeaderMapField,
+    HeaderRef,
     IntField,
     SelfRef,
+    TokenField,
     Unit,
     VarField,
     eval_expr,
@@ -126,6 +129,100 @@ class TestDsl:
         codec = make_codec(unit)
         data, _ = codec.serialize(Record("t", {"a": -5}))
         assert codec.parse_all(data)[0].a == -5
+
+
+TEXT_TAIL = """
+    headers : header_map &refuse = "Transfer-Encoding: Chunked";
+    body : bytes &length = self.headers["Content-Length"];
+};
+"""
+
+
+class TestTextUnits:
+    """The three grammar features HTTP needs, as model and DSL."""
+
+    def test_dsl_builds_the_text_fields(self):
+        unit = parse_unit(
+            "type r = unit { %max_bytes = 0x100; verb : token &prefix = \"G\";"
+            " code : token &convert = int; why : line;" + TEXT_TAIL
+        )
+        verb, code, why, headers, body = unit.fields
+        assert verb == TokenField("verb", prefix=b"G")
+        assert code == TokenField("code", integer=True)
+        assert why == TokenField("why", rest=True)
+        # names and refused values are lower-cased: headers compare so
+        assert headers == HeaderMapField("headers", (("transfer-encoding", "chunked"),))
+        assert body.length == HeaderRef("headers", "content-length")
+        assert unit.max_bytes == 256 and unit.text
+
+    def test_the_header_map_is_not_structural(self):
+        """Only the headers a length names are framing; the map is not,
+        so a projection can skip building it."""
+        from repro.grammar.protocols import http
+
+        assert http.REQUEST_UNIT.structural_fields() == frozenset()
+        assert referenced_fields(http.REQUEST_UNIT.fields[-1].length) == ("headers",)
+
+    def test_frames(self):
+        from repro.grammar.protocols import http
+        from repro.grammar.protocols.memcached import MEMCACHED_UNIT
+
+        assert http.REQUEST_UNIT.frame().fields == http.REQUEST_UNIT.fields[:4]
+        assert MEMCACHED_UNIT.frame().fields[-1].name == "value_len"
+        assert parse_unit(SIMPLE).frame().fields == parse_unit(SIMPLE).fields[:2]
+        assert parse_unit("type t = unit { a : uint8; };").frame() is None
+        bodiless = parse_unit("type t = unit { a : token; h : header_map; };")
+        assert bodiless.frame().fields == bodiless.fields
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            "h : header_map; a : token;",  # token after the head
+            "a : token; h : header_map; g : header_map;",
+            "a : line; h : header_map;",  # rest of line with no word before
+            "a : token; b : line; c : token; h : header_map;",
+            "a : token; b : line &convert = int; h : header_map;",
+            "a : token;",  # no header map
+            "a : token; n : uint8; h : header_map;",
+            "a : token; h : header_map; b : bytes; c : bytes;",
+            "a : token; h : header_map; b : string;",
+            ": token; h : header_map;",
+        ],
+    )
+    def test_text_layout_errors(self, fields):
+        with pytest.raises(GrammarError):
+            parse_unit(f"type t = unit {{ {fields} }};")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'a : token &convert = float; h : header_map;',
+            'a : token; h : header_map &refuse = "no colon";',
+            'a : token; h : header_map; b : bytes &length = self.h[4];',
+            "%max_bytes = x;",
+        ],
+    )
+    def test_dsl_errors(self, text):
+        with pytest.raises(GrammarError):
+            parse_unit(f"type t = unit {{ {text} }};")
+
+    def test_max_bytes_must_be_positive(self):
+        with pytest.raises(GrammarError):
+            Unit("t", (IntField("a", 1),), max_bytes=0)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            # a length over a token, not a header map
+            (HeaderMapField("h"), DataField("b", HeaderRef("a", "x"))),
+            (HeaderMapField("h"), DataField("b", Binary("+", HeaderRef("h", "x"), FieldRef("a")))),
+            # framing compares lower-cased bytes: ASCII only
+            (HeaderMapField("h", (("x", "caf\u00e9"),)),),
+        ],
+    )
+    def test_generation_errors(self, head):
+        with pytest.raises(GrammarError):
+            make_codec(Unit("t", (TokenField("a"),) + head))
 
 
 class TestCodec:

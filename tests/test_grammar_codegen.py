@@ -94,8 +94,12 @@ def parse_both(unit, project, chunks, take_every=0):
     theirs = OracleCodec(unit, project).parser()
     pairs = []
     for chunk in chunks:
-        ours.feed(chunk)
-        theirs.feed(chunk)
+        kind, got = _outcome(ours.feed, chunk)
+        kind_ref, expected = _outcome(theirs.feed, chunk)
+        assert kind == kind_ref, (got, expected)
+        if kind == "error":
+            assert got is expected is ParseError
+            return pairs
         while True:
             kind, got = _outcome(ours.poll)
             kind_ref, expected = _outcome(theirs.poll)
@@ -175,7 +179,21 @@ TRAILER = Unit(
     ),
     byteorder="little",
 )
-FIXED_UNITS = [mc.MEMCACHED_UNIT, hadoop.HADOOP_UNIT, SIMPLE, LITTLE_SIGNED, FRAMED, TRAILER]
+#: ``max_bytes`` below its frame (``klen``, ``key``, ``vlen``): a long key
+#: is refused by ``feed`` until the value's length arrives with it.
+BOUNDED = Unit(
+    "bounded",
+    (
+        IntField("klen", 1),
+        DataField("key", FieldRef("klen")),
+        IntField("vlen", 1),
+        DataField("val", FieldRef("vlen")),
+    ),
+    max_bytes=8,
+)
+FIXED_UNITS = [
+    mc.MEMCACHED_UNIT, hadoop.HADOOP_UNIT, SIMPLE, LITTLE_SIGNED, FRAMED, TRAILER, BOUNDED,
+]
 
 
 def memcached_stream(n=6) -> bytes:
@@ -303,6 +321,50 @@ class TestErrors:
         kind, got = serialize_both(SIMPLE, None, record, record.copy())
         assert (kind, got) == ("error", SerializeError)
 
+    WIDE = parse_unit(
+        "type w = unit { n : uint8; var m : uint64 &parse = self.n * 1;"
+        " : bytes &length = self.m; };"
+    )
+
+    @pytest.mark.parametrize("m", [2**64, 2**40, engine.MAX_FILL_BYTES + 1])
+    def test_out_of_range_fill_length(self, m):
+        """A zero-filled payload longer than ``MAX_FILL_BYTES`` is refused,
+        naming the field, before ``bytes(n)`` overflows (2**64) or tries
+        to allocate (2**40 is 1 TiB)."""
+        record = Record("w", {"n": 1, "m": m})
+        assert serialize_both(self.WIDE, None, record, record.copy()) == (
+            "error", SerializeError)
+        for codec in (make_codec(self.WIDE), OracleCodec(self.WIDE)):
+            with pytest.raises(SerializeError, match=r"^w\._ \(field 2\): length"):
+                codec.serialize(record)
+
+    def test_fill_length_at_the_limit_is_written(self):
+        record = Record("w", {"n": 1, "m": engine.MAX_FILL_BYTES})
+        kind, (wire, _) = serialize_both(self.WIDE, None, record, record.copy())
+        assert kind == "ok" and wire == b"\x01" + bytes(engine.MAX_FILL_BYTES)
+
+    def test_outcome_lets_overflow_through(self):
+        """The harness names no class for a raw ``OverflowError``: one
+        escaping a codec fails the test that drew it."""
+        with pytest.raises(OverflowError):
+            _outcome(bytes, 2**64)
+
+    def test_max_bytes_bounds_the_frame_not_the_message(self):
+        long_key = b"\x0a" + b"k" * 10 + b"\x02vv"
+        assert len(parse_both(BOUNDED, None, [long_key])) == 1  # framed at once
+        assert parse_both(BOUNDED, None, bytewise(long_key)) == []
+        parser = make_codec(BOUNDED).parser()
+        parser.feed(long_key[:8])
+        assert parser.poll() is None
+        with pytest.raises(ParseError, match="max_bytes=8"):
+            parser.feed(long_key[8:9])
+        long_value = b"\x01k\xf0" + b"v" * 0xF0  # framed after 3 bytes
+        assert len(parse_both(BOUNDED, None, bytewise(long_value))) == 1
+        # A fixed-size unit is framed from its first byte: never refused.
+        assert Unit("fixed", (IntField("a", 8),), max_bytes=1).frame() is None
+        assert len(parse_both(Unit("fixed", (IntField("a", 8),), max_bytes=1),
+                              None, bytewise(bytes(16)))) == 2
+
     def test_fixed_length_payload_mismatch(self):
         record = Record("trailer", {"n": 0, "twice": None, "pad": 1,
                                     "body": "abc", "fixed": b"toolong"})
@@ -361,7 +423,7 @@ def expressions(draw, refs, depth=2, allow_self=False):
 
 
 @st.composite
-def units(draw):
+def units(draw, bounded=False):
     names = iter(draw(st.permutations(NAMES)))
     count = draw(st.integers(1, 7))
     fields, ints = [], []
@@ -389,7 +451,8 @@ def units(draw):
             fields.append(DataField(name, length, text=draw(st.booleans())))
     if not any(isinstance(f, IntField) or getattr(f, "value", b"") for f in fields):
         fields.append(IntField(next(names), 1))  # every message has a byte
-    return Unit("u", tuple(fields), draw(st.sampled_from(["big", "little"])))
+    max_bytes = draw(st.integers(1, 24)) if bounded else None
+    return Unit("u", tuple(fields), draw(st.sampled_from(["big", "little"])), max_bytes)
 
 
 @st.composite
@@ -431,8 +494,8 @@ def messages(draw, unit):
 
 
 @st.composite
-def cases(draw):
-    unit = draw(units())
+def cases(draw, bounded=False):
+    unit = draw(units(bounded))
     stream = b"".join(draw(st.lists(messages(unit), min_size=1, max_size=4)))
     return unit, draw(projections(unit)), stream
 
@@ -443,6 +506,15 @@ class TestGeneratedUnits:
     def test_parse(self, case, cuts, take_every):
         unit, project, stream = case
         parse_both(unit, project, chunked(stream, cuts), take_every)
+
+    @given(cases(bounded=True), cut_lists)
+    @SETTINGS
+    def test_parse_bounded(self, case, cuts):
+        """``feed`` refuses on the same call as the reference, whatever
+        the chunking; bytewise feeding is the hardest on a bound."""
+        unit, project, stream = case
+        parse_both(unit, project, chunked(stream, cuts))
+        parse_both(unit, project, bytewise(stream))
 
     @given(cases())
     @SETTINGS
@@ -465,8 +537,8 @@ class TestGeneratedUnits:
         project = data.draw(projections(unit))
         parse_both(unit, project, chunked(noise, cuts))
         parser = generated(unit, project).parser()
-        parser.feed(noise)
         try:
+            parser.feed(noise)
             for record in parser.messages():
                 assert isinstance(record, Record)
         except ParseError:
@@ -633,6 +705,25 @@ class TestExplainability:
             capture_output=True, text=True, check=True,
         ).stdout
         assert out.strip() == hadoop.codec().source.strip()
+
+    def test_cli_prints_both_http_units(self):
+        from repro.grammar.protocols import http
+
+        def cli(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.grammar", "http", *args],
+                capture_output=True, text=True,
+            )
+
+        assert cli().stdout == http.request_codec().source + "\n\n" + http.response_codec().source
+        # Each unit takes the projected names it has: the LB's request
+        # parse builds no header map, yet still reads the framing headers.
+        out = cli("--project", "status,body").stdout
+        request = http.request_codec({"body"}).source
+        assert out == request + "\n\n" + http.response_codec({"status", "body"}).source
+        assert "t3 = {}" not in request and "b'content-length'" in request
+        refused = cli("--project", "status,ghost")
+        assert refused.returncode == 2 and "unknown fields: ghost" in refused.stderr
 
     def test_architecture_doc_shows_the_generated_parser(self):
         from pathlib import Path

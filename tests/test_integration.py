@@ -1,6 +1,7 @@
 """End-to-end integration tests: the three use cases through the full
 platform (compiled FLICK programs, codecs, scheduler, simulated TCP)."""
 
+import pytest
 
 from repro.apps import hadoop_agg, http_lb, memcached_proxy
 from repro.core.units import GBPS
@@ -130,6 +131,50 @@ class TestHttpLoadBalancer:
     def test_non_persistent_connections(self):
         pop, servers = self._run(concurrency=6, persistent=False)
         assert pop.finished and pop.errors == 0
+
+
+class TestHostileInput:
+    """One malformed client still stops the whole platform — today's
+    behaviour, pinned before the parser under it changes (ROADMAP open
+    item 1 makes a ``ParseError`` cost one connection; its change inverts
+    this test)."""
+
+    def test_a_chunked_request_aborts_the_run(self):
+        from repro.core.errors import ParseError
+        from repro.grammar.protocols import http
+
+        engine, net, mbox, (good_host, bad_host), _ = _topology(2, 0)
+        platform = FlickPlatform(
+            engine, net, mbox, RuntimeConfig(cores=2), http_lb.http_codec_registry()
+        )
+        platform.register_program(http_lb.compile_static_web(), "StaticWeb", 80)
+        platform.start()
+        replies = []
+
+        def good(sock):
+            parser = http.HttpResponseParser()
+
+            def on_data(data):
+                parser.feed(data)
+                replies.extend(parser.messages())
+
+            sock.on_receive(on_data)
+            sock.send(http.make_request("GET", "/0").raw)
+            for i in range(1, 50):  # 100 us apart on the clock
+                engine.at(i * 100.0, sock.send, http.make_request("GET", f"/{i}").raw)
+
+        def bad(sock):
+            hostile = b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            engine.at(2000.0, sock.send, hostile)
+
+        net.connect(good_host, mbox, 80, good)
+        net.connect(bad_host, mbox, 80, bad)
+        with pytest.raises(ParseError):
+            engine.run()
+        # Recorded with the hand-written HTTP parser the generated one
+        # replaced (tests/http_oracle.py); the same three values since.
+        assert engine.now == 2036.4495038674033
+        assert len(replies) == 20
 
 
 class TestMemcachedProxy:
