@@ -18,7 +18,6 @@ from repro.grammar.model import (
     TokenField,
     Unit,
     VarField,
-    eval_expr,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "TokenField",
     "Unit",
     "VarField",
-    "eval_expr",
 ]

@@ -31,9 +31,8 @@ Length expressions use the small arithmetic language below
 (:class:`Const`, :class:`FieldRef`, :class:`HeaderRef`, :class:`Binary`)
 so that grammars are data, not code — :mod:`repro.grammar.codegen`
 inlines them as Python arithmetic in the parser and serialiser it
-generates once per codec.  :func:`eval_expr` is their reference
-semantics for binary units: the generated code never calls it, the
-reference codec in ``tests/grammar_oracle.py`` does.
+generates once per codec; the codec it replaced, the test-side oracle
+in ``tests/grammar_oracle.py``, evaluates them by walking the tree.
 
 ``Unit.max_bytes`` bounds what a parser buffers for a message whose end
 it cannot yet locate (see :meth:`Unit.frame`).
@@ -42,7 +41,7 @@ it cannot yet locate (see :meth:`Unit.frame`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.core.errors import GrammarError
 
@@ -95,35 +94,6 @@ class Binary(SizeExpr):
     op: str  # '+', '-', '*'
     left: SizeExpr
     right: SizeExpr
-
-
-def eval_expr(expr: SizeExpr, values: Dict[str, int], own: Optional[int] = None) -> int:
-    """Evaluate a grammar expression over parsed field ``values``."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, FieldRef):
-        try:
-            return values[expr.name]
-        except KeyError:
-            raise GrammarError(
-                f"expression references field {expr.name!r} before it is "
-                "available"
-            ) from None
-    if isinstance(expr, SelfRef):
-        if own is None:
-            raise GrammarError("'$$' used outside a field context")
-        return own
-    if isinstance(expr, Binary):
-        left = eval_expr(expr.left, values, own)
-        right = eval_expr(expr.right, values, own)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        raise GrammarError(f"unknown grammar operator {expr.op!r}")
-    raise GrammarError(f"unknown grammar expression {expr!r}")
 
 
 def referenced_fields(expr: Optional[SizeExpr]) -> Tuple[str, ...]:

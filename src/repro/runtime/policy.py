@@ -3,27 +3,39 @@ policy/mechanism split.
 
 :mod:`repro.runtime.scheduler` is pure mechanism — worker loops, queues,
 wake-ups, cost accounting.  Every scheduling *decision* is delegated to a
-:class:`SchedulingPolicy` object through five hooks:
+:class:`SchedulingPolicy` object through these hooks, each consulted
+only where it can change what happens:
 
-* ``budget(task)`` — the timeslice handed to ``task.step``: a float
-  budget in virtual µs, ``0.0`` for exactly one item, ``None`` to run
-  the task to completion;
-* ``place(task, workers)`` — which worker queue is the task's home
-  (section 5: "a hash over this identifier determines which worker's
-  task queue the task should be assigned to");
-* ``select_victim(worker, workers)`` — which foreign queue an idle
-  worker steals from (``None`` = go to sleep instead);
-* ``next_local(worker)`` — which task an awake worker pops from its own
-  queue (FIFO unless the policy reorders);
-* ``steal_count(thief, victim)`` — how many tasks one steal operation
+* ``budget(task)`` — before every ``step`` call, the timeslice handed
+  to it: a float budget in virtual µs, ``0.0`` for exactly one item,
+  ``None`` to run the task to completion;
+* ``place(task, workers)`` — on every enqueue, which worker queue is the
+  task's home (section 5: "a hash over this identifier determines which
+  worker's task queue the task should be assigned to");
+* ``select_victim(worker, workers)`` — when a worker's own queue is
+  empty *and some other active queue holds a task*, which foreign queue
+  it steals from (``None`` = go to sleep instead).  With every queue
+  empty there is no victim to name, so the mechanism does not ask;
+* ``next_local(worker)`` — when the worker's own queue is non-empty,
+  which task it takes: the hook pops *exactly one* task from that queue
+  (FIFO unless the policy reorders), which the mechanism's count of
+  queued tasks relies on;
+* ``steal_count(thief, victim)`` — once per steal, how many tasks it
   takes from the victim's queue (1 unless the policy batches, as the
   Cilk-style ``steal-half`` policy does);
 * ``steps_per_decision(task)`` / ``on_task_done(task, worker, us)`` —
-  how many ``step`` calls one scheduling decision amortises, and a
-  feedback hook fired after each decision (used by adaptive policies);
+  once per decision, how many ``step`` calls it amortises, and a
+  feedback hook fired after it (used by adaptive policies);
 * ``configure(config)`` — adopt platform-level tunables (the
   :class:`~repro.runtime.costs.RuntimeConfig`), e.g. the ``deadline``
   policy reads per-connection SLOs from ``config.slo_us``.
+
+``steal_count``, ``steps_per_decision`` and ``on_task_done`` are called
+only when the policy overrides them (see :func:`overridden_hook`): a
+subclass method or an instance attribute — such as a wrapper a test
+installs on one instance — counts; the base definitions' answers (1, 1,
+nothing) are known without asking.  ``budget`` and ``place`` are always
+called.
 
 Two bindings complete the contract: the adopting scheduler sets
 ``_bound_engine`` (simulated clock) and ``_bound_topology`` (the
@@ -122,7 +134,7 @@ class SchedulingPolicy:
 
     def place(self, task, workers: Sequence) -> object:
         """Choose the task's home worker (honours ``task.home_hint``)."""
-        hint = getattr(task, "home_hint", None)
+        hint = task.home_hint
         if hint is not None:
             return workers[hint % len(workers)]
         return workers[stable_hash(task.task_id) % len(workers)]
@@ -147,7 +159,7 @@ class SchedulingPolicy:
         return victim
 
     def next_local(self, worker) -> object:
-        """Pop the next task from the worker's own (non-empty) queue."""
+        """Pop exactly one task from the worker's own (non-empty) queue."""
         return worker.queue.popleft()
 
     def on_task_done(self, task, worker, elapsed_us: float) -> None:
@@ -182,6 +194,18 @@ def make_policy(
 ) -> SchedulingPolicy:
     """Instantiate the registered policy ``name``."""
     return POLICIES.make(name, timeslice_us=timeslice_us, **kwargs)
+
+
+def overridden_hook(policy: SchedulingPolicy, name: str):
+    """``policy``'s hook ``name``, or ``None`` where it is the base one.
+
+    An instance attribute always counts as an override.
+    """
+    if name not in vars(policy) and getattr(type(policy), name) is getattr(
+        SchedulingPolicy, name
+    ):
+        return None
+    return getattr(policy, name)
 
 
 def resolve_policy(spec, timeslice_us: float = 50.0) -> SchedulingPolicy:
@@ -523,7 +547,7 @@ class NumaPolicy(SchedulingPolicy):
         return self._socket_members
 
     def place(self, task, workers: Sequence) -> object:
-        hint = getattr(task, "home_hint", None)
+        hint = task.home_hint
         if hint is not None:
             return workers[hint % len(workers)]
         groups = self._groups(workers)

@@ -11,15 +11,18 @@ touching this file.
 
 Mechanism invariants, independent of policy:
 
-* Workers are simulated processes pinned to the middlebox's cores; each
-  owns one task queue.  A task is always enqueued on its home queue
-  (cache affinity), which the policy chooses — by default a hash of the
-  task id, as in the paper.
-* An idle worker asks the policy for a steal victim, then sleeps until
-  new work arrives; every steal is charged ``STEAL_US`` (plus the
-  topology's per-hop penalty times the socket distance between thief
-  and victim) and every scheduling decision ``SCHEDULE_US``, and is
-  appended to :attr:`Scheduler.steal_log` for post-hoc analysis.  A
+* Workers are engine callbacks pinned to the middlebox's cores: a wake
+  posts a worker's loop at the current instant, a timeslice schedules
+  it back for the slice's end, and ``sleeping`` is the whole sleep
+  state.  Each owns one task queue; a task is always enqueued on its
+  home queue (cache affinity), which the policy chooses — by default a
+  hash of the task id, as in the paper.
+* An idle worker asks the policy for a steal victim — only while some
+  active queue holds a task, which a count of queued tasks tells in
+  O(1) — then sleeps until new work arrives; every steal is charged
+  ``STEAL_US`` (plus the topology's per-hop penalty times the socket
+  distance between thief and victim) and every scheduling decision
+  ``SCHEDULE_US``, and is appended to :attr:`Scheduler.steal_log`.  A
   policy may batch a steal (``steal_count``): the thief runs the first
   stolen task and moves the rest to its own queue, paying the steal
   cost once for the whole batch.
@@ -39,13 +42,13 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Deque, NamedTuple, Optional, Tuple
 
 from repro.core.errors import RuntimeFlickError
 from repro.runtime.allocator import AllocView, resolve_allocator
 from repro.runtime.costs import SCHEDULE_US, STEAL_US
-from repro.runtime.policy import resolve_policy
-from repro.sim.engine import Engine, Event
+from repro.runtime.policy import overridden_hook, resolve_policy
+from repro.sim.engine import Engine
 from repro.sim.stats import SloScoreboard
 
 # Task scheduling states.
@@ -54,8 +57,7 @@ QUEUED = 1
 RUNNING = 2
 
 
-@dataclass(frozen=True)
-class StealRecord:
+class StealRecord(NamedTuple):
     """One steal operation, as the mechanism performed and priced it.
 
     ``queue_lens`` snapshots every worker's queue length at the moment
@@ -107,7 +109,6 @@ class _Worker:
         "index",
         "socket",
         "queue",
-        "wake",
         "sleeping",
         "active",
         "busy_us",
@@ -120,7 +121,6 @@ class _Worker:
         self.index = index
         self.socket = socket
         self.queue: Deque = deque()
-        self.wake: Optional[Event] = None
         self.sleeping = False
         self.active = True
         self.busy_us = 0.0
@@ -205,11 +205,15 @@ class Scheduler:
         self.policy.reset()  # a reused instance must not carry over state
         self.policy_name = self.policy.name
         # Bound policy hooks, cached once: these run on every scheduling
-        # decision and every enqueue.
+        # decision and every enqueue.  A hook the policy leaves at the
+        # base no-op is cached as None and never called.
         self._place = self.policy.place
+        self._budget = self.policy.budget
         self._next_local = self.policy.next_local
         self._select_victim = self.policy.select_victim
-        self._steal_count = self.policy.steal_count
+        self._steal_count = overridden_hook(self.policy, "steal_count")
+        self._steps_of = overridden_hook(self.policy, "steps_per_decision")
+        self._on_task_done = overridden_hook(self.policy, "on_task_done")
         self._workers = [
             _Worker(i, topology.socket_of(i) if topology else 0)
             for i in range(cores)
@@ -230,6 +234,7 @@ class Scheduler:
         self._next_alloc_at = self.allocator.tick_us
         self._last_alloc_change_at = -math.inf
         self._started = False
+        self._queued = 0  # tasks waiting in worker queues
         self.tasks_executed = 0
         #: One :class:`StealRecord` per steal operation, in order.
         self.steal_log: list = []
@@ -245,7 +250,7 @@ class Scheduler:
             return
         self._started = True
         for worker in self._workers:
-            self.engine.process(self._worker_loop(worker))
+            self._rouse(worker)
 
     @property
     def active_workers(self) -> int:
@@ -292,10 +297,6 @@ class Scheduler:
 
     # -- task admission -----------------------------------------------------------
 
-    def home_worker(self, task) -> _Worker:
-        """The worker queue this task is enqueued on (policy ``place``)."""
-        return self._place(task, self._active)
-
     def notify_runnable(self, task) -> None:
         """Called when a task gains input; enqueues it exactly once."""
         if self._alloc_enabled and self.engine.now >= self._next_alloc_at:
@@ -311,25 +312,27 @@ class Scheduler:
             # policy's admission-to-drain EDF clock.
             task.admitted_at = self.engine.now
         task.sched_state = QUEUED
-        worker = self.home_worker(task)
+        worker = self._place(task, self._active)
         worker.queue.append(task)
+        self._queued += 1
         self._wake(worker)
 
     def _wake(self, preferred: _Worker) -> None:
         if preferred.sleeping:
-            preferred.sleeping = False
-            wake, preferred.wake = preferred.wake, None
-            wake.trigger()
+            self._rouse(preferred)
             return
         # Home worker is busy: rouse one sleeping worker so it can
         # steal.  Parked workers stay asleep — only an allocation
         # change may resume them.
         for worker in self._active:
             if worker.sleeping:
-                worker.sleeping = False
-                wake, worker.wake = worker.wake, None
-                wake.trigger()
+                self._rouse(worker)
                 return
+
+    def _rouse(self, worker: _Worker) -> None:
+        """Post ``worker``'s loop at the current instant."""
+        worker.sleeping = False
+        self.engine.schedule(0.0, self._run, worker)
 
     # -- elastic core allocation ----------------------------------------------
 
@@ -377,9 +380,7 @@ class Scheduler:
         if target > current and self._started:
             for worker in self._workers[current:target]:
                 if worker.sleeping:
-                    worker.sleeping = False
-                    wake, worker.wake = worker.wake, None
-                    wake.trigger()
+                    self._rouse(worker)
         self._last_alloc_change_at = now
         self.alloc_log.append(
             AllocRecord(
@@ -403,63 +404,58 @@ class Scheduler:
             new_home.queue.append(task)
             moved += 1
             if new_home.sleeping:
-                new_home.sleeping = False
-                wake, new_home.wake = new_home.wake, None
-                wake.trigger()
+                self._rouse(new_home)
         return moved
 
     # -- worker loop -----------------------------------------------------------------
 
-    def _worker_loop(self, worker: _Worker):
-        engine = self.engine
-        timeout = engine.timeout
-        policy = self.policy
-        budget_of = policy.budget
-        steps_of = policy.steps_per_decision
-        decision_done = policy.on_task_done
-        next_task = self._next_task
-        notify_runnable = self.notify_runnable
-        while True:
-            if self._alloc_enabled:
-                if engine.now >= self._next_alloc_at:
-                    self._allocation_tick()
-                if not worker.active:
-                    # Parked: queue already drained, nothing new can be
-                    # placed here, and _wake skips parked workers — only
-                    # an unpark triggers this event.
-                    worker.sleeping = True
-                    worker.wake = wake = engine.event()
-                    yield wake
-                    continue
-            task, steal_us = next_task(worker)
-            if task is None:
-                worker.sleeping = True
-                worker.wake = wake = engine.event()
-                yield wake
-                continue
-            task.sched_state = RUNNING
-            task.pending_wakeup = False
-            elapsed, emissions = task.step(budget_of(task))
-            extra_steps = steps_of(task) - 1
-            while extra_steps > 0 and task.has_work():
-                extra_steps -= 1
-                more_us, more_emissions = task.step(budget_of(task))
-                elapsed += more_us
-                emissions += more_emissions
-            cost = elapsed + SCHEDULE_US + steal_us
-            worker.busy_us += cost
-            self.tasks_executed += 1
-            decision_done(task, worker, elapsed)
-            if cost > 0:
-                yield timeout(cost)
+    def _run(self, worker: _Worker, task=None, emissions=()) -> None:
+        """One turn of ``worker``'s loop, as an engine callback.
+
+        ``task`` is the timeslice that just ended, if any: its emissions
+        fire now that its virtual time has elapsed.  The worker then
+        starts its next timeslice, whose end is scheduled back into this
+        method (a slice costs at least ``SCHEDULE_US``), or finds nothing
+        to run and sleeps until :meth:`_rouse`.
+        """
+        if task is not None:
             for emit in emissions:
                 emit()
             task.sched_state = IDLE
             if task.has_work() or task.pending_wakeup:
                 task.pending_wakeup = False
-                notify_runnable(task)
+                self.notify_runnable(task)
             else:
                 self._record_completion(task)
+        if self._alloc_enabled:
+            if self.engine.now >= self._next_alloc_at:
+                self._allocation_tick()
+            if not worker.active:
+                # Parked: queue already drained, nothing new can be
+                # placed here, and _wake skips parked workers — only an
+                # unpark rouses it.
+                worker.sleeping = True
+                return
+        task, steal_us = self._next_task(worker)
+        if task is None:
+            worker.sleeping = True
+            return
+        task.sched_state = RUNNING
+        budget_of = self._budget
+        elapsed, emissions = task.step(budget_of(task))
+        if self._steps_of is not None:
+            extra_steps = self._steps_of(task) - 1
+            while extra_steps > 0 and task.has_work():
+                extra_steps -= 1
+                more_us, more_emissions = task.step(budget_of(task))
+                elapsed += more_us
+                emissions += more_emissions
+        cost = elapsed + SCHEDULE_US + steal_us
+        worker.busy_us += cost
+        self.tasks_executed += 1
+        if self._on_task_done is not None:
+            self._on_task_done(task, worker, elapsed)
+        self.engine.schedule(cost, self._run, worker, task, emissions)
 
     def _record_completion(self, task) -> None:
         """A task drained: close its busy period on the scoreboard."""
@@ -482,52 +478,50 @@ class Scheduler:
     def _next_task(self, worker: _Worker):
         """Next task for ``worker`` plus the steal cost it incurred (µs)."""
         if worker.queue:
+            self._queued -= 1
             return self._next_local(worker), 0.0
+        if not self._queued:
+            return None, 0.0  # every queue is empty: nothing to steal
         victim = self._select_victim(worker, self._active)
-        if victim is not None and victim.queue:
-            topology = self.topology
-            # Snapshot before any task moves: the steal log must show
-            # what the policy's victim choice was made against.  The
-            # O(cores) walk is only paid on topological schedulers,
-            # where steal distance is a property worth reconstructing;
-            # flat schedulers log the steal with an empty snapshot.
-            queue_lens = (
-                tuple(len(w.queue) for w in self._workers)
-                if topology is not None
-                else ()
+        if victim is None or not victim.queue:
+            return None, 0.0
+        topology = self.topology
+        # Snapshot before any task moves: the steal log must show what
+        # the policy's victim choice was made against.  The O(cores)
+        # walk is only paid on topological schedulers, where steal
+        # distance is a property worth reconstructing; flat schedulers
+        # log the steal with an empty snapshot.
+        queue_lens = (
+            tuple(len(w.queue) for w in self._workers)
+            if topology is not None
+            else ()
+        )
+        steal_count = self._steal_count
+        count = 1 if steal_count is None else max(
+            1, min(int(steal_count(worker, victim)), len(victim.queue))
+        )
+        task = victim.queue.popleft()
+        self._queued -= 1
+        # Batch steal: the rest of the batch migrates to the thief's
+        # queue (still QUEUED — they only changed queues) and the steal
+        # cost is paid once for all of them.
+        for _ in range(count - 1):
+            worker.queue.append(victim.queue.popleft())
+        cost = STEAL_US
+        hops = 0
+        if topology is not None and worker.socket != victim.socket:
+            hops = topology.socket_hops(worker.socket, victim.socket)
+            cost += hops * topology.remote_steal_penalty_us
+        worker.steals += 1
+        worker.stolen_tasks += count
+        worker.steal_us += cost
+        self.steal_log.append(
+            StealRecord(
+                worker.index, victim.index, worker.socket, victim.socket,
+                count, hops, cost, queue_lens,
             )
-            count = max(
-                1, min(int(self._steal_count(worker, victim)),
-                       len(victim.queue))
-            )
-            task = victim.queue.popleft()
-            # Batch steal: the rest of the batch migrates to the thief's
-            # queue (still QUEUED — they only changed queues) and the
-            # steal cost is paid once for all of them.
-            for _ in range(count - 1):
-                worker.queue.append(victim.queue.popleft())
-            cost = STEAL_US
-            hops = 0
-            if topology is not None and worker.socket != victim.socket:
-                hops = topology.socket_hops(worker.socket, victim.socket)
-                cost += hops * topology.remote_steal_penalty_us
-            worker.steals += 1
-            worker.stolen_tasks += count
-            worker.steal_us += cost
-            self.steal_log.append(
-                StealRecord(
-                    thief=worker.index,
-                    victim=victim.index,
-                    thief_socket=worker.socket,
-                    victim_socket=victim.socket,
-                    tasks=count,
-                    hops=hops,
-                    cost_us=cost,
-                    queue_lens=queue_lens,
-                )
-            )
-            return task, cost
-        return None, 0.0
+        )
+        return task, cost
 
 
 class TaskBase:

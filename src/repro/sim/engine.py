@@ -50,8 +50,11 @@ Determinism contract
 
 Generator-based **processes** ride on top: a process is a Python
 generator that yields :class:`Timeout` or :class:`Event` objects and is
-resumed when they fire (the idiom used by client workloads and worker
-loops).
+resumed when they fire.  They serve the open-loop admission clock
+(``workloads/arrivals.py``) and tests; scheduler workers are plain
+callbacks posted with ``schedule``, which costs the engine one entry
+where a process resume cost an entry, a generator frame and an
+``Event`` or ``Timeout`` object.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.core.units import millis, rate_per_second, throughput_mbps
 
@@ -154,8 +154,7 @@ class Meter:
         return throughput_mbps(self.bytes, self.duration_us)
 
 
-@dataclass(frozen=True)
-class SloRecord:
+class SloRecord(NamedTuple):
     """One accounted busy period of a task: admission to drain.
 
     ``slo_us`` is the latency target the task carried (its service
@@ -231,25 +230,21 @@ class SloScoreboard:
                 f"admission at {admitted_us}"
             )
         entry = SloRecord(
-            task_id=task_id,
-            task=task,
-            service_class=service_class,
-            admitted_us=admitted_us,
-            completed_us=completed_us,
-            slo_us=slo_us,
+            task_id, task, service_class, admitted_us, completed_us, slo_us
         )
         self.records.append(entry)
         self._completions[service_class] = (
             self._completions.get(service_class, 0) + 1
         )
-        if entry.missed:
+        # SloRecord.missed and .latency_us, spelled out.
+        if slo_us is not None and completed_us > admitted_us + slo_us:
             self._misses[service_class] = (
                 self._misses.get(service_class, 0) + 1
             )
         series = self._latency.get(service_class)
         if series is None:
             series = self._latency[service_class] = LatencySeries()
-        series.record(entry.latency_us)
+        series.record(completed_us - admitted_us)
         return entry
 
     def record_shed(self, service_class: str, count: int = 1) -> None:

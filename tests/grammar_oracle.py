@@ -4,9 +4,9 @@ This was ``src/repro/grammar/engine.py`` until the codec became generated
 code (``repro.grammar.codegen``).  It stays here as the executable
 definition of what a generated parser/serialiser must do:
 :class:`IncrementalUnitParser` walks the unit's field tuple per message
-and evaluates length expressions through
-:func:`repro.grammar.model.eval_expr`; ``OracleCodec._encode`` is the
-three-pass serialiser.  ``tests/test_grammar_codegen.py`` holds every
+and evaluates length expressions through :func:`eval_expr`, their
+reference semantics (the generated code inlines them as arithmetic);
+``OracleCodec._encode`` is the three-pass serialiser.  ``tests/test_grammar_codegen.py`` holds every
 generated codec to it — records, ``raw``, ``spans``, ``pending_bytes()``,
 cumulative ``ops`` (``==``) and exception classes, including ``feed``'s
 refusal under a unit's ``max_bytes``.  Nothing under ``src/`` imports
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.core.errors import ParseError, SerializeError
+from repro.core.errors import GrammarError, ParseError, SerializeError
 from repro.grammar.engine import (
     _COMPACT_THRESHOLD,
     MAX_FILL_BYTES,
@@ -27,16 +27,50 @@ from repro.grammar.engine import (
     OPS_PER_SKIPPED_BYTE,
 )
 from repro.grammar.model import (
+    Binary,
+    Const,
     ConstField,
     DataField,
     Field,
     FieldRef,
     IntField,
+    SelfRef,
+    SizeExpr,
     Unit,
     VarField,
-    eval_expr,
 )
 from repro.lang.values import Record
+
+
+def eval_expr(
+    expr: SizeExpr, values: Dict[str, int], own: Optional[int] = None
+) -> int:
+    """Evaluate a grammar expression over parsed field ``values``."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, FieldRef):
+        try:
+            return values[expr.name]
+        except KeyError:
+            raise GrammarError(
+                f"expression references field {expr.name!r} before it is "
+                "available"
+            ) from None
+    if isinstance(expr, SelfRef):
+        if own is None:
+            raise GrammarError("'$$' used outside a field context")
+        return own
+    if isinstance(expr, Binary):
+        left = eval_expr(expr.left, values, own)
+        right = eval_expr(expr.right, values, own)
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        raise GrammarError(f"unknown grammar operator {expr.op!r}")
+    raise GrammarError(f"unknown grammar expression {expr!r}")
 
 
 class IncrementalUnitParser:

@@ -17,10 +17,10 @@ from repro.grammar.model import (
     TokenField,
     Unit,
     VarField,
-    eval_expr,
     referenced_fields,
 )
 from repro.lang.values import Record
+from tests.grammar_oracle import eval_expr
 
 SIMPLE = """
 type msg = unit {

@@ -34,12 +34,11 @@ from repro.grammar.model import (
     SelfRef,
     Unit,
     VarField,
-    eval_expr,
 )
 from repro.grammar.protocols import hadoop
 from repro.grammar.protocols import memcached as mc
 from repro.lang.values import Record
-from tests.grammar_oracle import OracleCodec
+from tests.grammar_oracle import OracleCodec, eval_expr
 
 SETTINGS = settings(max_examples=150, deadline=None)
 

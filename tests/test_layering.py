@@ -14,7 +14,8 @@ memory, which the ledger's ``setup_s`` and ``peak_rss_mb`` would carry.
 And there is one way to run a handler: generated code.  The reference
 interpreter lives test-side (``tests/lang_oracle.py``), nothing under
 ``src/`` reaches for it or any other oracle, and no layer carries an
-option that could select it.
+option that could select it.  Likewise the grammar's tree-walking
+expression evaluator, ``eval_expr``, lives with its oracle.
 """
 
 import ast
@@ -76,6 +77,24 @@ def test_the_interpreter_is_not_in_the_product():
         if module.split(".")[0] == "tests" or "oracle" in module
     ]
     assert not offenders, "test-side imports: " + "; ".join(offenders)
+
+
+def test_the_grammar_expression_evaluator_is_test_side():
+    # Generated codecs inline length expressions as arithmetic; the
+    # tree-walking evaluator belongs to the oracle that still walks them.
+    import repro.grammar
+
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "name", None) or getattr(node, "attr", None)
+            if name == "eval_expr" or getattr(node, "id", None) == "eval_expr":
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders, "eval_expr under src/: " + "; ".join(offenders)
+    assert "eval_expr" not in repro.grammar.__all__
+    from tests.grammar_oracle import eval_expr
+
+    assert callable(eval_expr)
 
 
 def test_no_layer_has_an_exec_tier_option():

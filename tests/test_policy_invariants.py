@@ -21,13 +21,18 @@ regression coverage the moment it is registered:
 * **SLO outcomes** — the scheduler's per-service-class scoreboard is
   conserved (class completion counts sum to the total), coherent (no
   recorded deadline precedes its admission), and seed-deterministic
-  (identical seeds produce identical per-class SLO-miss counts).
+  (identical seeds produce identical per-class SLO-miss counts);
+* **pinned calls** — every hook call each policy sees (hook, virtual
+  time, worker, task, answer) hashes to a digest recorded before the
+  mechanism stopped scanning empty queues, so skipping those scans and
+  the base no-op hooks changed nothing any policy is asked.
 
 Workloads mix item counts, per-item costs, SLOs, service classes,
 pinned and hash-placed tasks, and staggered arrival times, so the
 sleep/wake and steal paths are all exercised.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -290,6 +295,156 @@ class TestPolicyInvariants:
             first.scoreboard.completions_by_class()
             == second.scoreboard.completions_by_class()
         )
+
+
+#: Every decision hook the mechanism may call.
+HOOKS = (
+    "budget",
+    "place",
+    "select_victim",
+    "next_local",
+    "steal_count",
+    "steps_per_decision",
+    "on_task_done",
+)
+CALL_LOG_SEEDS = (7, 23, 41)
+
+
+def _describe(hook, args, result):
+    """``(worker index, task id, result)`` for one hook call; a worker
+    or task result is logged by its index or id, and ``on_task_done``
+    by the elapsed time it is fed."""
+    if hook in ("budget", "steps_per_decision"):
+        return None, args[0].task_id, result
+    if hook == "place":
+        return None, args[0].task_id, result.index
+    if hook == "select_victim":
+        return args[0].index, None, getattr(result, "index", None)
+    if hook == "next_local":
+        return args[0].index, None, result.task_id
+    if hook == "steal_count":
+        return args[0].index, None, (args[1].index, result)
+    return args[1].index, args[0].task_id, args[2]
+
+
+def call_logs(name, seed):
+    """Every hook call one policy instance sees over ``run_workload``.
+
+    Each hook is wrapped by an *instance attribute*, which counts as an
+    override, so the mechanism must consult it.  Returns the full log
+    and the log without the ``select_victim`` calls made while every
+    active queue was empty — the scans that cannot find work.
+    """
+    policy = make_policy(name)
+    full, useful = [], []
+    for hook in HOOKS:
+        def wrapped(*args, hook=hook, inner=getattr(policy, hook)):
+            result = inner(*args)
+            entry = (hook, policy._bound_engine.now) + _describe(
+                hook, args, result
+            )
+            full.append(entry)
+            if hook != "select_victim" or any(w.queue for w in args[1]):
+                useful.append(entry)
+            return result
+
+        setattr(policy, hook, wrapped)
+    run_workload(policy, seed)
+    return full, useful
+
+
+def _digest(log):
+    return hashlib.sha256(
+        "\n".join(repr(entry) for entry in log).encode()
+    ).hexdigest()
+
+
+def call_log_digests(name):
+    """``(full, useful)`` sha256 digests over ``CALL_LOG_SEEDS``."""
+    full, useful = [], []
+    for seed in CALL_LOG_SEEDS:
+        seed_full, seed_useful = call_logs(name, seed)
+        full += seed_full
+        useful += seed_useful
+    return _digest(full), _digest(useful)
+
+
+#: ``call_log_digests`` per policy, recorded on the scheduler that still
+#: scanned for victims while every queue was empty (the two digests
+#: differ for every policy: this workload made such scans).  The
+#: mechanism no longer makes them, so today's *full* log must equal that
+#: scheduler's log without them: every policy is asked exactly what it
+#: was asked before, in the same order, at the same virtual times, with
+#: the same answers.  A newly registered policy pins its two digests,
+#: which are then equal.
+PINNED_CALL_LOGS = {
+    "cooperative": (
+        "d32a365883073d22d40f7477595001aa02bbe4d1e6ee1ac6496dc0ac9a7d5506",
+        "a415bda1cebaa844ba412c369138e4bf9374dbbad233ccff7015120f704ba018",
+    ),
+    "non_cooperative": (
+        "575337920bf25c88305e55597754cf80f60fd7881fd7a6d85ad3fed465d7d3ca",
+        "8735c7a749e1f32d6f3b01ab2b01f0bb5b0434bfcb7fae7c6abe6e3c2343bbbc",
+    ),
+    "round_robin": (
+        "1dacb4c464aa807942cdf81de987a19b04af9ccf4df435577243f346ddbda78c",
+        "03f9d40aa85d4f342f89a218294df7f1d1f9e410ca3100ecbc5c592bf6b1c119",
+    ),
+    "adaptive-timeslice": (
+        "41aacd3d0288aa614ea696c807a436af3ed6f78febac80e2e61de7a8c61a41d2",
+        "2f15a7c08988aba8afd4ddbd5347c7eca3cb35a5abbb1c1e678e044ff1d2f234",
+    ),
+    "batch": (
+        "fec3ceb5f288fa6556d32b1eac994a544fa04e079bef175ff1e5028b7795f955",
+        "e8b2c5ab66b9550c5cb087aaeded2831090ed34b364e3137b78b7c25fad040a3",
+    ),
+    "deadline": (
+        "012e9ea1cbb4534f8d62a48a5f336e537a919da6b3219e82f480ab2e08184bbd",
+        "6ce46649df8ca235f999394f94a18499d1c373b77fe9a921a782560647cb63db",
+    ),
+    "locality": (
+        "b27842e02ee6d87e92cfa2cd33a4dc7cda570801982461d19ba99de5f68a3b7c",
+        "003b033020d1bc50321f0fadfaec7f0e98e5c212faaf968774c718b214c67827",
+    ),
+    "numa": (
+        "301eb0e650d3598a0eab7acd559270194c699132d81c16cf92af83024db5280b",
+        "c4cb8688428262a33a8e17205d675836c8bf75de9b4fbc37f5c2ddd0b2f85f2c",
+    ),
+    "priority": (
+        "ff8357bf1cce36e4aca494f4f38772e70b21dae3fcf6118cf058d40292b55004",
+        "b2dae502e5084335c18f5bcd2e286a60068c6abb78b8ff23c78550a11430f9b2",
+    ),
+    "steal-half": (
+        "5c08b79f94d904a2a02e6e4e602cf4f10a89bee69f555fba84e7e583d5fd9151",
+        "e93a7055ecac21095453fea5943f0bf86cf445e0bde825c80e85b13fef200868",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", registered_policies())
+def test_policies_see_the_pinned_calls(name):
+    assert name in PINNED_CALL_LOGS, (
+        f"pin {name!r}: add call_log_digests({name!r}) to PINNED_CALL_LOGS"
+    )
+    before_full, before_useful = PINNED_CALL_LOGS[name]
+    full, useful = call_log_digests(name)
+    assert useful == before_useful
+    assert full == before_useful, "the mechanism scanned for nothing"
+
+
+def test_cooperative_scans_only_when_a_steal_follows():
+    scans = []
+    policy = make_policy("cooperative")
+    inner = policy.select_victim
+
+    def select_victim(worker, workers):
+        scans.append(worker.index)
+        return inner(worker, workers)
+
+    policy.select_victim = select_victim
+    scheduler, _ = run_workload(policy, SEEDS[0])
+    assert scans
+    assert len(scans) == scheduler.total_steals
 
 
 def test_harness_covers_whole_registry():
