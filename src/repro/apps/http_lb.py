@@ -138,7 +138,3 @@ def lb_bindings(backend_targets: List[OutboundTarget]) -> Bindings:
         outbound={"backends": backend_targets},
         value_params=make_conn_info,
     )
-
-
-def static_web_bindings() -> Bindings:
-    return Bindings()

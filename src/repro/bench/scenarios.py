@@ -687,15 +687,15 @@ def run_scenario_matrix(
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    # Every config error surfaces before anything runs (and in the
+    # parent, not as an opaque worker-process traceback).
+    for scenario in scenarios:
+        _validate_scenario(scenario)
     if jobs == 1 or len(scenarios) <= 1:
         return {
             scenario.name: run_scenario(scenario, quick=quick)
             for scenario in scenarios
         }
-    # Config errors surface here, in the parent, not as opaque
-    # worker-process tracebacks.
-    for scenario in scenarios:
-        _validate_scenario(scenario)
     workers = min(jobs, len(scenarios))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [

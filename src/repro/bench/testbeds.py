@@ -446,7 +446,6 @@ OpenLoopClients`: ``concurrency`` becomes the size of the persistent
             service_classes=service_classes,
             slo_us=slo_us,
             allocator=allocator,
-            admission=admission,
             backend_close_teardown=(
                 fault is not None and fault.tears_down_on_backend_close
             ),
@@ -598,7 +597,6 @@ def run_memcached_experiment(
             service_classes=service_classes,
             slo_us=slo_us,
             allocator=allocator,
-            admission=admission,
             backend_close_teardown=(
                 fault is not None and fault.tears_down_on_backend_close
             ),

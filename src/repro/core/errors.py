@@ -81,10 +81,6 @@ class ChannelFull(RuntimeFlickError):
     """Raised when a bounded channel cannot accept another item."""
 
 
-class BufferPoolExhausted(RuntimeFlickError):
-    """Raised when the pre-allocated buffer pool has no free buffers."""
-
-
 class SimulationError(FlickError):
     """Raised by the discrete-event engine on misuse (e.g. past-time events)."""
 

@@ -60,8 +60,5 @@ class IdAllocator:
         self._prefix = prefix
         self._counter: Iterator[int] = itertools.count()
 
-    def next_int(self) -> int:
-        return next(self._counter)
-
     def next_id(self) -> str:
         return f"{self._prefix}-{next(self._counter)}"

@@ -20,7 +20,7 @@ from repro.lang.compiler import (
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse
 from repro.lang.pretty import format_program
-from repro.lang.termination import TerminationReport, check_termination
+from repro.lang.termination import check_termination
 from repro.lang.typecheck import CheckedProgram, check_program
 from repro.lang.values import Record, record_size_bytes
 
@@ -41,7 +41,6 @@ __all__ = [
     "tokenize",
     "parse",
     "format_program",
-    "TerminationReport",
     "check_termination",
     "CheckedProgram",
     "check_program",

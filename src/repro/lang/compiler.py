@@ -35,7 +35,7 @@ from repro.lang.codegen import (
     CompiledRuleHandler,
 )
 from repro.lang.parser import parse
-from repro.lang.termination import TerminationReport, check_termination
+from repro.lang.termination import check_termination
 from repro.lang.typecheck import CheckedProgram, check_program
 
 
@@ -103,7 +103,6 @@ class CompiledProgram:
     """A fully checked and lowered FLICK program."""
 
     checked: CheckedProgram
-    termination: TerminationReport
     procs: Dict[str, ProcSpec]
 
     def __post_init__(self):
@@ -134,15 +133,14 @@ class CompiledProgram:
 class Compiler:
     """Lowers a checked program to :class:`CompiledProgram`."""
 
-    def __init__(self, checked: CheckedProgram, termination: TerminationReport):
+    def __init__(self, checked: CheckedProgram):
         self._checked = checked
-        self._termination = termination
 
     def compile(self) -> CompiledProgram:
         procs: Dict[str, ProcSpec] = {}
         for proc in self._checked.program.procs:
             procs[proc.name] = self._compile_proc(proc)
-        return CompiledProgram(self._checked, self._termination, procs)
+        return CompiledProgram(self._checked, procs)
 
     # -- processes ------------------------------------------------------------
 
@@ -338,8 +336,8 @@ def build_foldt_handler(
 
 def compile_checked(checked: CheckedProgram) -> CompiledProgram:
     """Compile an already type-checked program."""
-    report = check_termination(checked.program)
-    return Compiler(checked, report).compile()
+    check_termination(checked.program)
+    return Compiler(checked).compile()
 
 
 def compile_program(program: ast.Program) -> CompiledProgram:

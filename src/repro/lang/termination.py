@@ -1,9 +1,11 @@
-"""Termination and bounded-resource analysis for FLICK programs.
+"""Termination checks for FLICK programs.
 
 Section 4.3 of the paper restricts FLICK so that every invocation of a
 network service terminates and uses a statically bounded amount of
-resources.  The language already has no ``while`` construct; the remaining
-obligations checked here are:
+resources.  The language has no ``while`` construct, and it has no
+channel constructor: every channel a program mentions is bound in a
+process signature, which the type checker enforces.  The remaining
+obligations are checked here:
 
 * **No recursion** — user functions must be first-order and non-recursive,
   directly or indirectly.  We build the call graph (including the function
@@ -12,32 +14,19 @@ obligations checked here are:
 * **Bounded iteration only** — iteration happens solely through the
   higher-order primitives over finite lists; their function arguments must
   name declared user functions, never builtins with side effects.
-* **Static channel topology** — channels cannot be created at run time; a
-  program may only mention channels bound in a process signature.
 
-The analysis also computes a conservative per-function **cost bound**
-(number of AST operations executed per invocation, treating higher-order
-primitives as ``O(input length)``) which the runtime uses as the default
-per-message compute cost estimate.
+Both are rejections; no static cost bound is computed.  What an
+invocation costs is the ops its generated code charges as it runs
+(:mod:`repro.lang.codegen`), which depends on its input's length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.core.errors import TerminationError
 from repro.lang import ast
 from repro.lang.builtins import HIGHER_ORDER, is_builtin
-
-
-@dataclass(frozen=True)
-class TerminationReport:
-    """Result of the analysis: call graph, topological order, cost bounds."""
-
-    call_graph: Dict[str, Tuple[str, ...]]
-    topological_order: Tuple[str, ...]
-    cost_bounds: Dict[str, int]
 
 
 def _called_functions(body: Tuple[ast.Stmt, ...], known: Set[str]) -> Set[str]:
@@ -86,105 +75,10 @@ def _detect_cycle(graph: Dict[str, Tuple[str, ...]]) -> List[str]:
     return []
 
 
-def _topological_order(graph: Dict[str, Tuple[str, ...]]) -> Tuple[str, ...]:
-    order: List[str] = []
-    seen: Set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in seen:
-            return
-        seen.add(name)
-        for callee in graph.get(name, ()):
-            visit(callee)
-        order.append(name)
-
-    for name in graph:
-        visit(name)
-    return tuple(order)
-
-
-# Cost weights for the static bound; arbitrary units proportional to "one
-# simple operation".  Higher-order primitives multiply the callee bound by
-# a nominal input length, reflecting O(n) iteration over a finite list.
-_NOMINAL_LIST_LENGTH = 16
-_OP_COST = 1
-
-
-def _expr_cost(expr: ast.Expr, bounds: Dict[str, int]) -> int:
-    cost = _OP_COST
-    if isinstance(expr, ast.Call):
-        for arg in expr.args:
-            cost += _expr_cost(arg, bounds)
-        if expr.func in HIGHER_ORDER:
-            callee = expr.args[0].name if expr.args and isinstance(
-                expr.args[0], ast.Var
-            ) else None
-            inner = bounds.get(callee, _OP_COST)
-            cost += inner * _NOMINAL_LIST_LENGTH
-        else:
-            cost += bounds.get(expr.func, _OP_COST)
-        return cost
-    if isinstance(expr, ast.BinOp):
-        return cost + _expr_cost(expr.left, bounds) + _expr_cost(expr.right, bounds)
-    if isinstance(expr, ast.UnaryOp):
-        return cost + _expr_cost(expr.operand, bounds)
-    if isinstance(expr, ast.FieldAccess):
-        return cost + _expr_cost(expr.obj, bounds)
-    if isinstance(expr, ast.Index):
-        return cost + _expr_cost(expr.obj, bounds) + _expr_cost(expr.index, bounds)
-    if isinstance(expr, ast.FoldTExpr):
-        body = _body_cost(expr.body, bounds)
-        return cost + body * _NOMINAL_LIST_LENGTH
-    return cost
-
-
-def _stmt_cost(stmt: ast.Stmt, bounds: Dict[str, int]) -> int:
-    if isinstance(stmt, ast.LetStmt):
-        return _OP_COST + _expr_cost(stmt.value, bounds)
-    if isinstance(stmt, ast.AssignStmt):
-        return (
-            _OP_COST
-            + _expr_cost(stmt.target, bounds)
-            + _expr_cost(stmt.value, bounds)
-        )
-    if isinstance(stmt, ast.SendStmt):
-        return (
-            _OP_COST
-            + _expr_cost(stmt.value, bounds)
-            + _expr_cost(stmt.channel, bounds)
-        )
-    if isinstance(stmt, ast.IfStmt):
-        then_cost = _body_cost(stmt.then_body, bounds)
-        else_cost = _body_cost(stmt.else_body, bounds)
-        return (
-            _OP_COST
-            + _expr_cost(stmt.condition, bounds)
-            + max(then_cost, else_cost)
-        )
-    if isinstance(stmt, ast.ExprStmt):
-        return _expr_cost(stmt.expr, bounds)
-    if isinstance(stmt, (ast.GlobalDecl,)):
-        return _OP_COST + _expr_cost(stmt.init, bounds)
-    if isinstance(stmt, ast.PipelineStmt):
-        total = _OP_COST
-        for stage in stmt.stages:
-            if stage.func is not None:
-                total += bounds.get(stage.func, _OP_COST)
-        return total
-    return _OP_COST
-
-
-def _body_cost(body: Tuple[ast.Stmt, ...], bounds: Dict[str, int]) -> int:
-    return sum(_stmt_cost(stmt, bounds) for stmt in body) or _OP_COST
-
-
-def check_termination(program: ast.Program) -> TerminationReport:
-    """Verify the bounded-computation discipline; raise on violation.
-
-    Returns a :class:`TerminationReport` containing the acyclic call graph
-    in topological (callee-first) order and static cost bounds.
-    """
-    known = {f.name for f in program.funs}
+def _call_graph(
+    program: ast.Program, known: Set[str]
+) -> Dict[str, Tuple[str, ...]]:
+    """Caller → sorted user-function callees; processes are ``proc:<name>``."""
     graph: Dict[str, Tuple[str, ...]] = {}
     for fun in program.funs:
         graph[fun.name] = tuple(sorted(_called_functions(fun.body, known)))
@@ -192,25 +86,19 @@ def check_termination(program: ast.Program) -> TerminationReport:
         graph[f"proc:{proc.name}"] = tuple(
             sorted(_called_functions(proc.body, known))
         )
+    return graph
 
-    cycle = _detect_cycle(graph)
+
+def check_termination(program: ast.Program) -> None:
+    """Verify the bounded-computation discipline; raise on violation."""
+    known = {f.name for f in program.funs}
+    cycle = _detect_cycle(_call_graph(program, known))
     if cycle:
         pretty = " -> ".join(cycle)
         raise TerminationError(
             f"recursion is not allowed in FLICK; call cycle: {pretty}"
         )
-
     _check_higher_order_arguments(program, known)
-
-    order = _topological_order(graph)
-    bounds: Dict[str, int] = {}
-    decls = {f.name: f for f in program.funs}
-    for name in order:
-        if name in decls:
-            bounds[name] = _body_cost(decls[name].body, bounds)
-    for proc in program.procs:
-        bounds[f"proc:{proc.name}"] = _body_cost(proc.body, bounds)
-    return TerminationReport(graph, order, bounds)
 
 
 def _check_higher_order_arguments(program: ast.Program, known: Set[str]) -> None:

@@ -129,8 +129,3 @@ class Network:
         arrival = dst.rx.transmit(depart + HOP_LATENCY_US, nbytes)
         self.engine.at(arrival, callback)
         return arrival
-
-    def rtt_us(self, src: Host, dst: Host) -> float:
-        """Zero-payload round-trip latency estimate between two hosts."""
-        hops = 2 if src.segment != dst.segment else 1
-        return 2 * hops * HOP_LATENCY_US

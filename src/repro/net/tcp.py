@@ -159,9 +159,6 @@ class TcpNetwork:
             raise SimulationError(f"port {port} already bound on {host.name}")
         self._listeners[key] = on_accept
 
-    def unlisten(self, host: Host, port: int) -> None:
-        self._listeners.pop((host.name, port), None)
-
     # -- connecting ----------------------------------------------------------------
 
     def connect(

@@ -1,6 +1,5 @@
 """The FLICK platform runtime: tasks, channels, scheduler, dispatchers."""
 
-from repro.runtime.buffers import BufferPool
 from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.costs import OP_US, RuntimeConfig, ops_to_us
 from repro.runtime.dispatcher import DispatcherTask, GraphDispatcher, GraphPool
@@ -24,7 +23,6 @@ from repro.runtime.scheduler import Scheduler, StealRecord, TaskBase
 from repro.runtime.task import ComputeTask, InputTask, MergeTask, OutputTask
 
 __all__ = [
-    "BufferPool",
     "EOS",
     "TaskChannel",
     "OP_US",

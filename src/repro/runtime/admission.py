@@ -15,7 +15,9 @@ The mechanism half lives in
 builds an :class:`AdmissionRequest` snapshot and asks the policy's
 ``admit(request)``; a ``False`` answer drops the request before any
 bytes hit the simulated network, so shed requests cost the platform
-nothing — exactly the point of admission control.
+nothing — exactly the point of admission control.  The policy is
+therefore chosen where the population is built (the testbeds'
+``admission=`` argument), not in the platform's ``RuntimeConfig``.
 
 Three policies ship built in: ``admit-all`` (today's behaviour, the
 default), ``shed-bronze`` (threshold shedding: above an in-flight
@@ -63,9 +65,6 @@ class AdmissionPolicy:
         """Whether this arrival enters the platform (``False`` = shed)."""
         raise NotImplementedError
 
-    def configure(self, config) -> None:
-        """Adopt platform tunables from a ``RuntimeConfig`` (duck-typed)."""
-
     def reset(self) -> None:
         """Drop learned state; called when a workload adopts the policy."""
 
@@ -83,7 +82,7 @@ ADMISSIONS = Registry(
     title="Admission-control policies",
     decorator="register_admission",
     consumed_by=(
-        "`RuntimeConfig(admission=...)` / open-loop populations; "
+        "`OpenLoopClients(admission=...)` via the testbeds' `admission=`; "
         "CLI `scenarios --admission NAME`"
     ),
 )

@@ -9,16 +9,12 @@ observed load, following the same policy/mechanism discipline as
 :mod:`repro.runtime.policy` — the mechanism (worker park/unpark,
 queue draining, the :class:`~repro.runtime.scheduler.AllocRecord` log)
 lives in :class:`~repro.runtime.scheduler.Scheduler`; every *decision*
-is delegated to an :class:`AllocationPolicy` through two hooks:
-
-* ``target_workers(view)`` — how many workers should be active, given
-  an :class:`AllocView` snapshot (active count, per-worker queue
-  depths, the scheduler's :class:`~repro.sim.stats.SloScoreboard`);
-  the mechanism clamps the answer into ``[1, cores]`` and applies at
-  most one change per cooldown window;
-* ``configure(config)`` — adopt platform tunables from a
-  :class:`~repro.runtime.costs.RuntimeConfig` (e.g. the platform-wide
-  SLO), mirroring the scheduling-policy hook of the same name.
+is delegated to an :class:`AllocationPolicy` through one hook,
+``target_workers(view)``: how many workers should be active, given an
+:class:`AllocView` snapshot (active count, per-worker queue depths, the
+scheduler's :class:`~repro.sim.stats.SloScoreboard`).  The mechanism
+clamps the answer into ``[1, cores]`` and applies at most one change
+per cooldown window.
 
 Decisions are evaluated on deterministic **tick boundaries** (every
 ``tick_us`` of virtual time, at the first scheduler activity at or
@@ -100,9 +96,6 @@ class AllocationPolicy:
         """How many workers should be active (clamped by the mechanism
         into ``[1, view.cores]``)."""
         raise NotImplementedError
-
-    def configure(self, config) -> None:
-        """Adopt platform tunables from a ``RuntimeConfig`` (duck-typed)."""
 
     def reset(self) -> None:
         """Drop learned state; called when a scheduler adopts the policy."""

@@ -72,12 +72,15 @@ SchedulingPolicy` instance for custom parameters.
     registry name (:func:`repro.runtime.allocator.registered_allocators`
     — 'static' keeps every core active, today's behaviour) or is a
     ready :class:`~repro.runtime.allocator.AllocationPolicy` instance.
-    ``admission`` names the per-service-class admission-control policy
-    (:func:`repro.runtime.admission.registered_admissions` —
-    'admit-all', 'shed-bronze', 'token-bucket') applied by open-loop
-    workload generators in front of this platform; the platform itself
-    only accounts the sheds, so the field exists to thread one config
-    through testbeds.
+    Admission control is not a platform tunable: it sits in the
+    open-loop workload generator in front of the platform
+    (:class:`~repro.workloads.arrivals.OpenLoopClients`), which the
+    platform only sees as sheds on its scoreboard.
+
+    ``graph_pool_size`` pre-allocates task graphs per registered
+    program; a connection that finds the pool empty pays the full build
+    cost.  Memory is not modelled: channels have a fixed capacity and
+    input tasks stop draining their socket when downstream is full.
 
     ``backend_close_teardown`` makes a backend-side connection EOF tear
     down the whole serving task graph (client connection included).
@@ -95,11 +98,7 @@ SchedulingPolicy` instance for custom parameters.
     topology: object = None
     stack: str = "kernel"
     graph_pool_size: int = 512
-    channel_capacity: int = 4096
-    buffer_pool_bytes: int = 64 * 1024 * 1024
-    buffer_size: int = 16 * 1024
     allocator: object = "static"
-    admission: object = "admit-all"
     backend_close_teardown: bool = False
 
     def __post_init__(self):
@@ -137,13 +136,11 @@ SchedulingPolicy` instance for custom parameters.
                 )
         # Imported lazily: this module is a leaf dependency of the
         # runtime package and must not import it at load time.
-        from repro.runtime.admission import ADMISSIONS
         from repro.runtime.allocator import ALLOCATORS
         from repro.runtime.policy import POLICIES
 
         try:
             POLICIES.check(self.policy)
             ALLOCATORS.check(self.allocator)
-            ADMISSIONS.check(self.admission)
         except FlickError as exc:
             raise ValueError(str(exc)) from None

@@ -248,9 +248,7 @@ class TaskGraph:
     # -- helpers ------------------------------------------------------------
 
     def _channel(self, name: str) -> TaskChannel:
-        return TaskChannel(
-            f"g{self.graph_id}:{name}", self.config.channel_capacity
-        )
+        return TaskChannel(f"g{self.graph_id}:{name}")
 
     def _add_task(self, task, endpoint: Optional[str] = None) -> None:
         service_class = None

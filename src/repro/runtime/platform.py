@@ -17,7 +17,6 @@ from repro.lang.compiler import CompiledProgram
 from repro.net.simnet import Host
 from repro.net.stackprofiles import StackProfile, profile
 from repro.net.tcp import TcpNetwork
-from repro.runtime.buffers import BufferPool
 from repro.runtime.costs import RuntimeConfig
 from repro.runtime.dispatcher import DispatcherTask, GraphDispatcher, GraphPool
 from repro.runtime.graph import Bindings, CodecRegistry, TaskGraph
@@ -112,10 +111,9 @@ class ProgramInstance:
 class FlickPlatform:
     """A FLICK middlebox on one simulated host.
 
-    ``policy`` (a registered policy name or a
-    :class:`~repro.runtime.policy.SchedulingPolicy` instance) overrides
-    ``config.policy`` when given, so callers can inject a custom-built
-    policy without constructing a whole :class:`RuntimeConfig`.
+    Everything tunable — cores, timeslice, scheduling policy (a name or
+    a ready :class:`~repro.runtime.policy.SchedulingPolicy`), allocator,
+    SLOs — comes from ``config``.
     """
 
     def __init__(
@@ -125,7 +123,6 @@ class FlickPlatform:
         host: Host,
         config: Optional[RuntimeConfig] = None,
         registry: Optional[CodecRegistry] = None,
-        policy=None,
     ):
         self.engine = engine
         self.tcpnet = tcpnet
@@ -137,18 +134,13 @@ class FlickPlatform:
             engine,
             self.config.cores,
             self.config.timeslice_us,
-            self.config.policy if policy is None else policy,
+            self.config.policy,
             topology=self.config.topology,
             allocator=self.config.allocator,
         )
         # Platform tunables the policy understands (e.g. the deadline
-        # policy's SLO) are adopted after the scheduler reset the policy;
-        # the allocator gets the same treatment.
+        # policy's SLO) are adopted after the scheduler reset the policy.
         self.scheduler.policy.configure(self.config)
-        self.scheduler.allocator.configure(self.config)
-        self.buffers = BufferPool(
-            self.config.buffer_pool_bytes, self.config.buffer_size
-        )
         self.programs: Dict[str, ProgramInstance] = {}
 
     @property

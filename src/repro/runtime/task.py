@@ -275,16 +275,12 @@ class ComputeTask(TaskBase):
         self.inbox = inbox
         self._handlers = {}
         self._proxies: List[_BufferingSendProxy] = []
-        self._eos_callback: Optional[Callable[[], None]] = None
 
     def add_handler(self, endpoint: str, handler) -> None:
         self._handlers.setdefault(endpoint, []).append(handler)
 
     def register_proxy(self, proxy: _BufferingSendProxy) -> None:
         self._proxies.append(proxy)
-
-    def on_inbox_eos(self, callback: Callable[[], None]) -> None:
-        self._eos_callback = callback
 
     def has_work(self) -> bool:
         return not self.inbox.empty()
@@ -295,8 +291,6 @@ class ComputeTask(TaskBase):
         while self.has_work():
             item = self.inbox.pop()
             if item is EOS:
-                if self._eos_callback is not None:
-                    emissions.append(self._eos_callback)
                 break
             endpoint, _index, record = item
             elapsed += TASK_DISPATCH_US

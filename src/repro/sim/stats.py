@@ -273,10 +273,6 @@ class SloScoreboard:
     def total_sheds(self) -> int:
         return sum(self._sheds.values())
 
-    @property
-    def total_retries(self) -> int:
-        return sum(self._retries.values())
-
     def completions_by_class(self) -> Dict[str, int]:
         return dict(self._completions)
 
@@ -284,18 +280,11 @@ class SloScoreboard:
         """Admission-shed requests per class (only classes with any)."""
         return dict(self._sheds)
 
-    def retries_by_class(self) -> Dict[str, int]:
-        """Impatient-client retries per class (only classes with any)."""
-        return dict(self._retries)
-
     def misses_by_class(self) -> Dict[str, int]:
         """SLO misses per class (classes with none recorded report 0)."""
         return {
             name: self._misses.get(name, 0) for name in self._completions
         }
-
-    def latency_by_class(self) -> Dict[str, LatencySeries]:
-        return dict(self._latency)
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-class aggregate dict (plain numbers, safe to pin golden).
@@ -345,9 +334,3 @@ class RunResult:
         default_factory=dict
     )
     cluster_stats: Dict[str, object] = field(default_factory=dict)
-
-    def as_row(self) -> str:
-        return (
-            f"{self.system:<14} x={self.x:<8g} thr={self.throughput:<12.1f} "
-            f"lat={self.latency_ms:.3f}ms"
-        )

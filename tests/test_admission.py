@@ -13,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.testbeds import run_http_experiment
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, FlickError
 from repro.runtime.admission import (
-    AdmissionPolicy,
     AdmissionRequest,
     make_admission,
     registered_admissions,
 )
-from repro.runtime.costs import RuntimeConfig
+from repro.sim.engine import Engine
 from repro.sim.stats import SloScoreboard
 from repro.workloads.arrivals import make_arrival
 
@@ -63,15 +62,6 @@ class TestRegistry:
             make_admission("token-bucket", burst=0.5)
         with pytest.raises(Exception, match="class 'bronze'"):
             make_admission("token-bucket", rates={"bronze": -1.0})
-
-    def test_runtime_config_validates_the_admission_field(self):
-        assert RuntimeConfig().admission == "admit-all"
-        assert isinstance(
-            RuntimeConfig(admission=make_admission("admit-all")).admission,
-            AdmissionPolicy,
-        )
-        with pytest.raises(ValueError, match="unknown admission policy"):
-            RuntimeConfig(admission="admitall")
 
 
 class TestShedBronze:
@@ -247,6 +237,16 @@ class TestValidation:
             run_http_experiment(
                 "flick-kernel", 8, class_mix=(("gold", 1.0),)
             )
+
+    def test_an_admission_typo_is_rejected_before_the_engine_runs(
+        self, monkeypatch
+    ):
+        def no_run(engine, until=None):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(Engine, "run", no_run)
+        with pytest.raises(FlickError, match="did you mean 'admit-all'"):
+            open_loop_run(admission="admitall")
 
     def test_class_mix_shape_is_checked(self):
         with pytest.raises(ConfigError, match="weight"):

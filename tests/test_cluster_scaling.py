@@ -116,3 +116,28 @@ class TestParallelRunner:
             run_scenario_matrix(
                 (bad, _BY_NAME["http-closed-baseline"]), quick=True, jobs=2
             )
+
+    def test_a_serial_run_validates_every_scenario_before_running_any(
+        self, monkeypatch
+    ):
+        """``scenarios --jobs 1 --admission shed-bronze`` over a
+        selection ending in a hadoop scenario must fail before the two
+        request/response scenarios run, as it does at ``--jobs 2``."""
+        import pytest
+
+        from repro.bench import scenarios
+        from repro.core.errors import ConfigError
+
+        ran = []
+        monkeypatch.setattr(
+            scenarios, "run_scenario", lambda s, quick=False: ran.append(s)
+        )
+        selected = tuple(
+            _BY_NAME[name]._replace(admission="shed-bronze")
+            for name in (
+                "http-fleet-scale-4", "http-open-poisson", "hadoop-ramp-mappers"
+            )
+        )
+        with pytest.raises(ConfigError, match="hadoop-ramp-mappers"):
+            run_scenario_matrix(selected, quick=True, jobs=1)
+        assert ran == []

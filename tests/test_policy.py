@@ -918,24 +918,28 @@ class TestPlatformPolicyThreading:
     def test_platform_policy_override(self):
         from repro.net.simnet import GBPS
         from repro.net.tcp import TcpNetwork
+        from repro.runtime.costs import RuntimeConfig
         from repro.runtime.platform import FlickPlatform
 
         engine = Engine()
         net = TcpNetwork(engine)
         mbox = net.add_host("mbox", 10 * GBPS, "core")
-        platform = FlickPlatform(engine, net, mbox, policy="locality")
+        platform = FlickPlatform(
+            engine, net, mbox, RuntimeConfig(policy="locality")
+        )
         assert platform.scheduler.policy_name == "locality"
 
     def test_platform_accepts_policy_instance(self):
         from repro.net.simnet import GBPS
         from repro.net.tcp import TcpNetwork
+        from repro.runtime.costs import RuntimeConfig
         from repro.runtime.platform import FlickPlatform
 
         engine = Engine()
         net = TcpNetwork(engine)
         mbox = net.add_host("mbox", 10 * GBPS, "core")
         policy = BatchPolicy(k=4)
-        platform = FlickPlatform(engine, net, mbox, policy=policy)
+        platform = FlickPlatform(engine, net, mbox, RuntimeConfig(policy=policy))
         assert platform.scheduler.policy is policy
 
     def test_config_validates_slo(self):

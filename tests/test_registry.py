@@ -188,7 +188,6 @@ def test_resolve_policy_keeps_its_timeslice():
     [
         ("policy", "roud_robin", "round_robin"),
         ("allocator", "qeue-depth", "queue-depth"),
-        ("admission", "admitall", "admit-all"),
     ],
 )
 def test_runtime_config_fields_all_give_the_near_miss(field, typo, meant):

@@ -1,21 +1,23 @@
-"""Runtime unit tests: channels, buffers, scheduler, tasks, dispatchers,
+"""Runtime unit tests: channels, scheduler, tasks, dispatchers,
 and what a connection's task graph builds and lets go of."""
 
+import dataclasses
 import gc
+import re
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import http_lb, memcached_proxy
-from repro.core.errors import BufferPoolExhausted, ChannelClosed, ChannelFull
+from repro.core.errors import ChannelClosed, ChannelFull
 from repro.core.units import GBPS
 from repro.grammar.protocols import http
 from repro.lang.values import Record
 from repro.net.faults import make_fault
 from repro.net.tcp import TcpNetwork
-from repro.runtime.buffers import BufferPool
 from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.costs import RuntimeConfig
 from repro.runtime.dispatcher import GraphPool
@@ -223,35 +225,6 @@ class TestChannelAgainstScanModel:
     @given(st.lists(st.sampled_from(_CHANNEL_OPS), max_size=400))
     def test_long_sequences_at_default_capacity(self, ops):
         _check_sequence(4096, tuple(ops))
-
-
-class TestBufferPool:
-    def test_acquire_release(self):
-        pool = BufferPool(64 * 1024, 16 * 1024)
-        n = pool.acquire(40 * 1024)
-        assert n == 3
-        assert pool.in_use == 3
-        pool.release(n)
-        assert pool.in_use == 0
-
-    def test_exhaustion(self):
-        pool = BufferPool(32 * 1024, 16 * 1024)
-        pool.acquire(32 * 1024)
-        with pytest.raises(BufferPoolExhausted):
-            pool.acquire(1)
-
-    def test_high_water(self):
-        pool = BufferPool(64 * 1024, 16 * 1024)
-        a = pool.acquire(16 * 1024)
-        b = pool.acquire(32 * 1024)
-        pool.release(a)
-        pool.release(b)
-        assert pool.high_water == 3
-
-    def test_over_release_rejected(self):
-        pool = BufferPool(32 * 1024, 16 * 1024)
-        with pytest.raises(ValueError):
-            pool.release(1)
 
 
 class _CountingTask(TaskBase):
@@ -719,6 +692,49 @@ class TestLazyLegs:
         assert population.finished and population.errors == 0
         assert all(b.requests_served for b in backends)
         assert _task_ids(graphs) == _EAGER_MEMCACHED_IDS
+
+
+def test_every_runtime_config_field_is_read_by_the_platform():
+    """A field nothing reads is a knob that moves no number: each one
+    must be read as ``config.<field>`` somewhere outside its own module."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in src.rglob("*.py")
+        if path.name != "costs.py"
+    )
+    unread = [
+        field.name
+        for field in dataclasses.fields(RuntimeConfig)
+        if not re.search(rf"config\.{field.name}\b", text)
+    ]
+    assert unread == []
+
+
+def test_graph_channels_take_the_task_channel_default_capacity(monkeypatch):
+    """A graph's channels are bounded at ``TaskChannel``'s default, the
+    one capacity every configuration used; no config field sets it."""
+    made = []
+    channel = TaskGraph._channel
+
+    def recording(graph, name):
+        made.append(channel(graph, name))
+        return made[-1]
+
+    monkeypatch.setattr(TaskGraph, "_channel", recording)
+    engine, net, mbox, hosts, _backends, graphs = _proxy_testbed()
+    replies = []
+    raw = http.make_request("GET", "/", keep_alive=False).raw
+    _one_shot(engine, net, hosts[0], mbox, 0.0, raw, replies)
+    engine.run()
+    assert len(replies) == 1 and len(graphs) == 1
+    assert made
+    assert {chan.capacity for chan in made} == {
+        TaskChannel("default").capacity
+    }
+    assert all(
+        chan.name.startswith(f"g{graphs[0].graph_id}:") for chan in made
+    )
 
 
 class TestConnectionRelease:
