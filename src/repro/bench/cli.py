@@ -54,7 +54,6 @@ from repro.bench.report import (
     summarize,
 )
 from repro.bench.scenarios import (
-    AXES,
     resolve_scenario_selection,
     run_scenario_matrix,
 )
@@ -64,6 +63,7 @@ from repro.bench.scheduling import (
     run_policy_sweep,
 )
 from repro.bench.testbeds import (
+    AXES,
     run_hadoop_experiment,
     run_http_experiment,
     run_memcached_experiment,

@@ -22,7 +22,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from repro.bench.scenarios import AXES
+from repro.bench.testbeds import AXES
 
 
 def _summary_of(cls) -> str:

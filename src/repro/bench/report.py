@@ -173,7 +173,7 @@ def format_scenario_table(results: Dict[str, dict]) -> str:
 
 
 def format_scenario_listing(scenarios) -> str:
-    """One row per :class:`~repro.bench.scenarios.Scenario` definition.
+    """One row per :class:`~repro.bench.testbeds.Scenario` definition.
 
     The ``scenarios --list`` view: every axis a matrix entry pins,
     without running anything.
@@ -197,8 +197,8 @@ def format_scenario_listing(scenarios) -> str:
                     else "-"
                 ),
                 scenario.cores,
-                scenario.connections,
-                scenario.requests,
+                scenario.concurrency,
+                scenario.total_requests,
             )
         )
     if not rows:

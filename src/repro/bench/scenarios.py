@@ -1,13 +1,12 @@
 """Declarative scenario matrix: app x arrival process x policy x topology.
 
-A :class:`Scenario` is a named tuple describing one end-to-end run —
-which app (``http_lb`` / ``memcached_proxy`` / ``hadoop_agg``), which
-arrival process (a :mod:`repro.workloads.arrivals` registry name, or
-``None`` for the paper's closed-loop clients), which scheduling policy,
-core topology, service classes and core count.  :data:`SCENARIOS` is the
-built-in matrix; ``python -m repro.bench scenarios`` runs it (or a
-``--scenario`` filter) on the existing testbeds and emits the
-machine-readable ``BENCH_scenarios.json`` through
+:data:`SCENARIOS` is the built-in matrix of named
+:class:`~repro.bench.testbeds.Scenario` specs — which app, which arrival
+process (a :mod:`repro.workloads.arrivals` registry name, or ``None``
+for the paper's closed-loop clients), which policy on every axis, and
+how much load.  ``python -m repro.bench scenarios`` runs it (or a
+``--scenario`` filter) through :func:`~repro.bench.testbeds.run_experiment`
+and emits the machine-readable ``BENCH_scenarios.json`` through
 :mod:`repro.bench.results`.
 
 The matrix deliberately pairs ``http-overload-open`` with
@@ -30,90 +29,12 @@ gated number rather than a claim.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.apps import hadoop_agg, http_lb, memcached_proxy
-from repro.bench.testbeds import (
-    check_request_axes,
-    run_hadoop_experiment,
-    run_http_experiment,
-    run_memcached_experiment,
-)
-from repro.cluster.routing import ROUTINGS
-from repro.core.errors import ConfigError, FlickError
-from repro.core.registry import Registry, did_you_mean
-from repro.net.faults import FAULTS, make_fault
-from repro.runtime.admission import ADMISSIONS, make_admission
-from repro.runtime.allocator import ALLOCATORS
-from repro.runtime.policy import POLICIES
-from repro.runtime.qos import parse_slo_class_specs
+from repro.bench.testbeds import APPS, Checked, Scenario, run_experiment
+from repro.core.errors import ConfigError
+from repro.core.registry import did_you_mean
 from repro.runtime.scheduler import TaskBase
-from repro.workloads.arrivals import ARRIVALS, make_arrival
-
-#: Apps a scenario can target, and the endpoint names their programs
-#: expose to ``service_classes`` specs.
-APP_ENDPOINTS: Dict[str, Tuple[str, ...]] = {
-    "http_lb": (http_lb.CLIENT_ENDPOINT,),
-    "memcached_proxy": (memcached_proxy.CLIENT_ENDPOINT,),
-    "hadoop_agg": (hadoop_agg.CLIENT_ENDPOINT,),
-}
-
-
-class Scenario(NamedTuple):
-    """One declarative entry of the matrix (all fields hashable)."""
-
-    name: str
-    app: str
-    #: Registered arrival-process name, or ``None`` for closed-loop.
-    arrival: Optional[str]
-    #: Parameters for :func:`~repro.workloads.arrivals.make_arrival`.
-    arrival_params: Tuple[Tuple[str, object], ...] = ()
-    policy: str = "cooperative"
-    topology: Optional[str] = None
-    #: ``--slo-class``-style specs (``endpoint=[name:]slo_us[@weight]``).
-    service_classes: Tuple[str, ...] = ()
-    cores: int = 8
-    #: Persistent connection pool (open-loop) / concurrency (closed-loop).
-    connections: int = 64
-    #: Total requests; scaled down by ``--quick``.
-    requests: int = 4096
-    #: Client-side SLO in ms; completions slower than this are misses.
-    slo_ms: Optional[float] = None
-    #: http_lb only: "lb" (with backends) or "web" (static server).
-    mode: str = "lb"
-    #: Registered core-allocator name (``static`` = fixed worker set).
-    allocator: str = "static"
-    #: Registered admission-policy name (open-loop scenarios only).
-    admission: str = "admit-all"
-    #: Parameters for :func:`~repro.runtime.admission.make_admission`.
-    admission_params: Tuple[Tuple[str, object], ...] = ()
-    #: ``((class_name, weight), ...)`` service-class labels applied to
-    #: arrivals by weighted round-robin (open-loop scenarios only).
-    class_mix: Tuple[Tuple[str, float], ...] = ()
-    #: Cluster tier: platforms behind one shard router (1 = classic
-    #: single-middlebox path, no router in the topology).
-    shards: int = 1
-    #: Registered routing-policy name (shards > 1 only).
-    routing: str = "hash-affinity"
-    #: Kill the highest-indexed shard at this virtual µs (shards > 1).
-    fail_shard_at_us: Optional[float] = None
-    #: Registered fault-injector name (open-loop, single-platform only).
-    faults: Optional[str] = None
-    #: Parameters for :func:`~repro.net.faults.make_fault`.
-    fault_params: Tuple[Tuple[str, object], ...] = ()
-
-
-#: :class:`Scenario` field → the registry its value names.  Scenario
-#: validation, the CLI's override flags and ``docs/registries.md`` all
-#: iterate this table, so a new axis is wired here once.
-AXES: Dict[str, Registry] = {
-    "policy": POLICIES,
-    "allocator": ALLOCATORS,
-    "admission": ADMISSIONS,
-    "routing": ROUTINGS,
-    "arrival": ARRIVALS,
-    "faults": FAULTS,
-}
 
 
 def _burst_trace(
@@ -138,16 +59,16 @@ SCENARIOS: Tuple[Scenario, ...] = (
         name="http-closed-baseline",
         app="http_lb",
         arrival=None,
-        connections=32,
-        requests=2048,
-        slo_ms=2.0,
+        concurrency=32,
+        total_requests=2048,
+        slo_us=2_000.0,
     ),
     Scenario(
         name="http-open-poisson",
         app="http_lb",
         arrival="poisson",
         arrival_params=(("rate_rps", 40_000.0),),
-        slo_ms=2.0,
+        slo_us=2_000.0,
     ),
     Scenario(
         name="http-open-bursty",
@@ -158,7 +79,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
             ("mean_on_us", 10_000.0),
             ("mean_off_us", 10_000.0),
         ),
-        slo_ms=2.0,
+        slo_us=2_000.0,
     ),
     Scenario(
         name="http-web-ramp",
@@ -170,14 +91,14 @@ SCENARIOS: Tuple[Scenario, ...] = (
             ("end_rps", 250_000.0),
             ("duration_us", 60_000.0),
         ),
-        slo_ms=2.0,
+        slo_us=2_000.0,
     ),
     Scenario(
         name="http-overload-open",
         app="http_lb",
         arrival="poisson",
         arrival_params=(("rate_rps", 160_000.0),),
-        slo_ms=2.0,
+        slo_us=2_000.0,
         class_mix=(("gold", 1.0), ("bronze", 1.0)),
     ),
     # The overload-survival headline: identical offered load to
@@ -190,7 +111,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
         app="http_lb",
         arrival="poisson",
         arrival_params=(("rate_rps", 160_000.0),),
-        slo_ms=2.0,
+        slo_us=2_000.0,
         admission="shed-bronze",
         admission_params=(("max_inflight", 96),),
         class_mix=(("gold", 1.0), ("bronze", 1.0)),
@@ -199,7 +120,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
         name="http-overload-closed",
         app="http_lb",
         arrival=None,
-        slo_ms=2.0,
+        slo_us=2_000.0,
     ),
     # The metastable retry storm: the overload pair's offered load, but
     # clients give up after the SLO and re-offer (up to 3 times) — the
@@ -213,7 +134,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
         app="http_lb",
         arrival="poisson",
         arrival_params=(("rate_rps", 160_000.0),),
-        slo_ms=2.0,
+        slo_us=2_000.0,
         class_mix=(("gold", 1.0), ("bronze", 1.0)),
         faults="retry-storm",
         fault_params=(("retry_after_us", 2_000.0), ("max_retries", 3)),
@@ -224,7 +145,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
         arrival="poisson",
         arrival_params=(("rate_rps", 160_000.0),),
         policy="deadline",
-        slo_ms=2.0,
+        slo_us=2_000.0,
         admission="shed-bronze",
         admission_params=(("max_inflight", 96),),
         class_mix=(("gold", 1.0), ("bronze", 1.0)),
@@ -240,7 +161,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
         app="http_lb",
         arrival="poisson",
         arrival_params=(("rate_rps", 40_000.0),),
-        slo_ms=2.0,
+        slo_us=2_000.0,
         faults="slow-backend",
         # 15 µs of backend service is noise next to the ~0.7 ms
         # middlebox path; x120 pushes slow-window responses past the
@@ -252,7 +173,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
         app="http_lb",
         arrival="poisson",
         arrival_params=(("rate_rps", 40_000.0),),
-        slo_ms=5.0,
+        slo_us=5_000.0,
         faults="flapping-backend",
     ),
     # Elastic-allocation ramp: offered load sweeps from far below to far
@@ -270,7 +191,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
             ("end_rps", 250_000.0),
             ("duration_us", 30_000.0),
         ),
-        slo_ms=2.0,
+        slo_us=2_000.0,
         allocator="queue-depth",
     ),
     Scenario(
@@ -281,14 +202,14 @@ SCENARIOS: Tuple[Scenario, ...] = (
         policy="numa",
         topology="two-socket",
         service_classes=("client=gold:2000@2",),
-        slo_ms=2.0,
+        slo_us=2_000.0,
     ),
     Scenario(
         name="memcached-open-poisson",
         app="memcached_proxy",
         arrival="poisson",
         arrival_params=(("rate_rps", 40_000.0),),
-        slo_ms=2.0,
+        slo_us=2_000.0,
     ),
     Scenario(
         name="memcached-open-replay",
@@ -303,8 +224,8 @@ SCENARIOS: Tuple[Scenario, ...] = (
                 ),
             ),
         ),
-        requests=4096,
-        slo_ms=2.0,
+        total_requests=4096,
+        slo_us=2_000.0,
     ),
     # Connection churn: short-lived connections recycled every 16
     # requests, so accept/teardown cost rides the steady-state number.
@@ -313,7 +234,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
         app="memcached_proxy",
         arrival="poisson",
         arrival_params=(("rate_rps", 40_000.0),),
-        slo_ms=2.0,
+        slo_us=2_000.0,
         faults="conn-churn",
         fault_params=(("lifetime_requests", 16),),
     ),
@@ -330,8 +251,8 @@ SCENARIOS: Tuple[Scenario, ...] = (
         mode="web",
         arrival="poisson",
         arrival_params=(("rate_rps", 800_000.0),),
-        connections=128,
-        requests=8192,
+        concurrency=128,
+        total_requests=8192,
     ),
     Scenario(
         name="http-fleet-scale-2",
@@ -339,8 +260,8 @@ SCENARIOS: Tuple[Scenario, ...] = (
         mode="web",
         arrival="poisson",
         arrival_params=(("rate_rps", 800_000.0),),
-        connections=128,
-        requests=8192,
+        concurrency=128,
+        total_requests=8192,
         shards=2,
         routing="least-loaded",
     ),
@@ -350,8 +271,8 @@ SCENARIOS: Tuple[Scenario, ...] = (
         mode="web",
         arrival="poisson",
         arrival_params=(("rate_rps", 800_000.0),),
-        connections=128,
-        requests=8192,
+        concurrency=128,
+        total_requests=8192,
         shards=4,
         routing="least-loaded",
     ),
@@ -365,9 +286,9 @@ SCENARIOS: Tuple[Scenario, ...] = (
         app="http_lb",
         arrival="poisson",
         arrival_params=(("rate_rps", 60_000.0),),
-        connections=64,
-        requests=8192,
-        slo_ms=5.0,
+        concurrency=64,
+        total_requests=8192,
+        slo_us=5_000.0,
         shards=2,
         fail_shard_at_us=10_000.0,
     ),
@@ -419,167 +340,35 @@ def resolve_scenario_selection(selection: str) -> Tuple[Scenario, ...]:
     return tuple(_BY_NAME[name] for name in names)
 
 
-def _validate_scenario(scenario: Scenario) -> None:
-    """Reject a scenario no testbed would run as written.
-
-    A field the selected app or topology cannot honour must not be
-    silently dropped — the entry would report it as if it were in
-    effect and the gate would pin numbers under a config that never
-    ran.  Every message gains the ``scenario 'name':`` prefix here.
-    """
-    try:
-        _check_scenario(scenario)
-    except (FlickError, ValueError) as exc:
-        raise ConfigError(f"scenario {scenario.name!r}: {exc}") from None
-
-
-def _check_scenario(scenario: Scenario) -> None:
-    if scenario.app not in APP_ENDPOINTS:
-        raise ConfigError(
-            did_you_mean(
-                "app", [scenario.app], sorted(APP_ENDPOINTS), listed="known"
-            )
-        )
-    if scenario.app == "hadoop_agg":
-        unsupported = [
-            label
-            for label, is_set in (
-                ("service_classes", bool(scenario.service_classes)),
-                ("slo_ms", scenario.slo_ms is not None),
-            )
-            if is_set
-        ]
-        if unsupported:
-            raise ConfigError(
-                f"hadoop_agg does not support {', '.join(unsupported)} "
-                "(mapper streams are not per-request workloads)"
-            )
-    if scenario.mode != "lb" and scenario.app != "http_lb":
-        raise ConfigError(
-            f"mode={scenario.mode!r} is an http_lb-only field"
-        )
-    for field, registry in AXES.items():
-        value = getattr(scenario, field)
-        if value is not None:
-            registry.check(value)
-    if scenario.fault_params and scenario.faults is None:
-        raise ConfigError(
-            "fault_params without faults would be silently dropped"
-        )
-    if scenario.shards > 1 and scenario.app != "http_lb":
-        raise ConfigError("the cluster tier shards http_lb platforms only")
-    check_request_axes(
-        open_loop=(
-            scenario.arrival is not None and scenario.app != "hadoop_agg"
-        ),
-        uses_admission=(
-            scenario.admission != "admit-all"
-            or bool(scenario.admission_params)
-            or bool(scenario.class_mix)
-        ),
-        fault=(
-            make_fault(scenario.faults, **dict(scenario.fault_params))
-            if scenario.faults is not None
-            else None
-        ),
-        has_backends=scenario.app != "http_lb" or scenario.mode == "lb",
-        shards=scenario.shards,
-        routing=scenario.routing,
-        fail_shard_at_us=scenario.fail_shard_at_us,
-    )
-
-
-def run_scenario(scenario: Scenario, quick: bool = False) -> dict:
-    """Run one scenario; return its JSON-ready result dict.
-
-    ``quick`` quarters the request volume (CI smoke sizes) — the
+def quick_sized(scenario: Scenario, quick: bool) -> Scenario:
+    """``scenario`` at CI smoke size when ``quick``: a quarter of the
+    requests (at least 256) and a third of the hadoop mapper data.  The
     committed baseline is generated with the same flag, so gate
-    comparisons are like-for-like (enforced via the document envelope).
-    """
-    _validate_scenario(scenario)
-    requests = max(256, scenario.requests // 4) if quick else scenario.requests
-    arrival = None
-    if scenario.arrival is not None:
-        arrival = make_arrival(
-            scenario.arrival, **dict(scenario.arrival_params)
-        )
-    class_map = (
-        parse_slo_class_specs(
-            scenario.service_classes,
-            valid_endpoints=APP_ENDPOINTS[scenario.app],
-        )
-        if scenario.service_classes
-        else None
-    )
-    slo_us = scenario.slo_ms * 1000.0 if scenario.slo_ms is not None else None
-    # Closed-loop runs take the plain default so the testbed's "nothing
-    # to shed" guard sees it; open-loop runs get a parameterised instance.
-    admission = (
-        make_admission(scenario.admission, **dict(scenario.admission_params))
-        if scenario.arrival is not None and scenario.app != "hadoop_agg"
-        else "admit-all"
-    )
-    fault = (
-        make_fault(scenario.faults, **dict(scenario.fault_params))
-        if scenario.faults is not None
-        else None
+    comparisons are like-for-like (enforced via the document envelope)."""
+    if not quick:
+        return scenario
+    requests = scenario.total_requests
+    return scenario._replace(
+        total_requests=None if requests is None else max(256, requests // 4),
+        data_kb_per_mapper=max(1, scenario.data_kb_per_mapper // 3),
     )
 
-    common = dict(
-        policy=scenario.policy,
-        topology=scenario.topology,
-        slo_us=slo_us,
-        allocator=scenario.allocator,
-        arrival=arrival,
-    )
-    # What the two request/response testbeds take beyond ``common``.
-    per_request = dict(
-        requests_per_client=max(1, requests // scenario.connections),
-        service_classes=class_map,
-        total_requests=requests,
-        admission=admission,
-        class_mix=scenario.class_mix,
-        faults=fault,
-    )
-    # Scoped task ids, exactly as the fig7 sweep does: a scenario's
-    # numbers must not depend on which scenarios ran before it in this
-    # process (hash placement keys off task ids), and the process
-    # counter must never move backwards afterwards.
-    resume_from = next(TaskBase._ids)
-    TaskBase.reset_ids()
-    try:
-        if scenario.app == "http_lb":
-            result = run_http_experiment(
-                "flick-kernel",
-                scenario.connections,
-                mode=scenario.mode,
-                cores=scenario.cores,
-                shards=scenario.shards,
-                routing=scenario.routing,
-                fail_shard_at_us=scenario.fail_shard_at_us,
-                **per_request,
-                **common,
-            )
-            unit = "kreq/s"
-        elif scenario.app == "memcached_proxy":
-            result = run_memcached_experiment(
-                "flick-kernel",
-                scenario.cores,
-                concurrency=scenario.connections,
-                **per_request,
-                **common,
-            )
-            unit = "kreq/s"
-        else:  # hadoop_agg
-            result = run_hadoop_experiment(
-                scenario.cores,
-                data_kb_per_mapper=16 if quick else 48,
-                **common,
-            )
-            unit = "Mb/s"
-    finally:
-        TaskBase.reset_ids(max(resume_from, next(TaskBase._ids)))
 
+def run_scenario(scenario, quick: bool = False) -> dict:
+    """Run one scenario (or what its :meth:`~Scenario.check` returned
+    for its :func:`quick_sized` spec); return its JSON-ready entry."""
+    checked = (
+        scenario
+        if isinstance(scenario, Checked)
+        else quick_sized(scenario, quick).check()
+    )
+    # Scoped task ids: a scenario's numbers must not depend on which
+    # scenarios ran before it in this process (hash placement keys off
+    # task ids).
+    with TaskBase.scoped_ids():
+        result = run_experiment(checked)
+    scenario = checked.spec
+    arrival, fault = scenario.arrival, scenario.faults
     extra = result.extra
     offered = int(extra.get("offered", 0))
     completed = int(extra.get("completed", 0))
@@ -594,7 +383,7 @@ def run_scenario(scenario: Scenario, quick: bool = False) -> dict:
         "topology": scenario.topology or "uniform",
         "service_classes": list(scenario.service_classes),
         "cores": scenario.cores,
-        "requests": requests,
+        "requests": scenario.total_requests,
         "offered": offered,
         "completed": completed,
         "failed": int(extra.get("failed", 0)),
@@ -602,7 +391,7 @@ def run_scenario(scenario: Scenario, quick: bool = False) -> dict:
         "measured": measured,
         "errors": int(extra.get("errors", 0)),
         "throughput": result.throughput,
-        "throughput_unit": unit,
+        "throughput_unit": APPS[scenario.app].unit,
         "latency_ms": {
             "mean": result.latency_ms,
             "p50": extra.get("p50_ms", result.latency_ms),
@@ -610,7 +399,9 @@ def run_scenario(scenario: Scenario, quick: bool = False) -> dict:
             "max": extra.get("max_ms", result.latency_ms),
         },
         "slo": {
-            "slo_ms": scenario.slo_ms,
+            "slo_ms": (
+                scenario.slo_us / 1000.0 if scenario.slo_us is not None else None
+            ),
             "misses": misses,
             # Misses are only counted over the measured window (the
             # closed loop excludes warmup), so the rate must share
@@ -638,7 +429,7 @@ def run_scenario(scenario: Scenario, quick: bool = False) -> dict:
     }
     if result.admission_stats:
         entry["admission"] = {
-            "policy": scenario.admission,
+            "policy": scenario.admission.name,
             "class_mix": {name: w for name, w in scenario.class_mix},
             "admitted": int(extra.get("admitted", offered)),
             "shed": int(extra.get("shed", 0)),
@@ -665,9 +456,9 @@ def run_scenario(scenario: Scenario, quick: bool = False) -> dict:
     return entry
 
 
-def _scenario_job(scenario: Scenario, quick: bool) -> Tuple[str, dict]:
+def _scenario_job(checked: Checked) -> Tuple[str, dict]:
     """Worker-process entry point for the parallel matrix runner."""
-    return scenario.name, run_scenario(scenario, quick=quick)
+    return checked.spec.name, run_scenario(checked)
 
 
 def run_scenario_matrix(
@@ -688,18 +479,10 @@ def run_scenario_matrix(
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     # Every config error surfaces before anything runs (and in the
-    # parent, not as an opaque worker-process traceback).
-    for scenario in scenarios:
-        _validate_scenario(scenario)
-    if jobs == 1 or len(scenarios) <= 1:
-        return {
-            scenario.name: run_scenario(scenario, quick=quick)
-            for scenario in scenarios
-        }
-    workers = min(jobs, len(scenarios))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_scenario_job, scenario, quick)
-            for scenario in scenarios
-        ]
-        return dict(future.result() for future in futures)
+    # parent, not as an opaque worker-process traceback); each scenario
+    # is checked here, once.
+    checked = [quick_sized(s, quick).check() for s in scenarios]
+    if jobs == 1 or len(checked) <= 1:
+        return dict(map(_scenario_job, checked))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(checked))) as pool:
+        return dict(pool.map(_scenario_job, checked))

@@ -1,10 +1,13 @@
-"""Experiment testbeds: one function per evaluation configuration.
+"""Experiment testbeds: one spec, one runner.
 
-Each ``run_*`` function builds the paper's topology (section 6.2: client
-and backend machines with 1 Gbps NICs on an edge switch, the middlebox
-with a 10 Gbps NIC on a core switch, 20 Gbps trunk), drives the workload
-to completion in virtual time, and returns a
-:class:`repro.sim.stats.RunResult` — one plotted point of a figure.
+A :class:`Scenario` is the whole description of one end-to-end run:
+which app, which system serves it, the workload, every policy axis and
+every size.  :func:`run_experiment` runs it on the paper's topology
+(section 6.2: client and backend machines with 1 Gbps NICs on an edge
+switch, the middlebox with a 10 Gbps NIC on a core switch, 20 Gbps
+trunk), drives the workload to completion in virtual time, and returns
+a :class:`repro.sim.stats.RunResult` — one plotted point of a figure,
+or one entry of the scenario matrix (:mod:`repro.bench.scenarios`).
 
 Systems under test:
 
@@ -12,33 +15,43 @@ Systems under test:
   programs on the cooperative scheduler) over the respective stack
   profile;
 * ``apache`` / ``nginx`` / ``moxi`` — calibrated cost-model baselines.
+
+:func:`run_http_experiment`, :func:`run_memcached_experiment` and
+:func:`run_hadoop_experiment` are the figures' call signatures, with
+each app's defaults, over the same spec.
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.apps import hadoop_agg, http_lb, memcached_proxy
 from repro.baselines.apache import ApacheServer
 from repro.baselines.moxi import MoxiProxy
 from repro.baselines.nginx import NginxServer
 from repro.cluster import ROUTINGS, ShardRouter
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, FlickError
+from repro.core.registry import Registry, did_you_mean
 from repro.core.units import GBPS, throughput_mbps
-from repro.net.faults import resolve_fault
+from repro.net.faults import FAULTS
 from repro.net.tcp import TcpNetwork
+from repro.runtime.admission import ADMISSIONS
+from repro.runtime.allocator import ALLOCATORS
 from repro.runtime.costs import RuntimeConfig
 from repro.runtime.graph import OutboundTarget
 from repro.runtime.platform import FlickPlatform
+from repro.runtime.policy import POLICIES
+from repro.runtime.qos import parse_slo_class_specs
 from repro.sim.engine import Engine
 from repro.sim.stats import RunResult
 from repro.workloads.arrivals import (
+    ARRIVALS,
     HttpRequestCodec,
     MemcachedRequestCodec,
     OpenLoopClients,
-    resolve_arrival,
+    check_class_mix,
 )
 from repro.workloads.backends import BackendMemcachedServer, BackendWebServer
 from repro.workloads.hadoop_mappers import (
@@ -53,131 +66,532 @@ N_CLIENT_HOSTS = 16
 N_BACKENDS = 10
 
 FLICK_SYSTEMS = ("flick-kernel", "flick-mtcp")
-HTTP_BASELINES = ("apache", "nginx")
+
+#: Link scaling for the Hadoop testbed: interpreted per-pair compute costs
+#: are far above the paper's generated C++, so links are scaled by the
+#: matching factor to preserve the compute/network balance (DESIGN.md §3).  The
+#: plateau is then ~20 Mbps (pipeline-bound) instead of the paper's ~7,513 Mbps.
+HADOOP_LINK_SCALE = 0.012
+
+Params = Tuple[Tuple[str, object], ...]
 
 
-def _stack_of(system: str) -> str:
-    return "mtcp" if system == "flick-mtcp" else "kernel"
+class Scenario(NamedTuple):
+    """One experiment, described once: every field a run reads.
 
-
-def check_request_axes(
-    open_loop: bool,
-    uses_admission: bool = False,
-    fault=None,
-    has_backends: bool = True,
-    shards: int = 1,
-    routing="hash-affinity",
-    fail_shard_at_us: Optional[float] = None,
-) -> None:
-    """The cross-axis rules of a request/response run, stated once.
-
-    The testbeds call this on their arguments and the scenario runner
-    on a :class:`~repro.bench.scenarios.Scenario`'s fields, so a knob
-    the selected configuration cannot honour is a :class:`ConfigError`
-    (never silently dropped) with the same text from either door.
-    ``open_loop`` is "driven by an arrival process on a
-    request/response app"; ``uses_admission`` is "an admission policy,
-    its parameters or a class mix was asked for"; ``fault`` is a
-    resolved :class:`~repro.net.faults.FaultPolicy` or ``None``.
+    The scenario matrix, the figures and the testbed wrappers below all
+    build one of these and hand it to :func:`run_experiment`.  A field
+    named in :data:`AXES` takes a registered name (built with its
+    ``*_params``) or a ready instance.  :meth:`check` rejects a field
+    the selected app or system cannot honour rather than dropping it.
     """
-    if uses_admission and not open_loop:
+
+    app: str
+    name: str = ""
+    #: A FLICK system or one of the app's cost-model baselines.
+    system: str = "flick-kernel"
+    #: ``None``: closed-loop clients (hadoop: every mapper starts at 0).
+    arrival: object = None
+    arrival_params: Params = ()
+    policy: object = "cooperative"
+    #: Registered core-topology name, a ``CoreTopology``, or ``None``.
+    topology: object = None
+    #: ``--slo-class`` specs (``endpoint=[name:]slo_us[@weight]``), or a
+    #: ``ServiceClassMap`` / dict.
+    service_classes: object = ()
+    cores: int = 8
+    #: Concurrent clients (closed loop) / connection pool (open loop).
+    concurrency: int = 64
+    #: Closed loop; ``None`` = ``total_requests // concurrency``.
+    requests_per_client: Optional[int] = None
+    #: Open-loop admissions; ``None`` = ``concurrency *
+    #: requests_per_client``.
+    total_requests: Optional[int] = 4096
+    #: Client-side SLO (misses are counted) and the platform's SLO.
+    slo_us: Optional[float] = None
+    #: http_lb: "lb" (with backends) or "web" (static server).
+    mode: str = "lb"
+    #: http_lb closed loop: keep-alive connections.
+    persistent: bool = True
+    timeslice_us: float = 50.0
+    graph_pool_size: int = 512
+    allocator: object = "static"
+    #: Admission policy and class labels (open loop only).
+    admission: object = "admit-all"
+    admission_params: Params = ()
+    class_mix: Tuple[Tuple[str, float], ...] = ()
+    #: Cluster tier: platforms behind one shard router (1 = no router).
+    shards: int = 1
+    routing: object = "hash-affinity"
+    #: Kill the highest-indexed shard at this virtual µs (shards > 1).
+    fail_shard_at_us: Optional[float] = None
+    #: Fault injector (open loop, single platform).
+    faults: object = None
+    fault_params: Params = ()
+    #: memcached_proxy: projected parser, cache-router program, keys,
+    #: value size.
+    specialised_parser: bool = True
+    cache_router: bool = False
+    key_space: int = 10_000
+    value_bytes: int = 64
+    #: hadoop_agg: word length, KiB per mapper, mapper count.
+    word_len: int = 8
+    data_kb_per_mapper: int = 48
+    n_mappers: int = 8
+    seed: int = 0xF11C
+
+    def check(self) -> "Checked":
+        """Resolve everything the run resolves, or raise one
+        :class:`ConfigError` (prefixed ``scenario 'name':``)."""
+        try:
+            return _check(self)
+        except (FlickError, ValueError) as exc:
+            prefix = f"scenario {self.name!r}: " if self.name else ""
+            raise ConfigError(f"{prefix}{exc}") from None
+
+
+#: :class:`Scenario` field → the registry its value names.  The check,
+#: the CLI's override flags and ``docs/registries.md`` iterate this
+#: table, so a new axis is wired here once.
+AXES: Dict[str, Registry] = {
+    "policy": POLICIES,
+    "allocator": ALLOCATORS,
+    "admission": ADMISSIONS,
+    "routing": ROUTINGS,
+    "arrival": ARRIVALS,
+    "faults": FAULTS,
+}
+
+#: Axes whose name :meth:`Scenario.check` builds once per run, and the
+#: field holding the constructor's parameters.  The rest are resolved
+#: per platform (policy, allocator) or per router (routing).
+_PARAMS = {
+    "arrival": "arrival_params",
+    "admission": "admission_params",
+    "faults": "fault_params",
+}
+
+
+class Checked(NamedTuple):
+    """A scenario :meth:`Scenario.check` accepted: the spec with its
+    parametrised axes built, and the platform configuration."""
+
+    spec: Scenario
+    config: RuntimeConfig
+
+
+class App(NamedTuple):
+    """What one app brings to a run: one row of :data:`APPS`."""
+
+    #: Where the middlebox (or baseline) listens.
+    port: int
+    #: The client endpoint ``service_classes`` specs may name.
+    endpoint: str
+    #: mode → whether the app has backend servers in that mode.
+    modes: Dict[str, bool]
+    #: Cost-model systems that stand in for FLICK.
+    baselines: Dict[str, Callable]
+    shardable: bool
+    #: The spec field a figure plots this run against.
+    x: str
+    #: Link scale of the whole topology.
+    scale: float
+    #: The throughput unit of the run's result.
+    unit: str
+    #: ``(spec, engine, tcpnet) -> (backend servers, outbound targets)``.
+    backends: Callable
+    #: ``(spec, targets) -> (program, process, codecs, bindings)``.
+    program: Callable
+    #: ``spec -> (open-loop request codec, closed-loop population)`` for
+    #: a request/response app; ``None`` for hadoop's mapper streams.
+    clients: Optional[Callable]
+
+
+def _http_backends(spec, engine, tcpnet):
+    if spec.mode == "web":
+        return [], []
+    hosts = _edge_hosts(tcpnet, "backend", N_BACKENDS)
+    servers = [BackendWebServer(engine, tcpnet, h, 8080) for h in hosts]
+    return servers, [OutboundTarget(h, 8080) for h in hosts]
+
+
+def _http_program(spec, targets):
+    if spec.mode == "web":
+        program = http_lb.compile_static_web()
+        return program, "StaticWeb", http_lb.http_codec_registry(program), None
+    program = http_lb.compile_http_lb()
+    return (
+        program,
+        "HttpBalancer",
+        http_lb.http_codec_registry(program),
+        http_lb.lb_bindings(targets),
+    )
+
+
+def _memcached_backends(spec, engine, tcpnet):
+    hosts = _edge_hosts(tcpnet, "backend", N_BACKENDS)
+    filler = b"v" * spec.value_bytes
+    servers = [
+        BackendMemcachedServer(
+            engine, tcpnet, host, 11211, value_fn=lambda key: filler
+        )
+        for host in hosts
+    ]
+    return servers, [OutboundTarget(h, 11211) for h in hosts]
+
+
+def _memcached_program(spec, targets):
+    if spec.cache_router:
+        program, proc = memcached_proxy.compile_cache_router(), "memcached"
+    else:
+        program, proc = memcached_proxy.compile_proxy(), "Memcached"
+    codecs = memcached_proxy.memcached_codec_registry(
+        program, specialised=spec.specialised_parser
+    )
+    return program, proc, codecs, memcached_proxy.proxy_bindings(targets)
+
+
+def _hadoop_backends(spec, engine, tcpnet):
+    reducer = tcpnet.add_host("reducer", 10 * GBPS * HADOOP_LINK_SCALE, "core")
+    return [ReducerSink(engine, tcpnet, reducer, 9000)], [
+        OutboundTarget(reducer, 9000)
+    ]
+
+
+def _hadoop_program(spec, targets):
+    return (
+        hadoop_agg.compile_hadoop(),
+        "hadoop",
+        hadoop_agg.hadoop_codec_registry(),
+        hadoop_agg.hadoop_bindings(
+            targets[0].host, targets[0].port, spec.n_mappers
+        ),
+    )
+
+
+#: Per-app facts, one row per app: everything :meth:`Scenario.check`
+#: and :func:`run_experiment` need to know about an app.
+APPS: Dict[str, App] = {
+    "http_lb": App(
+        80, http_lb.CLIENT_ENDPOINT, {"lb": True, "web": False},
+        {"apache": ApacheServer, "nginx": NginxServer}, True,
+        "concurrency", 1.0, "kreq/s", _http_backends, _http_program,
+        lambda spec: (
+            HttpRequestCodec(),
+            partial(HttpClientPopulation, persistent=spec.persistent),
+        ),
+    ),
+    "memcached_proxy": App(
+        11211, memcached_proxy.CLIENT_ENDPOINT, {"lb": True},
+        {"moxi": MoxiProxy}, False,
+        "cores", 1.0, "kreq/s", _memcached_backends, _memcached_program,
+        lambda spec: (
+            MemcachedRequestCodec(key_space=spec.key_space),
+            partial(MemcachedClientPopulation, key_space=spec.key_space),
+        ),
+    ),
+    "hadoop_agg": App(
+        9100, hadoop_agg.CLIENT_ENDPOINT, {"lb": False}, {}, False,
+        "cores", HADOOP_LINK_SCALE, "Mb/s", _hadoop_backends, _hadoop_program,
+        None,
+    ),
+}
+
+#: Fields below 1 that a run cannot mean.
+_COUNTS = (
+    "cores", "concurrency", "requests_per_client", "total_requests",
+    "shards", "n_mappers", "data_kb_per_mapper",
+)
+
+
+def _check(spec: Scenario) -> Checked:
+    """Every rule a run relies on, stated once (see :meth:`Scenario.check`)."""
+    app = APPS.get(spec.app)
+    if app is None:
+        raise ConfigError(
+            did_you_mean("app", [spec.app], sorted(APPS), listed="known")
+        )
+    flick = spec.system in FLICK_SYSTEMS
+    for field, known in (
+        ("system", FLICK_SYSTEMS + tuple(app.baselines)),
+        ("mode", tuple(app.modes)),
+    ):
+        if getattr(spec, field) not in known:
+            raise ConfigError(
+                did_you_mean(
+                    f"{spec.app} {field}", [getattr(spec, field)], known,
+                    listed="known",
+                )
+            )
+    if app.clients is None:
+        unsupported = [
+            field for field in ("service_classes", "slo_us")
+            if getattr(spec, field) not in (None, ())
+        ]
+        if unsupported:
+            raise ConfigError(
+                f"{spec.app} does not support {', '.join(unsupported)} "
+                "(mapper streams are not per-request workloads)"
+            )
+    for field in _COUNTS:
+        value = getattr(spec, field)
+        if value is not None and value < 1:
+            raise ConfigError(f"{field} must be >= 1, got {value}")
+    if spec.total_requests is None and spec.requests_per_client is None:
+        raise ConfigError("set total_requests or requests_per_client")
+    open_loop = spec.arrival is not None and app.clients is not None
+    if not open_loop and (
+        spec.admission != "admit-all"
+        or spec.admission_params
+        or spec.class_mix
+    ):
         raise ConfigError(
             "admission control and class_mix need an open-loop arrival "
             "process on a request/response app (closed-loop clients "
             "self-throttle, so there is nothing to shed, and hadoop "
             "mapper streams are not per-request workloads)"
         )
+    check_class_mix(spec.class_mix)
+    built = {}
+    for field, registry in AXES.items():
+        value = getattr(spec, field)
+        params_field = _PARAMS.get(field)
+        params = getattr(spec, params_field) if params_field else ()
+        if params and not isinstance(value, str):
+            raise ConfigError(
+                f"{params_field} without {field} (by name) would be "
+                "silently dropped"
+            )
+        if value is None:
+            continue
+        registry.check(value)
+        if params_field and isinstance(value, str):
+            built[field] = registry.make(value, **dict(params))
+            built[params_field] = ()
+    fault = built.get("faults", spec.faults)
     if fault is not None:
+        if fault.needs_backends and not flick:
+            raise ConfigError(
+                f"fault {fault.name!r} models the FLICK forwarding path; "
+                f"{spec.system!r} is a cost-model baseline without one"
+            )
         if not open_loop:
             raise ConfigError(
                 f"fault injection ({fault.name!r}) needs an open-loop "
                 "arrival process on a request/response app "
                 "(retry/failure accounting lives there)"
             )
-        if fault.needs_backends and not has_backends:
+        if fault.needs_backends and not app.modes[spec.mode]:
             raise ConfigError(
                 f"fault {fault.name!r} targets backend servers; "
-                "mode='web' has none"
+                f"{spec.app} mode={spec.mode!r} has none"
             )
-        if shards != 1:
+        if spec.shards != 1:
             raise ConfigError(
                 "fault injection is single-platform for now; drop either "
                 "faults or shards"
             )
-    if shards < 1:
-        raise ConfigError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        if routing != "hash-affinity":
-            raise ConfigError(f"routing={routing!r} needs shards > 1")
-        if fail_shard_at_us is not None:
+    if spec.shards == 1:
+        if spec.routing != "hash-affinity":
+            raise ConfigError(f"routing={spec.routing!r} needs shards > 1")
+        if spec.fail_shard_at_us is not None:
             raise ConfigError("fail_shard_at_us needs shards > 1")
-        return
-    if not open_loop:
-        raise ConfigError(
-            "the cluster tier needs an open-loop arrival process "
-            "(connection-failure accounting lives there)"
+    else:
+        if not app.shardable:
+            shardable = [name for name, row in APPS.items() if row.shardable]
+            raise ConfigError(
+                f"the cluster tier shards {', '.join(shardable)} "
+                "platforms only"
+            )
+        if not flick:
+            raise ConfigError(
+                f"the cluster tier shards FLICK platforms; "
+                f"{spec.system!r} is a cost-model baseline"
+            )
+        if not open_loop:
+            raise ConfigError(
+                "the cluster tier needs an open-loop arrival process "
+                "(connection-failure accounting lives there)"
+            )
+        if spec.fail_shard_at_us is not None and spec.fail_shard_at_us <= 0:
+            raise ConfigError(
+                "fail_shard_at_us must be positive, got "
+                f"{spec.fail_shard_at_us:g}"
+            )
+    classes = spec.service_classes
+    if isinstance(classes, tuple):
+        classes = (
+            parse_slo_class_specs(classes, valid_endpoints=(app.endpoint,))
+            if classes
+            else None
         )
-    ROUTINGS.check(routing)
-    if fail_shard_at_us is not None and fail_shard_at_us <= 0:
-        raise ConfigError(
-            f"fail_shard_at_us must be positive, got {fail_shard_at_us:g}"
-        )
+    return Checked(
+        spec._replace(**built), _runtime_config(spec, classes, fault)
+    )
 
 
-def _resolve_fault(faults, system: str):
-    """A testbed's ``faults`` argument as an instance (or ``None``)."""
-    if faults is None:
-        return None
-    fault = resolve_fault(faults)
-    if fault.needs_backends and system not in FLICK_SYSTEMS:
-        raise ConfigError(
-            f"fault {fault.name!r} models the FLICK forwarding path; "
-            f"{system!r} is a cost-model baseline without one"
-        )
-    return fault
+# ---------------------------------------------------------------------------
+# Topology and platforms
+# ---------------------------------------------------------------------------
 
 
-def _steal_extra(platforms) -> dict:
-    """Scheduler steal counters for ``extra``, summed over ``platforms``
-    (one for a single middlebox, one per shard for a fleet, none for a
-    cost-model baseline)."""
-    if not platforms:
-        return {}
-    schedulers = [platform.scheduler for platform in platforms]
-    return {
-        "steals": float(sum(s.total_steals for s in schedulers)),
-        "stolen_tasks": float(sum(s.total_stolen_tasks for s in schedulers)),
-        "steal_us": float(sum(s.total_steal_us for s in schedulers)),
-    }
-
-
-def _alloc_extra(platforms) -> dict:
-    """Core-allocator counters for ``extra`` over ``platforms``.
-
-    Changes and moved tasks are summed; ``active_workers_min``/``max``
-    are the tightest/widest any one platform reached over the whole run
-    (the initial all-active state included, so a static run reads
-    cores/cores with zero changes); ``final`` is the total live cores at
-    the end.
-    """
-    if not platforms:
-        return {}
-    schedulers = [platform.scheduler for platform in platforms]
-    counts = [
-        [s.cores, *(len(r.active_after) for r in s.alloc_log)]
-        for s in schedulers
+def _edge_hosts(tcpnet, prefix: str, count: int, scale: float = 1.0):
+    return [
+        tcpnet.add_host(f"{prefix}{i}", 1 * GBPS * scale, "edge")
+        for i in range(count)
     ]
-    return {
-        "alloc_changes": float(sum(len(s.alloc_log) for s in schedulers)),
-        "alloc_moved_tasks": float(
-            sum(r.moved_tasks for s in schedulers for r in s.alloc_log)
+
+
+def _build_topology(scale: float = 1.0):
+    """Engine, network (20 Gbps trunk) and the middlebox host (10 Gbps,
+    core switch), every link scaled by ``scale``.  Backends and clients
+    add their own hosts."""
+    engine = Engine()
+    tcpnet = TcpNetwork(engine)
+    tcpnet.network._trunk_rate = 20 * GBPS * scale
+    return engine, tcpnet, tcpnet.add_host("mbox", 10 * GBPS * scale, "core")
+
+
+def _stack_of(system: str) -> str:
+    return "mtcp" if system == "flick-mtcp" else "kernel"
+
+
+def _runtime_config(spec: Scenario, classes, fault) -> RuntimeConfig:
+    """The platform configuration; built by the check, so a bad value
+    is rejected before anything runs."""
+    return RuntimeConfig(
+        cores=spec.cores,
+        stack=_stack_of(spec.system),
+        timeslice_us=spec.timeslice_us,
+        graph_pool_size=spec.graph_pool_size,
+        policy=spec.policy,
+        topology=spec.topology,
+        service_classes=classes,
+        slo_us=spec.slo_us,
+        allocator=spec.allocator,
+        backend_close_teardown=(
+            fault is not None and fault.tears_down_on_backend_close
         ),
-        "active_workers_min": float(min(map(min, counts))),
-        "active_workers_max": float(max(map(max, counts))),
-        "active_workers_final": float(
-            sum(s.active_workers for s in schedulers)
+    )
+
+
+def _build_platforms(checked: Checked, app: App, engine, tcpnet, mbox, targets):
+    """The FLICK middlebox: one platform on ``mbox``, or ``shards``
+    platforms on their own core hosts behind one shard router there.
+    The program is compiled once per run."""
+    spec = checked.spec
+    program, proc, codecs, bindings = app.program(spec, targets)
+    router = None
+    if spec.shards > 1:
+        router = ShardRouter(
+            engine, tcpnet, mbox, app.port, routing=spec.routing,
+            seed=spec.seed,
+        )
+    platforms = []
+    for i in range(spec.shards):
+        host = (
+            mbox
+            if router is None
+            else tcpnet.add_host(f"shard{i}", 10 * GBPS, "core")
+        )
+        platform = FlickPlatform(engine, tcpnet, host, checked.config, codecs)
+        platform.register_program(program, proc, app.port, bindings)
+        platform.start()
+        if router is not None:
+            router.add_shard(platform, app.port)
+        platforms.append(platform)
+    if router is not None:
+        router.start()
+        if spec.fail_shard_at_us is not None:
+            router.fail_shard_at(spec.shards - 1, spec.fail_shard_at_us)
+    return platforms, router
+
+
+# ---------------------------------------------------------------------------
+# The run
+# ---------------------------------------------------------------------------
+
+
+class _MapperJob:
+    """Hadoop's client side, shaped like a client population:
+    ``n_mappers`` streams into the aggregator, all at time zero (the
+    paper's setup) or mapper ``i`` at the ``i``-th arrival tick (a finite
+    trace shorter than ``n_mappers`` starts the rest at its last stamp);
+    finished when the reducer sees the merged stream close."""
+
+    def __init__(self, spec, engine, tcpnet, mbox, port, sink):
+        hosts = _edge_hosts(
+            tcpnet, "mapper", spec.n_mappers, HADOOP_LINK_SCALE
+        )
+        self.mappers = [
+            Mapper(
+                engine, tcpnet, host, mbox, port,
+                generate_mapper_output(
+                    i, spec.data_kb_per_mapper * 1024, spec.word_len,
+                    vocabulary=4096,
+                ),
+            )
+            for i, host in enumerate(hosts)
+        ]
+        self.total_bytes = sum(m.bytes_total for m in self.mappers)
+        self.sink = sink
+        self._engine = engine
+        self._spec = spec
+
+    def start(self) -> None:
+        if self._spec.arrival is None:
+            for mapper in self.mappers:
+                mapper.start()
+            return
+        gaps = self._spec.arrival.gaps(random.Random(self._spec.seed))
+        start_at = 0.0
+        for mapper in self.mappers:
+            start_at += next(gaps, 0.0)
+            self._engine.schedule(start_at, mapper.start)
+
+    @property
+    def finished(self) -> bool:
+        return self.sink.finished_at is not None
+
+
+def _requests_per_client(spec: Scenario) -> int:
+    if spec.requests_per_client is not None:
+        return spec.requests_per_client
+    return max(1, spec.total_requests // spec.concurrency)
+
+
+def _population(spec: Scenario, app: App, engine, tcpnet, mbox, servers, scoreboard):
+    """The client side: the mapper job, :class:`OpenLoopClients` on the
+    spec's arrival clock, or the app's closed-loop population."""
+    if app.clients is None:
+        return _MapperJob(spec, engine, tcpnet, mbox, app.port, servers[0])
+    codec, closed_loop = app.clients(spec)
+    hosts = _edge_hosts(tcpnet, "client", N_CLIENT_HOSTS)
+    per_client = _requests_per_client(spec)
+    if spec.arrival is None:
+        return closed_loop(
+            engine, tcpnet, hosts, mbox, app.port,
+            concurrency=spec.concurrency,
+            requests_per_client=per_client,
+            warmup_requests=max(2, per_client // 10),
+        )
+    return OpenLoopClients(
+        engine, tcpnet, hosts, mbox, app.port,
+        codec=codec,
+        arrival=spec.arrival,
+        n_requests=(
+            spec.total_requests
+            if spec.total_requests is not None
+            else spec.concurrency * per_client
         ),
-    }
+        connections=spec.concurrency,
+        seed=spec.seed,
+        slo_us=spec.slo_us,
+        admission=spec.admission,
+        class_mix=spec.class_mix,
+        scoreboard=scoreboard,
+        **(spec.faults.population_kwargs() if spec.faults is not None else {}),
+    )
 
 
 def _open_loop_extra(population: OpenLoopClients) -> dict:
@@ -229,295 +643,135 @@ def _closed_loop_extra(population, total_requests: int, slo_us) -> dict:
     }
 
 
-def _build_topology(n_backends: int = N_BACKENDS):
-    engine = Engine()
-    tcpnet = TcpNetwork(engine)
-    mbox = tcpnet.add_host("mbox", 10 * GBPS, "core")
-    clients = [
-        tcpnet.add_host(f"client{i}", 1 * GBPS, "edge")
-        for i in range(N_CLIENT_HOSTS)
-    ]
-    backends = [
-        tcpnet.add_host(f"backend{i}", 1 * GBPS, "edge")
-        for i in range(n_backends)
-    ]
-    return engine, tcpnet, mbox, clients, backends
+def _steal_extra(platforms) -> dict:
+    """Scheduler steal counters for ``extra``, summed over ``platforms``
+    (one for a single middlebox, one per shard for a fleet, none for a
+    cost-model baseline)."""
+    if not platforms:
+        return {}
+    schedulers = [platform.scheduler for platform in platforms]
+    return {
+        "steals": float(sum(s.total_steals for s in schedulers)),
+        "stolen_tasks": float(sum(s.total_stolen_tasks for s in schedulers)),
+        "steal_us": float(sum(s.total_steal_us for s in schedulers)),
+    }
 
 
-def _run_request_clients(
-    engine,
-    tcpnet,
-    clients,
-    mbox,
-    port: int,
-    *,
-    system: str,
-    x: float,
-    codec,
-    closed_loop,
-    concurrency: int,
-    requests_per_client: int,
-    arrival,
-    total_requests: Optional[int],
-    seed: int,
-    slo_us: Optional[float],
-    admission,
-    class_mix,
-    fault,
-    platforms,
-    scoreboard,
-) -> RunResult:
-    """Drive the clients of a request/response testbed to completion.
+def _alloc_extra(platforms) -> dict:
+    """Core-allocator counters for ``extra`` over ``platforms``.
 
-    Builds the population — :class:`OpenLoopClients` speaking ``codec``
-    when ``arrival`` is set, the ``closed_loop`` population class
-    otherwise — against ``(mbox, port)``, drains the engine, and
-    assembles the :class:`RunResult`: client-side accounting, the
-    schedulers' steal/allocator counters over ``platforms`` and the
-    fault's counters in ``extra``, ``scoreboard``'s per-class summary.
+    Changes and moved tasks are summed; ``active_workers_min``/``max``
+    are the tightest/widest any one platform reached over the whole run
+    (the initial all-active state included, so a static run reads
+    cores/cores with zero changes); ``final`` is the total live cores at
+    the end.
     """
-    if arrival is not None:
-        population = OpenLoopClients(
-            engine,
-            tcpnet,
-            clients,
-            mbox,
-            port,
-            codec=codec,
-            arrival=resolve_arrival(arrival),
-            n_requests=(
-                total_requests
-                if total_requests is not None
-                else concurrency * requests_per_client
-            ),
-            connections=concurrency,
-            seed=seed,
-            slo_us=slo_us,
-            admission=admission,
-            class_mix=class_mix,
-            scoreboard=scoreboard,
-            **(fault.population_kwargs() if fault is not None else {}),
+    if not platforms:
+        return {}
+    schedulers = [platform.scheduler for platform in platforms]
+    counts = [
+        [s.cores, *(len(r.active_after) for r in s.alloc_log)]
+        for s in schedulers
+    ]
+    return {
+        "alloc_changes": float(sum(len(s.alloc_log) for s in schedulers)),
+        "alloc_moved_tasks": float(
+            sum(r.moved_tasks for s in schedulers for r in s.alloc_log)
+        ),
+        "active_workers_min": float(min(map(min, counts))),
+        "active_workers_max": float(max(map(max, counts))),
+        "active_workers_final": float(
+            sum(s.active_workers for s in schedulers)
+        ),
+    }
+
+
+def _measure(spec: Scenario, population, servers):
+    """``(throughput, mean latency in ms, extra)`` of a finished run."""
+    if isinstance(population, _MapperJob):
+        sink = population.sink
+        return (
+            throughput_mbps(population.total_bytes, sink.finished_at),
+            sink.finished_at / 1000.0,
+            {
+                "ingress_bytes": float(population.total_bytes),
+                "egress_bytes": float(sink.bytes_received),
+                "word_len": float(spec.word_len),
+            },
         )
-    else:
-        population = closed_loop(
-            engine,
-            tcpnet,
-            clients,
-            mbox,
-            port,
-            concurrency=concurrency,
-            requests_per_client=requests_per_client,
-            warmup_requests=max(2, requests_per_client // 10),
-        )
-    population.start()
-    engine.run()
-    if not population.finished:
-        raise RuntimeError(f"{system} x={x}: workload did not complete")
-    if arrival is not None:
+    if isinstance(population, OpenLoopClients):
         extra = _open_loop_extra(population)
     else:
         extra = _closed_loop_extra(
-            population, concurrency * requests_per_client, slo_us
+            population,
+            spec.concurrency * _requests_per_client(spec),
+            spec.slo_us,
         )
-    extra.update(_steal_extra(platforms))
-    extra.update(_alloc_extra(platforms))
-    if fault is not None:
-        extra.update(fault.counters(population))
-    return RunResult(
-        system=system,
-        x=x,
-        throughput=population.kreqs_per_sec(),
-        latency_ms=population.mean_latency_ms(),
-        extra=extra,
-        class_stats=scoreboard.summary() if scoreboard is not None else {},
-        admission_stats=(
-            population.admission_summary() if arrival is not None else {}
-        ),
+    extra["backend_requests"] = float(
+        sum(server.requests_served for server in servers)
     )
+    return population.kreqs_per_sec(), population.mean_latency_ms(), extra
 
 
-# ---------------------------------------------------------------------------
-# E1 + Figure 4: HTTP (static web server and load balancer)
-# ---------------------------------------------------------------------------
+def run_experiment(spec) -> RunResult:
+    """Run one experiment to completion and return its data point.
 
-
-def run_http_experiment(
-    system: str,
-    concurrency: int,
-    persistent: bool = True,
-    mode: str = "lb",
-    cores: int = 16,
-    requests_per_client: int = 40,
-    timeslice_us: float = 50.0,
-    graph_pool_size: Optional[int] = None,
-    policy=None,
-    topology=None,
-    service_classes=None,
-    slo_us: Optional[float] = None,
-    arrival=None,
-    total_requests: Optional[int] = None,
-    seed: int = 0xF11C,
-    allocator="static",
-    admission="admit-all",
-    class_mix=(),
-    shards: int = 1,
-    routing="hash-affinity",
-    fail_shard_at_us: Optional[float] = None,
-    faults=None,
-) -> RunResult:
-    """One data point of Figure 4 (mode='lb') or the §6.3 web test
-    (mode='web').
-
-    ``faults`` (a registered :mod:`repro.net.faults` name or a
-    :class:`~repro.net.faults.FaultPolicy` instance) injects an
-    adversarial condition: backend slowdowns/flaps, connection churn,
-    or an impatient retry storm.  Open-loop single-platform runs only;
-    injected counters land in the result's ``extra`` under ``fault_*``
-    keys.
-
-    ``arrival`` (an :class:`~repro.workloads.arrivals.ArrivalProcess`
-    or registered name) switches the client side from the closed-loop
-    ApacheBench population to :class:`~repro.workloads.arrivals.\
-OpenLoopClients`: ``concurrency`` becomes the size of the persistent
-    connection pool and ``total_requests`` the number of admissions
-    (default ``concurrency * requests_per_client``).  ``policy`` /
-    ``topology`` / ``service_classes`` / ``slo_us`` / ``allocator``
-    thread straight into the platform's
-    :class:`~repro.runtime.costs.RuntimeConfig`; ``slo_us``
-    additionally drives client-side SLO-miss accounting.  ``admission``
-    and ``class_mix`` configure the open-loop population's admission
-    control (open loop only — closed-loop clients self-throttle, so
-    there is nothing to shed).
-
-    ``shards`` > 1 switches to the cluster tier: ``shards`` identical
-    platforms, each on its own 10 Gbps core host, behind one
-    :class:`~repro.cluster.fleet.ShardRouter` on the public ``mbox``
-    host (placement chosen by the registered ``routing`` policy);
-    clients connect to the router exactly as to one middlebox, and LB
-    mode shares one backend pool across the fleet.  ``shards == 1`` is
-    the same body with the one platform on ``mbox`` and no router.
-    ``fail_shard_at_us`` kills the highest-indexed shard — the one
-    whose loss exercises ring-segment hand-off to every survivor — at
-    that virtual time (failover drills).  The cluster tier requires a
-    FLICK system and an open-loop ``arrival`` (failure accounting lives
-    in the open-loop population).
+    ``spec`` is a :class:`Scenario`, or what its :meth:`~Scenario.check`
+    returned (a caller that checked up front does not check twice).
     """
-    if mode not in ("lb", "web"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if system not in FLICK_SYSTEMS + HTTP_BASELINES:
-        raise ValueError(f"unknown system {system!r}")
-    use_backends = mode == "lb"
-    fault = _resolve_fault(faults, system)
-    check_request_axes(
-        open_loop=arrival is not None,
-        uses_admission=admission != "admit-all" or bool(class_mix),
-        fault=fault,
-        has_backends=use_backends,
-        shards=shards,
-        routing=routing,
-        fail_shard_at_us=fail_shard_at_us,
-    )
-    if shards > 1 and system not in FLICK_SYSTEMS:
-        raise ConfigError(
-            f"the cluster tier shards FLICK platforms; {system!r} "
-            "is a cost-model baseline"
+    checked = spec if isinstance(spec, Checked) else spec.check()
+    spec = checked.spec
+    app = APPS[spec.app]
+    engine, tcpnet, mbox = _build_topology(app.scale)
+    servers, targets = app.backends(spec, engine, tcpnet)
+    platforms, router = [], None
+    if spec.system in FLICK_SYSTEMS:
+        platforms, router = _build_platforms(
+            checked, app, engine, tcpnet, mbox, targets
         )
-    engine, tcpnet, mbox, clients, backend_hosts = _build_topology()
-    if not use_backends:
-        backend_hosts = []
-    # The servers stay alive through the run via their socket callbacks.
-    backend_servers = [
-        BackendWebServer(engine, tcpnet, host, 8080) for host in backend_hosts
-    ]
-    targets = [OutboundTarget(host, 8080) for host in backend_hosts]
-
-    router = None
-    platforms = []
-    if system in FLICK_SYSTEMS:
-        config = RuntimeConfig(
-            cores=cores,
-            stack=_stack_of(system),
-            timeslice_us=timeslice_us,
-            graph_pool_size=(
-                graph_pool_size if graph_pool_size is not None else 512
-            ),
-            policy="cooperative" if policy is None else policy,
-            topology=topology,
-            service_classes=service_classes,
-            slo_us=slo_us,
-            allocator=allocator,
-            backend_close_teardown=(
-                fault is not None and fault.tears_down_on_backend_close
-            ),
-        )
-        if shards > 1:
-            router = ShardRouter(
-                engine, tcpnet, mbox, 80, routing=routing, seed=seed
-            )
-        for i in range(shards):
-            host = (
-                mbox
-                if router is None
-                else tcpnet.add_host(f"shard{i}", 10 * GBPS, "core")
-            )
-            if use_backends:
-                program = http_lb.compile_http_lb()
-            else:
-                program = http_lb.compile_static_web()
-            platform = FlickPlatform(
-                engine, tcpnet, host, config, http_lb.http_codec_registry(program)
-            )
-            if use_backends:
-                platform.register_program(
-                    program, "HttpBalancer", 80, http_lb.lb_bindings(targets)
-                )
-            else:
-                platform.register_program(program, "StaticWeb", 80)
-            platform.start()
-            if router is not None:
-                router.add_shard(platform, 80)
-            platforms.append(platform)
-        if router is not None:
-            router.start()
-            if fail_shard_at_us is not None:
-                router.fail_shard_at(shards - 1, fail_shard_at_us)
-    elif system == "apache":
-        ApacheServer(engine, tcpnet, mbox, 80, cores=cores, backends=targets or None)
     else:
-        NginxServer(engine, tcpnet, mbox, 80, cores=cores, backends=targets or None)
-
-    if fault is not None:
-        fault.install(engine, backend_servers)
-
+        app.baselines[spec.system](
+            engine, tcpnet, mbox, app.port,
+            cores=spec.cores, backends=targets or None,
+        )
+    if spec.faults is not None:
+        spec.faults.install(engine, servers)
     if router is not None:
         scoreboard = router.scoreboard
     else:
         scoreboard = platforms[0].scoreboard if platforms else None
-    result = _run_request_clients(
-        engine,
-        tcpnet,
-        clients,
-        mbox,
-        80,
-        system=system,
-        x=concurrency,
-        codec=HttpRequestCodec(),
-        closed_loop=partial(HttpClientPopulation, persistent=persistent),
-        concurrency=concurrency,
-        requests_per_client=requests_per_client,
-        arrival=arrival,
-        total_requests=total_requests,
-        seed=seed,
-        slo_us=slo_us,
-        admission=admission,
-        class_mix=class_mix,
-        fault=fault,
-        platforms=platforms,
-        scoreboard=scoreboard,
+
+    population = _population(
+        spec, app, engine, tcpnet, mbox, servers, scoreboard
+    )
+    population.start()
+    engine.run()
+    x = getattr(spec, app.x)
+    if not population.finished:
+        raise RuntimeError(
+            f"{spec.system} {app.x}={x}: workload did not complete"
+        )
+    throughput, latency_ms, extra = _measure(spec, population, servers)
+    extra.update(_steal_extra(platforms))
+    extra.update(_alloc_extra(platforms))
+    if spec.faults is not None:
+        extra.update(spec.faults.counters(population))
+    result = RunResult(
+        system=spec.system,
+        x=x,
+        throughput=throughput,
+        latency_ms=latency_ms,
+        extra=extra,
+        class_stats=scoreboard.summary() if scoreboard is not None else {},
+        admission_stats=(
+            population.admission_summary()
+            if isinstance(population, OpenLoopClients)
+            else {}
+        ),
     )
     if router is not None:
         result.cluster_stats = {
-            "shards": shards,
+            "shards": spec.shards,
             "routing": router.routing_name,
             "alive_shards": router.alive_shards,
             "connections_routed": router.connections_routed,
@@ -530,231 +784,46 @@ OpenLoopClients`: ``concurrency`` becomes the size of the persistent
 
 
 # ---------------------------------------------------------------------------
-# Figure 5: Memcached proxy vs CPU cores
+# The figures' call signatures
 # ---------------------------------------------------------------------------
+
+
+def run_http_experiment(
+    system, concurrency, persistent=True, mode="lb", cores=16,
+    requests_per_client=40, timeslice_us=50.0, graph_pool_size=512,
+    policy="cooperative", topology=None, service_classes=None, slo_us=None,
+    arrival=None, total_requests=None, seed=0xF11C, allocator="static",
+    admission="admit-all", class_mix=(), shards=1, routing="hash-affinity",
+    fail_shard_at_us=None, faults=None,
+) -> RunResult:
+    """One data point of Figure 4 (mode='lb') or the §6.3 web test
+    (mode='web'); each argument is the :class:`Scenario` field of the
+    same name."""
+    return run_experiment(Scenario(app="http_lb", **locals()))
 
 
 def run_memcached_experiment(
-    system: str,
-    cores: int,
-    concurrency: int = 128,
-    requests_per_client: int = 40,
-    specialised_parser: bool = True,
-    cache_router: bool = False,
-    key_space: int = 10_000,
-    value_bytes: int = 64,
-    policy=None,
-    topology=None,
-    service_classes=None,
-    slo_us: Optional[float] = None,
-    arrival=None,
-    total_requests: Optional[int] = None,
-    seed: int = 0xF11C,
-    allocator="static",
-    admission="admit-all",
-    class_mix=(),
-    faults=None,
+    system, cores, concurrency=128, requests_per_client=40,
+    specialised_parser=True, cache_router=False, key_space=10_000,
+    value_bytes=64, policy="cooperative", topology=None, service_classes=None,
+    slo_us=None, arrival=None, total_requests=None, seed=0xF11C,
+    allocator="static", admission="admit-all", class_mix=(), faults=None,
 ) -> RunResult:
-    """One data point of Figure 5 (or the parser/cache ablations).
-
-    ``arrival`` switches the client side to the open-loop population,
-    exactly as in :func:`run_http_experiment`; ``allocator`` /
-    ``admission`` / ``class_mix`` / ``faults`` thread the same way
-    (the memcached proxy always has backend servers, so every
-    registered fault applies here).
-    """
-    if system not in FLICK_SYSTEMS + ("moxi",):
-        raise ValueError(f"unknown system {system!r}")
-    fault = _resolve_fault(faults, system)
-    check_request_axes(
-        open_loop=arrival is not None,
-        uses_admission=admission != "admit-all" or bool(class_mix),
-        fault=fault,
-    )
-    engine, tcpnet, mbox, clients, backend_hosts = _build_topology()
-    filler = b"v" * value_bytes
-    backend_servers = [
-        BackendMemcachedServer(
-            engine, tcpnet, host, 11211, value_fn=lambda key: filler
-        )
-        for host in backend_hosts
-    ]
-    targets = [OutboundTarget(host, 11211) for host in backend_hosts]
-
-    platforms = []
-    if system in FLICK_SYSTEMS:
-        if cache_router:
-            program = memcached_proxy.compile_cache_router()
-            proc_name = "memcached"
-        else:
-            program = memcached_proxy.compile_proxy()
-            proc_name = "Memcached"
-        config = RuntimeConfig(
-            cores=cores,
-            stack=_stack_of(system),
-            policy="cooperative" if policy is None else policy,
-            topology=topology,
-            service_classes=service_classes,
-            slo_us=slo_us,
-            allocator=allocator,
-            backend_close_teardown=(
-                fault is not None and fault.tears_down_on_backend_close
-            ),
-        )
-        platform = FlickPlatform(
-            engine,
-            tcpnet,
-            mbox,
-            config,
-            memcached_proxy.memcached_codec_registry(
-                program, specialised=specialised_parser
-            ),
-        )
-        platform.register_program(
-            program,
-            proc_name,
-            11211,
-            memcached_proxy.proxy_bindings(targets),
-        )
-        platform.start()
-        platforms.append(platform)
-    else:
-        MoxiProxy(engine, tcpnet, mbox, 11211, targets, cores=cores)
-
-    if fault is not None:
-        fault.install(engine, backend_servers)
-
-    result = _run_request_clients(
-        engine,
-        tcpnet,
-        clients,
-        mbox,
-        11211,
-        system=system,
-        x=cores,
-        codec=MemcachedRequestCodec(key_space=key_space),
-        closed_loop=partial(MemcachedClientPopulation, key_space=key_space),
-        concurrency=concurrency,
-        requests_per_client=requests_per_client,
-        arrival=arrival,
-        total_requests=total_requests,
-        seed=seed,
-        slo_us=slo_us,
-        admission=admission,
-        class_mix=class_mix,
-        fault=fault,
-        platforms=platforms,
-        scoreboard=platforms[0].scoreboard if platforms else None,
-    )
-    result.extra["backend_requests"] = float(
-        sum(server.requests_served for server in backend_servers)
-    )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Figure 6: Hadoop data aggregator vs CPU cores
-# ---------------------------------------------------------------------------
-
-#: Link scaling for the Hadoop testbed: interpreted per-pair compute costs
-#: are far above the paper's generated C++, so links are scaled by the
-#: matching factor to preserve the compute/network balance (DESIGN.md §3).  The
-#: plateau is then ~20 Mbps (pipeline-bound) instead of the paper's ~7,513 Mbps.
-HADOOP_LINK_SCALE = 0.012
+    """One data point of Figure 5 (or the parser/cache ablations); each
+    argument is the :class:`Scenario` field of the same name."""
+    return run_experiment(Scenario(app="memcached_proxy", **locals()))
 
 
 def run_hadoop_experiment(
-    cores: int,
-    word_len: int = 8,
-    data_kb_per_mapper: int = 96,
-    n_mappers: int = 8,
-    stack: str = "kernel",
-    policy=None,
-    topology=None,
-    slo_us: Optional[float] = None,
-    arrival=None,
-    seed: int = 0xF11C,
-    allocator="static",
+    cores, word_len=8, data_kb_per_mapper=96, n_mappers=8, stack="kernel",
+    policy="cooperative", topology=None, slo_us=None, arrival=None,
+    seed=0xF11C, allocator="static",
 ) -> RunResult:
     """One data point of Figure 6: aggregate ingress throughput (Mb/s).
 
-    ``arrival`` (an arrival process or registered name) staggers the
-    mappers: instead of all ``n_mappers`` connecting at time zero (the
-    paper's setup), mapper ``i`` starts at the ``i``-th arrival tick —
-    modelling a job whose map tasks finish, and ship their output, on
-    the cluster scheduler's clock rather than in lockstep.  A finite
-    trace shorter than ``n_mappers`` starts the remainder at the last
-    stamp.
+    ``stack`` selects the FLICK system (``flick-<stack>``); every other
+    argument is the :class:`Scenario` field of the same name.
     """
-    engine = Engine()
-    tcpnet = TcpNetwork(engine)
-    scale = HADOOP_LINK_SCALE
-    mbox = tcpnet.add_host("mbox", 10 * GBPS * scale, "core")
-    reducer_host = tcpnet.add_host("reducer", 10 * GBPS * scale, "core")
-    mapper_hosts = [
-        tcpnet.add_host(f"mapper{i}", 1 * GBPS * scale, "edge")
-        for i in range(n_mappers)
-    ]
-    tcpnet.network._trunk_rate = 20 * GBPS * scale
-
-    sink = ReducerSink(engine, tcpnet, reducer_host, 9000)
-    platform = FlickPlatform(
-        engine,
-        tcpnet,
-        mbox,
-        RuntimeConfig(
-            cores=cores,
-            stack=stack,
-            policy="cooperative" if policy is None else policy,
-            topology=topology,
-            slo_us=slo_us,
-            allocator=allocator,
-        ),
-        hadoop_agg.hadoop_codec_registry(),
-    )
-    platform.register_program(
-        hadoop_agg.compile_hadoop(),
-        "hadoop",
-        9100,
-        hadoop_agg.hadoop_bindings(reducer_host, 9000, n_mappers),
-    )
-    platform.start()
-
-    outputs = [
-        generate_mapper_output(
-            i, data_kb_per_mapper * 1024, word_len, vocabulary=4096
-        )
-        for i in range(n_mappers)
-    ]
-    mappers = [
-        Mapper(engine, tcpnet, host, mbox, 9100, pairs)
-        for host, pairs in zip(mapper_hosts, outputs)
-    ]
-    total_bytes = sum(m.bytes_total for m in mappers)
-    if arrival is not None:
-        gaps = resolve_arrival(arrival).gaps(random.Random(seed))
-        start_at = 0.0
-        for mapper in mappers:
-            start_at += next(gaps, 0.0)
-            engine.schedule(start_at, mapper.start)
-    else:
-        for mapper in mappers:
-            mapper.start()
-    engine.run()
-    if sink.finished_at is None:
-        raise RuntimeError(f"hadoop cores={cores}: aggregation did not finish")
-    extra = {
-        "ingress_bytes": float(total_bytes),
-        "egress_bytes": float(sink.bytes_received),
-        "word_len": float(word_len),
-    }
-    extra.update(_steal_extra([platform]))
-    extra.update(_alloc_extra([platform]))
-    return RunResult(
-        system=f"flick-{stack}",
-        x=cores,
-        throughput=throughput_mbps(total_bytes, sink.finished_at),
-        latency_ms=sink.finished_at / 1000.0,
-        extra=extra,
-        class_stats=platform.scoreboard.summary(),
-    )
+    fields = dict(locals())
+    system = f"flick-{fields.pop('stack')}"
+    return run_experiment(Scenario(app="hadoop_agg", system=system, **fields))

@@ -38,6 +38,7 @@ Mechanism invariants, independent of policy:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from collections import deque
@@ -579,10 +580,23 @@ class TaskBase:
         tasks sharing a scheduler.  Reset only between runs — never
         while a scheduler with live tasks will still create more — so
         placement doesn't depend on how many tasks earlier runs created.
-        Callers that reset around a scoped run should restore
-        monotonicity afterwards (see ``run_scheduling_experiment``).
+        A scoped run uses :meth:`scoped_ids`, which also restores
+        monotonicity afterwards.
         """
         cls._ids = itertools.count(start)
+
+    @classmethod
+    @contextlib.contextmanager
+    def scoped_ids(cls):
+        """Run the block on ids counted from 1, then resume past both the
+        block's ids and those taken before it — also when the block
+        raises — so no later task reuses an id."""
+        resume_from = next(cls._ids)
+        cls.reset_ids()
+        try:
+            yield
+        finally:
+            cls.reset_ids(max(resume_from, next(cls._ids)))
 
     def has_work(self) -> bool:
         raise NotImplementedError

@@ -89,7 +89,7 @@ def _check_rate(rate_rps: float, what: str = "rate_rps") -> float:
     return float(rate_rps)
 
 
-def _check_class_mix(class_mix) -> tuple:
+def check_class_mix(class_mix) -> tuple:
     """Validate a ``((name, weight), ...)`` class mix; empty is fine."""
     checked = []
     seen = set()
@@ -439,7 +439,7 @@ class OpenLoopClients:
         self.slo_us = slo_us
         self.admission = resolve_admission(admission)
         self.admission.reset()  # a reused instance must not carry state
-        self.class_mix = _check_class_mix(class_mix)
+        self.class_mix = check_class_mix(class_mix)
         self.scoreboard = scoreboard
         self.retry_after_us = retry_after_us
         self.max_retries = max_retries

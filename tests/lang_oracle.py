@@ -479,19 +479,9 @@ def oracle_for(program: CompiledProgram) -> Interpreter:
 EXECUTORS = {"generated": CompiledProgram.executor, "oracle": oracle_for}
 
 
-def scoped_ids(fn):
-    """Run ``fn`` with scoped task ids (same discipline as the scenario
-    runner): results must not depend on how many tasks ran before."""
-    resume_from = next(TaskBase._ids)
-    TaskBase.reset_ids()
-    try:
-        return fn()
-    finally:
-        TaskBase.reset_ids(max(resume_from, next(TaskBase._ids)))
-
-
 def under_oracle(fn):
     """Run ``fn`` (id-scoped) with every ``CompiledProgram.executor()``
     in the process answering with the oracle instead of generated code."""
     with mock.patch.object(CompiledProgram, "executor", oracle_for):
-        return scoped_ids(fn)
+        with TaskBase.scoped_ids():
+            return fn()

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.apps import http_lb
-from repro.bench.testbeds import _build_topology
+from repro.bench.testbeds import N_CLIENT_HOSTS, _build_topology, _edge_hosts
 from repro.core.errors import ConfigError
 from repro.runtime.costs import RuntimeConfig
 from repro.runtime.platform import FlickPlatform
@@ -104,7 +104,8 @@ class TestStatsHelpers:
 
 
 def _static_web_testbed(cores=4):
-    engine, tcpnet, mbox, clients, _ = _build_topology()
+    engine, tcpnet, mbox = _build_topology()
+    clients = _edge_hosts(tcpnet, "client", N_CLIENT_HOSTS)
     platform = FlickPlatform(
         engine, tcpnet, mbox, RuntimeConfig(cores=cores),
         http_lb.http_codec_registry(),

@@ -139,9 +139,9 @@ class TestAllocatorAdmissionFlags:
         assert "open-loop" in capsys.readouterr().err
 
     def test_documented_ci_override_leg_is_green(self, tmp_path, capsys):
-        """The perf-smoke CI leg re-runs the pinned shed scenario with
-        an explicit --admission override matching its pinned policy, so
-        it must compare clean against the committed baseline."""
+        """The documented override path: the pinned shed scenario under
+        an explicit --admission override matching its pinned policy
+        must compare clean against the committed baseline."""
         from pathlib import Path
 
         baseline = (

@@ -30,8 +30,8 @@ class TestScalingCurve:
         for scenario in (two, four):
             assert scenario.arrival == one.arrival
             assert scenario.arrival_params == one.arrival_params
-            assert scenario.connections == one.connections
-            assert scenario.requests == one.requests
+            assert scenario.concurrency == one.concurrency
+            assert scenario.total_requests == one.total_requests
             assert scenario.cores == one.cores
             assert scenario.mode == one.mode
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.registry_docs import default_output_path, render_markdown
-from repro.bench.scenarios import AXES
+from repro.bench.testbeds import AXES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -111,6 +111,20 @@ class TestSchedulingHarness:
         rr = pinned("round_robin")
         assert rr.light_mean_ms > coop.light_mean_ms
 
+    def test_ids_never_move_backwards_when_the_experiment_raises(self):
+        from repro.runtime.policy import CooperativePolicy
+        from repro.runtime.scheduler import TaskBase
+
+        class Broken(CooperativePolicy):
+            def place(self, task, workers):
+                raise RuntimeError("placement failed")
+
+        taken = [TaskBase.reserve_id() for _ in range(5000)]
+        with pytest.raises(RuntimeError, match="placement failed"):
+            run_scheduling_experiment(Broken(), n_tasks=100, cores=2)
+        # hash placement keys off ids: a reused one would collide
+        assert TaskBase.reserve_id() > taken[-1]
+
     def test_all_policies_complete_all_tasks(self):
         for policy in ("cooperative", "non_cooperative", "round_robin"):
             result = run_scheduling_experiment(

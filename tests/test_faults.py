@@ -21,7 +21,6 @@ import pytest
 
 from repro.bench.scenarios import (
     _BY_NAME,
-    _validate_scenario,
     run_scenario,
     run_scenario_matrix,
 )
@@ -111,40 +110,40 @@ class TestScenarioValidation:
             fault_params=(("max_retries", 3),)
         )
         with pytest.raises(ConfigError, match="fault_params without faults"):
-            _validate_scenario(scenario)
+            scenario.check()
 
     def test_fault_on_closed_loop_rejected(self):
         scenario = _BY_NAME["http-overload-closed"]._replace(
             faults="retry-storm"
         )
         with pytest.raises(ConfigError, match="open-loop"):
-            _validate_scenario(scenario)
+            scenario.check()
 
     def test_backend_fault_on_backendless_mode_rejected(self):
         scenario = _BY_NAME["http-web-ramp"]._replace(
             faults="flapping-backend"
         )
         with pytest.raises(ConfigError, match="mode='web' has none"):
-            _validate_scenario(scenario)
+            scenario.check()
 
     def test_fault_on_sharded_scenario_rejected(self):
         scenario = _BY_NAME["http-fleet-scale-2"]._replace(
             faults="retry-storm"
         )
         with pytest.raises(ConfigError, match="single-platform"):
-            _validate_scenario(scenario)
+            scenario.check()
 
     def test_unknown_fault_gets_near_miss(self):
         scenario = _BY_NAME["http-open-poisson"]._replace(
             faults="slow-backen"
         )
         with pytest.raises(ConfigError, match="did you mean 'slow-backend'"):
-            _validate_scenario(scenario)
+            scenario.check()
 
     def test_every_pinned_fault_scenario_validates(self):
         for name, scenario in _BY_NAME.items():
             if scenario.faults is not None:
-                _validate_scenario(scenario)
+                scenario.check()
 
 
 class TestRetryStormAcceptance:

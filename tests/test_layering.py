@@ -98,8 +98,9 @@ def test_the_grammar_expression_evaluator_is_test_side():
 
 
 def test_no_layer_has_an_exec_tier_option():
-    from repro.bench.scenarios import Scenario, run_scenario, run_scenario_matrix
+    from repro.bench.scenarios import run_scenario, run_scenario_matrix
     from repro.bench.testbeds import (
+        Scenario,
         run_hadoop_experiment,
         run_http_experiment,
         run_memcached_experiment,

@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench import cli
 from repro.bench.registry_docs import render_markdown
-from repro.bench.scenarios import AXES, Scenario, _validate_scenario
+from repro.bench.testbeds import AXES, Scenario
 from repro.cluster import routing
 from repro.core.errors import ConfigError, RuntimeFlickError
 from repro.core.registry import Registry, did_you_mean
@@ -254,10 +254,9 @@ class TestNewAxisValueTouchesOneFile:
         with pytest.raises(RuntimeFlickError, match="bad parameters"):
             allocator.make_allocator("throw-away", spares=1)
         assert RuntimeConfig(allocator="throw-away").allocator == "throw-away"
-        _validate_scenario(
-            Scenario(name="x", app="http_lb", arrival=None,
-                     allocator="throw-away")
-        )
+        Scenario(
+            name="x", app="http_lb", arrival=None, allocator="throw-away"
+        ).check()
         assert cli.main(
             ["scenarios", "--list", "--scenario", "http-open-poisson",
              "--allocator", "throw-away"]

@@ -1,0 +1,83 @@
+"""Seeded fuzzing of the scenario space.
+
+Specs are drawn from the live registries in ``AXES`` crossed with every
+app, mode, system and ``shards`` in {1, 2}, at sizes small enough to run
+in tier-1.  Only universal properties are checked: a spec the check
+rejects fails with :class:`ConfigError` and nothing else; a spec it
+accepts runs to completion, balances both conservation laws and gives
+the same entry twice.  A failure found here is fixed and pinned as an
+``@example``.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.scenarios import run_scenario
+from repro.bench.testbeds import APPS, AXES, FLICK_SYSTEMS, Scenario
+from repro.core.errors import ConfigError
+from repro.net.stackprofiles import TOPOLOGIES
+
+
+def _axis(field, default):
+    """The field's default half the time, else any registered name."""
+    return st.one_of(st.just(default), st.sampled_from(AXES[field].names()))
+
+
+@st.composite
+def specs(draw):
+    app = draw(st.sampled_from(sorted(APPS)))
+    return Scenario(
+        app=app,
+        name="fuzz",
+        system=draw(
+            st.sampled_from(FLICK_SYSTEMS + tuple(APPS[app].baselines))
+        ),
+        mode=draw(st.sampled_from(sorted(APPS[app].modes))),
+        arrival=draw(st.one_of(st.none(), _axis("arrival", "poisson"))),
+        policy=draw(_axis("policy", "cooperative")),
+        allocator=draw(_axis("allocator", "static")),
+        admission=draw(_axis("admission", "admit-all")),
+        routing=draw(_axis("routing", "hash-affinity")),
+        faults=draw(st.one_of(st.none(), _axis("faults", "retry-storm"))),
+        topology=draw(st.sampled_from((None, *sorted(TOPOLOGIES)))),
+        service_classes=draw(st.sampled_from(((), ("client=gold:2000@2",)))),
+        class_mix=draw(
+            st.sampled_from(((), (("gold", 1.0), ("bronze", 1.0))))
+        ),
+        slo_us=draw(st.sampled_from((None, 2_000.0))),
+        shards=draw(st.sampled_from((1, 2))),
+        fail_shard_at_us=draw(st.sampled_from((None, 500.0))),
+        cores=draw(st.integers(1, 4)),
+        concurrency=draw(st.integers(1, 8)),
+        total_requests=draw(st.integers(1, 128)),
+        data_kb_per_mapper=draw(st.integers(1, 4)),
+        n_mappers=draw(st.integers(1, 4)),
+    )
+
+
+def _balances(entry):
+    offered = entry["offered"]
+    admission = entry.get("admission", {})
+    admitted = admission.get("admitted", offered)
+    assert admitted + admission.get("shed", 0) == offered
+    assert entry["completed"] + entry["failed"] + entry["retried"] == admitted
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(specs())
+def test_a_spec_is_rejected_cleanly_or_runs_clean(spec):
+    try:
+        spec.check()
+    except ConfigError:
+        accepted = False
+    else:
+        accepted = True
+    if not accepted:
+        try:
+            run_scenario(spec)
+        except ConfigError:
+            return
+        raise AssertionError("the run accepted a spec its check rejected")
+    entry = run_scenario(spec)
+    _balances(entry)
+    assert run_scenario(spec) == entry

@@ -5,19 +5,20 @@ import json
 import pytest
 
 from repro.bench import results as results_io
+from repro.bench import scenarios
 from repro.bench.scenarios import (
-    APP_ENDPOINTS,
     SCENARIOS,
-    Scenario,
     resolve_scenario_selection,
     run_scenario,
+    run_scenario_matrix,
 )
+from repro.bench.testbeds import APPS, Scenario
 from repro.core.errors import ConfigError
 
 
 class TestMatrixShape:
     def test_covers_all_three_apps(self):
-        assert {s.app for s in SCENARIOS} == set(APP_ENDPOINTS)
+        assert {s.app for s in SCENARIOS} == set(APPS)
 
     def test_covers_at_least_three_arrival_processes(self):
         arrivals = {s.arrival for s in SCENARIOS if s.arrival is not None}
@@ -30,9 +31,9 @@ class TestMatrixShape:
         )
         # same middlebox, pool, volume and SLO — only the loop differs
         assert open_.arrival is not None and closed.arrival is None
-        assert open_.slo_ms == closed.slo_ms is not None
-        assert open_.connections == closed.connections
-        assert open_.requests == closed.requests
+        assert open_.slo_us == closed.slo_us is not None
+        assert open_.concurrency == closed.concurrency
+        assert open_.total_requests == closed.total_requests
         assert open_.cores == closed.cores
 
     def test_names_are_unique(self):
@@ -52,8 +53,8 @@ class TestMatrixShape:
         assert open_.class_mix == shed.class_mix != ()
         assert open_.arrival == shed.arrival
         assert open_.arrival_params == shed.arrival_params
-        assert open_.slo_ms == shed.slo_ms is not None
-        assert open_.requests == shed.requests
+        assert open_.slo_us == shed.slo_us is not None
+        assert open_.total_requests == shed.total_requests
         assert open_.cores == shed.cores
 
     def test_has_an_elastic_allocator_scenario(self):
@@ -108,11 +109,11 @@ class TestRunner:
             ))
         with pytest.raises(ConfigError, match="does not support"):
             run_scenario(Scenario(
-                name="x", app="hadoop_agg", arrival=None, slo_ms=2.0,
+                name="x", app="hadoop_agg", arrival=None, slo_us=2_000.0,
             ))
 
     def test_mode_is_http_only(self):
-        with pytest.raises(ConfigError, match="http_lb-only"):
+        with pytest.raises(ConfigError, match="unknown memcached_proxy mode"):
             run_scenario(Scenario(
                 name="x", app="memcached_proxy", arrival=None, mode="web",
             ))
@@ -121,7 +122,7 @@ class TestRunner:
         scenario = Scenario(
             name="tiny", app="http_lb", arrival="poisson",
             arrival_params=(("rate_rps", 30_000.0),),
-            connections=16, requests=256, slo_ms=2.0, cores=4,
+            concurrency=16, total_requests=256, slo_us=2_000.0, cores=4,
         )
         entry = run_scenario(scenario, quick=True)
         assert entry["app"] == "http_lb"
@@ -156,7 +157,7 @@ class TestRunner:
             name="classed", app="http_lb", arrival="poisson",
             arrival_params=(("rate_rps", 30_000.0),),
             service_classes=("client=gold:2000@2",),
-            connections=16, requests=256, slo_ms=2.0, cores=4,
+            concurrency=16, total_requests=256, slo_us=2_000.0, cores=4,
         )
         entry = run_scenario(scenario, quick=True)
         assert "gold" in entry["classes"]
@@ -168,13 +169,13 @@ class TestRunner:
         scenario = Scenario(
             name="tiny", app="http_lb", arrival="poisson",
             arrival_params=(("rate_rps", 30_000.0),),
-            connections=16, requests=256, slo_ms=2.0, cores=4,
+            concurrency=16, total_requests=256, slo_us=2_000.0, cores=4,
         )
         first = run_scenario(scenario, quick=True)
         # pollute the global task-id counter with an unrelated run
         run_scenario(
             Scenario(name="other", app="http_lb", arrival=None,
-                     connections=8, requests=256, slo_ms=2.0, cores=2),
+                     concurrency=8, total_requests=256, slo_us=2_000.0, cores=2),
             quick=True,
         )
         assert run_scenario(scenario, quick=True) == first
@@ -215,7 +216,7 @@ class TestRunner:
         scenario = Scenario(
             name="tiny-shed", app="http_lb", arrival="poisson",
             arrival_params=(("rate_rps", 30_000.0),),
-            connections=16, requests=256, slo_ms=2.0, cores=4,
+            concurrency=16, total_requests=256, slo_us=2_000.0, cores=4,
             admission="shed-bronze",
             admission_params=(("max_inflight", 8),),
             class_mix=(("gold", 1.0), ("bronze", 1.0)),
@@ -236,7 +237,7 @@ class TestRunner:
     def test_closed_loop_entry_has_allocator_but_no_admission(self):
         entry = run_scenario(Scenario(
             name="closed", app="http_lb", arrival=None,
-            connections=8, requests=256, slo_ms=2.0, cores=2,
+            concurrency=8, total_requests=256, slo_us=2_000.0, cores=2,
         ), quick=True)
         assert entry["allocator"]["name"] == "static"
         assert "admission" not in entry
@@ -279,6 +280,44 @@ class TestRunner:
         entry = run_scenario(scenario, quick=True)
         assert entry["throughput_unit"] == "Mb/s"
         assert entry["throughput"] > 0
+
+
+#: Invalid values that only resolving them reveals (building the arrival
+#: or admission policy, the class map or the RuntimeConfig, or sizing
+#: the clients): the check must resolve them before anything runs.
+UNCHECKED_BEFORE = [
+    ("topology", "two-sockett"),
+    ("service_classes", ("clinet=gold:2000",)),
+    ("arrival_params", (("rate_rps", -5.0),)),
+    ("arrival_params", (("rate", 5.0),)),
+    ("admission_params", (("max_inflite", 9),)),
+    ("cores", 0),
+    ("concurrency", 0),
+]
+
+
+class TestCheck:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "field, value", UNCHECKED_BEFORE,
+        ids=[f"{f}={v!r}" for f, v in UNCHECKED_BEFORE],
+    )
+    def test_the_check_rejects_what_the_run_would(
+        self, monkeypatch, field, value, jobs
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a scenario ran before the check failed")
+
+        monkeypatch.setattr(scenarios, "run_experiment", never)
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", never)
+        by_name = {s.name: s for s in SCENARIOS}
+        bad = by_name["http-overload-shed"]._replace(
+            name="typo", **{field: value}
+        )
+        with pytest.raises(ConfigError, match="^scenario 'typo': "):
+            run_scenario_matrix(
+                (by_name["http-closed-baseline"], bad), quick=True, jobs=jobs
+            )
 
 
 class TestResultsDocument:
@@ -438,7 +477,7 @@ class TestBaselineComparison:
         )
         assert document["quick"] is True
         assert {e["app"] for e in document["scenarios"].values()} == set(
-            APP_ENDPOINTS
+            APPS
         )
 
 
@@ -501,7 +540,7 @@ class TestClusterScenarioFields:
         scenario = Scenario(
             name="tiny-fleet", app="http_lb", arrival="poisson",
             arrival_params=(("rate_rps", 30_000.0),),
-            connections=16, requests=256, slo_ms=5.0, cores=4, shards=2,
+            concurrency=16, total_requests=256, slo_us=5_000.0, cores=4, shards=2,
         )
         entry = run_scenario(scenario, quick=True)
         cluster = entry["cluster"]
@@ -516,7 +555,7 @@ class TestClusterScenarioFields:
         scenario = Scenario(
             name="tiny", app="http_lb", arrival="poisson",
             arrival_params=(("rate_rps", 30_000.0),),
-            connections=16, requests=256, slo_ms=2.0, cores=4,
+            concurrency=16, total_requests=256, slo_us=2_000.0, cores=4,
         )
         entry = run_scenario(scenario, quick=True)
         assert "cluster" not in entry
