@@ -15,7 +15,7 @@ from repro.core.units import GBPS
 from repro.net.tcp import TcpNetwork
 from repro.runtime.graph import OutboundTarget
 from repro.workloads.backends import BackendMemcachedServer
-from repro.workloads.memcached_clients import MemcachedClientPopulation
+from repro.workloads.arrivals import ClosedLoopClients, MemcachedRequestCodec
 
 N_BACKENDS = 4
 N_CLIENTS = 32
@@ -58,10 +58,10 @@ def run(cache_router: bool):
     )
     platform.start()
 
-    population = MemcachedClientPopulation(
+    population = ClosedLoopClients(
         engine, tcpnet, client_hosts, mbox, 11211,
-        concurrency=N_CLIENTS, requests_per_client=REQUESTS_PER_CLIENT,
-        warmup_requests=2, key_space=KEY_SPACE,
+        MemcachedRequestCodec(KEY_SPACE), concurrency=N_CLIENTS,
+        requests_per_client=REQUESTS_PER_CLIENT, warmup_requests=2,
     )
     population.start()
     engine.run()

@@ -18,7 +18,7 @@ one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.grammar.protocols import http
 from repro.net.simnet import Host
@@ -91,7 +91,10 @@ class BaselineHttpServer:
         self._response = http.make_response(body=body).raw  # the same every time
         self.active_connections = 0
         self.requests_served = 0
-        self._upstreams: Dict[int, "_Upstream"] = {}
+        self._upstreams = [
+            Upstream(self, target, http.response_codec(()).parser())
+            for target in self.backends
+        ]
         self._next_backend = 0
         tcpnet.listen(host, port, self._accept)
 
@@ -150,38 +153,38 @@ class BaselineHttpServer:
     # -- upstream (LB) path ----------------------------------------------------------
 
     def _forward(self, client: TcpSocket, backend_idx: int, keep: bool) -> None:
-        if client.closed:
-            return
-        upstream = self._upstreams.get(backend_idx)
-        if upstream is None:
-            upstream = _Upstream(self, self.backends[backend_idx])
-            self._upstreams[backend_idx] = upstream
-        upstream.forward(client, keep)
+        if not client.closed:
+            self._upstreams[backend_idx].forward(client, _UPSTREAM_REQUEST, keep)
 
 
 #: What every upstream leg sends per forwarded request.
 _UPSTREAM_REQUEST = http.make_request("GET", "/upstream", keep_alive=True).raw
 
 
-class _Upstream:
-    """One persistent upstream connection with FIFO response matching."""
+class Upstream:
+    """One persistent upstream connection with FIFO response matching,
+    opened on the first :meth:`forward`, for any protocol: ``parser`` is
+    a fresh reply parser.  Each reply goes back raw to the oldest waiting
+    client (closed after it unless ``keep``) and counts in ``server``'s
+    ``requests_served``; ``server`` also supplies ``tcpnet`` and ``host``.
+    """
 
-    def __init__(self, server: BaselineHttpServer, target) -> None:
+    def __init__(self, server, target, parser) -> None:
         self._server = server
         self._target = target  # OutboundTarget-like: .host / .port
         self._socket: Optional[TcpSocket] = None
         self._connecting = False
         self._send_queue: deque = deque()
-        self._pending: deque = deque()  # (client socket, keep_alive)
-        self._parser = http.response_codec(()).parser()  # forwards raw
+        self._pending: deque = deque()  # (client socket, keep)
+        self._parser = parser
 
-    def forward(self, client: TcpSocket, keep: bool) -> None:
+    def forward(self, client: TcpSocket, raw: bytes, keep: bool = True) -> None:
         self._pending.append((client, keep))
         if self._socket is None:
-            self._send_queue.append(_UPSTREAM_REQUEST)
+            self._send_queue.append(raw)
             self._connect()
         else:
-            self._socket.send(_UPSTREAM_REQUEST)
+            self._socket.send(raw)
 
     def _connect(self) -> None:
         if self._connecting:

@@ -11,9 +11,9 @@ beyond 4.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.baselines.base import CorePool
+from repro.baselines.base import CorePool, Upstream
 from repro.core.ids import stable_hash
 from repro.grammar.protocols import memcached as mc
 from repro.net.simnet import Host
@@ -48,7 +48,10 @@ class MoxiProxy:
         self.pool = CorePool(engine, cores)
         self.backends = backends
         self.requests_served = 0
-        self._upstreams: Dict[int, "_McUpstream"] = {}
+        self._upstreams = [
+            Upstream(self, target, mc.full_codec().parser())
+            for target in backends
+        ]
         tcpnet.listen(host, port, self._accept)
 
     def request_cost_us(self) -> float:
@@ -75,58 +78,6 @@ class MoxiProxy:
     def _route(self, client: TcpSocket, request) -> None:
         if client.closed:
             return
-        index = stable_hash(request.key) % len(self.backends)
-        upstream = self._upstreams.get(index)
-        if upstream is None:
-            upstream = _McUpstream(self, self.backends[index])
-            self._upstreams[index] = upstream
-        upstream.forward(client, request)
-
-
-class _McUpstream:
-    """Persistent connection to one Memcached backend, FIFO matching."""
-
-    def __init__(self, proxy: MoxiProxy, target) -> None:
-        self._proxy = proxy
-        self._target = target
-        self._socket: Optional[TcpSocket] = None
-        self._connecting = False
-        self._send_queue: List[bytes] = []
-        self._pending: List[TcpSocket] = []
-        self._parser = mc.full_codec().parser()
-
-    def forward(self, client: TcpSocket, request) -> None:
         raw = request.raw if request.raw is not None else mc.encode(request)
-        self._pending.append(client)
-        if self._socket is None:
-            self._send_queue.append(raw)
-            self._connect()
-        else:
-            self._socket.send(raw)
-
-    def _connect(self) -> None:
-        if self._connecting:
-            return
-        self._connecting = True
-
-        def connected(socket: TcpSocket) -> None:
-            self._socket = socket
-            socket.on_receive(self._on_response)
-            pending, self._send_queue = self._send_queue, []
-            for raw in pending:
-                socket.send(raw)
-
-        self._proxy.tcpnet.connect(
-            self._proxy.host, self._target.host, self._target.port, connected
-        )
-
-    def _on_response(self, data: bytes) -> None:
-        self._parser.feed(data)
-        for response in self._parser.messages():
-            if not self._pending:
-                return
-            client = self._pending.pop(0)
-            if client.closed:
-                continue
-            self._proxy.requests_served += 1
-            client.send(response.raw)
+        index = stable_hash(request.key) % len(self.backends)
+        self._upstreams[index].forward(client, raw)

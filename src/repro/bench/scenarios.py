@@ -348,10 +348,13 @@ def quick_sized(scenario: Scenario, quick: bool) -> Scenario:
     if not quick:
         return scenario
     requests = scenario.total_requests
-    return scenario._replace(
-        total_requests=None if requests is None else max(256, requests // 4),
-        data_kb_per_mapper=max(1, scenario.data_kb_per_mapper // 3),
-    )
+    sized = {
+        "total_requests": None if requests is None else max(256, requests // 4)
+    }
+    app = APPS.get(scenario.app)
+    if app is not None and "data_kb_per_mapper" in app.fields:
+        sized["data_kb_per_mapper"] = max(1, scenario.data_kb_per_mapper // 3)
+    return scenario._replace(**sized)
 
 
 def run_scenario(scenario, quick: bool = False) -> dict:

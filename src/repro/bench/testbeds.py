@@ -24,7 +24,6 @@ each app's defaults, over the same spec.
 from __future__ import annotations
 
 import random
-from functools import partial
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.apps import hadoop_agg, http_lb, memcached_proxy
@@ -48,6 +47,7 @@ from repro.sim.engine import Engine
 from repro.sim.stats import RunResult
 from repro.workloads.arrivals import (
     ARRIVALS,
+    ClosedLoopClients,
     HttpRequestCodec,
     MemcachedRequestCodec,
     OpenLoopClients,
@@ -59,8 +59,6 @@ from repro.workloads.hadoop_mappers import (
     ReducerSink,
     generate_mapper_output,
 )
-from repro.workloads.http_clients import HttpClientPopulation
-from repro.workloads.memcached_clients import MemcachedClientPopulation
 
 N_CLIENT_HOSTS = 16
 N_BACKENDS = 10
@@ -198,11 +196,14 @@ class App(NamedTuple):
     scale: float
     #: The throughput unit of the run's result.
     unit: str
+    #: The :class:`Scenario` fields only this app reads; :meth:`~Scenario.check`
+    #: rejects another app's field set away from its default.
+    fields: Tuple[str, ...]
     #: ``(spec, engine, tcpnet) -> (backend servers, outbound targets)``.
     backends: Callable
     #: ``(spec, targets) -> (program, process, codecs, bindings)``.
     program: Callable
-    #: ``spec -> (open-loop request codec, closed-loop population)`` for
+    #: ``spec -> RequestCodec`` that both client populations drive, for
     #: a request/response app; ``None`` for hadoop's mapper streams.
     clients: Optional[Callable]
 
@@ -275,25 +276,22 @@ APPS: Dict[str, App] = {
     "http_lb": App(
         80, http_lb.CLIENT_ENDPOINT, {"lb": True, "web": False},
         {"apache": ApacheServer, "nginx": NginxServer}, True,
-        "concurrency", 1.0, "kreq/s", _http_backends, _http_program,
-        lambda spec: (
-            HttpRequestCodec(),
-            partial(HttpClientPopulation, persistent=spec.persistent),
-        ),
+        "concurrency", 1.0, "kreq/s", ("persistent",),
+        _http_backends, _http_program, lambda spec: HttpRequestCodec(),
     ),
     "memcached_proxy": App(
         11211, memcached_proxy.CLIENT_ENDPOINT, {"lb": True},
         {"moxi": MoxiProxy}, False,
-        "cores", 1.0, "kreq/s", _memcached_backends, _memcached_program,
-        lambda spec: (
-            MemcachedRequestCodec(key_space=spec.key_space),
-            partial(MemcachedClientPopulation, key_space=spec.key_space),
-        ),
+        "cores", 1.0, "kreq/s",
+        ("specialised_parser", "cache_router", "key_space", "value_bytes"),
+        _memcached_backends, _memcached_program,
+        lambda spec: MemcachedRequestCodec(spec.key_space),
     ),
     "hadoop_agg": App(
         9100, hadoop_agg.CLIENT_ENDPOINT, {"lb": False}, {}, False,
-        "cores", HADOOP_LINK_SCALE, "Mb/s", _hadoop_backends, _hadoop_program,
-        None,
+        "cores", HADOOP_LINK_SCALE, "Mb/s",
+        ("word_len", "data_kb_per_mapper", "n_mappers"),
+        _hadoop_backends, _hadoop_program, None,
     ),
 }
 
@@ -323,6 +321,20 @@ def _check(spec: Scenario) -> Checked:
                     listed="known",
                 )
             )
+    ignored = [
+        f"{field}={getattr(spec, field)!r}"
+        for row in APPS.values()
+        for field in row.fields
+        if field not in app.fields
+        and getattr(spec, field) != Scenario._field_defaults[field]
+    ]
+    if ignored:
+        raise ConfigError(
+            f"{spec.app} does not read {', '.join(ignored)} "
+            "(another app's field)"
+        )
+    if not spec.persistent and spec.arrival is not None:
+        raise ConfigError("persistent=False needs closed-loop clients")
     if app.clients is None:
         unsupported = [
             field for field in ("service_classes", "slo_us")
@@ -561,19 +573,21 @@ def _requests_per_client(spec: Scenario) -> int:
 
 
 def _population(spec: Scenario, app: App, engine, tcpnet, mbox, servers, scoreboard):
-    """The client side: the mapper job, :class:`OpenLoopClients` on the
-    spec's arrival clock, or the app's closed-loop population."""
+    """The client side: the mapper job, or the app's request codec driven
+    by :class:`OpenLoopClients` on the spec's arrival clock or by
+    :class:`ClosedLoopClients`."""
     if app.clients is None:
         return _MapperJob(spec, engine, tcpnet, mbox, app.port, servers[0])
-    codec, closed_loop = app.clients(spec)
+    codec = app.clients(spec)
     hosts = _edge_hosts(tcpnet, "client", N_CLIENT_HOSTS)
     per_client = _requests_per_client(spec)
     if spec.arrival is None:
-        return closed_loop(
-            engine, tcpnet, hosts, mbox, app.port,
+        return ClosedLoopClients(
+            engine, tcpnet, hosts, mbox, app.port, codec,
             concurrency=spec.concurrency,
             requests_per_client=per_client,
             warmup_requests=max(2, per_client // 10),
+            persistent=spec.persistent,
         )
     return OpenLoopClients(
         engine, tcpnet, hosts, mbox, app.port,

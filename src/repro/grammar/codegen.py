@@ -51,6 +51,7 @@ from repro.grammar.model import (
     SizeExpr,
     Unit,
     VarField,
+    referenced_fields,
 )
 from repro.lang.values import Record
 
@@ -374,7 +375,14 @@ def encoder_source(unit: Unit) -> str:
         where = f"var field {f.name!r}"
         if f"v{idx}" not in inverted:
             fallback = low.expr(f.parse_expr, where)
-            derived += [f"if v{idx} is None:", f"    v{idx} = {fallback}"]
+            derived.append(f"if v{idx} is None:")
+            # A field the record lacks reads as None, which only arithmetic
+            # rejects; the reference rejects it unless a pass assigned it.
+            for name in referenced_fields(f.parse_expr):
+                if low.local(name, where) not in written:
+                    derived += [f"    if {name!r} not in record._fields:", "        raise TypeError"]
+            derived.append(f"    v{idx} = {fallback}")
+            written[f"v{idx}"] = idx
         if f.serialize_target is not None:
             target = low.local(f.serialize_target, where)
             value = low.expr(f.serialize_expr, where, f"v{idx}")

@@ -1,12 +1,11 @@
-"""Workload generators: HTTP clients, Memcached clients, Hadoop mappers.
+"""Workload generators: client populations, backend servers, Hadoop mappers.
 
-Two client models drive the testbeds: the paper's closed-loop
-populations (:mod:`~repro.workloads.http_clients`,
-:mod:`~repro.workloads.memcached_clients` — ApacheBench-style, each
-client waits for its response) and the open-loop generation in
-:mod:`~repro.workloads.arrivals` — a registry of arrival processes
-(poisson / bursty MMPP / ramp / replay) feeding an
-:class:`~repro.workloads.arrivals.OpenLoopClients` population that
-admits requests on the arrival clock regardless of completions, making
-overload and SLO-miss behaviour observable.
+:mod:`~repro.workloads.arrivals` holds the client side of every
+request/response testbed: the paper's closed-loop population
+(:class:`~repro.workloads.arrivals.ClosedLoopClients` — ApacheBench-style,
+each client waits for its response), the open-loop
+:class:`~repro.workloads.arrivals.OpenLoopClients`, which admits
+requests on an arrival process's clock (poisson / bursty MMPP / ramp /
+replay) regardless of completions so that overload and SLO misses are
+observable, and the per-protocol request codecs both drive.
 """

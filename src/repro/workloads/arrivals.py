@@ -1,10 +1,12 @@
-"""Open-loop workload generation: arrival processes + client population.
+"""Client-side workload generation: arrival processes, protocol codecs
+and the two client populations.
 
 The paper's evaluation is entirely *closed-loop* (ApacheBench-style: N
 clients in lockstep, each waiting for its response before sending the
-next request).  Closed-loop clients self-throttle — when the middlebox
-saturates, the offered load drops with it, so overload and SLO-miss
-behaviour are invisible.  This module supplies the missing half:
+next request; :class:`ClosedLoopClients`).  Closed-loop clients
+self-throttle — when the middlebox saturates, the offered load drops
+with it, so overload and SLO-miss behaviour are invisible.  This module
+also supplies the missing half:
 
 * :class:`ArrivalProcess` — the *policy* side of load generation,
   mirroring the scheduler's policy/mechanism split
@@ -21,9 +23,13 @@ behaviour are invisible.  This module supplies the missing half:
   accumulates queueing latency instead of throttling the source — the
   regime where SLO misses become observable.
 
-Latency is measured from *admission* (the arrival tick), not from the
-socket write, so connection backlog counts against the SLO exactly as a
-queueing model would.
+Both populations are protocol-agnostic: a :class:`RequestCodec`
+supplies the request bytes, the response parser, the error test and
+the response size, as the generated codecs do for the platform.
+
+Open-loop latency is measured from *admission* (the arrival tick), not
+from the socket write, so connection backlog counts against the SLO
+exactly as a queueing model would.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.errors import ConfigError
+from repro.core.ids import stable_hash
 from repro.core.registry import Registry
 from repro.grammar.protocols import http
 from repro.grammar.protocols import memcached as mc
@@ -271,10 +278,14 @@ class ReplayArrivals(ArrivalProcess):
 
 
 class RequestCodec:
-    """Protocol adapter for :class:`OpenLoopClients` (one per protocol)."""
+    """Protocol adapter for the client populations (one per protocol)."""
 
     def request_bytes(self, index: int) -> bytes:
-        """Wire bytes of the ``index``-th admitted request."""
+        """Wire bytes of the ``index``-th open-loop admission."""
+        raise NotImplementedError
+
+    def client_request(self, client: int, n: int, keep_alive: bool) -> bytes:
+        """Wire bytes of closed-loop client ``client``'s ``n``-th request."""
         raise NotImplementedError
 
     def parser(self):
@@ -289,18 +300,32 @@ class RequestCodec:
 
 
 class HttpRequestCodec(RequestCodec):
-    """Keep-alive GETs against one path (the Figure-4 request shape)."""
+    """GETs against one path (the Figure-4 request shape)."""
 
     def __init__(self, path: str = "/index.html"):
         self.path = path
-        # Requests differ only in ``index``: render one around a NUL
-        # marker (the last NUL: nothing after the path holds one) and
-        # splice each index in.
-        raw = http.make_request("GET", f"{path}?r=\0", keep_alive=True).raw
-        self._head, _, self._tail = raw.rpartition(b"\0")
+        # Requests differ only in their numbers: render one per shape
+        # around NUL markers and splice the numbers in.
+        self._open = self._template("r=\0", keep_alive=True)
+        self._closed = {
+            keep: self._template("c=\0&n=\0", keep) for keep in (False, True)
+        }
+
+    def _template(self, query: str, keep_alive: bool):
+        """``GET path?query`` split at its markers: the last NULs, since
+        nothing after the path holds one."""
+        raw = http.make_request(
+            "GET", f"{self.path}?{query}", keep_alive=keep_alive
+        ).raw
+        return raw.rsplit(b"\0", query.count("\0"))
 
     def request_bytes(self, index: int) -> bytes:
-        return b"%s%d%s" % (self._head, index, self._tail)
+        head, tail = self._open
+        return b"%s%d%s" % (head, index, tail)
+
+    def client_request(self, client: int, n: int, keep_alive: bool) -> bytes:
+        head, middle, tail = self._closed[keep_alive]
+        return b"%s%d%s%d%s" % (head, client, middle, n, tail)
 
     def parser(self):
         return http.response_codec(("status", "body")).parser()
@@ -313,15 +338,21 @@ class HttpRequestCodec(RequestCodec):
 
 
 class MemcachedRequestCodec(RequestCodec):
-    """Binary-protocol GETK over a deterministic key space (§6.2)."""
+    """Binary-protocol GETK over a deterministic key space (§6.2);
+    memcached connections are always persistent."""
 
-    def __init__(self, key_space: int = 10_000, opcode: int = mc.OP_GETK):
+    def __init__(self, key_space: int = 10_000):
         self.key_space = key_space
-        self.opcode = opcode
+
+    def _getk(self, bucket: int, opaque: int) -> bytes:
+        key = f"key-{bucket % self.key_space:06d}"
+        return mc.encode(mc.make_request(mc.OP_GETK, key, opaque=opaque))
 
     def request_bytes(self, index: int) -> bytes:
-        key = f"key-{index % self.key_space:06d}"
-        return mc.encode(mc.make_request(self.opcode, key, opaque=index))
+        return self._getk(index, index)
+
+    def client_request(self, client: int, n: int, keep_alive: bool) -> bytes:
+        return self._getk(stable_hash((client, n)), client)
 
     def parser(self):
         return mc.full_codec().parser()
@@ -331,6 +362,134 @@ class MemcachedRequestCodec(RequestCodec):
 
     def response_size(self, message) -> int:
         return len(message.raw or b"")
+
+
+# ---------------------------------------------------------------------------
+# The closed-loop population
+# ---------------------------------------------------------------------------
+
+
+class ClosedLoopClients:
+    """ApacheBench-style closed loop (§6.2) over any :class:`RequestCodec`.
+
+    ``concurrency`` clients each send one request, wait for the whole
+    response, then send the next, ``requests_per_client`` times.  With
+    ``persistent`` each client keeps one connection for all of them
+    (keep-alive); without, it opens a connection per request and closes
+    it after the response (Figure 4c/4d).  Latency and bytes are
+    recorded once a client is past its first ``warmup_requests``; the
+    meter runs from :meth:`start` until the last client finishes.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        tcpnet: TcpNetwork,
+        client_hosts: List[Host],
+        target: Host,
+        port: int,
+        codec: RequestCodec,
+        concurrency: int,
+        requests_per_client: int = 50,
+        warmup_requests: int = 5,
+        persistent: bool = True,
+    ):
+        if concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
+        self.engine = engine
+        self.tcpnet = tcpnet
+        self.client_hosts = client_hosts
+        self.target = target
+        self.port = port
+        self.codec = codec
+        self.concurrency = concurrency
+        self.requests_per_client = requests_per_client
+        self.warmup_requests = warmup_requests
+        self.persistent = persistent
+        self.latency = LatencySeries()
+        self.meter = Meter()
+        self.errors = 0
+        self._done_clients = 0
+        self._started = False
+
+    def start(self) -> None:
+        if self._started:
+            raise RuntimeError("population already started")
+        self._started = True
+        self.meter.begin(self.engine.now)
+        for index in range(self.concurrency):
+            host = self.client_hosts[index % len(self.client_hosts)]
+            _ClosedClient(self, index, host).next_request()
+
+    @property
+    def finished(self) -> bool:
+        return self._done_clients == self.concurrency
+
+    def _client_done(self) -> None:
+        self._done_clients += 1
+        if self.finished:
+            self.meter.finish(self.engine.now)
+
+    def kreqs_per_sec(self) -> float:
+        return self.meter.kreqs_per_sec()
+
+    def mean_latency_ms(self) -> float:
+        return self.latency.mean_ms()
+
+
+class _ClosedClient:
+    """One closed-loop client: a request, its response, the next."""
+
+    def __init__(self, pop: ClosedLoopClients, index: int, host: Host):
+        self.pop = pop
+        self.index = index
+        self.host = host
+        self.sent = 0
+        self.socket: Optional[TcpSocket] = None
+        self.parser = None
+        self.request_started = 0.0
+
+    def next_request(self) -> None:
+        if self.sent >= self.pop.requests_per_client:
+            self.pop._client_done()
+        elif self.socket is None:
+            self._connect()
+        else:
+            self._send()
+
+    def _connect(self) -> None:
+        self.parser = self.pop.codec.parser()
+
+        def connected(socket: TcpSocket) -> None:
+            self.socket = socket
+            socket.on_receive(self._on_data)
+            self._send()
+
+        self.pop.tcpnet.connect(
+            self.host, self.pop.target, self.pop.port, connected
+        )
+
+    def _send(self) -> None:
+        pop = self.pop
+        payload = pop.codec.client_request(self.index, self.sent, pop.persistent)
+        self.request_started = pop.engine.now
+        self.sent += 1
+        self.socket.send(payload)
+
+    def _on_data(self, data: bytes) -> None:
+        pop = self.pop
+        self.parser.feed(data)
+        for message in self.parser.messages():
+            if pop.codec.is_error(message):
+                pop.errors += 1
+            if self.sent > pop.warmup_requests:
+                pop.latency.record(pop.engine.now - self.request_started)
+                pop.meter.add(pop.codec.response_size(message))
+            if not pop.persistent:
+                self.socket.close()
+                self.socket = None
+            self.next_request()
+            return
 
 
 # ---------------------------------------------------------------------------

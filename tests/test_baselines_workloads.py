@@ -10,10 +10,13 @@ from repro.core.units import GBPS
 from repro.net.tcp import TcpNetwork
 from repro.runtime.graph import OutboundTarget
 from repro.sim.engine import Engine
+from repro.workloads.arrivals import (
+    ClosedLoopClients,
+    HttpRequestCodec,
+    MemcachedRequestCodec,
+)
 from repro.workloads.backends import BackendMemcachedServer, BackendWebServer
 from repro.workloads.hadoop_mappers import generate_mapper_output, make_word
-from repro.workloads.http_clients import HttpClientPopulation
-from repro.workloads.memcached_clients import MemcachedClientPopulation
 
 
 class TestCorePool:
@@ -59,8 +62,8 @@ class TestHttpBaselines:
     def test_static_mode_serves_requests(self, server_cls):
         engine, net, mbox, clients, _ = _topology()
         server = server_cls(engine, net, mbox, 80, cores=4)
-        pop = HttpClientPopulation(
-            engine, net, clients, mbox, 80, 8, True, 10, 1
+        pop = ClosedLoopClients(
+            engine, net, clients, mbox, 80, HttpRequestCodec(), 8, 10, 1
         )
         pop.start()
         engine.run()
@@ -73,8 +76,8 @@ class TestHttpBaselines:
         backends = [BackendWebServer(engine, net, b, 8080) for b in backend_hosts]
         targets = [OutboundTarget(b, 8080) for b in backend_hosts]
         server_cls(engine, net, mbox, 80, cores=4, backends=targets)
-        pop = HttpClientPopulation(
-            engine, net, clients, mbox, 80, 6, True, 8, 1
+        pop = ClosedLoopClients(
+            engine, net, clients, mbox, 80, HttpRequestCodec(), 6, 8, 1
         )
         pop.start()
         engine.run()
@@ -85,8 +88,8 @@ class TestHttpBaselines:
         def run(server_cls):
             engine, net, mbox, clients, _ = _topology()
             server_cls(engine, net, mbox, 80, cores=8)
-            pop = HttpClientPopulation(
-                engine, net, clients, mbox, 80, 40, True, 15, 2
+            pop = ClosedLoopClients(
+                engine, net, clients, mbox, 80, HttpRequestCodec(), 40, 15, 2
             )
             pop.start()
             engine.run()
@@ -113,8 +116,9 @@ class TestMoxi:
         ]
         targets = [OutboundTarget(b, 11211) for b in backend_hosts]
         MoxiProxy(engine, net, mbox, 11211, targets, cores=4)
-        pop = MemcachedClientPopulation(
-            engine, net, clients, mbox, 11211, 8, 10, 1, key_space=32
+        pop = ClosedLoopClients(
+            engine, net, clients, mbox, 11211, MemcachedRequestCodec(32),
+            8, 10, 1,
         )
         pop.start()
         engine.run()

@@ -320,6 +320,23 @@ class TestErrors:
         kind, got = serialize_both(SIMPLE, None, record, record.copy())
         assert (kind, got) == ("error", SerializeError)
 
+    REWRITTEN = parse_unit(
+        "type u = unit { buf : uint8;"
+        " var p : uint8 &parse = self.buf &serialize = self.buf = 0; };"
+    )
+
+    @pytest.mark.parametrize(
+        "fields, kind",
+        [({}, "error"), ({"buf": None}, "ok"), ({"p": 3}, "ok"), ({"buf": 5}, "ok")],
+    )
+    def test_var_computed_from_a_field_the_record_lacks(self, fields, kind):
+        """Found by ``test_serialize_built_records``: a var field whose
+        value comes from its parse expression over a field the record
+        does not hold is an error, even when nothing does arithmetic on
+        it; a field held as None is not."""
+        record = Record("u", fields)
+        assert serialize_both(self.REWRITTEN, None, record, record.copy())[0] == kind
+
     WIDE = parse_unit(
         "type w = unit { n : uint8; var m : uint64 &parse = self.n * 1;"
         " : bytes &length = self.m; };"

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.errors import FlickError, ParseError
 from repro.grammar.engine import UnitParser, make_codec
 from repro.grammar.protocols import http
+from repro.grammar.protocols import memcached as mc
 from repro.lang.values import Record
 from tests import http_oracle as oracle
 
@@ -403,8 +404,8 @@ class TestInterface:
 
 class TestRenderedOnce:
     """A server that answers every request with the same bytes renders
-    them once, not once per request; an open-loop client renders its
-    request once and splices each index in."""
+    them once, not once per request; a client renders its request once
+    per shape and splices the numbers in."""
 
     @pytest.mark.parametrize(
         "system, mode", [("flick-kernel", "lb"), ("apache", "lb"), ("nginx", "web"),
@@ -426,11 +427,42 @@ class TestRenderedOnce:
         # Once per backend and baseline server: the same for 3x the load.
         assert renders[1] == renders[2] <= 11
 
-    @pytest.mark.parametrize("path", ["/index.html", "/a\0b", ""])
-    def test_open_loop_requests_are_spliced_not_rendered(self, path):
-        from repro.workloads.arrivals import HttpRequestCodec
+    @pytest.mark.parametrize(
+        "protocol, arg",
+        [("http", "/index.html"), ("http", "/a\0b"), ("http", ""),
+         ("memcached", 10_000), ("memcached", 7)],
+    )
+    def test_open_and_closed_loop_requests_are_spliced_not_rendered(self, protocol, arg):
+        """Each codec's bytes are the per-request rendering it replaced;
+        a memcached opaque past 32 bits fails the same way both ways."""
+        from repro.core.ids import stable_hash
+        from repro.workloads.arrivals import HttpRequestCodec, MemcachedRequestCodec
 
-        codec = HttpRequestCodec(path)
-        for index in (0, 7, 10**12):
-            expected = http.make_request("GET", f"{path}?r={index}", keep_alive=True).raw
-            assert codec.request_bytes(index) == expected
+        if protocol == "http":
+            codec = HttpRequestCodec(arg)
+
+            def open_loop(index):
+                return http.make_request("GET", f"{arg}?r={index}", keep_alive=True).raw
+
+            def closed_loop(c, n, keep):
+                return http.make_request("GET", f"{arg}?c={c}&n={n}", keep_alive=keep).raw
+        else:
+            codec = MemcachedRequestCodec(arg)
+
+            def getk(bucket, opaque):
+                key = f"key-{bucket % arg:06d}"
+                return mc.encode(mc.make_request(mc.OP_GETK, key, opaque=opaque))
+
+            def open_loop(index):
+                return getk(index, index)
+
+            def closed_loop(c, n, keep):
+                return getk(stable_hash((c, n)), c)
+
+        numbers = (0, 7, 2**32 - 1, 10**12)
+        for index in numbers:
+            assert _outcome(codec.request_bytes, index) == _outcome(open_loop, index)
+        for c, n, keep in itertools.product(numbers, numbers, (False, True)):
+            assert _outcome(codec.client_request, c, n, keep) == _outcome(
+                closed_loop, c, n, keep
+            )

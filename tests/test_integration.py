@@ -17,8 +17,11 @@ from repro.workloads.hadoop_mappers import (
     generate_mapper_output,
     reference_wordcount,
 )
-from repro.workloads.http_clients import HttpClientPopulation
-from repro.workloads.memcached_clients import MemcachedClientPopulation
+from repro.workloads.arrivals import (
+    ClosedLoopClients,
+    HttpRequestCodec,
+    MemcachedRequestCodec,
+)
 
 
 def _topology(n_clients=4, n_backends=4):
@@ -39,9 +42,9 @@ class TestStaticWeb:
         )
         platform.register_program(http_lb.compile_static_web(), "StaticWeb", 80)
         platform.start()
-        pop = HttpClientPopulation(
-            engine, net, clients, mbox, 80, concurrency, persistent,
-            requests_per_client=12, warmup_requests=2,
+        pop = ClosedLoopClients(
+            engine, net, clients, mbox, 80, HttpRequestCodec(), concurrency,
+            requests_per_client=12, warmup_requests=2, persistent=persistent,
         )
         pop.start()
         engine.run()
@@ -104,9 +107,9 @@ class TestHttpLoadBalancer:
             http_lb.lb_bindings(targets),
         )
         platform.start()
-        pop = HttpClientPopulation(
-            engine, net, clients, mbox, 80, concurrency, persistent,
-            requests_per_client=10, warmup_requests=1,
+        pop = ClosedLoopClients(
+            engine, net, clients, mbox, 80, HttpRequestCodec(), concurrency,
+            requests_per_client=10, warmup_requests=1, persistent=persistent,
         )
         pop.start()
         engine.run()
@@ -200,10 +203,10 @@ class TestMemcachedProxy:
             ),
         )
         platform.start()
-        pop = MemcachedClientPopulation(
-            engine, net, clients, mbox, 11211, concurrency=16,
+        pop = ClosedLoopClients(
+            engine, net, clients, mbox, 11211,
+            MemcachedRequestCodec(key_space), concurrency=16,
             requests_per_client=requests, warmup_requests=2,
-            key_space=key_space,
         )
         pop.start()
         engine.run()
@@ -261,9 +264,9 @@ class TestMemcachedProxy:
             ),
         )
         platform.start()
-        pop = MemcachedClientPopulation(
-            engine, net, clients, mbox, 11211, concurrency=1,
-            requests_per_client=20, warmup_requests=2, key_space=1,
+        pop = ClosedLoopClients(
+            engine, net, clients, mbox, 11211, MemcachedRequestCodec(1),
+            concurrency=1, requests_per_client=20, warmup_requests=2,
         )
         pop.start()
         engine.run()
@@ -341,9 +344,9 @@ class TestPlatformBehaviour:
             http_lb.compile_static_web(), "StaticWeb", 80
         )
         platform.start()
-        pop = HttpClientPopulation(
-            engine, net, clients, mbox, 80, concurrency=3, persistent=False,
-            requests_per_client=6, warmup_requests=1,
+        pop = ClosedLoopClients(
+            engine, net, clients, mbox, 80, HttpRequestCodec(), concurrency=3,
+            requests_per_client=6, warmup_requests=1, persistent=False,
         )
         pop.start()
         engine.run()
@@ -368,9 +371,9 @@ class TestPlatformBehaviour:
             ),
         )
         platform.start()
-        pop = MemcachedClientPopulation(
-            engine, net, clients, mbox, 11211, concurrency=8,
-            requests_per_client=20, warmup_requests=1, key_space=1,
+        pop = ClosedLoopClients(
+            engine, net, clients, mbox, 11211, MemcachedRequestCodec(1),
+            concurrency=8, requests_per_client=20, warmup_requests=1,
         )
         pop.start()
         engine.run()
@@ -389,8 +392,8 @@ class TestPlatformBehaviour:
                 http_lb.compile_static_web(), "StaticWeb", 80
             )
             platform.start()
-            pop = HttpClientPopulation(
-                engine, net, clients, mbox, 80, 6, True, 8, 1
+            pop = ClosedLoopClients(
+                engine, net, clients, mbox, 80, HttpRequestCodec(), 6, 8, 1
             )
             pop.start()
             engine.run()

@@ -27,8 +27,11 @@ from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.runtime.task import MergeTask
 from repro.sim.engine import Engine
 from repro.workloads.backends import BackendMemcachedServer, BackendWebServer
-from repro.workloads.http_clients import HttpClientPopulation
-from repro.workloads.memcached_clients import MemcachedClientPopulation
+from repro.workloads.arrivals import (
+    ClosedLoopClients,
+    HttpRequestCodec,
+    MemcachedRequestCodec,
+)
 
 
 class TestChannel:
@@ -683,8 +686,8 @@ class TestLazyLegs:
         engine, net, mbox, hosts, backends, graphs = _proxy_testbed(
             "memcached"
         )
-        population = MemcachedClientPopulation(
-            engine, net, hosts, mbox, 11211,
+        population = ClosedLoopClients(
+            engine, net, hosts, mbox, 11211, MemcachedRequestCodec(),
             concurrency=1, requests_per_client=40,
         )
         population.start()
@@ -744,8 +747,8 @@ class TestConnectionRelease:
     def test_non_persistent_connections_are_let_go(self):
         engine, net, mbox, hosts, backends, graphs = _proxy_testbed()
         concurrency = 8
-        population = HttpClientPopulation(
-            engine, net, hosts, mbox, 80,
+        population = ClosedLoopClients(
+            engine, net, hosts, mbox, 80, HttpRequestCodec(),
             concurrency=concurrency, persistent=False,
             requests_per_client=25, warmup_requests=0,
         )

@@ -1,11 +1,12 @@
 """Seeded fuzzing of the scenario space.
 
 Specs are drawn from the live registries in ``AXES`` crossed with every
-app, mode, system and ``shards`` in {1, 2}, at sizes small enough to run
-in tier-1.  Only universal properties are checked: a spec the check
-rejects fails with :class:`ConfigError` and nothing else; a spec it
-accepts runs to completion, balances both conservation laws and gives
-the same entry twice.  A failure found here is fixed and pinned as an
+app, mode, system, ``persistent`` and ``shards`` in {1, 2}, at sizes
+small enough to run in tier-1; some set a field only another app reads.
+Only universal properties are checked: a spec the check rejects fails
+with :class:`ConfigError` and nothing else; a spec it accepts runs to
+completion, balances both conservation laws and gives the same entry
+twice.  A failure found here is fixed and pinned as an
 ``@example``.
 """
 
@@ -18,6 +19,15 @@ from repro.core.errors import ConfigError
 from repro.net.stackprofiles import TOPOLOGIES
 
 
+#: Each app-specific field (but ``persistent``, drawn for every app) at
+#: a value away from its default.
+AWAY = {
+    "specialised_parser": False, "cache_router": True, "key_space": 7,
+    "value_bytes": 16, "word_len": 12, "data_kb_per_mapper": 2,
+    "n_mappers": 2,
+}
+
+
 def _axis(field, default):
     """The field's default half the time, else any registered name."""
     return st.one_of(st.just(default), st.sampled_from(AXES[field].names()))
@@ -26,6 +36,17 @@ def _axis(field, default):
 @st.composite
 def specs(draw):
     app = draw(st.sampled_from(sorted(APPS)))
+    own = APPS[app].fields
+    # A quarter of the specs set a field another app reads and a quarter
+    # drop keep-alive; the check rejects either where the run ignores it.
+    foreign = [field for field in AWAY if field not in own]
+    stray = draw(st.sampled_from([None] * 3 * len(foreign) + foreign))
+    fields = {} if stray is None else {stray: AWAY[stray]}
+    if "n_mappers" in own:
+        fields.update(
+            data_kb_per_mapper=draw(st.integers(1, 4)),
+            n_mappers=draw(st.integers(1, 4)),
+        )
     return Scenario(
         app=app,
         name="fuzz",
@@ -50,8 +71,8 @@ def specs(draw):
         cores=draw(st.integers(1, 4)),
         concurrency=draw(st.integers(1, 8)),
         total_requests=draw(st.integers(1, 128)),
-        data_kb_per_mapper=draw(st.integers(1, 4)),
-        n_mappers=draw(st.integers(1, 4)),
+        persistent=draw(st.sampled_from((True, True, True, False))),
+        **fields,
     )
 
 

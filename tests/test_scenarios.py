@@ -295,15 +295,44 @@ UNCHECKED_BEFORE = [
     ("concurrency", 0),
 ]
 
+#: Fields a run accepted and then ignored: another app's field set away
+#: from its default, or ``persistent=False`` beside an arrival process.
+#: Each is (matrix scenario, fields set on it).
+IGNORED_BEFORE = [
+    ("http-overload-shed", {"persistent": False}),
+    ("memcached-open-poisson", {"persistent": False}),
+    (
+        "memcached-open-poisson",
+        {"arrival": None, "arrival_params": (), "persistent": False},
+    ),
+    ("hadoop-ramp-mappers", {"persistent": False}),
+    ("http-overload-shed", {"key_space": 5}),
+    ("http-overload-shed", {"value_bytes": 128}),
+    ("http-overload-shed", {"specialised_parser": False}),
+    ("http-overload-shed", {"cache_router": True}),
+    ("memcached-open-poisson", {"word_len": 12}),
+    ("memcached-open-poisson", {"data_kb_per_mapper": 4}),
+    ("memcached-open-poisson", {"n_mappers": 2}),
+]
+
+CHECK_CASES = [
+    ("http-overload-shed", {field: value}) for field, value in UNCHECKED_BEFORE
+] + IGNORED_BEFORE
+
+
+def _case_id(base, fields):
+    changes = ",".join(f"{f}={v!r}" for f, v in fields.items())
+    return changes if base == "http-overload-shed" else f"{base}:{changes}"
+
 
 class TestCheck:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
-        "field, value", UNCHECKED_BEFORE,
-        ids=[f"{f}={v!r}" for f, v in UNCHECKED_BEFORE],
+        "base, fields", CHECK_CASES,
+        ids=[_case_id(base, fields) for base, fields in CHECK_CASES],
     )
     def test_the_check_rejects_what_the_run_would(
-        self, monkeypatch, field, value, jobs
+        self, monkeypatch, base, fields, jobs
     ):
         def never(*args, **kwargs):
             raise AssertionError("a scenario ran before the check failed")
@@ -311,9 +340,7 @@ class TestCheck:
         monkeypatch.setattr(scenarios, "run_experiment", never)
         monkeypatch.setattr(scenarios, "ProcessPoolExecutor", never)
         by_name = {s.name: s for s in SCENARIOS}
-        bad = by_name["http-overload-shed"]._replace(
-            name="typo", **{field: value}
-        )
+        bad = by_name[base]._replace(name="typo", **fields)
         with pytest.raises(ConfigError, match="^scenario 'typo': "):
             run_scenario_matrix(
                 (by_name["http-closed-baseline"], bad), quick=True, jobs=jobs

@@ -483,7 +483,7 @@ class TestPlatformEndToEnd:
         from repro.apps import http_lb
         from repro.core.units import GBPS
         from repro.net.tcp import TcpNetwork
-        from repro.workloads.http_clients import HttpClientPopulation
+        from repro.workloads.arrivals import ClosedLoopClients, HttpRequestCodec
 
         source = """
 type http_req: record
@@ -522,9 +522,9 @@ fun respond: (req: http_req) -> (http_resp)
         platform.start()
         pops = []
         for hosts, port in ((gold_hosts, 8001), (bronze_hosts, 8002)):
-            pop = HttpClientPopulation(
-                engine, net, hosts, mbox, port, concurrency=4,
-                persistent=True, requests_per_client=6, warmup_requests=0,
+            pop = ClosedLoopClients(
+                engine, net, hosts, mbox, port, HttpRequestCodec(),
+                concurrency=4, requests_per_client=6, warmup_requests=0,
             )
             pop.start()
             pops.append(pop)
