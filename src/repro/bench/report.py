@@ -94,8 +94,8 @@ def format_service_class_table(results) -> str:
 
     ``results`` maps policy name to an object with a ``class_stats``
     dict (class name → completions/misses/latency aggregates, as
-    produced by :meth:`~repro.sim.stats.SloScoreboard.summary`); rows
-    are emitted in the scoreboard's class order.
+    produced by :func:`~repro.sim.stats.class_summary`); rows are
+    emitted in the summary's class order.
     """
     rows = []
     for name, result in results.items():

@@ -24,6 +24,7 @@ each app's defaults, over the same spec.
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.apps import hadoop_agg, http_lb, memcached_proxy
@@ -44,7 +45,7 @@ from repro.runtime.platform import FlickPlatform
 from repro.runtime.policy import POLICIES
 from repro.runtime.qos import parse_slo_class_specs
 from repro.sim.engine import Engine
-from repro.sim.stats import RunResult
+from repro.sim.stats import RunResult, class_summary
 from repro.workloads.arrivals import (
     ARRIVALS,
     ClosedLoopClients,
@@ -572,7 +573,7 @@ def _requests_per_client(spec: Scenario) -> int:
     return max(1, spec.total_requests // spec.concurrency)
 
 
-def _population(spec: Scenario, app: App, engine, tcpnet, mbox, servers, scoreboard):
+def _population(spec: Scenario, app: App, engine, tcpnet, mbox, servers):
     """The client side: the mapper job, or the app's request codec driven
     by :class:`OpenLoopClients` on the spec's arrival clock or by
     :class:`ClosedLoopClients`."""
@@ -603,7 +604,6 @@ def _population(spec: Scenario, app: App, engine, tcpnet, mbox, servers, scorebo
         slo_us=spec.slo_us,
         admission=spec.admission,
         class_mix=spec.class_mix,
-        scoreboard=scoreboard,
         **(spec.faults.population_kwargs() if spec.faults is not None else {}),
     )
 
@@ -750,14 +750,7 @@ def run_experiment(spec) -> RunResult:
         )
     if spec.faults is not None:
         spec.faults.install(engine, servers)
-    if router is not None:
-        scoreboard = router.scoreboard
-    else:
-        scoreboard = platforms[0].scoreboard if platforms else None
-
-    population = _population(
-        spec, app, engine, tcpnet, mbox, servers, scoreboard
-    )
+    population = _population(spec, app, engine, tcpnet, mbox, servers)
     population.start()
     engine.run()
     x = getattr(spec, app.x)
@@ -770,18 +763,26 @@ def run_experiment(spec) -> RunResult:
     extra.update(_alloc_extra(platforms))
     if spec.faults is not None:
         extra.update(spec.faults.counters(population))
+    admission_stats = (
+        population.admission_summary()
+        if isinstance(population, OpenLoopClients)
+        else {}
+    )
     result = RunResult(
         system=spec.system,
         x=x,
         throughput=throughput,
         latency_ms=latency_ms,
         extra=extra,
-        class_stats=scoreboard.summary() if scoreboard is not None else {},
-        admission_stats=(
-            population.admission_summary()
-            if isinstance(population, OpenLoopClients)
+        class_stats=(
+            class_summary(
+                chain.from_iterable(p.scoreboard.records for p in platforms),
+                admission_stats,
+            )
+            if platforms
             else {}
         ),
+        admission_stats=admission_stats,
     )
     if router is not None:
         result.cluster_stats = {

@@ -4,11 +4,11 @@
 substrate); :mod:`repro.cluster.routing` — the string-keyed
 :class:`RoutingPolicy` registry (policy); :mod:`repro.cluster.fleet` —
 the :class:`ShardRouter` front end piping client connections to shard
-platforms with connection affinity, fleet-level SLO aggregation and
-mid-run shard-failure injection (mechanism).
+platforms with connection affinity and mid-run shard-failure injection
+(mechanism).
 """
 
-from repro.cluster.fleet import FleetScoreboard, ShardRouter
+from repro.cluster.fleet import ShardRouter
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.routing import (
     ROUTINGS,

@@ -16,10 +16,10 @@ router burns no modeled CPU (it is a cut-through L4 proxy, not a FLICK
 program).
 
 Each shard keeps its own scheduler, allocator, service classes and
-:class:`~repro.sim.stats.SloScoreboard`; :class:`FleetScoreboard`
-aggregates them (plus client-side sheds) into the same per-class
-summary shape a single platform reports, so testbeds and scenario JSON
-are shard-count-agnostic.
+:class:`~repro.sim.stats.SloScoreboard`; the testbed hands every
+shard's records, in shard order, to
+:func:`~repro.sim.stats.class_summary`, the same function a single
+platform's records go through, so scenario JSON is shard-count-agnostic.
 
 **Failure**: :meth:`ShardRouter.fail_shard` kills a shard mid-run — its
 ring segment is released to the clockwise survivors, every connection
@@ -44,8 +44,6 @@ from repro.core.errors import SimulationError
 from repro.net.simnet import Host
 from repro.net.tcp import TcpNetwork, TcpSocket
 from repro.sim.engine import Engine
-from repro.sim.stats import LatencySeries, SloScoreboard
-from repro.core.units import millis
 
 
 class _Shard:
@@ -158,74 +156,6 @@ class _ProxiedConnection:
         self.router._pipes.pop(self, None)
 
 
-class FleetScoreboard:
-    """Per-class SLO accounting aggregated across every shard.
-
-    Presents the :meth:`~repro.sim.stats.SloScoreboard.summary` shape
-    (completions / misses / shed / latency per class) by merging the
-    per-shard boards' public ``records`` logs, so fleet results drop
-    into the same report and JSON slots as a single platform's.  Sheds
-    happen client-side before routing — the open-loop population
-    mirrors them here (:meth:`record_shed`), fleet-level, because a
-    request dropped at the door never reached *any* shard.
-    """
-
-    def __init__(self, router: "ShardRouter"):
-        self._router = router
-        self._sheds: Dict[str, int] = {}
-
-    def record_shed(self, service_class: str, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError(f"negative shed count {count}")
-        if count:
-            self._sheds[service_class] = (
-                self._sheds.get(service_class, 0) + count
-            )
-
-    def sheds_by_class(self) -> Dict[str, int]:
-        return dict(self._sheds)
-
-    @property
-    def total_sheds(self) -> int:
-        return sum(self._sheds.values())
-
-    @property
-    def total_completions(self) -> int:
-        return sum(
-            shard.platform.scoreboard.total_completions
-            for shard in self._router._shards
-        )
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        completions: Dict[str, int] = {}
-        misses: Dict[str, int] = {}
-        latency: Dict[str, LatencySeries] = {}
-        for shard in self._router._shards:
-            board: SloScoreboard = shard.platform.scoreboard
-            for record in board.records:
-                name = record.service_class
-                completions[name] = completions.get(name, 0) + 1
-                if record.missed:
-                    misses[name] = misses.get(name, 0) + 1
-                latency.setdefault(name, LatencySeries()).record(
-                    record.latency_us
-                )
-        report: Dict[str, Dict[str, float]] = {}
-        for name in {**completions, **self._sheds}:
-            series = latency.get(name)
-            report[name] = {
-                "completions": completions.get(name, 0),
-                "misses": misses.get(name, 0),
-                "shed": self._sheds.get(name, 0),
-                "mean_ms": series.mean_ms() if series else 0.0,
-                "p99_ms": (
-                    millis(series.percentile_us(99.0)) if series else 0.0
-                ),
-                "max_ms": millis(series.max_us()) if series else 0.0,
-            }
-        return report
-
-
 class ShardRouter:
     """Front-end router: the fleet's public endpoint and its mechanism.
 
@@ -265,7 +195,6 @@ class ShardRouter:
         #: across processes for run results to be byte-stable.
         self._pipes: Dict[_ProxiedConnection, None] = {}
         self._started = False
-        self.scoreboard = FleetScoreboard(self)
         #: Connections accepted by the router (any shard).
         self.connections_routed = 0
         #: Connections refused because no shard was alive.

@@ -158,21 +158,24 @@ class SlowBackend(FaultPolicy):
         self.period_us = float(period_us)
         self.duty = float(duty)
         self.targets = targets
-        self.inflated_responses = 0
 
     def _scale(self, now_us: float) -> float:
         if (now_us % self.period_us) < self.duty * self.period_us:
-            self.inflated_responses += 1
             return self.factor
         return 1.0
 
     def install(self, engine, backends) -> None:
         count = len(backends) if self.targets is None else self.targets
-        for backend in backends[:count]:
+        self._slowed = backends[:count]
+        for backend in self._slowed:
             backend.service_scale = self._scale
 
     def counters(self, population=None) -> Dict[str, float]:
-        return {"fault_inflated_responses": float(self.inflated_responses)}
+        inflated = sum(
+            backend.inflated_responses
+            for backend in getattr(self, "_slowed", ())
+        )
+        return {"fault_inflated_responses": float(inflated)}
 
     def params(self) -> Dict[str, object]:
         return {

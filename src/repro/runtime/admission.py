@@ -4,11 +4,10 @@ The second overload-survival policy plane (the first is
 :mod:`repro.runtime.allocator`): string-keyed *admission policies* that
 decide, request by request on the arrival clock, whether an open-loop
 client admits a request into the platform or **sheds** it at the door.
-Shedding is a first-class per-class outcome — every shed is counted by
-the workload generator and mirrored into the platform's
-:class:`~repro.sim.stats.SloScoreboard` (``record_shed``), so it shows
-up next to completions and SLO misses in ``class_stats``, the bench
-report tables and ``BENCH_scenarios.json``.
+Shedding is a first-class per-class outcome — every shed is counted
+once, by the workload generator, and the testbed joins that count to
+the platform's completions and SLO misses in ``class_stats``, the
+bench report tables and ``BENCH_scenarios.json``.
 
 The mechanism half lives in
 :class:`~repro.workloads.arrivals.OpenLoopClients`: for each arrival it

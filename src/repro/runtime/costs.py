@@ -74,8 +74,8 @@ SchedulingPolicy` instance for custom parameters.
     ready :class:`~repro.runtime.allocator.AllocationPolicy` instance.
     Admission control is not a platform tunable: it sits in the
     open-loop workload generator in front of the platform
-    (:class:`~repro.workloads.arrivals.OpenLoopClients`), which the
-    platform only sees as sheds on its scoreboard.
+    (:class:`~repro.workloads.arrivals.OpenLoopClients`); a shed
+    request never reaches the platform at all.
 
     ``graph_pool_size`` pre-allocates task graphs per registered
     program; a connection that finds the pool empty pays the full build

@@ -19,9 +19,10 @@ Consumers:
   deadline and slack-scaled budget;
 * the ``priority`` policy divides its observed-cost score by the class
   weight, so heavier classes are picked first at equal cost;
-* the scheduler's :class:`~repro.sim.stats.SloScoreboard` accounts
-  completions, latency and SLO misses per class, surfaced by the bench
-  report.
+* the scheduler's :class:`~repro.sim.stats.SloScoreboard` logs each
+  task's busy period under its class, and
+  :func:`~repro.sim.stats.class_summary` turns the log into the
+  per-class completions, latency and SLO misses of the bench report.
 
 ``--slo-class endpoint=[name:]slo_us[@weight]`` on the bench CLI parses
 through :func:`parse_slo_class_specs`, which rejects malformed specs

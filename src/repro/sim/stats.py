@@ -1,8 +1,9 @@
 """Measurement helpers for simulated experiments.
 
 :class:`LatencySeries` collects per-request latencies; :class:`Meter`
-counts events over the run; :class:`SloScoreboard` accounts task
-completions, latency and SLO misses per service class;
+counts events over the run; :class:`SloScoreboard` logs task busy
+periods and :func:`class_summary` derives the per-service-class
+completions, latency and SLO misses from such logs;
 :class:`IntervalSeries` records the gaps between successive events (the
 realised inter-arrival times of an open-loop workload).  All convert
 virtual-µs durations into the units the paper's figures use (thousand
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional
 
 from repro.core.units import millis, rate_per_second, throughput_mbps
 
@@ -186,34 +187,70 @@ class SloRecord(NamedTuple):
         return deadline is not None and self.completed_us > deadline
 
 
+def class_summary(
+    records: Iterable[SloRecord],
+    client_outcomes: Optional[Mapping[str, Mapping[str, int]]] = None,
+) -> Dict[str, Dict[str, float]]:
+    """Per-class aggregate dict (plain numbers, safe to pin golden).
+
+    Completions, SLO misses and latency come from the busy-period
+    ``records`` (every platform's, in shard order for a fleet, so each
+    class's samples and their float sums are in a fixed order);
+    ``shed`` and ``retried`` come from ``client_outcomes``, the client
+    population's per-class table (:meth:`~repro.workloads.arrivals.
+    OpenLoopClients.admission_summary`), because a shed or retried
+    request never closed a busy period anywhere.  A class that only
+    ever shed or retried still appears, with zeroed completion and
+    latency fields: it is an outcome, not an accounting gap.
+    """
+    latency: Dict[str, LatencySeries] = {}
+    misses: Dict[str, int] = {}
+    for _, _, name, admitted_us, completed_us, slo_us in records:
+        series = latency.get(name)
+        if series is None:
+            series = latency[name] = LatencySeries()
+            misses[name] = 0
+        # SloRecord.missed and .latency_us, spelled out.
+        if slo_us is not None and completed_us > admitted_us + slo_us:
+            misses[name] += 1
+        series.record(completed_us - admitted_us)
+    clients = client_outcomes or {}
+    names = dict.fromkeys(latency)
+    names.update(
+        (name, None)
+        for name, row in clients.items()
+        if row["shed"] or row["retried"]
+    )
+    report: Dict[str, Dict[str, float]] = {}
+    for name in names:
+        series = latency.get(name) or LatencySeries()
+        row = clients.get(name, {})
+        report[name] = {
+            "completions": series.count,
+            "misses": misses.get(name, 0),
+            "shed": row.get("shed", 0),
+            "retried": row.get("retried", 0),
+            "mean_ms": series.mean_ms(),
+            "p99_ms": millis(series.percentile_us(99.0)),
+            "max_ms": millis(series.max_us()),
+        }
+    return report
+
+
 class SloScoreboard:
-    """Per-service-class completion, latency and SLO-miss accounting.
+    """The scheduler's log of task busy periods, one record each.
 
     The scheduling mechanism records one entry per task *busy period*
     (admission to drain, matching the 'deadline' policy's SLO clock);
     classes are the :class:`~repro.runtime.qos.ServiceClass` names
     stamped by the task graph, with unclassified tasks pooled under
-    ``"default"``.  Aggregates are maintained incrementally; the raw
-    :attr:`records` keep the full log for property tests and reports.
-
-    Requests an admission policy shed at the door never become tasks,
-    so they can't complete or miss — :meth:`record_shed` counts them
-    per class as the third first-class outcome next to completions and
-    misses (``admitted + shed == offered`` is the conservation law the
-    admission tests enforce).  :meth:`record_retry` likewise counts
-    responses an impatient client discarded and re-offered (the
-    ``retry-storm`` fault injector): each retry is terminal for its
-    attempt, so ``completed + failed + retried == admitted`` once the
-    run drains.
+    ``"default"``.  :attr:`records` is the only state: allocators and
+    routing policies read it live, and :func:`class_summary` derives
+    every per-class aggregate from it once the run is over.
     """
 
     def __init__(self):
         self.records: List[SloRecord] = []
-        self._completions: Dict[str, int] = {}
-        self._misses: Dict[str, int] = {}
-        self._latency: Dict[str, LatencySeries] = {}
-        self._sheds: Dict[str, int] = {}
-        self._retries: Dict[str, int] = {}
 
     def record(
         self,
@@ -233,81 +270,15 @@ class SloScoreboard:
             task_id, task, service_class, admitted_us, completed_us, slo_us
         )
         self.records.append(entry)
-        self._completions[service_class] = (
-            self._completions.get(service_class, 0) + 1
-        )
-        # SloRecord.missed and .latency_us, spelled out.
-        if slo_us is not None and completed_us > admitted_us + slo_us:
-            self._misses[service_class] = (
-                self._misses.get(service_class, 0) + 1
-            )
-        series = self._latency.get(service_class)
-        if series is None:
-            series = self._latency[service_class] = LatencySeries()
-        series.record(completed_us - admitted_us)
         return entry
-
-    def record_shed(self, service_class: str, count: int = 1) -> None:
-        """Count ``count`` requests of ``service_class`` shed at admission."""
-        if count < 0:
-            raise ValueError(f"negative shed count {count}")
-        if count:
-            self._sheds[service_class] = (
-                self._sheds.get(service_class, 0) + count
-            )
-
-    def record_retry(self, service_class: str, count: int = 1) -> None:
-        """Count ``count`` impatient-client retries of ``service_class``."""
-        if count < 0:
-            raise ValueError(f"negative retry count {count}")
-        if count:
-            self._retries[service_class] = (
-                self._retries.get(service_class, 0) + count
-            )
 
     @property
     def total_completions(self) -> int:
         return len(self.records)
 
-    @property
-    def total_sheds(self) -> int:
-        return sum(self._sheds.values())
-
-    def completions_by_class(self) -> Dict[str, int]:
-        return dict(self._completions)
-
-    def sheds_by_class(self) -> Dict[str, int]:
-        """Admission-shed requests per class (only classes with any)."""
-        return dict(self._sheds)
-
-    def misses_by_class(self) -> Dict[str, int]:
-        """SLO misses per class (classes with none recorded report 0)."""
-        return {
-            name: self._misses.get(name, 0) for name in self._completions
-        }
-
     def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-class aggregate dict (plain numbers, safe to pin golden).
-
-        Classes that only ever shed (every arrival dropped at the door)
-        still appear, with zeroed completion/latency fields — a shed
-        request is an outcome, not an accounting gap.
-        """
-        report: Dict[str, Dict[str, float]] = {}
-        for name in {**self._completions, **self._sheds, **self._retries}:
-            latency = self._latency.get(name)
-            report[name] = {
-                "completions": self._completions.get(name, 0),
-                "misses": self._misses.get(name, 0),
-                "shed": self._sheds.get(name, 0),
-                "retried": self._retries.get(name, 0),
-                "mean_ms": latency.mean_ms() if latency else 0.0,
-                "p99_ms": (
-                    millis(latency.percentile_us(99.0)) if latency else 0.0
-                ),
-                "max_ms": millis(latency.max_us()) if latency else 0.0,
-            }
-        return report
+        """:func:`class_summary` of this scheduler's records alone."""
+        return class_summary(self.records)
 
 
 @dataclass
@@ -315,8 +286,8 @@ class RunResult:
     """One experiment data point (a single plotted marker in a figure).
 
     ``class_stats`` carries the per-service-class SLO outcome summary
-    (:meth:`SloScoreboard.summary`) when the run had a scoreboard —
-    empty for cost-model baselines.  ``admission_stats`` carries the
+    (:func:`class_summary`) when the run had a scheduler — empty for
+    cost-model baselines.  ``admission_stats`` carries the
     client-side per-class admission accounting (offered/admitted/shed)
     when the run had an admission policy in front of it.
     ``cluster_stats`` carries the shard router's fleet accounting

@@ -496,6 +496,12 @@ class _ClosedClient:
 # The open-loop population
 # ---------------------------------------------------------------------------
 
+#: The per-class outcome columns :class:`OpenLoopClients` counts.
+OUTCOMES = (
+    "offered", "admitted", "shed", "completed", "failed", "retried",
+    "slo_misses",
+)
+
 
 class OpenLoopClients:
     """Admit ``n_requests`` on the arrival clock, completions be damned.
@@ -519,9 +525,9 @@ class OpenLoopClients:
     labels arrivals with service-class names by deterministic weighted
     round-robin — e.g. ``(("gold", 1.0), ("bronze", 1.0))`` alternates —
     which is what class-aware admission policies discriminate on.
-    ``scoreboard`` (the platform's
-    :class:`~repro.sim.stats.SloScoreboard`) mirrors every shed so it
-    appears next to the server-side completions in ``class_stats``.
+    :attr:`per_class` counts every outcome once per class; the testbed
+    joins its ``shed`` and ``retried`` columns to the platform's busy
+    periods in ``class_stats``.
 
     The population survives a server-side connection close (the
     cluster tier's shard failures sever flows mid-run): requests still
@@ -563,7 +569,6 @@ class OpenLoopClients:
         slo_us: Optional[float] = None,
         admission="admit-all",
         class_mix=(),
-        scoreboard=None,
         retry_after_us: Optional[float] = None,
         max_retries: int = 0,
         conn_lifetime_requests: Optional[int] = None,
@@ -599,7 +604,6 @@ class OpenLoopClients:
         self.admission = resolve_admission(admission)
         self.admission.reset()  # a reused instance must not carry state
         self.class_mix = check_class_mix(class_mix)
-        self.scoreboard = scoreboard
         self.retry_after_us = retry_after_us
         self.max_retries = max_retries
         self.conn_lifetime_requests = conn_lifetime_requests
@@ -615,13 +619,9 @@ class OpenLoopClients:
         self.conn_cycles = 0
         self.errors = 0
         self.slo_misses = 0
-        self.offered_by_class: Dict[str, int] = {}
-        self.admitted_by_class: Dict[str, int] = {}
-        self.shed_by_class: Dict[str, int] = {}
-        self.completed_by_class: Dict[str, int] = {}
-        self.failed_by_class: Dict[str, int] = {}
-        self.retried_by_class: Dict[str, int] = {}
-        self.misses_by_class: Dict[str, int] = {}
+        #: Class name → its row of :data:`OUTCOMES` counts, in order of
+        #: first offer.
+        self.per_class: Dict[str, Dict[str, int]] = {}
         self._conns: List[_OpenConnection] = []
         self._started = False
         self._admission_closed = False
@@ -696,22 +696,17 @@ class OpenLoopClients:
             shed=self.shed,
         )
         self.offered += 1
-        self.offered_by_class[service_class] = (
-            self.offered_by_class.get(service_class, 0) + 1
-        )
+        row = self.per_class.get(service_class)
+        if row is None:
+            row = self.per_class[service_class] = dict.fromkeys(OUTCOMES, 0)
+        row["offered"] += 1
         if not self.admission.admit(request):
             self.shed += 1
-            self.shed_by_class[service_class] = (
-                self.shed_by_class.get(service_class, 0) + 1
-            )
-            if self.scoreboard is not None:
-                self.scoreboard.record_shed(service_class)
+            row["shed"] += 1
             return
         slot = self.admitted
         self.admitted += 1
-        self.admitted_by_class[service_class] = (
-            self.admitted_by_class.get(service_class, 0) + 1
-        )
+        row["admitted"] += 1
         self._conns[slot % self.connections].admit(
             index, service_class, attempt
         )
@@ -722,6 +717,7 @@ class OpenLoopClients:
         self, admitted_us: float, service_class: str, attempt: int, message
     ) -> None:
         latency = self.engine.now - admitted_us
+        row = self.per_class[service_class]
         if (
             self.retry_after_us is not None
             and latency > self.retry_after_us
@@ -731,34 +727,24 @@ class OpenLoopClients:
             # completion, not a latency sample) and the request goes
             # back through the admission door — the metastable loop.
             self.retried += 1
-            self.retried_by_class[service_class] = (
-                self.retried_by_class.get(service_class, 0) + 1
-            )
-            if self.scoreboard is not None:
-                self.scoreboard.record_retry(service_class)
+            row["retried"] += 1
             self._offer(service_class, attempt + 1)
             return
         self.completed += 1
-        self.completed_by_class[service_class] = (
-            self.completed_by_class.get(service_class, 0) + 1
-        )
+        row["completed"] += 1
         if self.codec.is_error(message):
             self.errors += 1
         self.latency.record(latency)
         if self.slo_us is not None and latency > self.slo_us:
             self.slo_misses += 1
-            self.misses_by_class[service_class] = (
-                self.misses_by_class.get(service_class, 0) + 1
-            )
+            row["slo_misses"] += 1
         self.meter.add(self.codec.response_size(message))
         self.meter.finish(self.engine.now)
 
     def _on_failure(self, service_class: str) -> None:
         """One admitted request lost to a dead connection (no response)."""
         self.failed += 1
-        self.failed_by_class[service_class] = (
-            self.failed_by_class.get(service_class, 0) + 1
-        )
+        self.per_class[service_class]["failed"] += 1
 
     @property
     def finished(self) -> bool:
@@ -780,18 +766,7 @@ class OpenLoopClients:
         equals ``admitted`` once the run has drained (in-flight
         requests are admitted but not yet resolved).
         """
-        report: Dict[str, Dict[str, float]] = {}
-        for name in self.offered_by_class:
-            report[name] = {
-                "offered": self.offered_by_class.get(name, 0),
-                "admitted": self.admitted_by_class.get(name, 0),
-                "shed": self.shed_by_class.get(name, 0),
-                "completed": self.completed_by_class.get(name, 0),
-                "failed": self.failed_by_class.get(name, 0),
-                "retried": self.retried_by_class.get(name, 0),
-                "slo_misses": self.misses_by_class.get(name, 0),
-            }
-        return report
+        return {name: dict(row) for name, row in self.per_class.items()}
 
     # -- results -------------------------------------------------------------
 

@@ -44,6 +44,8 @@ class _FaultableBackend:
         #: Fault hook: virtual-clock → service-time multiplier (``None``
         #: = nominal service).  Set by the ``slow-backend`` injector.
         self.service_scale: Optional[Callable[[float], float]] = None
+        #: Responses ``service_scale`` slowed (multiplier above 1).
+        self.inflated_responses = 0
         #: Whether the server accepts and answers (``set_up`` flips it).
         self.up = True
         #: Connections reset by going down / refused while down.
@@ -54,7 +56,10 @@ class _FaultableBackend:
     def _service_delay(self) -> float:
         if self.service_scale is None:
             return self.service_us
-        return self.service_us * self.service_scale(self.engine.now)
+        scale = self.service_scale(self.engine.now)
+        if scale != 1.0:
+            self.inflated_responses += 1
+        return self.service_us * scale
 
     def _track(self, socket: TcpSocket) -> bool:
         """Admit ``socket`` into the live set; reset it if down."""

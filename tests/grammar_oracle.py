@@ -373,6 +373,12 @@ class OracleCodec:
                         f"{unit.name}._ (field {idx}): length {length} exceeds "
                         f"{MAX_FILL_BYTES} zero bytes"
                     )
+                elif length < 0:
+                    # Before ``b"\x00" * length``: below -2**63 that
+                    # multiplication raises OverflowError.
+                    raise SerializeError(
+                        f"{unit.name}._ (field {idx}): negative length {length}"
+                    )
                 else:
                     chunk = b"\x00" * length
             else:

@@ -20,7 +20,7 @@ from repro.runtime.admission import (
     registered_admissions,
 )
 from repro.sim.engine import Engine
-from repro.sim.stats import SloScoreboard
+from repro.sim.stats import class_summary
 from repro.workloads.arrivals import make_arrival
 
 
@@ -134,16 +134,14 @@ class TestTokenBucket:
 
 
 class TestScoreboardSheds:
-    def test_negative_shed_count_rejected(self):
-        with pytest.raises(ValueError, match="negative shed count"):
-            SloScoreboard().record_shed("bronze", -1)
-
     def test_shed_only_class_appears_with_zeroed_latency(self):
-        scoreboard = SloScoreboard()
-        scoreboard.record_shed("bronze", 3)
-        assert scoreboard.total_sheds == 3
-        assert scoreboard.sheds_by_class() == {"bronze": 3}
-        stats = scoreboard.summary()["bronze"]
+        clients = {
+            "gold": {"shed": 0, "retried": 0},
+            "bronze": {"shed": 3, "retried": 0},
+        }
+        summary = class_summary([], clients)
+        assert list(summary) == ["bronze"]  # no outcome, no row
+        stats = summary["bronze"]
         assert stats["shed"] == 3
         assert stats["completions"] == 0
         assert stats["mean_ms"] == 0.0

@@ -159,7 +159,7 @@ def snapshot(scheduler, tasks):
         "steals": scheduler.total_steals,
         "alloc_log": list(scheduler.alloc_log),
         "active": scheduler.active_worker_indices(),
-        "slo_misses": scheduler.scoreboard.misses_by_class(),
+        "slo_summary": scheduler.scoreboard.summary(),
     }
 
 

@@ -52,11 +52,15 @@ class TestRegistry:
             assert isinstance(value, (int, float, str, bool, type(None)))
 
 
-def _fault_run(name, **kwargs):
-    """A small open-loop LB run with ``name`` installed, id-scoped so
-    repeat calls inside one test are comparable."""
-    TaskBase.reset_ids()
+def _fault(name):
     params = {"retry-storm": {"retry_after_us": 2_000.0, "max_retries": 3}}
+    return make_fault(name, **params.get(name, {}))
+
+
+def _fault_run(name, fault=None, **kwargs):
+    """A small open-loop LB run with ``name`` (or the ready ``fault``)
+    installed, id-scoped so repeat calls inside one test are comparable."""
+    TaskBase.reset_ids()
     return run_http_experiment(
         "flick-kernel",
         16,
@@ -65,7 +69,7 @@ def _fault_run(name, **kwargs):
         arrival=make_arrival("poisson", rate_rps=40_000.0),
         total_requests=512,
         slo_us=2_000.0,
-        faults=make_fault(name, **params.get(name, {})),
+        faults=_fault(name) if fault is None else fault,
         **kwargs,
     )
 
@@ -92,6 +96,20 @@ class TestDeterminism:
     def test_same_seed_same_result(self, name):
         first = dataclasses.asdict(_fault_run(name))
         second = dataclasses.asdict(_fault_run(name))
+        assert first == second
+
+    @pytest.mark.parametrize("name", registered_faults())
+    def test_reused_instance_same_result(self, name):
+        """One ready instance installed twice carries no count from the
+        first run into the second: the counters live on what the fault
+        was installed on, like every other policy plane's state."""
+        fault = _fault(name)
+        first = dataclasses.asdict(_fault_run(name, fault))
+        second = dataclasses.asdict(_fault_run(name, fault))
+        fault_keys = [k for k in first["extra"] if k.startswith("fault_")]
+        assert [first["extra"][k] for k in fault_keys] == [
+            second["extra"][k] for k in fault_keys
+        ]
         assert first == second
 
     def test_jobs_parallelism_is_byte_identical_under_faults(self):

@@ -304,20 +304,29 @@ class TestErrors:
             pairs = parse_both(FRAMED, None, bytewise(body + tail))
             assert len(pairs) == (tail[1:2] == b"\n")
 
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"tag": 300, "body_len": 0, "body": b""},  # overflow
-            {"tag": -1, "body_len": 0, "body": b""},
-            {"body_len": 0, "body": b""},  # missing integer
-            {"tag": None, "body_len": 0, "body": b""},
-            {"tag": 1, "body_len": 0},  # missing payload, no span
-            {"tag": 1, "body_len": 0, "body": b"x" * 70000},  # length overflows
-        ],
+    UNDERFLOW = parse_unit(
+        "type m = unit { %byteorder = big; n : uint8;"
+        " : bytes &length = self.n - 99999999999999999999; };"
     )
-    def test_serialize_errors(self, fields):
-        record = Record("msg", fields)
-        kind, got = serialize_both(SIMPLE, None, record, record.copy())
+
+    @pytest.mark.parametrize(
+        "unit, fields",
+        [
+            (SIMPLE, {"tag": 300, "body_len": 0, "body": b""}),  # overflow
+            (SIMPLE, {"tag": -1, "body_len": 0, "body": b""}),
+            (SIMPLE, {"body_len": 0, "body": b""}),  # missing integer
+            (SIMPLE, {"tag": None, "body_len": 0, "body": b""}),
+            (SIMPLE, {"tag": 1, "body_len": 0}),  # missing payload, no span
+            # length overflows
+            (SIMPLE, {"tag": 1, "body_len": 0, "body": b"x" * 70000}),
+            # a zero fill below -2**63 (found by test_serialize_built_records)
+            (UNDERFLOW, {"n": 1}),
+        ],
+        ids=[f"fields{i}" for i in range(7)],
+    )
+    def test_serialize_errors(self, unit, fields):
+        record = Record(unit.name, fields)
+        kind, got = serialize_both(unit, None, record, record.copy())
         assert (kind, got) == ("error", SerializeError)
 
     REWRITTEN = parse_unit(

@@ -173,8 +173,7 @@ def snapshot(scheduler, tasks):
         "busy_us": scheduler.total_busy_us,
         "steals": scheduler.total_steals,
         "stolen_tasks": scheduler.total_stolen_tasks,
-        "slo_completions": scheduler.scoreboard.completions_by_class(),
-        "slo_misses": scheduler.scoreboard.misses_by_class(),
+        "slo_summary": scheduler.scoreboard.summary(),
     }
 
 
@@ -253,7 +252,10 @@ class TestPolicyInvariants:
         (this workload admits each task a single time)."""
         scheduler, tasks = run_workload(make_policy(name), seed)
         scoreboard = scheduler.scoreboard
-        by_class = scoreboard.completions_by_class()
+        by_class = {
+            name: stats["completions"]
+            for name, stats in scoreboard.summary().items()
+        }
         assert sum(by_class.values()) == scoreboard.total_completions
         assert scoreboard.total_completions == len(scoreboard.records)
         recorded_ids = sorted(r.task_id for r in scoreboard.records)
@@ -287,14 +289,7 @@ class TestPolicyInvariants:
         """Identical seeds must yield identical per-class SLO misses."""
         first, _ = run_workload(make_policy(name), seed)
         second, _ = run_workload(make_policy(name), seed)
-        assert (
-            first.scoreboard.misses_by_class()
-            == second.scoreboard.misses_by_class()
-        )
-        assert (
-            first.scoreboard.completions_by_class()
-            == second.scoreboard.completions_by_class()
-        )
+        assert first.scoreboard.summary() == second.scoreboard.summary()
 
 
 #: Every decision hook the mechanism may call.

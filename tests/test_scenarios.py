@@ -507,6 +507,34 @@ class TestBaselineComparison:
             APPS
         )
 
+    def test_committed_rows_share_one_shape(self):
+        """The ``fields`` gate sees top-level keys only; a nested row
+        that lost a key (the sharded entries once had no ``retried``
+        class column) must fail here."""
+        from pathlib import Path
+
+        root = Path(__file__).parent.parent
+        for path in (
+            root / "BENCH_scenarios.json",
+            root / "benchmarks" / "baseline_scenarios.json",
+        ):
+            entries = results_io.load_results(path)["scenarios"].values()
+            rows = {
+                "classes": [
+                    row for e in entries for row in e["classes"].values()
+                ],
+                "admission.per_class": [
+                    row
+                    for e in entries
+                    for row in e.get("admission", {})
+                    .get("per_class", {})
+                    .values()
+                ],
+            }
+            for section, section_rows in rows.items():
+                shapes = {tuple(sorted(row)) for row in section_rows}
+                assert len(shapes) == 1, (path.name, section, shapes)
+
 
 class TestClusterScenarioFields:
     def test_matrix_has_the_scaling_curve_and_failover(self):

@@ -370,13 +370,13 @@ class TestScoreboard:
         scoreboard.record(3, "c", "bronze", 0.0, 400.0, 50_000.0)
         scoreboard.record(4, "d", "default", 0.0, 9.0)  # no SLO, no miss
         assert scoreboard.total_completions == 4
-        assert scoreboard.completions_by_class() == {
+        summary = scoreboard.summary()
+        assert {n: s["completions"] for n, s in summary.items()} == {
             "gold": 2, "bronze": 1, "default": 1
         }
-        assert scoreboard.misses_by_class() == {
+        assert {n: s["misses"] for n, s in summary.items()} == {
             "gold": 1, "bronze": 0, "default": 0
         }
-        summary = scoreboard.summary()
         assert summary["gold"]["completions"] == 2
         assert summary["gold"]["misses"] == 1
         assert summary["gold"]["mean_ms"] == pytest.approx(1.0)
@@ -392,8 +392,10 @@ class TestScoreboard:
         scheduler.notify_runnable(gold_task)
         scheduler.notify_runnable(plain)
         engine.run()
-        by_class = scheduler.scoreboard.completions_by_class()
-        assert by_class == {"gold": 1, "default": 1}
+        summary = scheduler.scoreboard.summary()
+        assert {n: s["completions"] for n, s in summary.items()} == {
+            "gold": 1, "default": 1
+        }
         record = next(
             r for r in scheduler.scoreboard.records if r.task == "g"
         )
@@ -534,9 +536,9 @@ fun respond: (req: http_req) -> (http_resp)
     def test_two_programs_account_under_their_own_classes(self):
         platform, pops = self._run_two_tier_platform()
         assert all(pop.finished and pop.errors == 0 for pop in pops)
-        by_class = platform.scoreboard.completions_by_class()
-        assert by_class.get("gold", 0) > 0
-        assert by_class.get("bronze", 0) > 0
+        summary = platform.scoreboard.summary()
+        assert summary["gold"]["completions"] > 0
+        assert summary["bronze"]["completions"] > 0
         # Classified records carry their class SLO, and the connection
         # tasks really are the programs' endpoint tasks.
         for record in platform.scoreboard.records:
