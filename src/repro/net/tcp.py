@@ -12,6 +12,15 @@ Connection establishment models the three-way handshake as one RTT of
 wire latency before both endpoints exist; teardown delivers an EOF event
 to the peer (section 5's application-dispatcher close handling keys off
 this).
+
+An endpoint lets go of every reference it will never use again, so a
+closed connection is freed by reference counting even though the two
+endpoints point at each other and the owners' callbacks usually capture
+their socket: a closed endpoint drops its ``peer`` (it never sends
+again); an endpoint drops its callbacks once it has delivered EOF (the
+last thing it ever delivers); and when the second end of a connection
+closes, the first end, closed and never to hear from it again, drops
+its callbacks too.
 """
 
 from __future__ import annotations
@@ -63,11 +72,19 @@ class TcpSocket:
         if self.closed:
             return
         self.closed = True
-        peer = self.peer
-        if peer is not None and not peer.closed:
+        peer, self.peer = self.peer, None
+        if peer is None:
+            return
+        if not peer.closed:
             self._net.network.deliver(
                 self.host, peer.host, 0, peer._on_peer_close
             )
+        elif not peer._recv_buffer:
+            # Both ends closed.  The peer closed first, so this end sends
+            # it no EOF, and bytes still in flight to it are dropped
+            # unread: none of its callbacks can fire again.
+            peer._recv_callback = None
+            peer._close_callback = None
 
     # -- receiving -------------------------------------------------------------
 
@@ -128,6 +145,9 @@ class TcpSocket:
             return
         self._close_delivered = True
         self._net.engine.schedule(0.0, self._close_callback)
+        # EOF is the last event an endpoint delivers.
+        self._recv_callback = None
+        self._close_callback = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TcpSocket({self.conn_id}:{self.role}@{self.host.name})"

@@ -1,17 +1,21 @@
 """Task channels: bounded FIFO queues between tasks of a task graph.
 
-A channel connects exactly one producer to one consumer task.  Pushing
-makes the consumer runnable (via the scheduler callback installed by the
-task graph); capacity is finite so the graphs of section 5 have bounded
-memory, and producers must check :meth:`has_space` — input tasks stop
-draining their socket when downstream is full, which is the platform's
-backpressure mechanism.
+A channel carries values from its producers to exactly one consumer
+task, and holds no reference to either.  The producer wakes the
+consumer: each producer holds a ``wake`` callable (the task graph
+builds it from the consumer) and calls it after every push and after
+the close that ends the stream.  So nothing leads from a channel back
+to the task that reads it, and a closed connection's channels and
+tasks are freed by reference counting.  Capacity is finite so the
+graphs of section 5 have bounded memory, and producers must check
+:meth:`has_space` — input tasks stop draining their socket when
+downstream is full, which is the platform's backpressure mechanism.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Deque
 
 from repro.core.errors import ChannelClosed, ChannelFull
 
@@ -30,8 +34,6 @@ class TaskChannel:
         self._queue: Deque = deque()
         self._closed = False
         self._eos_delivered = False
-        self.on_runnable: Optional[Callable[[], None]] = None
-        self.high_water = 0
 
     # -- producer side ------------------------------------------------------
 
@@ -46,18 +48,18 @@ class TaskChannel:
                 f"channel {self.name!r} is full ({self.capacity} items)"
             )
         self._queue.append(item)
-        self.high_water = max(self.high_water, len(self._queue))
-        if self.on_runnable is not None:
-            self.on_runnable()
 
-    def close(self) -> None:
-        """Producer is done; consumer sees EOS after draining."""
+    def close(self) -> bool:
+        """Producer is done; consumer sees EOS after draining.
+
+        True if this call closed the channel: only that close is news
+        for the consumer, so only then does the producer wake it.
+        """
         if self._closed:
-            return
+            return False
         self._closed = True
         self._queue.append(EOS)
-        if self.on_runnable is not None:
-            self.on_runnable()
+        return True
 
     # -- consumer side ----------------------------------------------------------
 

@@ -13,10 +13,19 @@ A :class:`TaskGraph` is one instance of a FLICK process bound to real
 * **foldt graphs** (Hadoop aggregator): one input task per mapper
   connection, a binary tree of merge tasks, and one output task to the
   reducer (Figure 3c: 8 inputs, 7 compute, 1 output).
+
+A graph's references all point downstream (producer to consumer, graph
+to task, task to socket) except three, each dropped at its last use:
+the client input task's end-of-stream callback (``_teardown``), the
+compute task's handlers and send proxies (which reach the graph through
+the outbound legs), and the socket pairs themselves (see
+:mod:`repro.net.tcp`).  So a connection's graph, tasks, channels,
+parsers and sockets are freed by reference counting when it closes.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import RuntimeFlickError
@@ -152,6 +161,7 @@ class _OutboundLeg(_BufferingSendProxy):
         if self._chan is None:
             self._open()
         self._chan.push(value)
+        self.wake()
 
     def _open(self) -> None:
         graph, ep, target = self._graph, self._ep, self._target
@@ -165,7 +175,7 @@ class _OutboundLeg(_BufferingSendProxy):
             graph.config.cores,
             task_id=self._task_id,
         )
-        graph._wire_channel_to(self._chan, self._out_task)
+        graph._wire(self, self._out_task)
         graph._add_task(self._out_task, endpoint=ep.name)
         graph.tcpnet.connect(
             graph.host, target.host, target.port, self._connected
@@ -173,6 +183,12 @@ class _OutboundLeg(_BufferingSendProxy):
 
     def _connected(self, socket) -> None:
         graph, ep, index = self._graph, self._ep, self._index
+        if graph.finished:
+            # The connection ended during the handshake: ``_teardown``
+            # has closed every outbound socket it knew of, so close this
+            # one the same way and build nothing that would read it.
+            socket.close()
+            return
         graph._outbound_sockets.append(socket)
         self._out_task.bind_socket(socket)
         if ep.readable:
@@ -186,13 +202,15 @@ class _OutboundLeg(_BufferingSendProxy):
             )
             raw_sink = graph._raw_forward.get(ep.name)
             if raw_sink is not None:
+                sink_task = graph._endpoint_out_tasks[raw_sink]
                 in_task = RawForwardTask(
                     f"g{graph.graph_id}:{ep.name}[{index}].fwd",
-                    graph._endpoint_out_channels[raw_sink],
+                    sink_task.inbox,
                     graph.stack,
                     graph.config.cores,
                     on_eof=backend_eof,
                 )
+                graph._wire(in_task, sink_task)
             else:
                 in_task = InputTask(
                     f"g{graph.graph_id}:{ep.name}[{index}].in",
@@ -203,7 +221,8 @@ class _OutboundLeg(_BufferingSendProxy):
                     tag=(ep.name, index),
                     on_eof=backend_eof,
                 )
-            in_task.attach(socket, graph._notify(in_task))
+                graph._wire(in_task, graph.compute)
+            in_task.attach(socket, graph.scheduler.notify_runnable)
             graph._add_task(in_task, endpoint=ep.name)
         graph.scheduler.notify_runnable(self._out_task)
 
@@ -269,12 +288,9 @@ class TaskGraph:
             task.slo_us = self.config.slo_us
         self.tasks.append(task)
 
-    def _notify(self, task) -> Callable[[], None]:
-        scheduler = self.scheduler
-        return lambda: scheduler.notify_runnable(task)
-
-    def _wire_channel_to(self, channel: TaskChannel, task) -> None:
-        channel.on_runnable = self._notify(task)
+    def _wire(self, producer, consumer) -> None:
+        """``producer`` wakes ``consumer`` whenever it feeds it."""
+        producer.wake = partial(self.scheduler.notify_runnable, consumer)
 
     # -- rule graphs (Figure 3a / 3b) ------------------------------------------
 
@@ -300,7 +316,6 @@ class TaskGraph:
         inbox = self._channel("compute.in")
         compute = ComputeTask(f"g{self.graph_id}:compute", inbox)
         self.compute = compute
-        self._wire_channel_to(inbox, compute)
         # The compute stage serves the client connection: it inherits
         # the client endpoint's service class, so class-aware policies
         # and per-class accounting cover the request processing itself,
@@ -315,7 +330,7 @@ class TaskGraph:
         for source, rules in rules_by_source.items():
             if len(rules) == 1 and not rules[0].stages and rules[0].sink:
                 self._raw_forward[source] = rules[0].sink
-        self._endpoint_out_channels: Dict[str, TaskChannel] = {}
+        self._endpoint_out_tasks: Dict[str, OutputTask] = {}
 
         context: Dict[str, object] = dict(self.globals_store)
 
@@ -330,10 +345,10 @@ class TaskGraph:
                 self.config.cores,
             )
             out_task.bind_socket(client_socket)
-            self._wire_channel_to(out_chan, out_task)
             self._add_task(out_task, endpoint=client_ep.name)
-            self._endpoint_out_channels[client_ep.name] = out_chan
+            self._endpoint_out_tasks[client_ep.name] = out_task
             proxy = _BufferingSendProxy(out_chan)
+            self._wire(proxy, out_task)
             compute.register_proxy(proxy)
             context[client_ep.name] = proxy
 
@@ -363,7 +378,8 @@ class TaskGraph:
                 tag=(client_ep.name, 0),
                 on_eof=self._teardown,
             )
-            in_task.attach(client_socket, self._notify(in_task))
+            self._wire(in_task, compute)
+            in_task.attach(client_socket, self.scheduler.notify_runnable)
             self._add_task(in_task, endpoint=client_ep.name)
 
         # Value parameters (non-channel process arguments).
@@ -405,8 +421,9 @@ class TaskGraph:
         else:
             key_fn, combine_fn = handler.key, handler.combine_with_ops
 
-        # Leaf input tasks, one per mapper connection.
-        streams: List[TaskChannel] = []
+        # Leaf input tasks, one per mapper connection.  Each stream is a
+        # channel and the producer that feeds it (and wakes its reader).
+        streams: List[Tuple[TaskChannel, object]] = []
         for index, socket in enumerate(mapper_sockets):
             chan = self._channel(f"{plan.source}[{index}]")
             in_task = InputTask(
@@ -416,43 +433,47 @@ class TaskGraph:
                 self.stack,
                 self.config.cores,
             )
-            in_task.attach(socket, self._notify(in_task))
+            in_task.attach(socket, self.scheduler.notify_runnable)
             self._add_task(in_task, endpoint=plan.source)
-            streams.append(chan)
+            streams.append((chan, in_task))
 
         # Pairwise merge tree.
         level = 0
         while len(streams) > 1:
-            next_streams: List[TaskChannel] = []
+            next_streams: List[Tuple[TaskChannel, object]] = []
             for pair_idx in range(0, len(streams) - 1, 2):
+                (left, left_producer), (right, right_producer) = (
+                    streams[pair_idx : pair_idx + 2]
+                )
                 out = self._channel(f"merge.l{level}.{pair_idx // 2}")
                 merge = MergeTask(
                     f"g{self.graph_id}:merge.l{level}.{pair_idx // 2}",
-                    streams[pair_idx],
-                    streams[pair_idx + 1],
+                    left,
+                    right,
                     out,
                     key_fn,
                     combine_fn,
                 )
-                self._wire_channel_to(streams[pair_idx], merge)
-                self._wire_channel_to(streams[pair_idx + 1], merge)
+                self._wire(left_producer, merge)
+                self._wire(right_producer, merge)
                 self._add_task(merge)
-                next_streams.append(out)
+                next_streams.append((out, merge))
             if len(streams) % 2:
                 next_streams.append(streams[-1])
             streams = next_streams
             level += 1
 
+        last, last_producer = streams[0]
         out_task = OutputTask(
             f"g{self.graph_id}:{plan.sink}.out",
-            streams[0],
+            last,
             self.registry.serializer(),
             self.stack,
             self.config.cores,
             close_on_eos=True,
         )
         out_task.bind_socket(sink_socket)
-        self._wire_channel_to(streams[0], out_task)
+        self._wire(last_producer, out_task)
         self._add_task(out_task, endpoint=plan.sink)
         del sink_ep
 

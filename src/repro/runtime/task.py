@@ -17,6 +17,17 @@ input values and produces a stream of output values:
 All tasks follow the deferred-emission contract of the scheduler: side
 effects produced during a timeslice are returned as thunks and performed
 only after the timeslice's virtual time has elapsed.
+
+Who wakes whom: a socket's data and close callbacks wake the task that
+reads it (``attach`` hands the task the scheduler's ``notify_runnable``,
+which it calls with itself, so a task holds no closure over itself);
+a producer's ``wake``, set by the task graph, wakes the consumer of its
+out channel after each push and after the close.  Nothing leads from a
+consumer back to its producers, and a task drops the references that
+lead back to its graph once it has used them for the last time — the
+end-of-stream callback once emitted, a compute task's handlers and
+send proxies once it pops EOS — so a finished connection's tasks are
+freed by reference counting.
 """
 
 from __future__ import annotations
@@ -30,6 +41,31 @@ from repro.net.stackprofiles import StackProfile
 from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.costs import TASK_DISPATCH_US, ops_to_us
 from repro.runtime.scheduler import TaskBase
+
+
+def _unwired() -> None:
+    """The ``wake`` of a producer whose channel no task reads."""
+
+
+def _emit_push(out: TaskChannel, wake: Callable[[], None], item):
+    """An emission: ``item`` enters ``out``, then its consumer wakes."""
+
+    def emit() -> None:
+        out.push(item)
+        wake()
+
+    return emit
+
+
+def _emit_close(out: TaskChannel, wake: Callable[[], None]):
+    """An emission: ``out`` closes, and its consumer wakes if that was
+    news (a second close of a channel is a no-op)."""
+
+    def emit() -> None:
+        if out.close():
+            wake()
+
+    return emit
 
 
 class InputTask(TaskBase):
@@ -56,25 +92,25 @@ class InputTask(TaskBase):
         self._eof_seen = False
         self._eof_handled = False
         self._backlog = False  # parser may hold complete messages
-        self._notify: Optional[Callable[[], None]] = None
+        self._notify: Optional[Callable[[TaskBase], None]] = None
+        #: Wakes the consumer of ``out``; the task graph sets it.
+        self.wake: Callable[[], None] = _unwired
 
     # -- socket side --------------------------------------------------------
 
-    def attach(self, socket, notify: Callable[[], None]) -> None:
-        """Bind to a socket; ``notify`` marks this task runnable."""
+    def attach(self, socket, notify: Callable[[TaskBase], None]) -> None:
+        """Bind to a socket; ``notify(task)`` marks a task runnable."""
         self._notify = notify
         socket.on_receive(self._on_data)
         socket.on_close(self._on_close)
 
     def _on_data(self, data: bytes) -> None:
         self._chunks.append(data)
-        if self._notify is not None:
-            self._notify()
+        self._notify(self)
 
     def _on_close(self) -> None:
         self._eof_seen = True
-        if self._notify is not None:
-            self._notify()
+        self._notify(self)
 
     # -- scheduling contract ----------------------------------------------------
 
@@ -124,10 +160,11 @@ class InputTask(TaskBase):
             elif self._eof_seen and not self._eof_handled:
                 self._eof_handled = True
                 elapsed += self._stack.teardown_us
-                out = self._out
-                emissions.append(out.close)
+                emissions.append(_emit_close(self._out, self.wake))
                 if self._on_eof is not None:
+                    # Emitted once; holding it on would pin the graph.
                     emissions.append(self._on_eof)
+                    self._on_eof = None
                 break
             else:
                 break
@@ -135,11 +172,9 @@ class InputTask(TaskBase):
         return elapsed, emissions
 
     def _make_emit(self, record: Record) -> Callable[[], None]:
-        out = self._out
-        if self._tag is None:
-            return lambda: out.push(record)
         tag = self._tag
-        return lambda: out.push((tag[0], tag[1], record))
+        item = record if tag is None else (tag[0], tag[1], record)
+        return _emit_push(self._out, self.wake, item)
 
 
 class RawForwardTask(TaskBase):
@@ -168,22 +203,22 @@ class RawForwardTask(TaskBase):
         self._chunks = deque()
         self._eof_seen = False
         self._eof_handled = False
-        self._notify: Optional[Callable[[], None]] = None
+        self._notify: Optional[Callable[[TaskBase], None]] = None
+        #: Wakes the consumer of ``out``; the task graph sets it.
+        self.wake: Callable[[], None] = _unwired
 
-    def attach(self, socket, notify: Callable[[], None]) -> None:
+    def attach(self, socket, notify: Callable[[TaskBase], None]) -> None:
         self._notify = notify
         socket.on_receive(self._on_data)
         socket.on_close(self._on_close)
 
     def _on_data(self, data: bytes) -> None:
         self._chunks.append(data)
-        if self._notify is not None:
-            self._notify()
+        self._notify(self)
 
     def _on_close(self) -> None:
         self._eof_seen = True
-        if self._notify is not None:
-            self._notify()
+        self._notify(self)
 
     def has_work(self) -> bool:
         if not self._out.has_space():
@@ -193,17 +228,18 @@ class RawForwardTask(TaskBase):
     def step(self, budget_us: Optional[float]):
         elapsed = 0.0
         emissions: List[Callable[[], None]] = []
-        out = self._out
+        out, wake = self._out, self.wake
         while self.has_work():
             if self._chunks:
                 chunk = self._chunks.popleft()
                 elapsed += self._stack.read_cost_us(len(chunk), self._cores)
-                emissions.append(lambda c=chunk: out.push(c))
+                emissions.append(_emit_push(out, wake, chunk))
                 self.items_processed += 1
             else:
                 self._eof_handled = True
                 if self._on_eof is not None:
                     emissions.append(self._on_eof)
+                    self._on_eof = None
             if budget_us == 0.0:
                 break
             if budget_us is not None and elapsed >= budget_us:
@@ -220,17 +256,20 @@ class _BufferingSendProxy:
     timeslice completes.
     """
 
-    __slots__ = ("_chan", "buffered")
+    __slots__ = ("_chan", "buffered", "wake")
 
     def __init__(self, chan: Optional[TaskChannel]):
         self._chan = chan
         self.buffered: List[object] = []
+        #: Wakes the consumer of the channel; the task graph sets it.
+        self.wake: Callable[[], None] = _unwired
 
     def send(self, value) -> None:
         self.buffered.append(value)
 
     def _sink(self, value) -> None:
         self._chan.push(value)
+        self.wake()
 
     def flush_thunks(self) -> List[Callable[[], None]]:
         sink = self._sink
@@ -291,6 +330,10 @@ class ComputeTask(TaskBase):
         while self.has_work():
             item = self.inbox.pop()
             if item is EOS:
+                # Nothing is handled or sent after EOS, and the handlers'
+                # context and the proxies lead back to the graph.
+                self._handlers = {}
+                self._proxies = []
                 break
             endpoint, _index, record = item
             elapsed += TASK_DISPATCH_US
@@ -412,6 +455,8 @@ class MergeTask(TaskBase):
         self._combine = combine_fn
         self._pending: Optional[Record] = None  # last element, not yet final
         self._done = False
+        #: Wakes the consumer of ``out``; the task graph sets it.
+        self.wake: Callable[[], None] = _unwired
 
     @staticmethod
     def _finished(chan: TaskChannel) -> bool:
@@ -451,7 +496,7 @@ class MergeTask(TaskBase):
     def step(self, budget_us: Optional[float]):
         elapsed = 0.0
         emissions: List[Callable[[], None]] = []
-        out = self._out
+        out, wake = self._out, self.wake
         while self.has_work():
             self._drain_eos()
             element = self._take_next()
@@ -464,15 +509,15 @@ class MergeTask(TaskBase):
                     elapsed += ops_to_us(ops)
                 else:
                     done = self._pending
-                    emissions.append(lambda r=done: out.push(r))
+                    emissions.append(_emit_push(out, wake, done))
                     self._pending = element
                 self.items_processed += 1
             elif self._left.exhausted() and self._right.exhausted():
                 if self._pending is not None:
                     done = self._pending
-                    emissions.append(lambda r=done: out.push(r))
+                    emissions.append(_emit_push(out, wake, done))
                     self._pending = None
-                emissions.append(out.close)
+                emissions.append(_emit_close(out, wake))
                 self._done = True
                 break
             else:

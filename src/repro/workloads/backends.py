@@ -35,6 +35,12 @@ class _FaultableBackend:
     with ``Connection: close`` the server always closes first, and a
     socket remembered past that point pins the peer socket, its input
     task and through them the whole finished task graph.
+
+    The server's data and close callbacks capture their socket, a cycle
+    that the socket itself breaks (:mod:`repro.net.tcp`): it drops both
+    callbacks once it has delivered the peer's EOF, or, when the server
+    closed first, once the peer closes too.  So a socket the server has
+    let go of is freed by reference counting, with its parser.
     """
 
     def __init__(self, engine: Engine, service_us: float):

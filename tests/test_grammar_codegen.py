@@ -589,8 +589,10 @@ class TestGeneratedUnits:
             serialize_both(unit, writer, ours, theirs)
 
     @given(units(), st.data())
-    @SETTINGS
+    @settings(SETTINGS, derandomize=True)
     def test_serialize_built_records(self, unit, data):
+        """Derandomised: every run draws the same examples, so whether
+        this differential test catches an encoder bug is not luck."""
         fields = {}
         for f in unit.named_fields():
             if data.draw(st.integers(0, 7)) == 0:

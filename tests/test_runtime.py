@@ -3,8 +3,10 @@ and what a connection's task graph builds and lets go of."""
 
 import dataclasses
 import gc
+import hashlib
 import re
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import http_lb, memcached_proxy
+from repro.bench import testbeds
 from repro.core.errors import ChannelClosed, ChannelFull
 from repro.core.units import GBPS
 from repro.grammar.protocols import http
@@ -68,13 +71,11 @@ class TestChannel:
         with pytest.raises(ChannelClosed):
             chan.pop()
 
-    def test_runnable_notification(self):
+    def test_close_reports_whether_it_closed(self):
+        """Only the first close is news for the consumer."""
         chan = TaskChannel("c", 8)
-        pings = []
-        chan.on_runnable = lambda: pings.append(1)
-        chan.push("x")
-        chan.close()
-        assert len(pings) == 2
+        assert chan.close() is True
+        assert chan.close() is False
 
     def test_peek_skips_nothing(self):
         chan = TaskChannel("c", 8)
@@ -90,28 +91,18 @@ class TestChannel:
         chan.pop()
         assert chan.at_eos()
 
-    def test_high_water_tracked(self):
-        chan = TaskChannel("c", 8)
-        for i in range(5):
-            chan.push(i)
-        for _ in range(5):
-            chan.pop()
-        assert chan.high_water == 5
-
 
 class _ScanChannel:
     """Reference model: the channel as it was defined while ``__len__``
     scanned the queue.  Kept test-side so the O(1) arithmetic in
     :class:`TaskChannel` is checked against the definition, not against
-    itself.  ``pings`` counts ``on_runnable`` calls."""
+    itself."""
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.queue = []
         self.closed = False
         self.eos_delivered = False
-        self.high_water = 0
-        self.pings = 0
 
     def has_space(self):
         return len(self.queue) < self.capacity
@@ -122,14 +113,13 @@ class _ScanChannel:
         if len(self.queue) >= self.capacity:
             raise ChannelFull("full")
         self.queue.append(item)
-        self.high_water = max(self.high_water, len(self.queue))
-        self.pings += 1
 
     def close(self):
-        if not self.closed:
-            self.closed = True
-            self.queue.append(EOS)
-            self.pings += 1
+        if self.closed:
+            return False
+        self.closed = True
+        self.queue.append(EOS)
+        return True
 
     def __len__(self):
         return sum(1 for item in self.queue if item is not EOS)
@@ -177,7 +167,7 @@ def _apply(chan, op, item):
         return type(exc)
 
 
-def _observe(chan, pings):
+def _observe(chan):
     length = len(chan)
     assert type(length) is int
     return (
@@ -188,20 +178,15 @@ def _observe(chan, pings):
         chan.peek(),
         chan.at_eos(),
         chan.exhausted(),
-        chan.high_water,
-        pings,
     )
 
 
 def _check_sequence(capacity, ops):
     real, model = TaskChannel("c", capacity), _ScanChannel(capacity)
-    pings = []
-    real.on_runnable = lambda: pings.append(1)
     for step, op in enumerate(ops):
         trail = ops[: step + 1]
         assert _apply(real, op, step) == _apply(model, op, step), trail
-        seen = _observe(real, len(pings))
-        assert seen == _observe(model, model.pings), trail
+        assert _observe(real) == _observe(model), trail
 
 
 class TestChannelAgainstScanModel:
@@ -462,8 +447,6 @@ class TestMergeTask:
                 1.0,
             ),
         )
-        left.on_runnable = lambda: sched.notify_runnable(merge)
-        right.on_runnable = lambda: sched.notify_runnable(merge)
         sched.start()
         for item in left_items:
             left.push(item)
@@ -471,6 +454,8 @@ class TestMergeTask:
             right.push(item)
         left.close()
         right.close()
+        # The test is both inputs' producer, so it wakes the merge.
+        sched.notify_runnable(merge)
         engine.run()
         result = []
         while not out.empty():
@@ -697,6 +682,55 @@ class TestLazyLegs:
         assert _task_ids(graphs) == _EAGER_MEMCACHED_IDS
 
 
+def _staggered_closes(offsets_us):
+    """One keep-alive LB request per client, 50 µs apart; client ``i``
+    closes ``offsets_us[i]`` µs after sending its request (the reply,
+    if it comes first, is kept)."""
+    engine, net, mbox, hosts, backends, graphs = _proxy_testbed()
+    replies = []
+    for index, offset_us in enumerate(offsets_us):
+        raw = http.make_request("GET", f"/{index}").raw
+
+        def connected(socket, raw=raw, offset_us=offset_us):
+            socket.on_receive(replies.append)
+            socket.send(raw)
+            engine.schedule(offset_us, socket.close)
+
+        engine.schedule(
+            index * 50.0, net.connect, hosts[index], mbox, 80, connected
+        )
+    engine.run()
+    return graphs, backends, replies
+
+
+@pytest.mark.usefixtures("fresh_graph_ids")
+def test_tasks_woken_after_teardown_are_still_charged():
+    """Clients close around their request: after the backend leg is
+    connected (teardown closes it before the response), with the
+    response in flight (the forward task and the client output task run
+    after teardown), and after the reply.  Alone, one request's leg
+    opens 182 µs after the send and connects at 254, the backend answers
+    at 308 and the reply lands at 392; a close at +160 / +240 / +450
+    tears the graph down at +286 / +366 / +576.  Every task's
+    ``(name, busy_us, items_processed)`` and the scheduler's total busy
+    time are pinned to the digest recorded before any reference cycle
+    was broken: dropping a reference at its last use charges the same
+    work.  (A close before the leg connects is the case
+    ``test_a_leg_connected_after_teardown_is_closed`` changed on
+    purpose, so it is not here.)"""
+    graphs, _backends, replies = _staggered_closes((160.0, 240.0, 450.0))
+    rows = [
+        (task.name, task.busy_us, task.items_processed)
+        for graph in graphs
+        for task in graph.tasks
+    ]
+    rows.append(graphs[0].scheduler.total_busy_us)
+    assert len(graphs) == 3 and len(replies) == 1
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "f0242110aac344cefea8312664c87eba38e86c403e202bc1ca516aaef50c63da"
+    )
+
+
 def test_every_runtime_config_field_is_read_by_the_platform():
     """A field nothing reads is a knob that moves no number: each one
     must be read as ``config.<field>`` somewhere outside its own module."""
@@ -740,30 +774,128 @@ def test_graph_channels_take_the_task_channel_default_capacity(monkeypatch):
     )
 
 
+def cyclic_garbage(run):
+    """Run ``run()`` with the cycle collector off, then collect, and
+    return the ``repro`` objects the collector found, counted by type.
+
+    Whatever ``run()`` returns stays alive through the collection, so a
+    testbed it hands back is not counted.  What is counted is what
+    reference counting could not free: objects in a reference cycle, or
+    held only by one.
+    """
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    alive = None
+    gc.disable()
+    try:
+        alive = run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return Counter(
+            type(obj).__qualname__
+            for obj in gc.garbage
+            if type(obj).__module__.startswith("repro.")
+        )
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+        del alive
+
+
 class TestConnectionRelease:
-    """A finished connection is collectable: nothing outside the cycle
-    collector's reach keeps its graph, tasks, channels or sockets."""
+    """A finished connection is freed by reference counting: no
+    reference cycle keeps its graph, tasks, channels, parsers or
+    sockets for the cycle collector to find."""
 
     def test_non_persistent_connections_are_let_go(self):
         engine, net, mbox, hosts, backends, graphs = _proxy_testbed()
-        concurrency = 8
         population = ClosedLoopClients(
             engine, net, hosts, mbox, 80, HttpRequestCodec(),
-            concurrency=concurrency, persistent=False,
+            concurrency=8, persistent=False,
             requests_per_client=25, warmup_requests=0,
         )
-        population.start()
-        engine.run()
+        freed = []
+
+        def run():
+            population.start()
+            engine.run()
+            alive = [weakref.ref(graph) for graph in graphs]
+            del graphs[:]
+            # With the collector off, only reference counting frees.
+            freed.extend(ref() is None for ref in alive)
+            return engine, net, backends, population
+
+        assert cyclic_garbage(run) == Counter()
         assert population.finished and population.errors == 0
-        assert len(graphs) == 200
-        alive = [weakref.ref(graph) for graph in graphs]
-        del graphs[:]
-        gc.collect()
+        assert len(freed) == 200 and all(freed)
         # ``Connection: close``: the backend closes first, so it never
         # hears the peer's EOF — it must forget the socket on its own
         # close, or every server socket pins its whole graph.
         assert [len(b._live_sockets) for b in backends] == [0] * 10
-        assert sum(ref() is not None for ref in alive) <= concurrency
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            testbeds.Scenario(
+                app="http_lb", persistent=False, concurrency=16,
+                requests_per_client=12,
+            ),
+            testbeds.Scenario(
+                app="http_lb", mode="web", persistent=False,
+                concurrency=16, requests_per_client=12,
+            ),
+            testbeds.Scenario(
+                app="memcached_proxy", arrival="poisson",
+                arrival_params=(("rate_rps", 40_000.0),), concurrency=16,
+                total_requests=768, faults="conn-churn",
+                fault_params=(("lifetime_requests", 16),),
+            ),
+        ],
+        ids=["lb-non-persistent", "web-non-persistent", "memcached-churn"],
+    )
+    def test_no_closed_connection_is_left_to_the_collector(
+        self, spec, monkeypatch
+    ):
+        """The whole testbed stays alive through the collection (its
+        population, servers and network, and through the network's
+        listeners every platform), so everything found is the remains
+        of a closed connection."""
+        testbed = []
+        population_of = testbeds._population
+
+        def keep(spec, app, engine, tcpnet, mbox, servers):
+            population = population_of(spec, app, engine, tcpnet, mbox, servers)
+            testbed.extend((engine, tcpnet, servers, population))
+            return population
+
+        monkeypatch.setattr(testbeds, "_population", keep)
+        # A wire codec is generated once per process, and generating it
+        # leaves a cycle of its own: build this app's codecs first.
+        testbeds.APPS[spec.app].program(spec, [])
+        results = []
+
+        def run():
+            results.append(testbeds.run_experiment(spec))
+            return testbed
+
+        assert cyclic_garbage(run) == Counter()
+        assert results[0].extra["completed"] > 0
+
+    def test_a_leg_connected_after_teardown_is_closed(self):
+        """A request sent and closed in one tick: the graph finishes
+        before its backend leg's handshake does.  The new socket is
+        closed the way ``_teardown`` closed the rest, and no return task
+        is built to read it — the backend keeps no open connection, and
+        nothing pins the finished graph."""
+        graphs, backends, _replies = _staggered_closes((0.0,))
+        (graph,) = graphs
+        assert graph.finished
+        assert [len(b._live_sockets) for b in backends] == [0] * 10
+        names = [task.name.split(":")[1] for task in graph.tasks]
+        assert names[:3] == ["compute", "client.out", "client.in"]
+        assert len(names) == 4 and names[3].endswith(".out")
 
     def test_flapping_resets_count_only_open_connections(self):
         engine, net, mbox, hosts, backends, _graphs = _proxy_testbed()

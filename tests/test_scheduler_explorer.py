@@ -99,6 +99,7 @@ class _Task(TaskBase):
         self.inputs = []
         self.producers = []
         self.out = None
+        self.wake = None  # the consumer's notify, set with ``out``
         self.backlog = deque()
         self.eof = False
         self.closed = False
@@ -144,7 +145,7 @@ class _Task(TaskBase):
                 if out is not None and all(
                     chan.exhausted() for chan in self.inputs
                 ):
-                    emissions.append(out.close)
+                    emissions.append(self._close)
             elif out is None:
                 emissions.append(partial(self.consumed.append, item))
             else:
@@ -163,6 +164,11 @@ class _Task(TaskBase):
     def _push(self, item):
         self.in_flight -= 1
         self.out.push(item)
+        self.wake()
+
+    def _close(self):
+        if self.out.close():
+            self.wake()
 
     def _credit(self, producer):
         if producer.has_work():
@@ -171,7 +177,7 @@ class _Task(TaskBase):
 
 def _connect(producer, consumer, capacity, scheduler):
     chan = TaskChannel(f"{producer.name}->{consumer.name}", capacity)
-    chan.on_runnable = partial(scheduler.notify_runnable, consumer)
+    producer.wake = partial(scheduler.notify_runnable, consumer)
     producer.out = chan
     consumer.inputs.append(chan)
     consumer.producers.append(producer)

@@ -1,5 +1,8 @@
 """Simulation engine, network and TCP substrate tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.errors import SimulationError
@@ -496,3 +499,71 @@ class TestTcpCallbackDelivery:
         engine.run()
         assert server.bytes_received == 0
         assert server.bytes_dropped == len(b"in flight")
+
+
+class TestTcpLetsGo:
+    """A socket drops every reference it can never use again, so a
+    closed connection is freed by reference counting even though its
+    two ends point at each other and their owners' callbacks capture
+    them — and nothing it delivers changes."""
+
+    def _connected(self, events):
+        engine = Engine()
+        net = TcpNetwork(engine)
+        a = net.add_host("a", 1 * GBPS, "edge")
+        b = net.add_host("b", 10 * GBPS, "core")
+        ends = []
+        net.listen(b, 80, ends.append)
+        net.connect(a, b, 80, ends.append)
+        engine.run()
+        server, client = ends
+        ends.clear()  # the listener keeps the list
+        for name, sock in (("server", server), ("client", client)):
+            # Owners capture their socket, as a server answering on it
+            # does: a cycle the socket itself must break.
+            sock.on_receive(
+                lambda data, n=name, s=sock: events.append((n, data, s.closed))
+            )
+            sock.on_close(
+                lambda n=name, s=sock: (events.append((n, "eof")), s.close())
+            )
+        return engine, client, server
+
+    @pytest.mark.parametrize("first", ["client", "server"])
+    def test_a_closed_connection_is_freed_by_reference_counting(self, first):
+        events = []
+        gc.disable()
+        try:
+            engine, client, server = self._connected(events)
+            closer, other = (client, server) if first == "client" else (
+                server, client
+            )
+            other.send(b"late")  # in flight while the closer closes
+            closer.close()
+            assert closer.peer is None and other.peer is closer
+            engine.run()
+            assert client.closed and server.closed
+            assert client.peer is None and server.peer is None
+            refs = [weakref.ref(client), weakref.ref(server)]
+            del client, server, closer, other
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+        # The closer dropped the bytes in flight to it unread; the other
+        # end heard EOF once and answered it with its own close.
+        other_name = "server" if first == "client" else "client"
+        assert events == [(other_name, "eof")]
+
+    def test_a_close_callback_still_fires_after_a_local_close(self):
+        """Both ends close in one tick.  The second closer sends no EOF
+        (its peer is closed) but still hears the first closer's, which
+        is in flight — input tasks charge their teardown on it — and
+        then both ends have let go."""
+        events = []
+        engine, client, server = self._connected(events)
+        client.close()
+        server.close()
+        engine.run()
+        assert events == [("server", "eof")]
+        for sock in (client, server):
+            assert sock._recv_callback is None and sock._close_callback is None

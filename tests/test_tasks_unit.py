@@ -51,17 +51,29 @@ class TestInputTask:
         )
         socket = _FakeSocket()
         notified = []
-        task.attach(socket, lambda: notified.append(1))
+        task.attach(socket, notified.append)
         return task, out, socket, notified
 
     def test_parses_stream_into_records(self):
         task, out, socket, notified = self._make()
         raw = mc.encode(mc.make_request(mc.OP_GETK, "k1"))
         socket.deliver(raw)
-        assert notified  # data made the task runnable
+        assert notified == [task]  # data made the task runnable
         _drain(task)
         record = out.pop()
         assert record.key == "k1"
+
+    def test_each_push_and_the_close_wake_the_consumer(self):
+        """The producer wakes its out channel's reader, each time after
+        the item is in the channel."""
+        task, out, socket, _ = self._make()
+        woken = []
+        task.wake = lambda: woken.append(len(out))
+        raw = mc.encode(mc.make_request(mc.OP_GETK, "k"))
+        socket.deliver(raw * 2)
+        socket.eof()
+        _drain(task)
+        assert woken == [1, 2, 2]  # two records, then EOS
 
     def test_partial_message_waits(self):
         task, out, socket, _ = self._make()
@@ -97,7 +109,7 @@ class TestInputTask:
             tag=("backends", 3),
         )
         socket = _FakeSocket()
-        task.attach(socket, lambda: None)
+        task.attach(socket, lambda task: None)
         socket.deliver(mc.encode(mc.make_request(mc.OP_GET, "x")))
         _drain(task)
         endpoint, index, record = out.pop()
@@ -171,7 +183,7 @@ class TestRawForwardTask:
         out = TaskChannel("out", 8)
         task = RawForwardTask("fwd", out, KERNEL, cores=1)
         socket = _FakeSocket()
-        task.attach(socket, lambda: None)
+        task.attach(socket, lambda task: None)
         socket.deliver(b"chunk-1")
         socket.deliver(b"chunk-2")
         _drain(task)
@@ -184,7 +196,7 @@ class TestRawForwardTask:
         out = TaskChannel("out", 8)
         task = RawForwardTask("fwd", out, KERNEL, cores=1)
         socket = _FakeSocket()
-        task.attach(socket, lambda: None)
+        task.attach(socket, lambda task: None)
         socket.eof()
         _drain(task)
         assert not out.closed
@@ -193,7 +205,7 @@ class TestRawForwardTask:
         out = TaskChannel("out", 1024)
         task = RawForwardTask("fwd", out, KERNEL, cores=1)
         socket = _FakeSocket()
-        task.attach(socket, lambda: None)
+        task.attach(socket, lambda task: None)
         socket.deliver(b"x" * 10)
         small, _ = task.step(None)
         socket.deliver(b"x" * 10_000)
