@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.grammar.protocols import hadoop
 from repro.lang.compiler import CompiledProgram, compile_source
+from repro.lang.values import Record
 from repro.net.simnet import Host
 from repro.runtime.graph import Bindings, CodecRegistry, OutboundTarget
 
@@ -58,8 +59,6 @@ def _native_key(record):
 
 def _native_combine(left, right):
     """Native equivalent of the FLICK combine body (property-tested)."""
-    from repro.lang.values import Record
-
     value = str(int(left.value) + int(right.value))
     merged = Record(
         "kv",

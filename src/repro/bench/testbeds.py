@@ -58,7 +58,8 @@ from repro.workloads.backends import BackendMemcachedServer, BackendWebServer
 from repro.workloads.hadoop_mappers import (
     Mapper,
     ReducerSink,
-    generate_mapper_output,
+    make_vocabulary,
+    mapper_pairs,
 )
 
 N_CLIENT_HOSTS = 16
@@ -536,13 +537,11 @@ class _MapperJob:
         hosts = _edge_hosts(
             tcpnet, "mapper", spec.n_mappers, HADOOP_LINK_SCALE
         )
+        words = make_vocabulary(4096, spec.word_len)
         self.mappers = [
             Mapper(
                 engine, tcpnet, host, mbox, port,
-                generate_mapper_output(
-                    i, spec.data_kb_per_mapper * 1024, spec.word_len,
-                    vocabulary=4096,
-                ),
+                mapper_pairs(i, spec.data_kb_per_mapper * 1024, words),
             )
             for i, host in enumerate(hosts)
         ]

@@ -44,8 +44,12 @@ def stable_hash(data) -> int:
     """
     if isinstance(data, tuple):
         h = _FNV_OFFSET
-        for part in data:
-            h = (h ^ stable_hash(part)) * _FNV_PRIME & _MASK64
+        for part in data:  # one loop; recursion only for a nested tuple
+            try:
+                part = _fnv1a_memo(part)
+            except TypeError:  # a tuple, a bytearray, or not supported
+                part = stable_hash(part) if isinstance(part, tuple) else _fnv1a(part)
+            h = (h ^ part) * _FNV_PRIME & _MASK64
         return h
     try:
         return _fnv1a_memo(data)

@@ -71,9 +71,8 @@ class TaskChannel:
 
     def ready(self) -> bool:
         """True if a data item (not EOS) is available."""
-        # ``len(self) > 0`` spelled out: MergeTask asks this several
-        # times per record, and the extra call is 1,325 of hadoop-agg's
-        # runtime calls per op.
+        # ``len(self) > 0`` spelled out: a merge node asks it of both
+        # inputs once per record it takes.
         return len(self._queue) > (self._closed and not self._eos_delivered)
 
     def empty(self) -> bool:

@@ -68,6 +68,24 @@ def _emit_close(out: TaskChannel, wake: Callable[[], None]):
     return emit
 
 
+def _emit_merged(out: TaskChannel, wake: Callable[[], None], items, close):
+    """An emission: ``items`` enter ``out``, which closes if ``close``, and
+    its consumer wakes once (a second wake would change nothing)."""
+
+    def emit() -> None:
+        for item in items:
+            out.push(item)
+        if close:
+            out.close()
+        wake()
+
+    return emit
+
+
+#: A head whose key the merge has not computed yet.
+_UNKEYED = object()
+
+
 class InputTask(TaskBase):
     """Deserialises one connection's byte stream into typed records."""
 
@@ -454,6 +472,8 @@ class MergeTask(TaskBase):
         self._key = key_fn
         self._combine = combine_fn
         self._pending: Optional[Record] = None  # last element, not yet final
+        # Keys of the pending record and of the two heads, once computed.
+        self._pending_key = self._left_key = self._right_key = _UNKEYED
         self._done = False
         #: Wakes the consumer of ``out``; the task graph sets it.
         self.wake: Callable[[], None] = _unwired
@@ -473,58 +493,64 @@ class MergeTask(TaskBase):
             return True
         return self._finished(left) and self._finished(right)
 
-    def _take_next(self) -> Optional[Record]:
-        """Pop the smaller-keyed head, if the choice is decidable."""
-        left, right = self._left, self._right
-        lhead = left.peek() if left.ready() else None
-        rhead = right.peek() if right.ready() else None
-        if lhead is not None and rhead is not None:
-            if self._key(lhead) <= self._key(rhead):
-                return left.pop()
-            return right.pop()
-        if lhead is not None and self._finished(right):
-            return left.pop()
-        if rhead is not None and self._finished(left):
-            return right.pop()
-        return None
-
-    def _drain_eos(self) -> None:
-        for chan in (self._left, self._right):
-            if chan.at_eos() and not chan.exhausted():
-                chan.pop()  # consume the EOS marker
-
     def step(self, budget_us: Optional[float]):
+        # One loop over locals.  A record's key is computed once, when the
+        # merge first looks at it as a head, and kept while it is a head
+        # or pending: only this task pops its inputs, so it stays valid.
         elapsed = 0.0
-        emissions: List[Callable[[], None]] = []
-        out, wake = self._out, self.wake
-        while self.has_work():
-            self._drain_eos()
-            element = self._take_next()
-            if element is not None:
-                elapsed += TASK_DISPATCH_US
-                if self._pending is None:
-                    self._pending = element
-                elif self._key(self._pending) == self._key(element):
-                    self._pending, ops = self._combine(self._pending, element)
-                    elapsed += ops_to_us(ops)
+        if self._done or not self._out.has_space():
+            return elapsed, []
+        left, right, key = self._left, self._right, self._key
+        lkey, rkey = self._left_key, self._right_key
+        pending, pkey = self._pending, self._pending_key
+        merged: List[Record] = []
+        while True:
+            if left.ready():
+                if lkey is _UNKEYED:
+                    lkey = key(left.peek())
+                if right.ready():
+                    if rkey is _UNKEYED:
+                        rkey = key(right.peek())
+                    from_left = lkey <= rkey
+                elif self._finished(right):
+                    from_left = True
                 else:
-                    done = self._pending
-                    emissions.append(_emit_push(out, wake, done))
-                    self._pending = element
-                self.items_processed += 1
-            elif self._left.exhausted() and self._right.exhausted():
-                if self._pending is not None:
-                    done = self._pending
-                    emissions.append(_emit_push(out, wake, done))
-                    self._pending = None
-                emissions.append(_emit_close(out, wake))
+                    break
+            elif right.ready() and self._finished(left):
+                if rkey is _UNKEYED:
+                    rkey = key(right.peek())
+                from_left = False
+            elif self._finished(left) and self._finished(right):
+                for chan in (left, right):
+                    if not chan.exhausted():
+                        chan.pop()  # consume the EOS marker
+                if pending is not None:
+                    merged.append(pending)
+                    pending = None
                 self._done = True
                 break
             else:
                 break
-            if budget_us == 0.0:
-                break
+            if from_left:
+                element, ekey, lkey = left.pop(), lkey, _UNKEYED
+            else:
+                element, ekey, rkey = right.pop(), rkey, _UNKEYED
+            elapsed += TASK_DISPATCH_US
+            if pending is None:
+                pending, pkey = element, ekey
+            elif pkey == ekey:
+                pending, ops = self._combine(pending, element)
+                pkey = key(pending)
+                elapsed += ops_to_us(ops)
+            else:
+                merged.append(pending)
+                pending, pkey = element, ekey
+            self.items_processed += 1
             if budget_us is not None and elapsed >= budget_us:
                 break
+        self._left_key, self._right_key = lkey, rkey
+        self._pending, self._pending_key = pending, pkey
         self.busy_us += elapsed
-        return elapsed, emissions
+        if not (merged or self._done):
+            return elapsed, []
+        return elapsed, [_emit_merged(self._out, self.wake, merged, self._done)]

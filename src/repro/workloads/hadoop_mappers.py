@@ -3,13 +3,15 @@
 Generates the map phase's intermediate output for a word-count job: each
 mapper emits a key-sorted stream of ``(word, count)`` pairs in the Hadoop
 key/value wire format (§6.2's datasets of 8/12/16-character words with a
-high data-reduction ratio).  Mappers stream their output in fixed-size
-chunks through their 1 Gbps NICs; the reducer sink collects the combined
-stream and exposes completion and throughput.
+high data-reduction ratio), drawn from a vocabulary built once per job,
+not once per mapper.  Mappers stream their output in fixed-size chunks
+through their 1 Gbps NICs; the reducer sink collects the combined stream
+and exposes completion and throughput.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from repro.core.ids import stable_hash
@@ -34,6 +36,34 @@ def make_word(index: int, word_len: int) -> str:
     return "".join(chars)
 
 
+def make_vocabulary(size: int, word_len: int) -> List[str]:
+    """A job's sorted distinct words: every mapper draws from the same."""
+    return sorted({make_word(i, word_len) for i in range(size)})
+
+
+def mapper_pairs(
+    mapper_index: int, total_bytes: int, words: List[str]
+) -> List[Tuple[str, str]]:
+    """One mapper's sorted (word, count) pairs over a job's ``words``."""
+    pair_bytes = 2 + 4 + len(words[0]) + 2  # key/value lens + key + ~value
+    n_pairs = max(1, total_bytes // pair_bytes)
+    pairs: List[Tuple[str, str]] = []
+    for i in range(n_pairs):
+        word = words[stable_hash((mapper_index, i)) % len(words)]
+        count = 1 + stable_hash((mapper_index, i, "c")) % 9
+        pairs.append((word, str(count)))
+    pairs.sort(key=itemgetter(0))
+    # Pre-combine duplicates within the mapper (mappers run combiners
+    # locally in Hadoop), keeping each stream's keys unique and sorted.
+    combined: List[Tuple[str, str]] = []
+    for key, value in pairs:
+        if combined and combined[-1][0] == key:
+            combined[-1] = (key, str(int(combined[-1][1]) + int(value)))
+        else:
+            combined.append((key, value))
+    return combined
+
+
 def generate_mapper_output(
     mapper_index: int,
     total_bytes: int,
@@ -46,26 +76,8 @@ def generate_mapper_output(
     mapper sees (a subset of) the same words, so the combiner tree shrinks
     the stream roughly by the number of mappers.
     """
-    pair_bytes = 2 + 4 + word_len + 2  # key_len + value_len + key + ~value
-    n_pairs = max(1, total_bytes // pair_bytes)
-    words = sorted(
-        {make_word(i, word_len) for i in range(vocabulary)}
-    )
-    pairs: List[Tuple[str, str]] = []
-    for i in range(n_pairs):
-        word = words[stable_hash((mapper_index, i)) % len(words)]
-        count = 1 + stable_hash((mapper_index, i, "c")) % 9
-        pairs.append((word, str(count)))
-    pairs.sort(key=lambda kv: kv[0])
-    # Pre-combine duplicates within the mapper (mappers run combiners
-    # locally in Hadoop), keeping each stream's keys unique and sorted.
-    combined: List[Tuple[str, str]] = []
-    for key, value in pairs:
-        if combined and combined[-1][0] == key:
-            combined[-1] = (key, str(int(combined[-1][1]) + int(value)))
-        else:
-            combined.append((key, value))
-    return combined
+    words = make_vocabulary(vocabulary, word_len)
+    return mapper_pairs(mapper_index, total_bytes, words)
 
 
 class Mapper:

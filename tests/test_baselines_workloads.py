@@ -1,12 +1,16 @@
 """Baseline server models and workload generators."""
 
+import hashlib
+
 import pytest
 
 from repro.baselines.apache import ApacheServer
 from repro.baselines.base import CorePool
 from repro.baselines.moxi import MoxiProxy
 from repro.baselines.nginx import NginxServer
+from repro.bench import testbeds
 from repro.core.units import GBPS
+from repro.grammar.protocols import hadoop
 from repro.net.tcp import TcpNetwork
 from repro.runtime.graph import OutboundTarget
 from repro.sim.engine import Engine
@@ -155,6 +159,34 @@ class TestWorkloadGenerators:
         a = generate_mapper_output(0, 4_000, 8, vocabulary=64)
         b = generate_mapper_output(1, 4_000, 8, vocabulary=64)
         assert a != b
+
+    #: sha256 of eight mappers' wire payloads in mapper order, 48 KiB
+    #: each over a 4,096-word vocabulary (the hadoop-agg job), pinned
+    #: while every mapper still built the vocabulary itself.
+    MAPPER_INPUT_SHA256 = {
+        8: "cbaea33e13864d547b803a0caa17901678510e34401fd06f683ffcb31383c77d",
+        12: "fff439493105efcbf0f9275ff70d720bfaf466e620feaa41df06f939ea72f05c",
+        16: "bcd6423afc8f9dae3c149bcd82cfdc02b3c12be0e0c997b840209a66c6a14a28",
+    }
+
+    @pytest.mark.parametrize("word_len", sorted(MAPPER_INPUT_SHA256))
+    def test_mapper_input_is_pinned(self, word_len):
+        """The public generator and the job's once-built vocabulary give
+        the same bytes."""
+        public = hashlib.sha256()
+        for i in range(8):
+            public.update(hadoop.encode_pairs(
+                generate_mapper_output(i, 48 * 1024, word_len, vocabulary=4096)
+            ))
+        assert public.hexdigest() == self.MAPPER_INPUT_SHA256[word_len]
+        engine = Engine()
+        net = TcpNetwork(engine)
+        job = testbeds._MapperJob(
+            testbeds.Scenario(app="hadoop_agg", word_len=word_len),
+            engine, net, net.add_host("mbox", 10 * GBPS, "core"), 9100, None,
+        )
+        per_job = hashlib.sha256(b"".join(m.payload for m in job.mappers))
+        assert per_job.hexdigest() == self.MAPPER_INPUT_SHA256[word_len]
 
     def test_backend_web_server_closes_non_keepalive(self):
         engine, net, mbox, clients, backend_hosts = _topology()

@@ -74,6 +74,51 @@ class TestStableHash:
     def test_tuples_supported(self, t):
         assert stable_hash(t) == stable_hash(t)
 
+    def test_tuple_parts_the_memo_cannot_serve(self):
+        import collections
+
+        import pytest
+
+        pair = collections.namedtuple("pair", "word index")
+        assert stable_hash(pair("word", 3)) == stable_hash(("word", 3))
+        assert stable_hash((7, pair("a", 1))) == stable_hash((7, ("a", 1)))
+        for raw in (bytearray(b"\x00\xff"), memoryview(b"\x00\xff")):
+            assert stable_hash((1, raw)) == stable_hash((1, b"\x00\xff"))
+            assert stable_hash(((raw,),)) == stable_hash(((b"\x00\xff",),))
+        assert stable_hash(((1, "a"), (b"b", -2))) == 0x0248BDF79F28A084
+        for unsupported in ((1, 1.0), (1, [1]), ("a", (None,))):
+            with pytest.raises(TypeError):
+                stable_hash(unsupported)
+
+    @given(
+        st.recursive(
+            st.one_of(st.text(max_size=6), st.binary(max_size=6),
+                      st.integers(-(2 ** 63), 2 ** 63 - 1)),
+            lambda parts: st.lists(parts, max_size=4).map(tuple),
+            max_leaves=12,
+        )
+    )
+    def test_tuple_fold_matches_a_recursive_fold(self, data):
+        assert stable_hash(data) == _reference_fold(data)
+
+
+def _reference_fold(data) -> int:
+    """FNV-1a as the definition reads: a tuple folds its parts' hashes,
+    each found by recursion; a leaf hashes its bytes."""
+    prime, mask = 0x100000001B3, 0xFFFFFFFFFFFFFFFF
+    h = 0xCBF29CE484222325
+    if isinstance(data, tuple):
+        for part in data:
+            h = (h ^ _reference_fold(part)) * prime & mask
+        return h
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    elif isinstance(data, int):
+        data = data.to_bytes(8, "little", signed=True)
+    for byte in data:
+        h = ((h ^ byte) * prime) & mask
+    return h
+
 
 class TestMemcachedRoundTrip:
     @given(

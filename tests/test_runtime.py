@@ -17,7 +17,7 @@ from repro.apps import http_lb, memcached_proxy
 from repro.bench import testbeds
 from repro.core.errors import ChannelClosed, ChannelFull
 from repro.core.units import GBPS
-from repro.grammar.protocols import http
+from repro.grammar.protocols import hadoop, http
 from repro.lang.values import Record
 from repro.net.faults import make_fault
 from repro.net.tcp import TcpNetwork
@@ -852,8 +852,16 @@ class TestConnectionRelease:
                 total_requests=768, faults="conn-churn",
                 fault_params=(("lifetime_requests", 16),),
             ),
+            # A foldt graph: four input tasks, three merges that hold
+            # their heads' keys and a pending record, one output task.
+            testbeds.Scenario(
+                app="hadoop_agg", data_kb_per_mapper=8, n_mappers=4,
+            ),
         ],
-        ids=["lb-non-persistent", "web-non-persistent", "memcached-churn"],
+        ids=[
+            "lb-non-persistent", "web-non-persistent", "memcached-churn",
+            "hadoop-foldt",
+        ],
     )
     def test_no_closed_connection_is_left_to_the_collector(
         self, spec, monkeypatch
@@ -872,8 +880,13 @@ class TestConnectionRelease:
 
         monkeypatch.setattr(testbeds, "_population", keep)
         # A wire codec is generated once per process, and generating it
-        # leaves a cycle of its own: build this app's codecs first.
-        testbeds.APPS[spec.app].program(spec, [])
+        # leaves a cycle of its own: build this app's codecs first.  The
+        # aggregator's program needs its reducer target, so it builds
+        # just the codec.
+        if spec.app == "hadoop_agg":
+            hadoop.codec()
+        else:
+            testbeds.APPS[spec.app].program(spec, [])
         results = []
 
         def run():
@@ -881,7 +894,8 @@ class TestConnectionRelease:
             return testbed
 
         assert cyclic_garbage(run) == Counter()
-        assert results[0].extra["completed"] > 0
+        done = "egress_bytes" if spec.app == "hadoop_agg" else "completed"
+        assert results[0].extra[done] > 0
 
     def test_a_leg_connected_after_teardown_is_closed(self):
         """A request sent and closed in one tick: the graph finishes
