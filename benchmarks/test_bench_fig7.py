@@ -174,12 +174,11 @@ def test_fig7_numa_topology_prices_remote_steals(benchmark):
     pays less steal cost than topology-blind longest-queue stealing."""
 
     def sweep():
-        from repro.runtime.scheduler import Scheduler, TaskBase
+        from repro.runtime.scheduler import Scheduler
         from repro.sim.engine import Engine
 
         costs = {}
         for policy in ("cooperative", "numa"):
-            TaskBase.reset_ids()
             engine = Engine()
             sched = Scheduler(engine, 16, 50.0, policy, "two-socket")
             # Imbalanced piles on BOTH sockets: a socket-1 thief has a

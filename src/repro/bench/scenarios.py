@@ -34,7 +34,6 @@ from typing import Dict, Sequence, Tuple
 from repro.bench.testbeds import APPS, Checked, Scenario, run_experiment
 from repro.core.errors import ConfigError
 from repro.core.registry import did_you_mean
-from repro.runtime.scheduler import TaskBase
 
 
 def _burst_trace(
@@ -365,11 +364,7 @@ def run_scenario(scenario, quick: bool = False) -> dict:
         if isinstance(scenario, Checked)
         else quick_sized(scenario, quick).check()
     )
-    # Scoped task ids: a scenario's numbers must not depend on which
-    # scenarios ran before it in this process (hash placement keys off
-    # task ids).
-    with TaskBase.scoped_ids():
-        result = run_experiment(checked)
+    result = run_experiment(checked)
     scenario = checked.spec
     arrival, fault = scenario.arrival, scenario.faults
     extra = result.extra
@@ -472,12 +467,12 @@ def run_scenario_matrix(
     """Run ``scenarios``; map name → JSON-ready result, selection order.
 
     ``jobs`` > 1 fans the scenarios out over that many worker
-    processes.  The output is byte-identical to the serial run:
-    :func:`run_scenario` scopes every global (task ids, seeded RNGs)
-    per scenario, so a scenario's numbers never depend on which process
-    ran it or what ran before it — parallelism only changes wall-clock
-    time.  Results are collected in selection order regardless of
-    completion order.
+    processes.  The output is byte-identical to the serial run: a run
+    keeps no state outside its own engine (which numbers its tasks) and
+    its spec-seeded RNGs, so a scenario's numbers never depend on which
+    process ran it or what ran before it — parallelism only changes
+    wall-clock time.  Results are collected in selection order
+    regardless of completion order.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")

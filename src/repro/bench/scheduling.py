@@ -46,7 +46,7 @@ class SyntheticTask(TaskBase):
     """Consumes ``n_items`` of ``item_bytes`` each; records finish time."""
 
     def __init__(self, name: str, n_items: int, item_bytes: int, engine: Engine):
-        super().__init__(name)
+        super().__init__(name, next(engine.task_ids))
         self._engine = engine
         self._remaining = n_items
         self._item_cost = item_bytes * PER_BYTE_US
@@ -132,65 +132,61 @@ def run_scheduling_experiment(
     """
     if service_classes is not None:
         service_classes = ServiceClassMap.from_spec(service_classes)
-    # Scoped task ids: the experiment's placement must not depend on
-    # how many tasks the process created before (adaptive policies
-    # key state by id).
-    with TaskBase.scoped_ids():
-        engine = Engine()
-        scheduler = Scheduler(engine, cores, timeslice_us, policy, topology)
-        light: List[SyntheticTask] = []
-        heavy: List[SyntheticTask] = []
-        for index in range(n_tasks):
-            is_light = (index % 2 == 0) if interleaved else (index < n_tasks // 2)
-            size = LIGHT_ITEM_BYTES if is_light else HEAVY_ITEM_BYTES
-            endpoint = "light" if is_light else "heavy"
-            task = SyntheticTask(
-                f"{endpoint}{index}",
-                items_per_task,
-                size,
-                engine,
-            )
-            if service_classes is not None:
-                service_class = service_classes.class_for(endpoint)
-                if service_class is not None:
-                    task.service_class = service_class
-                    task.slo_us = service_class.slo_us
-            # Balanced placement: consecutive (light, heavy) pairs share a
-            # worker, so every queue has the same class mix.  Hash placement
-            # (the platform default) makes each queue's composition a
-            # lottery, which swamps the policy effect this experiment
-            # isolates.
-            task.home_hint = (index // 2) % cores
-            (light if is_light else heavy).append(task)
-        scheduler.start()
-        for index in range(n_tasks):
-            task = light[index // 2] if index % 2 == 0 else heavy[index // 2]
-            if not interleaved:
-                ordered = light + heavy
-                task = ordered[index]
-            scheduler.notify_runnable(task)
-        engine.run()
-
-        def _collect(tasks: List[SyntheticTask]) -> List[float]:
-            times = []
-            for task in tasks:
-                if task.finished_at is None:
-                    raise RuntimeError(f"task {task.name} never finished")
-                times.append(task.finished_at)
-            return times
-
-        light_times = _collect(light)
-        heavy_times = _collect(heavy)
-        return SchedulingResult(
-            policy=scheduler.policy_name,
-            light_mean_ms=sum(light_times) / len(light_times) / 1000.0,
-            heavy_mean_ms=sum(heavy_times) / len(heavy_times) / 1000.0,
-            light_max_ms=max(light_times) / 1000.0,
-            heavy_max_ms=max(heavy_times) / 1000.0,
-            makespan_ms=max(max(light_times), max(heavy_times)) / 1000.0,
-            class_stats=scheduler.scoreboard.summary(),
-            scoreboard=scheduler.scoreboard,
+    engine = Engine()
+    scheduler = Scheduler(engine, cores, timeslice_us, policy, topology)
+    light: List[SyntheticTask] = []
+    heavy: List[SyntheticTask] = []
+    for index in range(n_tasks):
+        is_light = (index % 2 == 0) if interleaved else (index < n_tasks // 2)
+        size = LIGHT_ITEM_BYTES if is_light else HEAVY_ITEM_BYTES
+        endpoint = "light" if is_light else "heavy"
+        task = SyntheticTask(
+            f"{endpoint}{index}",
+            items_per_task,
+            size,
+            engine,
         )
+        if service_classes is not None:
+            service_class = service_classes.class_for(endpoint)
+            if service_class is not None:
+                task.service_class = service_class
+                task.slo_us = service_class.slo_us
+        # Balanced placement: consecutive (light, heavy) pairs share a
+        # worker, so every queue has the same class mix.  Hash placement
+        # (the platform default) makes each queue's composition a
+        # lottery, which swamps the policy effect this experiment
+        # isolates.
+        task.home_hint = (index // 2) % cores
+        (light if is_light else heavy).append(task)
+    scheduler.start()
+    for index in range(n_tasks):
+        task = light[index // 2] if index % 2 == 0 else heavy[index // 2]
+        if not interleaved:
+            ordered = light + heavy
+            task = ordered[index]
+        scheduler.notify_runnable(task)
+    engine.run()
+
+    def _collect(tasks: List[SyntheticTask]) -> List[float]:
+        times = []
+        for task in tasks:
+            if task.finished_at is None:
+                raise RuntimeError(f"task {task.name} never finished")
+            times.append(task.finished_at)
+        return times
+
+    light_times = _collect(light)
+    heavy_times = _collect(heavy)
+    return SchedulingResult(
+        policy=scheduler.policy_name,
+        light_mean_ms=sum(light_times) / len(light_times) / 1000.0,
+        heavy_mean_ms=sum(heavy_times) / len(heavy_times) / 1000.0,
+        light_max_ms=max(light_times) / 1000.0,
+        heavy_max_ms=max(heavy_times) / 1000.0,
+        makespan_ms=max(max(light_times), max(heavy_times)) / 1000.0,
+        class_stats=scheduler.scoreboard.summary(),
+        scoreboard=scheduler.scoreboard,
+    )
 
 
 def resolve_policy_selection(selection: str) -> Sequence[str]:

@@ -116,8 +116,10 @@ class DispatcherTask(TaskBase):
         graph_dispatcher: GraphDispatcher,
         accept_cost: Callable[[], float],
         home_hint: Optional[int] = None,
+        *,
+        task_id: int,
     ):
-        super().__init__(name)
+        super().__init__(name, task_id)
         self._dispatcher = graph_dispatcher
         self._accept_cost = accept_cost
         self.home_hint = home_hint

@@ -39,7 +39,7 @@ from repro.lang.values import Record
 from repro.net.stackprofiles import StackProfile
 from repro.runtime.channel import TaskChannel
 from repro.runtime.costs import RuntimeConfig
-from repro.runtime.scheduler import Scheduler, TaskBase
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.task import (
     ChannelArrayView,
     ComputeTask,
@@ -132,8 +132,8 @@ class _OutboundLeg(_BufferingSendProxy):
     proxy FLICK code holds for it.
 
     ``bind_client`` builds one per target, and all a leg takes there is
-    its output task's id: ids drive hash placement, so the id is
-    reserved where an eagerly built task would have taken it.  The
+    its output task's id: ids drive hash placement, so the leg takes it
+    from the run's engine where an eagerly built task would have.  The
     channel, the :class:`OutputTask` and the connection exist from the
     first value sent on, the return-path task once the connection is
     established — a connection that talks to one of ten backends builds
@@ -152,7 +152,7 @@ class _OutboundLeg(_BufferingSendProxy):
         self._ep = ep
         self._index = index
         self._target = target
-        self._task_id = TaskBase.reserve_id()
+        self._task_id = next(graph._task_ids)
         self._out_task: Optional[OutputTask] = None
 
     def _sink(self, value) -> None:
@@ -209,6 +209,7 @@ class _OutboundLeg(_BufferingSendProxy):
                     graph.stack,
                     graph.config.cores,
                     on_eof=backend_eof,
+                    task_id=next(graph._task_ids),
                 )
                 graph._wire(in_task, sink_task)
             else:
@@ -220,6 +221,7 @@ class _OutboundLeg(_BufferingSendProxy):
                     graph.config.cores,
                     tag=(ep.name, index),
                     on_eof=backend_eof,
+                    task_id=next(graph._task_ids),
                 )
                 graph._wire(in_task, graph.compute)
             in_task.attach(socket, graph.scheduler.notify_runnable)
@@ -229,8 +231,6 @@ class _OutboundLeg(_BufferingSendProxy):
 
 class TaskGraph:
     """One live instance of a compiled FLICK process."""
-
-    _next_graph_id = iter(range(1, 1 << 62))
 
     def __init__(
         self,
@@ -246,7 +246,8 @@ class TaskGraph:
         globals_store: Dict[str, object],
         on_finished: Optional[Callable[["TaskGraph"], None]] = None,
     ):
-        self.graph_id = next(TaskGraph._next_graph_id)
+        self.graph_id = next(scheduler.engine.graph_ids)
+        self._task_ids = scheduler.engine.task_ids
         self.program = program
         self.spec = spec
         self.scheduler = scheduler
@@ -314,7 +315,9 @@ class TaskGraph:
 
         self._client_socket = client_socket
         inbox = self._channel("compute.in")
-        compute = ComputeTask(f"g{self.graph_id}:compute", inbox)
+        compute = ComputeTask(
+            f"g{self.graph_id}:compute", inbox, task_id=next(self._task_ids)
+        )
         self.compute = compute
         # The compute stage serves the client connection: it inherits
         # the client endpoint's service class, so class-aware policies
@@ -343,6 +346,7 @@ class TaskGraph:
                 self.registry.serializer(),
                 self.stack,
                 self.config.cores,
+                task_id=next(self._task_ids),
             )
             out_task.bind_socket(client_socket)
             self._add_task(out_task, endpoint=client_ep.name)
@@ -377,6 +381,7 @@ class TaskGraph:
                 self.config.cores,
                 tag=(client_ep.name, 0),
                 on_eof=self._teardown,
+                task_id=next(self._task_ids),
             )
             self._wire(in_task, compute)
             in_task.attach(client_socket, self.scheduler.notify_runnable)
@@ -432,6 +437,7 @@ class TaskGraph:
                 chan,
                 self.stack,
                 self.config.cores,
+                task_id=next(self._task_ids),
             )
             in_task.attach(socket, self.scheduler.notify_runnable)
             self._add_task(in_task, endpoint=plan.source)
@@ -453,6 +459,7 @@ class TaskGraph:
                     out,
                     key_fn,
                     combine_fn,
+                    task_id=next(self._task_ids),
                 )
                 self._wire(left_producer, merge)
                 self._wire(right_producer, merge)
@@ -471,6 +478,7 @@ class TaskGraph:
             self.stack,
             self.config.cores,
             close_on_eos=True,
+            task_id=next(self._task_ids),
         )
         out_task.bind_socket(sink_socket)
         self._wire(last_producer, out_task)

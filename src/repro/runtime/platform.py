@@ -75,6 +75,7 @@ class ProgramInstance:
                 accept_cost=lambda: platform.stack.accept_us
                 + platform.stack.op_overhead_us(platform.config.cores),
                 home_hint=core,
+                task_id=next(platform.engine.task_ids),
             )
             self._dispatch_tasks.append(task)
         self._rr = 0

@@ -38,8 +38,6 @@ Mechanism invariants, independent of policy:
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -537,8 +535,6 @@ class TaskBase:
     microbenchmarks that need controlled placement.
     """
 
-    _ids = itertools.count(1)
-
     #: Optional worker-index pin honoured by the default placement policy.
     home_hint: Optional[int] = None
 
@@ -551,52 +547,16 @@ class TaskBase:
     #: ``None`` while drained).  Feeds the SLO scoreboard.
     admitted_at: Optional[float] = None
 
-    def __init__(self, name: str, task_id: Optional[int] = None):
+    def __init__(self, name: str, task_id: int):
         self.name = name
-        # A caller that builds the task later than it decided to (a lazy
-        # outbound leg) passes the id ``reserve_id`` gave it back then.
-        self.task_id = next(TaskBase._ids) if task_id is None else task_id
+        # Ids drive hash placement and key adaptive policy state, so they
+        # must be unique among a scheduler's tasks: the run's engine
+        # hands them out (``next(engine.task_ids)``).
+        self.task_id = task_id
         self.sched_state = IDLE
         self.pending_wakeup = False
         self.items_processed = 0
         self.busy_us = 0.0
-
-    @classmethod
-    def reserve_id(cls) -> int:
-        """Take the next task id without building the task.
-
-        Ids are observable through hash placement, so a task built
-        lazily reserves its id where an eager design would have built
-        it and hands it to the constructor later.
-        """
-        return next(cls._ids)
-
-    @classmethod
-    def reset_ids(cls, start: int = 1) -> None:
-        """Restart id allocation (deterministic placement per run).
-
-        Ids drive hash placement and key adaptive policy state (e.g.
-        priority's per-task cost map), so they must stay unique among
-        tasks sharing a scheduler.  Reset only between runs — never
-        while a scheduler with live tasks will still create more — so
-        placement doesn't depend on how many tasks earlier runs created.
-        A scoped run uses :meth:`scoped_ids`, which also restores
-        monotonicity afterwards.
-        """
-        cls._ids = itertools.count(start)
-
-    @classmethod
-    @contextlib.contextmanager
-    def scoped_ids(cls):
-        """Run the block on ids counted from 1, then resume past both the
-        block's ids and those taken before it — also when the block
-        raises — so no later task reuses an id."""
-        resume_from = next(cls._ids)
-        cls.reset_ids()
-        try:
-            yield
-        finally:
-            cls.reset_ids(max(resume_from, next(cls._ids)))
 
     def has_work(self) -> bool:
         raise NotImplementedError

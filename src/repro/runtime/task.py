@@ -98,8 +98,10 @@ class InputTask(TaskBase):
         cores: int,
         tag: Optional[Tuple[str, int]] = None,
         on_eof: Optional[Callable[[], None]] = None,
+        *,
+        task_id: int,
     ):
-        super().__init__(name)
+        super().__init__(name, task_id)
         self._parser = parser
         self._out = out
         self._stack = stack
@@ -212,8 +214,10 @@ class RawForwardTask(TaskBase):
         stack: StackProfile,
         cores: int,
         on_eof: Optional[Callable[[], None]] = None,
+        *,
+        task_id: int,
     ):
-        super().__init__(name)
+        super().__init__(name, task_id)
         self._out = out
         self._stack = stack
         self._cores = cores
@@ -327,8 +331,8 @@ class ComputeTask(TaskBase):
     the buffering proxies this task owns.
     """
 
-    def __init__(self, name: str, inbox: TaskChannel):
-        super().__init__(name)
+    def __init__(self, name: str, inbox: TaskChannel, *, task_id: int):
+        super().__init__(name, task_id)
         self.inbox = inbox
         self._handlers = {}
         self._proxies: List[_BufferingSendProxy] = []
@@ -402,7 +406,8 @@ class OutputTask(TaskBase):
         stack: StackProfile,
         cores: int,
         close_on_eos: bool = False,
-        task_id: Optional[int] = None,
+        *,
+        task_id: int,
     ):
         super().__init__(name, task_id)
         self.inbox = inbox
@@ -464,8 +469,10 @@ class MergeTask(TaskBase):
         out: TaskChannel,
         key_fn: Callable[[Record], object],
         combine_fn: Callable[[Record, Record], Tuple[Record, float]],
+        *,
+        task_id: int,
     ):
-        super().__init__(name)
+        super().__init__(name, task_id)
         self._left = left
         self._right = right
         self._out = out

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import count
 from typing import Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
@@ -149,13 +150,23 @@ class Process:
 
 
 class Engine:
-    """The event loop: schedule callbacks, spawn processes, run."""
+    """The event loop: schedule callbacks, spawn processes, run.
 
-    __slots__ = ("now", "_seq", "_running", "_ready", "_heap")
+    One engine is one run, so it also numbers the run's tasks and task
+    graphs: ``next(engine.task_ids)`` and ``next(engine.graph_ids)``
+    count from 1.  Task ids drive hash placement, so a spec run twice
+    places every task the same way, whatever ran in the process before.
+    """
+
+    __slots__ = (
+        "now", "_seq", "_running", "_ready", "_heap", "task_ids", "graph_ids"
+    )
 
     def __init__(self):
         self.now: float = 0.0
         self._seq = 0
+        self.task_ids = count(1)
+        self.graph_ids = count(1)
         self._running = False
         # Events at the current tick, FIFO in seq order.
         self._ready: Deque[_Entry] = deque()

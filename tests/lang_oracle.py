@@ -31,7 +31,6 @@ from repro.lang.builtins import BUILTINS, HIGHER_ORDER, VALUE_BUILTINS
 from repro.lang.compiler import CompiledProgram, FoldTPlan, RuleSpec
 from repro.lang.typecheck import CheckedProgram
 from repro.lang.values import Record
-from repro.runtime.scheduler import TaskBase
 
 
 class _Env:
@@ -480,8 +479,7 @@ EXECUTORS = {"generated": CompiledProgram.executor, "oracle": oracle_for}
 
 
 def under_oracle(fn):
-    """Run ``fn`` (id-scoped) with every ``CompiledProgram.executor()``
-    in the process answering with the oracle instead of generated code."""
+    """Run ``fn`` with every ``CompiledProgram.executor()`` in the
+    process answering with the oracle instead of generated code."""
     with mock.patch.object(CompiledProgram, "executor", oracle_for):
-        with TaskBase.scoped_ids():
-            return fn()
+        return fn()

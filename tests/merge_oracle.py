@@ -56,8 +56,10 @@ class ReferenceMergeTask(TaskBase):
         out: TaskChannel,
         key_fn: Callable[[Record], object],
         combine_fn: Callable[[Record, Record], Tuple[Record, float]],
+        *,
+        task_id: int,
     ):
-        super().__init__(name)
+        super().__init__(name, task_id)
         self._left = left
         self._right = right
         self._out = out

@@ -58,7 +58,7 @@ class ElasticTask(TaskBase):
     """Finite task with per-item cost (as in the policy harness)."""
 
     def __init__(self, name, n_items, item_cost_us, engine, slo_us=None):
-        super().__init__(name)
+        super().__init__(name, next(engine.task_ids))
         self._engine = engine
         self.total_items = n_items
         self.remaining = n_items
@@ -103,7 +103,6 @@ def run_elastic_workload(allocator, seed):
     the SLO — they grow back).  Returns ``(scheduler, tasks)`` at
     quiescence.
     """
-    TaskBase.reset_ids()
     rng = random.Random(seed)
     engine = Engine()
     scheduler = Scheduler(engine, CORES, 50.0, allocator=allocator)

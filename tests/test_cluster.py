@@ -247,12 +247,7 @@ class TestShardedRuns:
         assert result.class_stats["default"]["completions"] > 0
 
     def test_sharded_runs_are_deterministic(self):
-        from repro.runtime.scheduler import TaskBase
-
-        first = _fleet_run()
-        TaskBase.reset_ids()
-        second = _fleet_run()
-        assert first == second
+        assert _fleet_run() == _fleet_run()
 
     def test_least_loaded_routing_spreads_connections_evenly(self):
         result = _fleet_run(routing="least-loaded", shards=4)

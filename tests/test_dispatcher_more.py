@@ -79,7 +79,7 @@ class TestDispatcherTask:
     def _make(self, accept_us=10.0, pool_size=8):
         log = []
         dispatcher = GraphDispatcher(lambda: _FakeGraph(log), pool_size)
-        task = DispatcherTask("d", dispatcher, lambda: accept_us)
+        task = DispatcherTask("d", dispatcher, lambda: accept_us, task_id=1)
         return task, dispatcher, log
 
     def test_step_charges_accept_and_assignment(self):

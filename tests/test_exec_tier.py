@@ -41,7 +41,6 @@ from repro.lang.compiler import (
     compile_source,
 )
 from repro.lang.values import Record
-from repro.runtime.scheduler import TaskBase
 from tests.lang_oracle import EXECUTORS, oracle_for, under_oracle
 from tests.test_parser import HADOOP, MEMCACHED_FULL, MEMCACHED_SHORT
 
@@ -580,9 +579,7 @@ class TestEndToEndParity:
                 )
             )
 
-        with TaskBase.scoped_ids():
-            product = run()
-        assert product == under_oracle(run)
+        assert run() == under_oracle(run)
 
     def test_cache_router_run_identical(self):
         from repro.bench.testbeds import run_memcached_experiment
@@ -600,9 +597,7 @@ class TestEndToEndParity:
                 )
             )
 
-        with TaskBase.scoped_ids():
-            product = run()
-        assert product == under_oracle(run)
+        assert run() == under_oracle(run)
 
     def test_hadoop_interpreted_foldt_run_identical(self):
         """End-to-end foldt through the merge tree (native combine off,
@@ -661,8 +656,7 @@ class TestEndToEndParity:
             return sink.pairs, sink.counts(), final_time, outputs
 
         pairs_i, counts_i, time_i, outputs = under_oracle(run)
-        with TaskBase.scoped_ids():
-            pairs_c, counts_c, time_c, _ = run()
+        pairs_c, counts_c, time_c, _ = run()
         assert pairs_c == pairs_i
         assert counts_c == counts_i == reference_wordcount(outputs)
         assert time_c == time_i

@@ -97,33 +97,33 @@ class TestSchedulingHarness:
     def test_round_robin_delays_light(self):
         """At small scale the effect is mild (the full-size contrast is
         asserted in benchmarks/test_bench_fig7.py); here we only require
-        the ordering, with task placement pinned so the comparison is
-        apples-to-apples regardless of test order."""
-        from repro.runtime.scheduler import TaskBase
-
-        def pinned(policy):
-            TaskBase._ids = iter(range(1, 1 << 62))
-            return run_scheduling_experiment(
-                policy, n_tasks=60, items_per_task=80, cores=8
-            )
-
-        coop = pinned("cooperative")
-        rr = pinned("round_robin")
+        the ordering."""
+        coop = run_scheduling_experiment("cooperative", n_tasks=60, items_per_task=80, cores=8)
+        rr = run_scheduling_experiment("round_robin", n_tasks=60, items_per_task=80, cores=8)
         assert rr.light_mean_ms > coop.light_mean_ms
 
-    def test_ids_never_move_backwards_when_the_experiment_raises(self):
+    def test_a_run_that_raises_leaves_the_next_run_unchanged(self):
         from repro.runtime.policy import CooperativePolicy
-        from repro.runtime.scheduler import TaskBase
 
-        class Broken(CooperativePolicy):
+        class FailsMidRun(CooperativePolicy):
+            placed = 0
+
             def place(self, task, workers):
-                raise RuntimeError("placement failed")
+                self.placed += 1
+                if self.placed > 40:
+                    raise RuntimeError("placement failed")
+                return super().place(task, workers)
 
-        taken = [TaskBase.reserve_id() for _ in range(5000)]
+        def run(policy="cooperative"):
+            return run_memcached_experiment(
+                "flick-kernel", 4, concurrency=8, requests_per_client=4,
+                policy=policy,
+            )
+
+        before = run()
         with pytest.raises(RuntimeError, match="placement failed"):
-            run_scheduling_experiment(Broken(), n_tasks=100, cores=2)
-        # hash placement keys off ids: a reused one would collide
-        assert TaskBase.reserve_id() > taken[-1]
+            run(FailsMidRun())
+        assert run() == before
 
     def test_all_policies_complete_all_tasks(self):
         for policy in ("cooperative", "non_cooperative", "round_robin"):

@@ -31,7 +31,6 @@ from repro.net.faults import (
     make_fault,
     registered_faults,
 )
-from repro.runtime.scheduler import TaskBase
 from repro.workloads.arrivals import make_arrival
 
 BUILTINS = ("conn-churn", "flapping-backend", "retry-storm", "slow-backend")
@@ -59,8 +58,7 @@ def _fault(name):
 
 def _fault_run(name, fault=None, **kwargs):
     """A small open-loop LB run with ``name`` (or the ready ``fault``)
-    installed, id-scoped so repeat calls inside one test are comparable."""
-    TaskBase.reset_ids()
+    installed."""
     return run_http_experiment(
         "flick-kernel",
         16,

@@ -27,46 +27,24 @@ from repro.net.stackprofiles import (
 )
 from repro.runtime.costs import STEAL_US
 from repro.runtime.policy import NumaPolicy
-from repro.runtime.scheduler import Scheduler, TaskBase
+from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
+
+from tests.item_task import ItemTask
 
 SEEDS = (3, 11, 42)
 CORES = 16  # the full four-socket box: 4 sockets x 4 cores
 
 
-class _ItemTask(TaskBase):
-    def __init__(self, name, n, cost_us):
-        super().__init__(name)
-        self.remaining = n
-        self.cost_us = cost_us
-
-    def has_work(self):
-        return self.remaining > 0
-
-    def step(self, budget_us):
-        elapsed = 0.0
-        while self.remaining > 0:
-            self.remaining -= 1
-            elapsed += self.cost_us
-            self.items_processed += 1
-            if budget_us == 0.0:
-                break
-            if budget_us is not None and elapsed >= budget_us:
-                break
-        self.busy_us += elapsed
-        return elapsed, []
-
-
 def run_four_socket_workload(policy, seed, n_tasks=48):
     """A randomized, imbalanced workload on the four-socket ring."""
-    TaskBase.reset_ids()
     rng = random.Random(seed)
     engine = Engine()
     scheduler = Scheduler(engine, CORES, 50.0, policy, FOUR_SOCKET)
     tasks = []
     for index in range(n_tasks):
-        task = _ItemTask(
-            f"task{index}", rng.randint(1, 24), rng.choice((1.0, 4.0, 12.0))
+        task = ItemTask(
+            f"task{index}", rng.randint(1, 24), rng.choice((1.0, 4.0, 12.0)), next(engine.task_ids)
         )
         # Skewed pinning: most work lands on sockets 0 and 2, so the
         # starved sockets must steal and get a real choice of distance.
@@ -227,20 +205,19 @@ def run_steal_gradient_workload(policy):
     move, while the hierarchy feeds the thieves from the one-hop
     surplus.
     """
-    TaskBase.reset_ids()
     engine = Engine()
     scheduler = Scheduler(engine, CORES, 50.0, policy, FOUR_SOCKET)
     tasks = []
     for core in range(0, 4):  # socket 0: drains almost immediately
-        tasks.append(_ItemTask(f"s0c{core}", 2, 1.0))
+        tasks.append(ItemTask(f"s0c{core}", 2, 1.0, next(engine.task_ids)))
         tasks[-1].home_hint = core
     for core in range(4, 8):  # socket 1: short queues, heavy work
         for k in range(2):
-            tasks.append(_ItemTask(f"s1c{core}.{k}", 200, 4.0))
+            tasks.append(ItemTask(f"s1c{core}.{k}", 200, 4.0, next(engine.task_ids)))
             tasks[-1].home_hint = core
     for core in range(8, 12):  # socket 2: long queues of tiny tasks
         for k in range(10):
-            tasks.append(_ItemTask(f"s2c{core}.{k}", 2, 2.0))
+            tasks.append(ItemTask(f"s2c{core}.{k}", 2, 2.0, next(engine.task_ids)))
             tasks[-1].home_hint = core
     scheduler.start()
     for task in tasks:
@@ -294,7 +271,7 @@ class TestHierarchicalBeatsFlat:
         degenerates to socket-0-everywhere, longest queue."""
         engine = Engine()
         scheduler = Scheduler(engine, 4, 50.0, "numa")
-        tasks = [_ItemTask(f"t{i}", 20, 2.0) for i in range(8)]
+        tasks = [ItemTask(f"t{i}", 20, 2.0, next(engine.task_ids)) for i in range(8)]
         for task in tasks:
             task.home_hint = 0
         scheduler.start()

@@ -124,7 +124,7 @@ def _drive(task_cls, pair, left_side, right_side, script, capacity):
     chans = {"l": TaskChannel("l", 256), "r": TaskChannel("r", 256)}
     out = TaskChannel("o", capacity)
     key_fn, combine_fn = pair
-    task = task_cls("m", chans["l"], chans["r"], out, key_fn, combine_fn)
+    task = task_cls("m", chans["l"], chans["r"], out, key_fn, combine_fn, task_id=1)
     chunks = {"l": _chunks(left_side, 0), "r": _chunks(right_side, 3)}
     trace = []
 
@@ -204,7 +204,7 @@ class _Reader(TaskBase):
     """The out channel's consumer: pops everything, stamping the time."""
 
     def __init__(self, engine, inbox: TaskChannel, seen: list):
-        super().__init__("reader")
+        super().__init__("reader", next(engine.task_ids))
         self._engine = engine
         self._inbox = inbox
         self._seen = seen
@@ -224,7 +224,9 @@ def _scheduled(task_cls, pair, left_side, right_side, gaps, policy, slice_us,
     sched = Scheduler(engine, cores, slice_us, policy=policy)
     chans = {"l": TaskChannel("l", 256), "r": TaskChannel("r", 256)}
     out = TaskChannel("o", capacity)
-    merge = task_cls("m", chans["l"], chans["r"], out, *pair)
+    merge = task_cls(
+        "m", chans["l"], chans["r"], out, *pair, task_id=next(engine.task_ids)
+    )
     seen = []
     merge.wake = partial(sched.notify_runnable, _Reader(engine, out, seen))
     for side, salt, cut in (("l", 0, left_side), ("r", 3, right_side)):
@@ -273,9 +275,7 @@ def test_scheduled_merge_matches_the_oracle(
 ):
     args = (PAIRS[pair](), left, right, gaps, policy, slice_us, cores,
             capacity)
-    TaskBase.reset_ids()
     expected = _scheduled(ReferenceMergeTask, *args)
-    TaskBase.reset_ids()
     assert _scheduled(MergeTask, *args) == expected
 
 
@@ -286,7 +286,6 @@ def test_a_slice_can_overrun_a_small_out_channel():
     left = (list("aceg"), [4])
     right = (list("bdfh"), [4])
     for task_cls in (ReferenceMergeTask, MergeTask):
-        TaskBase.reset_ids()
         seen, *_ = _scheduled(
             task_cls, _native_pair(), left, right, [1.0], "non_cooperative",
             50.0, 1, 2,

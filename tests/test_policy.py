@@ -29,8 +29,10 @@ from repro.runtime.policy import (
     registered_policies,
 )
 from repro.runtime.qos import ServiceClass
-from repro.runtime.scheduler import Scheduler, TaskBase
+from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
+
+from tests.item_task import ItemTask
 
 GOLDEN = {
     "cooperative": {
@@ -372,29 +374,6 @@ class TestVictimSelection:
         assert policy.select_victim(workers[1], workers) is workers[0]
 
 
-class _ItemTask(TaskBase):
-    def __init__(self, name, n, cost_us):
-        super().__init__(name)
-        self.remaining = n
-        self.cost_us = cost_us
-
-    def has_work(self):
-        return self.remaining > 0
-
-    def step(self, budget_us):
-        elapsed = 0.0
-        while self.remaining > 0:
-            self.remaining -= 1
-            elapsed += self.cost_us
-            self.items_processed += 1
-            if budget_us == 0.0:
-                break
-            if budget_us is not None and elapsed >= budget_us:
-                break
-        self.busy_us += elapsed
-        return elapsed, []
-
-
 class TestBatchPolicy:
     def test_rejects_bad_batch_size(self):
         with pytest.raises(RuntimeFlickError):
@@ -406,7 +385,7 @@ class TestBatchPolicy:
         def decisions(policy):
             engine = Engine()
             sched = Scheduler(engine, 2, 50.0, policy)
-            tasks = [_ItemTask(f"t{i}", 64, 2.0) for i in range(4)]
+            tasks = [ItemTask(f"t{i}", 64, 2.0, next(engine.task_ids)) for i in range(4)]
             sched.start()
             for t in tasks:
                 sched.notify_runnable(t)
@@ -443,7 +422,7 @@ class TestPriorityPolicy:
 
     def test_ewma_tracks_cost(self):
         policy = PriorityPolicy(smoothing=0.5)
-        task = _ItemTask("t", 1, 1.0)
+        task = ItemTask("t", 1, 1.0, 1)
         policy.on_task_done(task, None, 10.0)
         policy.on_task_done(task, None, 20.0)
         assert policy._mean_cost[task.task_id] == pytest.approx(15.0)
@@ -474,18 +453,6 @@ class TestPriorityPolicy:
         engine_a.run()  # drains: sequential reuse becomes legal again
         Scheduler(Engine(), 2, 50.0, policy)
 
-    def test_experiment_preserves_id_monotonicity(self):
-        """run_scheduling_experiment scopes ids internally but restores
-        a monotonic counter, so tasks created after it can never collide
-        with tasks created before it."""
-        before = _ItemTask("before", 1, 1.0)
-        run_scheduling_experiment(
-            "cooperative", n_tasks=20, items_per_task=5, cores=2
-        )
-        after = _ItemTask("after", 1, 1.0)
-        assert after.task_id > before.task_id
-        assert after.task_id > 20  # past the experiment's id range too
-
     def test_instance_shared_within_one_simulation_rejected(self):
         """Two schedulers on the same engine must not share one policy's
         mutable state; sequential reuse (fresh engine) stays allowed."""
@@ -501,7 +468,7 @@ class TestPriorityPolicy:
         """Priority's EWMA map stays bounded: entries are dropped once a
         task has nothing queued."""
         policy = PriorityPolicy()
-        task = _ItemTask("t", 1, 1.0)
+        task = ItemTask("t", 1, 1.0, 1)
         policy.on_task_done(task, None, 5.0)
         assert task.task_id in policy._mean_cost
         task.remaining = 0
@@ -525,7 +492,7 @@ class TestPriorityPolicy:
         from collections import deque
 
         policy = PriorityPolicy()
-        a, b, c = (_ItemTask(n, 1, 1.0) for n in "abc")
+        a, b, c = (ItemTask(n, 1, 1.0, i) for i, n in enumerate("abc"))
         policy.on_task_done(a, None, 30.0)
         policy.on_task_done(b, None, 5.0)
         policy.on_task_done(c, None, 20.0)
@@ -585,7 +552,7 @@ class TestDeadlinePolicy:
         from collections import deque
 
         policy = DeadlinePolicy()
-        a, b, c = (_ItemTask(n, 1, 1.0) for n in "abc")
+        a, b, c = (ItemTask(n, 1, 1.0, i) for i, n in enumerate("abc"))
         a.slo_us, b.slo_us, c.slo_us = 100.0, 5.0, 50.0
 
         class W:
@@ -600,9 +567,9 @@ class TestDeadlinePolicy:
         from collections import deque
 
         policy = DeadlinePolicy()
-        urgent = _ItemTask("urgent", 1, 1.0)
+        urgent = ItemTask("urgent", 1, 1.0, 0)
         urgent.slo_us = 1.0
-        lax = [_ItemTask(f"lax{i}", 1, 1.0) for i in range(3)]
+        lax = [ItemTask(f"lax{i}", 1, 1.0, i + 1) for i in range(3)]
         for task in lax:
             task.slo_us = 500.0
         workers = [_FakeWorker(0, 0), _FakeWorker(1, 0), _FakeWorker(2, 0)]
@@ -617,9 +584,9 @@ class TestDeadlinePolicy:
         from collections import deque
 
         policy = DeadlinePolicy()
-        lax = _ItemTask("lax", 1, 1.0)
+        lax = ItemTask("lax", 1, 1.0, 1)
         lax.slo_us = 10_000.0
-        urgent = _ItemTask("urgent", 1, 1.0)
+        urgent = ItemTask("urgent", 1, 1.0, 0)
         urgent.slo_us = 50.0
         thief, victim = _FakeWorker(0, 0), _FakeWorker(1, 0)
         victim.queue = deque([lax, urgent])
@@ -628,9 +595,9 @@ class TestDeadlinePolicy:
 
     def test_budget_is_slack_clamped_to_timeslice(self):
         policy = DeadlinePolicy(timeslice_us=50.0, min_budget_us=5.0)
-        relaxed = _ItemTask("relaxed", 1, 1.0)
+        relaxed = ItemTask("relaxed", 1, 1.0, 0)
         relaxed.slo_us = 1000.0
-        tight = _ItemTask("tight", 1, 1.0)
+        tight = ItemTask("tight", 1, 1.0, 1)
         tight.slo_us = 2.0
         # No engine bound: now == 0, slack == slo.
         assert policy.budget(relaxed) == 50.0
@@ -641,7 +608,7 @@ class TestDeadlinePolicy:
         policy = DeadlinePolicy(default_slo_us=100.0)
         engine = Engine()
         policy._bound_engine = engine
-        task = _ItemTask("t", 1, 1.0)
+        task = ItemTask("t", 1, 1.0, 1)
         assert policy.deadline_of(task) == 100.0
         task.remaining = 0
         policy.on_task_done(task, None, 1.0)  # drained: deadline dropped
@@ -698,7 +665,7 @@ class TestNumaPolicy:
 
     def test_place_honours_home_hint(self):
         workers = [_SocketWorker(i, 0, i // 2) for i in range(4)]
-        task = _ItemTask("t", 1, 1.0)
+        task = ItemTask("t", 1, 1.0, 1)
         task.home_hint = 3
         assert NumaPolicy().place(task, workers) is workers[3]
 
@@ -711,7 +678,7 @@ class TestNumaPolicy:
             _SocketWorker(2, 5, 1),
             _SocketWorker(3, 0, 1),
         ]
-        task = _ItemTask("t", 1, 1.0)
+        task = ItemTask("t", 1, 1.0, 1)
         socket = stable_hash(task.task_id) % 2
         placed = NumaPolicy().place(task, workers)
         assert placed.socket == socket  # socket affinity is by hash...
@@ -757,7 +724,7 @@ class TestSchedulerTopology:
         )
         engine = Engine()
         sched = Scheduler(engine, 2, 50.0, "cooperative", topology=tiny)
-        tasks = [_ItemTask(f"t{i}", 30, 2.0) for i in range(4)]
+        tasks = [ItemTask(f"t{i}", 30, 2.0, next(engine.task_ids)) for i in range(4)]
         for task in tasks:
             task.home_hint = 0  # all work lands on socket-0's core
         sched.start()
@@ -839,7 +806,7 @@ class TestStealHalfPolicy:
 
         engine = Engine()
         sched = Scheduler(engine, 2, 50.0, "steal-half")
-        tasks = [_ItemTask(f"t{i}", 20, 2.0) for i in range(8)]
+        tasks = [ItemTask(f"t{i}", 20, 2.0, next(engine.task_ids)) for i in range(8)]
         for task in tasks:
             task.home_hint = 0  # force an imbalance worth batch-stealing
         sched.start()
@@ -861,7 +828,7 @@ class TestStealHalfPolicy:
         def steals(policy):
             engine = Engine()
             sched = Scheduler(engine, 4, 50.0, policy)
-            tasks = [_ItemTask(f"t{i}", 16, 4.0) for i in range(16)]
+            tasks = [ItemTask(f"t{i}", 16, 4.0, next(engine.task_ids)) for i in range(16)]
             for task in tasks:
                 task.home_hint = 0
             sched.start()
@@ -878,14 +845,11 @@ class TestSweepDeterminism:
     def test_sweep_ignores_registry_order_and_prior_ids(self):
         """A `--policy all` sweep yields identical numbers whatever
         order the registry is iterated in and however many tasks the
-        process created beforehand (TaskBase.reset_ids scoping)."""
+        process created beforehand (each run numbers its own tasks)."""
         names = registered_policies()
         first = run_policy_sweep(
             names, n_tasks=16, items_per_task=12, cores=4
         )
-        # Pollute the process-global id counter between sweeps.
-        for i in range(37):
-            _ItemTask(f"junk{i}", 1, 1.0)
         second = run_policy_sweep(
             tuple(reversed(names)), n_tasks=16, items_per_task=12, cores=4
         )
@@ -990,30 +954,27 @@ class TestPlatformPolicyThreading:
         graph = object.__new__(TaskGraph)
         graph.config = RuntimeConfig(slo_us=750.0)
         graph.tasks = []
-        task = _ItemTask("t", 1, 1.0)
+        task = ItemTask("t", 1, 1.0, 1)
         graph._add_task(task)
         assert task.slo_us == 750.0
         graph.config = RuntimeConfig()  # no SLO: tasks stay unstamped
-        bare = _ItemTask("u", 1, 1.0)
+        bare = ItemTask("u", 1, 1.0, 2)
         graph._add_task(bare)
         assert not hasattr(bare, "slo_us")
 
     def test_task_ids_stay_unique_across_platforms(self):
-        """Building a second platform must not reset the process-global
-        id counter: live tasks of the first platform would collide."""
+        """Two platforms of one run take task ids from the run's engine,
+        so no two of their tasks share one."""
+        from repro.apps.http_lb import compile_static_web
         from repro.net.simnet import GBPS
         from repro.net.tcp import TcpNetwork
         from repro.runtime.platform import FlickPlatform
 
         engine = Engine()
         net = TcpNetwork(engine)
-        before = _ItemTask("before", 1, 1.0)
-        FlickPlatform(
-            engine, net, net.add_host("a", 10 * GBPS, "core")
-        )
-        between = _ItemTask("between", 1, 1.0)
-        FlickPlatform(
-            engine, net, net.add_host("b", 10 * GBPS, "core")
-        )
-        after = _ItemTask("after", 1, 1.0)
-        assert before.task_id < between.task_id < after.task_id
+        ids = []
+        for name in "ab":
+            platform = FlickPlatform(engine, net, net.add_host(name, 10 * GBPS, "core"))
+            instance = platform.register_program(compile_static_web(), "StaticWeb", 80)
+            ids += [task.task_id for task in instance._dispatch_tasks]
+        assert sorted(ids) == list(range(1, len(ids) + 1))

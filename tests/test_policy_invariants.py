@@ -66,7 +66,7 @@ class HarnessTask(TaskBase):
     """Finite task with per-item cost; detects concurrent stepping."""
 
     def __init__(self, name, n_items, item_cost_us, engine, slo_us=None):
-        super().__init__(name)
+        super().__init__(name, next(engine.task_ids))
         self._engine = engine
         self.total_items = n_items
         self.remaining = n_items
@@ -124,7 +124,6 @@ class BudgetRecorder:
 
 def run_workload(policy, seed, topology=None):
     """One randomized run; returns ``(scheduler, tasks)`` at quiescence."""
-    TaskBase.reset_ids()
     rng = random.Random(seed)
     engine = Engine()
     scheduler = Scheduler(engine, CORES, 50.0, policy, topology)

@@ -6,15 +6,15 @@ small enough to run in tier-1; some set a field only another app reads.
 Only universal properties are checked: a spec the check rejects fails
 with :class:`ConfigError` and nothing else; a spec it accepts runs to
 completion, balances both conservation laws and gives the same entry
-twice.  A failure found here is fixed and pinned as an
-``@example``.
+twice, also with another spec run in between.  A failure found here is
+fixed and pinned as an ``@example``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.scenarios import run_scenario
-from repro.bench.testbeds import APPS, AXES, FLICK_SYSTEMS, Scenario
+from repro.bench.testbeds import APPS, AXES, FLICK_SYSTEMS, Scenario, run_experiment
 from repro.core.errors import ConfigError
 from repro.net.stackprofiles import TOPOLOGIES
 
@@ -102,3 +102,18 @@ def test_a_spec_is_rejected_cleanly_or_runs_clean(spec):
     entry = run_scenario(spec)
     _balances(entry)
     assert run_scenario(spec) == entry
+
+
+def _result(spec):
+    try:
+        return run_experiment(spec.check())
+    except ConfigError:
+        return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(specs(), specs())
+def test_a_run_does_not_depend_on_what_ran_before_it(spec, other):
+    first = _result(spec)
+    _result(other)
+    assert _result(spec) == first

@@ -94,7 +94,7 @@ class _Task(TaskBase):
     """
 
     def __init__(self, name, scheduler):
-        super().__init__(name)
+        super().__init__(name, next(scheduler.engine.task_ids))
         self._scheduler = scheduler
         self.inputs = []
         self.producers = []
@@ -256,7 +256,6 @@ class _Run:
     """One configuration under one timing, checked as it runs."""
 
     def __init__(self, policy, allocator, workers, shape, capacity):
-        TaskBase.reset_ids()
         self.engine = _CheckedEngine(self.check)
         self.scheduler = Scheduler(
             self.engine,

@@ -36,35 +36,14 @@ from repro.runtime.qos import (
     parse_slo_class,
     parse_slo_class_specs,
 )
-from repro.runtime.scheduler import Scheduler, TaskBase
+from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
 from repro.sim.stats import SloScoreboard
 
+from tests.item_task import ItemTask
+
 GOLD = ServiceClass("gold", slo_us=1_000.0, weight=4.0)
 BRONZE = ServiceClass("bronze", slo_us=50_000.0)
-
-
-class _ItemTask(TaskBase):
-    def __init__(self, name, n, cost_us):
-        super().__init__(name)
-        self.remaining = n
-        self.cost_us = cost_us
-
-    def has_work(self):
-        return self.remaining > 0
-
-    def step(self, budget_us):
-        elapsed = 0.0
-        while self.remaining > 0:
-            self.remaining -= 1
-            elapsed += self.cost_us
-            self.items_processed += 1
-            if budget_us == 0.0:
-                break
-            if budget_us is not None and elapsed >= budget_us:
-                break
-        self.busy_us += elapsed
-        return elapsed, []
 
 
 class TestServiceClassModel:
@@ -318,7 +297,7 @@ class TestGraphStamping:
             slo_us=9_000.0, service_classes={"client": GOLD}
         )
         graph = self._bare_graph(config)
-        task = _ItemTask("t", 1, 1.0)
+        task = ItemTask("t", 1, 1.0, 1)
         graph._add_task(task, endpoint="client")
         assert task.service_class is GOLD
         assert task.slo_us == GOLD.slo_us
@@ -328,7 +307,7 @@ class TestGraphStamping:
             slo_us=9_000.0, service_classes={"client": GOLD}
         )
         graph = self._bare_graph(config)
-        task = _ItemTask("t", 1, 1.0)
+        task = ItemTask("t", 1, 1.0, 1)
         graph._add_task(task, endpoint="backends")
         assert task.service_class is None
         assert task.slo_us == 9_000.0
@@ -337,11 +316,11 @@ class TestGraphStamping:
         config = RuntimeConfig(
             service_classes={"Gold:client": GOLD, "client": BRONZE}
         )
-        gold_task = _ItemTask("g", 1, 1.0)
+        gold_task = ItemTask("g", 1, 1.0, 1)
         self._bare_graph(config, "Gold")._add_task(
             gold_task, endpoint="client"
         )
-        bronze_task = _ItemTask("b", 1, 1.0)
+        bronze_task = ItemTask("b", 1, 1.0, 2)
         self._bare_graph(config, "Other")._add_task(
             bronze_task, endpoint="client"
         )
@@ -351,7 +330,7 @@ class TestGraphStamping:
     def test_no_endpoint_no_class(self):
         config = RuntimeConfig(service_classes={"client": GOLD})
         graph = self._bare_graph(config)
-        task = _ItemTask("t", 1, 1.0)
+        task = ItemTask("t", 1, 1.0, 1)
         graph._add_task(task)  # e.g. the compute task
         assert task.service_class is None
         assert not hasattr(task, "slo_us")
@@ -384,10 +363,10 @@ class TestScoreboard:
     def test_scheduler_accounts_classified_tasks(self):
         engine = Engine()
         scheduler = Scheduler(engine, 2, 50.0, "deadline")
-        gold_task = _ItemTask("g", 4, 2.0)
+        gold_task = ItemTask("g", 4, 2.0, next(engine.task_ids))
         gold_task.service_class = GOLD
         gold_task.slo_us = GOLD.slo_us
-        plain = _ItemTask("p", 4, 2.0)
+        plain = ItemTask("p", 4, 2.0, next(engine.task_ids))
         scheduler.start()
         scheduler.notify_runnable(gold_task)
         scheduler.notify_runnable(plain)
@@ -406,7 +385,7 @@ class TestScoreboard:
     def test_readmission_opens_a_new_busy_period(self):
         engine = Engine()
         scheduler = Scheduler(engine, 1, 50.0, "cooperative")
-        task = _ItemTask("t", 3, 2.0)
+        task = ItemTask("t", 3, 2.0, next(engine.task_ids))
         scheduler.start()
         scheduler.notify_runnable(task)
         engine.run()
@@ -426,15 +405,15 @@ class TestPolicyConsumption:
 
     def test_deadline_uses_class_slo_as_fallback(self):
         policy = DeadlinePolicy(default_slo_us=99_999.0)
-        task = _ItemTask("t", 1, 1.0)
+        task = ItemTask("t", 1, 1.0, 1)
         task.service_class = GOLD  # classified but never slo-stamped
         assert policy.deadline_of(task) == GOLD.slo_us
 
     def test_priority_prefers_heavier_class_at_equal_cost(self):
         policy = PriorityPolicy(smoothing=0.5)
-        bronze_task = _ItemTask("b", 1, 1.0)
+        bronze_task = ItemTask("b", 1, 1.0, 2)
         bronze_task.service_class = BRONZE
-        gold_task = _ItemTask("g", 1, 1.0)
+        gold_task = ItemTask("g", 1, 1.0, 1)
         gold_task.service_class = GOLD
         for task in (bronze_task, gold_task):
             policy.on_task_done(task, None, 10.0)  # identical cost
@@ -451,9 +430,9 @@ class TestPolicyConsumption:
         """A gold task 3x as expensive as a bronze one still wins when
         its weight advantage (4x) outweighs the cost gap."""
         policy = PriorityPolicy(smoothing=0.5)
-        bronze_task = _ItemTask("b", 1, 1.0)
+        bronze_task = ItemTask("b", 1, 1.0, 2)
         bronze_task.service_class = BRONZE
-        gold_task = _ItemTask("g", 1, 1.0)
+        gold_task = ItemTask("g", 1, 1.0, 1)
         gold_task.service_class = GOLD
         policy.on_task_done(bronze_task, None, 10.0)  # score 10/1
         policy.on_task_done(gold_task, None, 30.0)  # score 30/4 = 7.5
@@ -467,7 +446,7 @@ class TestPolicyConsumption:
 
     def test_unclassified_tasks_keep_the_pre_qos_order(self):
         policy = PriorityPolicy(smoothing=0.5)
-        a, b = _ItemTask("a", 1, 1.0), _ItemTask("b", 1, 1.0)
+        a, b = ItemTask("a", 1, 1.0, 1), ItemTask("b", 1, 1.0, 2)
         policy.on_task_done(a, None, 30.0)
         policy.on_task_done(b, None, 5.0)
 

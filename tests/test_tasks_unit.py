@@ -47,7 +47,7 @@ class TestInputTask:
     def _make(self, capacity=64):
         out = TaskChannel("out", capacity)
         task = InputTask(
-            "in", mc.full_codec().parser(), out, KERNEL, cores=1
+            "in", mc.full_codec().parser(), out, KERNEL, cores=1, task_id=1
         )
         socket = _FakeSocket()
         notified = []
@@ -105,7 +105,7 @@ class TestInputTask:
     def test_tagging(self):
         out = TaskChannel("out", 8)
         task = InputTask(
-            "in", mc.full_codec().parser(), out, KERNEL, cores=1,
+            "in", mc.full_codec().parser(), out, KERNEL, cores=1, task_id=1,
             tag=("backends", 3),
         )
         socket = _FakeSocket()
@@ -137,7 +137,7 @@ class TestOutputTask:
         inbox = TaskChannel("in", 8)
         task = OutputTask(
             "out", inbox, lambda r: mc.full_codec().serialize(r),
-            KERNEL, cores=1,
+            KERNEL, cores=1, task_id=1,
         )
         socket = _FakeSocket()
         task.bind_socket(socket)
@@ -149,7 +149,7 @@ class TestOutputTask:
 
     def test_raw_bytes_pass_through(self):
         inbox = TaskChannel("in", 8)
-        task = OutputTask("out", inbox, lambda r: (b"", 0.0), KERNEL, cores=1)
+        task = OutputTask("out", inbox, lambda r: (b"", 0.0), KERNEL, cores=1, task_id=1)
         socket = _FakeSocket()
         task.bind_socket(socket)
         inbox.push(b"raw-bytes")
@@ -158,7 +158,7 @@ class TestOutputTask:
 
     def test_unbound_task_has_no_work(self):
         inbox = TaskChannel("in", 8)
-        task = OutputTask("out", inbox, lambda r: (b"", 0.0), KERNEL, cores=1)
+        task = OutputTask("out", inbox, lambda r: (b"", 0.0), KERNEL, cores=1, task_id=1)
         inbox.push(b"x")
         assert not task.has_work()
         task.bind_socket(_FakeSocket())
@@ -167,7 +167,7 @@ class TestOutputTask:
     def test_close_on_eos(self):
         inbox = TaskChannel("in", 8)
         task = OutputTask(
-            "out", inbox, lambda r: (b"", 0.0), KERNEL, cores=1,
+            "out", inbox, lambda r: (b"", 0.0), KERNEL, cores=1, task_id=1,
             close_on_eos=True,
         )
         socket = _FakeSocket()
@@ -181,7 +181,7 @@ class TestOutputTask:
 class TestRawForwardTask:
     def test_bytes_copied_verbatim(self):
         out = TaskChannel("out", 8)
-        task = RawForwardTask("fwd", out, KERNEL, cores=1)
+        task = RawForwardTask("fwd", out, KERNEL, cores=1, task_id=1)
         socket = _FakeSocket()
         task.attach(socket, lambda task: None)
         socket.deliver(b"chunk-1")
@@ -194,7 +194,7 @@ class TestRawForwardTask:
         """The forward target (the client's output channel) is shared
         with the compute path and must survive a backend close."""
         out = TaskChannel("out", 8)
-        task = RawForwardTask("fwd", out, KERNEL, cores=1)
+        task = RawForwardTask("fwd", out, KERNEL, cores=1, task_id=1)
         socket = _FakeSocket()
         task.attach(socket, lambda task: None)
         socket.eof()
@@ -203,7 +203,7 @@ class TestRawForwardTask:
 
     def test_cost_scales_with_bytes(self):
         out = TaskChannel("out", 1024)
-        task = RawForwardTask("fwd", out, KERNEL, cores=1)
+        task = RawForwardTask("fwd", out, KERNEL, cores=1, task_id=1)
         socket = _FakeSocket()
         task.attach(socket, lambda task: None)
         socket.deliver(b"x" * 10)
