@@ -440,7 +440,7 @@ def _check(spec: Scenario) -> Checked:
             else None
         )
     return Checked(
-        spec._replace(**built), _runtime_config(spec, classes, fault)
+        spec._replace(**built), _runtime_config(spec, classes)
     )
 
 
@@ -470,7 +470,7 @@ def _stack_of(system: str) -> str:
     return "mtcp" if system == "flick-mtcp" else "kernel"
 
 
-def _runtime_config(spec: Scenario, classes, fault) -> RuntimeConfig:
+def _runtime_config(spec: Scenario, classes) -> RuntimeConfig:
     """The platform configuration; built by the check, so a bad value
     is rejected before anything runs."""
     return RuntimeConfig(
@@ -483,9 +483,6 @@ def _runtime_config(spec: Scenario, classes, fault) -> RuntimeConfig:
         service_classes=classes,
         slo_us=spec.slo_us,
         allocator=spec.allocator,
-        backend_close_teardown=(
-            fault is not None and fault.tears_down_on_backend_close
-        ),
     )
 
 

@@ -54,20 +54,12 @@ class FaultPolicy:
     ``needs_backends`` marks injectors that are meaningless without
     backend servers behind the middlebox (testbeds reject the
     combination instead of silently dropping it).
-    ``tears_down_on_backend_close`` asks the platform to tear down a
-    task graph when a *backend*-side connection EOFs — without it, a
-    request in flight to a dying backend would black-hole (the client
-    waits forever and the run never drains); with it, the close
-    propagates to the client, which fails the in-flight window and
-    reconnects.
     """
 
     #: Registry key; subclasses must override.
     name = "abstract"
     #: Whether the injector requires backend servers behind the platform.
     needs_backends = False
-    #: Whether backend-side EOFs must tear down the serving task graph.
-    tears_down_on_backend_close = False
 
     def population_kwargs(self) -> dict:
         """Extra ``OpenLoopClients`` keywords this fault configures."""
@@ -202,14 +194,14 @@ class FlappingBackend(FaultPolicy):
     ``cycles`` cycles (a bounded schedule — the event calendar must
     drain for the run to finish).  Going down closes every accepted
     connection through the normal TCP close path and connects accepted
-    while down are reset immediately; the platform (via
-    ``tears_down_on_backend_close``) propagates each reset to the
-    client, which fails its in-flight window and reconnects.
+    while down are reset immediately.  A reset is a backend EOF, so the
+    platform's one close ends the client connection after writing what
+    the backend sent before it; the client fails its in-flight window
+    and reconnects.
     """
 
     name = "flapping-backend"
     needs_backends = True
-    tears_down_on_backend_close = True
 
     def __init__(
         self,

@@ -32,7 +32,7 @@ class TaskChannel:
         self.name = name
         self.capacity = capacity
         self._queue: Deque = deque()
-        self._closed = False
+        self.closed = False
         self._eos_delivered = False
 
     # -- producer side ------------------------------------------------------
@@ -41,7 +41,7 @@ class TaskChannel:
         return len(self._queue) < self.capacity
 
     def push(self, item) -> None:
-        if self._closed:
+        if self.closed:
             raise ChannelClosed(f"push into closed channel {self.name!r}")
         if len(self._queue) >= self.capacity:
             raise ChannelFull(
@@ -55,9 +55,9 @@ class TaskChannel:
         True if this call closed the channel: only that close is news
         for the consumer, so only then does the producer wake it.
         """
-        if self._closed:
+        if self.closed:
             return False
-        self._closed = True
+        self.closed = True
         self._queue.append(EOS)
         return True
 
@@ -67,13 +67,13 @@ class TaskChannel:
         # Data items only.  EOS is appended once by close() and popped
         # once, so it is in the queue exactly while the channel is
         # closed and the marker undelivered.
-        return len(self._queue) - (self._closed and not self._eos_delivered)
+        return len(self._queue) - (self.closed and not self._eos_delivered)
 
     def ready(self) -> bool:
         """True if a data item (not EOS) is available."""
         # ``len(self) > 0`` spelled out: a merge node asks it of both
         # inputs once per record it takes.
-        return len(self._queue) > (self._closed and not self._eos_delivered)
+        return len(self._queue) > (self.closed and not self._eos_delivered)
 
     def empty(self) -> bool:
         return not self._queue
@@ -87,7 +87,7 @@ class TaskChannel:
     def at_eos(self) -> bool:
         """True once the producer closed and all data was consumed."""
         return self._eos_delivered or (
-            self._closed and len(self._queue) == 1 and self._queue[0] is EOS
+            self.closed and len(self._queue) == 1 and self._queue[0] is EOS
         )
 
     def exhausted(self) -> bool:
@@ -102,7 +102,3 @@ class TaskChannel:
         if item is EOS:
             self._eos_delivered = True
         return item
-
-    @property
-    def closed(self) -> bool:
-        return self._closed

@@ -81,13 +81,6 @@ SchedulingPolicy` instance for custom parameters.
     program; a connection that finds the pool empty pays the full build
     cost.  Memory is not modelled: channels have a fixed capacity and
     input tasks stop draining their socket when downstream is full.
-
-    ``backend_close_teardown`` makes a backend-side connection EOF tear
-    down the whole serving task graph (client connection included).
-    Default ``False`` — the paper's platform only tears down on client
-    EOF — but backend fault injectors (``flapping-backend``) need it:
-    without it a request in flight to a dying backend black-holes, the
-    client waits forever, and the run never drains.
     """
 
     cores: int = 16
@@ -99,14 +92,8 @@ SchedulingPolicy` instance for custom parameters.
     stack: str = "kernel"
     graph_pool_size: int = 512
     allocator: object = "static"
-    backend_close_teardown: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.backend_close_teardown, bool):
-            raise ValueError(
-                "backend_close_teardown must be a bool, got "
-                f"{type(self.backend_close_teardown).__name__}"
-            )
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
         if self.timeslice_us <= 0:

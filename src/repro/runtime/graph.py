@@ -16,11 +16,12 @@ A :class:`TaskGraph` is one instance of a FLICK process bound to real
 
 A graph's references all point downstream (producer to consumer, graph
 to task, task to socket) except three, each dropped at its last use:
-the client input task's end-of-stream callback (``_teardown``), the
-compute task's handlers and send proxies (which reach the graph through
-the outbound legs), and the socket pairs themselves (see
-:mod:`repro.net.tcp`).  So a connection's graph, tasks, channels,
-parsers and sockets are freed by reference counting when it closes.
+every socket reader's end-of-stream callback (the graph's one close,
+which drops them all), the compute task's handlers and send proxies
+(which reach the graph through the outbound legs), and the socket
+pairs themselves (see :mod:`repro.net.tcp`).  So a connection's graph,
+tasks, channels, parsers and sockets are freed by reference counting
+when it closes.
 """
 
 from __future__ import annotations
@@ -184,22 +185,14 @@ class _OutboundLeg(_BufferingSendProxy):
     def _connected(self, socket) -> None:
         graph, ep, index = self._graph, self._ep, self._index
         if graph.finished:
-            # The connection ended during the handshake: ``_teardown``
-            # has closed every outbound socket it knew of, so close this
-            # one the same way and build nothing that would read it.
+            # The connection ended during the handshake: ``_close`` has
+            # closed every outbound socket it knew of, so close this one
+            # the same way and build nothing that would read it.
             socket.close()
             return
         graph._outbound_sockets.append(socket)
         self._out_task.bind_socket(socket)
         if ep.readable:
-            # A backend-side EOF normally just ends that stream; under
-            # backend fault injection it must fell the whole graph or
-            # in-flight requests black-hole.
-            backend_eof = (
-                graph._teardown
-                if graph.config.backend_close_teardown
-                else None
-            )
             raw_sink = graph._raw_forward.get(ep.name)
             if raw_sink is not None:
                 sink_task = graph._endpoint_out_tasks[raw_sink]
@@ -208,7 +201,7 @@ class _OutboundLeg(_BufferingSendProxy):
                     sink_task.inbox,
                     graph.stack,
                     graph.config.cores,
-                    on_eof=backend_eof,
+                    on_eof=graph._close,
                     task_id=next(graph._task_ids),
                 )
                 graph._wire(in_task, sink_task)
@@ -220,12 +213,14 @@ class _OutboundLeg(_BufferingSendProxy):
                     graph.stack,
                     graph.config.cores,
                     tag=(ep.name, index),
-                    on_eof=backend_eof,
+                    on_eof=graph._close,
                     task_id=next(graph._task_ids),
+                    owns_out=False,
                 )
                 graph._wire(in_task, graph.compute)
             in_task.attach(socket, graph.scheduler.notify_runnable)
             graph._add_task(in_task, endpoint=ep.name)
+            graph._readers.append(in_task)
         graph.scheduler.notify_runnable(self._out_task)
 
 
@@ -262,6 +257,8 @@ class TaskGraph:
         self.tasks: List = []
         self.compute: Optional[ComputeTask] = None
         self._client_socket = None
+        self._client_in: Optional[InputTask] = None
+        self._readers: List = []  # every task whose ``on_eof`` is the close
         self._outbound_sockets: List = []
         self._finished = False
 
@@ -346,6 +343,7 @@ class TaskGraph:
                 self.registry.serializer(),
                 self.stack,
                 self.config.cores,
+                close_on_eos=True,
                 task_id=next(self._task_ids),
             )
             out_task.bind_socket(client_socket)
@@ -380,12 +378,14 @@ class TaskGraph:
                 self.stack,
                 self.config.cores,
                 tag=(client_ep.name, 0),
-                on_eof=self._teardown,
+                on_eof=self._close,
                 task_id=next(self._task_ids),
             )
             self._wire(in_task, compute)
             in_task.attach(client_socket, self.scheduler.notify_runnable)
             self._add_task(in_task, endpoint=client_ep.name)
+            self._client_in = in_task
+            self._readers.append(in_task)
 
         # Value parameters (non-channel process arguments).
         if self.bindings.value_params is not None:
@@ -485,18 +485,31 @@ class TaskGraph:
         self._add_task(out_task, endpoint=plan.sink)
         del sink_ep
 
-    # -- teardown -------------------------------------------------------------------
+    # -- close ----------------------------------------------------------------
 
-    def _teardown(self) -> None:
-        """Client closed: release outbound connections, report finished."""
+    def _close(self) -> None:
+        """The connection's one close, every socket reader's ``on_eof``:
+        the backend sockets close and each ``on_eof`` goes (it would pin
+        the graph).  After the client's EOF, its input task charges the
+        teardown and the client socket closes now.  After a backend's,
+        the client is no longer read and the compute and client output
+        channels close: the client output task writes what came before
+        the EOF, then closes the client and charges the teardown."""
         if self._finished:
             return
         self._finished = True
+        for reader in self._readers:
+            reader.on_eof = None
         for socket in self._outbound_sockets:
             socket.close()
         self._outbound_sockets = []
-        if self._client_socket is not None and not self._client_socket.closed:
+        if self._client_in.eof_seen:
             self._client_socket.close()
+        else:
+            self._client_in.detach(self._client_socket)
+            for task in (self.compute, *self._endpoint_out_tasks.values()):
+                if task.inbox.close():
+                    self.scheduler.notify_runnable(task)
         if self.on_finished is not None:
             self.on_finished(self)
 

@@ -25,9 +25,9 @@ a producer's ``wake``, set by the task graph, wakes the consumer of its
 out channel after each push and after the close.  Nothing leads from a
 consumer back to its producers, and a task drops the references that
 lead back to its graph once it has used them for the last time — the
-end-of-stream callback once emitted, a compute task's handlers and
-send proxies once it pops EOS — so a finished connection's tasks are
-freed by reference counting.
+end-of-stream callback once emitted (the graph's close drops the rest),
+a compute task's handlers and send proxies once it pops EOS — so a
+finished connection's tasks are freed by reference counting.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.errors import RuntimeFlickError
+from repro.core.errors import ParseError, RuntimeFlickError
 from repro.lang.values import Record
 from repro.net.stackprofiles import StackProfile
 from repro.runtime.channel import EOS, TaskChannel
@@ -48,11 +48,13 @@ def _unwired() -> None:
 
 
 def _emit_push(out: TaskChannel, wake: Callable[[], None], item):
-    """An emission: ``item`` enters ``out``, then its consumer wakes."""
+    """An emission: ``item`` enters ``out``, then its consumer wakes; a
+    push after the close is dropped, as :func:`_send_or_drop` drops."""
 
     def emit() -> None:
-        out.push(item)
-        wake()
+        if not out.closed:
+            out.push(item)
+            wake()
 
     return emit
 
@@ -87,7 +89,9 @@ _UNKEYED = object()
 
 
 class InputTask(TaskBase):
-    """Deserialises one connection's byte stream into typed records."""
+    """Deserialises one connection's byte stream into typed records;
+    malformed bytes end it as an EOF would.  At EOF, a task that
+    ``owns_out`` charges the teardown and closes ``out``."""
 
     def __init__(
         self,
@@ -100,6 +104,7 @@ class InputTask(TaskBase):
         on_eof: Optional[Callable[[], None]] = None,
         *,
         task_id: int,
+        owns_out: bool = True,
     ):
         super().__init__(name, task_id)
         self._parser = parser
@@ -107,9 +112,10 @@ class InputTask(TaskBase):
         self._stack = stack
         self._cores = cores
         self._tag = tag
-        self._on_eof = on_eof
+        self.on_eof = on_eof
+        self._owns_out = owns_out
         self._chunks = deque()
-        self._eof_seen = False
+        self.eof_seen = False
         self._eof_handled = False
         self._backlog = False  # parser may hold complete messages
         self._notify: Optional[Callable[[TaskBase], None]] = None
@@ -129,8 +135,14 @@ class InputTask(TaskBase):
         self._notify(self)
 
     def _on_close(self) -> None:
-        self._eof_seen = True
+        self.eof_seen = True
         self._notify(self)
+
+    def detach(self, socket) -> None:
+        """Stop reading ``socket``; the connection ended at its far end."""
+        socket.on_receive(None)
+        socket.on_close(None)
+        self._eof_handled = True  # and an EOF already on its way is ignored
 
     # -- scheduling contract ----------------------------------------------------
 
@@ -140,7 +152,7 @@ class InputTask(TaskBase):
         return (
             bool(self._chunks)
             or self._backlog
-            or (self._eof_seen and not self._eof_handled)
+            or (self.eof_seen and not self._eof_handled)
         )
 
     def step(self, budget_us: Optional[float]):
@@ -154,7 +166,10 @@ class InputTask(TaskBase):
         while not done:
             # Drain parsed messages first (backlog from a previous slice).
             while headroom > 0:
-                record = self._parser.poll()
+                try:
+                    record = self._parser.poll()
+                except ParseError:
+                    record, self.eof_seen = None, True
                 if record is None:
                     self._backlog = False
                     break
@@ -172,19 +187,23 @@ class InputTask(TaskBase):
                 break
             if self._chunks:
                 chunk = self._chunks.popleft()
-                self._parser.feed(chunk)
+                try:
+                    self._parser.feed(chunk)
+                except ParseError:
+                    self.eof_seen = True
                 self._backlog = True
                 elapsed += self._stack.read_cost_us(len(chunk), self._cores)
                 if budget_us is not None and elapsed >= budget_us:
                     break
-            elif self._eof_seen and not self._eof_handled:
+            elif self.eof_seen and not self._eof_handled:
                 self._eof_handled = True
-                elapsed += self._stack.teardown_us
-                emissions.append(_emit_close(self._out, self.wake))
-                if self._on_eof is not None:
+                if self._owns_out:
+                    elapsed += self._stack.teardown_us
+                    emissions.append(_emit_close(self._out, self.wake))
+                if self.on_eof is not None:
                     # Emitted once; holding it on would pin the graph.
-                    emissions.append(self._on_eof)
-                    self._on_eof = None
+                    emissions.append(self.on_eof)
+                    self.on_eof = None
                 break
             else:
                 break
@@ -221,7 +240,7 @@ class RawForwardTask(TaskBase):
         self._out = out
         self._stack = stack
         self._cores = cores
-        self._on_eof = on_eof
+        self.on_eof = on_eof
         self._chunks = deque()
         self._eof_seen = False
         self._eof_handled = False
@@ -259,9 +278,9 @@ class RawForwardTask(TaskBase):
                 self.items_processed += 1
             else:
                 self._eof_handled = True
-                if self._on_eof is not None:
-                    emissions.append(self._on_eof)
-                    self._on_eof = None
+                if self.on_eof is not None:
+                    emissions.append(self.on_eof)
+                    self.on_eof = None
             if budget_us == 0.0:
                 break
             if budget_us is not None and elapsed >= budget_us:
@@ -290,8 +309,9 @@ class _BufferingSendProxy:
         self.buffered.append(value)
 
     def _sink(self, value) -> None:
-        self._chan.push(value)
-        self.wake()
+        if not self._chan.closed:
+            self._chan.push(value)
+            self.wake()
 
     def flush_thunks(self) -> List[Callable[[], None]]:
         sink = self._sink

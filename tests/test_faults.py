@@ -210,4 +210,3 @@ class TestFaultPolicyBase:
         assert fault.counters() == {}
         assert fault.params() == {}
         assert fault.needs_backends is False
-        assert fault.tears_down_on_backend_close is False

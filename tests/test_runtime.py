@@ -17,7 +17,7 @@ from repro.apps import http_lb, memcached_proxy
 from repro.bench import testbeds
 from repro.core.errors import ChannelClosed, ChannelFull
 from repro.core.units import GBPS
-from repro.grammar.protocols import hadoop, http
+from repro.grammar.protocols import hadoop, http, memcached
 from repro.lang.values import Record
 from repro.net.faults import make_fault
 from repro.net.tcp import TcpNetwork
@@ -25,6 +25,7 @@ from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.costs import RuntimeConfig
 from repro.runtime.dispatcher import GraphPool
 from repro.runtime.graph import OutboundTarget, TaskGraph
+from repro.runtime import platform as platform_module
 from repro.runtime.platform import FlickPlatform
 from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.runtime.task import MergeTask
@@ -35,6 +36,7 @@ from repro.workloads.arrivals import (
     HttpRequestCodec,
     MemcachedRequestCodec,
 )
+from test_close_explorer import CountingStack
 
 
 class TestChannel:
@@ -510,8 +512,9 @@ class TestGraphPool:
 
 def _proxy_testbed(app="lb", **config):
     """The paper's topology by hand: a 4-core middlebox running the
-    HTTP load balancer (or the Memcached proxy) in front of ten
-    backends; ``config`` adds :class:`RuntimeConfig` fields."""
+    HTTP load balancer (or the Memcached proxy, or Listing 1's cache
+    router) in front of ten backends; ``config`` adds
+    :class:`RuntimeConfig` fields."""
     engine = Engine()
     net = TcpNetwork(engine)
     mbox = net.add_host("mbox", 10 * GBPS, "core")
@@ -527,7 +530,11 @@ def _proxy_testbed(app="lb", **config):
         registry, bindings = http_lb.http_codec_registry(), http_lb.lb_bindings
     else:
         port, backend_port, server = 11211, 11211, BackendMemcachedServer
-        program, proc = memcached_proxy.compile_proxy(), "Memcached"
+        program, proc = (
+            (memcached_proxy.compile_cache_router(), "memcached")
+            if app == "cache-router"
+            else (memcached_proxy.compile_proxy(), "Memcached")
+        )
         registry = memcached_proxy.memcached_codec_registry(program)
         bindings = memcached_proxy.proxy_bindings
     backends = [
@@ -681,14 +688,54 @@ class TestLazyLegs:
 
 
 class TestBackendCloseTeardown:
-    """A backend EOF with ``backend_close_teardown`` on tears the graph
-    down before the reply that came ahead of the EOF reaches the client
-    — today's behaviour, pinned (ROADMAP open item 16 flushes first and
-    inverts this test)."""
+    """A backend EOF ends the connection through the graph's one close,
+    after what the backend sent ahead of it."""
 
-    def test_every_one_shot_reply_is_dropped(self):
-        _graphs, replies = _three_one_shots(backend_close_teardown=True)
-        assert replies == []
+    def test_every_one_shot_reply_is_delivered(self):
+        """``Connection: close``: each backend closes right behind its
+        reply, and the reply still reaches its client whole (the close
+        this replaced, switched on, dropped all three)."""
+        graphs, replies = _three_one_shots()
+        assert [len(reply) for reply in replies] == [177] * 3
+        assert all(graph.finished for graph in graphs)
+
+    def test_a_parsed_return_leg_ends_the_connection(self):
+        """The cache router's ``backends => update_cache(cache) =>
+        client`` leg is parsed, into the compute inbox it shares with
+        the client; its EOF must neither close that inbox nor charge a
+        teardown.  One client pipelines GETKs 100 µs apart and every
+        backend goes down at 1000 µs: the platform closes the client,
+        where ``ChannelClosed`` (a push into ``g1:compute.in``) used to
+        escape ``engine.run()`` at t = 1160.9 µs."""
+        engine, net, mbox, hosts, backends, graphs = _proxy_testbed(
+            "cache-router"
+        )
+        for backend in backends:
+            engine.at(1000.0, backend.set_up, False)
+        replies, closed_at = [], []
+
+        def connected(socket):
+            def getk(n):
+                if not socket.closed:
+                    request = memcached.make_request(
+                        memcached.OP_GETK, f"key-{n}"
+                    )
+                    socket.send(memcached.encode(request))
+
+            def on_close():
+                closed_at.append(engine.now)
+                socket.close()
+
+            socket.on_receive(replies.append)
+            socket.on_close(on_close)
+            for n in range(1, 21):
+                engine.at(n * 100.0, getk, n)
+
+        net.connect(hosts[0], mbox, 11211, connected)
+        engine.run()
+        (graph,) = graphs
+        assert graph.finished and len(closed_at) == 1
+        assert replies and sum(b.connections_reset for b in backends) > 0
 
 
 def _staggered_closes(offsets_us):
@@ -812,6 +859,59 @@ def cyclic_garbage(run):
         del alive
 
 
+#: Four of ten backends reset their connections twice: 39 resets, each
+#: a backend EOF on a persistent connection.  The close this replaced
+#: left each reset's graph in a reference cycle, with its tasks,
+#: channels and ten outbound legs (39 graphs for the collector).
+_LB_FLAPPING = testbeds.Scenario(
+    app="http_lb", arrival="poisson",
+    arrival_params=(("rate_rps", 40_000.0),), total_requests=1024,
+    faults="flapping-backend",
+    fault_params=(
+        ("first_down_us", 5_000.0), ("downtime_us", 2_000.0),
+        ("period_us", 8_000.0), ("targets", 4),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        testbeds.Scenario(
+            app="http_lb", persistent=False, concurrency=16,
+            requests_per_client=12,
+        ),
+        testbeds.Scenario(
+            app="memcached_proxy", arrival="poisson",
+            arrival_params=(("rate_rps", 40_000.0),), concurrency=16,
+            total_requests=768, faults="conn-churn",
+            fault_params=(("lifetime_requests", 16),),
+        ),
+        _LB_FLAPPING,
+    ],
+    ids=["backend-first", "client-first", "reset"],
+)
+def test_each_closed_connection_is_charged_one_teardown(spec, monkeypatch):
+    """Whichever end closes first, a connection pays ``teardown_us``
+    exactly once: the client's input task charges it when the client
+    closes first, the client's output task when a backend does (a
+    ``Connection: close`` reply, or a reset).  A connection still open
+    when the run drains pays nothing."""
+    graphs = []
+
+    class CountedGraph(TaskGraph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.stack = CountingStack(self.stack)
+            graphs.append(self)
+
+    monkeypatch.setattr(platform_module, "TaskGraph", CountedGraph)
+    testbeds.run_experiment(spec)
+    closed = [g.stack.teardowns for g in graphs if g.finished]
+    assert closed and set(closed) == {1}
+    assert all(g.stack.teardowns == 0 for g in graphs if not g.finished)
+
+
 class TestConnectionRelease:
     """A finished connection is freed by reference counting: no
     reference cycle keeps its graph, tasks, channels, parsers or
@@ -865,10 +965,11 @@ class TestConnectionRelease:
             testbeds.Scenario(
                 app="hadoop_agg", data_kb_per_mapper=8, n_mappers=4,
             ),
+            _LB_FLAPPING,
         ],
         ids=[
             "lb-non-persistent", "web-non-persistent", "memcached-churn",
-            "hadoop-foldt",
+            "hadoop-foldt", "lb-flapping",
         ],
     )
     def test_no_closed_connection_is_left_to_the_collector(
@@ -908,7 +1009,7 @@ class TestConnectionRelease:
     def test_a_leg_connected_after_teardown_is_closed(self):
         """A request sent and closed in one tick: the graph finishes
         before its backend leg's handshake does.  The new socket is
-        closed the way ``_teardown`` closed the rest, and no return task
+        closed the way the graph's close closed the rest, and no return task
         is built to read it — the backend keeps no open connection, and
         nothing pins the finished graph."""
         graphs, backends, _replies = _staggered_closes((0.0,))
