@@ -98,7 +98,7 @@ def test_e13_parser_specialisation(benchmark):
         ],
     )
     assert spec.throughput > full.throughput
-    assert spec.extra["errors"] == 0 and full.extra["errors"] == 0
+    assert spec.entry["errors"] == 0 and full.entry["errors"] == 0
 
 
 def test_cache_router_offload(benchmark):
@@ -119,8 +119,8 @@ def test_cache_router_offload(benchmark):
     print_series(
         "cache router backend offload",
         [
-            f"plain proxy:  {plain.extra['backend_requests']:7.0f} backend reqs",
-            f"cache router: {cached.extra['backend_requests']:7.0f} backend reqs",
+            f"plain proxy:  {plain.backend_requests:7d} backend reqs",
+            f"cache router: {cached.backend_requests:7d} backend reqs",
         ],
     )
-    assert cached.extra["backend_requests"] < plain.extra["backend_requests"] / 5
+    assert cached.backend_requests < plain.backend_requests / 5

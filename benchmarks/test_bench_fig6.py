@@ -56,4 +56,5 @@ def test_fig6_hadoop_aggregator(benchmark):
     # The aggregation output is much smaller than its input (the whole
     # point of in-network reduction).
     point = series[8][3]
-    assert point.extra["egress_bytes"] < point.extra["ingress_bytes"] / 2
+    job = point.entry["job"]
+    assert job["egress_bytes"] < job["ingress_bytes"] / 2

@@ -64,15 +64,18 @@ def admission_control() -> None:
     }
     print("== 160k req/s offered, ~100k served: who misses their SLO? ==")
     for name, result in runs.items():
-        print(f"\n-- {name} (p99 {result.extra['p99_ms']:.2f} ms) --")
-        for cls, stats in result.admission_stats.items():
+        p99_ms = result.entry["latency_ms"]["p99"]
+        print(f"\n-- {name} (p99 {p99_ms:.2f} ms) --")
+        for cls, stats in result.entry["admission"]["per_class"].items():
             print(
                 f"  {cls:<6} offered={stats['offered']:<4.0f} "
                 f"shed={stats['shed']:<4.0f} "
                 f"slo_misses={stats['slo_misses']:.0f}"
             )
-    gold_all = runs["admit-all"].admission_stats["gold"]["slo_misses"]
-    gold_shed = runs["shed-bronze"].admission_stats["gold"]["slo_misses"]
+    gold_all, gold_shed = (
+        runs[name].entry["admission"]["per_class"]["gold"]["slo_misses"]
+        for name in ("admit-all", "shed-bronze")
+    )
     print(
         f"\nshedding bronze cut gold SLO misses {gold_all:.0f} -> "
         f"{gold_shed:.0f} (and they stay bounded as the overload runs on)"
@@ -96,13 +99,13 @@ def elastic_allocation() -> None:
         slo_us=2_000.0,
         allocator="queue-depth",
     )
-    extra = result.extra
+    allocator = result.entry["allocator"]
+    workers = allocator["active_workers"]
     print("\n== queue-depth allocator on a 10k -> 250k req/s ramp ==")
     print(
-        f"  allocation changes: {extra['alloc_changes']:.0f}, active "
-        f"workers spanned [{extra['active_workers_min']:.0f}, "
-        f"{extra['active_workers_max']:.0f}] of 8, "
-        f"finished at {extra['active_workers_final']:.0f}"
+        f"  allocation changes: {allocator['changes']}, active "
+        f"workers spanned [{workers['min']}, {workers['max']}] of 8, "
+        f"finished at {workers['final']}"
     )
 
 

@@ -46,7 +46,7 @@ def scaling_point(shards):
         shards=shards,
         routing="least-loaded" if shards > 1 else "hash-affinity",
     )
-    return result.throughput, result.cluster_stats
+    return result.throughput, result.entry.get("cluster")
 
 
 def main() -> None:
@@ -81,9 +81,9 @@ def main() -> None:
         shards=2,
         fail_shard_at_us=10_000.0,
     )
-    cluster = result.cluster_stats
-    failed = int(result.extra["failed"])
-    completed = int(result.extra["completed"])
+    cluster = result.entry["cluster"]
+    failed = result.entry["failed"]
+    completed = result.entry["completed"]
     print(
         f"  alive shards: {cluster['alive_shards']}/{cluster['shards']}"
         f"  (failed: {cluster['failed_shards']})"

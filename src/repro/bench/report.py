@@ -133,23 +133,29 @@ def format_service_class_table(results) -> str:
 
 
 def format_scenario_table(results: Dict[str, dict]) -> str:
-    """One row per scenario of the matrix runner's JSON-ready results."""
+    """One row per scenario of the matrix runner's JSON-ready results.
+
+    A job entry's ``latency_ms`` is its completion time, printed in the
+    p99 column; a value an entry does not carry prints as ``-``.
+    """
     rows = []
     for name, entry in results.items():
-        latency = entry.get("latency_ms", {})
-        slo = entry.get("slo", {})
+        latency = entry["latency_ms"]
+        if not isinstance(latency, dict):
+            latency = {"p99": latency}
         rows.append(
             (
                 name,
-                entry.get("arrival", "?"),
-                entry.get("policy", "?"),
-                f"{entry.get('throughput', 0.0):.1f}"
-                f" {entry.get('throughput_unit', '')}".rstrip(),
-                f"{latency.get('p50', 0.0):.3f}",
-                f"{latency.get('p99', 0.0):.3f}",
-                slo.get("misses", 0),
-                entry.get("admission", {}).get("shed", 0),
-                entry.get("steals", {}).get("steals", 0),
+                entry["arrival"],
+                entry["policy"],
+                f"{entry['throughput']:.1f} {entry['throughput_unit']}",
+                *(
+                    f"{latency[q]:.3f}" if q in latency else "-"
+                    for q in ("p50", "p99")
+                ),
+                entry["slo"]["misses"] if "slo" in entry else "-",
+                entry["admission"]["shed"] if "admission" in entry else "-",
+                entry["steals"]["steals"],
                 entry.get("cluster", {}).get("shards", 1),
             )
         )

@@ -35,8 +35,11 @@ from repro.core.errors import ConfigError
 #: v4 added the top-level "retried" count (impatient-client
 #: re-submissions), a per-class "retried" in the admission and classes
 #: sections, and (on fault-injected entries) the "faults" section with
-#: the injector's name, parameters and counters.
-SCHEMA_VERSION = 4
+#: the injector's name, parameters and counters.  v5 gave a job entry
+#: (hadoop) only what a job measures: a scalar ``latency_ms`` (its
+#: completion time, which the p99 gate reads) and a ``job`` section of
+#: ingress and egress bytes, with no request counts and no ``slo``.
+SCHEMA_VERSION = 5
 
 #: CI gate defaults (ISSUE: fail if throughput drops >10% or p99 rises >15%).
 MAX_THROUGHPUT_DROP_PCT = 10.0
@@ -155,7 +158,8 @@ def compare_to_baseline(
 
     Both arguments are validated documents.  Throughput is compared per
     scenario in its own unit (the drop is relative, so units cancel);
-    p99 latency is read from ``latency_ms.p99``.  A baseline value of
+    p99 latency is read from ``latency_ms.p99`` (a job entry's scalar
+    ``latency_ms``, its completion time).  A baseline value of
     zero never flags (nothing meaningful to compare against).
 
     ``restrict_to`` limits the comparison — including the

@@ -358,100 +358,27 @@ def quick_sized(scenario: Scenario, quick: bool) -> Scenario:
 
 def run_scenario(scenario, quick: bool = False) -> dict:
     """Run one scenario (or what its :meth:`~Scenario.check` returned
-    for its :func:`quick_sized` spec); return its JSON-ready entry."""
+    for its :func:`quick_sized` spec); return its JSON-ready entry: the
+    spec's echo and the run's :attr:`~repro.sim.stats.RunResult.entry`."""
     checked = (
         scenario
         if isinstance(scenario, Checked)
         else quick_sized(scenario, quick).check()
     )
-    result = run_experiment(checked)
     scenario = checked.spec
-    arrival, fault = scenario.arrival, scenario.faults
-    extra = result.extra
-    offered = int(extra.get("offered", 0))
-    completed = int(extra.get("completed", 0))
-    measured = int(extra.get("measured", 0))
-    misses = int(extra.get("slo_misses", 0))
-    entry = {
+    return {
         "app": scenario.app,
         "arrival": (
-            arrival.describe() if arrival is not None else "closed-loop"
+            scenario.arrival.describe()
+            if scenario.arrival is not None
+            else "closed-loop"
         ),
         "policy": scenario.policy,
         "topology": scenario.topology or "uniform",
         "service_classes": list(scenario.service_classes),
         "cores": scenario.cores,
-        "requests": scenario.total_requests,
-        "offered": offered,
-        "completed": completed,
-        "failed": int(extra.get("failed", 0)),
-        "retried": int(extra.get("retried", 0)),
-        "measured": measured,
-        "errors": int(extra.get("errors", 0)),
-        "throughput": result.throughput,
-        "throughput_unit": APPS[scenario.app].unit,
-        "latency_ms": {
-            "mean": result.latency_ms,
-            "p50": extra.get("p50_ms", result.latency_ms),
-            "p99": extra.get("p99_ms", result.latency_ms),
-            "max": extra.get("max_ms", result.latency_ms),
-        },
-        "slo": {
-            "slo_ms": (
-                scenario.slo_us / 1000.0 if scenario.slo_us is not None else None
-            ),
-            "misses": misses,
-            # Misses are only counted over the measured window (the
-            # closed loop excludes warmup), so the rate must share
-            # that denominator or warmup requests would dilute it.
-            "miss_rate": (misses / measured) if measured else 0.0,
-        },
-        "classes": result.class_stats,
-        "steals": {
-            "steals": int(extra.get("steals", 0)),
-            "stolen_tasks": int(extra.get("stolen_tasks", 0)),
-            "steal_us": extra.get("steal_us", 0.0),
-        },
-        "allocator": {
-            "name": scenario.allocator,
-            "changes": int(extra.get("alloc_changes", 0)),
-            "moved_tasks": int(extra.get("alloc_moved_tasks", 0)),
-            "active_workers": {
-                "min": int(extra.get("active_workers_min", scenario.cores)),
-                "max": int(extra.get("active_workers_max", scenario.cores)),
-                "final": int(
-                    extra.get("active_workers_final", scenario.cores)
-                ),
-            },
-        },
+        **run_experiment(checked).entry,
     }
-    if result.admission_stats:
-        entry["admission"] = {
-            "policy": scenario.admission.name,
-            "class_mix": {name: w for name, w in scenario.class_mix},
-            "admitted": int(extra.get("admitted", offered)),
-            "shed": int(extra.get("shed", 0)),
-            "per_class": result.admission_stats,
-        }
-    if "arrival_gap_mean_us" in extra:
-        entry["arrival_gaps_us"] = {
-            "mean": extra["arrival_gap_mean_us"],
-            "p50": extra["arrival_gap_p50_us"],
-            "p99": extra["arrival_gap_p99_us"],
-        }
-    if result.cluster_stats:
-        entry["cluster"] = result.cluster_stats
-    if fault is not None:
-        entry["faults"] = {
-            "name": fault.name,
-            "params": fault.params(),
-            "counters": {
-                key[len("fault_"):]: int(value)
-                for key, value in sorted(extra.items())
-                if key.startswith("fault_")
-            },
-        }
-    return entry
 
 
 def _scenario_job(checked: Checked) -> Tuple[str, dict]:

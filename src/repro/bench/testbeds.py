@@ -7,7 +7,8 @@ every size.  :func:`run_experiment` runs it on the paper's topology
 switch, the middlebox with a 10 Gbps NIC on a core switch, 20 Gbps
 trunk), drives the workload to completion in virtual time, and returns
 a :class:`repro.sim.stats.RunResult` — one plotted point of a figure,
-or one entry of the scenario matrix (:mod:`repro.bench.scenarios`).
+and the measured sections of one entry of the scenario matrix
+(:mod:`repro.bench.scenarios`).
 
 Systems under test:
 
@@ -562,6 +563,19 @@ class _MapperJob:
     def finished(self) -> bool:
         return self.sink.finished_at is not None
 
+    def entry(self) -> dict:
+        """What a job measures: ingress throughput, its completion time
+        and the bytes in and out of the aggregator."""
+        finished_at = self.sink.finished_at
+        return {
+            "throughput": throughput_mbps(self.total_bytes, finished_at),
+            "latency_ms": finished_at / 1000.0,
+            "job": {
+                "ingress_bytes": self.total_bytes,
+                "egress_bytes": self.sink.bytes_received,
+            },
+        }
+
 
 def _requests_per_client(spec: Scenario) -> int:
     if spec.requests_per_client is not None:
@@ -604,123 +618,109 @@ def _population(spec: Scenario, app: App, engine, tcpnet, mbox, servers):
     )
 
 
-def _open_loop_extra(population: OpenLoopClients) -> dict:
-    """Client-side latency/SLO/inter-arrival accounting for ``extra``.
+def _client_entry(spec: Scenario, population) -> dict:
+    """The client population's sections of the entry.
 
-    ``measured`` is the number of requests the latency/SLO accounting
-    covers — every *admitted* request, for the open loop (no warmup
-    window); shed requests never enter the latency series.
+    ``measured`` is the number of requests the latency and SLO
+    accounting covers: every admitted request of the open loop (no
+    warmup window; shed requests never enter the latency series), the
+    post-warmup window of the closed loop, which is also the window its
+    SLO misses are counted over, so the miss rate shares one
+    denominator.  The closed loop completes all it offers.
     """
     latency = population.latency
-    gaps = population.inter_arrivals
+    if isinstance(population, OpenLoopClients):
+        offered, completed = population.offered, population.completed
+        failed, retried = population.failed, population.retried
+        misses = population.slo_misses
+        gaps = population.inter_arrivals
+        open_loop = {
+            "arrival_gaps_us": {
+                "mean": gaps.mean_us(),
+                "p50": gaps.percentile_us(50.0),
+                "p99": gaps.percentile_us(99.0),
+            },
+            "admission": {
+                "policy": population.admission.name,
+                "class_mix": dict(spec.class_mix),
+                "admitted": population.admitted,
+                "shed": population.shed,
+                "per_class": population.admission_summary(),
+            },
+        }
+    else:
+        offered = completed = (
+            population.concurrency * population.requests_per_client
+        )
+        failed = retried = 0
+        misses = latency.count_over(spec.slo_us)
+        open_loop = {}
+    measured = latency.count
     return {
-        "offered": float(population.offered),
-        "admitted": float(population.admitted),
-        "shed": float(population.shed),
-        "completed": float(population.completed),
-        "failed": float(population.failed),
-        "retried": float(population.retried),
-        "measured": float(latency.count),
-        "errors": float(population.errors),
-        "slo_misses": float(population.slo_misses),
-        "p50_ms": latency.percentile_us(50.0) / 1000.0,
-        "p99_ms": latency.percentile_us(99.0) / 1000.0,
-        "max_ms": latency.max_us() / 1000.0,
-        "arrival_gap_mean_us": gaps.mean_us(),
-        "arrival_gap_p50_us": gaps.percentile_us(50.0),
-        "arrival_gap_p99_us": gaps.percentile_us(99.0),
+        "throughput": population.kreqs_per_sec(),
+        "requests": spec.total_requests,
+        "offered": offered,
+        "completed": completed,
+        "failed": failed,
+        "retried": retried,
+        "measured": measured,
+        "errors": population.errors,
+        "latency_ms": latency.percentile_summary_ms(),
+        "slo": {
+            "slo_ms": None if spec.slo_us is None else spec.slo_us / 1000.0,
+            "misses": misses,
+            "miss_rate": misses / measured if measured else 0.0,
+        },
+        **open_loop,
     }
 
 
-def _closed_loop_extra(population, total_requests: int, slo_us) -> dict:
-    """The closed-loop populations' equivalent of :func:`_open_loop_extra`.
+def _scheduler_entry(spec: Scenario, platforms, client_outcomes) -> dict:
+    """Per-class outcomes, steals and core allocation, summed over
+    ``platforms`` (one for a single middlebox, one per shard for a
+    fleet, none for a cost-model baseline).
 
-    ``slo_misses`` is counted over the measured (post-warmup) window,
-    the only one the latency series records; ``measured`` sizes that
-    window so miss *rates* are computed over the same denominator
-    rather than diluted by warmup requests that can never miss.
+    ``active_workers`` ``min`` / ``max`` are the tightest / widest any
+    one platform reached over the whole run (the initial all-active
+    state included, so a static run reads cores/cores with zero
+    changes); ``final`` is the total of live cores at the end.
     """
-    latency = population.latency
-    return {
-        "offered": float(total_requests),
-        "completed": float(total_requests),
-        "measured": float(latency.count),
-        "errors": float(population.errors),
-        "slo_misses": float(latency.count_over(slo_us)),
-        "p50_ms": latency.percentile_us(50.0) / 1000.0,
-        "p99_ms": latency.percentile_us(99.0) / 1000.0,
-        "max_ms": latency.max_us() / 1000.0,
-    }
-
-
-def _steal_extra(platforms) -> dict:
-    """Scheduler steal counters for ``extra``, summed over ``platforms``
-    (one for a single middlebox, one per shard for a fleet, none for a
-    cost-model baseline)."""
-    if not platforms:
-        return {}
-    schedulers = [platform.scheduler for platform in platforms]
-    return {
-        "steals": float(sum(s.total_steals for s in schedulers)),
-        "stolen_tasks": float(sum(s.total_stolen_tasks for s in schedulers)),
-        "steal_us": float(sum(s.total_steal_us for s in schedulers)),
-    }
-
-
-def _alloc_extra(platforms) -> dict:
-    """Core-allocator counters for ``extra`` over ``platforms``.
-
-    Changes and moved tasks are summed; ``active_workers_min``/``max``
-    are the tightest/widest any one platform reached over the whole run
-    (the initial all-active state included, so a static run reads
-    cores/cores with zero changes); ``final`` is the total live cores at
-    the end.
-    """
-    if not platforms:
-        return {}
     schedulers = [platform.scheduler for platform in platforms]
     counts = [
         [s.cores, *(len(r.active_after) for r in s.alloc_log)]
         for s in schedulers
     ]
     return {
-        "alloc_changes": float(sum(len(s.alloc_log) for s in schedulers)),
-        "alloc_moved_tasks": float(
-            sum(r.moved_tasks for s in schedulers for r in s.alloc_log)
+        "classes": (
+            class_summary(
+                chain.from_iterable(p.scoreboard.records for p in platforms),
+                client_outcomes,
+            )
+            if platforms
+            else {}
         ),
-        "active_workers_min": float(min(map(min, counts))),
-        "active_workers_max": float(max(map(max, counts))),
-        "active_workers_final": float(
-            sum(s.active_workers for s in schedulers)
-        ),
-    }
-
-
-def _measure(spec: Scenario, population, servers):
-    """``(throughput, mean latency in ms, extra)`` of a finished run."""
-    if isinstance(population, _MapperJob):
-        sink = population.sink
-        return (
-            throughput_mbps(population.total_bytes, sink.finished_at),
-            sink.finished_at / 1000.0,
-            {
-                "ingress_bytes": float(population.total_bytes),
-                "egress_bytes": float(sink.bytes_received),
-                "word_len": float(spec.word_len),
+        "steals": {
+            "steals": sum(s.total_steals for s in schedulers),
+            "stolen_tasks": sum(s.total_stolen_tasks for s in schedulers),
+            "steal_us": float(sum(s.total_steal_us for s in schedulers)),
+        },
+        "allocator": {
+            "name": spec.allocator,
+            "changes": sum(len(s.alloc_log) for s in schedulers),
+            "moved_tasks": sum(
+                r.moved_tasks for s in schedulers for r in s.alloc_log
+            ),
+            "active_workers": {
+                "min": min(map(min, counts), default=spec.cores),
+                "max": max(map(max, counts), default=spec.cores),
+                "final": (
+                    sum(s.active_workers for s in schedulers)
+                    if schedulers
+                    else spec.cores
+                ),
             },
-        )
-    if isinstance(population, OpenLoopClients):
-        extra = _open_loop_extra(population)
-    else:
-        extra = _closed_loop_extra(
-            population,
-            spec.concurrency * _requests_per_client(spec),
-            spec.slo_us,
-        )
-    extra["backend_requests"] = float(
-        sum(server.requests_served for server in servers)
-    )
-    return population.kreqs_per_sec(), population.mean_latency_ms(), extra
+        },
+    }
 
 
 def run_experiment(spec) -> RunResult:
@@ -754,34 +754,22 @@ def run_experiment(spec) -> RunResult:
         raise RuntimeError(
             f"{spec.system} {app.x}={x}: workload did not complete"
         )
-    throughput, latency_ms, extra = _measure(spec, population, servers)
-    extra.update(_steal_extra(platforms))
-    extra.update(_alloc_extra(platforms))
+    job = isinstance(population, _MapperJob)
+    entry = population.entry() if job else _client_entry(spec, population)
+    entry["throughput_unit"] = app.unit
+    entry.update(
+        _scheduler_entry(
+            spec, platforms, entry.get("admission", {}).get("per_class")
+        )
+    )
     if spec.faults is not None:
-        extra.update(spec.faults.counters(population))
-    admission_stats = (
-        population.admission_summary()
-        if isinstance(population, OpenLoopClients)
-        else {}
-    )
-    result = RunResult(
-        system=spec.system,
-        x=x,
-        throughput=throughput,
-        latency_ms=latency_ms,
-        extra=extra,
-        class_stats=(
-            class_summary(
-                chain.from_iterable(p.scoreboard.records for p in platforms),
-                admission_stats,
-            )
-            if platforms
-            else {}
-        ),
-        admission_stats=admission_stats,
-    )
+        entry["faults"] = {
+            "name": spec.faults.name,
+            "params": spec.faults.params(),
+            "counters": spec.faults.counters(population),
+        }
     if router is not None:
-        result.cluster_stats = {
+        entry["cluster"] = {
             "shards": spec.shards,
             "routing": router.routing_name,
             "alive_shards": router.alive_shards,
@@ -791,7 +779,12 @@ def run_experiment(spec) -> RunResult:
             "failed_shards": list(router.failed_shards),
             "per_shard": router.shard_report(),
         }
-    return result
+    latency_ms = entry["latency_ms"]
+    return RunResult(
+        spec.system, x, entry["throughput"],
+        latency_ms if job else latency_ms["mean"], entry,
+        0 if job else sum(server.requests_served for server in servers),
+    )
 
 
 # ---------------------------------------------------------------------------

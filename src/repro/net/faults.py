@@ -68,8 +68,8 @@ class FaultPolicy:
     def install(self, engine, backends) -> None:
         """Hook engine-clock schedules into the backend servers."""
 
-    def counters(self, population=None) -> Dict[str, float]:
-        """Injected-fault counters for the results document."""
+    def counters(self, population=None) -> Dict[str, int]:
+        """The ``counters`` of the entry's ``faults`` section."""
         return {}
 
     def params(self) -> Dict[str, object]:
@@ -93,8 +93,9 @@ FAULTS = Registry(
     title="Fault injectors",
     decorator="register_fault",
     consumed_by=(
-        "testbeds' `faults=` argument; `Scenario(faults=..., "
-        "fault_params=...)`; CLI `scenarios --faults NAME`"
+        "testbeds' `faults=` argument; "
+        "`Scenario(faults=..., fault_params=...)`; "
+        "CLI `scenarios --faults NAME`"
     ),
 )
 register_fault = FAULTS.register
@@ -162,12 +163,12 @@ class SlowBackend(FaultPolicy):
         for backend in self._slowed:
             backend.service_scale = self._scale
 
-    def counters(self, population=None) -> Dict[str, float]:
+    def counters(self, population=None) -> Dict[str, int]:
         inflated = sum(
             backend.inflated_responses
             for backend in getattr(self, "_slowed", ())
         )
-        return {"fault_inflated_responses": float(inflated)}
+        return {"inflated_responses": inflated}
 
     def params(self) -> Dict[str, object]:
         return {
@@ -250,15 +251,12 @@ class FlappingBackend(FaultPolicy):
                 engine.at(up_at, backend.set_up, True)
         self._flapping = flapping
 
-    def counters(self, population=None) -> Dict[str, float]:
+    def counters(self, population=None) -> Dict[str, int]:
         resets = sum(
             backend.connections_reset
             for backend in getattr(self, "_flapping", ())
         )
-        return {
-            "fault_backend_resets": float(resets),
-            "fault_flap_cycles": float(self.cycles),
-        }
+        return {"backend_resets": resets, "flap_cycles": self.cycles}
 
     def params(self) -> Dict[str, object]:
         return {
@@ -301,9 +299,9 @@ class ConnChurn(FaultPolicy):
     def population_kwargs(self) -> dict:
         return {"conn_lifetime_requests": self.lifetime_requests}
 
-    def counters(self, population=None) -> Dict[str, float]:
+    def counters(self, population=None) -> Dict[str, int]:
         cycles = 0 if population is None else population.conn_cycles
-        return {"fault_conn_cycles": float(cycles)}
+        return {"conn_cycles": cycles}
 
     def params(self) -> Dict[str, object]:
         return {"lifetime_requests": self.lifetime_requests}
@@ -350,9 +348,9 @@ class RetryStorm(FaultPolicy):
             "max_retries": self.max_retries,
         }
 
-    def counters(self, population=None) -> Dict[str, float]:
+    def counters(self, population=None) -> Dict[str, int]:
         retried = 0 if population is None else population.retried
-        return {"fault_retried": float(retried)}
+        return {"retried": retried}
 
     def params(self) -> Dict[str, object]:
         return {

@@ -524,8 +524,12 @@ class MergeTask(TaskBase):
         # One loop over locals.  A record's key is computed once, when the
         # merge first looks at it as a head, and kept while it is a head
         # or pending: only this task pops its inputs, so it stays valid.
+        # The out channel fills only when the slice's emission runs, so
+        # the slice stops taking records once its output fills the
+        # headroom the channel had when it began.
         elapsed = 0.0
-        if self._done or not self._out.has_space():
+        headroom = self._out.capacity - len(self._out)
+        if self._done or headroom <= 0:
             return elapsed, []
         left, right, key = self._left, self._right, self._key
         lkey, rkey = self._left_key, self._right_key
@@ -572,8 +576,9 @@ class MergeTask(TaskBase):
             else:
                 merged.append(pending)
                 pending, pkey = element, ekey
+                headroom -= 1
             self.items_processed += 1
-            if budget_us is not None and elapsed >= budget_us:
+            if not headroom or (budget_us is not None and elapsed >= budget_us):
                 break
         self._left_key, self._right_key = lkey, rkey
         self._pending, self._pending_key = pending, pkey

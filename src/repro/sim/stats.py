@@ -283,25 +283,41 @@ class SloScoreboard:
 
 @dataclass
 class RunResult:
-    """One experiment data point (a single plotted marker in a figure).
+    """One experiment data point: a plotted marker of a figure, and the
+    measured sections of a scenario entry.
 
-    ``class_stats`` carries the per-service-class SLO outcome summary
-    (:func:`class_summary`) when the run had a scheduler — empty for
-    cost-model baselines.  ``admission_stats`` carries the
-    client-side per-class admission accounting (offered/admitted/shed)
-    when the run had an admission policy in front of it.
-    ``cluster_stats`` carries the shard router's fleet accounting
-    (routing policy, per-shard counters, failover totals) when the run
-    was sharded — empty for single-platform runs.
+    ``entry`` is built once, in the nested shape a
+    ``BENCH_scenarios.json`` entry stores, from the objects that hold
+    its numbers (client population or mapper job, schedulers, fault,
+    shard router); :func:`repro.bench.scenarios.run_scenario` adds only
+    the spec's echo.  ``backend_requests`` is the number of requests
+    the backend servers served, in no document.
     """
 
     system: str
     x: float  # the figure's x value (clients, cores, ...)
     throughput: float = 0.0  # in the figure's unit
     latency_ms: float = 0.0
-    extra: Dict[str, float] = field(default_factory=dict)
-    class_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    admission_stats: Dict[str, Dict[str, float]] = field(
-        default_factory=dict
-    )
-    cluster_stats: Dict[str, object] = field(default_factory=dict)
+    entry: Dict[str, object] = field(default_factory=dict)
+    backend_requests: int = 0
+
+    @property
+    def extra(self) -> Dict[str, float]:
+        """A flat, read-only view of ``entry`` for
+        ``benchmarks/hosttime/adapter.py`` alone, with exactly the keys
+        that file reads; everything else reads ``entry``."""
+        entry = self.entry
+        if "job" in entry:
+            return dict(entry["job"])
+        view = {
+            key: entry[key]
+            for key in (
+                "offered", "completed", "failed", "retried", "measured",
+                "errors",
+            )
+        }
+        view["p99_ms"] = entry["latency_ms"]["p99"]
+        if "admission" in entry:
+            view["admitted"] = entry["admission"]["admitted"]
+            view["shed"] = entry["admission"]["shed"]
+        return view

@@ -433,9 +433,6 @@ class ClosedLoopClients:
     def kreqs_per_sec(self) -> float:
         return self.meter.kreqs_per_sec()
 
-    def mean_latency_ms(self) -> float:
-        return self.latency.mean_ms()
-
 
 class _ClosedClient:
     """One closed-loop client: a request, its response, the next."""
@@ -772,9 +769,6 @@ class OpenLoopClients:
 
     def kreqs_per_sec(self) -> float:
         return self.meter.kreqs_per_sec()
-
-    def mean_latency_ms(self) -> float:
-        return self.latency.mean_ms()
 
 
 class _OpenConnection:

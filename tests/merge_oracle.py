@@ -108,6 +108,9 @@ class ReferenceMergeTask(TaskBase):
         elapsed = 0.0
         emissions: List[Callable[[], None]] = []
         out, wake = self._out, self.wake
+        # Records pushed into ``out`` only when the emissions run, so the
+        # slice stops once it has as many pushes as ``out`` had room for.
+        headroom = out.capacity - len(out)
         while self.has_work():
             self._drain_eos()
             element = self._take_next()
@@ -121,8 +124,11 @@ class ReferenceMergeTask(TaskBase):
                 else:
                     done = self._pending
                     emissions.append(_emit_push(out, wake, done))
+                    headroom -= 1
                     self._pending = element
                 self.items_processed += 1
+                if not headroom:
+                    break
             elif self._left.exhausted() and self._right.exhausted():
                 if self._pending is not None:
                     done = self._pending

@@ -185,7 +185,7 @@ class TestConservation:
             ("bronze", float(bronze_weight)),
         )
         result = open_loop_run(admission=name, class_mix=mix)
-        stats = result.admission_stats
+        stats = result.entry["admission"]["per_class"]
         assert set(stats) == {"gold", "bronze"}
         for per_class in stats.values():
             assert (
@@ -195,16 +195,15 @@ class TestConservation:
             # The run drains: every admitted request completes.
             assert per_class["completed"] == per_class["admitted"]
         assert sum(s["offered"] for s in stats.values()) == 96
-        assert sum(s["admitted"] for s in stats.values()) == result.extra[
-            "admitted"
-        ]
-        assert sum(s["shed"] for s in stats.values()) == result.extra["shed"]
+        admission = result.entry["admission"]
+        assert sum(s["admitted"] for s in stats.values()) == admission["admitted"]
+        assert sum(s["shed"] for s in stats.values()) == admission["shed"]
 
     def test_class_mix_is_weighted_round_robin_exact(self):
         result = open_loop_run(
             class_mix=(("gold", 1.0), ("bronze", 3.0)), total_requests=96
         )
-        stats = result.admission_stats
+        stats = result.entry["admission"]["per_class"]
         # Credit-based WRR, not sampling: proportions are exact.
         assert stats["gold"]["offered"] == 24
         assert stats["bronze"]["offered"] == 72
@@ -217,12 +216,12 @@ class TestConservation:
             cores=1,
             total_requests=128,
         )
-        shed = result.admission_stats["bronze"]["shed"]
+        shed = result.entry["admission"]["per_class"]["bronze"]["shed"]
         assert shed > 0
-        assert result.class_stats["bronze"]["shed"] == shed
+        assert result.entry["classes"]["bronze"]["shed"] == shed
         # Gold never shed (and the task side runs unclassified here), so
         # no gold entry materialises in the scoreboard summary.
-        assert result.class_stats.get("gold", {}).get("shed", 0) == 0
+        assert result.entry["classes"].get("gold", {}).get("shed", 0) == 0
 
 
 class TestValidation:
@@ -274,7 +273,7 @@ class TestOverloadSurvival:
 
     def test_admit_all_collapses_under_overload(self, runs):
         control, _ = runs
-        stats = control.admission_stats
+        stats = control.entry["admission"]["per_class"]
         assert stats["gold"]["shed"] == 0
         assert stats["bronze"]["shed"] == 0
         # Open loop + no shedding: the queue grows without bound and
@@ -283,12 +282,15 @@ class TestOverloadSurvival:
 
     def test_shed_bronze_bounds_gold_misses(self, runs):
         control, shed = runs
-        stats = shed.admission_stats
+        stats = shed.entry["admission"]["per_class"]
         assert stats["bronze"]["shed"] > 0
         assert stats["gold"]["shed"] == 0
         assert stats["gold"]["admitted"] == stats["gold"]["offered"]
         assert (
             stats["gold"]["slo_misses"]
-            < control.admission_stats["gold"]["slo_misses"]
+            < control.entry["admission"]["per_class"]["gold"]["slo_misses"]
         )
-        assert shed.extra["p99_ms"] < control.extra["p99_ms"]
+        assert (
+            shed.entry["latency_ms"]["p99"]
+            < control.entry["latency_ms"]["p99"]
+        )

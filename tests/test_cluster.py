@@ -229,13 +229,13 @@ def _fleet_run(**kw):
 class TestShardedRuns:
     def test_two_shards_complete_everything(self):
         result = _fleet_run()
-        cluster = result.cluster_stats
+        cluster = result.entry["cluster"]
         assert cluster["shards"] == 2
         assert cluster["alive_shards"] == 2
         assert cluster["connections_routed"] == 32
         assert cluster["failed_over_connections"] == 0
-        assert result.extra["completed"] == 2000
-        assert result.extra["failed"] == 0
+        assert result.entry["completed"] == 2000
+        assert result.entry["failed"] == 0
         # every shard took a ring segment's worth of connections
         routed = [
             cluster["per_shard"][f"shard{i}"]["routed_connections"]
@@ -244,14 +244,14 @@ class TestShardedRuns:
         assert all(n > 0 for n in routed)
         assert sum(routed) == 32
         # the fleet scoreboard aggregates per-class server-side stats
-        assert result.class_stats["default"]["completions"] > 0
+        assert result.entry["classes"]["default"]["completions"] > 0
 
     def test_sharded_runs_are_deterministic(self):
         assert _fleet_run() == _fleet_run()
 
     def test_least_loaded_routing_spreads_connections_evenly(self):
         result = _fleet_run(routing="least-loaded", shards=4)
-        per_shard = result.cluster_stats["per_shard"]
+        per_shard = result.entry["cluster"]["per_shard"]
         routed = [
             per_shard[f"shard{i}"]["routed_connections"] for i in range(4)
         ]
@@ -260,18 +260,18 @@ class TestShardedRuns:
 
     def test_mid_run_shard_failure_degrades_without_collapse(self):
         result = _fleet_run(total_requests=4000, fail_shard_at_us=50_000.0)
-        cluster = result.cluster_stats
+        cluster = result.entry["cluster"]
         assert cluster["alive_shards"] == 1
         assert cluster["failed_shards"] == [1]
         assert cluster["per_shard"]["shard1"]["alive"] is False
         assert cluster["per_shard"]["shard1"]["failed_at_us"] == 50_000.0
         assert cluster["failed_over_connections"] > 0
-        failed = result.extra["failed"]
-        completed = result.extra["completed"]
+        failed = result.entry["failed"]
+        completed = result.entry["completed"]
         # only the in-flight window of severed connections is lost;
         # everything offered afterwards lands on the survivor
         assert 0 < failed < 0.05 * 4000
-        assert completed + failed == result.extra["admitted"] == 4000
+        assert completed + failed == result.entry["admission"]["admitted"] == 4000
         # the survivor absorbed the re-homed flows and kept serving
         assert (
             cluster["per_shard"]["shard0"]["routed_connections"]
@@ -285,10 +285,10 @@ class TestShardedRuns:
             fail_shard_at_us=50_000.0,
             class_mix=(("gold", 1.0), ("bronze", 1.0)),
         )
-        per_class = result.admission_stats
+        per_class = result.entry["admission"]["per_class"]
         assert set(per_class) == {"gold", "bronze"}
         total_failed = sum(c["failed"] for c in per_class.values())
-        assert total_failed == result.extra["failed"] > 0
+        assert total_failed == result.entry["failed"] > 0
 
     def test_cluster_tier_rejects_bad_configs(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
@@ -338,13 +338,13 @@ class TestShardedRuns:
             arrival=make_arrival("poisson", rate_rps=20_000.0),
             total_requests=1000, slo_us=5000.0, shards=shards,
         )
-        assert result.extra["completed"] == 1000
+        assert result.entry["completed"] == 1000
         shard_hosts = [name for name in hosts if name.startswith("shard")]
         if shards == 1:
             assert routers == [] and shard_hosts == []
-            assert result.cluster_stats == {}
+            assert "cluster" not in result.entry
         else:
             assert len(routers) == 1
             assert shard_hosts == ["shard0", "shard1"]
-            assert result.cluster_stats["shards"] == 2
+            assert result.entry["cluster"]["shards"] == 2
         assert hosts.count("mbox") == 1

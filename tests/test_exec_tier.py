@@ -558,8 +558,7 @@ def _result_snap(result):
         result.x,
         result.throughput,
         result.latency_ms,
-        result.extra,
-        result.class_stats,
+        result.entry,
     )
 
 

@@ -24,7 +24,7 @@ class TestHttpHarness:
             "apache", 100, True, "lb", 8, requests_per_client=12
         )
         assert flick.throughput > apache.throughput
-        assert flick.extra["errors"] == 0
+        assert flick.entry["errors"] == 0
 
     def test_mtcp_beats_kernel_non_persistent(self):
         kernel = run_http_experiment(
@@ -68,7 +68,7 @@ class TestMemcachedHarness:
         result = run_memcached_experiment(
             "flick-kernel", 4, concurrency=24, requests_per_client=10
         )
-        assert result.extra["backend_requests"] == 24 * 10
+        assert result.backend_requests == 24 * 10
 
 
 class TestHadoopHarness:
@@ -84,7 +84,8 @@ class TestHadoopHarness:
 
     def test_reduction_reported(self):
         result = run_hadoop_experiment(4, word_len=8, data_kb_per_mapper=16)
-        assert result.extra["egress_bytes"] < result.extra["ingress_bytes"]
+        job = result.entry["job"]
+        assert job["egress_bytes"] < job["ingress_bytes"]
 
 
 class TestSchedulingHarness:

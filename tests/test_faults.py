@@ -75,18 +75,19 @@ def _fault_run(name, fault=None, **kwargs):
 class TestConservation:
     @pytest.mark.parametrize("name", registered_faults())
     def test_both_doors_balance_for_every_registered_fault(self, name):
-        extra = _fault_run(name).extra
-        assert extra["admitted"] + extra["shed"] == extra["offered"]
+        entry = _fault_run(name).entry
+        admission = entry["admission"]
+        assert admission["admitted"] + admission["shed"] == entry["offered"]
         assert (
-            extra["completed"] + extra["failed"] + extra["retried"]
-            == extra["admitted"]
+            entry["completed"] + entry["failed"] + entry["retried"]
+            == admission["admitted"]
         )
 
     @pytest.mark.parametrize("name", registered_faults())
-    def test_fault_counters_land_in_extra(self, name):
-        extra = _fault_run(name).extra
-        fault_keys = [k for k in extra if k.startswith("fault_")]
-        assert fault_keys, f"{name} reported no fault_* counters"
+    def test_fault_counters_land_in_the_faults_section(self, name):
+        section = _fault_run(name).entry["faults"]
+        assert section["name"] == name
+        assert section["counters"], f"{name} reported no counters"
 
 
 class TestDeterminism:
@@ -104,10 +105,10 @@ class TestDeterminism:
         fault = _fault(name)
         first = dataclasses.asdict(_fault_run(name, fault))
         second = dataclasses.asdict(_fault_run(name, fault))
-        fault_keys = [k for k in first["extra"] if k.startswith("fault_")]
-        assert [first["extra"][k] for k in fault_keys] == [
-            second["extra"][k] for k in fault_keys
-        ]
+        assert (
+            first["entry"]["faults"]["counters"]
+            == second["entry"]["faults"]["counters"]
+        )
         assert first == second
 
     def test_jobs_parallelism_is_byte_identical_under_faults(self):

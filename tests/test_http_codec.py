@@ -422,7 +422,7 @@ class TestRenderedOnce:
             before = next(calls)
             result = run_http_experiment(system, concurrency=4, mode=mode, cores=2,
                                          requests_per_client=requests)
-            assert result.extra["completed"] == 4 * requests
+            assert result.entry["completed"] == 4 * requests
             renders.append(next(calls) - before - 1)
         # Once per backend and baseline server: the same for 3x the load.
         assert renders[1] == renders[2] <= 11

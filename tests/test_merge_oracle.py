@@ -10,10 +10,9 @@ exception.  Both foldt pairs the platform runs are checked, the native
 key/combine and the FLICK-compiled ``build_foldt_handler`` pair, and a
 third whose combine changes the key.
 
-A known gap is pinned rather than fixed: a merge does not track the
-headroom of its out channel within a slice (``InputTask`` does), so one
-slice can emit more records than a small out channel holds, and
-``ChannelFull`` escapes ``engine.run()``.  Both forms do it alike.
+Both forms stop a slice once its output fills the headroom its out
+channel had when the slice began (``InputTask`` does the same), so a
+small out channel never raises ``ChannelFull`` out of ``engine.run()``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.hadoop_agg import _native_combine, _native_key, compile_hadoop
-from repro.core.errors import ChannelFull
 from repro.lang.compiler import build_foldt_handler
 from repro.lang.values import Record
 from repro.runtime.channel import EOS, TaskChannel
@@ -279,15 +277,23 @@ def test_scheduled_merge_matches_the_oracle(
     assert _scheduled(MergeTask, *args) == expected
 
 
-def test_a_slice_can_overrun_a_small_out_channel():
-    """The known gap, in both forms: four disjoint records a side and
-    an out channel of two — one run-to-completion slice emits more
-    than the channel holds."""
+def test_a_slice_stops_at_its_out_channel_headroom():
+    """Four disjoint records a side and an out channel of two: a
+    run-to-completion slice stops once its output fills the channel's
+    headroom, so nothing raises, by hand or under the scheduler, and
+    both forms emit every record as the reader makes room."""
     left = (list("aceg"), [4])
     right = (list("bdfh"), [4])
+    script = [("deliver", "l"), ("deliver", "r"), ("close", "l"),
+              ("close", "r"), ("step", None)]
     for task_cls in (ReferenceMergeTask, MergeTask):
+        trace = _drive(task_cls, _native_pair(), left, right, script, 2)
+        assert trace[:2] == [("step", 1.5, 1.5, 3), ("has_work", False)]
+        outs = [entry[1] for entry in trace if entry[0] == "out"]
+        assert [key for key, _ in outs[:-1]] == list("abcdefgh")
+        assert outs[-1] == "EOS" and trace[-1][0] == "end"
         seen, *_ = _scheduled(
             task_cls, _native_pair(), left, right, [1.0], "non_cooperative",
             50.0, 1, 2,
         )
-        assert seen[-1] == ("raised", ChannelFull.__name__)
+        assert not any(kind == "raised" for kind, _ in seen)

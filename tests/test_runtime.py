@@ -1003,8 +1003,8 @@ class TestConnectionRelease:
             return testbed
 
         assert cyclic_garbage(run) == Counter()
-        done = "egress_bytes" if spec.app == "hadoop_agg" else "completed"
-        assert results[0].extra[done] > 0
+        entry = results[0].entry
+        assert (entry["job"]["egress_bytes"] if "job" in entry else entry["completed"]) > 0
 
     def test_a_leg_connected_after_teardown_is_closed(self):
         """A request sent and closed in one tick: the graph finishes

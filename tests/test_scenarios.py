@@ -280,6 +280,10 @@ class TestRunner:
         entry = run_scenario(scenario, quick=True)
         assert entry["throughput_unit"] == "Mb/s"
         assert entry["throughput"] > 0
+        # A job measures its completion time and bytes, nothing per request.
+        assert entry["latency_ms"] > 0
+        assert 0 < entry["job"]["egress_bytes"] < entry["job"]["ingress_bytes"]
+        assert "offered" not in entry and "slo" not in entry
 
 
 #: Invalid values that only resolving them reveals (building the arrival
@@ -495,6 +499,22 @@ class TestBaselineComparison:
                                        now_thr=0.0, now_p99=5.0)
         assert results_io.compare_to_baseline(current, baseline) == []
 
+    def test_a_job_completion_time_rise_is_gated(self):
+        """A job entry's ``latency_ms`` is one number, its completion
+        time; the p99 gate reads it as it reads a request entry's p99."""
+
+        def doc(latency_ms):
+            return results_io.results_document(
+                {"job": {"throughput": 10.0, "latency_ms": latency_ms}},
+                quick=True,
+            )
+
+        baseline = doc(100.0)
+        (regression,) = results_io.compare_to_baseline(doc(120.0), baseline)
+        assert regression.metric == "p99_latency"
+        assert "rose 20.0%" in str(regression)
+        assert results_io.compare_to_baseline(doc(110.0), baseline) == []
+
     def test_committed_baseline_is_schema_valid(self):
         from pathlib import Path
 
@@ -508,17 +528,42 @@ class TestBaselineComparison:
         )
 
     def test_committed_rows_share_one_shape(self):
-        """The ``fields`` gate sees top-level keys only; a nested row
-        that lost a key (the sharded entries once had no ``retried``
-        class column) must fail here."""
+        """Every committed entry has its kind's keys (a closed-loop or
+        open-loop request entry, or a job entry), plus ``faults`` and
+        ``cluster`` exactly when its spec turns them on.  The
+        ``fields`` gate sees top-level keys only, so a nested row that
+        lost a key (the sharded entries once had no ``retried`` class
+        column) must fail here too."""
         from pathlib import Path
 
         root = Path(__file__).parent.parent
+        measured = {
+            "app", "arrival", "policy", "topology", "service_classes",
+            "cores", "throughput", "throughput_unit", "latency_ms",
+            "classes", "steals", "allocator",
+        }
+        request = {
+            "requests", "offered", "completed", "failed", "retried",
+            "measured", "errors", "slo",
+        }
         for path in (
             root / "BENCH_scenarios.json",
             root / "benchmarks" / "baseline_scenarios.json",
         ):
-            entries = results_io.load_results(path)["scenarios"].values()
+            document = results_io.load_results(path)["scenarios"]
+            for name, entry in document.items():
+                spec = scenarios._BY_NAME[name]
+                job = APPS[spec.app].clients is None
+                keys = measured | ({"job"} if job else request)
+                if not job and spec.arrival is not None:
+                    keys |= {"admission", "arrival_gaps_us"}
+                if spec.faults is not None:
+                    keys.add("faults")
+                if spec.shards > 1:
+                    keys.add("cluster")
+                assert set(entry) == keys, (path.name, name)
+                assert not (request & set(entry) if job else "job" in entry)
+            entries = document.values()
             rows = {
                 "classes": [
                     row for e in entries for row in e["classes"].values()
