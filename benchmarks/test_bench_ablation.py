@@ -1,4 +1,5 @@
-"""Ablations E11-E13: design choices DESIGN.md calls out.
+"""Ablations E11-E13: design choices the paper's sections 4-5 call out
+(docs/architecture.md describes the runtime they exercise).
 
 * E11 — cooperative timeslice sweep (section 5 gives 10-100 µs as the
   operating range): fairness for light tasks degrades as the quantum
@@ -12,6 +13,7 @@
 
 
 from benchmarks.conftest import print_series, run_once
+from repro.bench.figures import FIG7
 from repro.bench.scheduling import run_scheduling_experiment
 from repro.bench.testbeds import run_http_experiment, run_memcached_experiment
 
@@ -26,8 +28,7 @@ def test_e11_timeslice_sweep(benchmark):
     def sweep():
         return {
             ts: run_scheduling_experiment(
-                "cooperative", n_tasks=200, items_per_task=200, cores=16,
-                timeslice_us=ts,
+                "cooperative", timeslice_us=ts, **FIG7.size
             )
             for ts in (10.0, 50.0, 100.0, 100_000.0)
         }

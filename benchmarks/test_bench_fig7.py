@@ -1,60 +1,17 @@
-"""Figure 7 — completion time of light vs heavy tasks under three
-scheduling policies (section 6.4).
+"""Figure 7's workload beyond the paper's three policies (section 6.4).
 
-Paper: with 200 tasks (100 over 1 KB items, 100 over 16 KB items):
-
-* **cooperative** (FLICK): light tasks complete well before heavy ones
-  without increasing the overall runtime;
-* **round robin** (one item per schedule): light tasks are delayed by the
-  heavy tasks' long items and finish nearly with them;
-* **non-cooperative** (run to completion): completion is determined by
-  scheduling order, spreading light-task completions widely.
+The paper trio and its claims are the ``fig7`` row of
+:data:`repro.bench.figures.FIGURES` (``benchmarks/test_figures.py``);
+these tests run the same workload, at that row's full size, under the
+policies the paper could not test and check where they land.
 """
 
 import pytest
 
 from benchmarks.conftest import print_series, run_once
+from repro.bench.figures import FIG7
 from repro.bench.scheduling import SyntheticTask, run_scheduling_experiment
-from repro.runtime.policy import PAPER_POLICIES, registered_policies
-
-POLICIES = PAPER_POLICIES
-
-
-def _sweep():
-    return {
-        policy: run_scheduling_experiment(
-            policy, n_tasks=200, items_per_task=200, cores=16
-        )
-        for policy in POLICIES
-    }
-
-
-def test_fig7_scheduling_policies(benchmark):
-    results = run_once(benchmark, _sweep)
-    rows = [
-        f"{policy:16s} light={r.light_mean_ms:7.1f}ms "
-        f"heavy={r.heavy_mean_ms:7.1f}ms makespan={r.makespan_ms:7.1f}ms"
-        for policy, r in results.items()
-    ]
-    print_series("Figure 7 (virtual ms)", rows)
-
-    coop = results["cooperative"]
-    noncoop = results["non_cooperative"]
-    rr = results["round_robin"]
-
-    # Cooperative: light tasks finish far ahead of heavy ones...
-    assert coop.light_mean_ms < coop.heavy_mean_ms / 4
-    # ...without increasing total runtime relative to the alternatives.
-    assert coop.makespan_ms <= 1.1 * min(noncoop.makespan_ms, rr.makespan_ms)
-
-    # Round robin: heavy items hog workers, light tasks finish nearly
-    # with the heavy ones.
-    assert rr.light_mean_ms > 0.8 * rr.heavy_mean_ms
-    assert rr.light_mean_ms > 5 * coop.light_mean_ms
-
-    # Non-cooperative: order-determined completion — light tasks do
-    # better than round robin but far worse than cooperative.
-    assert coop.light_mean_ms < noncoop.light_mean_ms < rr.light_mean_ms
+from repro.runtime.policy import registered_policies
 
 
 def test_fig7_timeslice_matters(benchmark):
@@ -78,14 +35,9 @@ def test_fig7_timeslice_matters(benchmark):
 @pytest.mark.parametrize("policy", registered_policies())
 def test_fig7_any_registered_policy(benchmark, policy):
     """Every policy in the registry runs the Figure-7 workload
-    end-to-end: all 200 tasks complete and the class means are sane."""
+    end-to-end: every task completes and the class means are sane."""
     result = run_once(
-        benchmark,
-        run_scheduling_experiment,
-        policy,
-        n_tasks=200,
-        items_per_task=200,
-        cores=16,
+        benchmark, run_scheduling_experiment, policy, **FIG7.size
     )
     assert result.policy == policy
     assert 0 < result.light_mean_ms <= result.makespan_ms
@@ -101,9 +53,7 @@ def test_fig7_new_policies_extend_the_figure(benchmark):
 
     def sweep():
         return {
-            policy: run_scheduling_experiment(
-                policy, n_tasks=200, items_per_task=200, cores=16
-            )
+            policy: run_scheduling_experiment(policy, **FIG7.size)
             for policy in ("cooperative", "round_robin", "priority", "batch")
         }
 
@@ -124,9 +74,7 @@ def test_fig7_roadmap_policies_rows(benchmark):
 
     def sweep():
         return {
-            policy: run_scheduling_experiment(
-                policy, n_tasks=200, items_per_task=200, cores=16
-            )
+            policy: run_scheduling_experiment(policy, **FIG7.size)
             for policy in (
                 "cooperative",
                 "round_robin",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.baselines.base import BaselineHttpServer
 
-#: Calibrated parameters (µs); see DESIGN.md §3 and EXPERIMENTS.md.
+#: Calibrated parameters (µs); fitted to §6's peaks, see docs/reproduction.md.
 REQUEST_US = 80.0
 CONN_SETUP_US = 180.0
 LB_EXTRA_US = 110.0

@@ -3,7 +3,7 @@
 The paper compares FLICK against Apache, Nginx and Moxi — large C
 programs we cannot run inside the simulator.  Each baseline is therefore
 an explicit queueing/cost model of its concurrency architecture (see
-DESIGN.md §3): a :class:`CorePool` of k FCFS cores serves requests whose
+docs/reproduction.md): a :class:`CorePool` of k FCFS cores serves requests whose
 service time is the model's calibrated per-request CPU cost plus
 architecture-specific overheads (thread context switching for Apache,
 lock contention for Moxi, ...).

@@ -20,7 +20,7 @@ from repro.net.simnet import Host
 from repro.net.tcp import TcpNetwork, TcpSocket
 from repro.sim.engine import Engine
 
-#: Calibrated parameters (µs); see DESIGN.md §3 and EXPERIMENTS.md.
+#: Calibrated parameters (µs); fitted to §6's peaks, see docs/reproduction.md.
 REQUEST_US = 44.0
 CONN_SETUP_US = 120.0
 CONTENTION_US_PER_CORE = 15.0

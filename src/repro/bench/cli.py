@@ -8,6 +8,7 @@ Usage::
     python -m repro.bench fig5        # Memcached proxy vs cores
     python -m repro.bench fig6        # Hadoop aggregator vs cores
     python -m repro.bench fig7        # scheduling policies
+    python -m repro.bench claims      # every figure's claims -> docs/reproduction.md
     python -m repro.bench fig7 --policy all    # sweep every registered policy
     python -m repro.bench fig7 --policy all --topology four-socket
     python -m repro.bench fig7 --policy deadline \\
@@ -26,6 +27,9 @@ Usage::
         --baseline benchmarks/baseline_scenarios.json   # CI perf gate
     python -m repro.bench all --quick # everything, reduced sizes
 
+The figures and ``claims`` (exit 1 on a failed claim) iterate one table,
+:data:`repro.bench.figures.FIGURES`.
+
 ``scenarios`` crosses apps with open-loop arrival processes
 (:mod:`repro.workloads.arrivals`: poisson, bursty MMPP, ramp, replay),
 scheduling policies, topologies and service classes
@@ -43,147 +47,48 @@ import sys
 from typing import List
 
 from repro.core.errors import ConfigError, RuntimeFlickError
+from repro.bench import figures
 from repro.bench import results as results_io
-from repro.bench.report import (
-    format_policy_table,
-    format_scenario_listing,
-    format_scenario_table,
-    format_series_chart,
-    format_service_class_table,
-    results_to_series,
-    summarize,
-)
+from repro.bench.report import format_scenario_listing, format_scenario_table
 from repro.bench.scenarios import (
     resolve_scenario_selection,
     run_scenario_matrix,
 )
-from repro.bench.scheduling import (
-    ENDPOINTS,
-    resolve_policy_selection,
-    run_policy_sweep,
-)
-from repro.bench.testbeds import (
-    AXES,
-    run_hadoop_experiment,
-    run_http_experiment,
-    run_memcached_experiment,
-)
+from repro.bench.scheduling import ENDPOINTS, resolve_policy_selection
+from repro.bench.testbeds import AXES
 from repro.net.stackprofiles import TOPOLOGIES
 from repro.runtime.qos import parse_slo_class_specs
 
 
-def _e1(args) -> None:
-    quick = args.quick
-    reqs = 20 if quick else 40
-    print("== E1: §6.3 static web server (16 cores) ==")
-    results = {}
-    for persistent in (True, False):
-        label = "persistent" if persistent else "non-persistent"
-        results[label] = {
-            system: [
-                run_http_experiment(
-                    system, 400, persistent=persistent, mode="web",
-                    cores=16, requests_per_client=reqs if persistent else 6,
-                )
-            ]
-            for system in ("flick-kernel", "flick-mtcp", "apache", "nginx")
-        }
-        print(f"\n-- {label} --")
-        print(summarize(results[label]))
+def _figure(target):
+    """Print every :data:`~repro.bench.figures.FIGURES` row of
+    ``target``; ``--policy`` / ``--topology`` / ``--slo-class`` reshape
+    the scheduling row (fig7)."""
+
+    def view(args) -> None:
+        texts = []
+        for figure in figures.FIGURES.values():
+            if figure.target == target:
+                policies, sweep = None, {}
+                if figure.point is None:  # the scheduling row
+                    policies = resolve_policy_selection(args.policy)
+                    sweep = {"topology": args.topology, "service_classes": _service_classes(args)}
+                points = figure.run(args.quick, policies, **sweep)
+                texts.append(figure.text(points, args.quick, **sweep))
+        print("\n\n".join(texts))
+
+    return view
 
 
-def _fig4(args) -> None:
-    quick = args.quick
-    counts = (100, 400) if quick else (100, 200, 400, 800, 1600)
-    print("== Figure 4: HTTP load balancer ==")
-    for persistent in (True, False):
-        label = "persistent" if persistent else "non-persistent"
-        results = {
-            system: [
-                run_http_experiment(
-                    system, n, persistent=persistent, mode="lb", cores=16,
-                    requests_per_client=20 if persistent else 5,
-                )
-                for n in counts
-            ]
-            for system in ("flick-kernel", "flick-mtcp", "apache", "nginx")
-        }
-        print(f"\n-- {label} (clients: {counts}) --")
-        print(summarize(results))
-        print()
-        print(format_series_chart(
-            results_to_series(results), counts, unit="k"
-        ))
-
-
-def _fig5(args) -> None:
-    quick = args.quick
-    cores = (2, 8) if quick else (1, 2, 4, 8, 16)
-    print(f"== Figure 5: Memcached proxy (cores: {cores}) ==")
-    results = {
-        system: [
-            run_memcached_experiment(
-                system, c, concurrency=64 if quick else 128,
-                requests_per_client=20 if quick else 40,
-            )
-            for c in cores
-        ]
-        for system in ("flick-kernel", "flick-mtcp", "moxi")
-    }
-    print(summarize(results))
-    print()
-    print(format_series_chart(results_to_series(results), cores, unit="k"))
-
-
-def _fig6(args) -> None:
-    quick = args.quick
-    cores = (2, 8) if quick else (1, 2, 4, 8, 16)
-    lengths = (8,) if quick else (8, 12, 16)
-    print(f"== Figure 6: Hadoop aggregator (cores: {cores}) ==")
-    results = {
-        f"WC {wl} char": [
-            run_hadoop_experiment(
-                c, word_len=wl, data_kb_per_mapper=32 if quick else 64,
-            )
-            for c in cores
-        ]
-        for wl in lengths
-    }
-    print(summarize(results))
-    print()
-    print(format_series_chart(results_to_series(results), cores, unit="Mb/s"))
-
-
-def _fig7(args) -> None:
-    quick = args.quick
-    n = 80 if quick else 200
-    items = 100 if quick else 200
-    names = resolve_policy_selection(args.policy)
-    topology = args.topology
-    service_classes = _service_classes(args)
-    suffix = f", topology: {topology}" if topology else ""
-    if service_classes:
-        tiers = ", ".join(
-            f"{endpoint}={cls.name}:{cls.slo_us:g}us@{cls.weight:g}"
-            for endpoint, cls in service_classes
-        )
-        suffix += f", classes: {tiers}"
-    print(
-        f"== Figure 7: scheduling policies ({n} tasks, "
-        f"policies: {', '.join(names)}{suffix}) =="
-    )
-    results = run_policy_sweep(
-        names,
-        n_tasks=n,
-        items_per_task=items,
-        topology=topology,
-        service_classes=service_classes,
-    )
-    print(format_policy_table(results))
-    if service_classes:
-        print()
-        print("-- per-service-class SLO outcomes --")
-        print(format_service_class_table(results))
+def _claims(args) -> int:
+    """Evaluate every figure's claims; exit 1 naming each that fails."""
+    rows = list(figures.claim_rows(figures.FIGURES, args.quick))
+    print(figures.claims_document(rows, figures.FIGURES, args.quick))
+    failed = [row for row in rows if not row[1].holds(row[2])]
+    for name, claim, ours in failed:
+        message = f"FAILED CLAIM {name}: {claim.name}: ours {ours:g}, needs {claim.bound()}"
+        print(message, file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _service_classes(args):
@@ -283,11 +188,8 @@ def _scenarios(args) -> int:
 
 
 _TARGETS = {
-    "e1": _e1,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
+    **{figure.target: _figure(figure.target) for figure in figures.FIGURES.values()},
+    "claims": _claims,
     "scenarios": _scenarios,
 }
 
@@ -366,9 +268,8 @@ def main(argv: List[str] = None) -> int:
         default=1,
         metavar="N",
         help="scenarios only: run the selected scenarios in N worker "
-        "processes. Output is byte-identical to --jobs 1 (every "
-        "scenario scopes its task ids and seeds); only wall-clock time "
-        "changes.",
+        "processes. Output is byte-identical to --jobs 1 (a run is a "
+        "pure function of its spec); only wall-clock time changes.",
     )
     parser.add_argument(
         "--shards",

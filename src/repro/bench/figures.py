@@ -1,0 +1,375 @@
+"""The paper's §6 figures, declared once.
+
+One :class:`Figure` row per experiment: its series and x-axis, the
+:class:`~repro.bench.testbeds.Scenario` of every point at full size, a
+``quick`` size that keeps every x-point and shrinks each point, and its
+claims as data.  Three views iterate :data:`FIGURES` and nothing else:
+``python -m repro.bench e1|fig4|fig5|fig6|fig7 [--quick]``, the figure
+test (``benchmarks/test_figures.py``: each quick sweep against its
+golden, every claim on the same points) and ``python -m repro.bench
+claims [--quick]``, whose full-size output is ``docs/reproduction.md``.
+"""
+
+from __future__ import annotations
+
+import operator
+from functools import partial
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
+
+from repro.bench import report
+from repro.bench.scheduling import run_policy_sweep
+from repro.bench.testbeds import Scenario, run_experiment
+from repro.runtime.policy import PAPER_POLICIES
+
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+class Claim(NamedTuple):
+    """One sentence of §6 as a check on a figure's points:
+    ``ours(points) op threshold``, where ``≈`` reads ``|ours - paper| <=
+    threshold * paper`` (the paper's number within a relative
+    tolerance)."""
+
+    name: str
+    ours: Callable[[dict], float]
+    op: str
+    threshold: float
+    #: The number §6 quotes, where it quotes one.
+    paper: Optional[float] = None
+
+    def holds(self, ours: float) -> bool:
+        if self.op == "≈":
+            return abs(ours - self.paper) <= self.threshold * self.paper
+        return _OPS[self.op](ours, self.threshold)
+
+    def margin(self, ours: float) -> float:
+        """How far ``ours`` may move, relative to the threshold, before
+        the claim fails (negative: it has failed)."""
+        if self.op == "≈":
+            return self.threshold - abs(ours / self.paper - 1)
+        return (ours / self.threshold - 1) * (1 if self.op[0] == ">" else -1)
+
+    def bound(self) -> str:
+        if self.op == "≈":
+            return f"{self.paper:g} ±{self.threshold:.0%}"
+        return f"{self.op} {self.threshold:g}"
+
+
+class Figure(NamedTuple):
+    """One §6 experiment: what it sweeps, at which sizes, and what it
+    claims."""
+
+    #: The ``python -m repro.bench`` target that prints this row.
+    target: str
+    title: str
+    series: Tuple
+    xs: Tuple
+    #: ``(series, x, size) -> Scenario``; ``None`` for the scheduling
+    #: row, which is :func:`run_policy_sweep` over ``series``.
+    point: Optional[Callable]
+    #: Per-point size at full scale, and the same keys at ``--quick``.
+    size: Dict[str, int]
+    quick: Dict[str, int]
+    #: ``(figure, points, size, **sweep) -> str``.
+    render: Callable
+    claims: Tuple[Claim, ...]
+    #: The x-axis name and throughput unit of a chart.
+    axis: str = ""
+    unit: str = ""
+    #: A series' key in the points and its name in tables and charts.
+    label: str = "{}"
+    #: Known deviations from the paper, for ``docs/reproduction.md``.
+    notes: Tuple[str, ...] = ()
+
+    def run(self, quick: bool = False, policies=None, **sweep) -> dict:
+        """series -> results in ``xs`` order, or policy -> result (the scheduling row:
+        ``policies`` replaces the row's; ``sweep`` is the topology and classes)."""
+        size = self.quick if quick else self.size
+        if self.point is None:
+            return run_policy_sweep(policies or self.series, **sweep, **size)
+        return {
+            self.label.format(s): [run_experiment(self.point(s, x, size)) for x in self.xs]
+            for s in self.series
+        }
+
+    def text(self, points: dict, quick: bool = False, **sweep) -> str:
+        """The sweep as ``python -m repro.bench`` prints it."""
+        return self.render(self, points, self.quick if quick else self.size, **sweep)
+
+
+def _web(system, connections, size):
+    """§6.3's static web server: 400 clients, 16 cores."""
+    return Scenario(
+        app="http_lb", system=system, mode="web", cores=16, concurrency=400,
+        persistent=connections == "persistent",
+        requests_per_client=size[connections], total_requests=None,
+    )
+
+
+def _lb(system, clients, size, persistent):
+    return Scenario(
+        app="http_lb", system=system, cores=16, concurrency=clients,
+        persistent=persistent, total_requests=None, **size,
+    )
+
+
+def _memcached(system, cores, size):
+    return Scenario(app="memcached_proxy", system=system, cores=cores, total_requests=None, **size)
+
+
+def _hadoop(word_len, cores, size):
+    return Scenario(app="hadoop_agg", cores=cores, word_len=word_len, **size)
+
+
+def _panels(figure, points, size):
+    """One table per x-point."""
+    lines = [f"== {figure.title} =="]
+    for index, x in enumerate(figure.xs):
+        lines += ["", f"-- {x} --", report.summarize(
+            {label: [pts[index]] for label, pts in points.items()}
+        )]
+    return "\n".join(lines)
+
+
+def _chart(figure, points, size):
+    bars = {label: [p.throughput for p in pts] for label, pts in points.items()}
+    return "\n".join([
+        f"== {figure.title} ({figure.axis}: {figure.xs}) ==",
+        report.summarize(points),
+        "",
+        report.format_series_chart(bars, figure.xs, unit=figure.unit),
+    ])
+
+
+def _policies(figure, results, size, topology=None, service_classes=None):
+    """The per-policy table, and per-class SLO outcomes when service
+    classes bind the workload's endpoints to tiers."""
+    suffix = f", topology: {topology}" if topology else ""
+    if service_classes:
+        suffix += ", classes: " + ", ".join(
+            f"{endpoint}={cls.name}:{cls.slo_us:g}us@{cls.weight:g}"
+            for endpoint, cls in service_classes
+        )
+    lines = [
+        f"== {figure.title} ({size['n_tasks']} tasks, "
+        f"policies: {', '.join(results)}{suffix}) ==",
+        report.format_policy_table(results),
+    ]
+    if service_classes:
+        lines += [
+            "", "-- per-service-class SLO outcomes --",
+            report.format_service_class_table(results),
+        ]
+    return "\n".join(lines)
+
+
+HTTP_SYSTEMS = ("flick-kernel", "flick-mtcp", "apache", "nginx")
+CORES = (1, 2, 4, 8, 16)
+
+
+def _peak(points, system):
+    return max(point.throughput for point in points[system])
+
+
+def _last(points, system):
+    """Latency at the sweep's highest x."""
+    return points[system][-1].latency_ms
+
+
+def _at(points, series, cores, field="throughput"):
+    return getattr(points[series][CORES.index(cores)], field)
+
+
+def _rising(values):
+    """The smallest step ratio: > 1 means strictly rising."""
+    return min(b / a for a, b in zip(values, values[1:]))
+
+
+def _reduction(points):
+    """Egress over ingress bytes of the 8-core, 8-char-word job."""
+    job = points["WC 8 char"][CORES.index(8)].entry["job"]
+    return job["egress_bytes"] / job["ingress_bytes"]
+
+
+#: §6.3's in-text numbers (kreq/s) and the tolerance each is held to.
+_E1_PAPER = {
+    "persistent": (0.25, {"flick-kernel": 306, "flick-mtcp": 380, "apache": 159, "nginx": 217}),
+    "non-persistent": (0.30, {"flick-kernel": 45, "flick-mtcp": 193, "apache": 35, "nginx": 44}),
+}
+
+E1 = Figure(
+    "e1", "E1: §6.3 static web server (16 cores)", HTTP_SYSTEMS,
+    tuple(_E1_PAPER), _web,
+    size={"persistent": 40, "non-persistent": 8},
+    quick={"persistent": 20, "non-persistent": 6},
+    render=_panels,
+    claims=(
+        *(
+            Claim(f"{connections} {system} (kreq/s)",
+                  lambda p, i=index, s=system: p[s][i].throughput, "≈", tolerance, paper)
+            for index, (connections, (tolerance, papers)) in enumerate(_E1_PAPER.items())
+            for system, paper in papers.items()
+        ),
+        Claim("persistent: mTCP-FLICK > kernel-FLICK > Nginx > Apache", lambda p: _rising(
+            [p[s][0].throughput for s in ("apache", "nginx", "flick-kernel", "flick-mtcp")]
+        ), ">", 1),
+    ),
+)
+
+FIG4AB = Figure(
+    "fig4", "Figure 4a/4b: HTTP load balancer, persistent connections", HTTP_SYSTEMS,
+    (100, 200, 400, 800, 1600), partial(_lb, persistent=True),
+    size={"requests_per_client": 30}, quick={"requests_per_client": 10},
+    render=_chart, axis="clients", unit="k",
+    claims=(
+        Claim("peak: kernel-FLICK > Nginx > Apache", lambda p: _rising(
+            [_peak(p, s) for s in ("apache", "nginx", "flick-kernel")]), ">", 1),
+        Claim("peak: mTCP-FLICK / kernel-FLICK",
+              lambda p: _peak(p, "flick-mtcp") / _peak(p, "flick-kernel"), ">", 1),
+        Claim("peak: kernel-FLICK / Apache",
+              lambda p: _peak(p, "flick-kernel") / _peak(p, "apache"), ">", 1.7, 2.2),
+        Claim("peak: kernel-FLICK / Nginx",
+              lambda p: _peak(p, "flick-kernel") / _peak(p, "nginx"), ">", 1.15, 1.4),
+        Claim("latency at 1600 clients: mTCP-FLICK / best baseline", lambda p: _last(
+            p, "flick-mtcp") / min(_last(p, "apache"), _last(p, "nginx")), "<=", 1),
+        Claim("latency at 1600 clients: kernel-FLICK / Apache",
+              lambda p: _last(p, "flick-kernel") / _last(p, "apache"), "<=", 1),
+    ),
+)
+
+FIG4CD = FIG4AB._replace(
+    title="Figure 4c/4d: HTTP load balancer, non-persistent connections",
+    point=partial(_lb, persistent=False),
+    size={"requests_per_client": 6}, quick={"requests_per_client": 3},
+    claims=(
+        # Kernel FLICK pays per-connection backend setup; the baselines pool theirs.
+        Claim("peak: kernel-FLICK / Nginx",
+              lambda p: _peak(p, "flick-kernel") / _peak(p, "nginx"), "<", 1),
+        Claim("peak: mTCP-FLICK / Nginx",
+              lambda p: _peak(p, "flick-mtcp") / _peak(p, "nginx"), ">", 2.0, 2.5),
+        Claim("peak: mTCP-FLICK / Apache",
+              lambda p: _peak(p, "flick-mtcp") / _peak(p, "apache"), ">", 2.0),
+        Claim("latency at 1600 clients: mTCP-FLICK / best other", lambda p: _last(
+            p, "flick-mtcp") / min(_last(p, s) for s in ("flick-kernel", "apache", "nginx")),
+            "<=", 1),
+    ),
+)
+
+FIG5 = Figure(
+    "fig5", "Figure 5: Memcached proxy", ("flick-kernel", "flick-mtcp", "moxi"), CORES,
+    _memcached,
+    size={"concurrency": 128, "requests_per_client": 40},
+    quick={"concurrency": 64, "requests_per_client": 20},
+    render=_chart, axis="cores", unit="k",
+    claims=(
+        Claim("mTCP-FLICK: 16 / 8 cores",
+              lambda p: _at(p, "flick-mtcp", 16) / _at(p, "flick-mtcp", 8), ">", 1),
+        Claim("16 cores: mTCP-FLICK / kernel-FLICK",
+              lambda p: _at(p, "flick-mtcp", 16) / _at(p, "flick-kernel", 16), ">", 1),
+        Claim("mTCP-FLICK at 16 cores (kreq/s)",
+              lambda p: _at(p, "flick-mtcp", 16), "≈", 0.25, 198),
+        Claim("Moxi peaks at 4 cores: 4 cores / best other", lambda p: _at(p, "moxi", 4)
+              / max(_at(p, "moxi", c) for c in CORES if c != 4), ">", 1),
+        Claim("Moxi at 4 cores (kreq/s)", lambda p: _at(p, "moxi", 4), "≈", 0.25, 82),
+        Claim("Moxi: 16 / 4 cores", lambda p: _at(p, "moxi", 16) / _at(p, "moxi", 4), "<", 1),
+        Claim("8 cores: kernel-FLICK / Moxi",
+              lambda p: _at(p, "flick-kernel", 8) / _at(p, "moxi", 8), ">", 1),
+        Claim("mTCP-FLICK latency: 16 / 1 cores", lambda p: _at(
+            p, "flick-mtcp", 16, "latency_ms") / _at(p, "flick-mtcp", 1, "latency_ms"), "<", 1),
+        Claim("Moxi latency: 16 / 4 cores", lambda p: _at(
+            p, "moxi", 16, "latency_ms") / _at(p, "moxi", 4, "latency_ms"), ">", 1),
+        Claim("latency at 16 cores: mTCP-FLICK / Moxi", lambda p: _at(
+            p, "flick-mtcp", 16, "latency_ms") / _at(p, "moxi", 16, "latency_ms"), "<", 1),
+    ),
+    notes=(
+        "Kernel FLICK keeps gaining past 8 cores, where the paper's peaks near 126k at 8 "
+        "cores: the kernel stack's contention is one uniform per-operation cost "
+        "(`repro.net.stackprofiles`), not shared connection tables that saturate.",
+    ),
+)
+
+FIG6 = Figure(
+    "fig6", "Figure 6: Hadoop aggregator", (8, 12, 16), CORES, _hadoop,
+    size={"data_kb_per_mapper": 64}, quick={"data_kb_per_mapper": 32},
+    render=_chart, axis="cores", unit="Mb/s", label="WC {} char",
+    claims=(
+        Claim("1 → 8 cores strictly rising, every word length", lambda p: min(
+            _rising([_at(p, wl, c) for c in CORES[:4]]) for wl in p), ">", 1),
+        Claim("8 → 16 cores gain, worst word length", lambda p: max(
+            _at(p, wl, 16) / _at(p, wl, 8) for wl in p), "<=", 1.25),
+        Claim("1 → 16 cores speedup, worst word length", lambda p: min(
+            _at(p, wl, 16) / _at(p, wl, 1) for wl in p), ">", 1.8, 3.7),
+        Claim("1 core: 16- > 12- > 8-char words",
+              lambda p: _rising([_at(p, wl, 1) for wl in p]), ">", 1),
+        Claim("8 cores, 8-char words: egress / ingress bytes", _reduction, "<", 0.5),
+    ),
+    notes=(
+        "Links are scaled by `HADOOP_LINK_SCALE` (0.012, `repro.bench.testbeds`), the "
+        "factor by which generated Python handlers out-cost the paper's C++, to keep the "
+        "compute/network balance: the plateau is ~20 Mb/s, not ~7,513 Mb/s.",
+    ),
+)
+
+FIG7 = Figure(
+    "fig7", "Figure 7: scheduling policies", PAPER_POLICIES, (), None,
+    size={"n_tasks": 200, "items_per_task": 200},
+    quick={"n_tasks": 80, "items_per_task": 100},
+    render=_policies,
+    claims=(
+        Claim("cooperative: light / heavy mean completion", lambda p: p[
+            "cooperative"].light_mean_ms / p["cooperative"].heavy_mean_ms, "<", 0.25),
+        Claim("cooperative makespan / best other", lambda p: p["cooperative"].makespan_ms
+              / min(p["non_cooperative"].makespan_ms, p["round_robin"].makespan_ms),
+              "<=", 1.1),
+        Claim("round robin: light / heavy mean completion", lambda p: p[
+            "round_robin"].light_mean_ms / p["round_robin"].heavy_mean_ms, ">", 0.8),
+        Claim("light mean: round robin / cooperative", lambda p: p[
+            "round_robin"].light_mean_ms / p["cooperative"].light_mean_ms, ">", 5),
+        Claim("light mean: cooperative < non-cooperative < round robin", lambda p: _rising([
+            p[policy].light_mean_ms for policy in ("cooperative", "non_cooperative", "round_robin")
+        ]), ">", 1),
+    ),
+)
+
+#: Every §6 figure, in the order the views print them.
+FIGURES: Dict[str, Figure] = {
+    "e1": E1, "fig4ab": FIG4AB, "fig4cd": FIG4CD, "fig5": FIG5, "fig6": FIG6, "fig7": FIG7,
+}
+
+_PREFACE = """\
+# Reproduction: the paper's §6 claims, measured
+
+Generated by `PYTHONPATH=src python -m repro.bench claims{quick}` from `src/repro/bench/figures.py`
+(CI `cmp`s the full-size output against this file; tier-1 checks the claims at `--quick` size).
+Apache, Nginx, Moxi (`repro.baselines`) and the kernel and mTCP stacks (`repro.net.stackprofiles`)
+are cost models calibrated so that single-system peaks land near the paper's numbers on a
+16-core middlebox. *margin*: how far *ours* may move, relative to the threshold, and still hold.
+"""
+
+
+def claim_rows(figures, quick: bool = False):
+    """``(figure name, claim, ours)`` for every claim, running each
+    figure's sweep once."""
+    for name, figure in figures.items():
+        points = figure.run(quick)
+        for claim in figure.claims:
+            yield name, claim, claim.ours(points)
+
+
+def claims_document(rows, figures, quick: bool = False) -> str:
+    """``docs/reproduction.md``: the preface, one table row per
+    :func:`claim_rows` row, then the figures' known deviations."""
+    lines = [
+        _PREFACE.format(quick=" --quick" if quick else ""),
+        "| figure | claim | paper | ours | threshold | margin |",
+        "| --- | --- | --- | --- | --- | --- |",
+    ]
+    for name, claim, ours in rows:
+        paper = "" if claim.paper is None else f"{claim.paper:g}"
+        lines.append(
+            f"| {name} | {claim.name} | {paper} | {ours:.4g} | "
+            f"{claim.bound()} | {claim.margin(ours):+.1%} |"
+        )
+    lines += ["", "## Known deviations", ""]
+    lines += [f"- **{name}.** {note}" for name, f in figures.items() for note in f.notes]
+    return "\n".join(lines)

@@ -229,16 +229,6 @@ def format_scenario_listing(scenarios) -> str:
     )
 
 
-def results_to_series(
-    results: Dict[str, List[RunResult]], field: str = "throughput"
-) -> Dict[str, List[float]]:
-    """Extract one metric from per-system result lists."""
-    return {
-        system: [getattr(point, field) for point in points]
-        for system, points in results.items()
-    }
-
-
 def summarize(results: Dict[str, List[RunResult]]) -> str:
     """A compact table of throughput and latency per system/x."""
     rows = []

@@ -70,8 +70,9 @@ FLICK_SYSTEMS = ("flick-kernel", "flick-mtcp")
 
 #: Link scaling for the Hadoop testbed: interpreted per-pair compute costs
 #: are far above the paper's generated C++, so links are scaled by the
-#: matching factor to preserve the compute/network balance (DESIGN.md §3).  The
-#: plateau is then ~20 Mbps (pipeline-bound) instead of the paper's ~7,513 Mbps.
+#: matching factor to preserve the compute/network balance.  The plateau
+#: is then ~20 Mbps (pipeline-bound) instead of the paper's ~7,513 Mbps
+#: (docs/reproduction.md, known deviations).
 HADOOP_LINK_SCALE = 0.012
 
 Params = Tuple[Tuple[str, object], ...]

@@ -16,8 +16,8 @@ The paper's relative results follow from the cost structure:
   Memcached proxy's kernel scaling in Figure 5.
 
 The absolute numbers are calibrated so single-system peaks land near the
-paper's reported values on a simulated 16-core middlebox; EXPERIMENTS.md
-records paper-vs-measured for every figure.
+paper's reported values on a simulated 16-core middlebox;
+docs/reproduction.md records paper-vs-measured for every figure.
 """
 
 from __future__ import annotations

@@ -7,11 +7,14 @@ text a user actually sees.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.bench import figures
 from repro.bench import results as results_io
 from repro.bench.cli import main
+from repro.bench.figures import Claim
 
 
 class TestUnknownSubcommand:
@@ -142,8 +145,6 @@ class TestAllocatorAdmissionFlags:
         """The documented override path: the pinned shed scenario under
         an explicit --admission override matching its pinned policy
         must compare clean against the committed baseline."""
-        from pathlib import Path
-
         baseline = (
             Path(__file__).parent.parent
             / "benchmarks" / "baseline_scenarios.json"
@@ -189,8 +190,6 @@ class TestBaselineFlag:
     ):
         """--scenario + --baseline must not read the unselected matrix
         entries as vanished coverage."""
-        from pathlib import Path
-
         baseline = (
             Path(__file__).parent.parent
             / "benchmarks" / "baseline_scenarios.json"
@@ -289,3 +288,25 @@ class TestClusterFlags:
         entry = document["scenarios"]["http-open-poisson"]
         assert entry["cluster"]["shards"] == 2
         assert entry["cluster"]["routing"] == "least-loaded"
+
+
+GOLDEN = Path(__file__).parent.parent / "benchmarks" / "golden"
+
+
+class TestFigureTargets:
+    def test_fig7_quick_prints_its_golden(self, capsys):
+        assert main(["fig7", "--quick"]) == 0
+        expected = (GOLDEN / "fig7_quick.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+    def test_claims_exits_1_and_names_a_failed_claim(self, monkeypatch, capsys):
+        impossible = Claim(
+            "cooperative makespan under 1 µs",
+            lambda points: points["cooperative"].makespan_ms, "<", 0.001,
+        )
+        fig7 = figures.FIG7._replace(claims=(impossible,))
+        monkeypatch.setattr(figures, "FIGURES", {"fig7": fig7})
+        assert main(["claims", "--quick"]) == 1
+        captured = capsys.readouterr()
+        assert "| fig7 | cooperative makespan under 1 µs |" in captured.out
+        assert "FAILED CLAIM fig7: cooperative makespan under 1 µs" in captured.err

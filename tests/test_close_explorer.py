@@ -56,6 +56,7 @@ from repro.runtime.graph import OutboundTarget
 from repro.runtime.platform import FlickPlatform
 from repro.runtime.scheduler import IDLE
 from repro.sim.engine import Engine
+from tests.explore import timings
 
 #: Stimulus timestamps (virtual µs).  Alone, a request sent at 100
 #: reaches its backend at about 395 and its reply the client at about
@@ -347,19 +348,6 @@ class _Run:
             )
 
 
-def timings(stimuli, before):
-    """Every distinct timing of ``stimuli`` over ``TIMES``: a schedule
-    order (also the firing order of same-time stimuli) plus a
-    non-decreasing timestamp per position, each produced once."""
-    n = len(stimuli)
-    for order in itertools.permutations(range(n)):
-        at = {stimulus: position for position, stimulus in enumerate(order)}
-        if any(at[a] > at[b] for a, b in before):
-            continue
-        for times in itertools.combinations_with_replacement(TIMES, n):
-            yield [(times[i], stimuli[s]) for i, s in enumerate(order)]
-
-
 SEND, CLOSE, ANSWER, DOWN = (
     ("send", 0), ("close", 0), ("answer", 0), ("down", 0)
 )
@@ -432,7 +420,7 @@ def test_every_small_schedule(config, close_logging_sockets):
         keys = [key for key in stimuli if key in variant_space]
         for choice in itertools.product(*(variant_space[k] for k in keys)):
             variants = dict(zip(keys, choice))
-            for timing in timings(stimuli, before):
+            for timing in timings(stimuli, before, TIMES):
                 run = _Run(clients, backends, ANSWER not in stimuli)
                 run.run(timing, variants)
                 schedules += 1

@@ -5,7 +5,9 @@
 documentation drift of exactly the kind generated docs exist to
 prevent, so the diff is a test.  The link checker keeps every relative
 link in ``README.md`` and ``docs/*.md`` pointing at a real file — the
-cheapest possible defence against renamed files orphaning the docs.
+cheapest possible defence against renamed files orphaning the docs;
+the citation check does the same for every ``*.md`` file the code
+names.
 """
 
 import re
@@ -20,6 +22,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: ``[text](target)`` — target captured up to the closing paren.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A markdown file named in code, e.g. ``docs/scenarios.md``.
+_MD_CITATION = re.compile(r"[\w./-]+\.md\b")
 
 
 def _doc_files():
@@ -79,3 +84,18 @@ class TestIntraRepoLinks:
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         for name in ("architecture.md", "scenarios.md", "registries.md"):
             assert f"docs/{name}" in readme
+
+
+class TestDocCitations:
+    def test_every_cited_md_file_exists(self):
+        """A ``*.md`` path cited in a ``.py`` file resolves against the
+        repo root, ``docs/`` or the citing file's own directory."""
+        broken = []
+        for top in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((REPO_ROOT / top).rglob("*.py")):
+                text = path.read_text(encoding="utf-8")
+                for target in _MD_CITATION.findall(text):
+                    bases = (REPO_ROOT, REPO_ROOT / "docs", path.parent)
+                    if not any((base / target).exists() for base in bases):
+                        broken.append(f"{path.relative_to(REPO_ROOT)}: {target}")
+        assert not broken, broken

@@ -1,4 +1,5 @@
-"""Property-based tests (hypothesis) on the core invariants of DESIGN.md §6."""
+"""Property-based tests (hypothesis) on the invariants of the core and
+wire-grammar layers (docs/architecture.md)."""
 
 import string
 

@@ -54,6 +54,7 @@ from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.policy import registered_policies
 from repro.runtime.scheduler import IDLE, Scheduler, TaskBase
 from repro.sim.engine import Engine
+from tests.explore import timings
 
 #: Stimulus timestamps (virtual µs).  One item costs ITEM_US, so a
 #: stimulus at 3.0 lands inside the second timeslice of the run.
@@ -215,22 +216,6 @@ SHAPES = {
 }
 
 
-def timings(stimuli, before):
-    """Every distinct timing of ``stimuli`` over ``TIMES``.
-
-    A timing is a schedule order (which is also the firing order of
-    same-time stimuli) plus a non-decreasing timestamp per position, so
-    each distinct engine input is produced exactly once.
-    """
-    n = len(stimuli)
-    for order in itertools.permutations(range(n)):
-        at = {stimulus: position for position, stimulus in enumerate(order)}
-        if any(at[a] > at[b] for a, b in before):
-            continue
-        for times in itertools.combinations_with_replacement(TIMES, n):
-            yield [(times[i], stimuli[s]) for i, s in enumerate(order)]
-
-
 class _CheckedEngine(Engine):
     """The product engine, running ``check`` after every event."""
 
@@ -375,7 +360,7 @@ def test_every_small_schedule(policy, allocator):
     for shape in SHAPES:
         stimuli, before = _stimuli_for(shape, allocator)
         for workers, capacity in itertools.product(WORKER_COUNTS, CAPACITIES):
-            for timing in timings(stimuli, before):
+            for timing in timings(stimuli, before, TIMES):
                 run = _Run(policy, allocator, workers, shape, capacity)
                 states += run.run(timing)
                 schedules += 1
