@@ -19,7 +19,7 @@ from repro.runtime.platform import FlickPlatform
 from repro.apps import http_lb
 from repro.sim.engine import Engine
 from repro.workloads.backends import BackendWebServer
-from repro.workloads.arrivals import ClosedLoopClients, HttpRequestCodec
+from repro.workloads.arrivals import ClientPopulation, HttpRequestCodec
 
 
 def show_stickiness() -> None:
@@ -45,9 +45,9 @@ def show_stickiness() -> None:
         ),
     )
     platform.start()
-    population = ClosedLoopClients(
+    population = ClientPopulation(
         engine, tcpnet, clients, mbox, 80, HttpRequestCodec(),
-        concurrency=12, requests_per_client=15, warmup_requests=1,
+        connections=12, n_requests=15, warmup_requests=1,
     )
     population.start()
     engine.run()

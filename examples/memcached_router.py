@@ -15,7 +15,7 @@ from repro.core.units import GBPS
 from repro.net.tcp import TcpNetwork
 from repro.runtime.graph import OutboundTarget
 from repro.workloads.backends import BackendMemcachedServer
-from repro.workloads.arrivals import ClosedLoopClients, MemcachedRequestCodec
+from repro.workloads.arrivals import ClientPopulation, MemcachedRequestCodec
 
 N_BACKENDS = 4
 N_CLIENTS = 32
@@ -58,10 +58,10 @@ def run(cache_router: bool):
     )
     platform.start()
 
-    population = ClosedLoopClients(
+    population = ClientPopulation(
         engine, tcpnet, client_hosts, mbox, 11211,
-        MemcachedRequestCodec(KEY_SPACE), concurrency=N_CLIENTS,
-        requests_per_client=REQUESTS_PER_CLIENT, warmup_requests=2,
+        MemcachedRequestCodec(KEY_SPACE), connections=N_CLIENTS,
+        n_requests=REQUESTS_PER_CLIENT, warmup_requests=2,
     )
     population.start()
     engine.run()

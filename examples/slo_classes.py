@@ -25,7 +25,7 @@ from repro.apps import http_lb
 from repro.bench.scheduling import run_scheduling_experiment
 from repro.core.units import GBPS
 from repro.net.tcp import TcpNetwork
-from repro.workloads.arrivals import ClosedLoopClients, HttpRequestCodec
+from repro.workloads.arrivals import ClientPopulation, HttpRequestCodec
 
 TWO_TIER_SOURCE = """
 type http_req: record
@@ -77,9 +77,9 @@ def shared_platform() -> None:
     platform.start()
 
     for hosts, port in ((gold_users, 8001), (bronze_users, 8002)):
-        ClosedLoopClients(
+        ClientPopulation(
             engine, tcpnet, hosts, middlebox, port, HttpRequestCodec(),
-            concurrency=8, requests_per_client=10, warmup_requests=0,
+            connections=8, n_requests=10, warmup_requests=0,
         ).start()
     engine.run()
 

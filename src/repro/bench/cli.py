@@ -30,8 +30,9 @@ Usage::
 The figures and ``claims`` (exit 1 on a failed claim) iterate one table,
 :data:`repro.bench.figures.FIGURES`.
 
-``scenarios`` crosses apps with open-loop arrival processes
-(:mod:`repro.workloads.arrivals`: poisson, bursty MMPP, ramp, replay),
+``scenarios`` crosses apps with arrival rules
+(:mod:`repro.workloads.arrivals`: the closed rule, or an open-loop
+poisson, bursty MMPP, ramp or replay process),
 scheduling policies, topologies and service classes
 (:mod:`repro.bench.scenarios`), prints a summary table, and always
 writes the machine-readable, schema-versioned ``BENCH_scenarios.json``
@@ -258,8 +259,8 @@ def main(argv: List[str] = None) -> int:
         default=None,
         metavar="NAME",
         help="scenarios only: override the admission-control policy on "
-        "every selected scenario; only open-loop request/response "
-        "scenarios accept one (typos get a near-miss suggestion). "
+        "every selected scenario; only request/response scenarios "
+        "accept one (typos get a near-miss suggestion). "
         f"Registered: {', '.join(AXES['admission'].names())}.",
     )
     parser.add_argument(
@@ -278,8 +279,8 @@ def main(argv: List[str] = None) -> int:
         metavar="N",
         help="scenarios only: override the cluster-tier shard count on "
         "every selected scenario. N > 1 puts N FLICK platforms behind "
-        "one consistent-hash shard router (http_lb open-loop scenarios "
-        "only); combine with --scenario to target specific entries.",
+        "one consistent-hash shard router (http_lb scenarios only); "
+        "combine with --scenario to target specific entries.",
     )
     parser.add_argument(
         "--routing",
@@ -296,8 +297,8 @@ def main(argv: List[str] = None) -> int:
         metavar="NAME",
         help="scenarios only: override the fault injector on every "
         "selected scenario (with the injector's default parameters); "
-        "only open-loop single-platform request/response scenarios "
-        "accept one (typos get a near-miss suggestion). "
+        "only single-platform request/response scenarios accept one "
+        "(typos get a near-miss suggestion). "
         f"Registered: {', '.join(AXES['faults'].names())}.",
     )
     parser.add_argument(

@@ -39,7 +39,11 @@ from repro.core.errors import ConfigError
 #: (hadoop) only what a job measures: a scalar ``latency_ms`` (its
 #: completion time, which the p99 gate reads) and a ``job`` section of
 #: ingress and egress bytes, with no request counts and no ``slo``.
-SCHEMA_VERSION = 5
+#: v6 gave every request entry the "admission" section (one client
+#: population, whatever its arrival rule) and dropped the fault
+#: counters that echoed a parameter or a top-level count
+#: (``flap_cycles``, retry-storm's ``retried``).
+SCHEMA_VERSION = 6
 
 #: CI gate defaults (ISSUE: fail if throughput drops >10% or p99 rises >15%).
 MAX_THROUGHPUT_DROP_PCT = 10.0

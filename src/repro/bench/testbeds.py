@@ -49,10 +49,9 @@ from repro.sim.engine import Engine
 from repro.sim.stats import RunResult, class_summary
 from repro.workloads.arrivals import (
     ARRIVALS,
-    ClosedLoopClients,
+    ClientPopulation,
     HttpRequestCodec,
     MemcachedRequestCodec,
-    OpenLoopClients,
     check_class_mix,
 )
 from repro.workloads.backends import BackendMemcachedServer, BackendWebServer
@@ -92,7 +91,7 @@ class Scenario(NamedTuple):
     name: str = ""
     #: A FLICK system or one of the app's cost-model baselines.
     system: str = "flick-kernel"
-    #: ``None``: closed-loop clients (hadoop: every mapper starts at 0).
+    #: ``None``: the closed rule (hadoop: every mapper starts at 0).
     arrival: object = None
     arrival_params: Params = ()
     policy: object = "cooperative"
@@ -102,23 +101,23 @@ class Scenario(NamedTuple):
     #: ``ServiceClassMap`` / dict.
     service_classes: object = ()
     cores: int = 8
-    #: Concurrent clients (closed loop) / connection pool (open loop).
+    #: Connections: one per client under the closed rule.
     concurrency: int = 64
-    #: Closed loop; ``None`` = ``total_requests // concurrency``.
+    #: Closed rule; ``None`` = ``total_requests // concurrency``.
     requests_per_client: Optional[int] = None
-    #: Open-loop admissions; ``None`` = ``concurrency *
+    #: Arrival-clock offers; ``None`` = ``concurrency *
     #: requests_per_client``.
     total_requests: Optional[int] = 4096
     #: Client-side SLO (misses are counted) and the platform's SLO.
     slo_us: Optional[float] = None
     #: http_lb: "lb" (with backends) or "web" (static server).
     mode: str = "lb"
-    #: http_lb closed loop: keep-alive connections.
+    #: http_lb closed rule: keep-alive connections (else one per request).
     persistent: bool = True
     timeslice_us: float = 50.0
     graph_pool_size: int = 512
     allocator: object = "static"
-    #: Admission policy and class labels (open loop only).
+    #: Admission policy and class labels (request/response apps).
     admission: object = "admit-all"
     admission_params: Params = ()
     class_mix: Tuple[Tuple[str, float], ...] = ()
@@ -127,7 +126,7 @@ class Scenario(NamedTuple):
     routing: object = "hash-affinity"
     #: Kill the highest-indexed shard at this virtual µs (shards > 1).
     fail_shard_at_us: Optional[float] = None
-    #: Fault injector (open loop, single platform).
+    #: Fault injector (request/response apps, single platform).
     faults: object = None
     fault_params: Params = ()
     #: memcached_proxy: projected parser, cache-router program, keys,
@@ -207,8 +206,8 @@ class App(NamedTuple):
     backends: Callable
     #: ``(spec, targets) -> (program, process, codecs, bindings)``.
     program: Callable
-    #: ``spec -> RequestCodec`` that both client populations drive, for
-    #: a request/response app; ``None`` for hadoop's mapper streams.
+    #: ``spec -> RequestCodec`` the client population drives, for a
+    #: request/response app; ``None`` for hadoop's mapper streams.
     clients: Optional[Callable]
 
 
@@ -338,11 +337,18 @@ def _check(spec: Scenario) -> Checked:
             "(another app's field)"
         )
     if not spec.persistent and spec.arrival is not None:
-        raise ConfigError("persistent=False needs closed-loop clients")
+        raise ConfigError(
+            "persistent=False is part of the closed rule (a connection per "
+            "request); an arrival process pipelines over its connections"
+        )
     if app.clients is None:
         unsupported = [
-            field for field in ("service_classes", "slo_us")
-            if getattr(spec, field) not in (None, ())
+            field
+            for field in (
+                "service_classes", "slo_us", "admission", "admission_params",
+                "class_mix", "faults",
+            )
+            if getattr(spec, field) != Scenario._field_defaults[field]
         ]
         if unsupported:
             raise ConfigError(
@@ -355,18 +361,6 @@ def _check(spec: Scenario) -> Checked:
             raise ConfigError(f"{field} must be >= 1, got {value}")
     if spec.total_requests is None and spec.requests_per_client is None:
         raise ConfigError("set total_requests or requests_per_client")
-    open_loop = spec.arrival is not None and app.clients is not None
-    if not open_loop and (
-        spec.admission != "admit-all"
-        or spec.admission_params
-        or spec.class_mix
-    ):
-        raise ConfigError(
-            "admission control and class_mix need an open-loop arrival "
-            "process on a request/response app (closed-loop clients "
-            "self-throttle, so there is nothing to shed, and hadoop "
-            "mapper streams are not per-request workloads)"
-        )
     check_class_mix(spec.class_mix)
     built = {}
     for field, registry in AXES.items():
@@ -390,12 +384,6 @@ def _check(spec: Scenario) -> Checked:
             raise ConfigError(
                 f"fault {fault.name!r} models the FLICK forwarding path; "
                 f"{spec.system!r} is a cost-model baseline without one"
-            )
-        if not open_loop:
-            raise ConfigError(
-                f"fault injection ({fault.name!r}) needs an open-loop "
-                "arrival process on a request/response app "
-                "(retry/failure accounting lives there)"
             )
         if fault.needs_backends and not app.modes[spec.mode]:
             raise ConfigError(
@@ -423,11 +411,6 @@ def _check(spec: Scenario) -> Checked:
             raise ConfigError(
                 f"the cluster tier shards FLICK platforms; "
                 f"{spec.system!r} is a cost-model baseline"
-            )
-        if not open_loop:
-            raise ConfigError(
-                "the cluster tier needs an open-loop arrival process "
-                "(connection-failure accounting lives there)"
             )
         if spec.fail_shard_at_us is not None and spec.fail_shard_at_us <= 0:
             raise ConfigError(
@@ -578,39 +561,25 @@ class _MapperJob:
         }
 
 
-def _requests_per_client(spec: Scenario) -> int:
-    if spec.requests_per_client is not None:
-        return spec.requests_per_client
-    return max(1, spec.total_requests // spec.concurrency)
-
-
 def _population(spec: Scenario, app: App, engine, tcpnet, mbox, servers):
     """The client side: the mapper job, or the app's request codec driven
-    by :class:`OpenLoopClients` on the spec's arrival clock or by
-    :class:`ClosedLoopClients`."""
+    by one :class:`ClientPopulation`, on the spec's arrival clock or by
+    the closed rule."""
     if app.clients is None:
         return _MapperJob(spec, engine, tcpnet, mbox, app.port, servers[0])
-    codec = app.clients(spec)
-    hosts = _edge_hosts(tcpnet, "client", N_CLIENT_HOSTS)
-    per_client = _requests_per_client(spec)
-    if spec.arrival is None:
-        return ClosedLoopClients(
-            engine, tcpnet, hosts, mbox, app.port, codec,
-            concurrency=spec.concurrency,
-            requests_per_client=per_client,
-            warmup_requests=max(2, per_client // 10),
-            persistent=spec.persistent,
-        )
-    return OpenLoopClients(
-        engine, tcpnet, hosts, mbox, app.port,
-        codec=codec,
+    per_client = spec.requests_per_client or max(
+        1, spec.total_requests // spec.concurrency
+    )
+    closed = spec.arrival is None
+    return ClientPopulation(
+        engine, tcpnet, _edge_hosts(tcpnet, "client", N_CLIENT_HOSTS), mbox,
+        app.port, app.clients(spec),
+        per_client if closed
+        else spec.total_requests or spec.concurrency * per_client,
         arrival=spec.arrival,
-        n_requests=(
-            spec.total_requests
-            if spec.total_requests is not None
-            else spec.concurrency * per_client
-        ),
         connections=spec.concurrency,
+        warmup_requests=max(2, per_client // 10) if closed else 0,
+        persistent=spec.persistent,
         seed=spec.seed,
         slo_us=spec.slo_us,
         admission=spec.admission,
@@ -622,48 +591,23 @@ def _population(spec: Scenario, app: App, engine, tcpnet, mbox, servers):
 def _client_entry(spec: Scenario, population) -> dict:
     """The client population's sections of the entry.
 
-    ``measured`` is the number of requests the latency and SLO
-    accounting covers: every admitted request of the open loop (no
-    warmup window; shed requests never enter the latency series), the
-    post-warmup window of the closed loop, which is also the window its
-    SLO misses are counted over, so the miss rate shares one
-    denominator.  The closed loop completes all it offers.
+    ``requests`` counts first-time offers (``offered`` less the retry
+    re-offers).  ``measured`` is the number of requests the latency and
+    SLO accounting covers: every completion on an arrival clock, the
+    completions past each client's warm-up under the closed rule, so
+    the miss rate shares one denominator.  ``arrival_gaps_us`` is there
+    only where an arrival process ran.
     """
     latency = population.latency
-    if isinstance(population, OpenLoopClients):
-        offered, completed = population.offered, population.completed
-        failed, retried = population.failed, population.retried
-        misses = population.slo_misses
-        gaps = population.inter_arrivals
-        open_loop = {
-            "arrival_gaps_us": {
-                "mean": gaps.mean_us(),
-                "p50": gaps.percentile_us(50.0),
-                "p99": gaps.percentile_us(99.0),
-            },
-            "admission": {
-                "policy": population.admission.name,
-                "class_mix": dict(spec.class_mix),
-                "admitted": population.admitted,
-                "shed": population.shed,
-                "per_class": population.admission_summary(),
-            },
-        }
-    else:
-        offered = completed = (
-            population.concurrency * population.requests_per_client
-        )
-        failed = retried = 0
-        misses = latency.count_over(spec.slo_us)
-        open_loop = {}
     measured = latency.count
-    return {
+    misses = population.slo_misses
+    entry = {
         "throughput": population.kreqs_per_sec(),
-        "requests": spec.total_requests,
-        "offered": offered,
-        "completed": completed,
-        "failed": failed,
-        "retried": retried,
+        "requests": population.offered - population.retried,
+        "offered": population.offered,
+        "completed": population.completed,
+        "failed": population.failed,
+        "retried": population.retried,
         "measured": measured,
         "errors": population.errors,
         "latency_ms": latency.percentile_summary_ms(),
@@ -672,8 +616,22 @@ def _client_entry(spec: Scenario, population) -> dict:
             "misses": misses,
             "miss_rate": misses / measured if measured else 0.0,
         },
-        **open_loop,
+        "admission": {
+            "policy": population.admission.name,
+            "class_mix": dict(spec.class_mix),
+            "admitted": population.admitted,
+            "shed": population.shed,
+            "per_class": population.admission_summary(),
+        },
     }
+    if spec.arrival is not None:
+        gaps = population.inter_arrivals
+        entry["arrival_gaps_us"] = {
+            "mean": gaps.mean_us(),
+            "p50": gaps.percentile_us(50.0),
+            "p99": gaps.percentile_us(99.0),
+        }
+    return entry
 
 
 def _scheduler_entry(spec: Scenario, platforms, client_outcomes) -> dict:

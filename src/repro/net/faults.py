@@ -16,12 +16,12 @@ built in:
   engine-clock schedule; going down resets every accepted connection
   through the normal :mod:`repro.net.tcp` close path, and connects
   accepted while down are reset immediately.
-* ``conn-churn`` — open-loop clients recycle each connection after a
-  fixed number of responses, so TCP handshakes and task-graph builds
+* ``conn-churn`` — clients recycle each connection after a fixed
+  number of responses, so TCP handshakes and task-graph builds
   dominate the accept path (the paper's non-persistent regime, made
   continuous).
-* ``retry-storm`` — impatient open-loop clients re-offer a request
-  whose response exceeded ``retry_after_us``.  Re-offers go back
+* ``retry-storm`` — impatient clients re-offer a request whose
+  response exceeded ``retry_after_us``.  Re-offers go back
   through the admission door, closing the metastable feedback loop:
   ``admit-all`` amplifies overload with every round trip, while a
   shedding policy breaks the loop at the door.
@@ -45,11 +45,13 @@ class FaultPolicy:
     A fault participates at up to three points of a testbed run:
 
     * :meth:`population_kwargs` — extra constructor keywords for the
-      open-loop client population (client-side faults: churn, retries);
+      client population, under either arrival rule (client-side
+      faults: churn, retries);
     * :meth:`install` — engine-clock schedules and mechanism hooks on
       the backend servers (server-side faults: slowdowns, flaps);
     * :meth:`counters` — injected-fault accounting for the results
-      document, read after the run drains.
+      document, read after the run drains: measured numbers only, none
+      the entry holds elsewhere (a ``params`` value, ``retried``).
 
     ``needs_backends`` marks injectors that are meaningless without
     backend servers behind the middlebox (testbeds reject the
@@ -62,7 +64,7 @@ class FaultPolicy:
     needs_backends = False
 
     def population_kwargs(self) -> dict:
-        """Extra ``OpenLoopClients`` keywords this fault configures."""
+        """Extra ``ClientPopulation`` keywords this fault configures."""
         return {}
 
     def install(self, engine, backends) -> None:
@@ -256,7 +258,7 @@ class FlappingBackend(FaultPolicy):
             backend.connections_reset
             for backend in getattr(self, "_flapping", ())
         )
-        return {"backend_resets": resets, "flap_cycles": self.cycles}
+        return {"backend_resets": resets}
 
     def params(self) -> Dict[str, object]:
         return {
@@ -279,11 +281,12 @@ class FlappingBackend(FaultPolicy):
 class ConnChurn(FaultPolicy):
     """Short-lived client connections: recycle after N responses.
 
-    Each open-loop connection closes itself once it has drained
-    ``lifetime_requests`` responses and immediately reconnects, so TCP
-    handshakes and per-connection task-graph builds dominate the accept
-    path — the paper's non-persistent regime (§6.3), made continuous
-    instead of one-shot.
+    Each client connection closes itself once it has drained
+    ``lifetime_requests`` responses and, while there is more to offer,
+    reconnects, so TCP handshakes and per-connection task-graph builds
+    dominate the accept path — the paper's non-persistent regime
+    (§6.3), made continuous instead of one-shot.  Under the closed rule
+    the client's next request goes out on the reconnect.
     """
 
     name = "conn-churn"
@@ -317,12 +320,14 @@ class RetryStorm(FaultPolicy):
     A response that took longer than ``retry_after_us`` is discarded
     (never a completion, never a latency sample) and the request is
     re-offered through the full admission path, up to ``max_retries``
-    times per original arrival.  Above saturation this is the
-    metastable feedback loop: every late response adds offered load,
-    which makes more responses late.  ``admit-all`` lets the loop run
-    (goodput collapses); a shedding admission policy breaks it at the
-    door, because re-offers are subject to shedding exactly like fresh
-    arrivals.
+    times per original request: at once on an arrival clock, as the
+    client's next request under the closed rule.  The entry's
+    ``retried`` counts them; the injector counts nothing of its own.
+    Above saturation this is the metastable feedback loop: every late
+    response adds offered load, which makes more responses late.
+    ``admit-all`` lets the loop run (goodput collapses); a shedding
+    admission policy breaks it at the door, because re-offers are
+    subject to shedding exactly like fresh arrivals.
     """
 
     name = "retry-storm"
@@ -347,10 +352,6 @@ class RetryStorm(FaultPolicy):
             "retry_after_us": self.retry_after_us,
             "max_retries": self.max_retries,
         }
-
-    def counters(self, population=None) -> Dict[str, int]:
-        retried = 0 if population is None else population.retried
-        return {"retried": retried}
 
     def params(self) -> Dict[str, object]:
         return {

@@ -2,16 +2,17 @@
 
 The second overload-survival policy plane (the first is
 :mod:`repro.runtime.allocator`): string-keyed *admission policies* that
-decide, request by request on the arrival clock, whether an open-loop
-client admits a request into the platform or **sheds** it at the door.
+decide, request by request, whether a client admits a request into
+the platform or **sheds** it at the door.
 Shedding is a first-class per-class outcome — every shed is counted
 once, by the workload generator, and the testbed joins that count to
 the platform's completions and SLO misses in ``class_stats``, the
 bench report tables and ``BENCH_scenarios.json``.
 
 The mechanism half lives in
-:class:`~repro.workloads.arrivals.OpenLoopClients`: for each arrival it
-builds an :class:`AdmissionRequest` snapshot and asks the policy's
+:class:`~repro.workloads.arrivals.ClientPopulation`: for each offer (an
+arrival, a retry, or a closed-rule client's next request) it builds an
+:class:`AdmissionRequest` snapshot and asks the policy's
 ``admit(request)``; a ``False`` answer drops the request before any
 bytes hit the simulated network, so shed requests cost the platform
 nothing — exactly the point of admission control.  The policy is
@@ -81,7 +82,7 @@ ADMISSIONS = Registry(
     title="Admission-control policies",
     decorator="register_admission",
     consumed_by=(
-        "`OpenLoopClients(admission=...)` via the testbeds' `admission=`; "
+        "`ClientPopulation(admission=...)` via the testbeds' `admission=`; "
         "CLI `scenarios --admission NAME`"
     ),
 )

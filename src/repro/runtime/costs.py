@@ -73,8 +73,8 @@ SchedulingPolicy` instance for custom parameters.
     — 'static' keeps every core active, today's behaviour) or is a
     ready :class:`~repro.runtime.allocator.AllocationPolicy` instance.
     Admission control is not a platform tunable: it sits in the
-    open-loop workload generator in front of the platform
-    (:class:`~repro.workloads.arrivals.OpenLoopClients`); a shed
+    client population in front of the platform
+    (:class:`~repro.workloads.arrivals.ClientPopulation`); a shed
     request never reaches the platform at all.
 
     ``graph_pool_size`` pre-allocates task graphs per registered

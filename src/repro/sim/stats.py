@@ -198,7 +198,7 @@ def class_summary(
     class's samples and their float sums are in a fixed order);
     ``shed`` and ``retried`` come from ``client_outcomes``, the client
     population's per-class table (:meth:`~repro.workloads.arrivals.
-    OpenLoopClients.admission_summary`), because a shed or retried
+    ClientPopulation.admission_summary`), because a shed or retried
     request never closed a busy period anywhere.  A class that only
     ever shed or retried still appears, with zeroed completion and
     latency fields: it is an outcome, not an accounting gap.
@@ -317,7 +317,6 @@ class RunResult:
             )
         }
         view["p99_ms"] = entry["latency_ms"]["p99"]
-        if "admission" in entry:
-            view["admitted"] = entry["admission"]["admitted"]
-            view["shed"] = entry["admission"]["shed"]
+        view["admitted"] = entry["admission"]["admitted"]
+        view["shed"] = entry["admission"]["shed"]
         return view

@@ -1,11 +1,12 @@
-"""Workload generators: client populations, backend servers, Hadoop mappers.
+"""Workload generators: the client population, backend servers, Hadoop mappers.
 
 :mod:`~repro.workloads.arrivals` holds the client side of every
-request/response testbed: the paper's closed-loop population
-(:class:`~repro.workloads.arrivals.ClosedLoopClients` — ApacheBench-style,
-each client waits for its response), the open-loop
-:class:`~repro.workloads.arrivals.OpenLoopClients`, which admits
-requests on an arrival process's clock (poisson / bursty MMPP / ramp /
-replay) regardless of completions so that overload and SLO misses are
-observable, and the per-protocol request codecs both drive.
+request/response testbed: one
+:class:`~repro.workloads.arrivals.ClientPopulation` whose arrival rule
+is either an arrival process's clock (poisson / bursty MMPP / ramp /
+replay), which admits requests regardless of completions so that
+overload and SLO misses are observable, or the paper's closed rule
+(ApacheBench-style: each client sends its next request when the one
+before has ended), with one admission door and one outcome table under
+both; and the per-protocol request codecs it drives.
 """

@@ -1,12 +1,13 @@
 """Client-side workload generation: arrival processes, protocol codecs
-and the two client populations.
+and the one client population.
 
 The paper's evaluation is entirely *closed-loop* (ApacheBench-style: N
 clients in lockstep, each waiting for its response before sending the
-next request; :class:`ClosedLoopClients`).  Closed-loop clients
-self-throttle — when the middlebox saturates, the offered load drops
-with it, so overload and SLO-miss behaviour are invisible.  This module
-also supplies the missing half:
+next request).  Closed-loop clients self-throttle — when the middlebox
+saturates, the offered load drops with it, so overload and SLO-miss
+behaviour are invisible.  The only thing that separates them from an
+open loop is the rule for when the next request is offered, so one
+population serves both:
 
 * :class:`ArrivalProcess` — the *policy* side of load generation,
   mirroring the scheduler's policy/mechanism split
@@ -16,20 +17,24 @@ also supplies the missing half:
   while ON), ``ramp`` (deterministic linear rate sweep, for capacity
   walks) and ``replay`` (an explicit timestamp trace) ship built in;
   :func:`register_arrival` adds more.
-* :class:`OpenLoopClients` — the *mechanism*: a client population that
-  admits one request per arrival-clock tick **regardless of
-  completions**.  Requests are sprayed round-robin over a fixed pool of
-  persistent connections and pipelined, so a backlogged middlebox
+* :class:`ClientPopulation` — the *mechanism*: a pool of connections
+  whose requests are offered on an arrival process's clock
+  **regardless of completions** (pipelined, so a backlogged middlebox
   accumulates queueing latency instead of throttling the source — the
-  regime where SLO misses become observable.
+  regime where SLO misses become observable), or, with no arrival
+  process, by the closed rule: each connection is a client that offers
+  its next request when the previous one has ended.  Admission,
+  failure, retry and connection-churn accounting are the same under
+  both rules.
 
-Both populations are protocol-agnostic: a :class:`RequestCodec`
-supplies the request bytes, the response parser, the error test and
-the response size, as the generated codecs do for the platform.
+The population is protocol-agnostic: a :class:`RequestCodec` supplies
+the request bytes, the response parser, the error test and the response
+size, as the generated codecs do for the platform.
 
-Open-loop latency is measured from *admission* (the arrival tick), not
-from the socket write, so connection backlog counts against the SLO
-exactly as a queueing model would.
+Latency is measured from *admission*, not from the socket write, so
+connection backlog counts against the SLO exactly as a queueing model
+would; under the closed rule a request is admitted when its connection
+can carry it, so the two coincide.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ ARRIVALS = Registry(
     title="Arrival processes",
     decorator="register_arrival",
     consumed_by=(
-        "`OpenLoopClients(arrival=...)`; `Scenario(arrival=..., "
+        "`ClientPopulation(arrival=...)`; `Scenario(arrival=..., "
         "arrival_params=...)`"
     ),
 )
@@ -278,14 +283,14 @@ class ReplayArrivals(ArrivalProcess):
 
 
 class RequestCodec:
-    """Protocol adapter for the client populations (one per protocol)."""
+    """Protocol adapter for the client population (one per protocol)."""
 
     def request_bytes(self, index: int) -> bytes:
-        """Wire bytes of the ``index``-th open-loop admission."""
+        """Wire bytes of the ``index``-th offer on an arrival clock."""
         raise NotImplementedError
 
     def client_request(self, client: int, n: int, keep_alive: bool) -> bytes:
-        """Wire bytes of closed-loop client ``client``'s ``n``-th request."""
+        """Wire bytes of closed-rule client ``client``'s ``n``-th request."""
         raise NotImplementedError
 
     def parser(self):
@@ -365,190 +370,56 @@ class MemcachedRequestCodec(RequestCodec):
 
 
 # ---------------------------------------------------------------------------
-# The closed-loop population
+# The client population
 # ---------------------------------------------------------------------------
 
-
-class ClosedLoopClients:
-    """ApacheBench-style closed loop (§6.2) over any :class:`RequestCodec`.
-
-    ``concurrency`` clients each send one request, wait for the whole
-    response, then send the next, ``requests_per_client`` times.  With
-    ``persistent`` each client keeps one connection for all of them
-    (keep-alive); without, it opens a connection per request and closes
-    it after the response (Figure 4c/4d).  Latency and bytes are
-    recorded once a client is past its first ``warmup_requests``; the
-    meter runs from :meth:`start` until the last client finishes.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        tcpnet: TcpNetwork,
-        client_hosts: List[Host],
-        target: Host,
-        port: int,
-        codec: RequestCodec,
-        concurrency: int,
-        requests_per_client: int = 50,
-        warmup_requests: int = 5,
-        persistent: bool = True,
-    ):
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        self.engine = engine
-        self.tcpnet = tcpnet
-        self.client_hosts = client_hosts
-        self.target = target
-        self.port = port
-        self.codec = codec
-        self.concurrency = concurrency
-        self.requests_per_client = requests_per_client
-        self.warmup_requests = warmup_requests
-        self.persistent = persistent
-        self.latency = LatencySeries()
-        self.meter = Meter()
-        self.errors = 0
-        self._done_clients = 0
-        self._started = False
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("population already started")
-        self._started = True
-        self.meter.begin(self.engine.now)
-        for index in range(self.concurrency):
-            host = self.client_hosts[index % len(self.client_hosts)]
-            _ClosedClient(self, index, host).next_request()
-
-    @property
-    def finished(self) -> bool:
-        return self._done_clients == self.concurrency
-
-    def _client_done(self) -> None:
-        self._done_clients += 1
-        if self.finished:
-            self.meter.finish(self.engine.now)
-
-    def kreqs_per_sec(self) -> float:
-        return self.meter.kreqs_per_sec()
-
-
-class _ClosedClient:
-    """One closed-loop client: a request, its response, the next."""
-
-    def __init__(self, pop: ClosedLoopClients, index: int, host: Host):
-        self.pop = pop
-        self.index = index
-        self.host = host
-        self.sent = 0
-        self.socket: Optional[TcpSocket] = None
-        self.parser = None
-        self.request_started = 0.0
-
-    def next_request(self) -> None:
-        if self.sent >= self.pop.requests_per_client:
-            self.pop._client_done()
-        elif self.socket is None:
-            self._connect()
-        else:
-            self._send()
-
-    def _connect(self) -> None:
-        self.parser = self.pop.codec.parser()
-
-        def connected(socket: TcpSocket) -> None:
-            self.socket = socket
-            socket.on_receive(self._on_data)
-            self._send()
-
-        self.pop.tcpnet.connect(
-            self.host, self.pop.target, self.pop.port, connected
-        )
-
-    def _send(self) -> None:
-        pop = self.pop
-        payload = pop.codec.client_request(self.index, self.sent, pop.persistent)
-        self.request_started = pop.engine.now
-        self.sent += 1
-        self.socket.send(payload)
-
-    def _on_data(self, data: bytes) -> None:
-        pop = self.pop
-        self.parser.feed(data)
-        for message in self.parser.messages():
-            if pop.codec.is_error(message):
-                pop.errors += 1
-            if self.sent > pop.warmup_requests:
-                pop.latency.record(pop.engine.now - self.request_started)
-                pop.meter.add(pop.codec.response_size(message))
-            if not pop.persistent:
-                self.socket.close()
-                self.socket = None
-            self.next_request()
-            return
-
-
-# ---------------------------------------------------------------------------
-# The open-loop population
-# ---------------------------------------------------------------------------
-
-#: The per-class outcome columns :class:`OpenLoopClients` counts.
+#: The per-class outcome columns :class:`ClientPopulation` counts.
 OUTCOMES = (
     "offered", "admitted", "shed", "completed", "failed", "retried",
     "slo_misses",
 )
 
 
-class OpenLoopClients:
-    """Admit ``n_requests`` on the arrival clock, completions be damned.
+class ClientPopulation:
+    """Clients over a pool of ``connections`` (opened at :meth:`start`,
+    round-robin over ``client_hosts``); the arrival rule says when each
+    request is offered:
 
-    A fixed pool of persistent connections is opened up front (spread
-    round-robin over ``client_hosts``); each admitted request is
-    assigned to connection ``index % connections`` and pipelined behind
-    whatever that connection still has in flight.  Responses come back
-    in FIFO order per connection, so each one is matched to the oldest
-    outstanding admission and its latency runs from the admission tick.
+    * an ``arrival`` process offers ``n_requests`` in all on its clock,
+      **regardless of completions**: the ``i``-th admitted request is
+      pipelined on connection ``i % connections``, so a backlogged
+      middlebox accumulates queueing latency instead of throttling the
+      source;
+    * ``arrival=None`` is the closed rule, the paper's ApacheBench-style
+      loop (§6.2): connection ``i`` is client ``i``, which offers its
+      next request, ``n_requests`` times, when its connection can carry
+      it — on connect, then on the terminal outcome of the one before.
+      With ``persistent=False`` each request gets its own connection,
+      closed after the response; the next goes out on the reconnect
+      (Figure 4c/4d).  A client's first ``warmup_requests`` completions
+      are completed but not measured.
 
-    ``slo_us`` (optional) marks any completion slower than the target as
-    an SLO miss.
+    Responses match the oldest outstanding request of their connection
+    (FIFO); latency runs from admission, which under the closed rule is
+    the moment the request goes on the wire.  ``slo_us`` marks a slower
+    measured completion as an SLO miss.  ``admission`` (a registered
+    name or an :class:`~repro.runtime.admission.AdmissionPolicy`) gates
+    every offer; a shed request never reaches the wire.  ``class_mix``
+    labels offers with service classes by deterministic weighted
+    round-robin.  A server-side close fails what its connection had
+    outstanding, and the connection reopens while there is more to
+    offer (through a shard router, onto a surviving shard).  The
+    ``retry-storm`` knobs (``retry_after_us`` / ``max_retries``) discard
+    a late response as *retried* and re-offer the request through the
+    admission door — at once on an arrival clock, as the client's next
+    request under the closed rule; ``conn-churn``'s
+    ``conn_lifetime_requests`` recycles a connection after that many
+    responses while there is more to offer.
 
-    ``admission`` (a registered name from
-    :func:`repro.runtime.admission.registered_admissions` or an
-    :class:`~repro.runtime.admission.AdmissionPolicy` instance) gates
-    every arrival: shed requests never reach the wire, so they cost the
-    platform nothing and are accounted per class (``completed + shed ==
-    offered`` within each class once the run drains).  ``class_mix``
-    labels arrivals with service-class names by deterministic weighted
-    round-robin — e.g. ``(("gold", 1.0), ("bronze", 1.0))`` alternates —
-    which is what class-aware admission policies discriminate on.
-    :attr:`per_class` counts every outcome once per class; the testbed
-    joins its ``shed`` and ``retried`` columns to the platform's busy
-    periods in ``class_stats``.
-
-    The population survives a server-side connection close (the
-    cluster tier's shard failures sever flows mid-run): requests still
-    outstanding on a closed connection are accounted as *failed* — a
-    third completion-class outcome next to responses and sheds, per
-    class in :meth:`admission_summary` — and the connection reopens
-    while admission is still running, so subsequent arrivals re-route
-    (through a shard router, onto a surviving shard) instead of
-    black-holing.  Latency of failed requests is never recorded; they
-    are losses, not samples.
-
-    Two client-side fault injectors (:mod:`repro.net.faults`) configure
-    extra knobs here: ``retry_after_us`` / ``max_retries`` turn the
-    population impatient (the ``retry-storm`` injector) — a response
-    slower than the budget is discarded as *retried* (a fourth terminal
-    outcome: never a completion, never a latency sample) and the
-    request is immediately re-offered through the full admission path,
-    so re-offers are shed exactly like fresh arrivals.
-    ``conn_lifetime_requests`` (the ``conn-churn`` injector) recycles
-    every connection after that many responses: close, reconnect, and
-    carry on, so handshakes and graph builds dominate the accept path.
-    The conservation laws the fault tests pin: ``admitted + shed ==
-    offered`` and ``completed + failed + retried == admitted`` once the
-    run drains.
+    Every offer ends in exactly one terminal outcome — shed, completed,
+    failed or retried — counted once per class in :attr:`per_class`.
+    Once the run drains, ``admitted + shed == offered`` and ``completed
+    + failed + retried == admitted``, per class and in total.
     """
 
     def __init__(
@@ -559,9 +430,11 @@ class OpenLoopClients:
         target: Host,
         port: int,
         codec: RequestCodec,
-        arrival: ArrivalProcess,
         n_requests: int,
+        arrival: Optional[ArrivalProcess] = None,
         connections: int = 64,
+        warmup_requests: int = 0,
+        persistent: bool = True,
         seed: int = 0xF11C,
         slo_us: Optional[float] = None,
         admission="admit-all",
@@ -574,6 +447,8 @@ class OpenLoopClients:
             raise ValueError("n_requests must be >= 1")
         if connections < 1:
             raise ValueError("connections must be >= 1")
+        if not persistent and arrival is not None:
+            raise ValueError("persistent=False is part of the closed rule")
         if retry_after_us is not None and retry_after_us <= 0:
             raise ValueError(
                 f"retry_after_us must be positive, got {retry_after_us}"
@@ -593,9 +468,11 @@ class OpenLoopClients:
         self.target = target
         self.port = port
         self.codec = codec
-        self.arrival = arrival
         self.n_requests = n_requests
+        self.arrival = arrival
         self.connections = connections
+        self.warmup_requests = warmup_requests
+        self.persistent = persistent
         self.rng = random.Random(seed)
         self.slo_us = slo_us
         self.admission = resolve_admission(admission)
@@ -619,23 +496,23 @@ class OpenLoopClients:
         #: Class name → its row of :data:`OUTCOMES` counts, in order of
         #: first offer.
         self.per_class: Dict[str, Dict[str, int]] = {}
-        self._conns: List[_OpenConnection] = []
-        self._started = False
+        self._classes = self._class_cycle()
+        self._conns: List[_Connection] = []
         self._admission_closed = False
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        if self._started:
+        if self._conns:
             raise RuntimeError("population already started")
-        self._started = True
         self.meter.begin(self.engine.now)
         for index in range(self.connections):
             host = self.client_hosts[index % len(self.client_hosts)]
-            conn = _OpenConnection(self, host)
+            conn = _Connection(self, index, host)
             self._conns.append(conn)
             conn.open()
-        self.engine.process(self._admit())
+        if self.arrival is not None:
+            self.engine.process(self._admit())
 
     def _class_cycle(self) -> Iterator[str]:
         """Deterministic weighted round-robin over ``class_mix`` names.
@@ -663,7 +540,6 @@ class OpenLoopClients:
             yield names[best]
 
     def _admit(self):
-        classes = self._class_cycle()
         arrivals = 0
         for gap in self.arrival.gaps(self.rng):
             # Count arrival-clock ticks, not offers: retry re-offers
@@ -675,11 +551,19 @@ class OpenLoopClients:
                 yield Timeout(gap)
             arrivals += 1
             self.inter_arrivals.observe(self.engine.now)
-            self._offer(next(classes))
+            self._offer(next(self._classes))
         self._admission_closed = True
 
-    def _offer(self, service_class: str, attempt: int = 0) -> None:
-        """One request through the admission door (arrival or retry)."""
+    def _offer(
+        self,
+        service_class: str,
+        attempt: int = 0,
+        conn: Optional["_Connection"] = None,
+        n: int = 0,
+    ) -> None:
+        """One request through the admission door: an arrival or its
+        retry, or under the closed rule client ``conn``'s ``n``-th
+        request."""
         index = self.offered
         request = AdmissionRequest(
             index=index,
@@ -704,15 +588,19 @@ class OpenLoopClients:
         slot = self.admitted
         self.admitted += 1
         row["admitted"] += 1
-        self._conns[slot % self.connections].admit(
-            index, service_class, attempt
-        )
+        if conn is None:
+            conn = self._conns[slot % self.connections]
+            payload = self.codec.request_bytes(index)
+        else:
+            payload = self.codec.client_request(conn.index, n, self.persistent)
+        conn.admit(payload, (self.engine.now, service_class, attempt, n))
 
     # -- completion accounting ----------------------------------------------
 
     def _on_response(
-        self, admitted_us: float, service_class: str, attempt: int, message
+        self, conn: "_Connection", request: tuple, message
     ) -> None:
+        admitted_us, service_class, attempt, n = request
         latency = self.engine.now - admitted_us
         row = self.per_class[service_class]
         if (
@@ -725,33 +613,35 @@ class OpenLoopClients:
             # back through the admission door — the metastable loop.
             self.retried += 1
             row["retried"] += 1
-            self._offer(service_class, attempt + 1)
+            if self.arrival is None:
+                conn.retry = (service_class, attempt + 1, n)
+            else:
+                self._offer(service_class, attempt + 1)
             return
         self.completed += 1
         row["completed"] += 1
         if self.codec.is_error(message):
             self.errors += 1
+        self.meter.finish(self.engine.now)
+        conn.completions += 1
+        if conn.completions <= self.warmup_requests:
+            return
         self.latency.record(latency)
         if self.slo_us is not None and latency > self.slo_us:
             self.slo_misses += 1
             row["slo_misses"] += 1
         self.meter.add(self.codec.response_size(message))
-        self.meter.finish(self.engine.now)
-
-    def _on_failure(self, service_class: str) -> None:
-        """One admitted request lost to a dead connection (no response)."""
-        self.failed += 1
-        self.per_class[service_class]["failed"] += 1
 
     @property
     def finished(self) -> bool:
-        """Every admitted request saw a response, a dead connection, or
-        an impatient retry (which re-offered it — the chain is counted
-        attempt by attempt).  The trace may cut offers short of
-        ``n_requests`` — ``replay`` is finite, and shed requests never
-        went on the wire."""
+        """No connection has a request left to offer, and every admitted
+        request saw a response, a dead connection, or an impatient retry
+        (which re-offered it — the chain is counted attempt by attempt).
+        The arrival clock may offer fewer than ``n_requests`` — ``replay``
+        is finite."""
         return (
-            self._admission_closed
+            bool(self._conns)
+            and not any(conn.offering for conn in self._conns)
             and self.completed + self.failed + self.retried == self.admitted
         )
 
@@ -771,15 +661,18 @@ class OpenLoopClients:
         return self.meter.kreqs_per_sec()
 
 
-class _OpenConnection:
-    """One persistent connection: pipelined sends, FIFO response match."""
+class _Connection:
+    """One client connection: pipelined sends, FIFO response match.
+    Under the closed rule it is also client ``index``, which offers its
+    next request whenever the connection can carry it."""
 
-    def __init__(self, pop: OpenLoopClients, host: Host):
+    def __init__(self, pop: ClientPopulation, index: int, host: Host):
         self.pop = pop
+        self.index = index
         self.host = host
         self.socket: Optional[TcpSocket] = None
         self.parser = pop.codec.parser()
-        #: (admitted_us, service_class, attempt) of requests in flight
+        #: (admitted_us, service_class, attempt, n) of requests in flight
         #: (or queued behind the connect), oldest first.
         self.outstanding: deque = deque()
         #: Requests admitted before the connect completed.
@@ -788,6 +681,20 @@ class _OpenConnection:
         #: Responses drained since the last (re)connect — the
         #: ``conn-churn`` recycle clock.
         self._served = 0
+        #: Closed rule: the client's requests taken so far, its
+        #: completions (the warm-up clock), and a retried request
+        #: waiting to be re-offered as ``(service_class, attempt, n)``.
+        self.taken = 0
+        self.completions = 0
+        self.retry: Optional[tuple] = None
+
+    @property
+    def offering(self) -> bool:
+        """Whether a request is still to be offered through this
+        connection."""
+        if self.pop.arrival is not None:
+            return not self.pop._admission_closed
+        return self.retry is not None or self.taken < self.pop.n_requests
 
     def open(self) -> None:
         self._connecting = True
@@ -799,37 +706,28 @@ class _OpenConnection:
             socket.on_close(lambda: self._on_peer_close(socket))
             while self._backlog and not socket.closed:
                 self.socket.send(self._backlog.popleft())
+            if self.pop.arrival is None:
+                self._next()
 
         self.pop.tcpnet.connect(
             self.host, self.pop.target, self.pop.port, connected
         )
 
-    def _on_peer_close(self, socket: TcpSocket) -> None:
-        """Server-side EOF: write off the in-flight window, reconnect.
+    def _next(self) -> None:
+        """Closed rule: offer the client's next request — a retry
+        waiting, else a fresh one — until one is admitted or none is
+        left.  A shed is a terminal outcome too, so the loop moves on."""
+        pop = self.pop
+        while not self.outstanding and self.offering:
+            if self.retry is not None:
+                (service_class, attempt, n), self.retry = self.retry, None
+            else:
+                service_class, attempt, n = next(pop._classes), 0, self.taken
+                self.taken += 1
+            pop._offer(service_class, attempt, self, n)
 
-        Requests already on the wire are gone — any response would have
-        arrived before the EOF (the simulated NIC delivers in order) —
-        so everything outstanding is failed, not retried: an open-loop
-        client never re-offers on its own (only the ``retry-storm``
-        injector re-offers, and then only on a late *response*).
-        """
-        if socket is not self.socket:
-            return  # stale close of an already-replaced connection
-        self.socket = None
-        if not socket.closed:
-            socket.close()
-        self._backlog.clear()
-        while self.outstanding:
-            _admitted_us, service_class, _attempt = self.outstanding.popleft()
-            self.pop._on_failure(service_class)
-        self.parser = self.pop.codec.parser()
-        self._served = 0
-        if not self.pop._admission_closed:
-            self.open()
-
-    def admit(self, index: int, service_class: str, attempt: int = 0) -> None:
-        self.outstanding.append((self.pop.engine.now, service_class, attempt))
-        payload = self.pop.codec.request_bytes(index)
+    def admit(self, payload: bytes, request: tuple) -> None:
+        self.outstanding.append(request)
         if self.socket is None:
             self._backlog.append(payload)
             # A retry can land on a connection that died after admission
@@ -840,28 +738,59 @@ class _OpenConnection:
         else:
             self.socket.send(payload)
 
-    def _recycle(self) -> None:
-        """conn-churn: close the drained connection and start afresh."""
-        socket, self.socket = self.socket, None
-        self.parser = self.pop.codec.parser()
-        self._served = 0
-        self.pop.conn_cycles += 1
-        if socket is not None and not socket.closed:
-            socket.close()
-        self.open()
-
     def _on_data(self, data: bytes) -> None:
         self.parser.feed(data)
         for message in self.parser.messages():
-            admitted_us, service_class, attempt = self.outstanding.popleft()
-            self.pop._on_response(admitted_us, service_class, attempt, message)
+            self.pop._on_response(self, self.outstanding.popleft(), message)
             self._served += 1
-        lifetime = self.pop.conn_lifetime_requests
+        self._advance()
+
+    def _on_peer_close(self, socket: TcpSocket) -> None:
+        """Server-side EOF: write off the in-flight window and move on.
+
+        Requests already on the wire are gone — any response would have
+        arrived before the EOF (the simulated NIC delivers in order) —
+        so everything outstanding is failed, not retried: a client never
+        re-offers on its own (only the ``retry-storm`` injector
+        re-offers, and then only on a late *response*).
+        """
+        if socket is not self.socket:
+            return  # stale close of an already-replaced connection
+        pop = self.pop
+        self.socket = None
+        if not socket.closed:
+            socket.close()
+        self._backlog.clear()
+        for _, service_class, _, _ in self.outstanding:
+            pop.failed += 1
+            pop.per_class[service_class]["failed"] += 1
+        self.outstanding.clear()
+        self.parser = pop.codec.parser()
+        self._served = 0
+        self._advance()
+
+    def _advance(self) -> None:
+        """After terminal outcomes: close a connection past its lifetime
+        (one request without ``persistent``), reopen one while there is
+        more to offer, and under the closed rule offer the next request
+        on a connection that can carry it."""
+        pop = self.pop
+        lifetime = pop.conn_lifetime_requests if pop.persistent else 1
         if (
-            lifetime is not None
-            and self._served >= lifetime
+            self.socket is not None
             and not self.outstanding
-            and not self.pop._admission_closed
-            and self.socket is not None
+            and lifetime is not None
+            and self._served >= lifetime
+            and (self.offering or not pop.persistent)
         ):
-            self._recycle()
+            socket, self.socket = self.socket, None
+            self.parser = pop.codec.parser()
+            self._served = 0
+            pop.conn_cycles += 1
+            if not socket.closed:
+                socket.close()
+        if self.socket is None:
+            if self.offering and not self._connecting:
+                self.open()
+        elif pop.arrival is None:
+            self._next()

@@ -225,15 +225,22 @@ class TestConservation:
 
 
 class TestValidation:
-    def test_admission_needs_an_open_loop(self):
-        with pytest.raises(ValueError, match="open-loop"):
-            run_http_experiment(
-                "flick-kernel", 8, admission="shed-bronze"
-            )
-        with pytest.raises(ValueError, match="open-loop"):
-            run_http_experiment(
-                "flick-kernel", 8, class_mix=(("gold", 1.0),)
-            )
+    def test_a_closed_loop_shed_moves_its_client_on(self):
+        """Under the closed rule a shed is a terminal outcome like any
+        other: the client offers its next request at once, so every
+        client still offers all of its requests."""
+        result = run_http_experiment(
+            "flick-kernel", 8, cores=2, requests_per_client=10,
+            admission=make_admission("shed-bronze", max_inflight=4),
+            class_mix=(("gold", 1.0), ("bronze", 1.0)),
+        )
+        per_class = result.entry["admission"]["per_class"]
+        assert per_class["bronze"]["shed"] > 0
+        assert per_class["gold"]["shed"] == 0
+        assert result.entry["offered"] == 80
+        for row in per_class.values():
+            assert row["admitted"] + row["shed"] == row["offered"]
+            assert row["completed"] == row["admitted"]
 
     def test_an_admission_typo_is_rejected_before_the_engine_runs(
         self, monkeypatch

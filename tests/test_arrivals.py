@@ -1,4 +1,4 @@
-"""Arrival-process registry + open-loop client population tests."""
+"""Arrival-process registry + client population on an arrival clock."""
 
 import itertools
 import random
@@ -13,7 +13,7 @@ from repro.runtime.platform import FlickPlatform
 from repro.sim.stats import IntervalSeries, LatencySeries
 from repro.workloads.arrivals import (
     HttpRequestCodec,
-    OpenLoopClients,
+    ClientPopulation,
     make_arrival,
     registered_arrivals,
 )
@@ -118,7 +118,7 @@ def _static_web_testbed(cores=4):
 class TestOpenLoopClients:
     def test_admission_runs_on_the_arrival_clock(self):
         engine, tcpnet, mbox, clients, _ = _static_web_testbed()
-        population = OpenLoopClients(
+        population = ClientPopulation(
             engine, tcpnet, clients, mbox, 80,
             codec=HttpRequestCodec(),
             arrival=make_arrival("poisson", rate_rps=20_000.0),
@@ -136,7 +136,7 @@ class TestOpenLoopClients:
 
     def test_replay_trace_shorter_than_n_requests_finishes(self):
         engine, tcpnet, mbox, clients, _ = _static_web_testbed()
-        population = OpenLoopClients(
+        population = ClientPopulation(
             engine, tcpnet, clients, mbox, 80,
             codec=HttpRequestCodec(),
             arrival=make_arrival(
@@ -152,7 +152,7 @@ class TestOpenLoopClients:
     def test_same_seed_reproduces_the_run(self):
         def run(seed):
             engine, tcpnet, mbox, clients, _ = _static_web_testbed()
-            population = OpenLoopClients(
+            population = ClientPopulation(
                 engine, tcpnet, clients, mbox, 80,
                 codec=HttpRequestCodec(),
                 arrival=make_arrival("poisson", rate_rps=50_000.0),
@@ -172,13 +172,13 @@ class TestOpenLoopClients:
     def test_rejects_degenerate_parameters(self):
         engine, tcpnet, mbox, clients, _ = _static_web_testbed()
         with pytest.raises(ValueError, match="n_requests"):
-            OpenLoopClients(
+            ClientPopulation(
                 engine, tcpnet, clients, mbox, 80,
                 codec=HttpRequestCodec(), arrival=make_arrival("poisson"),
                 n_requests=0,
             )
         with pytest.raises(ValueError, match="connections"):
-            OpenLoopClients(
+            ClientPopulation(
                 engine, tcpnet, clients, mbox, 80,
                 codec=HttpRequestCodec(), arrival=make_arrival("poisson"),
                 n_requests=10, connections=0,

@@ -15,7 +15,7 @@ from repro.net.tcp import TcpNetwork
 from repro.runtime.graph import OutboundTarget
 from repro.sim.engine import Engine
 from repro.workloads.arrivals import (
-    ClosedLoopClients,
+    ClientPopulation,
     HttpRequestCodec,
     MemcachedRequestCodec,
 )
@@ -66,8 +66,9 @@ class TestHttpBaselines:
     def test_static_mode_serves_requests(self, server_cls):
         engine, net, mbox, clients, _ = _topology()
         server = server_cls(engine, net, mbox, 80, cores=4)
-        pop = ClosedLoopClients(
-            engine, net, clients, mbox, 80, HttpRequestCodec(), 8, 10, 1
+        pop = ClientPopulation(
+            engine, net, clients, mbox, 80, HttpRequestCodec(), 10,
+            connections=8, warmup_requests=1,
         )
         pop.start()
         engine.run()
@@ -80,8 +81,9 @@ class TestHttpBaselines:
         backends = [BackendWebServer(engine, net, b, 8080) for b in backend_hosts]
         targets = [OutboundTarget(b, 8080) for b in backend_hosts]
         server_cls(engine, net, mbox, 80, cores=4, backends=targets)
-        pop = ClosedLoopClients(
-            engine, net, clients, mbox, 80, HttpRequestCodec(), 6, 8, 1
+        pop = ClientPopulation(
+            engine, net, clients, mbox, 80, HttpRequestCodec(), 8,
+            connections=6, warmup_requests=1,
         )
         pop.start()
         engine.run()
@@ -92,8 +94,9 @@ class TestHttpBaselines:
         def run(server_cls):
             engine, net, mbox, clients, _ = _topology()
             server_cls(engine, net, mbox, 80, cores=8)
-            pop = ClosedLoopClients(
-                engine, net, clients, mbox, 80, HttpRequestCodec(), 40, 15, 2
+            pop = ClientPopulation(
+                engine, net, clients, mbox, 80, HttpRequestCodec(), 15,
+                connections=40, warmup_requests=2,
             )
             pop.start()
             engine.run()
@@ -120,9 +123,9 @@ class TestMoxi:
         ]
         targets = [OutboundTarget(b, 11211) for b in backend_hosts]
         MoxiProxy(engine, net, mbox, 11211, targets, cores=4)
-        pop = ClosedLoopClients(
+        pop = ClientPopulation(
             engine, net, clients, mbox, 11211, MemcachedRequestCodec(32),
-            8, 10, 1,
+            10, connections=8, warmup_requests=1,
         )
         pop.start()
         engine.run()

@@ -130,16 +130,14 @@ class TestAllocatorAdmissionFlags:
         assert entry["allocator"]["name"] == "queue-depth"
         assert entry["admission"]["policy"] == "token-bucket"
 
-    def test_admission_override_on_a_closed_loop_scenario_exits_2(
-        self, capsys
-    ):
+    def test_admission_override_on_a_job_scenario_exits_2(self, capsys):
         code = main([
             "scenarios", "--quick",
-            "--scenario", "http-closed-baseline",
+            "--scenario", "hadoop-ramp-mappers",
             "--admission", "shed-bronze",
         ])
         assert code == 2
-        assert "open-loop" in capsys.readouterr().err
+        assert "does not support admission" in capsys.readouterr().err
 
     def test_documented_ci_override_leg_is_green(self, tmp_path, capsys):
         """The documented override path: the pinned shed scenario under

@@ -50,13 +50,17 @@ import pytest
 from repro.apps import http_lb
 from repro.core.units import GBPS
 from repro.grammar.protocols import http
-from repro.net import tcp
 from repro.runtime.costs import RuntimeConfig
 from repro.runtime.graph import OutboundTarget
 from repro.runtime.platform import FlickPlatform
 from repro.runtime.scheduler import IDLE
 from repro.sim.engine import Engine
-from tests.explore import timings
+from tests.explore import (
+    check_quiescent,
+    log_sockets,
+    logged_network,
+    timings,
+)
 
 #: Stimulus timestamps (virtual µs).  Alone, a request sent at 100
 #: reaches its backend at about 395 and its reply the client at about
@@ -73,20 +77,6 @@ REGISTRY = http_lb.http_codec_registry(PROGRAM)
 CLIENT_HOSTS = ("client0", "client2")
 #: A request the generated HTTP codec rejects (it has no chunked body).
 MALFORMED = b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
-
-
-class _Socket(tcp.TcpSocket):
-    """A TCP endpoint that logs its close on its network, so a socket
-    pair can be checked without the test holding either end."""
-
-    def __init__(self, net, host, conn_id, role):
-        super().__init__(net, host, conn_id, role)
-        net.conn_ids.add(conn_id)
-
-    def close(self):
-        if not self.closed:
-            self._net.closed_ends.add((self.conn_id, self.role))
-        super().close()
 
 
 class CountingStack:
@@ -244,8 +234,7 @@ class _Run:
 
     def __init__(self, clients, backends, answering=False):
         self.engine = Engine()
-        self.net = tcp.TcpNetwork(self.engine)
-        self.net.conn_ids, self.net.closed_ends = set(), set()
+        self.net = logged_network(self.engine)
         mbox = self.net.add_host("mbox", 10 * GBPS, "core")
         backend_hosts = [
             self.net.add_host(f"backend{i}", 1 * GBPS, "edge")
@@ -298,8 +287,7 @@ class _Run:
     def run(self, timing, variants):
         for at, stimulus in timing:
             self.engine.at(at, self.fire, stimulus, variants)
-        self.engine.run(until=HORIZON_US)
-        assert self.engine.pending() == 0, "the engine does not quiesce"
+        check_quiescent(self.engine, self.net, HORIZON_US)
         self.check_quiescent()
         closed = [
             weakref.ref(graph)
@@ -325,10 +313,6 @@ class _Run:
                 assert client.path.encode() in client.replies, (
                     f"{client.path}: the reply a backend sent was dropped"
                 )
-        closed = self.net.closed_ends
-        for conn_id in self.net.conn_ids:
-            ends = {(conn_id, "client") in closed, (conn_id, "server") in closed}
-            assert len(ends) == 1, f"{conn_id} is closed on one side only"
         for graph in self.graphs:
             for task in graph.tasks:
                 assert not task.has_work(), f"{task.name} has work"
@@ -396,7 +380,7 @@ SCHEDULES = {
 
 @pytest.fixture
 def close_logging_sockets(monkeypatch):
-    monkeypatch.setattr(tcp, "TcpSocket", _Socket)
+    log_sockets(monkeypatch)
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -298,8 +298,6 @@ class TestShardedRuns:
                 "nginx", 8, shards=2,
                 arrival=make_arrival("poisson", rate_rps=1000.0),
             )
-        with pytest.raises(ValueError, match="open-loop"):
-            run_http_experiment("flick-kernel", 8, shards=2)
         with pytest.raises(ValueError, match="needs shards > 1"):
             run_http_experiment(
                 "flick-kernel", 8, shards=1, fail_shard_at_us=10.0

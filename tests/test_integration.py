@@ -16,7 +16,7 @@ from repro.workloads.hadoop_mappers import (
     reference_wordcount,
 )
 from repro.workloads.arrivals import (
-    ClosedLoopClients,
+    ClientPopulation,
     HttpRequestCodec,
     MemcachedRequestCodec,
 )
@@ -40,9 +40,9 @@ class TestStaticWeb:
         )
         platform.register_program(http_lb.compile_static_web(), "StaticWeb", 80)
         platform.start()
-        pop = ClosedLoopClients(
-            engine, net, clients, mbox, 80, HttpRequestCodec(), concurrency,
-            requests_per_client=12, warmup_requests=2, persistent=persistent,
+        pop = ClientPopulation(
+            engine, net, clients, mbox, 80, HttpRequestCodec(), 12,
+            connections=concurrency, warmup_requests=2, persistent=persistent,
         )
         pop.start()
         engine.run()
@@ -105,9 +105,9 @@ class TestHttpLoadBalancer:
             http_lb.lb_bindings(targets),
         )
         platform.start()
-        pop = ClosedLoopClients(
-            engine, net, clients, mbox, 80, HttpRequestCodec(), concurrency,
-            requests_per_client=10, warmup_requests=1, persistent=persistent,
+        pop = ClientPopulation(
+            engine, net, clients, mbox, 80, HttpRequestCodec(), 10,
+            connections=concurrency, warmup_requests=1, persistent=persistent,
         )
         pop.start()
         engine.run()
@@ -200,10 +200,10 @@ class TestMemcachedProxy:
             ),
         )
         platform.start()
-        pop = ClosedLoopClients(
+        pop = ClientPopulation(
             engine, net, clients, mbox, 11211,
-            MemcachedRequestCodec(key_space), concurrency=16,
-            requests_per_client=requests, warmup_requests=2,
+            MemcachedRequestCodec(key_space), connections=16,
+            n_requests=requests, warmup_requests=2,
         )
         pop.start()
         engine.run()
@@ -261,9 +261,9 @@ class TestMemcachedProxy:
             ),
         )
         platform.start()
-        pop = ClosedLoopClients(
+        pop = ClientPopulation(
             engine, net, clients, mbox, 11211, MemcachedRequestCodec(1),
-            concurrency=1, requests_per_client=20, warmup_requests=2,
+            connections=1, n_requests=20, warmup_requests=2,
         )
         pop.start()
         engine.run()
@@ -341,9 +341,9 @@ class TestPlatformBehaviour:
             http_lb.compile_static_web(), "StaticWeb", 80
         )
         platform.start()
-        pop = ClosedLoopClients(
-            engine, net, clients, mbox, 80, HttpRequestCodec(), concurrency=3,
-            requests_per_client=6, warmup_requests=1, persistent=False,
+        pop = ClientPopulation(
+            engine, net, clients, mbox, 80, HttpRequestCodec(), connections=3,
+            n_requests=6, warmup_requests=1, persistent=False,
         )
         pop.start()
         engine.run()
@@ -368,9 +368,9 @@ class TestPlatformBehaviour:
             ),
         )
         platform.start()
-        pop = ClosedLoopClients(
+        pop = ClientPopulation(
             engine, net, clients, mbox, 11211, MemcachedRequestCodec(1),
-            concurrency=8, requests_per_client=20, warmup_requests=1,
+            connections=8, n_requests=20, warmup_requests=1,
         )
         pop.start()
         engine.run()
@@ -389,8 +389,9 @@ class TestPlatformBehaviour:
                 http_lb.compile_static_web(), "StaticWeb", 80
             )
             platform.start()
-            pop = ClosedLoopClients(
-                engine, net, clients, mbox, 80, HttpRequestCodec(), 6, 8, 1
+            pop = ClientPopulation(
+                engine, net, clients, mbox, 80, HttpRequestCodec(), 8,
+                connections=6, warmup_requests=1,
             )
             pop.start()
             engine.run()

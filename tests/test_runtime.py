@@ -32,7 +32,7 @@ from repro.runtime.task import MergeTask
 from repro.sim.engine import Engine
 from repro.workloads.backends import BackendMemcachedServer, BackendWebServer
 from repro.workloads.arrivals import (
-    ClosedLoopClients,
+    ClientPopulation,
     HttpRequestCodec,
     MemcachedRequestCodec,
 )
@@ -676,9 +676,9 @@ class TestLazyLegs:
         engine, net, mbox, hosts, backends, graphs = _proxy_testbed(
             "memcached"
         )
-        population = ClosedLoopClients(
+        population = ClientPopulation(
             engine, net, hosts, mbox, 11211, MemcachedRequestCodec(),
-            concurrency=1, requests_per_client=40,
+            connections=1, n_requests=40,
         )
         population.start()
         engine.run()
@@ -919,10 +919,10 @@ class TestConnectionRelease:
 
     def test_non_persistent_connections_are_let_go(self):
         engine, net, mbox, hosts, backends, graphs = _proxy_testbed()
-        population = ClosedLoopClients(
+        population = ClientPopulation(
             engine, net, hosts, mbox, 80, HttpRequestCodec(),
-            concurrency=8, persistent=False,
-            requests_per_client=25, warmup_requests=0,
+            connections=8, persistent=False,
+            n_requests=25, warmup_requests=0,
         )
         freed = []
 

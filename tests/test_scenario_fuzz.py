@@ -1,17 +1,18 @@
 """Seeded fuzzing of the scenario space.
 
 Specs are drawn from the live registries in ``AXES`` crossed with every
-app, mode, system, ``persistent`` and ``shards`` in {1, 2}, at sizes
-small enough to run in tier-1; some set a field only another app reads.
-Only universal properties are checked: a spec the check rejects fails
-with :class:`ConfigError` and nothing else; a spec it accepts runs to
-completion, balances both conservation laws (a job: delivers merged
+app, mode, system, ``persistent`` and ``shards`` in {1, 2}, under either
+arrival rule, at sizes small enough to run in tier-1; some set a field
+only another app reads.  Only universal properties are checked: a spec
+the check rejects fails with :class:`ConfigError` and nothing else; a
+spec it accepts runs to completion, balances both conservation laws,
+reports its first-time offers as ``requests`` (a job: delivers merged
 output) and gives the same entry twice, also with another spec run in
 between.  A failure found here is
 fixed and pinned as an ``@example``.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.scenarios import run_scenario
@@ -84,14 +85,44 @@ def _balances(entry):
         assert entry["job"]["egress_bytes"] > 0
         return
     offered = entry["offered"]
-    admission = entry.get("admission", {})
-    admitted = admission.get("admitted", offered)
-    assert admitted + admission.get("shed", 0) == offered
+    admitted = entry["admission"]["admitted"]
+    assert admitted + entry["admission"]["shed"] == offered
     assert entry["completed"] + entry["failed"] + entry["retried"] == admitted
+    assert entry["requests"] == offered - entry["retried"]
+
+
+#: Closed-rule points the check once rejected, pinned so each newly
+#: legal combination runs whatever the draw.
+CLOSED = Scenario(app="http_lb", name="fuzz", cores=2, concurrency=8)
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(specs())
+@example(CLOSED._replace(
+    persistent=False, concurrency=16, requests_per_client=6, cores=4,
+    faults="flapping-backend",
+    fault_params=(
+        ("first_down_us", 1_000.0), ("downtime_us", 1_500.0),
+        ("period_us", 3_000.0), ("targets", 3),
+    ),
+))
+@example(CLOSED._replace(
+    requests_per_client=12, shards=2, fail_shard_at_us=300.0
+))
+@example(CLOSED._replace(
+    app="memcached_proxy", concurrency=16, requests_per_client=8, cores=1,
+    faults="retry-storm",
+    fault_params=(("retry_after_us", 1_500.0), ("max_retries", 2)),
+))
+@example(CLOSED._replace(
+    requests_per_client=6, admission="shed-bronze",
+    admission_params=(("max_inflight", 4),),
+    class_mix=(("gold", 1.0), ("bronze", 1.0)),
+))
+@example(CLOSED._replace(
+    concurrency=4, requests_per_client=8, faults="conn-churn",
+    fault_params=(("lifetime_requests", 3),),
+))
 def test_a_spec_is_rejected_cleanly_or_runs_clean(spec):
     try:
         spec.check()

@@ -194,19 +194,24 @@ class TestRunner:
             ))
         assert "did you mean 'shed-bronze'?" in str(excinfo.value)
 
-    def test_admission_fields_need_an_open_loop_scenario(self):
-        # silently dropping them would pin numbers under a config that
-        # never ran — same rule as hadoop's service_classes
-        for fields in (
-            {"admission": "shed-bronze"},
-            {"admission_params": (("max_inflight", 8),)},
-            {"class_mix": (("gold", 1.0),)},
-        ):
-            with pytest.raises(ConfigError, match="open-loop"):
-                run_scenario(Scenario(
-                    name="x", app="http_lb", arrival=None, **fields
-                ))
-        with pytest.raises(ConfigError, match="open-loop"):
+    def test_admission_fields_run_on_the_closed_rule(self):
+        """The closed rule has the open loop's admission door: a shed
+        request is a terminal outcome and its client moves on.  A
+        mapper job has no door, so the check rejects the fields there
+        rather than drop them."""
+        entry = run_scenario(Scenario(
+            name="x", app="http_lb", arrival=None, concurrency=8,
+            requests_per_client=10, cores=2, admission="token-bucket",
+            admission_params=(("rate_rps", 5_000.0), ("burst", 2.0)),
+            class_mix=(("gold", 1.0), ("bronze", 1.0)),
+        ))
+        admission = entry["admission"]
+        assert set(admission["per_class"]) == {"gold", "bronze"}
+        assert admission["shed"] > 0
+        assert entry["requests"] == entry["offered"] == 80
+        assert admission["admitted"] + admission["shed"] == 80
+        assert entry["completed"] == admission["admitted"]
+        with pytest.raises(ConfigError, match="does not support admission"):
             run_scenario(Scenario(
                 name="x", app="hadoop_agg", arrival="poisson",
                 admission="token-bucket",
@@ -234,13 +239,15 @@ class TestRunner:
             assert stats["admitted"] + stats["shed"] == stats["offered"]
         assert admission["admitted"] + admission["shed"] == 256
 
-    def test_closed_loop_entry_has_allocator_but_no_admission(self):
+    def test_closed_loop_entry_has_allocator_and_admission(self):
         entry = run_scenario(Scenario(
             name="closed", app="http_lb", arrival=None,
             concurrency=8, total_requests=256, slo_us=2_000.0, cores=2,
         ), quick=True)
         assert entry["allocator"]["name"] == "static"
-        assert "admission" not in entry
+        assert entry["admission"]["policy"] == "admit-all"
+        assert entry["admission"]["admitted"] == entry["offered"] == 256
+        assert "arrival_gaps_us" not in entry
 
     def test_ramp_elastic_scenario_records_allocation_changes(self):
         by_name = {s.name: s for s in SCENARIOS}
@@ -528,8 +535,8 @@ class TestBaselineComparison:
         )
 
     def test_committed_rows_share_one_shape(self):
-        """Every committed entry has its kind's keys (a closed-loop or
-        open-loop request entry, or a job entry), plus ``faults`` and
+        """Every committed entry has its kind's keys (a request entry,
+        or a job entry), plus ``arrival_gaps_us``, ``faults`` and
         ``cluster`` exactly when its spec turns them on.  The
         ``fields`` gate sees top-level keys only, so a nested row that
         lost a key (the sharded entries once had no ``retried`` class
@@ -544,7 +551,7 @@ class TestBaselineComparison:
         }
         request = {
             "requests", "offered", "completed", "failed", "retried",
-            "measured", "errors", "slo",
+            "measured", "errors", "slo", "admission",
         }
         for path in (
             root / "BENCH_scenarios.json",
@@ -556,7 +563,7 @@ class TestBaselineComparison:
                 job = APPS[spec.app].clients is None
                 keys = measured | ({"job"} if job else request)
                 if not job and spec.arrival is not None:
-                    keys |= {"admission", "arrival_gaps_us"}
+                    keys.add("arrival_gaps_us")
                 if spec.faults is not None:
                     keys.add("faults")
                 if spec.shards > 1:
@@ -610,16 +617,20 @@ class TestClusterScenarioFields:
                 fail_shard_at_us=100.0,
             ))
 
-    def test_cluster_tier_is_open_loop_http_only(self):
+    def test_cluster_tier_is_http_only(self):
         with pytest.raises(ConfigError, match="http_lb"):
             run_scenario(Scenario(
                 name="x", app="memcached_proxy", arrival="poisson",
                 shards=2,
             ))
-        with pytest.raises(ConfigError, match="open-loop"):
-            run_scenario(Scenario(
-                name="x", app="http_lb", arrival=None, shards=2,
-            ))
+
+    def test_closed_rule_runs_across_shards(self):
+        entry = run_scenario(Scenario(
+            name="x", app="http_lb", arrival=None, concurrency=8,
+            requests_per_client=10, cores=2, shards=2,
+        ))
+        assert entry["cluster"]["connections_routed"] == 8
+        assert entry["completed"] == entry["offered"] == 80
 
     def test_unknown_routing_gets_near_miss(self):
         with pytest.raises(ConfigError) as excinfo:

@@ -464,7 +464,7 @@ class TestPlatformEndToEnd:
         from repro.apps import http_lb
         from repro.core.units import GBPS
         from repro.net.tcp import TcpNetwork
-        from repro.workloads.arrivals import ClosedLoopClients, HttpRequestCodec
+        from repro.workloads.arrivals import ClientPopulation, HttpRequestCodec
 
         source = """
 type http_req: record
@@ -503,9 +503,9 @@ fun respond: (req: http_req) -> (http_resp)
         platform.start()
         pops = []
         for hosts, port in ((gold_hosts, 8001), (bronze_hosts, 8002)):
-            pop = ClosedLoopClients(
+            pop = ClientPopulation(
                 engine, net, hosts, mbox, port, HttpRequestCodec(),
-                concurrency=4, requests_per_client=6, warmup_requests=0,
+                connections=4, n_requests=6, warmup_requests=0,
             )
             pop.start()
             pops.append(pop)
