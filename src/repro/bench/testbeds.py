@@ -652,7 +652,9 @@ def _scheduler_entry(spec: Scenario, platforms, client_outcomes) -> dict:
     return {
         "classes": (
             class_summary(
-                chain.from_iterable(p.scoreboard.records for p in platforms),
+                chain.from_iterable(
+                    p.scoreboard.records.rows() for p in platforms
+                ),
                 client_outcomes,
             )
             if platforms

@@ -107,7 +107,11 @@ class UnitParser:
 
     def messages(self) -> Iterator[Record]:
         """Drain every complete message currently buffered."""
-        return iter(self.poll, None)
+        # Not ``iter(self.poll, None)``: that compares each message with
+        # the sentinel by ``==``, one ``Record.__eq__`` call per message.
+        poll = self.poll
+        while (message := poll()) is not None:
+            yield message
 
 
 class _BoundedParser(UnitParser):

@@ -48,7 +48,7 @@ from repro.runtime.allocator import AllocView, resolve_allocator
 from repro.runtime.costs import SCHEDULE_US, STEAL_US
 from repro.runtime.policy import overridden_hook, resolve_policy
 from repro.sim.engine import Engine
-from repro.sim.stats import SloScoreboard
+from repro.sim.stats import ColumnLog, SloScoreboard
 
 # Task scheduling states.
 IDLE = 0
@@ -67,7 +67,9 @@ class StealRecord(NamedTuple):
     keeping the flat steal path free of the O(cores) walk.  ``hops`` is
     the socket distance the steal crossed (0 on-socket) and ``cost_us``
     the full charge: ``STEAL_US`` plus ``hops`` x the topology's per-hop
-    penalty.
+    penalty.  :attr:`Scheduler.steal_log` stores these as columns (six
+    ``int`` arrays, a ``double`` array and a list of the snapshots) and
+    builds a record when it is read.
     """
 
     thief: int
@@ -235,8 +237,11 @@ class Scheduler:
         self._started = False
         self._queued = 0  # tasks waiting in worker queues
         self.tasks_executed = 0
-        #: One :class:`StealRecord` per steal operation, in order.
-        self.steal_log: list = []
+        #: One :class:`StealRecord` per steal operation, in order, kept
+        #: as columns: a flat steal costs 40 bytes, not a tuple.
+        self.steal_log: ColumnLog[StealRecord] = ColumnLog(
+            StealRecord, "iiiiiidO"
+        )
         #: One :class:`AllocRecord` per applied allocation change.
         self.alloc_log: list = []
         #: Per-service-class completion/latency/SLO-miss accounting.
@@ -515,10 +520,8 @@ class Scheduler:
         worker.stolen_tasks += count
         worker.steal_us += cost
         self.steal_log.append(
-            StealRecord(
-                worker.index, victim.index, worker.socket, victim.socket,
-                count, hops, cost, queue_lens,
-            )
+            worker.index, victim.index, worker.socket, victim.socket,
+            count, hops, cost, queue_lens,
         )
         return task, cost
 

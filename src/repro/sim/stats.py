@@ -2,8 +2,8 @@
 
 :class:`LatencySeries` collects per-request latencies; :class:`Meter`
 counts events over the run; :class:`SloScoreboard` logs task busy
-periods and :func:`class_summary` derives the per-service-class
-completions, latency and SLO misses from such logs;
+periods in a :class:`ColumnLog` and :func:`class_summary` derives the
+per-service-class completions, latency and SLO misses from such logs;
 :class:`IntervalSeries` records the gaps between successive events (the
 realised inter-arrival times of an open-loop workload).  All convert
 virtual-µs durations into the units the paper's figures use (thousand
@@ -13,9 +13,14 @@ requests/s, ms, Mb/s).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional
+from functools import lru_cache
+from typing import (
+    Dict, Generic, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Tuple, TypeVar,
+)
 
 from repro.core.units import millis, rate_per_second, throughput_mbps
 
@@ -28,11 +33,12 @@ class LatencySeries:
     (:meth:`percentile_summary_ms`) costs one O(n log n) sort no matter
     how many quantiles it reads, instead of one sort *per accessor* as
     the seed did.  With million-sample scenario series the repeated
-    sorts showed up in wall-clock.
+    sorts showed up in wall-clock.  The samples are an ``array('d')``:
+    8 bytes each instead of a list slot plus a float object.
     """
 
     def __init__(self):
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._sorted: List[float] = []
         self._dirty = False
 
@@ -155,6 +161,93 @@ class Meter:
         return throughput_mbps(self.bytes, self.duration_us)
 
 
+_Row = TypeVar("_Row", bound=tuple)
+
+
+def _realign(columns: Tuple) -> None:
+    """Drop a half-appended row: every column back to the shortest."""
+    rows = min(map(len, columns))
+    for column in columns:
+        del column[rows:]
+
+
+@lru_cache(maxsize=None)
+def _appender_factory(width: int):
+    """``bind(p0, ..., pn, columns)`` returning ``append(v0, ..., vn)``,
+    which calls ``pi(vi)`` for every column, spelled out one call per
+    column as :func:`collections.namedtuple` spells out its ``__new__``
+    (a loop over the columns costs three times the appends themselves).
+    A value a column refuses leaves no part of its row behind.  Compiled
+    once per width: schedulers are built by the thousand in tests."""
+    puts = ", ".join(f"p{i}" for i in range(width))
+    values = ", ".join(f"v{i}" for i in range(width))
+    calls = "; ".join(f"p{i}(v{i})" for i in range(width))
+    source = (
+        f"def bind({puts}, columns):\n"
+        f"    def append({values}):\n"
+        f"        try:\n"
+        f"            {calls}\n"
+        f"        except BaseException:\n"
+        f"            _realign(columns)\n"
+        f"            raise\n"
+        f"    return append\n"
+    )
+    namespace = {"_realign": _realign}
+    exec(source, namespace)
+    return namespace["bind"]
+
+
+class ColumnLog(Generic[_Row]):
+    """An append-only log of ``row`` NamedTuples, kept one column per field.
+
+    ``typecodes`` has one character per field of ``row``: an
+    :mod:`array` typecode (``q``, ``i``, ``d``, ...) stores that field
+    as raw numbers, and ``O`` stores it in a list (a name, an SLO that
+    may be ``None``, a tuple), which holds one pointer to an object the
+    caller already shares.  A row so costs a few machine words instead
+    of a tuple and a float object per time stamp.
+
+    ``append(*values)`` takes every field's value, in field order.
+    Reading builds the rows: ``len``, ``bool``, iteration and int or
+    slice indexing (negative included) answer as a list of ``row``
+    values would, a slice being a list.  :meth:`rows` yields plain
+    tuples, for a reader that only unpacks them.
+    """
+
+    __slots__ = ("_make", "_columns", "append")
+
+    def __init__(self, row: type, typecodes: str):
+        if len(typecodes) != len(row._fields):
+            raise ValueError(
+                f"{row.__name__} has {len(row._fields)} fields, "
+                f"got typecodes {typecodes!r}"
+            )
+        self._make = row._make
+        self._columns: Tuple = tuple(
+            [] if code == "O" else array(code) for code in typecodes
+        )
+        self.append = _appender_factory(len(typecodes))(
+            *(column.append for column in self._columns), self._columns
+        )
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[_Row]:
+        return map(self._make, zip(*self._columns))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(
+                map(self._make, zip(*(c[index] for c in self._columns)))
+            )
+        return self._make([c[index] for c in self._columns])
+
+    def rows(self) -> Iterator[tuple]:
+        """Every row as a plain tuple, in order."""
+        return zip(*self._columns)
+
+
 class SloRecord(NamedTuple):
     """One accounted busy period of a task: admission to drain.
 
@@ -188,14 +281,15 @@ class SloRecord(NamedTuple):
 
 
 def class_summary(
-    records: Iterable[SloRecord],
+    records: Iterable[tuple],
     client_outcomes: Optional[Mapping[str, Mapping[str, int]]] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Per-class aggregate dict (plain numbers, safe to pin golden).
 
     Completions, SLO misses and latency come from the busy-period
-    ``records`` (every platform's, in shard order for a fleet, so each
-    class's samples and their float sums are in a fixed order);
+    ``records``, :class:`SloRecord` values or plain tuples in its field
+    order (every platform's, in shard order for a fleet, so each class's
+    samples and their float sums are in a fixed order);
     ``shed`` and ``retried`` come from ``client_outcomes``, the client
     population's per-class table (:meth:`~repro.workloads.arrivals.
     ClientPopulation.admission_summary`), because a shed or retried
@@ -238,19 +332,23 @@ def class_summary(
 
 
 class SloScoreboard:
-    """The scheduler's log of task busy periods, one record each.
+    """The scheduler's log of task busy periods, one row each.
 
-    The scheduling mechanism records one entry per task *busy period*
+    The scheduling mechanism records one row per task *busy period*
     (admission to drain, matching the 'deadline' policy's SLO clock);
     classes are the :class:`~repro.runtime.qos.ServiceClass` names
     stamped by the task graph, with unclassified tasks pooled under
-    ``"default"``.  :attr:`records` is the only state: allocators and
-    routing policies read it live, and :func:`class_summary` derives
-    every per-class aggregate from it once the run is over.
+    ``"default"``.  :attr:`records` is the only state, a
+    :class:`ColumnLog` of :class:`SloRecord`: the task id and both time
+    stamps are stored as numbers, the names and the SLO as references
+    to the task's own objects.  Allocators and routing policies read it
+    live (``records[seen:]``, ``records[-window:]``), and
+    :func:`class_summary` derives every per-class aggregate from its
+    :meth:`~ColumnLog.rows` once the run is over.
     """
 
     def __init__(self):
-        self.records: List[SloRecord] = []
+        self.records: ColumnLog[SloRecord] = ColumnLog(SloRecord, "qOOddO")
 
     def record(
         self,
@@ -260,17 +358,15 @@ class SloScoreboard:
         admitted_us: float,
         completed_us: float,
         slo_us: Optional[float] = None,
-    ) -> SloRecord:
+    ) -> None:
         if completed_us < admitted_us:
             raise ValueError(
                 f"task {task!r} completed at {completed_us} before its "
                 f"admission at {admitted_us}"
             )
-        entry = SloRecord(
+        self.records.append(
             task_id, task, service_class, admitted_us, completed_us, slo_us
         )
-        self.records.append(entry)
-        return entry
 
     @property
     def total_completions(self) -> int:
@@ -278,7 +374,7 @@ class SloScoreboard:
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """:func:`class_summary` of this scheduler's records alone."""
-        return class_summary(self.records)
+        return class_summary(self.records.rows())
 
 
 @dataclass

@@ -3,6 +3,7 @@ mechanism, fleet scoreboard, and end-to-end sharded runs (including
 mid-run shard failure) over the simulated network."""
 
 from collections import namedtuple
+from itertools import chain
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.errors import ConfigError, SimulationError
 from repro.core.units import GBPS
 from repro.net.tcp import TcpNetwork
 from repro.sim.engine import Engine
+from repro.sim.stats import SloRecord, class_summary
 from repro.workloads.arrivals import make_arrival
 
 _Record = namedtuple("_Record", "service_class latency_us missed")
@@ -313,15 +315,21 @@ class TestShardedRuns:
     ):
         """``shards == 1`` is the platform list ``[platform on mbox]``:
         no :class:`ShardRouter`, no ``shard*`` host; ``shards == 2``
-        runs the same function with a router and one host per shard."""
+        runs the same function with a router and one host per shard,
+        and the entry's classes are the summary of every shard's busy
+        periods in shard order, read as rows or as records."""
         from repro.bench import testbeds
 
-        routers, hosts = [], []
+        routers, hosts, platforms = [], [], []
 
         class RecordingRouter(ShardRouter):
             def __init__(self, *args, **kwargs):
                 routers.append(self)
                 super().__init__(*args, **kwargs)
+
+            def add_shard(self, platform, port):
+                platforms.append(platform)
+                return super().add_shard(platform, port)
 
         add_host = TcpNetwork.add_host
 
@@ -345,4 +353,13 @@ class TestShardedRuns:
             assert len(routers) == 1
             assert shard_hosts == ["shard0", "shard1"]
             assert result.entry["cluster"]["shards"] == 2
+            assert len(platforms) == 2
+            logs = [p.scoreboard.records for p in platforms]
+            assert all(logs)
+            records = [record for log in logs for record in log]
+            assert all(type(r) is SloRecord for r in records)
+            rows = chain.from_iterable(log.rows() for log in logs)
+            summary = class_summary(rows)
+            assert summary == class_summary(records)
+            assert summary == result.entry["classes"]
         assert hosts.count("mbox") == 1

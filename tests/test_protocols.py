@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import ParseError
 from repro.grammar.protocols import hadoop, http
 from repro.grammar.protocols import memcached as mc
+from repro.lang.values import Record
 
 
 class TestHttp:
@@ -155,3 +156,42 @@ class TestHadoop:
         assert parser.poll() is None
         parser.feed(data[3:])
         assert len(list(parser.messages())) == 2
+
+
+def _streams():
+    """Three messages of each protocol, back to back in one buffer."""
+    return {
+        "memcached": (
+            mc.full_codec().parser(),
+            b"".join(
+                mc.encode(mc.make_request(mc.OP_GETK, f"key{i}"))
+                for i in range(3)
+            ),
+        ),
+        "http": (
+            http.HttpRequestParser(),
+            b"".join(
+                http.make_request("GET", f"/{i}").raw for i in range(3)
+            ),
+        ),
+        "hadoop": (
+            hadoop.codec().parser(),
+            hadoop.encode_pairs([("a", "1"), ("b", "22"), ("c", "333")]),
+        ),
+    }
+
+
+@pytest.mark.parametrize("protocol", ["memcached", "http", "hadoop"])
+def test_messages_compares_no_record(protocol, monkeypatch):
+    """Draining a parser tests each message against ``None`` by
+    identity: ``iter(poll, None)`` called ``Record.__eq__`` once per
+    message on every client, backend and reducer parser."""
+
+    def refuse(self, other):
+        raise AssertionError("messages() compared a record by ==")
+
+    monkeypatch.setattr(Record, "__eq__", refuse)
+    parser, wire = _streams()[protocol]
+    parser.feed(wire)
+    assert len(list(parser.messages())) == 3
+    assert list(parser.messages()) == []

@@ -34,8 +34,8 @@ and at quiescence:
   pipeline);
 * no lost wakeup: no task ``has_work()``, every task is idle and every
   worker queue is empty;
-* ``steal_log`` replays to the per-worker ``steals`` / ``stolen_tasks``
-  / ``steal_us``;
+* ``steal_log`` iterates as ``StealRecord`` values that replay to the
+  per-worker ``steals`` / ``stolen_tasks`` / ``steal_us``;
 * scoreboard busy periods balance: one record per admission, none open.
 
 Each test prints how many schedules and post-event states it checked
@@ -52,7 +52,7 @@ import pytest
 from repro.runtime.allocator import make_allocator
 from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.policy import registered_policies
-from repro.runtime.scheduler import IDLE, Scheduler, TaskBase
+from repro.runtime.scheduler import IDLE, Scheduler, StealRecord, TaskBase
 from repro.sim.engine import Engine
 from tests.explore import timings
 
@@ -319,8 +319,11 @@ class _Run:
             assert not task.has_work(), f"lost wakeup: {task.name} has work"
             assert task.sched_state == IDLE
         assert not any(w.queue for w in scheduler._workers), "task left queued"
+        steals = list(scheduler.steal_log)
+        assert all(type(r) is StealRecord for r in steals)
+        assert len(steals) == len(scheduler.steal_log)
         for worker in scheduler._workers:
-            mine = [r for r in scheduler.steal_log if r.thief == worker.index]
+            mine = [r for r in steals if r.thief == worker.index]
             assert all(r.victim != worker.index for r in mine)
             assert len(mine) == worker.steals, "steal_log replay"
             assert sum(r.tasks for r in mine) == worker.stolen_tasks

@@ -38,7 +38,7 @@ from repro.runtime.qos import (
 )
 from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
-from repro.sim.stats import SloScoreboard
+from repro.sim.stats import SloRecord, SloScoreboard
 
 from tests.item_task import ItemTask
 
@@ -341,6 +341,16 @@ class TestScoreboard:
         scoreboard = SloScoreboard()
         with pytest.raises(ValueError):
             scoreboard.record(1, "t", "gold", 10.0, 5.0, 100.0)
+        # Rejected before the first column append: no half-written row.
+        records = scoreboard.records
+        assert not records and len(records) == 0 == len(list(records))
+        # A time stamp the double column refuses after three columns
+        # took their values: the row is dropped from every column.
+        with pytest.raises(TypeError):
+            scoreboard.record(2, "t", "gold", "10", "50", 100.0)
+        assert len(records) == 0 == len(list(records))
+        scoreboard.record(3, "t", "gold", 10.0, 50.0, 100.0)
+        assert list(records) == [SloRecord(3, "t", "gold", 10.0, 50.0, 100.0)]
 
     def test_counts_and_misses(self):
         scoreboard = SloScoreboard()
@@ -349,6 +359,30 @@ class TestScoreboard:
         scoreboard.record(3, "c", "bronze", 0.0, 400.0, 50_000.0)
         scoreboard.record(4, "d", "default", 0.0, 9.0)  # no SLO, no miss
         assert scoreboard.total_completions == 4
+        # The log reads as the list of SloRecords it replaces.
+        expected = [
+            SloRecord(1, "a", "gold", 0.0, 500.0, 1_000.0),
+            SloRecord(2, "b", "gold", 0.0, 1_500.0, 1_000.0),
+            SloRecord(3, "c", "bronze", 0.0, 400.0, 50_000.0),
+            SloRecord(4, "d", "default", 0.0, 9.0, None),
+        ]
+        records = scoreboard.records
+        assert len(records) == 4 and bool(records)
+        assert list(records) == expected
+        assert all(type(r) is SloRecord for r in records)
+        assert records[-1] == expected[-1] and records[0] == expected[0]
+        assert type(records[-1]) is SloRecord
+        assert [r.missed for r in records] == [False, True, False, False]
+        for k in range(6):
+            for window in (records[k:], records[-k:]):
+                assert all(type(r) is SloRecord for r in window)
+            assert records[k:] == expected[k:]
+            assert records[-k:] == expected[-k:]
+        assert list(records.rows()) == [tuple(r) for r in expected]
+        with pytest.raises(IndexError):
+            records[4]
+        with pytest.raises(IndexError):
+            records[-5]
         summary = scoreboard.summary()
         assert {n: s["completions"] for n, s in summary.items()} == {
             "gold": 2, "bronze": 1, "default": 1

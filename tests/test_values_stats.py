@@ -1,5 +1,8 @@
 """Tests for runtime values, measurement helpers and report rendering."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.errors import RuntimeFlickError
@@ -11,7 +14,11 @@ from repro.core.units import (
     transmission_time_us,
 )
 from repro.lang.values import Record, record_size_bytes
-from repro.sim.stats import LatencySeries, Meter, RunResult
+from repro.runtime.scheduler import Scheduler
+from repro.sim.engine import Engine
+from repro.sim.stats import LatencySeries, Meter, RunResult, SloScoreboard
+
+from tests.item_task import ItemTask
 
 
 class TestRecord:
@@ -155,6 +162,58 @@ class TestLatencySeries:
         assert series.count_over(0.5) == 4
         assert series.count_over(3.0) == 0
         assert series.count_over(None) == 0
+
+
+@pytest.mark.usefixtures("traced")
+class TestLogMemory:
+    """The run-length logs cost a few machine words per row.
+
+    A list of NamedTuples paid about 180 bytes per busy period (a tuple
+    and two floats) and 120 per steal; columns of numbers pay 50 and 40.
+    """
+
+    ROW_BYTES = 64
+
+    @pytest.fixture
+    def traced(self):
+        gc.collect()
+        tracemalloc.start()
+        yield
+        tracemalloc.stop()
+
+    def test_busy_periods(self):
+        scoreboard = SloScoreboard()
+        names = [f"conn{i}:compute" for i in range(8)]
+        slo_us = 5_000.0
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(10_000):
+            # Fresh floats per period, as the engine's clock makes them.
+            admitted_us = i * 12.5
+            scoreboard.record(
+                i + 1_000, names[i % 8], "default", admitted_us,
+                admitted_us + 7.25, slo_us,
+            )
+        grown = tracemalloc.get_traced_memory()[0] - before
+        assert len(scoreboard.records) == 10_000
+        assert grown / 10_000 <= self.ROW_BYTES
+
+    def test_steals(self):
+        # Every task pinned to worker 0: the other seven steal most of them.
+        engine = Engine()
+        scheduler = Scheduler(engine, 8, 50.0, "cooperative")
+        scheduler.start()
+        for index in range(6_000):
+            task = ItemTask(f"t{index}", 1, 2.0, next(engine.task_ids))
+            task.home_hint = 0
+            scheduler.notify_runnable(task)
+        engine.run()
+        steals = len(scheduler.steal_log)
+        assert steals >= 5_000
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        scheduler.steal_log = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+        assert freed / steals <= self.ROW_BYTES
 
 
 class TestMeter:
