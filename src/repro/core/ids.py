@@ -21,7 +21,11 @@ def _fnv1a(data) -> int:
     if isinstance(data, str):
         data = data.encode("utf-8")
     elif isinstance(data, int):
-        data = data.to_bytes(8, "little", signed=True)
+        try:
+            data = data.to_bytes(8, "little", signed=True)
+        except OverflowError:  # past signed 64 bits (a uint64 >= 2**63)
+            width = (data if data >= 0 else ~data).bit_length() // 8 + 1
+            data = data.to_bytes(width, "little", signed=True)
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError(f"stable_hash does not support {type(data).__name__}")
     h = _FNV_OFFSET
@@ -40,7 +44,9 @@ def stable_hash(data) -> int:
     """Return a deterministic 64-bit FNV-1a hash of ``data``.
 
     Accepts ``bytes``, ``str`` (UTF-8 encoded), ``int`` and tuples of those;
-    this covers everything FLICK programs are allowed to hash.
+    this covers everything FLICK programs are allowed to hash.  An int
+    hashes its 8 signed little-endian bytes, or, outside the signed
+    64-bit range, its shortest signed little-endian bytes (9 or more).
     """
     if isinstance(data, tuple):
         h = _FNV_OFFSET

@@ -18,10 +18,10 @@ goodput over 8 x 1 Gbps ingress links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.errors import SimulationError
-from repro.core.units import GBPS, transmission_time_us
+from repro.core.units import GBPS, SECONDS
 from repro.sim.engine import Engine
 
 #: Ethernet + IP + TCP framing: 1448 payload bytes per 1538 wire bytes.
@@ -43,10 +43,15 @@ class RateLimiter:
         self._free_at = 0.0
 
     def transmit(self, now_us: float, nbytes: int) -> float:
-        """Claim the resource; returns the time the last bit leaves."""
-        wire_bytes = nbytes * WIRE_OVERHEAD
-        start = max(now_us, self._free_at)
-        end = start + transmission_time_us(wire_bytes, self.rate_bps)
+        """Claim the resource; returns the time the last bit leaves.
+
+        The frame starts when both it and the resource are ready and
+        takes ``transmission_time_us`` of its wire bytes, written out
+        here in that function's order of operations.
+        """
+        free_at = self._free_at
+        start = free_at if free_at > now_us else now_us
+        end = start + nbytes * WIRE_OVERHEAD * 8.0 / self.rate_bps * SECONDS
         self._free_at = end
         return end
 
@@ -70,14 +75,25 @@ class Host:
         self.rx = RateLimiter(self.nic_rate_bps)
 
 
+_Path = Tuple[RateLimiter, Optional[RateLimiter], RateLimiter]
+
+
 class Network:
-    """Hosts plus inter-segment trunks; computes delivery times."""
+    """Hosts plus inter-segment trunks; computes delivery times.
+
+    Each NIC has separate ``tx`` and ``rx`` limiters, so a host sends
+    and receives at full rate at once.  The trunk between two segments
+    is one :class:`RateLimiter` serving both directions: a frame from
+    segment A to B queues behind frames from B to A.
+    """
 
     def __init__(self, engine: Engine, trunk_rate_bps: float = 20 * GBPS):
         self.engine = engine
         self._hosts: Dict[str, Host] = {}
         self._trunks: Dict[frozenset, RateLimiter] = {}
         self._trunk_rate = trunk_rate_bps
+        # (src name, dst name) -> (src.tx, trunk or None, dst.rx).
+        self._paths: Dict[Tuple[str, str], _Path] = {}
 
     # -- topology -----------------------------------------------------------
 
@@ -96,36 +112,42 @@ class Network:
     def host(self, name: str) -> Host:
         return self._hosts[name]
 
-    def _trunk(self, a: str, b: str) -> Optional[RateLimiter]:
-        if a == b:
-            return None
-        key = frozenset((a, b))
-        if key not in self._trunks:
-            self._trunks[key] = RateLimiter(self._trunk_rate)
-        return self._trunks[key]
+    def _path(self, src: Host, dst: Host) -> _Path:
+        """The limiters a frame from ``src`` to ``dst`` crosses, built
+        on the pair's first frame and kept."""
+        trunk = None
+        if src.segment != dst.segment:
+            key = frozenset((src.segment, dst.segment))
+            trunk = self._trunks.get(key)
+            if trunk is None:
+                trunk = self._trunks[key] = RateLimiter(self._trunk_rate)
+        path = self._paths[src.name, dst.name] = (src.tx, trunk, dst.rx)
+        return path
 
     # -- transfer ------------------------------------------------------------
 
     def deliver(
-        self,
-        src: Host,
-        dst: Host,
-        nbytes: int,
-        callback: Callable[[], None],
+        self, src: Host, dst: Host, nbytes: int, callback: Callable, *args
     ) -> float:
-        """Schedule ``callback`` when ``nbytes`` from src arrive at dst.
+        """File ``callback(*args)`` for when ``nbytes`` from src arrive
+        at dst; returns the arrival time (µs).
 
-        Returns the arrival time (µs).  Zero-byte control exchanges
-        (SYN, FIN) still pay per-hop latency and — like any other frame
-        — claim their place in the sender's NIC queue, so a FIN can
-        never leave the host ahead of data still serialising behind
+        The frame crosses the sender's NIC, the trunk when the hosts sit
+        on different segments, and the receiver's NIC, paying
+        ``HOP_LATENCY_US`` between hops; the pair's path is looked up
+        once and kept.  Zero-byte control exchanges (SYN, FIN) still
+        pay per-hop latency and — like any other frame — claim their
+        place in the sender's NIC queue, so a FIN can never leave the
+        host ahead of data still serialising behind
         ``src.tx.busy_until``.
         """
-        now = self.engine.now
-        depart = src.tx.transmit(now, nbytes)
-        trunk = self._trunk(src.segment, dst.segment)
+        try:
+            tx, trunk, rx = self._paths[src.name, dst.name]
+        except KeyError:
+            tx, trunk, rx = self._path(src, dst)
+        depart = tx.transmit(self.engine.now, nbytes)
         if trunk is not None:
             depart = trunk.transmit(depart + HOP_LATENCY_US, nbytes)
-        arrival = dst.rx.transmit(depart + HOP_LATENCY_US, nbytes)
-        self.engine.at(arrival, callback)
+        arrival = rx.transmit(depart + HOP_LATENCY_US, nbytes)
+        self.engine.at(arrival, callback, *args)
         return arrival

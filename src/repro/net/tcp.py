@@ -64,7 +64,7 @@ class TcpSocket:
         self.bytes_sent += len(data)
         peer = self.peer
         self._net.network.deliver(
-            self.host, peer.host, len(data), lambda: peer._on_data(data)
+            self.host, peer.host, len(data), peer._on_data, data
         )
 
     def close(self) -> None:

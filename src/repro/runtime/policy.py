@@ -30,12 +30,12 @@ only where it can change what happens:
   :class:`~repro.runtime.costs.RuntimeConfig`), e.g. the ``deadline``
   policy reads per-connection SLOs from ``config.slo_us``.
 
-``steal_count``, ``steps_per_decision`` and ``on_task_done`` are called
-only when the policy overrides them (see :func:`overridden_hook`): a
-subclass method or an instance attribute — such as a wrapper a test
-installs on one instance — counts; the base definitions' answers (1, 1,
-nothing) are known without asking.  ``budget`` and ``place`` are always
-called.
+``next_local``, ``steal_count``, ``steps_per_decision`` and
+``on_task_done`` are called only when the policy overrides them (see
+:func:`overridden_hook`): a subclass method or an instance attribute —
+such as a wrapper a test installs on one instance — counts; the base
+definitions' answers (the queue's head, 1, 1, nothing) are known
+without asking.  ``budget`` and ``place`` are always called.
 
 Two bindings complete the contract: the adopting scheduler sets
 ``_bound_engine`` (simulated clock) and ``_bound_topology`` (the
@@ -61,7 +61,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.core.errors import RuntimeFlickError
-from repro.core.ids import stable_hash
 from repro.core.registry import Registry
 
 #: The three policies evaluated in the paper (section 6.4, Figure 7).
@@ -133,11 +132,12 @@ class SchedulingPolicy:
         """
 
     def place(self, task, workers: Sequence) -> object:
-        """Choose the task's home worker (honours ``task.home_hint``)."""
+        """Choose the task's home worker: ``task.home_hint`` if set,
+        else by the hash of its id (``task.placement_hash``)."""
         hint = task.home_hint
         if hint is not None:
             return workers[hint % len(workers)]
-        return workers[stable_hash(task.task_id) % len(workers)]
+        return workers[task.placement_hash % len(workers)]
 
     def select_victim(self, worker, workers: Sequence) -> Optional[object]:
         """Pick the foreign queue to steal from (longest, first on ties).
@@ -551,7 +551,7 @@ class NumaPolicy(SchedulingPolicy):
         if hint is not None:
             return workers[hint % len(workers)]
         groups = self._groups(workers)
-        members = groups[stable_hash(task.task_id) % len(groups)]
+        members = groups[task.placement_hash % len(groups)]
         return min(members, key=lambda w: (len(w.queue), w.index))
 
     def select_victim(self, worker, workers: Sequence) -> Optional[object]:

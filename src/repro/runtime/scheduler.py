@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Deque, NamedTuple, Optional, Tuple
 
 from repro.core.errors import RuntimeFlickError
+from repro.core.ids import stable_hash
 from repro.runtime.allocator import AllocView, resolve_allocator
 from repro.runtime.costs import SCHEDULE_US, STEAL_US
 from repro.runtime.policy import overridden_hook, resolve_policy
@@ -206,11 +207,13 @@ class Scheduler:
         self.policy.reset()  # a reused instance must not carry over state
         self.policy_name = self.policy.name
         # Bound policy hooks, cached once: these run on every scheduling
-        # decision and every enqueue.  A hook the policy leaves at the
-        # base no-op is cached as None and never called.
+        # decision and every enqueue.  A hook the policy leaves at its
+        # base definition is cached as None and never called: the
+        # mechanism knows its answer (the queue's head, 1 task, 1 step,
+        # nothing).
         self._place = self.policy.place
         self._budget = self.policy.budget
-        self._next_local = self.policy.next_local
+        self._next_local = overridden_hook(self.policy, "next_local")
         self._select_victim = self.policy.select_victim
         self._steal_count = overridden_hook(self.policy, "steal_count")
         self._steps_of = overridden_hook(self.policy, "steps_per_decision")
@@ -429,8 +432,18 @@ class Scheduler:
             if task.has_work() or task.pending_wakeup:
                 task.pending_wakeup = False
                 self.notify_runnable(task)
-            else:
-                self._record_completion(task)
+            elif task.admitted_at is not None:
+                # The task drained: close its busy period.
+                admitted, task.admitted_at = task.admitted_at, None
+                service_class = task.service_class
+                self.scoreboard.record(
+                    task.task_id,
+                    task.name,
+                    "default" if service_class is None else service_class.name,
+                    admitted,
+                    self.engine.now,
+                    getattr(task, "slo_us", None),
+                )
         if self._alloc_enabled:
             if self.engine.now >= self._next_alloc_at:
                 self._allocation_tick()
@@ -440,10 +453,17 @@ class Scheduler:
                 # unpark rouses it.
                 worker.sleeping = True
                 return
-        task, steal_us = self._next_task(worker)
-        if task is None:
-            worker.sleeping = True
-            return
+        queue = worker.queue
+        if queue:
+            self._queued -= 1
+            pick = self._next_local
+            task = queue.popleft() if pick is None else pick(worker)
+            steal_us = 0.0
+        else:
+            task, steal_us = self._steal(worker)
+            if task is None:
+                worker.sleeping = True
+                return
         task.sched_state = RUNNING
         budget_of = self._budget
         elapsed, emissions = task.step(budget_of(task))
@@ -461,29 +481,9 @@ class Scheduler:
             self._on_task_done(task, worker, elapsed)
         self.engine.schedule(cost, self._run, worker, task, emissions)
 
-    def _record_completion(self, task) -> None:
-        """A task drained: close its busy period on the scoreboard."""
-        admitted = task.admitted_at
-        if admitted is None:
-            return
-        task.admitted_at = None
-        service_class = task.service_class
-        self.scoreboard.record(
-            task_id=task.task_id,
-            task=task.name,
-            service_class=(
-                service_class.name if service_class is not None else "default"
-            ),
-            admitted_us=admitted,
-            completed_us=self.engine.now,
-            slo_us=getattr(task, "slo_us", None),
-        )
-
-    def _next_task(self, worker: _Worker):
-        """Next task for ``worker`` plus the steal cost it incurred (µs)."""
-        if worker.queue:
-            self._queued -= 1
-            return self._next_local(worker), 0.0
+    def _steal(self, worker: _Worker):
+        """A task for ``worker``, whose own queue is empty, taken from
+        another queue, plus the steal cost it incurred (µs)."""
         if not self._queued:
             return None, 0.0  # every queue is empty: nothing to steal
         victim = self._select_victim(worker, self._active)
@@ -556,6 +556,9 @@ class TaskBase:
         # must be unique among a scheduler's tasks: the run's engine
         # hands them out (``next(engine.task_ids)``).
         self.task_id = task_id
+        #: ``stable_hash(task_id)``, what hash placement reads: the id
+        #: never changes, so a task is hashed once, here.
+        self.placement_hash = stable_hash(task_id)
         self.sched_state = IDLE
         self.pending_wakeup = False
         self.items_processed = 0

@@ -184,23 +184,28 @@ class Engine:
         """Run ``callback(*args)`` after ``delay`` µs of virtual time."""
         if not delay >= 0.0:  # negative or NaN
             raise SimulationError(f"cannot schedule in the past ({delay})")
-        self._insert(self.now + delay, callback, args)
+        now = self.now
+        when = now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        if when > now:
+            heappush(self._heap, (when, seq, callback, args))
+        else:
+            self._ready.append((when, seq, callback, args))
 
     def at(self, when: float, callback: Callable, *args) -> None:
         """Run ``callback`` at the exact absolute virtual time ``when``."""
-        if not when >= self.now:  # earlier or NaN
+        now = self.now
+        if not when >= now:  # earlier or NaN
             raise SimulationError(
-                f"cannot schedule in the past ({when - self.now})"
+                f"cannot schedule in the past ({when - now})"
             )
-        self._insert(when, callback, args)
-
-    def _insert(self, when: float, callback: Callable, args: tuple) -> None:
-        entry = (when, self._seq, callback, args)
-        self._seq += 1
-        if when > self.now:
-            heappush(self._heap, entry)
+        seq = self._seq
+        self._seq = seq + 1
+        if when > now:
+            heappush(self._heap, (when, seq, callback, args))
         else:
-            self._ready.append(entry)
+            self._ready.append((when, seq, callback, args))
 
     def event(self) -> Event:
         return Event(self)

@@ -9,12 +9,14 @@ matches the paper's evaluation.
 
 import pytest
 
+from repro.bench import testbeds
 from repro.bench.scheduling import (
     resolve_policy_selection,
     run_policy_sweep,
     run_scheduling_experiment,
 )
 from repro.core.errors import RuntimeFlickError
+from repro.core.ids import stable_hash
 from repro.runtime.policy import (
     PAPER_POLICIES,
     AdaptiveTimeslicePolicy,
@@ -29,7 +31,7 @@ from repro.runtime.policy import (
     registered_policies,
 )
 from repro.runtime.qos import ServiceClass
-from repro.runtime.scheduler import Scheduler
+from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.sim.engine import Engine
 
 from tests.item_task import ItemTask
@@ -683,6 +685,44 @@ class TestNumaPolicy:
         placed = NumaPolicy().place(task, workers)
         assert placed.socket == socket  # socket affinity is by hash...
         assert len(placed.queue) == 0  # ...core within it by load
+
+
+class TestPlacementHash:
+    """A task's placement hash is computed once, when the task is built,
+    and is the hash of its id that placement always used."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            testbeds.Scenario(
+                app="memcached_proxy", concurrency=8, total_requests=256,
+            ),
+            testbeds.Scenario(
+                app="http_lb", policy="numa", topology="two-socket",
+                persistent=False, concurrency=8, requests_per_client=4,
+            ),
+            testbeds.Scenario(
+                app="hadoop_agg", data_kb_per_mapper=4, n_mappers=4,
+            ),
+        ],
+        ids=["memcached-proxy", "http-lb-numa", "hadoop"],
+    )
+    def test_every_task_built_carries_the_hash_of_its_id(
+        self, monkeypatch, spec
+    ):
+        built = []
+        init = TaskBase.__init__
+
+        def recording(task, name, task_id):
+            init(task, name, task_id)
+            built.append(task)
+
+        monkeypatch.setattr(TaskBase, "__init__", recording)
+        result = testbeds.run_experiment(spec)
+        assert result.throughput > 0
+        assert len({type(task) for task in built}) >= 3
+        for task in built:
+            assert task.placement_hash == stable_hash(task.task_id), task
 
 
 class TestSchedulerTopology:

@@ -71,6 +71,40 @@ class TestStableHash:
     def test_ints_supported(self, n):
         assert 0 <= stable_hash(n) < 2 ** 64
 
+    def test_ints_past_signed_64_bits(self):
+        # FLICK's hash takes any integer, and memcached's cas is a
+        # uint64: ``hash(req.cas)`` with a cas >= 2**63 must not end the
+        # run.  Such an int hashes its shortest signed little-endian
+        # bytes, 9 here, so no in-range int changes its hash.
+        def fnv(raw):
+            h = 0xCBF29CE484222325
+            for byte in raw:
+                h = ((h ^ byte) * 0x100000001B3) & (2 ** 64 - 1)
+            return h
+
+        for n in (2 ** 63, 2 ** 64 - 1, -(2 ** 63) - 1):
+            raw = n.to_bytes(9, "little", signed=True)
+            for _ in range(2):  # computed, then served from the memo
+                assert stable_hash(n) == fnv(raw)
+            folded = 0xCBF29CE484222325
+            for part in (fnv(raw), stable_hash(1)):  # a tuple folds its parts
+                folded = (folded ^ part) * 0x100000001B3 & (2 ** 64 - 1)
+            assert stable_hash((n, 1)) == folded
+        assert stable_hash(2 ** 72) == fnv((2 ** 72).to_bytes(10, "little"))
+        # In range, the hash is the one pinned before: 8 signed bytes.
+        for n, expected in (
+            (255, 0x9016B196E349A31A),
+            (256, 0xE3757CA7D64666EA),
+            (12345, 0xE71EB185E2EDCC4C),
+            (-98765, 0xFF4434C2CD08EF5F),
+            (2 ** 31, 0x515662F380650845),
+            (2 ** 63 - 1, 0x8CF59A8BFCA461BD),
+            (-(2 ** 63), 0xA8C7783228196045),
+        ):
+            assert stable_hash(n) == expected == fnv(
+                n.to_bytes(8, "little", signed=True)
+            )
+
     @given(st.tuples(st.text(max_size=8), st.integers(0, 1000)))
     def test_tuples_supported(self, t):
         assert stable_hash(t) == stable_hash(t)

@@ -39,8 +39,9 @@ and at quiescence:
 * scoreboard busy periods balance: one record per admission, none open.
 
 Each test prints how many schedules and post-event states it checked
-(``pytest -s``).  Seeded mutations of ``runtime/scheduler.py`` and the
-property that catches each are recorded in ``CHANGES.md``.
+(``pytest -s``) and asserts both counts (``SCHEDULES``, ``STATES``).
+Seeded mutations of ``runtime/scheduler.py`` and the property that
+catches each are recorded in ``CHANGES.md``.
 """
 
 import itertools
@@ -217,7 +218,12 @@ SHAPES = {
 
 
 class _CheckedEngine(Engine):
-    """The product engine, running ``check`` after every event."""
+    """The product engine, running ``check`` after every event.
+
+    Every entry is filed through ``_post``, ``schedule`` or ``at``;
+    :data:`STATES` pins how many events the runs check, so an entry
+    point that bypasses these wrappers fails the test.
+    """
 
     def __init__(self, check):
         super().__init__()
@@ -227,8 +233,11 @@ class _CheckedEngine(Engine):
     def _post(self, callback, args):
         super()._post(self._checked, (callback, args))
 
-    def _insert(self, when, callback, args):
-        super()._insert(when, self._checked, (callback, args))
+    def schedule(self, delay, callback, *args):
+        super().schedule(delay, self._checked, callback, args)
+
+    def at(self, when, callback, *args):
+        super().at(when, self._checked, callback, args)
 
     def _checked(self, callback, args):
         callback(*args)
@@ -355,6 +364,32 @@ def _stimuli_for(shape, allocator):
 #: over the 2 timestamps 6 ways; without the tick, 4 or 8 orders, 5 ways.
 SCHEDULES = {"static": (4 + 8) * 5 * 4, "queue-depth": (20 + 40) * 6 * 4}
 
+#: Post-event states checked per (policy, allocator), summed over every
+#: schedule: the count of engine events the runs fire, each followed by
+#: ``check``.  A hook that stopped seeing some events would check fewer.
+STATES = {
+    ("adaptive-timeslice", "static"): 5207,
+    ("adaptive-timeslice", "queue-depth"): 26291,
+    ("batch", "static"): 5207,
+    ("batch", "queue-depth"): 26291,
+    ("cooperative", "static"): 5207,
+    ("cooperative", "queue-depth"): 26363,
+    ("deadline", "static"): 5207,
+    ("deadline", "queue-depth"): 26363,
+    ("locality", "static"): 5193,
+    ("locality", "queue-depth"): 26363,
+    ("non_cooperative", "static"): 5207,
+    ("non_cooperative", "queue-depth"): 26291,
+    ("numa", "static"): 5203,
+    ("numa", "queue-depth"): 26746,
+    ("priority", "static"): 5207,
+    ("priority", "queue-depth"): 26363,
+    ("round_robin", "static"): 5615,
+    ("round_robin", "queue-depth"): 29655,
+    ("steal-half", "static"): 5207,
+    ("steal-half", "queue-depth"): 26363,
+}
+
 
 @pytest.mark.parametrize("allocator", ALLOCATORS)
 @pytest.mark.parametrize("policy", registered_policies())
@@ -377,6 +412,7 @@ def test_every_small_schedule(policy, allocator):
         f"{steals} steals, {parks} parks, {unparks} unparks"
     )
     assert schedules == SCHEDULES[allocator]
+    assert states == STATES[policy, allocator]
     # The space reaches the paths it exists to check.
     assert steals and pending
     assert bool(parks and unparks) == (allocator != "static")

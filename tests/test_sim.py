@@ -4,6 +4,8 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
 from repro.core.units import GBPS, MBPS
@@ -330,6 +332,106 @@ class TestNetwork:
         net.add_host("a")
         with pytest.raises(SimulationError):
             net.add_host("a")
+
+
+class _ReferenceLimiter:
+    """The parent's ``RateLimiter.transmit``, verbatim."""
+
+    def __init__(self, rate_bps):
+        self.rate_bps = rate_bps
+        self.busy_until = 0.0
+
+    def transmit(self, now_us, nbytes):
+        wire_bytes = nbytes * WIRE_OVERHEAD
+        start = max(now_us, self.busy_until)
+        end = start + transmission_time_us(wire_bytes, self.rate_bps)
+        self.busy_until = end
+        return end
+
+
+class _ReferenceNetwork:
+    """``Network.deliver`` as it was before the per-pair path cache:
+    three ``transmit`` calls per frame, the trunk looked up by the
+    unordered pair of segments on every frame."""
+
+    def __init__(self, trunk_rate_bps):
+        self.trunk_rate_bps = trunk_rate_bps
+        self.tx = {}
+        self.rx = {}
+        self.trunks = {}
+
+    def add_host(self, name, rate_bps):
+        self.tx[name] = _ReferenceLimiter(rate_bps)
+        self.rx[name] = _ReferenceLimiter(rate_bps)
+
+    def deliver(self, now, src, dst, nbytes):
+        depart = self.tx[src.name].transmit(now, nbytes)
+        if src.segment != dst.segment:
+            key = frozenset((src.segment, dst.segment))
+            if key not in self.trunks:
+                self.trunks[key] = _ReferenceLimiter(self.trunk_rate_bps)
+            depart = self.trunks[key].transmit(depart + HOP_LATENCY_US, nbytes)
+        return self.rx[dst.name].transmit(depart + HOP_LATENCY_US, nbytes)
+
+
+#: (NIC rate, segment index) per host; a run uses 1-3 segments.
+_hosts = st.lists(
+    st.tuples(st.sampled_from((1 * GBPS, 10 * GBPS)), st.integers(0, 2)),
+    min_size=2,
+    max_size=5,
+)
+#: (src index, dst index, payload bytes, clock advance before the send).
+_sends = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.integers(0, 64 * 1024),
+        st.one_of(st.just(0.0), st.floats(0.001, 2_000.0)),
+    ),
+    max_size=40,
+)
+
+
+class TestDeliverDifferential:
+    """``Network.deliver`` against the reference above: the same sends
+    give the same arrival times and leave every NIC and trunk busy until
+    the same instant, compared with ``==``.  A trunk is shared by both
+    directions of a segment pair, so a path cache that gave each
+    direction its own trunk fails here."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hosts, _sends, st.integers(1, 3))
+    def test_same_arrivals_and_busy_times(self, hosts, sends, segments):
+        engine = Engine()
+        net = Network(engine, trunk_rate_bps=20 * GBPS)
+        ref = _ReferenceNetwork(20 * GBPS)
+        nodes = []
+        for index, (rate, segment) in enumerate(hosts):
+            name = f"h{index}"
+            nodes.append(net.add_host(name, rate, f"s{segment % segments}"))
+            ref.add_host(name, rate)
+        fired = []
+        expected = []
+        for index, (src, dst, nbytes, advance) in enumerate(sends):
+            engine.run(until=engine.now + advance)
+            src, dst = nodes[src % len(nodes)], nodes[dst % len(nodes)]
+            want = ref.deliver(engine.now, src, dst, nbytes)
+            got = net.deliver(
+                src, dst, nbytes, lambda i, n: fired.append((i, n, engine.now)),
+                index, nbytes,
+            )
+            assert got == want
+            expected.append((index, nbytes, want))
+        engine.run()
+        # Each callback fires once, with its arguments, at its arrival
+        # time; same-time arrivals fire in send order.
+        assert fired == sorted(expected, key=lambda e: (e[2], e[0]))
+        for node in nodes:
+            assert node.tx.busy_until == ref.tx[node.name].busy_until
+            assert node.rx.busy_until == ref.rx[node.name].busy_until
+        assert {
+            key: trunk.busy_until for key, trunk in net._trunks.items()
+        } == {key: trunk.busy_until for key, trunk in ref.trunks.items()}
 
 
 class TestTcp:
