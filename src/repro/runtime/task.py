@@ -270,12 +270,17 @@ class RawForwardTask(TaskBase):
         elapsed = 0.0
         emissions: List[Callable[[], None]] = []
         out, wake = self._out, self.wake
+        # Pushes land only after the slice, so count the room they take.
+        headroom = out.capacity - len(out)
         while self.has_work():
             if self._chunks:
+                if headroom <= 0:
+                    break
                 chunk = self._chunks.popleft()
                 elapsed += self._stack.read_cost_us(len(chunk), self._cores)
                 emissions.append(_emit_push(out, wake, chunk))
                 self.items_processed += 1
+                headroom -= 1
             else:
                 self._eof_handled = True
                 if self.on_eof is not None:

@@ -1,6 +1,6 @@
 """Discrete-event simulation engine and measurement helpers."""
 
-from repro.sim.engine import Engine, Event, Process, Timeout
-from repro.sim.stats import LatencySeries, Meter, RunResult
+from repro.sim.engine import Engine
+from repro.sim.stats import LatencySeries, RunResult
 
-__all__ = ["Engine", "Event", "Process", "Timeout", "LatencySeries", "Meter", "RunResult"]
+__all__ = ["Engine", "LatencySeries", "RunResult"]

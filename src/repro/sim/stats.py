@@ -1,13 +1,12 @@
 """Measurement helpers for simulated experiments.
 
-:class:`LatencySeries` collects per-request latencies; :class:`Meter`
-counts events over the run; :class:`SloScoreboard` logs task busy
-periods in a :class:`ColumnLog` and :func:`class_summary` derives the
-per-service-class completions, latency and SLO misses from such logs;
-:class:`IntervalSeries` records the gaps between successive events (the
-realised inter-arrival times of an open-loop workload).  All convert
-virtual-µs durations into the units the paper's figures use (thousand
-requests/s, ms, Mb/s).
+:class:`LatencySeries` collects per-request latencies;
+:class:`SloScoreboard` logs task busy periods in a :class:`ColumnLog`
+and :func:`class_summary` derives the per-service-class completions,
+latency and SLO misses from such logs; :class:`IntervalSeries` records
+the gaps between successive events (the realised inter-arrival times of
+an open-loop workload).  Summaries report virtual-µs durations in the
+milliseconds the paper's figures use.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import (
     Tuple, TypeVar,
 )
 
-from repro.core.units import millis, rate_per_second, throughput_mbps
+from repro.core.units import millis
 
 
 class LatencySeries:
@@ -126,39 +125,6 @@ class IntervalSeries(LatencySeries):
         if self._last_us is not None:
             self.record(now_us - self._last_us)
         self._last_us = now_us
-
-
-class Meter:
-    """Counts discrete events and bytes over a measured interval."""
-
-    def __init__(self):
-        self.events = 0
-        self.bytes = 0
-        self.start_us = 0.0
-        self.end_us = 0.0
-
-    def begin(self, now_us: float) -> None:
-        self.start_us = now_us
-
-    def finish(self, now_us: float) -> None:
-        self.end_us = now_us
-
-    def add(self, nbytes: int = 0) -> None:
-        self.events += 1
-        self.bytes += nbytes
-
-    @property
-    def duration_us(self) -> float:
-        return max(self.end_us - self.start_us, 0.0)
-
-    def rate_per_sec(self) -> float:
-        return rate_per_second(self.events, self.duration_us)
-
-    def kreqs_per_sec(self) -> float:
-        return self.rate_per_sec() / 1_000.0
-
-    def mbps(self) -> float:
-        return throughput_mbps(self.bytes, self.duration_us)
 
 
 _Row = TypeVar("_Row", bound=tuple)

@@ -28,8 +28,8 @@ population serves both:
   both rules.
 
 The population is protocol-agnostic: a :class:`RequestCodec` supplies
-the request bytes, the response parser, the error test and the response
-size, as the generated codecs do for the platform.
+the request bytes, the response parser and the error test, as the
+generated codecs do for the platform.
 
 Latency is measured from *admission*, not from the socket write, so
 connection backlog counts against the SLO exactly as a queueing model
@@ -46,14 +46,15 @@ from typing import Dict, Iterable, Iterator, List, Optional
 from repro.core.errors import ConfigError
 from repro.core.ids import stable_hash
 from repro.core.registry import Registry
+from repro.core.units import rate_per_second
 from repro.grammar.protocols import http
 from repro.grammar.protocols import memcached as mc
 from repro.net.simnet import Host
 from repro.net.tcp import TcpNetwork, TcpSocket
 from repro.runtime.admission import AdmissionRequest, resolve_admission
 from repro.runtime.qos import DEFAULT_CLASS_NAME
-from repro.sim.engine import Engine, Timeout
-from repro.sim.stats import IntervalSeries, LatencySeries, Meter
+from repro.sim.engine import Engine
+from repro.sim.stats import IntervalSeries, LatencySeries
 
 US_PER_S = 1_000_000.0
 
@@ -300,9 +301,6 @@ class RequestCodec:
     def is_error(self, message) -> bool:
         return False
 
-    def response_size(self, message) -> int:
-        return 0
-
 
 class HttpRequestCodec(RequestCodec):
     """GETs against one path (the Figure-4 request shape)."""
@@ -333,13 +331,10 @@ class HttpRequestCodec(RequestCodec):
         return b"%s%d%s%d%s" % (head, client, middle, n, tail)
 
     def parser(self):
-        return http.response_codec(("status", "body")).parser()
+        return http.response_codec(("status",)).parser()
 
     def is_error(self, message) -> bool:
         return message._fields["status"] != 200
-
-    def response_size(self, message) -> int:
-        return len(message._fields["body"])
 
 
 class MemcachedRequestCodec(RequestCodec):
@@ -364,9 +359,6 @@ class MemcachedRequestCodec(RequestCodec):
 
     def is_error(self, message) -> bool:
         return message.magic_code != mc.MAGIC_RESPONSE
-
-    def response_size(self, message) -> int:
-        return len(message.raw or b"")
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +475,9 @@ class ClientPopulation:
         self.conn_lifetime_requests = conn_lifetime_requests
         self.latency = LatencySeries()
         self.inter_arrivals = IntervalSeries()
-        self.meter = Meter()
+        #: Throughput runs from start to the last completion.
+        self._started_us = 0.0
+        self._last_completion_us = 0.0
         self.offered = 0
         self.admitted = 0
         self.shed = 0
@@ -498,6 +492,8 @@ class ClientPopulation:
         self.per_class: Dict[str, Dict[str, int]] = {}
         self._classes = self._class_cycle()
         self._conns: List[_Connection] = []
+        #: Arrival-clock ticks so far, and whether the clock has stopped.
+        self._arrivals = 0
         self._admission_closed = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -505,14 +501,15 @@ class ClientPopulation:
     def start(self) -> None:
         if self._conns:
             raise RuntimeError("population already started")
-        self.meter.begin(self.engine.now)
+        self._started_us = self.engine.now
         for index in range(self.connections):
             host = self.client_hosts[index % len(self.client_hosts)]
             conn = _Connection(self, index, host)
             self._conns.append(conn)
             conn.open()
         if self.arrival is not None:
-            self.engine.process(self._admit())
+            gaps = iter(self.arrival.gaps(self.rng))
+            self.engine.schedule(0.0, self._tick, gaps, False)
 
     def _class_cycle(self) -> Iterator[str]:
         """Deterministic weighted round-robin over ``class_mix`` names.
@@ -539,20 +536,28 @@ class ClientPopulation:
             credits[best] -= total
             yield names[best]
 
-    def _admit(self):
-        arrivals = 0
-        for gap in self.arrival.gaps(self.rng):
+    def _tick(self, gaps: Iterator[float], due: bool) -> None:
+        """One arrival-clock tick, an engine callback: offer the arrival
+        that is ``due``, then each one a zero gap behind it, and file the
+        next tick a positive gap later."""
+        if due:
+            self._arrive()
+        for gap in gaps:
             # Count arrival-clock ticks, not offers: retry re-offers
             # inflate ``offered`` and must not cut the arrival stream
             # short of ``n_requests``.
-            if arrivals >= self.n_requests:
+            if self._arrivals >= self.n_requests:
                 break
             if gap > 0:
-                yield Timeout(gap)
-            arrivals += 1
-            self.inter_arrivals.observe(self.engine.now)
-            self._offer(next(self._classes))
+                self.engine.schedule(gap, self._tick, gaps, True)
+                return
+            self._arrive()
         self._admission_closed = True
+
+    def _arrive(self) -> None:
+        self._arrivals += 1
+        self.inter_arrivals.observe(self.engine.now)
+        self._offer(next(self._classes))
 
     def _offer(
         self,
@@ -622,7 +627,7 @@ class ClientPopulation:
         row["completed"] += 1
         if self.codec.is_error(message):
             self.errors += 1
-        self.meter.finish(self.engine.now)
+        self._last_completion_us = self.engine.now
         conn.completions += 1
         if conn.completions <= self.warmup_requests:
             return
@@ -630,7 +635,6 @@ class ClientPopulation:
         if self.slo_us is not None and latency > self.slo_us:
             self.slo_misses += 1
             row["slo_misses"] += 1
-        self.meter.add(self.codec.response_size(message))
 
     @property
     def finished(self) -> bool:
@@ -658,7 +662,9 @@ class ClientPopulation:
     # -- results -------------------------------------------------------------
 
     def kreqs_per_sec(self) -> float:
-        return self.meter.kreqs_per_sec()
+        """Measured completions per virtual second, in thousands."""
+        duration_us = max(self._last_completion_us - self._started_us, 0.0)
+        return rate_per_second(self.latency.count, duration_us) / 1_000.0
 
 
 class _Connection:

@@ -25,86 +25,9 @@ rewinding the clock.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
-
-
-class ReferenceEvent:
-    """One-shot signal, identical in behaviour to :class:`engine.Event`."""
-
-    __slots__ = ("_engine", "_triggered", "_payload", "_callbacks")
-
-    def __init__(self, engine: "ReferenceEngine"):
-        self._engine = engine
-        self._triggered = False
-        self._payload = None
-        self._callbacks: List[Callable] = []
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
-    def payload(self):
-        return self._payload
-
-    def trigger(self, payload=None) -> None:
-        if self._triggered:
-            raise SimulationError("event triggered twice")
-        self._triggered = True
-        self._payload = payload
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self._engine.schedule(0.0, callback, payload)
-
-    def add_callback(self, callback: Callable) -> None:
-        if self._triggered:
-            self._engine.schedule(0.0, callback, self._payload)
-        else:
-            self._callbacks.append(callback)
-
-
-class ReferenceTimeout:
-    """Yielded by a process to sleep for ``delay`` microseconds."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float):
-        if not delay >= 0:  # negative or NaN
-            raise SimulationError(f"negative timeout {delay}")
-        self.delay = delay
-
-
-class ReferenceProcess:
-    """A running generator-based process (heap-only engine flavour)."""
-
-    __slots__ = ("_engine", "_gen", "finished", "result")
-
-    def __init__(self, engine: "ReferenceEngine", gen: Generator):
-        self._engine = engine
-        self._gen = gen
-        self.finished = ReferenceEvent(engine)
-        self.result = None
-        engine.schedule(0.0, self._resume, None)
-
-    def _resume(self, payload) -> None:
-        try:
-            yielded = self._gen.send(payload)
-        except StopIteration as stop:
-            self.result = stop.value
-            self.finished.trigger(stop.value)
-            return
-        if isinstance(yielded, ReferenceTimeout):
-            self._engine.schedule(yielded.delay, self._resume, None)
-        elif isinstance(yielded, ReferenceEvent):
-            yielded.add_callback(self._resume)
-        elif isinstance(yielded, ReferenceProcess):
-            yielded.finished.add_callback(self._resume)
-        else:
-            raise SimulationError(
-                f"process yielded unsupported object {yielded!r}"
-            )
 
 
 class ReferenceEngine:
@@ -135,16 +58,6 @@ class ReferenceEngine:
             )
         heapq.heappush(self._heap, (when, self._seq, callback, args))
         self._seq += 1
-
-    def event(self) -> ReferenceEvent:
-        return ReferenceEvent(self)
-
-    def timeout(self, delay: float) -> ReferenceTimeout:
-        return ReferenceTimeout(delay)
-
-    def process(self, gen: Generator) -> ReferenceProcess:
-        """Spawn a generator as a simulated process."""
-        return ReferenceProcess(self, gen)
 
     # -- execution ------------------------------------------------------------
 

@@ -133,15 +133,18 @@ def run_elastic_workload(allocator, seed):
     order = sorted(range(len(tasks)), key=lambda i: arrivals[i])
     scheduler.start()
 
-    def admit():
-        now = 0.0
-        for index in order:
+    def admit(position, now):
+        """Admit every task due by ``now``, then file the next arrival."""
+        for position in range(position, len(order)):
+            index = order[position]
             if arrivals[index] > now:
-                yield engine.timeout(arrivals[index] - now)
-                now = arrivals[index]
+                engine.schedule(
+                    arrivals[index] - now, admit, position, arrivals[index]
+                )
+                return
             scheduler.notify_runnable(tasks[index])
 
-    engine.process(admit())
+    engine.schedule(0.0, admit, 0, 0.0)
     engine.run()
     return scheduler, tasks
 

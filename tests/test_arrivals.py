@@ -8,6 +8,7 @@ import pytest
 from repro.apps import http_lb
 from repro.bench.testbeds import N_CLIENT_HOSTS, _build_topology, _edge_hosts
 from repro.core.errors import ConfigError
+from repro.runtime.admission import AdmissionPolicy
 from repro.runtime.costs import RuntimeConfig
 from repro.runtime.platform import FlickPlatform
 from repro.sim.stats import IntervalSeries, LatencySeries
@@ -148,6 +149,78 @@ class TestOpenLoopClients:
         engine.run()
         assert population.finished
         assert population.offered == 3
+
+    @pytest.mark.parametrize("n_requests", [6, 4])
+    def test_replay_offers_at_the_trace_instants(self, n_requests):
+        """Repeated stamps offer in the same instant, in trace order; a
+        trace longer than ``n_requests`` stops at ``n_requests``."""
+        stamps = [0.0, 0.0, 5.0, 5.0, 5.0, 30.0]
+
+        class Recording(AdmissionPolicy):
+            name = "recording"
+
+            def __init__(self):
+                self.offers = []
+
+            def admit(self, request):
+                self.offers.append((request.index, request.now_us))
+                return True
+
+        recording = Recording()
+        engine, tcpnet, mbox, clients, _ = _static_web_testbed()
+        population = ClientPopulation(
+            engine, tcpnet, clients, mbox, 80,
+            codec=HttpRequestCodec(),
+            arrival=make_arrival("replay", timestamps_us=stamps),
+            n_requests=n_requests, connections=2, admission=recording,
+        )
+        population.start()
+        engine.run()
+        assert population.finished
+        assert population.offered == population.completed == n_requests
+        assert recording.offers == list(enumerate(stamps[:n_requests]))
+        gaps = [later - earlier for earlier, later in zip(stamps, stamps[1:])]
+        assert list(population.inter_arrivals._samples) == (
+            gaps[: n_requests - 1]
+        )
+
+    def test_throughput_is_zero_before_any_completion(self):
+        engine, tcpnet, mbox, clients, _ = _static_web_testbed()
+        population = ClientPopulation(
+            engine, tcpnet, clients, mbox, 80,
+            codec=HttpRequestCodec(), arrival=make_arrival("poisson"),
+            n_requests=10,
+        )
+        assert population.kreqs_per_sec() == 0.0
+        population.start()
+        assert population.kreqs_per_sec() == 0.0
+
+    def test_throughput_counts_only_measured_completions(self):
+        """Warm-up completions end the measured interval but are not
+        counted in it, so the same run with one warm-up request per
+        connection reports the measured share of the throughput."""
+
+        def run(warmup_requests):
+            engine, tcpnet, mbox, clients, _ = _static_web_testbed()
+            population = ClientPopulation(
+                engine, tcpnet, clients, mbox, 80,
+                codec=HttpRequestCodec(),
+                arrival=make_arrival(
+                    "replay", timestamps_us=[0.0, 0.0, 50.0, 50.0, 90.0, 90.0]
+                ),
+                n_requests=6, connections=2,
+                warmup_requests=warmup_requests,
+            )
+            population.start()
+            engine.run()
+            assert population.completed == 6
+            return population.latency.count, population.kreqs_per_sec()
+
+        cold_count, cold = run(0)
+        warm_count, warm = run(1)
+        assert (cold_count, warm_count) == (6, 4)
+        assert cold > 0.0
+        assert warm == pytest.approx(cold * warm_count / cold_count)
 
     def test_same_seed_reproduces_the_run(self):
         def run(seed):

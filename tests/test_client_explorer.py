@@ -39,8 +39,9 @@ Properties at quiescence:
   ``WARMUP`` completions are not measured.
 
 Each test prints how many schedules and engine events it checked
-(``pytest -s``).  ``MUTATIONS`` seeds one defect per row into the
-population's source; the explorer must catch each one.
+(``pytest -s``) and asserts both counts (``SCHEDULES``, ``EVENTS``).
+``MUTATIONS`` seeds one defect per row into the population's source;
+the explorer must catch each one.
 """
 
 import __future__
@@ -264,6 +265,24 @@ CONFIGS = [
 #: Schedules per configuration: one per timing of every stimulus set.
 SCHEDULES = 1 + 5 * 3 + 5 * 2 * 6 + 6 * 10
 
+#: Engine entries filed over all of a population's schedules: an
+#: arrival clock or a client loop that files one more or one fewer
+#: entry moves its row.
+EVENTS = {
+    "closed-1x2": 13764,
+    "closed-1x2-per-request": 17112,
+    "closed-1x3": 17697,
+    "closed-1x3-per-request": 22764,
+    "closed-2x2": 20820,
+    "closed-2x2-per-request": 26032,
+    "closed-2x3": 27516,
+    "closed-2x3-per-request": 36685,
+    "open-1x2": 12689,
+    "open-1x3": 17790,
+    "open-2x2": 16976,
+    "open-2x3": 24000,
+}
+
 
 def _runs(population, admission, fault):
     """Every schedule of one configuration: ``(run, timing)``, run not
@@ -289,6 +308,7 @@ def test_every_small_schedule(population, logging_sockets):
             events += run.engine._seq
     print(f"{population}: {schedules} schedules, {events} engine events")
     assert schedules == SCHEDULES * len(ADMISSIONS) * len(FAULTS)
+    assert events == EVENTS[population]
 
 
 #: One seeded defect per row: (class, method, a fragment of its source,

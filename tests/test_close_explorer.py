@@ -35,9 +35,9 @@ a client closes when the platform closes.  Properties at quiescence:
   whichever side closed first, and none on a connection still open.
 
 Each test prints how many schedules and engine events it checked
-(``pytest -s``).  One timing off the grid is pinned on its own: a
-client EOF that reaches the platform in the instant a backend's close
-runs.  How the close this replaced fails here is recorded in
+(``pytest -s``) and asserts both counts (``SCHEDULES``, ``EVENTS``).
+One timing off the grid is pinned on its own: a client EOF that reaches
+the platform in the instant a backend's close runs.  How the close this replaced fails here is recorded in
 ``CHANGES.md``.
 """
 
@@ -377,6 +377,10 @@ SCHEDULES = {
     "2x2": 12 * 15,
 }
 
+#: Engine entries filed over all of a configuration's schedules: a
+#: close path that files one more or one fewer entry moves its row.
+EVENTS = {"1x1": 43928, "2x1": 67768, "2x2": 10122}
+
 
 @pytest.fixture
 def close_logging_sockets(monkeypatch):
@@ -413,6 +417,7 @@ def test_every_small_schedule(config, close_logging_sockets):
                     gc.collect()
     print(f"{config}: {schedules} schedules, {events} engine events")
     assert schedules == SCHEDULES[config]
+    assert events == EVENTS[config]
 
 
 def test_a_client_eof_that_meets_a_backend_close(close_logging_sockets):

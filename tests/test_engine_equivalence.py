@@ -12,9 +12,8 @@ definition.
 Schedules are interpreted twice from small declarative "op" programs so
 both engines see the exact same structure: mixed zero/ulp/short/long
 delays, exact ``at()`` timestamps, chained reschedules (events
-scheduling more events), ``run(until)`` pause/resume (including an
-``until`` already in the past), one-shot events with multiple waiters,
-and generator processes.
+scheduling more events) and ``run(until)`` pause/resume (including an
+``until`` already in the past).
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from tests.engine_oracle import ReferenceEngine
 # callback performs when it fires.  Ops:
 #   ("sched", delay, children)   schedule(delay) a callback
 #   ("at", offset, children)     at(now + offset) — exact absolute time
-#   ("proc", [delays])           process sleeping through the delays
-#   ("event", trigger_delay, n)  event with n waiters, triggered later
 
 # A small pool, so timestamps collide often: the same tick, sub-ulp
 # arithmetic (``now + 1e-9 == now`` once the clock is large), short and
@@ -47,19 +44,17 @@ delay_st = st.sampled_from(DELAYS) | st.floats(
     min_value=0.0, max_value=1e7, allow_nan=False, width=32
 )
 
-op_st = st.deferred(
-    lambda: st.one_of(
-        st.tuples(st.just("sched"), delay_st, children_st),
-        st.tuples(st.just("at"), delay_st, children_st),
-        st.tuples(st.just("proc"), st.lists(delay_st, max_size=3)),
-        st.tuples(
-            st.just("event"),
-            delay_st,
-            st.integers(min_value=0, max_value=3),
-        ),
-    )
+
+def _ops(children):
+    return st.tuples(st.sampled_from(("sched", "at")), delay_st, children)
+
+
+# Both ops nest, so a childless op is the leaf that bounds the recursion.
+op_st = st.recursive(
+    _ops(st.just(())),
+    lambda ops: _ops(st.lists(ops, max_size=3)),
+    max_leaves=24,
 )
-children_st = st.lists(op_st, max_size=3)
 program_st = st.lists(op_st, min_size=1, max_size=8)
 
 
@@ -80,32 +75,6 @@ def interpret(engine, program, trace):
         elif kind == "at":
             _, offset, children = op
             engine.at(engine.now + offset, fire, label, children)
-        elif kind == "proc":
-            _, delays = op
-
-            def proc(label=label, delays=delays):
-                for i, delay in enumerate(delays):
-                    trace.append(("proc", label, i, engine.now))
-                    yield engine.timeout(delay)
-                trace.append(("proc-done", label, engine.now))
-                return label
-
-            engine.process(proc())
-        elif kind == "event":
-            _, delay, waiters = op
-            event = engine.event()
-            for i in range(waiters):
-                event.add_callback(
-                    lambda payload, label=label, i=i: trace.append(
-                        ("waiter", label, i, payload, engine.now)
-                    )
-                )
-            engine.schedule(delay, event.trigger, label)
-            event.add_callback(
-                lambda payload, label=label: trace.append(
-                    ("late-waiter", label, payload, engine.now)
-                )
-            )
 
     def fire(label, children):
         trace.append(("fire", label, engine.now))
@@ -259,8 +228,6 @@ class TestContractEdges:
                 engine.schedule(bad, lambda: None)
             with pytest.raises(SimulationError):
                 engine.at(bad, lambda: None)
-            with pytest.raises(SimulationError):
-                engine.timeout(bad)
         assert engine.pending() == 0
         assert engine.run() == 0.0
 

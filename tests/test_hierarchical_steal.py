@@ -55,15 +55,16 @@ def run_four_socket_workload(policy, seed, n_tasks=48):
     )
     scheduler.start()
 
-    def admit():
-        now = 0.0
-        for at, index in arrivals:
+    def admit(position, now):
+        """Admit every task due by ``now``, then file the next arrival."""
+        for position in range(position, len(arrivals)):
+            at, index = arrivals[position]
             if at > now:
-                yield engine.timeout(at - now)
-                now = at
+                engine.schedule(at - now, admit, position, at)
+                return
             scheduler.notify_runnable(tasks[index])
 
-    engine.process(admit())
+    engine.schedule(0.0, admit, 0, 0.0)
     engine.run()
     assert all(t.remaining == 0 for t in tasks)
     return scheduler

@@ -148,15 +148,16 @@ def run_workload(policy, seed, topology=None):
     )
     scheduler.start()
 
-    def admit():
-        now = 0.0
-        for at, index in arrivals:
+    def admit(position, now):
+        """Admit every task due by ``now``, then file the next arrival."""
+        for position in range(position, len(arrivals)):
+            at, index = arrivals[position]
             if at > now:
-                yield engine.timeout(at - now)
-                now = at
+                engine.schedule(at - now, admit, position, at)
+                return
             scheduler.notify_runnable(tasks[index])
 
-    engine.process(admit())
+    engine.schedule(0.0, admit, 0, 0.0)
     engine.run()
     return scheduler, tasks
 

@@ -220,7 +220,7 @@ SHAPES = {
 class _CheckedEngine(Engine):
     """The product engine, running ``check`` after every event.
 
-    Every entry is filed through ``_post``, ``schedule`` or ``at``;
+    Every entry is filed through ``schedule`` or ``at``;
     :data:`STATES` pins how many events the runs check, so an entry
     point that bypasses these wrappers fails the test.
     """
@@ -229,9 +229,6 @@ class _CheckedEngine(Engine):
         super().__init__()
         self.check = check
         self.events = 0
-
-    def _post(self, callback, args):
-        super()._post(self._checked, (callback, args))
 
     def schedule(self, delay, callback, *args):
         super().schedule(delay, self._checked, callback, args)

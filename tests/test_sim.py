@@ -55,58 +55,33 @@ class TestEngine:
         with pytest.raises(SimulationError):
             engine.schedule(-1, lambda: None)
 
-    def test_process_timeout(self):
+    def test_callback_files_its_own_next_turn(self):
+        """Repeating activity is a callback that schedules itself again
+        (how workers and the arrival clock run)."""
         engine = Engine()
         trace = []
+        gaps = iter([10, 5])
 
-        def proc():
+        def turn():
             trace.append(engine.now)
-            yield engine.timeout(10)
-            trace.append(engine.now)
-            yield engine.timeout(5)
-            trace.append(engine.now)
+            for gap in gaps:
+                engine.schedule(gap, turn)
+                return
 
-        engine.process(proc())
+        engine.schedule(0, turn)
         engine.run()
         assert trace == [0, 10, 15]
+        assert engine.pending() == 0
 
-    def test_process_waits_on_event(self):
-        engine = Engine()
-        evt = engine.event()
-        got = []
+    def test_surface_is_callbacks_only(self):
+        import repro.sim
+        import repro.sim.engine
 
-        def waiter():
-            payload = yield evt
-            got.append((engine.now, payload))
-
-        engine.process(waiter())
-        engine.schedule(25, evt.trigger, "ready")
-        engine.run()
-        assert got == [(25, "ready")]
-
-    def test_event_double_trigger_rejected(self):
-        engine = Engine()
-        evt = engine.event()
-        evt.trigger()
-        with pytest.raises(SimulationError):
-            evt.trigger()
-
-    def test_process_result_propagates(self):
-        engine = Engine()
-
-        def child():
-            yield engine.timeout(1)
-            return 42
-
-        results = []
-
-        def parent():
-            value = yield engine.process(child())
-            results.append(value)
-
-        engine.process(parent())
-        engine.run()
-        assert results == [42]
+        for name in ("event", "timeout", "process"):
+            assert not hasattr(Engine, name)
+        for name in ("Event", "Timeout", "Process"):
+            assert not hasattr(repro.sim.engine, name)
+            assert not hasattr(repro.sim, name)
 
     def test_determinism(self):
         def run_once():
@@ -173,18 +148,19 @@ class TestZeroDelayReadyQueue:
         engine.run()
         assert stamps == [7]
 
-    def test_event_trigger_goes_through_ready_queue(self):
+    def test_child_filed_during_a_tick_runs_after_queued_entries(self):
         engine = Engine()
         seen = []
-        event = engine.event()
-        event.add_callback(lambda payload: seen.append(("cb", payload)))
-        engine.schedule(3, event.trigger, 99)
+
+        def parent(payload):
+            engine.schedule(0, seen.append, ("child", payload))
+
+        engine.schedule(3, parent, 99)
         engine.schedule(3, seen.append, "after")
         engine.run()
-        # The trigger's callback is a same-tick *child* of the trigger
-        # (scheduled during it), so everything already queued for the
-        # same timestamp fires first.
-        assert seen == ["after", ("cb", 99)]
+        # The child is filed during the tick, so everything already
+        # queued for the same timestamp fires first.
+        assert seen == ["after", ("child", 99)]
         assert engine.now == 3
 
 

@@ -201,6 +201,24 @@ class TestRawForwardTask:
         _drain(task)
         assert not out.closed
 
+    def test_slice_stops_at_out_channel_headroom(self):
+        """Pushes land only after the slice, so a slice emits no more
+        chunks than the out channel has room for; the rest wait."""
+        out = TaskChannel("out", 2)
+        task = RawForwardTask("fwd", out, KERNEL, cores=1, task_id=1)
+        socket = _FakeSocket()
+        task.attach(socket, lambda task: None)
+        for chunk in (b"a", b"b", b"c"):
+            socket.deliver(chunk)
+        _, emissions = task.step(None)
+        assert len(emissions) == 2
+        for emit in emissions:
+            emit()  # ChannelFull if the slice overran the headroom
+        assert not task.has_work()
+        assert [out.pop(), out.pop()] == [b"a", b"b"]
+        _drain(task)
+        assert out.pop() == b"c"
+
     def test_cost_scales_with_bytes(self):
         out = TaskChannel("out", 1024)
         task = RawForwardTask("fwd", out, KERNEL, cores=1, task_id=1)

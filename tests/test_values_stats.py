@@ -16,7 +16,7 @@ from repro.core.units import (
 from repro.lang.values import Record, record_size_bytes
 from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
-from repro.sim.stats import LatencySeries, Meter, RunResult, SloScoreboard
+from repro.sim.stats import LatencySeries, RunResult, SloScoreboard
 
 from tests.item_task import ItemTask
 
@@ -214,23 +214,6 @@ class TestLogMemory:
         scheduler.steal_log = None
         freed = held - tracemalloc.get_traced_memory()[0]
         assert freed / steals <= self.ROW_BYTES
-
-
-class TestMeter:
-    def test_rates(self):
-        meter = Meter()
-        meter.begin(0.0)
-        for _ in range(100):
-            meter.add(1000)
-        meter.finish(1_000_000.0)  # one virtual second
-        assert meter.rate_per_sec() == pytest.approx(100.0)
-        assert meter.kreqs_per_sec() == pytest.approx(0.1)
-        assert meter.mbps() == pytest.approx(0.8)
-
-    def test_zero_duration(self):
-        meter = Meter()
-        meter.add()
-        assert meter.rate_per_sec() == 0.0
 
 
 class TestReport:
