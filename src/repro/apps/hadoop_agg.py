@@ -81,8 +81,8 @@ def hadoop_bindings(
     """Group ``n_mappers`` connections per graph; reducer is outbound.
 
     ``native=True`` uses the platform's custom foldt combine; ``False``
-    interprets the FLICK body directly (the E13-style ablation compares
-    both and the equivalence is property-tested).
+    interprets the FLICK body directly (the integration tests check
+    that the two agree).
     """
     return Bindings(
         outbound={"reducer": [OutboundTarget(reducer_host, reducer_port)]},

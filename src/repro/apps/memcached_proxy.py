@@ -84,8 +84,8 @@ def memcached_codec_registry(
 
     With ``specialised=True`` the parser decodes only the fields the
     program accesses plus structural dependencies (section 4.2); the
-    unspecialised variant decodes everything — the E13 ablation compares
-    the two.
+    unspecialised variant decodes everything — the E13 row of
+    ``repro.bench.figures`` compares the two.
     """
     registry = CodecRegistry()
     if specialised:

@@ -7,9 +7,10 @@ Usage::
     python -m repro.bench fig4        # HTTP LB sweep (slow)
     python -m repro.bench fig5        # Memcached proxy vs cores
     python -m repro.bench fig6        # Hadoop aggregator vs cores
-    python -m repro.bench fig7        # scheduling policies
-    python -m repro.bench claims      # every figure's claims -> docs/reproduction.md
-    python -m repro.bench fig7 --policy all    # sweep every registered policy
+    python -m repro.bench fig7        # every registered scheduling policy
+    python -m repro.bench ablations   # §4-5 ablations: timeslice, graph pool, parser, cache
+    python -m repro.bench claims      # every row's claims -> docs/reproduction.md
+    python -m repro.bench fig7 --policy paper  # the paper's three policies only
     python -m repro.bench fig7 --policy all --topology four-socket
     python -m repro.bench fig7 --policy deadline \\
         --slo-class light=gold:1000@4 --slo-class heavy=bronze:50000
@@ -64,15 +65,15 @@ from repro.runtime.qos import parse_slo_class_specs
 def _figure(target):
     """Print every :data:`~repro.bench.figures.FIGURES` row of
     ``target``; ``--policy`` / ``--topology`` / ``--slo-class`` reshape
-    the scheduling row (fig7)."""
+    the fig7 row."""
 
     def view(args) -> None:
         texts = []
         for figure in figures.FIGURES.values():
             if figure.target == target:
                 policies, sweep = None, {}
-                if figure.point is None:  # the scheduling row
-                    policies = resolve_policy_selection(args.policy)
+                if target == "fig7":
+                    policies = args.policy and resolve_policy_selection(args.policy)
                     sweep = {"topology": args.topology, "service_classes": _service_classes(args)}
                 points = figure.run(args.quick, policies, **sweep)
                 texts.append(figure.text(points, args.quick, **sweep))
@@ -212,11 +213,12 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--policy",
-        default="paper",
+        default=None,
         metavar="NAME[,NAME...]",
-        help="fig7 only: which scheduling policies to sweep. 'paper' "
-        "(default) runs the three Figure-7 policies, 'all' sweeps every "
-        "registered policy, or give a comma-separated list of names. "
+        help="fig7 only: which scheduling policies to sweep. By default "
+        "and with 'all', every registered policy (the fig7 row's series); "
+        "'paper' runs the three Figure-7 policies, or give a "
+        "comma-separated list of names. "
         f"Registered: {', '.join(AXES['policy'].names())}.",
     )
     parser.add_argument(
@@ -334,7 +336,8 @@ def main(argv: List[str] = None) -> int:
         # --admission typos up front, before any (expensive) target
         # runs — not only when the loop eventually reaches the target
         # that consumes the flag.
-        resolve_policy_selection(args.policy)
+        if args.policy is not None:
+            resolve_policy_selection(args.policy)
         _service_classes(args)
         resolve_scenario_selection(args.scenario)
         for flag, value in _scenario_overrides(args).items():

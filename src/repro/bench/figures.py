@@ -1,13 +1,14 @@
-"""The paper's §6 figures, declared once.
+"""The paper's §6 figures and §4–5 ablations, declared once.
 
 One :class:`Figure` row per experiment: its series and x-axis, the
 :class:`~repro.bench.testbeds.Scenario` of every point at full size, a
 ``quick`` size that keeps every x-point and shrinks each point, and its
 claims as data.  Three views iterate :data:`FIGURES` and nothing else:
-``python -m repro.bench e1|fig4|fig5|fig6|fig7 [--quick]``, the figure
-test (``benchmarks/test_figures.py``: each quick sweep against its
-golden, every claim on the same points) and ``python -m repro.bench
-claims [--quick]``, whose full-size output is ``docs/reproduction.md``.
+``python -m repro.bench e1|fig4|fig5|fig6|fig7|ablations [--quick]``,
+the figure test (``benchmarks/test_figures.py``: each quick sweep
+against its golden, every claim on the same points) and ``python -m
+repro.bench claims [--quick]``, whose full-size output is
+``docs/reproduction.md``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 from repro.bench import report
 from repro.bench.scheduling import run_policy_sweep
 from repro.bench.testbeds import Scenario, run_experiment
-from repro.runtime.policy import PAPER_POLICIES
+from repro.runtime.policy import CooperativePolicy, registered_policies
 
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
@@ -64,8 +65,8 @@ class Figure(NamedTuple):
     title: str
     series: Tuple
     xs: Tuple
-    #: ``(series, x, size) -> Scenario``; ``None`` for the scheduling
-    #: row, which is :func:`run_policy_sweep` over ``series``.
+    #: ``(series, x, size) -> Scenario``; ``None`` for a scheduling row
+    #: (fig7, E11), which is :func:`run_policy_sweep` over ``series``.
     point: Optional[Callable]
     #: Per-point size at full scale, and the same keys at ``--quick``.
     size: Dict[str, int]
@@ -82,7 +83,7 @@ class Figure(NamedTuple):
     notes: Tuple[str, ...] = ()
 
     def run(self, quick: bool = False, policies=None, **sweep) -> dict:
-        """series -> results in ``xs`` order, or policy -> result (the scheduling row:
+        """series -> results in ``xs`` order, or policy -> result (a scheduling row:
         ``policies`` replaces the row's; ``sweep`` is the topology and classes)."""
         size = self.quick if quick else self.size
         if self.point is None:
@@ -310,34 +311,176 @@ FIG6 = Figure(
     ),
 )
 
+
+def _light(points, policy):
+    return points[policy].light_mean_ms
+
+
+def _fairness(points, policy):
+    """Light over heavy mean completion: below 1 frees light tasks first."""
+    return points[policy].light_mean_ms / points[policy].heavy_mean_ms
+
+
+#: The policies §6.4 could not test that keep cooperative's makespan.
+_SAME_MAKESPAN = ("deadline", "numa", "adaptive-timeslice", "steal-half")
+
 FIG7 = Figure(
-    "fig7", "Figure 7: scheduling policies", PAPER_POLICIES, (), None,
+    "fig7", "Figure 7: scheduling policies", registered_policies(), (), None,
     size={"n_tasks": 200, "items_per_task": 200},
-    quick={"n_tasks": 80, "items_per_task": 100},
+    quick={"n_tasks": 200, "items_per_task": 100},
     render=_policies,
     claims=(
-        Claim("cooperative: light / heavy mean completion", lambda p: p[
-            "cooperative"].light_mean_ms / p["cooperative"].heavy_mean_ms, "<", 0.25),
+        Claim("cooperative: light / heavy mean completion",
+              partial(_fairness, policy="cooperative"), "<", 0.25),
         Claim("cooperative makespan / best other", lambda p: p["cooperative"].makespan_ms
               / min(p["non_cooperative"].makespan_ms, p["round_robin"].makespan_ms),
               "<=", 1.1),
-        Claim("round robin: light / heavy mean completion", lambda p: p[
-            "round_robin"].light_mean_ms / p["round_robin"].heavy_mean_ms, ">", 0.8),
-        Claim("light mean: round robin / cooperative", lambda p: p[
-            "round_robin"].light_mean_ms / p["cooperative"].light_mean_ms, ">", 5),
+        Claim("round robin: light / heavy mean completion",
+              partial(_fairness, policy="round_robin"), ">", 0.8),
+        Claim("light mean: round robin / cooperative",
+              lambda p: _light(p, "round_robin") / _light(p, "cooperative"), ">", 5),
         Claim("light mean: cooperative < non-cooperative < round robin", lambda p: _rising([
-            p[policy].light_mean_ms for policy in ("cooperative", "non_cooperative", "round_robin")
+            _light(p, policy) for policy in ("cooperative", "non_cooperative", "round_robin")
         ]), ">", 1),
+        # The policies the paper could not test.
+        *(
+            Claim(f"light mean: {policy} / cooperative",
+                  lambda p, s=policy: _light(p, s) / _light(p, "cooperative"), "<", 1)
+            for policy in ("priority", "deadline")
+        ),
+        Claim("makespan: batch / round robin",
+              lambda p: p["batch"].makespan_ms / p["round_robin"].makespan_ms, "<", 1),
+        Claim("batch: light / heavy mean completion",
+              partial(_fairness, policy="batch"), ">", 0.8),
+        *(
+            Claim(f"{policy}: light / heavy mean completion",
+                  partial(_fairness, policy=policy), "<", 0.25)
+            for policy in ("numa", "steal-half")
+        ),
+        # Deep queues push the adaptive budget to its 10 µs floor.
+        Claim("light mean: cooperative < adaptive-timeslice < round robin", lambda p: _rising([
+            _light(p, policy) for policy in ("cooperative", "adaptive-timeslice", "round_robin")
+        ]), ">", 1),
+        Claim(f"makespan / cooperative's, farthest from 1: {', '.join(_SAME_MAKESPAN)}",
+              lambda p: max(abs(p[s].makespan_ms / p["cooperative"].makespan_ms - 1)
+                            for s in _SAME_MAKESPAN), "<=", 0.05),
     ),
 )
 
-#: Every §6 figure, in the order the views print them.
+
+def _timeslice(us):
+    """A cooperative policy with a ``us`` µs quantum, named for its row."""
+    policy = CooperativePolicy(us)
+    policy.name = f"cooperative {us:g}us"
+    return policy
+
+
+#: Inside §5's 10-100 µs operating range, above one heavy item (65 µs).
+_SWEET = ("cooperative 50us", "cooperative 100us")
+
+E11 = FIG7._replace(
+    target="ablations", title="E11: §5 cooperative timeslice",
+    series=tuple(_timeslice(us) for us in (10.0, 50.0, 100.0, 100_000.0)),
+    claims=(
+        Claim("light mean spread, 50 and 100 µs: max / min", lambda p: max(
+            _light(p, s) for s in _SWEET) / min(_light(p, s) for s in _SWEET), "<", 1.15),
+        # Below one heavy item every task gets one item per turn (round
+        # robin); above a whole task, each runs to completion.
+        *(
+            Claim(f"light mean: {us} µs / worst of 50, 100 µs", lambda p, s=f"cooperative {us}us":
+                  _light(p, s) / max(_light(p, t) for t in _SWEET), ">", 1.4)
+            for us in (10, 100000)
+        ),
+    ),
+)
+
+
+def _pooled(pool, clients, size):
+    """§5's pre-allocated task graphs, on the non-persistent web server."""
+    return Scenario(
+        app="http_lb", mode="web", cores=16, concurrency=clients, persistent=False,
+        graph_pool_size=pool, total_requests=None, **size,
+    )
+
+
+def _parser(parser, cores, size):
+    """The cache router's response path runs the generated parser; 4 KiB
+    values make the skipped payload decoding show."""
+    return Scenario(
+        app="memcached_proxy", cores=cores, concurrency=64, cache_router=True,
+        value_bytes=4096, specialised_parser=parser == "specialised",
+        total_requests=None, **size,
+    )
+
+
+def _offload(program, cores, size):
+    return Scenario(
+        app="memcached_proxy", cores=cores, concurrency=64, key_space=64,
+        cache_router=program == "cache router", total_requests=None, **size,
+    )
+
+
+def _variants(figure, points, size):
+    """One line per series at the row's one x-point."""
+    rows = [
+        (label, f"{r.throughput:.1f}", f"{r.latency_ms:.3f}", r.entry["errors"],
+         r.backend_requests)
+        for label, (r,) in points.items()
+    ]
+    return "\n".join([
+        f"== {figure.title} ({figure.axis}: {figure.xs[0]}) ==",
+        report.format_table(
+            ("series", "throughput", "latency_ms", "errors", "backend_requests"), rows
+        ),
+    ])
+
+
+def _ratio(points, field, over, under):
+    return getattr(points[over][0], field) / getattr(points[under][0], field)
+
+
+E12 = Figure(
+    "ablations", "E12: §5 graph pool, non-persistent web server", (512, 0), (200,), _pooled,
+    size={"requests_per_client": 6}, quick={"requests_per_client": 3},
+    render=_variants, axis="clients", label="pool {}",
+    claims=(
+        Claim("throughput: pool 512 / pool 0",
+              partial(_ratio, field="throughput", over="pool 512", under="pool 0"), ">", 1),
+    ),
+)
+
+E13 = Figure(
+    "ablations", "E13: §4.2 parser specialisation, cache router", ("specialised", "full"),
+    (8,), _parser,
+    size={"requests_per_client": 30}, quick={"requests_per_client": 10},
+    render=_variants, axis="cores", label="{} parser",
+    claims=(
+        Claim("throughput: specialised / full parser", partial(
+            _ratio, field="throughput", over="specialised parser", under="full parser",
+        ), ">", 1),
+        Claim("errors, either parser",
+              lambda p: max(r.entry["errors"] for (r,) in p.values()), "<", 1),
+    ),
+)
+
+CACHE = E13._replace(
+    title="Listing 1: cache router backend offload, 64 keys",
+    series=("plain proxy", "cache router"), point=_offload, label="{}",
+    claims=(
+        Claim("backend requests: cache router / plain proxy", partial(
+            _ratio, field="backend_requests", over="cache router", under="plain proxy",
+        ), "<", 0.2),
+    ),
+)
+
+#: Every figure and ablation, in the order the views print them.
 FIGURES: Dict[str, Figure] = {
     "e1": E1, "fig4ab": FIG4AB, "fig4cd": FIG4CD, "fig5": FIG5, "fig6": FIG6, "fig7": FIG7,
+    "e11": E11, "e12": E12, "e13": E13, "cache": CACHE,
 }
 
 _PREFACE = """\
-# Reproduction: the paper's §6 claims, measured
+# Reproduction: the paper's §6 claims and §4–5 ablations, measured
 
 Generated by `PYTHONPATH=src python -m repro.bench claims{quick}` from `src/repro/bench/figures.py`
 (CI `cmp`s the full-size output against this file; tier-1 checks the claims at `--quick` size).

@@ -111,7 +111,6 @@ def run_scheduling_experiment(
     items_per_task: int = 200,
     cores: int = 16,
     timeslice_us: float = 50.0,
-    interleaved: bool = True,
     topology=None,
     service_classes=None,
 ) -> SchedulingResult:
@@ -134,10 +133,9 @@ def run_scheduling_experiment(
         service_classes = ServiceClassMap.from_spec(service_classes)
     engine = Engine()
     scheduler = Scheduler(engine, cores, timeslice_us, policy, topology)
-    light: List[SyntheticTask] = []
-    heavy: List[SyntheticTask] = []
+    tasks: List[SyntheticTask] = []
     for index in range(n_tasks):
-        is_light = (index % 2 == 0) if interleaved else (index < n_tasks // 2)
+        is_light = index % 2 == 0
         size = LIGHT_ITEM_BYTES if is_light else HEAVY_ITEM_BYTES
         endpoint = "light" if is_light else "heavy"
         task = SyntheticTask(
@@ -157,13 +155,9 @@ def run_scheduling_experiment(
         # lottery, which swamps the policy effect this experiment
         # isolates.
         task.home_hint = (index // 2) % cores
-        (light if is_light else heavy).append(task)
+        tasks.append(task)
     scheduler.start()
-    for index in range(n_tasks):
-        task = light[index // 2] if index % 2 == 0 else heavy[index // 2]
-        if not interleaved:
-            ordered = light + heavy
-            task = ordered[index]
+    for task in tasks:
         scheduler.notify_runnable(task)
     engine.run()
 
@@ -175,8 +169,8 @@ def run_scheduling_experiment(
             times.append(task.finished_at)
         return times
 
-    light_times = _collect(light)
-    heavy_times = _collect(heavy)
+    light_times = _collect(tasks[0::2])
+    heavy_times = _collect(tasks[1::2])
     return SchedulingResult(
         policy=scheduler.policy_name,
         light_mean_ms=sum(light_times) / len(light_times) / 1000.0,

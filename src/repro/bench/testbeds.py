@@ -774,8 +774,9 @@ def run_memcached_experiment(
     slo_us=None, arrival=None, total_requests=None, seed=0xF11C,
     allocator="static", admission="admit-all", class_mix=(), faults=None,
 ) -> RunResult:
-    """One data point of Figure 5 (or the parser/cache ablations); each
-    argument is the :class:`Scenario` field of the same name."""
+    """One Memcached proxy data point, as Figure 5 and the ``e13`` and
+    ``cache`` rows of :mod:`repro.bench.figures` build it; each argument
+    is the :class:`Scenario` field of the same name."""
     return run_experiment(Scenario(app="memcached_proxy", **locals()))
 
 

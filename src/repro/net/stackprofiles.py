@@ -11,9 +11,12 @@ The paper's relative results follow from the cost structure:
 * mTCP pays a fraction of both, which is why the non-persistent HTTP
   experiment (Figure 4c) shows a ~4x gap while the persistent one
   (Figure 4a) shows a moderate one;
-* beyond ~8 cores the kernel's shared connection tables add contention
-  (§6.3: "threads compete over common data structures"), which caps the
-  Memcached proxy's kernel scaling in Figure 5.
+* beyond 8 cores the kernel stack charges every operation a contention
+  term that grows with the core count (§6.3: "threads compete over
+  common data structures").  The term is uniform, not a saturating
+  shared table, so it slows kernel scaling without capping it: kernel
+  FLICK still gains from 8 to 16 cores in Figure 5, a known deviation
+  that docs/reproduction.md notes.
 
 The absolute numbers are calibrated so single-system peaks land near the
 paper's reported values on a simulated 16-core middlebox;

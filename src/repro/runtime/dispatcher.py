@@ -9,7 +9,8 @@ accept spreading (mTCP gives this per-core naturally).
 The **graph dispatcher** assigns each accepted connection a task graph,
 reusing a graph from the pre-allocated pool when possible; a pool miss
 pays the full construction cost (``GRAPH_BUILD_US`` vs
-``GRAPH_RECYCLE_US``), which the pool-ablation benchmark measures.
+``GRAPH_RECYCLE_US``), which the E12 row of ``repro.bench.figures``
+measures.
 For foldt programs it gathers ``group_size`` connections (the mappers)
 into one graph per reducer.
 """

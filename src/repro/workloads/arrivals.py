@@ -355,7 +355,7 @@ class MemcachedRequestCodec(RequestCodec):
         return self._getk(stable_hash((client, n)), client)
 
     def parser(self):
-        return mc.full_codec().parser()
+        return mc.specialized_codec({"magic_code"}).parser()
 
     def is_error(self, message) -> bool:
         return message.magic_code != mc.MAGIC_RESPONSE

@@ -292,8 +292,11 @@ GOLDEN = Path(__file__).parent.parent / "benchmarks" / "golden"
 
 
 class TestFigureTargets:
-    def test_fig7_quick_prints_its_golden(self, capsys):
-        assert main(["fig7", "--quick"]) == 0
+    @pytest.mark.parametrize("flags", [[], ["--policy", "all"]])
+    def test_fig7_quick_prints_its_golden(self, flags, capsys):
+        """The row's series is every registered policy, so the default
+        and ``--policy all`` print the same bytes."""
+        assert main(["fig7", "--quick", *flags]) == 0
         expected = (GOLDEN / "fig7_quick.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
 

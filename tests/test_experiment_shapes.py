@@ -97,8 +97,8 @@ class TestSchedulingHarness:
 
     def test_round_robin_delays_light(self):
         """At small scale the effect is mild (the full-size contrast is
-        asserted in benchmarks/test_bench_fig7.py); here we only require
-        the ordering."""
+        a claim of the fig7 row in repro.bench.figures); here we only
+        require the ordering."""
         coop = run_scheduling_experiment("cooperative", n_tasks=60, items_per_task=80, cores=8)
         rr = run_scheduling_experiment("round_robin", n_tasks=60, items_per_task=80, cores=8)
         assert rr.light_mean_ms > coop.light_mean_ms
@@ -135,13 +135,6 @@ class TestSchedulingHarness:
 
 
 class TestCli:
-    def test_fig7_quick(self, capsys):
-        from repro.bench.cli import main
-
-        assert main(["fig7", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "cooperative" in out and "round_robin" in out
-
     def test_bad_target_rejected(self):
         from repro.bench.cli import main
 

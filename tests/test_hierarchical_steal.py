@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.bench.scheduling import SyntheticTask
 from repro.net.stackprofiles import (
     FOUR_SOCKET,
     TWO_SOCKET,
@@ -284,3 +285,36 @@ class TestHierarchicalBeatsFlat:
         assert scheduler.total_steal_us == pytest.approx(
             scheduler.total_steals * STEAL_US
         )
+
+
+def test_numa_on_two_sockets_pays_less_steal_cost_than_cooperative():
+    """On a two-socket topology the numa policy's on-socket preference
+    pays less steal cost than topology-blind longest-queue stealing.
+
+    Imbalanced piles on both sockets: a socket-1 thief has a local
+    victim (core 8) and a longer remote one (core 0).  Longest-queue
+    stealing reaches across the interconnect; numa stays on-socket and
+    skips the penalty."""
+    costs = {}
+    for policy in ("cooperative", "numa"):
+        engine = Engine()
+        scheduler = Scheduler(engine, 16, 50.0, policy, "two-socket")
+        tasks = []
+        for name, count, home in (("a", 40, 0), ("b", 20, 8)):
+            for i in range(count):
+                task = SyntheticTask(f"{name}{i}", 60, 4 * 1024, engine)
+                task.home_hint = home
+                tasks.append(task)
+        scheduler.start()
+        for task in tasks:
+            scheduler.notify_runnable(task)
+        engine.run()
+        assert all(not t.has_work() for t in tasks)
+        costs[policy] = (scheduler.total_steal_us, scheduler.total_steals)
+    coop_us, coop_steals = costs["cooperative"]
+    numa_us, numa_steals = costs["numa"]
+    assert numa_steals > 0
+    # On-socket preference cuts both the total steal bill and the
+    # average price per steal.
+    assert numa_us < coop_us
+    assert numa_us / numa_steals < coop_us / coop_steals

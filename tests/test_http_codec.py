@@ -466,3 +466,23 @@ class TestRenderedOnce:
             assert _outcome(codec.client_request, c, n, keep) == _outcome(
                 closed_loop, c, n, keep
             )
+
+
+@pytest.mark.parametrize("protocol", ["http", "memcached"])
+def test_request_codec_parser_decodes_only_what_is_error_reads(protocol):
+    """A client reads one field of a response, the one its codec's
+    ``is_error`` reads: its parser decodes that field's projection, and
+    no payload the client never looks at."""
+    from repro.workloads.arrivals import HttpRequestCodec, MemcachedRequestCodec
+
+    if protocol == "http":
+        codec, unit, field = HttpRequestCodec(), http.RESPONSE_UNIT, "status"
+        raw = http.make_response(200, "OK").raw
+    else:
+        codec, unit, field = MemcachedRequestCodec(), mc.MEMCACHED_UNIT, "magic_code"
+        raw = mc.encode(mc.make_response(mc.OP_GETK, "key-000001", b"v" * 100))
+    parser = codec.parser()
+    parser.feed(raw)
+    (message,) = parser.messages()
+    assert set(message._fields) == make_codec(unit, (field,)).decoded_fields
+    assert not codec.is_error(Record(unit.name, {field: message._fields[field]}))

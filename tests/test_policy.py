@@ -509,14 +509,14 @@ class TestPriorityPolicy:
 
 
 class TestPolicySweep:
-    def test_all_registered_policies_run_end_to_end(self):
-        results = run_policy_sweep(
-            registered_policies(), n_tasks=12, items_per_task=10, cores=4
-        )
-        assert set(results) == set(registered_policies())
-        for result in results.values():
-            assert result.makespan_ms > 0
-            assert result.light_mean_ms <= result.makespan_ms
+    @pytest.mark.parametrize("policy", registered_policies())
+    def test_all_registered_policies_run_end_to_end(self, policy):
+        results = run_policy_sweep([policy], n_tasks=12, items_per_task=10, cores=4)
+        assert list(results) == [policy]
+        result = results[policy]
+        assert 0 < result.light_mean_ms <= result.makespan_ms
+        assert 0 < result.heavy_mean_ms <= result.makespan_ms
+        assert result.makespan_ms == max(result.light_max_ms, result.heavy_max_ms)
 
     def test_sweep_accepts_instances(self):
         results = run_policy_sweep(
