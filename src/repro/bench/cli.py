@@ -7,23 +7,13 @@ Usage::
     python -m repro.bench fig4        # HTTP LB sweep (slow)
     python -m repro.bench fig5        # Memcached proxy vs cores
     python -m repro.bench fig6        # Hadoop aggregator vs cores
-    python -m repro.bench fig7        # every registered scheduling policy
+    python -m repro.bench fig7        # every registered scheduling policy, three layouts
     python -m repro.bench ablations   # §4-5 ablations: timeslice, graph pool, parser, cache
     python -m repro.bench claims      # every row's claims -> docs/reproduction.md
-    python -m repro.bench fig7 --policy paper  # the paper's three policies only
-    python -m repro.bench fig7 --policy all --topology four-socket
-    python -m repro.bench fig7 --policy deadline \\
-        --slo-class light=gold:1000@4 --slo-class heavy=bronze:50000
     python -m repro.bench scenarios   # declarative matrix -> BENCH_scenarios.json
     python -m repro.bench scenarios --scenario http-overload-open
-    python -m repro.bench scenarios --scenario http-overload-shed \\
-        --admission shed-bronze --allocator queue-depth
     python -m repro.bench scenarios --list            # names + axes, no run
     python -m repro.bench scenarios --quick --jobs 4  # parallel smoke run
-    python -m repro.bench scenarios --scenario http-open-poisson \\
-        --shards 4 --routing least-loaded   # cluster-tier override
-    python -m repro.bench scenarios --scenario http-open-poisson \\
-        --faults retry-storm   # fault-injection override
     python -m repro.bench scenarios --quick \\
         --baseline benchmarks/baseline_scenarios.json   # CI perf gate
     python -m repro.bench all --quick # everything, reduced sizes
@@ -56,28 +46,17 @@ from repro.bench.scenarios import (
     resolve_scenario_selection,
     run_scenario_matrix,
 )
-from repro.bench.scheduling import ENDPOINTS, resolve_policy_selection
-from repro.bench.testbeds import AXES
-from repro.net.stackprofiles import TOPOLOGIES
-from repro.runtime.qos import parse_slo_class_specs
 
 
 def _figure(target):
-    """Print every :data:`~repro.bench.figures.FIGURES` row of
-    ``target``; ``--policy`` / ``--topology`` / ``--slo-class`` reshape
-    the fig7 row."""
+    """Print every :data:`~repro.bench.figures.FIGURES` row of ``target``."""
 
     def view(args) -> None:
-        texts = []
-        for figure in figures.FIGURES.values():
-            if figure.target == target:
-                policies, sweep = None, {}
-                if target == "fig7":
-                    policies = args.policy and resolve_policy_selection(args.policy)
-                    sweep = {"topology": args.topology, "service_classes": _service_classes(args)}
-                points = figure.run(args.quick, policies, **sweep)
-                texts.append(figure.text(points, args.quick, **sweep))
-        print("\n\n".join(texts))
+        print("\n\n".join(
+            figure.text(figure.run(args.quick), args.quick)
+            for figure in figures.FIGURES.values()
+            if figure.target == target
+        ))
 
     return view
 
@@ -93,44 +72,17 @@ def _claims(args) -> int:
     return 1 if failed else 0
 
 
-def _service_classes(args):
-    """The fig7 service-class map from repeated ``--slo-class`` flags."""
-    if not getattr(args, "slo_class", None):
-        return None
-    return parse_slo_class_specs(args.slo_class, valid_endpoints=ENDPOINTS)
-
-
-#: ``scenarios`` flags that override the same-named field on every
-#: selected scenario.
-_OVERRIDE_FLAGS = ("allocator", "admission", "shards", "routing", "faults")
-
-
-def _scenario_overrides(args) -> dict:
-    """Pinned-field overrides from the :data:`_OVERRIDE_FLAGS` flags."""
-    overrides = {
-        flag: getattr(args, flag)
-        for flag in _OVERRIDE_FLAGS
-        if getattr(args, flag, None) is not None
-    }
-    if "faults" in overrides:
-        # Replacing the injector invalidates any scenario-pinned
-        # parameters (they belong to the original fault's signature).
-        overrides["fault_params"] = ()
-    return overrides
-
-
 def _scenario_output_path(args) -> str:
     """Where the scenarios document goes when ``--output`` is omitted.
 
-    Only a full-matrix, full-size, unmodified run writes the committed
-    trajectory file ``BENCH_scenarios.json``; quick, filtered, or
-    overridden (``--allocator``/``--admission``) runs default to
+    Only a full-matrix, full-size run writes the committed trajectory
+    file ``BENCH_scenarios.json``; quick or filtered runs default to
     ``BENCH_scenarios.quick.json`` so the documented CI-gate command
     cannot silently clobber the repo's full-size trajectory point.
     """
     if args.output is not None:
         return args.output
-    if args.quick or args.scenario != "all" or _scenario_overrides(args):
+    if args.quick or args.scenario != "all":
         return "BENCH_scenarios.quick.json"
     return "BENCH_scenarios.json"
 
@@ -138,20 +90,12 @@ def _scenario_output_path(args) -> str:
 def _scenarios(args) -> int:
     """Run the scenario matrix; write JSON; optionally gate on a baseline."""
     selected = resolve_scenario_selection(args.scenario)
-    overrides = _scenario_overrides(args)
-    if overrides:
-        selected = tuple(
-            scenario._replace(**overrides) for scenario in selected
-        )
     if args.list_scenarios:
         print(format_scenario_listing(selected))
         return 0
-    suffix = "".join(
-        f", {field}={value}" for field, value in sorted(overrides.items())
-    )
     print(
         f"== Scenario matrix ({len(selected)} scenarios"
-        f"{', quick' if args.quick else ''}{suffix}) =="
+        f"{', quick' if args.quick else ''}) =="
     )
     results = run_scenario_matrix(selected, quick=args.quick, jobs=args.jobs)
     print(format_scenario_table(results))
@@ -212,58 +156,12 @@ def main(argv: List[str] = None) -> int:
         help="reduced workload sizes for a fast smoke run",
     )
     parser.add_argument(
-        "--policy",
-        default=None,
-        metavar="NAME[,NAME...]",
-        help="fig7 only: which scheduling policies to sweep. By default "
-        "and with 'all', every registered policy (the fig7 row's series); "
-        "'paper' runs the three Figure-7 policies, or give a "
-        "comma-separated list of names. "
-        f"Registered: {', '.join(AXES['policy'].names())}.",
-    )
-    parser.add_argument(
-        "--topology",
-        default=None,
-        choices=sorted(TOPOLOGIES),
-        help="fig7 only: socket layout of the simulated cores. Prices "
-        "cross-socket steals per interconnect hop and feeds the 'numa' "
-        "policy's hierarchical placement/stealing; default is a flat "
-        "(penalty-free) layout.",
-    )
-    parser.add_argument(
-        "--slo-class",
-        action="append",
-        default=None,
-        metavar="EP=[NAME:]US[@W]",
-        help="fig7 only, repeatable: bind a workload endpoint ('light' "
-        "or 'heavy') to a QoS tier — e.g. --slo-class light=gold:1000@4 "
-        "--slo-class heavy=bronze:50000. Classified tasks carry the "
-        "class SLO/weight and the sweep reports per-class SLO misses.",
-    )
-    parser.add_argument(
         "--scenario",
         default="all",
         metavar="NAME[,NAME...]",
         help="scenarios only: which matrix entries to run ('all' or a "
         "comma-separated list of scenario names; typos get a near-miss "
         "suggestion).",
-    )
-    parser.add_argument(
-        "--allocator",
-        default=None,
-        metavar="NAME",
-        help="scenarios only: override the core-allocation policy on "
-        "every selected scenario (typos get a near-miss suggestion). "
-        f"Registered: {', '.join(AXES['allocator'].names())}.",
-    )
-    parser.add_argument(
-        "--admission",
-        default=None,
-        metavar="NAME",
-        help="scenarios only: override the admission-control policy on "
-        "every selected scenario; only request/response scenarios "
-        "accept one (typos get a near-miss suggestion). "
-        f"Registered: {', '.join(AXES['admission'].names())}.",
     )
     parser.add_argument(
         "--jobs",
@@ -273,35 +171,6 @@ def main(argv: List[str] = None) -> int:
         help="scenarios only: run the selected scenarios in N worker "
         "processes. Output is byte-identical to --jobs 1 (a run is a "
         "pure function of its spec); only wall-clock time changes.",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="scenarios only: override the cluster-tier shard count on "
-        "every selected scenario. N > 1 puts N FLICK platforms behind "
-        "one consistent-hash shard router (http_lb scenarios only); "
-        "combine with --scenario to target specific entries.",
-    )
-    parser.add_argument(
-        "--routing",
-        default=None,
-        metavar="NAME",
-        help="scenarios only: override the cross-shard routing policy "
-        "on every selected scenario; needs --shards > 1 (typos get a "
-        "near-miss suggestion). "
-        f"Registered: {', '.join(AXES['routing'].names())}.",
-    )
-    parser.add_argument(
-        "--faults",
-        default=None,
-        metavar="NAME",
-        help="scenarios only: override the fault injector on every "
-        "selected scenario (with the injector's default parameters); "
-        "only single-platform request/response scenarios accept one "
-        "(typos get a near-miss suggestion). "
-        f"Registered: {', '.join(AXES['faults'].names())}.",
     )
     parser.add_argument(
         "--list",
@@ -332,22 +201,12 @@ def main(argv: List[str] = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        # Reject --policy / --slo-class / --scenario / --allocator /
-        # --admission typos up front, before any (expensive) target
-        # runs — not only when the loop eventually reaches the target
-        # that consumes the flag.
-        if args.policy is not None:
-            resolve_policy_selection(args.policy)
-        _service_classes(args)
+        # Reject a --scenario typo up front, before any (expensive)
+        # target runs — not only when the loop reaches ``scenarios``.
         resolve_scenario_selection(args.scenario)
-        for flag, value in _scenario_overrides(args).items():
-            if flag in AXES:
-                AXES[flag].check(value)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        if args.shards is not None and args.shards < 1:
-            raise ConfigError(f"--shards must be >= 1, got {args.shards}")
-    except (RuntimeFlickError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     targets = sorted(_TARGETS) if args.target == "all" else [args.target]

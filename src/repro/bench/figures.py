@@ -18,9 +18,10 @@ from functools import partial
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.bench import report
-from repro.bench.scheduling import run_policy_sweep
+from repro.bench.scheduling import ENDPOINTS, run_policy_sweep
 from repro.bench.testbeds import Scenario, run_experiment
 from repro.runtime.policy import CooperativePolicy, registered_policies
+from repro.runtime.qos import parse_slo_class_specs
 
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
@@ -68,10 +69,12 @@ class Figure(NamedTuple):
     #: ``(series, x, size) -> Scenario``; ``None`` for a scheduling row
     #: (fig7, E11), which is :func:`run_policy_sweep` over ``series``.
     point: Optional[Callable]
-    #: Per-point size at full scale, and the same keys at ``--quick``.
-    size: Dict[str, int]
-    quick: Dict[str, int]
-    #: ``(figure, points, size, **sweep) -> str``.
+    #: The keyword arguments of every point at full scale (the point
+    #: builder's ``size``, or :func:`run_policy_sweep`'s), and the same
+    #: keys at ``--quick``.
+    size: Dict[str, object]
+    quick: Dict[str, object]
+    #: ``(figure, points, size) -> str``.
     render: Callable
     claims: Tuple[Claim, ...]
     #: The x-axis name and throughput unit of a chart.
@@ -82,20 +85,19 @@ class Figure(NamedTuple):
     #: Known deviations from the paper, for ``docs/reproduction.md``.
     notes: Tuple[str, ...] = ()
 
-    def run(self, quick: bool = False, policies=None, **sweep) -> dict:
-        """series -> results in ``xs`` order, or policy -> result (a scheduling row:
-        ``policies`` replaces the row's; ``sweep`` is the topology and classes)."""
+    def run(self, quick: bool = False) -> dict:
+        """series -> results in ``xs`` order, or policy -> result (a scheduling row)."""
         size = self.quick if quick else self.size
         if self.point is None:
-            return run_policy_sweep(policies or self.series, **sweep, **size)
+            return run_policy_sweep(self.series, **size)
         return {
             self.label.format(s): [run_experiment(self.point(s, x, size)) for x in self.xs]
             for s in self.series
         }
 
-    def text(self, points: dict, quick: bool = False, **sweep) -> str:
+    def text(self, points: dict, quick: bool = False) -> str:
         """The sweep as ``python -m repro.bench`` prints it."""
-        return self.render(self, points, self.quick if quick else self.size, **sweep)
+        return self.render(self, points, self.quick if quick else self.size)
 
 
 def _web(system, connections, size):
@@ -142,9 +144,10 @@ def _chart(figure, points, size):
     ])
 
 
-def _policies(figure, results, size, topology=None, service_classes=None):
+def _policies(figure, results, size):
     """The per-policy table, and per-class SLO outcomes when service
     classes bind the workload's endpoints to tiers."""
+    topology, service_classes = size.get("topology"), size.get("service_classes")
     suffix = f", topology: {topology}" if topology else ""
     if service_classes:
         suffix += ", classes: " + ", ".join(
@@ -367,6 +370,21 @@ FIG7 = Figure(
     ),
 )
 
+#: The four-socket sweep's tiers: light tasks gold, heavy tasks bronze.
+_SLO_CLASSES = parse_slo_class_specs(
+    ["light=gold:1000@4", "heavy=bronze:50000"], valid_endpoints=ENDPOINTS
+)
+
+
+def _fig7_on(**sweep):
+    """Figure 7's sweep with ``sweep`` (a topology, service classes)
+    added at both sizes, and no claims."""
+    return FIG7._replace(size={**FIG7.size, **sweep}, quick={**FIG7.quick, **sweep}, claims=())
+
+
+FIG7_TWO_SOCKET = _fig7_on(topology="two-socket")
+FIG7_FOUR_SOCKET_SLO = _fig7_on(topology="four-socket", service_classes=_SLO_CLASSES)
+
 
 def _timeslice(us):
     """A cooperative policy with a ``us`` µs quantum, named for its row."""
@@ -476,6 +494,7 @@ CACHE = E13._replace(
 #: Every figure and ablation, in the order the views print them.
 FIGURES: Dict[str, Figure] = {
     "e1": E1, "fig4ab": FIG4AB, "fig4cd": FIG4CD, "fig5": FIG5, "fig6": FIG6, "fig7": FIG7,
+    "fig7-two-socket": FIG7_TWO_SOCKET, "fig7-four-socket-slo": FIG7_FOUR_SOCKET_SLO,
     "e11": E11, "e12": E12, "e13": E13, "cache": CACHE,
 }
 

@@ -313,7 +313,7 @@ def resolve_scenario_selection(selection: str) -> Tuple[Scenario, ...]:
 
     ``"all"`` (the default) selects the whole matrix, otherwise a
     comma-separated list of scenario names; typos get a near-miss
-    suggestion, mirroring ``--policy``.
+    suggestion, as an unknown registry name does.
     """
     if selection == "all":
         return SCENARIOS

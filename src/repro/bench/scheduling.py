@@ -15,18 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.errors import RuntimeFlickError
-from repro.runtime.policy import (
-    PAPER_POLICIES,
-    POLICIES,
-    registered_policies,
-)
 from repro.runtime.qos import ServiceClassMap
 from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.sim.engine import Engine
 
-#: The workload's two endpoints, as `--slo-class` sees them: every light
-#: task belongs to endpoint "light", every heavy task to "heavy".
+#: The workload's two endpoints, as its service-class specs name them:
+#: every light task belongs to endpoint "light", every heavy task to "heavy".
 ENDPOINTS = ("light", "heavy")
 
 #: Cost of the per-byte addition loop (µs/byte of item data).
@@ -183,35 +177,7 @@ def run_scheduling_experiment(
     )
 
 
-def resolve_policy_selection(selection: str) -> Sequence[str]:
-    """Map a CLI ``--policy`` value to a list of policy names.
-
-    ``"paper"`` → the three Figure-7 policies, ``"all"`` → every
-    registered policy, otherwise a comma-separated list of names.
-    """
-    if selection == "paper":
-        return PAPER_POLICIES
-    if selection == "all":
-        return registered_policies()
-    names = tuple(
-        name.strip() for name in selection.split(",") if name.strip()
-    )
-    if not names:
-        raise RuntimeFlickError(
-            f"--policy {selection!r} selects no policies; registered: "
-            f"{', '.join(registered_policies())}"
-        )
-    unknown = [name for name in names if name not in registered_policies()]
-    if unknown:
-        # Reject up front: a typo must not surface only after the
-        # preceding policies' experiments have already run.
-        raise RuntimeFlickError(POLICIES.unknown_message(*unknown))
-    return names
-
-
-def run_policy_sweep(
-    policies: Optional[Sequence] = None, **kwargs
-) -> Dict[str, SchedulingResult]:
+def run_policy_sweep(policies: Sequence, **kwargs) -> Dict[str, SchedulingResult]:
     """Run the Figure 7 workload once per policy (names or instances).
 
     Keys are policy names; two entries with the same name (e.g. two
@@ -219,7 +185,7 @@ def run_policy_sweep(
     with ``#2``, ``#3``, ... so no sweep result is silently dropped.
     """
     results: Dict[str, SchedulingResult] = {}
-    for policy in policies if policies is not None else PAPER_POLICIES:
+    for policy in policies:
         result = run_scheduling_experiment(policy, **kwargs)
         key = result.policy
         serial = 2

@@ -97,7 +97,7 @@ class Scenario(NamedTuple):
     policy: object = "cooperative"
     #: Registered core-topology name, a ``CoreTopology``, or ``None``.
     topology: object = None
-    #: ``--slo-class`` specs (``endpoint=[name:]slo_us[@weight]``), or a
+    #: Service-class specs (``endpoint=[name:]slo_us[@weight]``), or a
     #: ``ServiceClassMap`` / dict.
     service_classes: object = ()
     cores: int = 8
@@ -578,7 +578,8 @@ def _population(spec: Scenario, app: App, engine, tcpnet, mbox, servers):
         else spec.total_requests or spec.concurrency * per_client,
         arrival=spec.arrival,
         connections=spec.concurrency,
-        warmup_requests=max(2, per_client // 10) if closed else 0,
+        # At least one request per client is measured.
+        warmup_requests=min(max(2, per_client // 10), per_client - 1) if closed else 0,
         persistent=spec.persistent,
         seed=spec.seed,
         slo_us=spec.slo_us,

@@ -115,10 +115,7 @@ ROUTINGS = Registry(
     first=("hash-affinity",),
     title="Cross-shard routing policies",
     decorator="register_routing",
-    consumed_by=(
-        "`ShardRouter(routing=...)`; CLI `scenarios --routing NAME` "
-        "(needs `--shards` > 1)"
-    ),
+    consumed_by="`ShardRouter(routing=...)`; `Scenario(routing=...)` (needs `shards` > 1)",
 )
 register_routing = ROUTINGS.register
 registered_routings = ROUTINGS.names

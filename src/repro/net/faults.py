@@ -94,11 +94,7 @@ FAULTS = Registry(
     ConfigError,
     title="Fault injectors",
     decorator="register_fault",
-    consumed_by=(
-        "testbeds' `faults=` argument; "
-        "`Scenario(faults=..., fault_params=...)`; "
-        "CLI `scenarios --faults NAME`"
-    ),
+    consumed_by="`Scenario(faults=..., fault_params=...)`",
 )
 register_fault = FAULTS.register
 registered_faults = FAULTS.names

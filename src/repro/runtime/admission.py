@@ -81,10 +81,7 @@ ADMISSIONS = Registry(
     first=("admit-all",),
     title="Admission-control policies",
     decorator="register_admission",
-    consumed_by=(
-        "`ClientPopulation(admission=...)` via the testbeds' `admission=`; "
-        "CLI `scenarios --admission NAME`"
-    ),
+    consumed_by="`ClientPopulation(admission=...)` via `Scenario(admission=...)`",
 )
 register_admission = ADMISSIONS.register
 registered_admissions = ADMISSIONS.names

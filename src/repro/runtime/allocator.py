@@ -113,9 +113,7 @@ ALLOCATORS = Registry(
     first=("static",),
     title="Core-allocation policies",
     decorator="register_allocator",
-    consumed_by=(
-        "`RuntimeConfig(allocator=...)`; CLI `scenarios --allocator NAME`"
-    ),
+    consumed_by="`RuntimeConfig(allocator=...)`; `Scenario(allocator=...)`",
 )
 register_allocator = ALLOCATORS.register
 registered_allocators = ALLOCATORS.names

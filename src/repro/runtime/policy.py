@@ -46,9 +46,9 @@ per-endpoint service classes (:mod:`repro.runtime.qos`) declares
 class-aware golden numbers (CI lockstep gate).
 
 Policies are registered in a string-keyed registry so every upper layer
-— :class:`~repro.runtime.platform.FlickPlatform`, the bench CLI's
-``--policy`` flag, the Figure-7 microbenchmark — can select any policy
-by name, or pass a pre-built instance for custom parameters.
+— :class:`~repro.runtime.platform.FlickPlatform`, a scenario, the
+Figure-7 microbenchmark — can select any policy by name, or pass a
+pre-built instance for custom parameters.
 
 The three paper policies (``cooperative``, ``non_cooperative``,
 ``round_robin``) reproduce Figure 7 byte-for-byte; ``locality``,
@@ -183,7 +183,7 @@ POLICIES = Registry(
     first=PAPER_POLICIES,
     title="Scheduling policies",
     decorator="register_policy",
-    consumed_by="`RuntimeConfig(policy=...)`; CLI `fig7 --policy NAME`",
+    consumed_by="`RuntimeConfig(policy=...)`; `Scenario(policy=...)`; the Figure 7 rows",
 )
 register_policy = POLICIES.register
 registered_policies = POLICIES.names

@@ -24,9 +24,10 @@ Consumers:
   :func:`~repro.sim.stats.class_summary` turns the log into the
   per-class completions, latency and SLO misses of the bench report.
 
-``--slo-class endpoint=[name:]slo_us[@weight]`` on the bench CLI parses
-through :func:`parse_slo_class_specs`, which rejects malformed specs
-with near-miss suggestions in the same style as unknown policy names.
+A spec ``endpoint=[name:]slo_us[@weight]`` (``Scenario.service_classes``,
+the four-socket Figure 7 row) parses through
+:func:`parse_slo_class_specs`, which rejects malformed specs with
+near-miss suggestions in the same style as unknown policy names.
 """
 
 from __future__ import annotations
@@ -196,13 +197,13 @@ def _coerce_class(endpoint: str, value) -> ServiceClass:
     )
 
 
-# -- CLI spec parsing ---------------------------------------------------------
+# -- Spec parsing -------------------------------------------------------------
 
 
 def parse_slo_class(
     spec: str, valid_endpoints: Optional[Sequence[str]] = None
 ) -> Tuple[str, ServiceClass]:
-    """Parse one ``endpoint=[name:]slo_us[@weight]`` CLI spec.
+    """Parse one ``endpoint=[name:]slo_us[@weight]`` spec.
 
     ``gold=1000`` binds endpoint ``gold`` to a 1000 µs class named after
     it; ``client=gold:1000@4`` names the class explicitly and gives it
@@ -267,7 +268,7 @@ def parse_slo_class(
 def parse_slo_class_specs(
     specs: Sequence[str], valid_endpoints: Optional[Sequence[str]] = None
 ) -> ServiceClassMap:
-    """Parse repeated ``--slo-class`` flags into a validated map.
+    """Parse ``endpoint=[name:]slo_us[@weight]`` specs into a validated map.
 
     Duplicate endpoints and conflicting re-definitions of one class name
     are rejected by :class:`ServiceClassMap` with the same clear-error

@@ -1,20 +1,49 @@
 """Argument-handling tests for the ``python -m repro.bench`` surface.
 
-The underlying parsers (``resolve_policy_selection``,
-``parse_slo_class_specs``, ``resolve_scenario_selection``) have their own
-unit tests; these exercise the CLI itself — exit codes and the error
-text a user actually sees.
+The underlying parser (``resolve_scenario_selection``) and the
+registries' near-miss errors have their own unit tests; these exercise
+the CLI itself — exit codes and the error text a user actually sees.
 """
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.bench import figures
 from repro.bench import results as results_io
-from repro.bench.cli import main
+from repro.bench.cli import _scenario_output_path, main
 from repro.bench.figures import Claim
+
+
+#: Flags that reshaped a figure row or a scenario at run time.  An
+#: experiment is a row of ``FIGURES`` or ``SCENARIOS``; the CLI picks rows.
+REMOVED_FLAGS = [
+    ("--policy", "cooperative"), ("--topology", "two-socket"),
+    ("--slo-class", "light=1000"), ("--allocator", "queue-depth"),
+    ("--admission", "shed-bronze"), ("--shards", "2"),
+    ("--routing", "least-loaded"), ("--faults", "retry-storm"),
+]
+
+
+@pytest.mark.parametrize("flag, value", REMOVED_FLAGS)
+def test_an_override_flag_is_a_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scenarios", "--list", flag, value])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_help_lists_only_the_row_pickers(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    options = set(re.findall(r"^\s+(-[-\w]+)", capsys.readouterr().out, re.M))
+    assert options == {
+        "-h", "--quick", "--scenario", "--jobs", "--list", "--output", "--baseline",
+    }
 
 
 class TestUnknownSubcommand:
@@ -30,39 +59,6 @@ class TestUnknownSubcommand:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
-
-
-class TestPolicyFlag:
-    def test_near_miss_suggestion_before_anything_runs(self, capsys):
-        assert main(["fig7", "--quick", "--policy", "cooperativ"]) == 2
-        stderr = capsys.readouterr().err
-        assert "unknown scheduling policy 'cooperativ'" in stderr
-        assert "did you mean 'cooperative'?" in stderr
-
-    def test_typo_rejected_even_for_non_fig7_targets(self, capsys):
-        # validation happens up front, not when the loop reaches fig7
-        assert main(["e1", "--quick", "--policy", "dead-line"]) == 2
-        assert "did you mean 'deadline'?" in capsys.readouterr().err
-
-    def test_empty_selection_rejected(self, capsys):
-        assert main(["fig7", "--quick", "--policy", ","]) == 2
-        assert "selects no policies" in capsys.readouterr().err
-
-
-class TestSloClassFlag:
-    def test_malformed_spec_exits_2(self, capsys):
-        assert main(["fig7", "--quick", "--slo-class", "light-1000"]) == 2
-        assert "malformed --slo-class" in capsys.readouterr().err
-
-    def test_unknown_endpoint_gets_near_miss(self, capsys):
-        assert main(["fig7", "--quick", "--slo-class", "ligth=1000"]) == 2
-        stderr = capsys.readouterr().err
-        assert "unknown endpoint 'ligth'" in stderr
-        assert "did you mean 'light'?" in stderr
-
-    def test_non_numeric_slo_exits_2(self, capsys):
-        assert main(["fig7", "--quick", "--slo-class", "light=fast"]) == 2
-        assert "is not a number of µs" in capsys.readouterr().err
 
 
 class TestScenarioFlag:
@@ -92,71 +88,20 @@ class TestScenarioFlag:
         assert list(document["scenarios"]) == ["http-closed-baseline"]
 
 
-class TestAllocatorAdmissionFlags:
-    def test_unknown_allocator_exits_2_with_suggestion(self, capsys):
-        assert main(["scenarios", "--allocator", "queue-deph"]) == 2
-        stderr = capsys.readouterr().err
-        assert "unknown core allocator 'queue-deph'" in stderr
-        assert "did you mean 'queue-depth'?" in stderr
-
-    def test_unknown_admission_exits_2_with_suggestion(self, capsys):
-        assert main(["scenarios", "--admission", "shed-bronz"]) == 2
-        stderr = capsys.readouterr().err
-        assert "unknown admission policy 'shed-bronz'" in stderr
-        assert "did you mean 'shed-bronze'?" in stderr
-
-    def test_typos_rejected_before_other_targets_run(self, capsys):
-        assert main(["e1", "--quick", "--allocator", "statik"]) == 2
-        assert "did you mean 'static'?" in capsys.readouterr().err
-        assert main(["e1", "--quick", "--admission", "admitall"]) == 2
-        assert "did you mean 'admit-all'?" in capsys.readouterr().err
-
-    def test_overrides_apply_to_the_selected_scenarios(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "overridden.json"
-        code = main([
-            "scenarios", "--quick",
-            "--scenario", "http-open-poisson",
-            "--allocator", "queue-depth",
-            "--admission", "token-bucket",
-            "--output", str(out),
-        ])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "admission=token-bucket" in stdout
-        assert "allocator=queue-depth" in stdout
-        entry = results_io.load_results(out)["scenarios"]["http-open-poisson"]
-        assert entry["allocator"]["name"] == "queue-depth"
-        assert entry["admission"]["policy"] == "token-bucket"
-
-    def test_admission_override_on_a_job_scenario_exits_2(self, capsys):
-        code = main([
-            "scenarios", "--quick",
-            "--scenario", "hadoop-ramp-mappers",
-            "--admission", "shed-bronze",
-        ])
-        assert code == 2
-        assert "does not support admission" in capsys.readouterr().err
-
-    def test_documented_ci_override_leg_is_green(self, tmp_path, capsys):
-        """The documented override path: the pinned shed scenario under
-        an explicit --admission override matching its pinned policy
-        must compare clean against the committed baseline."""
-        baseline = (
-            Path(__file__).parent.parent
-            / "benchmarks" / "baseline_scenarios.json"
-        )
-        code = main([
-            "scenarios", "--quick",
-            "--scenario", "http-overload-shed",
-            "--admission", "shed-bronze",
-            "--output", str(tmp_path / "now.json"),
-            "--baseline", str(baseline),
-        ])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        assert "no perf regressions" in captured.out
+@pytest.mark.parametrize(
+    "quick, scenario, output, expected",
+    [
+        (False, "all", None, "BENCH_scenarios.json"),
+        (True, "all", None, "BENCH_scenarios.quick.json"),
+        (False, "http-closed-baseline", None, "BENCH_scenarios.quick.json"),
+        (True, "http-closed-baseline", "mine.json", "mine.json"),
+    ],
+)
+def test_only_a_full_matrix_run_defaults_to_the_trajectory_file(
+    quick, scenario, output, expected
+):
+    args = argparse.Namespace(quick=quick, scenario=scenario, output=output)
+    assert _scenario_output_path(args) == expected
 
 
 class TestBaselineFlag:
@@ -255,50 +200,32 @@ class TestClusterFlags:
         assert main(["scenarios", "--quick", "--jobs", "0"]) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
-    def test_bad_shards_exits_2(self, capsys):
-        assert main(["scenarios", "--quick", "--shards", "0"]) == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
-
-    def test_unknown_routing_gets_near_miss(self, capsys):
-        assert main([
-            "scenarios", "--quick", "--routing", "least-loadd",
-        ]) == 2
-        stderr = capsys.readouterr().err
-        assert "unknown routing policy 'least-loadd'" in stderr
-        assert "did you mean 'least-loaded'?" in stderr
-
-    def test_routing_typo_rejected_before_any_target_runs(self, capsys):
-        # validation is up front, shared with every other flag
-        assert main(["e1", "--quick", "--routing", "hash-afinity"]) == 2
-        assert "did you mean 'hash-affinity'?" in capsys.readouterr().err
-
-    def test_shards_override_runs_the_fleet_path(self, tmp_path, capsys):
-        out_path = tmp_path / "out.json"
-        code = main([
-            "scenarios", "--quick",
-            "--scenario", "http-open-poisson",
-            "--shards", "2", "--routing", "least-loaded",
-            "--output", str(out_path),
-        ])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        document = json.loads(out_path.read_text())
-        entry = document["scenarios"]["http-open-poisson"]
-        assert entry["cluster"]["shards"] == 2
-        assert entry["cluster"]["routing"] == "least-loaded"
-
 
 GOLDEN = Path(__file__).parent.parent / "benchmarks" / "golden"
 
 
 class TestFigureTargets:
-    @pytest.mark.parametrize("flags", [[], ["--policy", "all"]])
-    def test_fig7_quick_prints_its_golden(self, flags, capsys):
-        """The row's series is every registered policy, so the default
-        and ``--policy all`` print the same bytes."""
-        assert main(["fig7", "--quick", *flags]) == 0
+    def test_fig7_quick_prints_its_golden(self, capsys):
+        """Every fig7 row, one blank line apart: the uniform sweep, the
+        two-socket one and the four-socket one with service classes."""
+        assert main(["fig7", "--quick"]) == 0
         expected = (GOLDEN / "fig7_quick.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+    def test_the_socket_rows_add_a_layout_to_fig7_and_no_claims(self):
+        """Each adds its topology (and the four-socket one its service
+        classes) to Figure 7's sweep at both sizes, and claims nothing."""
+        classes = figures.FIG7_FOUR_SOCKET_SLO.size["service_classes"]
+        assert classes.class_for("light").name == "gold"
+        assert classes.class_for("heavy").slo_us == 50_000.0
+        for row, sweep in [
+            (figures.FIG7_TWO_SOCKET, {"topology": "two-socket"}),
+            (figures.FIG7_FOUR_SOCKET_SLO,
+             {"topology": "four-socket", "service_classes": classes}),
+        ]:
+            assert row.target == "fig7" and row.claims == ()
+            assert row.size == {**figures.FIG7.size, **sweep}
+            assert row.quick == {**figures.FIG7.quick, **sweep}
 
     def test_claims_exits_1_and_names_a_failed_claim(self, monkeypatch, capsys):
         impossible = Claim(

@@ -120,9 +120,9 @@ class TestParallelRunner:
     def test_a_serial_run_validates_every_scenario_before_running_any(
         self, monkeypatch
     ):
-        """``scenarios --jobs 1 --admission shed-bronze`` over a
-        selection ending in a hadoop scenario must fail before the two
-        request/response scenarios run, as it does at ``--jobs 2``."""
+        """A serial run of ``shed-bronze`` admission over a selection
+        ending in a hadoop scenario must fail before the two
+        request/response scenarios run, as it does at ``jobs=2``."""
         import pytest
 
         from repro.bench import scenarios

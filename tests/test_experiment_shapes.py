@@ -9,6 +9,8 @@ import pytest
 
 from repro.bench.scheduling import run_scheduling_experiment
 from repro.bench.testbeds import (
+    Scenario,
+    run_experiment,
     run_hadoop_experiment,
     run_http_experiment,
     run_memcached_experiment,
@@ -34,6 +36,18 @@ class TestHttpHarness:
             "flick-mtcp", 64, False, "web", 8, requests_per_client=4
         )
         assert mtcp.throughput > 2 * kernel.throughput
+
+    @pytest.mark.parametrize("per_client, warmup", [(1, 0), (2, 1), (3, 2), (30, 3)])
+    def test_a_short_closed_run_measures_past_its_warm_up(self, per_client, warmup):
+        """The closed rule's warm-up leaves every client one request or
+        more to measure, however few it sends; from three requests up it
+        is ``max(2, per_client // 10)``."""
+        result = run_experiment(Scenario(
+            app="http_lb", concurrency=4, requests_per_client=per_client,
+            total_requests=None, cores=2,
+        ))
+        assert result.entry["measured"] == 4 * (per_client - warmup)
+        assert result.throughput > 0 and result.latency_ms > 0
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):

@@ -10,11 +10,7 @@ matches the paper's evaluation.
 import pytest
 
 from repro.bench import testbeds
-from repro.bench.scheduling import (
-    resolve_policy_selection,
-    run_policy_sweep,
-    run_scheduling_experiment,
-)
+from repro.bench.scheduling import run_policy_sweep, run_scheduling_experiment
 from repro.core.errors import RuntimeFlickError
 from repro.core.ids import stable_hash
 from repro.runtime.policy import (
@@ -202,70 +198,17 @@ class TestRegistry:
             assert name in names
 
     def test_registry_sweeps_at_least_ten_policies(self):
-        """`--policy all` covers the full roadmap: the paper trio plus
+        """Figure 7's sweep covers the full roadmap: the paper trio plus
         the seven post-paper policies."""
         assert len(registered_policies()) >= 10
 
     def test_paper_policies_listed_first(self):
         assert registered_policies()[:3] == PAPER_POLICIES
 
-    def test_selection_typo_suggests_near_miss(self):
-        with pytest.raises(RuntimeFlickError, match="did you mean"):
-            resolve_policy_selection("cooperative,dead-line")
-
-    def test_selection_suggests_for_every_unknown_name(self):
-        with pytest.raises(RuntimeFlickError) as excinfo:
-            resolve_policy_selection("dead-line,steal_half")
-        message = str(excinfo.value)
-        assert "did you mean 'deadline' for 'dead-line'?" in message
-        assert "did you mean 'steal-half' for 'steal_half'?" in message
-
     def test_scheduler_exposes_policy_name(self):
         sched = Scheduler(Engine(), 2, 50.0, "locality")
         assert sched.policy_name == "locality"
         assert isinstance(sched.policy, LocalityPolicy)
-
-    def test_selection_spec_parsing(self):
-        assert resolve_policy_selection("paper") == PAPER_POLICIES
-        assert resolve_policy_selection("all") == registered_policies()
-        assert resolve_policy_selection("batch, priority") == (
-            "batch",
-            "priority",
-        )
-
-    def test_selection_spec_empty_rejected(self):
-        with pytest.raises(RuntimeFlickError):
-            resolve_policy_selection(",")
-
-    def test_selection_spec_typo_rejected_before_any_run(self):
-        with pytest.raises(RuntimeFlickError, match="roud_robin"):
-            resolve_policy_selection("cooperative,roud_robin")
-
-
-class TestCliPolicyFlag:
-    def test_unknown_policy_is_a_clean_error(self, capsys):
-        from repro.bench.cli import main
-
-        assert main(["fig7", "--quick", "--policy", "fifo"]) == 2
-        captured = capsys.readouterr()
-        assert "unknown scheduling policy 'fifo'" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_empty_policy_is_a_clean_error(self, capsys):
-        from repro.bench.cli import main
-
-        assert main(["fig7", "--quick", "--policy", ","]) == 2
-        assert "selects no policies" in capsys.readouterr().err
-
-    def test_policy_typo_rejected_before_any_target_runs(self, capsys):
-        from repro.bench.cli import main
-
-        assert main(["all", "--quick", "--policy", "fifo"]) == 2
-        captured = capsys.readouterr()
-        assert "unknown scheduling policy" in captured.err
-        # No experiment output: the typo was caught before e1/fig4/...
-        assert "E1" not in captured.out
-        assert "Figure" not in captured.out
 
 
 class TestGoldenParity:
@@ -883,7 +826,7 @@ class TestStealHalfPolicy:
 
 class TestSweepDeterminism:
     def test_sweep_ignores_registry_order_and_prior_ids(self):
-        """A `--policy all` sweep yields identical numbers whatever
+        """An every-policy sweep yields identical numbers whatever
         order the registry is iterated in and however many tasks the
         process created beforehand (each run numbers its own tasks)."""
         names = registered_policies()

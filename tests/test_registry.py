@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.bench import cli
 from repro.bench.registry_docs import render_markdown
 from repro.bench.testbeds import AXES, Scenario
 from repro.cluster import routing
@@ -108,6 +107,11 @@ class TestSharedContract:
         assert message.endswith(f"did you mean {axis.meant!r}?")
         with pytest.raises(axis.error, match="did you mean"):
             registry.check(axis.typo)
+
+    def test_every_unknown_name_gets_its_own_near_miss(self, axis):
+        message = axis.registry.unknown_message(axis.typo, axis.slip)
+        assert f"did you mean {axis.meant!r} for {axis.typo!r}?" in message
+        assert f"did you mean {axis.slipped!r} for {axis.slip!r}?" in message
 
     def test_separator_slips_match_exactly(self, axis):
         assert axis.registry.closest(axis.slip) == axis.slipped
@@ -224,8 +228,8 @@ class TestSharedHelpers:
 
 class TestNewAxisValueTouchesOneFile:
     """Registering one class is the whole job: listing, near-miss
-    errors, ``RuntimeConfig`` and scenario validation, the CLI flag and
-    the generated doc all pick it up with no other edit."""
+    errors, ``RuntimeConfig`` and scenario validation and the generated
+    doc all pick it up with no other edit."""
 
     @pytest.fixture
     def throwaway(self):
@@ -246,7 +250,7 @@ class TestNewAxisValueTouchesOneFile:
         finally:
             del registry.classes["throw-away"]
 
-    def test_every_consumer_sees_it(self, throwaway, capsys):
+    def test_every_consumer_sees_it(self, throwaway):
         assert "throw-away" in allocator.registered_allocators()
         assert isinstance(allocator.make_allocator("throw-away"), throwaway)
         with pytest.raises(RuntimeFlickError, match="throw-away"):
@@ -257,11 +261,6 @@ class TestNewAxisValueTouchesOneFile:
         Scenario(
             name="x", app="http_lb", arrival=None, allocator="throw-away"
         ).check()
-        assert cli.main(
-            ["scenarios", "--list", "--scenario", "http-open-poisson",
-             "--allocator", "throw-away"]
-        ) == 0
-        assert "throw-away" in capsys.readouterr().out
         assert (
             "| `throw-away` | `ThrowAway` | `spare=3` | A throwaway "
             "allocator that only exists in this test. |"

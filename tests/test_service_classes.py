@@ -173,6 +173,7 @@ class TestSloClassSpecParsing:
             ("gold", "expected endpoint="),
             ("=1000", "empty endpoint"),
             ("gold=fast", "is not a number"),
+            ("light=gold:fast", "is not a number of µs"),
             ("gold=0", "must be a positive"),
             ("gold=-3", "must be a positive"),
             ("gold=1000@heavy", "is not a number"),
@@ -181,7 +182,7 @@ class TestSloClassSpecParsing:
         ],
     )
     def test_malformed_specs_have_clear_errors(self, spec, fragment):
-        with pytest.raises(ConfigError, match="--slo-class") as excinfo:
+        with pytest.raises(ConfigError, match="malformed --slo-class") as excinfo:
             parse_slo_class(spec)
         assert fragment in str(excinfo.value)
 
