@@ -71,8 +71,8 @@ def render_markdown() -> str:
         "`register_*` class decorator at import time.",
         "All of them share the same contract:",
         "",
-        "- **Lookup by name.** Config objects and CLI flags take the",
-        "  registered string; `make_*(name, **params)` instantiates it and",
+        "- **Lookup by name.** `RuntimeConfig` and `Scenario` fields take",
+        "  the registered string; `make_*(name, **params)` instantiates it and",
         "  `resolve_*(spec)` additionally accepts a ready instance.",
         "- **Near-miss errors.** An unknown name lists the registered",
         "  names and suggests the closest one (`did you mean ...?`) —",

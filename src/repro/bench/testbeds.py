@@ -151,9 +151,9 @@ class Scenario(NamedTuple):
             raise ConfigError(f"{prefix}{exc}") from None
 
 
-#: :class:`Scenario` field → the registry its value names.  The check,
-#: the CLI's override flags and ``docs/registries.md`` iterate this
-#: table, so a new axis is wired here once.
+#: :class:`Scenario` field → the registry its value names.  The check
+#: and ``docs/registries.md`` iterate this table, so a new axis is
+#: wired here once.
 AXES: Dict[str, Registry] = {
     "policy": POLICIES,
     "allocator": ALLOCATORS,

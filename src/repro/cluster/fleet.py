@@ -237,21 +237,12 @@ class ShardRouter:
     # -- routing -------------------------------------------------------------
 
     def _view(self) -> FleetView:
-        snapshots = tuple(
-            ShardSnapshot(
-                index=shard.index,
-                alive=shard.alive,
-                connections=shard.connections,
-                routed=shard.routed,
-                backlog=sum(shard.platform.scheduler.queue_depths()),
-                active_workers=shard.platform.scheduler.active_workers,
-                slo_us=shard.platform.config.slo_us,
-                scoreboard=shard.platform.scoreboard,
-            )
-            for shard in self._shards
-        )
         return FleetView(
-            now_us=self.engine.now, ring=self._ring, shards=snapshots
+            ring=self._ring,
+            shards=tuple(
+                ShardSnapshot(connections=shard.connections)
+                for shard in self._shards
+            ),
         )
 
     def _on_client(self, down: TcpSocket) -> None:

@@ -9,8 +9,7 @@ a string-keyed :class:`RoutingPolicy` through one hook:
 * ``choose_shard(key, view)`` — which shard a new connection should be
   pinned to, given the flow key and a :class:`FleetView` snapshot
   (mirroring the :class:`~repro.runtime.allocator.AllocView` pattern:
-  per-shard liveness, active connection counts, scheduler backlog and
-  the live per-shard :class:`~repro.sim.stats.SloScoreboard`); the
+  the live ring and each shard's active connection count); the
   mechanism falls back to the ring if the answer is dead or out of
   range, so a buggy policy degrades instead of black-holing flows.
 
@@ -18,21 +17,19 @@ A decision is made **once per connection** (at accept) and never
 revisited — connection affinity is mechanism-enforced, so a flow's
 requests stay on one shard for the connection's lifetime.
 
-Three policies ship built in: ``hash-affinity`` (the default: pure ring
+Two policies ship built in: ``hash-affinity`` (the default: pure ring
 lookup — deterministic, stateless, minimal disruption on membership
-change), ``least-loaded`` (power-of-two-choices over the ring's two
-clockwise candidates, breaking the tie toward fewer active
-connections) and ``rebalance-watermark`` (hash affinity until the home
-shard saturates — backlog per active worker above a watermark, or
-recent latency eating the SLO headroom — then new connections divert
-to the least-backlogged live shard).  Unknown names get near-miss
+change; ``http-fleet-failover`` pins it) and ``least-loaded``
+(power-of-two-choices over the ring's two clockwise candidates,
+breaking the tie toward fewer active connections; the
+``http-fleet-scale-*`` scenarios pin it).  Unknown names get near-miss
 suggestions, like every other registry in the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.cluster.ring import HashRing
 from repro.core.errors import ConfigError
@@ -41,29 +38,11 @@ from repro.core.registry import Registry
 
 @dataclass(frozen=True)
 class ShardSnapshot:
-    """What a routing policy may observe about one shard.
+    """What a routing policy may observe about one shard, taken at
+    decision time."""
 
-    ``backlog`` is the shard scheduler's total queued-task count and
-    ``active_workers`` its unparked core count (so watermarks can be
-    phrased per worker and stay meaningful under an elastic allocator);
-    ``scoreboard`` is the shard's live per-class SLO accounting.  All
-    fields are read-only snapshots taken at decision time.
-    """
-
-    index: int
-    alive: bool
     #: Router-side connections currently pinned to this shard.
     connections: int
-    #: Connections ever routed here (monotonic).
-    routed: int
-    #: Queued tasks across the shard scheduler's workers.
-    backlog: int
-    #: Unparked workers (the elastic allocator may have shrunk this).
-    active_workers: int
-    #: Platform-wide SLO of the shard (µs), if one is configured.
-    slo_us: Optional[float]
-    #: The shard's :class:`~repro.sim.stats.SloScoreboard` (read-only).
-    scoreboard: object
 
 
 @dataclass(frozen=True)
@@ -72,16 +51,12 @@ class FleetView:
 
     ``ring`` only ever contains live shards — the mechanism removes a
     dead shard's segment before the next decision — so pure ring
-    lookups are failure-safe by construction.
+    lookups are failure-safe by construction.  ``shards`` is
+    index-aligned with the fleet, dead shards included.
     """
 
-    now_us: float
     ring: HashRing
     shards: Tuple[ShardSnapshot, ...]
-
-    @property
-    def alive(self) -> Tuple[ShardSnapshot, ...]:
-        return tuple(s for s in self.shards if s.alive)
 
 
 class RoutingPolicy:
@@ -162,62 +137,3 @@ class LeastLoadedRouting(RoutingPolicy):
         if view.shards[second].connections < view.shards[first].connections:
             return second
         return first
-
-
-@register_routing
-class RebalanceWatermarkRouting(RoutingPolicy):
-    """Hash affinity until the home shard saturates, then divert.
-
-    A shard counts as *saturated* when its scheduler backlog per active
-    worker exceeds ``queue_watermark``, or when the mean latency of its
-    last ``window`` completed busy periods eats more than ``headroom``
-    of the shard's SLO.  Saturation only redirects **new** connections
-    (affinity of established flows is mechanism-owned and never
-    revoked): they go to the live shard with the smallest backlog,
-    ties broken by fewest connections, then lowest index.
-    """
-
-    name = "rebalance-watermark"
-
-    def __init__(
-        self,
-        queue_watermark: float = 8.0,
-        headroom: float = 0.9,
-        window: int = 64,
-    ):
-        if queue_watermark <= 0:
-            raise ConfigError(
-                f"queue_watermark must be positive, got {queue_watermark:g}"
-            )
-        if not 0 < headroom <= 1:
-            raise ConfigError(
-                f"headroom must be in (0, 1], got {headroom:g}"
-            )
-        if window < 1:
-            raise ConfigError(f"window must be >= 1, got {window}")
-        self.queue_watermark = float(queue_watermark)
-        self.headroom = float(headroom)
-        self.window = int(window)
-
-    def _saturated(self, shard: ShardSnapshot) -> bool:
-        workers = max(1, shard.active_workers)
-        if shard.backlog / workers > self.queue_watermark:
-            return True
-        if shard.slo_us is not None:
-            records = getattr(shard.scoreboard, "records", ())
-            recent = records[-self.window:]
-            if recent:
-                mean_us = sum(r.latency_us for r in recent) / len(recent)
-                if mean_us > self.headroom * shard.slo_us:
-                    return True
-        return False
-
-    def choose_shard(self, key: str, view: FleetView) -> int:
-        home = view.ring.lookup(key)
-        if not self._saturated(view.shards[home]):
-            return home
-        spare = min(
-            view.alive,
-            key=lambda s: (s.backlog, s.connections, s.index),
-        )
-        return spare.index

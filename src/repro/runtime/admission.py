@@ -19,18 +19,17 @@ nothing — exactly the point of admission control.  The policy is
 therefore chosen where the population is built (the testbeds'
 ``admission=`` argument), not in the platform's ``RuntimeConfig``.
 
-Three policies ship built in: ``admit-all`` (today's behaviour, the
-default), ``shed-bronze`` (threshold shedding: above an in-flight
-watermark only protected classes get in), and ``token-bucket``
-(deterministic per-class token buckets refilled on virtual time).
-Unknown names get near-miss suggestions, mirroring
-:mod:`repro.runtime.policy`.
+Two policies ship built in: ``admit-all`` (today's behaviour, the
+default) and ``shed-bronze`` (threshold shedding: above an in-flight
+watermark only protected classes get in; the ``http-overload-shed``
+and ``http-retry-storm-shed`` scenarios pin it).  Unknown names get
+near-miss suggestions, mirroring :mod:`repro.runtime.policy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from repro.core.errors import RuntimeFlickError
 from repro.core.registry import Registry
@@ -41,18 +40,11 @@ class AdmissionRequest:
     """What an admission policy may observe for one arriving request.
 
     ``inflight`` counts requests admitted but not yet completed across
-    the whole workload (the client-visible congestion signal);
-    ``offered``/``admitted``/``shed`` are the per-run totals so far,
-    *excluding* this request.
+    the whole workload (the client-visible congestion signal).
     """
 
-    index: int
-    now_us: float
     service_class: str
     inflight: int
-    offered: int
-    admitted: int
-    shed: int
 
 
 class AdmissionPolicy:
@@ -136,61 +128,3 @@ class ShedBronze(AdmissionPolicy):
         if request.inflight < self.max_inflight:
             return True
         return request.service_class in self.protect
-
-
-@register_admission
-class TokenBucket(AdmissionPolicy):
-    """Deterministic per-class token buckets refilled on virtual time.
-
-    Each class refills at ``rate_rps`` tokens per (virtual) second up
-    to a ``burst`` ceiling; an arrival spends one token or is shed.
-    ``rates`` overrides the refill rate for named classes, so a gold
-    class can be provisioned at its offered rate while bronze is capped
-    below it.  All arithmetic runs on the virtual clock, so runs are
-    bit-reproducible.
-    """
-
-    name = "token-bucket"
-
-    def __init__(
-        self,
-        rate_rps: float = 50_000.0,
-        burst: float = 64.0,
-        rates: Optional[Dict[str, float]] = None,
-    ):
-        if rate_rps <= 0:
-            raise RuntimeFlickError(
-                f"token refill rate must be positive, got {rate_rps}"
-            )
-        if burst < 1:
-            raise RuntimeFlickError(f"burst must be >= 1, got {burst}")
-        self.rate_rps = rate_rps
-        self.burst = burst
-        self.rates = dict(rates) if rates else {}
-        for cls_name, rate in self.rates.items():
-            if rate <= 0:
-                raise RuntimeFlickError(
-                    f"token refill rate for class {cls_name!r} must be "
-                    f"positive, got {rate}"
-                )
-        self._tokens: Dict[str, float] = {}
-        self._refilled_at: Dict[str, float] = {}
-
-    def reset(self) -> None:
-        self._tokens.clear()
-        self._refilled_at.clear()
-
-    def admit(self, request: AdmissionRequest) -> bool:
-        cls_name = request.service_class
-        rate_per_us = self.rates.get(cls_name, self.rate_rps) / 1e6
-        tokens = self._tokens.get(cls_name, self.burst)
-        last = self._refilled_at.get(cls_name, request.now_us)
-        tokens = min(
-            self.burst, tokens + (request.now_us - last) * rate_per_us
-        )
-        self._refilled_at[cls_name] = request.now_us
-        if tokens >= 1.0:
-            self._tokens[cls_name] = tokens - 1.0
-            return True
-        self._tokens[cls_name] = tokens
-        return False

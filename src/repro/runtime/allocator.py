@@ -11,8 +11,8 @@ queue draining, the :class:`~repro.runtime.scheduler.AllocRecord` log)
 lives in :class:`~repro.runtime.scheduler.Scheduler`; every *decision*
 is delegated to an :class:`AllocationPolicy` through one hook,
 ``target_workers(view)``: how many workers should be active, given an
-:class:`AllocView` snapshot (active count, per-worker queue depths, the
-scheduler's :class:`~repro.sim.stats.SloScoreboard`).  The mechanism
+:class:`AllocView` snapshot (active count, core count, per-worker queue
+depths).  The mechanism
 clamps the answer into ``[1, cores]`` and applies at most one change
 per cooldown window.
 
@@ -23,13 +23,12 @@ has elapsed since the previous one — the mechanism-enforced hysteresis
 that the conformance harness (``tests/test_allocator_invariants.py``)
 checks from the alloc log.
 
-Three policies ship built in: ``static`` (today's fixed worker set —
+Two policies ship built in: ``static`` (today's fixed worker set —
 the default, and byte-identical to a scheduler with no allocator at
-all), ``queue-depth`` (grow when the mean backlog per active worker
-crosses a high watermark, shrink below a low one) and ``slo-headroom``
-(grow when recently completed tasks ran close to their SLO, shrink when
-they finished with ample headroom).  Like scheduling policies, unknown
-names get near-miss suggestions.
+all) and ``queue-depth`` (grow when the mean backlog per active worker
+crosses a high watermark, shrink below a low one; the
+``http-ramp-elastic`` scenario pins it).  Like scheduling policies,
+unknown names get near-miss suggestions.
 """
 
 from __future__ import annotations
@@ -47,15 +46,12 @@ class AllocView:
 
     ``queue_depths`` is index-aligned with the scheduler's workers
     (parked workers included — their queues are drained at park time,
-    so they read 0), and ``scoreboard`` is the live per-class SLO
-    accounting; policies must treat both as read-only.
+    so they read 0).
     """
 
-    now_us: float
     active: int
     cores: int
     queue_depths: Tuple[int, ...]
-    scoreboard: object
 
     @property
     def queued_tasks(self) -> int:
@@ -173,57 +169,5 @@ class QueueDepthAllocator(AllocationPolicy):
         if per_worker > self.high_per_worker:
             return view.active + 1
         if per_worker < self.low_per_worker:
-            return view.active - 1
-        return view.active
-
-
-@register_allocator
-class SloHeadroomAllocator(AllocationPolicy):
-    """Grow/shrink from the SLO headroom of recently drained tasks.
-
-    Each tick reads the scoreboard records completed since the previous
-    tick and averages their ``latency / slo`` ratio (records without an
-    SLO carry no signal).  A mean ratio above ``grow_at`` means tasks
-    are running out of headroom — add a worker; a mean below
-    ``shrink_at`` *and* a near-empty backlog means capacity is idle —
-    retire one.  Ticks with no SLO-carrying completions keep the
-    current allocation.
-    """
-
-    name = "slo-headroom"
-
-    def __init__(
-        self,
-        tick_us: float = 500.0,
-        cooldown_us: float = 2_000.0,
-        grow_at: float = 0.8,
-        shrink_at: float = 0.3,
-    ):
-        super().__init__(tick_us, cooldown_us)
-        if not 0 < shrink_at < grow_at:
-            raise RuntimeFlickError(
-                f"need 0 < shrink_at < grow_at, got "
-                f"[{shrink_at}, {grow_at}]"
-            )
-        self.grow_at = grow_at
-        self.shrink_at = shrink_at
-        self._seen_records = 0
-
-    def reset(self) -> None:
-        self._seen_records = 0
-
-    def target_workers(self, view: AllocView) -> int:
-        records = view.scoreboard.records
-        fresh = records[self._seen_records:]
-        self._seen_records = len(records)
-        ratios = [
-            r.latency_us / r.slo_us for r in fresh if r.slo_us is not None
-        ]
-        if not ratios:
-            return view.active
-        mean_ratio = sum(ratios) / len(ratios)
-        if mean_ratio > self.grow_at:
-            return view.active + 1
-        if mean_ratio < self.shrink_at and view.queued_tasks <= view.active:
             return view.active - 1
         return view.active

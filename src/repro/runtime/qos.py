@@ -212,7 +212,7 @@ def parse_slo_class(
     """
     if "=" not in spec:
         raise ConfigError(
-            f"malformed --slo-class {spec!r}; expected "
+            f"malformed service class spec {spec!r}; expected "
             "endpoint=[name:]slo_us[@weight] (e.g. gold=1000 or "
             "client=gold:1000@4)"
         )
@@ -220,11 +220,11 @@ def parse_slo_class(
     endpoint = endpoint.strip()
     if not endpoint:
         raise ConfigError(
-            f"malformed --slo-class {spec!r}: empty endpoint name"
+            f"malformed service class spec {spec!r}: empty endpoint name"
         )
     if valid_endpoints is not None and endpoint not in valid_endpoints:
         message = (
-            f"unknown endpoint {endpoint!r} in --slo-class {spec!r}; "
+            f"unknown endpoint {endpoint!r} in service class spec {spec!r}; "
             f"valid endpoints: {', '.join(sorted(valid_endpoints))}"
         )
         suggestion = closest_name(endpoint, valid_endpoints)
@@ -240,12 +240,12 @@ def parse_slo_class(
         slo_us = float(slo_text)
     except ValueError:
         raise ConfigError(
-            f"malformed --slo-class {spec!r}: SLO {slo_text.strip()!r} "
+            f"malformed service class spec {spec!r}: SLO {slo_text.strip()!r} "
             "is not a number of µs"
         ) from None
     if slo_us <= 0:
         raise ConfigError(
-            f"malformed --slo-class {spec!r}: SLO must be a positive "
+            f"malformed service class spec {spec!r}: SLO must be a positive "
             f"number of µs, got {slo_us:g}"
         )
     weight = 1.0
@@ -254,12 +254,12 @@ def parse_slo_class(
             weight = float(weight_text)
         except ValueError:
             raise ConfigError(
-                f"malformed --slo-class {spec!r}: weight "
+                f"malformed service class spec {spec!r}: weight "
                 f"{weight_text.strip()!r} is not a number"
             ) from None
         if weight <= 0:
             raise ConfigError(
-                f"malformed --slo-class {spec!r}: weight must be "
+                f"malformed service class spec {spec!r}: weight must be "
                 f"positive, got {weight:g}"
             )
     return endpoint, ServiceClass(name=name, slo_us=slo_us, weight=weight)

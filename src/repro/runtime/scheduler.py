@@ -273,8 +273,7 @@ class Scheduler:
 
         Parked workers read 0 (their queues drain at park time).  This
         is the same snapshot the allocation tick hands to
-        :class:`~repro.runtime.allocator.AllocView`; the cluster tier's
-        routing policies read it cross-shard as a backlog signal.
+        :class:`~repro.runtime.allocator.AllocView`.
         """
         return tuple(len(w.queue) for w in self._workers)
 
@@ -359,11 +358,9 @@ class Scheduler:
             return
         queue_depths = self.queue_depths()
         view = AllocView(
-            now_us=now,
             active=len(self._active),
             cores=self.cores,
             queue_depths=queue_depths,
-            scoreboard=self.scoreboard,
         )
         target = max(1, min(self.cores, int(self.allocator.target_workers(view))))
         current = len(self._active)

@@ -174,10 +174,9 @@ class ColumnLog(Generic[_Row]):
     of a tuple and a float object per time stamp.
 
     ``append(*values)`` takes every field's value, in field order.
-    Reading builds the rows: ``len``, ``bool``, iteration and int or
-    slice indexing (negative included) answer as a list of ``row``
-    values would, a slice being a list.  :meth:`rows` yields plain
-    tuples, for a reader that only unpacks them.
+    Reading builds the rows: ``len``, ``bool`` and iteration answer as
+    a list of ``row`` values would.  :meth:`rows` yields plain tuples,
+    for a reader that only unpacks them.
     """
 
     __slots__ = ("_make", "_columns", "append")
@@ -201,13 +200,6 @@ class ColumnLog(Generic[_Row]):
 
     def __iter__(self) -> Iterator[_Row]:
         return map(self._make, zip(*self._columns))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(
-                map(self._make, zip(*(c[index] for c in self._columns)))
-            )
-        return self._make([c[index] for c in self._columns])
 
     def rows(self) -> Iterator[tuple]:
         """Every row as a plain tuple, in order."""
@@ -307,10 +299,9 @@ class SloScoreboard:
     ``"default"``.  :attr:`records` is the only state, a
     :class:`ColumnLog` of :class:`SloRecord`: the task id and both time
     stamps are stored as numbers, the names and the SLO as references
-    to the task's own objects.  Allocators and routing policies read it
-    live (``records[seen:]``, ``records[-window:]``), and
-    :func:`class_summary` derives every per-class aggregate from its
-    :meth:`~ColumnLog.rows` once the run is over.
+    to the task's own objects.  :func:`class_summary` derives every
+    per-class aggregate from its :meth:`~ColumnLog.rows` once the run
+    is over.
     """
 
     def __init__(self):

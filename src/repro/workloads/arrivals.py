@@ -571,15 +571,8 @@ class ClientPopulation:
         request."""
         index = self.offered
         request = AdmissionRequest(
-            index=index,
-            now_us=self.engine.now,
-            service_class=service_class,
-            inflight=(
-                self.admitted - self.completed - self.failed - self.retried
-            ),
-            offered=self.offered,
-            admitted=self.admitted,
-            shed=self.shed,
+            service_class,
+            self.admitted - self.completed - self.failed - self.retried,
         )
         self.offered += 1
         row = self.per_class.get(service_class)

@@ -8,6 +8,8 @@ arrivals shed at the door — is pinned against an ``admit-all`` control
 run of the same workload.
 """
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from repro.bench.testbeds import run_http_experiment
 from repro.core.errors import ConfigError, FlickError
 from repro.runtime.admission import (
+    AdmissionPolicy,
     AdmissionRequest,
     make_admission,
     registered_admissions,
@@ -24,31 +27,11 @@ from repro.sim.stats import class_summary
 from repro.workloads.arrivals import make_arrival
 
 
-def request(
-    service_class="default",
-    inflight=0,
-    now_us=0.0,
-    index=0,
-    offered=0,
-    admitted=0,
-    shed=0,
-):
-    return AdmissionRequest(
-        index=index,
-        now_us=now_us,
-        service_class=service_class,
-        inflight=inflight,
-        offered=offered,
-        admitted=admitted,
-        shed=shed,
-    )
-
-
 class TestRegistry:
     def test_builtin_policies_registered(self):
         names = registered_admissions()
         assert names[0] == "admit-all"
-        assert {"shed-bronze", "token-bucket"} <= set(names)
+        assert "shed-bronze" in names
         assert len(set(names)) == len(names)
 
     def test_out_of_range_parameters_are_flick_errors(self):
@@ -56,81 +39,46 @@ class TestRegistry:
             make_admission("shed-bronze", max_inflight=0)
         with pytest.raises(Exception, match="protected class"):
             make_admission("shed-bronze", protect=())
-        with pytest.raises(Exception, match="refill rate"):
-            make_admission("token-bucket", rate_rps=0)
-        with pytest.raises(Exception, match="burst"):
-            make_admission("token-bucket", burst=0.5)
-        with pytest.raises(Exception, match="class 'bronze'"):
-            make_admission("token-bucket", rates={"bronze": -1.0})
+
+
+class TestAdmissionRequest:
+    def test_holds_the_class_and_the_inflight_count_only(self):
+        assert [f.name for f in fields(AdmissionRequest)] == [
+            "service_class", "inflight",
+        ]
+        request = AdmissionRequest("gold", 3)
+        with pytest.raises(FrozenInstanceError):
+            request.inflight = 0
+
+
+class TestAdmitAll:
+    def test_admits_every_class_at_any_load(self):
+        policy = make_admission("admit-all")
+        for service_class in ("gold", "bronze", "default"):
+            for inflight in (0, 1, 10**6):
+                assert policy.admit(AdmissionRequest(service_class, inflight))
 
 
 class TestShedBronze:
     def test_below_watermark_everything_gets_in(self):
         policy = make_admission("shed-bronze", max_inflight=2)
-        assert policy.admit(request("bronze", inflight=0))
-        assert policy.admit(request("bronze", inflight=1))
-        assert policy.admit(request("anything", inflight=1))
+        assert policy.admit(AdmissionRequest("bronze", inflight=0))
+        assert policy.admit(AdmissionRequest("bronze", inflight=1))
+        assert policy.admit(AdmissionRequest("anything", inflight=1))
 
     def test_above_watermark_only_protected_classes(self):
         policy = make_admission("shed-bronze", max_inflight=2)
-        assert not policy.admit(request("bronze", inflight=2))
-        assert not policy.admit(request("default", inflight=5))
-        assert policy.admit(request("gold", inflight=5))
+        assert not policy.admit(AdmissionRequest("bronze", inflight=2))
+        assert not policy.admit(AdmissionRequest("default", inflight=5))
+        assert policy.admit(AdmissionRequest("gold", inflight=5))
 
     def test_protect_list_is_configurable(self):
         policy = make_admission(
             "shed-bronze", max_inflight=1, protect=("silver", "gold")
         )
-        assert policy.admit(request("silver", inflight=10))
-        assert policy.admit(request("gold", inflight=10))
-        assert not policy.admit(request("bronze", inflight=10))
-
-
-class TestTokenBucket:
-    def test_burst_then_refill_on_virtual_time(self):
-        # 1 token per virtual µs, burst of 2.
-        policy = make_admission(
-            "token-bucket", rate_rps=1_000_000.0, burst=2.0
-        )
-        assert policy.admit(request(now_us=0.0))
-        assert policy.admit(request(now_us=0.0))
-        assert not policy.admit(request(now_us=0.0))  # bucket empty
-        assert policy.admit(request(now_us=1.0))  # one token refilled
-        assert not policy.admit(request(now_us=1.0))
-
-    def test_refill_is_capped_at_burst(self):
-        policy = make_admission(
-            "token-bucket", rate_rps=1_000_000.0, burst=2.0
-        )
-        for _ in range(2):
-            assert policy.admit(request(now_us=0.0))
-        # A huge idle gap must refill to the burst ceiling, not beyond.
-        assert policy.admit(request(now_us=1e6))
-        assert policy.admit(request(now_us=1e6))
-        assert not policy.admit(request(now_us=1e6))
-
-    def test_per_class_rate_overrides(self):
-        policy = make_admission(
-            "token-bucket",
-            rate_rps=1_000_000.0,
-            burst=1.0,
-            rates={"bronze": 1.0},
-        )
-        assert policy.admit(request("bronze", now_us=0.0))
-        # Bronze refills at 1 token per virtual second: still dry...
-        assert not policy.admit(request("bronze", now_us=100.0))
-        # ...while gold (default rate) has long since refilled.
-        assert policy.admit(request("gold", now_us=0.0))
-        assert policy.admit(request("gold", now_us=100.0))
-
-    def test_reset_forgets_spent_tokens(self):
-        policy = make_admission(
-            "token-bucket", rate_rps=1_000_000.0, burst=1.0
-        )
-        assert policy.admit(request(now_us=0.0))
-        assert not policy.admit(request(now_us=0.0))
-        policy.reset()
-        assert policy.admit(request(now_us=0.0))
+        assert policy.admit(AdmissionRequest("silver", inflight=10))
+        assert policy.admit(AdmissionRequest("gold", inflight=10))
+        assert not policy.admit(AdmissionRequest("bronze", inflight=10))
 
 
 class TestScoreboardSheds:
@@ -222,6 +170,38 @@ class TestConservation:
         # Gold never shed (and the task side runs unclassified here), so
         # no gold entry materialises in the scoreboard summary.
         assert result.entry["classes"].get("gold", {}).get("shed", 0) == 0
+
+
+class _Recording(AdmissionPolicy):
+    """Admits everything and keeps every request it was asked about."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.seen = []
+
+    def admit(self, request):
+        self.seen.append(request)
+        return True
+
+
+class TestPopulationAsksThePolicy:
+    def test_once_per_offer_with_the_live_inflight_count(self):
+        policy = _Recording()
+        result = open_loop_run(
+            admission=policy,
+            class_mix=(("gold", 1.0), ("bronze", 1.0)),
+            rate_rps=160_000.0,
+            cores=1,
+        )
+        assert len(policy.seen) == result.entry["offered"] == 96
+        classes = [request.service_class for request in policy.seen]
+        assert classes.count("gold") == classes.count("bronze") == 48
+        inflight = [request.inflight for request in policy.seen]
+        assert inflight[0] == 0
+        assert min(inflight) >= 0
+        # One core at twice its rate: offers arrive while others wait.
+        assert max(inflight) > 1
 
 
 class TestValidation:

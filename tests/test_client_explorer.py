@@ -5,11 +5,11 @@ the real :class:`~repro.sim.engine.Engine` and
 :class:`~repro.net.tcp.TcpNetwork` against one scripted HTTP server,
 with one or two connections and two or three requests each (closed
 rule) or in all (a replayed arrival clock).  Every population is
-crossed with ``admit-all`` / ``shed-bronze`` / ``token-bucket``, each
-without a fault, under ``retry-storm`` and under ``conn-churn``; the
-closed rule also with and without a connection per request.  Server
-stimuli are injected at *every* distinct timing over a small set of
-virtual timestamps:
+crossed with ``admit-all`` / ``shed-bronze`` / a test-side policy that
+sheds every second offer, each without a fault, under ``retry-storm``
+and under ``conn-churn``; the closed rule also with and without a
+connection per request.  Server stimuli are injected at *every*
+distinct timing over a small set of virtual timestamps:
 
 * ``answer`` — the server answers every request it holds, and from then
   on each one as it arrives (with neither ``answer`` nor ``late`` in
@@ -54,7 +54,7 @@ import pytest
 from repro.core.units import GBPS
 from repro.grammar.protocols import http
 from repro.net.faults import make_fault
-from repro.runtime.admission import make_admission
+from repro.runtime.admission import AdmissionPolicy, make_admission
 from repro.sim.engine import Engine
 from repro.workloads import arrivals
 from repro.workloads.arrivals import ClientPopulation, HttpRequestCodec
@@ -79,15 +79,28 @@ HORIZON_US = 100_000.0
 ARRIVALS_US = (0.0, 50.0, 90.0)
 RESPONSE = http.make_response(body=b"ok").raw
 
+
+class _ShedEverySecond(AdmissionPolicy):
+    """Sheds every second offer by its own count: a shed with nothing
+    in flight, which ``shed-bronze`` never makes."""
+
+    name = "shed-every-second"
+
+    def reset(self):
+        self.offers = 0
+
+    def admit(self, request):
+        self.offers += 1
+        return self.offers % 2 == 1
+
+
 ADMISSIONS = {
     "admit-all": ("admit-all", ()),
     "shed-bronze": (
         make_admission("shed-bronze", max_inflight=1),
         (("gold", 1.0), ("bronze", 1.0)),
     ),
-    "token-bucket": (
-        make_admission("token-bucket", rate_rps=10_000.0, burst=1), (),
-    ),
+    "shed-every-second": (_ShedEverySecond(), ()),
 }
 FAULTS = {
     "none": None,
@@ -269,18 +282,18 @@ SCHEDULES = 1 + 5 * 3 + 5 * 2 * 6 + 6 * 10
 #: arrival clock or a client loop that files one more or one fewer
 #: entry moves its row.
 EVENTS = {
-    "closed-1x2": 13764,
-    "closed-1x2-per-request": 17112,
-    "closed-1x3": 17697,
-    "closed-1x3-per-request": 22764,
-    "closed-2x2": 20820,
-    "closed-2x2-per-request": 26032,
-    "closed-2x3": 27516,
-    "closed-2x3-per-request": 36685,
-    "open-1x2": 12689,
-    "open-1x3": 17790,
-    "open-2x2": 16976,
-    "open-2x3": 24000,
+    "closed-1x2": 13464,
+    "closed-1x2-per-request": 16568,
+    "closed-1x3": 17675,
+    "closed-1x3-per-request": 22700,
+    "closed-2x2": 21273,
+    "closed-2x2-per-request": 26566,
+    "closed-2x3": 29177,
+    "closed-2x3-per-request": 39061,
+    "open-1x2": 12785,
+    "open-1x3": 18477,
+    "open-2x2": 17107,
+    "open-2x3": 24689,
 }
 
 

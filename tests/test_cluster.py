@@ -2,7 +2,6 @@
 mechanism, fleet scoreboard, and end-to-end sharded runs (including
 mid-run shard failure) over the simulated network."""
 
-from collections import namedtuple
 from itertools import chain
 
 import pytest
@@ -23,49 +22,23 @@ from repro.sim.engine import Engine
 from repro.sim.stats import SloRecord, class_summary
 from repro.workloads.arrivals import make_arrival
 
-_Record = namedtuple("_Record", "service_class latency_us missed")
-
 
 class _StubBoard:
     total_completions = 0
 
-    def __init__(self, latencies_us=()):
-        self.records = [
-            _Record("default", latency, False) for latency in latencies_us
-        ]
 
-
-def _snapshot(index, **kw):
-    defaults = dict(
-        index=index, alive=True, connections=0, routed=0, backlog=0,
-        active_workers=4, slo_us=2000.0, scoreboard=_StubBoard(),
-    )
-    defaults.update(kw)
-    return ShardSnapshot(**defaults)
-
-
-def _view(snapshots, ring=None):
+def _view(connections, ring=None):
+    """A fleet of ``len(connections)`` live shards with those loads."""
     if ring is None:
-        ring = HashRing([s.index for s in snapshots if s.alive])
-    return FleetView(now_us=0.0, ring=ring, shards=tuple(snapshots))
-
-
-class _StubScheduler:
-    def queue_depths(self):
-        return (0,)
-
-    active_workers = 1
-
-
-class _StubConfig:
-    slo_us = None
+        ring = HashRing(range(len(connections)))
+    return FleetView(
+        ring=ring, shards=tuple(ShardSnapshot(n) for n in connections)
+    )
 
 
 class _StubPlatform:
     def __init__(self, host):
         self.host = host
-        self.scheduler = _StubScheduler()
-        self.config = _StubConfig()
         self.scoreboard = _StubBoard()
 
 
@@ -73,17 +46,37 @@ class TestRoutingRegistry:
     def test_builtins_registered_default_first(self):
         names = registered_routings()
         assert names[0] == "hash-affinity"
-        assert set(names) >= {
-            "hash-affinity", "least-loaded", "rebalance-watermark",
-        }
+        assert set(names) >= {"hash-affinity", "least-loaded"}
+
 
 class TestHashAffinityPolicy:
     def test_is_the_pure_ring_owner(self):
         policy = make_routing("hash-affinity")
-        view = _view([_snapshot(0), _snapshot(1), _snapshot(2)])
+        view = _view([0, 0, 0])
         for i in range(50):
             key = f"conn-{i}"
             assert policy.choose_shard(key, view) == view.ring.lookup(key)
+
+    def test_ignores_connection_counts(self):
+        policy = make_routing("hash-affinity")
+        ring = HashRing([0, 1, 2])
+        idle, skewed = _view([0, 0, 0], ring), _view([500, 0, 9], ring)
+        for i in range(50):
+            key = f"conn-{i}"
+            assert policy.choose_shard(key, skewed) == policy.choose_shard(
+                key, idle
+            )
+
+    def test_a_removed_shard_moves_only_its_own_keys(self):
+        policy = make_routing("hash-affinity")
+        full, shrunk = HashRing([0, 1, 2]), HashRing([0, 2])
+        for i in range(200):
+            key = f"conn-{i}"
+            before = policy.choose_shard(key, _view([0, 0, 0], full))
+            after = policy.choose_shard(key, _view([0, 0, 0], shrunk))
+            assert after != 1
+            if before != 1:
+                assert after == before
 
 
 class TestLeastLoadedPolicy:
@@ -92,67 +85,37 @@ class TestLeastLoadedPolicy:
         ring = HashRing([0, 1])
         first, second = ring.lookup_chain("conn-7", 2)
         loads = {first: 10, second: 2}
-        view = _view(
-            [_snapshot(i, connections=loads[i]) for i in (0, 1)], ring=ring
-        )
+        view = _view([loads[0], loads[1]], ring=ring)
         assert policy.choose_shard("conn-7", view) == second
 
     def test_tie_goes_to_the_ring_owner(self):
         policy = make_routing("least-loaded")
         ring = HashRing([0, 1])
-        view = _view([_snapshot(0), _snapshot(1)], ring=ring)
+        view = _view([0, 0], ring=ring)
         assert policy.choose_shard("conn-7", view) == ring.lookup("conn-7")
 
     def test_single_shard_chain_degenerates_to_lookup(self):
         policy = make_routing("least-loaded")
-        view = _view([_snapshot(0, connections=99)])
+        view = _view([99])
         assert policy.choose_shard("anything", view) == 0
 
-
-class TestRebalanceWatermarkPolicy:
-    def test_below_watermark_stays_home(self):
-        policy = make_routing("rebalance-watermark", queue_watermark=8.0)
-        view = _view([_snapshot(0, backlog=4), _snapshot(1, backlog=4)])
-        home = view.ring.lookup("conn-3")
-        assert policy.choose_shard("conn-3", view) == home
-
-    def test_queue_saturation_diverts_to_least_backlogged(self):
-        policy = make_routing("rebalance-watermark", queue_watermark=2.0)
+    def test_only_the_two_ring_candidates_compete(self):
+        policy = make_routing("least-loaded")
         ring = HashRing([0, 1, 2])
-        home = ring.lookup("conn-3")
-        spare = min(i for i in (0, 1, 2) if i != home)
-        backlogs = {home: 100, spare: 1}
-        snapshots = [
-            _snapshot(i, backlog=backlogs.get(i, 50)) for i in (0, 1, 2)
-        ]
-        view = _view(snapshots, ring=ring)
-        assert policy.choose_shard("conn-3", view) == spare
+        for i in range(50):
+            key = f"conn-{i}"
+            first, second = ring.lookup_chain(key, 2)
+            (third,) = {0, 1, 2} - {first, second}
+            loads = [5, 5, 5]
+            loads[third] = 0  # the idlest shard is not a candidate
+            assert policy.choose_shard(key, _view(loads, ring)) == first
 
-    def test_latency_eating_slo_headroom_diverts(self):
-        policy = make_routing(
-            "rebalance-watermark", headroom=0.5, window=4
-        )
-        ring = HashRing([0, 1])
-        home = ring.lookup("conn-3")
-        other = 1 - home
-        snapshots = [None, None]
-        # Home's recent completions sit at the SLO itself (>0.5 * slo).
-        snapshots[home] = _snapshot(
-            home, scoreboard=_StubBoard([2000.0] * 8), backlog=5
-        )
-        snapshots[other] = _snapshot(other, backlog=0)
-        view = _view(snapshots, ring=ring)
-        assert policy.choose_shard("conn-3", view) == other
-
-    def test_bad_params_rejected(self):
-        for params in (
-            {"queue_watermark": 0.0},
-            {"headroom": 0.0},
-            {"headroom": 1.5},
-            {"window": 0},
-        ):
-            with pytest.raises(ConfigError):
-                make_routing("rebalance-watermark", **params)
+    def test_a_shard_off_the_ring_is_never_chosen(self):
+        policy = make_routing("least-loaded")
+        ring = HashRing([0, 2])  # shard 1 is dead: index kept, ring left
+        view = _view([7, 0, 7], ring)
+        for i in range(50):
+            assert policy.choose_shard(f"conn-{i}", view) in (0, 2)
 
 
 class TestShardRouterMechanism:
@@ -198,6 +161,25 @@ class TestShardRouterMechanism:
         # failing a dead shard is a no-op, not an error
         assert router.fail_shard(1) == 0
         assert router.failed_shards == [1]
+
+    def test_view_snapshots_each_shards_router_side_connections(self):
+        router = self._router(n_shards=3)
+        for shard, connections in zip(router._shards, (4, 0, 9)):
+            shard.connections = connections
+        view = router._view()
+        assert view.ring is router._ring
+        assert view.shards == (
+            ShardSnapshot(4), ShardSnapshot(0), ShardSnapshot(9)
+        )
+
+    def test_view_keeps_a_failed_shard_index_aligned(self):
+        router = self._router(n_shards=3)
+        router.fail_shard(1)
+        view = router._view()
+        assert len(view.shards) == 3
+        assert 1 not in view.ring
+        for i in range(50):
+            assert router.policy.choose_shard(f"conn-{i}", view) != 1
 
     def test_fail_shard_at_bad_index_rejected(self):
         router = self._router()

@@ -6,15 +6,19 @@ share — near-miss errors, duplicate/nameless registration, name-or-
 instance resolution, the bad-parameters error, default-first listing —
 is parametrized over the live instances here instead of being restated
 per axis; the per-axis test files keep only what is specific to their
-policies.  The last class proves the point of the exercise: a new axis
-*value* is one class in one file, and every consumer sees it.
+policies.  Every registered name must also run in a pinned experiment
+(a scenario entry or a figure row).  The last class proves the point of
+the exercise: a new axis *value* is one class in one file, and every
+consumer sees it.
 """
 
 from typing import NamedTuple
 
 import pytest
 
+from repro.bench.figures import FIGURES
 from repro.bench.registry_docs import render_markdown
+from repro.bench.scenarios import SCENARIOS
 from repro.bench.testbeds import AXES, Scenario
 from repro.cluster import routing
 from repro.core.errors import ConfigError, RuntimeFlickError
@@ -47,11 +51,11 @@ AXIS_CASES = [
     Axis(policy.POLICIES, policy, "policy", "policies", RuntimeFlickError,
          "roud_robin", "round_robin", "steal_half", "steal-half", "batch"),
     Axis(allocator.ALLOCATORS, allocator, "allocator", "allocators",
-         RuntimeFlickError, "queue-deph", "queue-depth", "slo_headroom",
-         "slo-headroom", "queue-depth"),
+         RuntimeFlickError, "queue-deph", "queue-depth", "queue_depth",
+         "queue-depth", "queue-depth"),
     Axis(admission.ADMISSIONS, admission, "admission", "admissions",
-         RuntimeFlickError, "shed-bronz", "shed-bronze", "token_bucket",
-         "token-bucket", "shed-bronze"),
+         RuntimeFlickError, "shed-bronz", "shed-bronze", "shed_bronze",
+         "shed-bronze", "shed-bronze"),
     Axis(routing.ROUTINGS, routing, "routing", "routings", ConfigError,
          "least-loadd", "least-loaded", "hash_affinity", "hash-affinity",
          "least-loaded"),
@@ -71,6 +75,60 @@ def test_every_live_registry_is_covered():
     assert {id(axis.registry) for axis in AXIS_CASES} == {
         id(registry) for registry in AXES.values()
     }
+
+
+def _pinned_names(field):
+    """The names ``field`` takes in the scenario matrix and at every
+    figure point (built, not run); a scheduling row (``point is None``)
+    runs its series as policies."""
+    specs = list(SCENARIOS)
+    values = []
+    for figure in FIGURES.values():
+        if figure.point is None:
+            if field == "policy":
+                values += figure.series
+        else:
+            specs += [
+                figure.point(series, x, figure.size)
+                for series in figure.series
+                for x in figure.xs
+            ]
+    values += [getattr(spec, field) for spec in specs]
+    return {
+        value if isinstance(value, str) else type(value).name
+        for value in values
+        if value is not None
+    }
+
+
+def _unpinned(field):
+    return set(AXES[field].names()) - _pinned_names(field)
+
+
+@pytest.mark.parametrize("field", AXES)
+def test_every_registered_name_runs_in_a_pinned_experiment(field):
+    """A registered name no scenario entry or figure row runs has no
+    number that shows what it is for."""
+    unpinned = _unpinned(field)
+    assert not unpinned, (
+        f"{field}: {sorted(unpinned)} run in no SCENARIOS entry or "
+        "FIGURES row"
+    )
+
+
+@pytest.mark.parametrize("field", AXES)
+def test_a_name_registered_without_an_experiment_is_caught(field):
+    """The pinning check reads the registries live: one more class in
+    any of them, run by nothing, is reported by name."""
+    registry = AXES[field]
+    registry.register(
+        type("NeverPinned", (registry.base,), {"name": "never-pinned"})
+    )
+    try:
+        assert _unpinned(field) == {"never-pinned"}
+    finally:
+        del registry.classes["never-pinned"]
+    assert not _unpinned(field)
 
 
 @per_axis

@@ -201,8 +201,8 @@ class TestRunner:
         rather than drop them."""
         entry = run_scenario(Scenario(
             name="x", app="http_lb", arrival=None, concurrency=8,
-            requests_per_client=10, cores=2, admission="token-bucket",
-            admission_params=(("rate_rps", 5_000.0), ("burst", 2.0)),
+            requests_per_client=10, cores=2, admission="shed-bronze",
+            admission_params=(("max_inflight", 2),),
             class_mix=(("gold", 1.0), ("bronze", 1.0)),
         ))
         admission = entry["admission"]
@@ -214,7 +214,7 @@ class TestRunner:
         with pytest.raises(ConfigError, match="does not support admission"):
             run_scenario(Scenario(
                 name="x", app="hadoop_agg", arrival="poisson",
-                admission="token-bucket",
+                admission="shed-bronze",
             ))
 
     def test_entry_allocator_and_admission_sections(self):
