@@ -14,8 +14,6 @@ Usage::
     python -m repro.bench scenarios --scenario http-overload-open
     python -m repro.bench scenarios --list            # names + axes, no run
     python -m repro.bench scenarios --quick --jobs 4  # parallel smoke run
-    python -m repro.bench scenarios --quick \\
-        --baseline benchmarks/baseline_scenarios.json   # CI perf gate
     python -m repro.bench all --quick # everything, reduced sizes
 
 The figures and ``claims`` (exit 1 on a failed claim) iterate one table,
@@ -27,9 +25,7 @@ poisson, bursty MMPP, ramp or replay process),
 scheduling policies, topologies and service classes
 (:mod:`repro.bench.scenarios`), prints a summary table, and always
 writes the machine-readable, schema-versioned ``BENCH_scenarios.json``
-(:mod:`repro.bench.results`).  With ``--baseline``, the run is compared
-against a committed document and exits 1 on a >10% throughput drop or a
->15% p99 latency rise — the CI perf-regression gate.
+(:mod:`repro.bench.results`), which CI ``cmp``s against the committed one.
 """
 
 from __future__ import annotations
@@ -77,8 +73,8 @@ def _scenario_output_path(args) -> str:
 
     Only a full-matrix, full-size run writes the committed trajectory
     file ``BENCH_scenarios.json``; quick or filtered runs default to
-    ``BENCH_scenarios.quick.json`` so the documented CI-gate command
-    cannot silently clobber the repo's full-size trajectory point.
+    ``BENCH_scenarios.quick.json`` so a smoke run cannot silently
+    clobber the repo's full-size trajectory point.
     """
     if args.output is not None:
         return args.output
@@ -88,7 +84,7 @@ def _scenario_output_path(args) -> str:
 
 
 def _scenarios(args) -> int:
-    """Run the scenario matrix; write JSON; optionally gate on a baseline."""
+    """Run the scenario matrix; print its table; write the JSON document."""
     selected = resolve_scenario_selection(args.scenario)
     if args.list_scenarios:
         print(format_scenario_listing(selected))
@@ -102,34 +98,6 @@ def _scenarios(args) -> int:
     document = results_io.results_document(results, quick=args.quick)
     path = results_io.write_results(_scenario_output_path(args), document)
     print(f"\nwrote {path}")
-    if args.baseline is None:
-        return 0
-    baseline = results_io.load_results(args.baseline)
-    if bool(baseline.get("quick")) != bool(args.quick):
-        raise ConfigError(
-            f"baseline {args.baseline} was generated with "
-            f"quick={baseline.get('quick')}, this run with "
-            f"quick={args.quick}; perf comparisons must be like-for-like"
-        )
-    regressions = results_io.compare_to_baseline(
-        document,
-        baseline,
-        # A filtered run deliberately omits the rest of the matrix; only
-        # a full run vouches for coverage.
-        restrict_to=(
-            None
-            if args.scenario == "all"
-            else [scenario.name for scenario in selected]
-        ),
-    )
-    if regressions:
-        print(
-            f"\nPERF REGRESSION against {args.baseline}:", file=sys.stderr
-        )
-        for regression in regressions:
-            print(f"  - {regression}", file=sys.stderr)
-        return 1
-    print(f"no perf regressions against {args.baseline}")
     return 0
 
 
@@ -189,15 +157,6 @@ def main(argv: List[str] = None) -> int:
         "full-size run, BENCH_scenarios.quick.json for --quick or "
         "--scenario-filtered runs (so the committed trajectory file is "
         "never clobbered by a smoke run).",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="scenarios only: compare the run against a committed "
-        "results document and exit 1 on a perf regression (>"
-        f"{results_io.MAX_THROUGHPUT_DROP_PCT:g}%% throughput drop or >"
-        f"{results_io.MAX_P99_RISE_PCT:g}%% p99 rise).",
     )
     args = parser.parse_args(argv)
     try:

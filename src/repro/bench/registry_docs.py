@@ -11,8 +11,6 @@ against :func:`render_markdown` and fails the build on any divergence.
 Regenerate after adding or changing a registered policy::
 
     PYTHONPATH=src python -m repro.bench.registry_docs
-
-``--check`` exits 1 instead of rewriting (the CI mode).
 """
 
 from __future__ import annotations
@@ -112,41 +110,13 @@ def default_output_path() -> Path:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    argparse.ArgumentParser(
         prog="python -m repro.bench.registry_docs",
-        description="(Re)generate docs/registries.md from the live "
+        description="Regenerate docs/registries.md from the live "
         "policy registries.",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 if the committed file differs from the generated "
-        "text instead of rewriting it (CI mode)",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write somewhere other than docs/registries.md",
-    )
-    args = parser.parse_args(argv)
-    path = (
-        Path(args.output) if args.output is not None else default_output_path()
-    )
-    text = render_markdown() + "\n"
-    if args.check:
-        committed = path.read_text(encoding="utf-8") if path.exists() else ""
-        if committed != text:
-            print(
-                f"{path} is stale; regenerate with "
-                "'PYTHONPATH=src python -m repro.bench.registry_docs'",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"{path} matches the live registries")
-        return 0
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    ).parse_args(argv)
+    path = default_output_path()
+    path.write_text(render_markdown() + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
 

@@ -537,11 +537,11 @@ class _MapperJob:
             for mapper in self.mappers:
                 mapper.start()
             return
-        gaps = self._spec.arrival.gaps(random.Random(self._spec.seed))
+        stamps = self._spec.arrival.stamps(random.Random(self._spec.seed))
         start_at = 0.0
         for mapper in self.mappers:
-            start_at += next(gaps, 0.0)
-            self._engine.schedule(start_at, mapper.start)
+            start_at = next(stamps, start_at)
+            self._engine.at(start_at, mapper.start)
 
     @property
     def finished(self) -> bool:

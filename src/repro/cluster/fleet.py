@@ -185,7 +185,6 @@ class ShardRouter:
         self.host = host
         self.port = port
         self.policy = resolve_routing(routing)
-        self.policy.reset()  # a reused instance must not carry state
         self.routing_name = self.policy.name
         self._ring = HashRing(vnodes=vnodes, seed=seed)
         self._shards: List[_Shard] = []

@@ -78,10 +78,6 @@ class FaultPolicy:
         """JSON-ready parameterisation (mirrors the constructor)."""
         return {}
 
-    def describe(self) -> str:
-        """Human-readable parameterisation for reports."""
-        return self.name
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.__class__.__name__} {self.name!r}>"
 
@@ -176,13 +172,6 @@ class SlowBackend(FaultPolicy):
             "targets": self.targets,
         }
 
-    def describe(self) -> str:
-        scope = "all" if self.targets is None else str(self.targets)
-        return (
-            f"slow-backend(x{self.factor:g} {self.duty * 100:.0f}% of "
-            f"{self.period_us / 1000:g}ms, targets={scope})"
-        )
-
 
 @register_fault
 class FlappingBackend(FaultPolicy):
@@ -265,13 +254,6 @@ class FlappingBackend(FaultPolicy):
             "targets": self.targets,
         }
 
-    def describe(self) -> str:
-        return (
-            f"flapping-backend({self.targets} down "
-            f"{self.downtime_us / 1000:g}ms every "
-            f"{self.period_us / 1000:g}ms x{self.cycles})"
-        )
-
 
 @register_fault
 class ConnChurn(FaultPolicy):
@@ -304,9 +286,6 @@ class ConnChurn(FaultPolicy):
 
     def params(self) -> Dict[str, object]:
         return {"lifetime_requests": self.lifetime_requests}
-
-    def describe(self) -> str:
-        return f"conn-churn(every {self.lifetime_requests} responses)"
 
 
 @register_fault
@@ -354,9 +333,3 @@ class RetryStorm(FaultPolicy):
             "retry_after_us": self.retry_after_us,
             "max_retries": self.max_retries,
         }
-
-    def describe(self) -> str:
-        return (
-            f"retry-storm(>{self.retry_after_us / 1000:g}ms, "
-            f"max {self.max_retries})"
-        )

@@ -57,9 +57,6 @@ class AdmissionPolicy:
         """Whether this arrival enters the platform (``False`` = shed)."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Drop learned state; called when a workload adopts the policy."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.__class__.__name__} {self.name!r}>"
 

@@ -93,9 +93,6 @@ class AllocationPolicy:
         into ``[1, view.cores]``)."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Drop learned state; called when a scheduler adopts the policy."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.__class__.__name__} {self.name!r}>"
 

@@ -223,7 +223,6 @@ class Scheduler:
             for i in range(cores)
         ]
         self.allocator = resolve_allocator(allocator)
-        self.allocator.reset()  # a reused instance must not carry state
         self.allocator_name = self.allocator.name
         if self.allocator.is_static:
             # Byte-identity contract: `_active` *is* the worker list, so

@@ -74,6 +74,14 @@ class ArrivalProcess:
     def gaps(self, rng: random.Random) -> Iterator[float]:
         raise NotImplementedError
 
+    def stamps(self, rng: random.Random) -> Iterator[float]:
+        """Arrival instants in µs after the source starts: the running
+        sum of :meth:`gaps`, the times the arrival clock fires at."""
+        now = 0.0
+        for gap in self.gaps(rng):
+            now += gap
+            yield now
+
     def describe(self) -> str:
         """Human-readable parameterisation for reports."""
         return self.name
@@ -274,6 +282,10 @@ class ReplayArrivals(ArrivalProcess):
             yield stamp - previous
             previous = stamp
 
+    def stamps(self, rng: random.Random) -> Iterator[float]:
+        # The trace itself: summing its gaps back can land an ulp off.
+        return iter(self.timestamps_us)
+
     def describe(self) -> str:
         return f"replay({len(self.timestamps_us)} stamps)"
 
@@ -468,7 +480,6 @@ class ClientPopulation:
         self.rng = random.Random(seed)
         self.slo_us = slo_us
         self.admission = resolve_admission(admission)
-        self.admission.reset()  # a reused instance must not carry state
         self.class_mix = check_class_mix(class_mix)
         self.retry_after_us = retry_after_us
         self.max_retries = max_retries
@@ -508,8 +519,8 @@ class ClientPopulation:
             self._conns.append(conn)
             conn.open()
         if self.arrival is not None:
-            gaps = iter(self.arrival.gaps(self.rng))
-            self.engine.schedule(0.0, self._tick, gaps, False)
+            stamps = iter(self.arrival.stamps(self.rng))
+            self.engine.schedule(0.0, self._tick, stamps, False)
 
     def _class_cycle(self) -> Iterator[str]:
         """Deterministic weighted round-robin over ``class_mix`` names.
@@ -536,20 +547,22 @@ class ClientPopulation:
             credits[best] -= total
             yield names[best]
 
-    def _tick(self, gaps: Iterator[float], due: bool) -> None:
+    def _tick(self, stamps: Iterator[float], due: bool) -> None:
         """One arrival-clock tick, an engine callback: offer the arrival
-        that is ``due``, then each one a zero gap behind it, and file the
-        next tick a positive gap later."""
+        that is ``due``, then each one stamped no later than now, and
+        file the next tick at the next later stamp."""
         if due:
             self._arrive()
-        for gap in gaps:
+        now = self.engine.now
+        for stamp in stamps:
             # Count arrival-clock ticks, not offers: retry re-offers
             # inflate ``offered`` and must not cut the arrival stream
             # short of ``n_requests``.
             if self._arrivals >= self.n_requests:
                 break
-            if gap > 0:
-                self.engine.schedule(gap, self._tick, gaps, True)
+            when = self._started_us + stamp
+            if when > now:
+                self.engine.at(when, self._tick, stamps, True)
                 return
             self._arrive()
         self._admission_closed = True

@@ -239,6 +239,29 @@ class TestValidation:
             open_loop_run(class_mix=(("gold", 1.0), ("gold", 2.0)))
 
 
+class TestReuse:
+    @pytest.mark.parametrize("name", registered_admissions())
+    def test_reused_instance_same_result(self, name):
+        """One ready instance admitting for two runs decides the second
+        as it decided the first: an admission policy keeps no per-run
+        state, so nothing resets it between runs."""
+        # A watermark the overload crosses, so ``shed-bronze`` sheds.
+        knobs = {"shed-bronze": {"max_inflight": 8}}.get(name, {})
+        policy = make_admission(name, **knobs)
+        runs = [
+            open_loop_run(
+                admission=policy,
+                class_mix=(("gold", 1.0), ("bronze", 1.0)),
+                rate_rps=160_000.0,
+                cores=1,
+                total_requests=128,
+            ).entry
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+        assert (runs[0]["admission"]["shed"] > 0) == (name != "admit-all")
+
+
 class TestOverloadSurvival:
     """The PR's headline: shedding bronze keeps gold's SLO alive."""
 

@@ -222,7 +222,7 @@ class TestAllocatorInvariants:
     def test_reset_restores_a_reusable_allocator(self, name, seed):
         allocator = build_allocator(name)
         used = snapshot(*run_elastic_workload(allocator, seed))
-        # Same instance again: adoption resets learned state.
+        # Same instance again: an allocator keeps no per-run state.
         reused = snapshot(*run_elastic_workload(allocator, seed))
         assert used == reused
 

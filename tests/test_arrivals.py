@@ -71,6 +71,22 @@ class TestProcesses:
         process = make_arrival("replay", timestamps_us=[5, 5, 30, 100])
         assert take(process, 10) == [5.0, 0.0, 25.0, 70.0]
 
+    @pytest.mark.parametrize("name", ["bursty", "poisson", "ramp"])
+    def test_stamps_are_the_running_sum_of_gaps(self, name):
+        """A generated process's instants are its gaps summed in order,
+        the same float additions the clock made when it filed each tick
+        a gap after the last."""
+        process = make_arrival(name)
+        stamps = itertools.islice(process.stamps(random.Random(7)), 200)
+        assert list(stamps) == list(itertools.accumulate(take(process, 200)))
+
+    def test_replay_stamps_are_the_trace(self):
+        """A trace's instants are its stamps, not its gaps summed back:
+        ``305.7 + (834.1 - 305.7)`` lands an ulp above ``834.1``."""
+        process = make_arrival("replay", timestamps_us=[305.7, 834.1])
+        assert list(process.stamps(random.Random(7))) == [305.7, 834.1]
+        assert list(itertools.accumulate(take(process, 2))) != [305.7, 834.1]
+
     def test_replay_rejects_bad_traces(self):
         with pytest.raises(ConfigError, match="non-empty"):
             make_arrival("replay", timestamps_us=[])
@@ -183,6 +199,70 @@ class TestOpenLoopClients:
         assert list(population.inter_arrivals._samples) == (
             gaps[: n_requests - 1]
         )
+
+    def test_replay_fires_at_each_exact_stamp(self):
+        """A replayed arrival fires at its stamp, not at the previous
+        stamp plus the difference: ``(834.1 - 305.7) + 305.7`` is an
+        ulp above ``834.1``."""
+        stamps = [305.7, 834.1]
+        engine, tcpnet, mbox, clients, _ = _static_web_testbed()
+        offers = []
+
+        class Recording(AdmissionPolicy):
+            name = "recording"
+
+            def admit(self, request):
+                offers.append(engine.now)
+                return True
+
+        population = ClientPopulation(
+            engine, tcpnet, clients, mbox, 80,
+            codec=HttpRequestCodec(),
+            arrival=make_arrival("replay", timestamps_us=stamps),
+            n_requests=2, admission=Recording(),
+        )
+        population.start()
+        engine.run()
+        assert population.completed == 2
+        assert offers == stamps
+
+    @pytest.mark.parametrize("name, params", [
+        pytest.param("bursty", {}, id="bursty"),
+        pytest.param("poisson", {"rate_rps": 20_000.0}, id="poisson"),
+        pytest.param("ramp", {}, id="ramp"),
+        # Summing this trace's gaps back drifts 13 of its 24 stamps.
+        pytest.param("replay", {"timestamps_us": [305.7, 834.1] + [
+            834.1 + 97.3 * k for k in range(1, 23)
+        ]}, id="replay"),
+    ])
+    def test_offers_fire_at_the_process_stamps(self, name, params):
+        """Every offer lands exactly at its process's stamp, whatever the
+        arrival rule: the population seeds the process's ``rng`` and the
+        clock fires at each instant it yields."""
+        engine, tcpnet, mbox, clients, _ = _static_web_testbed()
+        arrival = make_arrival(name, **params)
+        offers = []
+
+        class Recording(AdmissionPolicy):
+            name = "recording"
+
+            def admit(self, request):
+                offers.append(engine.now)
+                return True
+
+        population = ClientPopulation(
+            engine, tcpnet, clients, mbox, 80,
+            codec=HttpRequestCodec(), arrival=arrival,
+            n_requests=24, connections=4, admission=Recording(), seed=11,
+        )
+        population.start()
+        engine.run()
+        assert population.completed == 24
+        assert offers == list(
+            itertools.islice(arrival.stamps(random.Random(11)), 24)
+        )
+        if name == "replay":
+            assert offers == params["timestamps_us"]
 
     def test_throughput_is_zero_before_any_completion(self):
         engine, tcpnet, mbox, clients, _ = _static_web_testbed()

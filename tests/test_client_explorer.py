@@ -82,11 +82,12 @@ RESPONSE = http.make_response(body=b"ok").raw
 
 class _ShedEverySecond(AdmissionPolicy):
     """Sheds every second offer by its own count: a shed with nothing
-    in flight, which ``shed-bronze`` never makes."""
+    in flight, which ``shed-bronze`` never makes.  It counts, so each
+    run builds its own."""
 
     name = "shed-every-second"
 
-    def reset(self):
+    def __init__(self):
         self.offers = 0
 
     def admit(self, request):
@@ -100,7 +101,7 @@ ADMISSIONS = {
         make_admission("shed-bronze", max_inflight=1),
         (("gold", 1.0), ("bronze", 1.0)),
     ),
-    "shed-every-second": (_ShedEverySecond(), ()),
+    "shed-every-second": (_ShedEverySecond, ()),
 }
 FAULTS = {
     "none": None,
@@ -200,6 +201,8 @@ class _Run:
     def __init__(self, population, admission, fault, holding):
         clocked, conns, reqs, persistent = POPULATIONS[population]
         policy, class_mix = ADMISSIONS[admission]
+        if isinstance(policy, type):
+            policy = policy()
         fault = FAULTS[fault]
         self.engine = Engine()
         self.net = logged_network(self.engine)

@@ -233,6 +233,17 @@ class TestShardedRuns:
     def test_sharded_runs_are_deterministic(self):
         assert _fleet_run() == _fleet_run()
 
+    @pytest.mark.parametrize("name", registered_routings())
+    def test_reused_routing_instance_same_result(self, name):
+        """One ready routing policy serving two runs routes the second as
+        it routed the first: a routing policy keeps no per-run state, so
+        nothing resets it between runs."""
+        routing = make_routing(name)
+        first = _fleet_run(routing=routing, shards=4)
+        second = _fleet_run(routing=routing, shards=4)
+        assert first.entry["cluster"]["routing"] == name
+        assert first == second
+
     def test_least_loaded_routing_spreads_connections_evenly(self):
         result = _fleet_run(routing="least-loaded", shards=4)
         per_shard = result.entry["cluster"]["per_shard"]

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import registry_docs
 from repro.bench.registry_docs import default_output_path, render_markdown
 from repro.bench.testbeds import AXES
 
@@ -57,6 +58,29 @@ class TestGeneratedRegistryDoc:
                     f"{registry.module} registers {name!r} but the "
                     "generated doc does not list it"
                 )
+
+
+    def test_main_regenerates_the_doc(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "registries.md"
+        monkeypatch.setattr(registry_docs, "default_output_path", lambda: target)
+        assert registry_docs.main([]) == 0
+        assert target.read_text(encoding="utf-8") == render_markdown() + "\n"
+        assert f"wrote {target}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["--check"], ["--output", "elsewhere"]], ids=["check", "output"]
+    )
+    def test_a_removed_flag_is_a_usage_error(
+        self, tmp_path, monkeypatch, argv
+    ):
+        """A stale ``--check`` must not pass by rewriting the doc it was
+        meant to compare; the tier-1 diff above is the check."""
+        target = tmp_path / "registries.md"
+        monkeypatch.setattr(registry_docs, "default_output_path", lambda: target)
+        with pytest.raises(SystemExit) as excinfo:
+            registry_docs.main(argv)
+        assert excinfo.value.code == 2
+        assert not target.exists()
 
 
 class TestIntraRepoLinks:

@@ -46,7 +46,7 @@ class TestRegistry:
     @pytest.mark.parametrize("name", BUILTINS)
     def test_describe_and_params_are_json_plain(self, name):
         fault = make_fault(name)
-        assert isinstance(fault.describe(), str) and name in fault.describe()
+        assert fault.name == name
         for value in fault.params().values():
             assert isinstance(value, (int, float, str, bool, type(None)))
 

@@ -167,7 +167,7 @@ class TestZeroDelayReadyQueue:
 class TestControlFrameOrdering:
     """Zero-byte control frames must not overtake queued data.
 
-    Regression tests for the seed bug where ``deliver()`` set
+    They pin the fix for the seed bug where ``deliver()`` set
     ``depart = now`` for ``nbytes == 0``, letting a FIN (or SYN) leave
     the host immediately while earlier-sent data was still serialising
     behind ``src.tx.busy_until`` — delivering EOF before bytes on a
