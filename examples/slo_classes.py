@@ -6,8 +6,8 @@ Two angles on the service-class QoS subsystem:
 
 1. **Platform threading** — two compiled FLICK programs (``Gold`` and
    ``Bronze``) run on one platform under the ``deadline`` policy.  A
-   :class:`~repro.runtime.qos.ServiceClassMap` with program-scoped keys
-   gives gold connections a 1 ms SLO (weight 4) and bronze ones 50 ms
+   :class:`~repro.runtime.qos.ServiceClassMap` parsed from program-scoped
+   specs gives gold connections a 1 ms SLO (weight 4) and bronze ones 50 ms
    (weight 1); the task graphs stamp each connection task with its
    endpoint's class and the scheduler's scoreboard reports completions,
    latency and SLO misses per class.
@@ -20,11 +20,12 @@ Two angles on the service-class QoS subsystem:
 Run:  python examples/slo_classes.py
 """
 
-from repro import Engine, FlickPlatform, RuntimeConfig, ServiceClass, compile_source
+from repro import Engine, FlickPlatform, RuntimeConfig, compile_source
 from repro.apps import http_lb
 from repro.bench.scheduling import run_scheduling_experiment
 from repro.core.units import GBPS
 from repro.net.tcp import TcpNetwork
+from repro.runtime.qos import parse_slo_class_specs
 from repro.workloads.arrivals import ClientPopulation, HttpRequestCodec
 
 TWO_TIER_SOURCE = """
@@ -46,12 +47,11 @@ fun respond: (req: http_req) -> (http_resp)
     http_resp(200, "ok")
 """
 
-#: Program-scoped keys: both procs call their inbound endpoint
+#: Program-scoped specs: both procs call their inbound endpoint
 #: ``client``, so the tier is selected by "Program:endpoint".
-SERVICE_CLASSES = {
-    "Gold:client": ServiceClass("gold", slo_us=1_000.0, weight=4.0),
-    "Bronze:client": ServiceClass("bronze", slo_us=50_000.0),
-}
+SERVICE_CLASSES = parse_slo_class_specs(
+    ["Gold:client=gold:1000@4", "Bronze:client=bronze:50000"]
+)
 
 
 def shared_platform() -> None:
@@ -97,14 +97,16 @@ def figure7_two_class() -> None:
     kwargs = dict(n_tasks=40, items_per_task=40, cores=8)
     single = run_scheduling_experiment(
         "deadline",
-        service_classes={"light": ServiceClass("uniform", 1_000.0),
-                         "heavy": ServiceClass("uniform", 1_000.0)},
+        service_classes=parse_slo_class_specs(
+            ["light=uniform:1000", "heavy=uniform:1000"]
+        ),
         **kwargs,
     )
     tiered = run_scheduling_experiment(
         "deadline",
-        service_classes={"light": ServiceClass("gold", 1_000.0, weight=4.0),
-                         "heavy": ServiceClass("bronze", 50_000.0)},
+        service_classes=parse_slo_class_specs(
+            ["light=gold:1000@4", "heavy=bronze:50000"]
+        ),
         **kwargs,
     )
     # In the single-class run every task shares the 1 ms target; the

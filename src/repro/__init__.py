@@ -32,7 +32,6 @@ from repro.lang import (
     check_termination,
     compile_program,
     compile_source,
-    format_program,
     parse,
 )
 from repro.runtime import (
@@ -56,7 +55,6 @@ __all__ = [
     "check_termination",
     "compile_program",
     "compile_source",
-    "format_program",
     "parse",
     "Bindings",
     "CodecRegistry",

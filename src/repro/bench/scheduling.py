@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.runtime.qos import ServiceClassMap
+from repro.runtime.qos import check_class_map
 from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.sim.engine import Engine
 
@@ -56,8 +56,6 @@ class SyntheticTask(TaskBase):
             self._remaining -= 1
             elapsed += self._item_cost
             self.items_processed += 1
-            if budget_us == 0.0:
-                break
             if budget_us is not None and elapsed >= budget_us:
                 break
         emissions = []
@@ -116,15 +114,15 @@ def run_scheduling_experiment(
     :class:`~repro.net.stackprofiles.CoreTopology` or a registered name)
     labels the cores with sockets and prices cross-socket steals.
 
-    ``service_classes`` (a :class:`~repro.runtime.qos.ServiceClassMap`
-    or dict shorthand) maps the workload's endpoints — ``"light"`` and
+    ``service_classes`` (a :class:`~repro.runtime.qos.ServiceClassMap`,
+    parsed from specs by :func:`~repro.runtime.qos.parse_slo_class_specs`)
+    maps the workload's endpoints — ``"light"`` and
     ``"heavy"`` — to QoS tiers: a classified task carries its class's
     SLO and weight instead of the default size-proportional SLO, and
     the result's ``class_stats`` breaks completions, latency and SLO
     misses down per class.
     """
-    if service_classes is not None:
-        service_classes = ServiceClassMap.from_spec(service_classes)
+    check_class_map(service_classes)
     engine = Engine()
     scheduler = Scheduler(engine, cores, timeslice_us, policy, topology)
     tasks: List[SyntheticTask] = []

@@ -95,11 +95,10 @@ class Scenario(NamedTuple):
     arrival: object = None
     arrival_params: Params = ()
     policy: object = "cooperative"
-    #: Registered core-topology name, a ``CoreTopology``, or ``None``.
-    topology: object = None
-    #: Service-class specs (``endpoint=[name:]slo_us[@weight]``), or a
-    #: ``ServiceClassMap`` / dict.
-    service_classes: object = ()
+    #: Registered core-topology name, or ``None``.
+    topology: Optional[str] = None
+    #: Service-class specs (``endpoint=[name:]slo_us[@weight]``).
+    service_classes: Tuple[str, ...] = ()
     cores: int = 8
     #: Connections: one per client under the closed rule.
     concurrency: int = 64
@@ -417,13 +416,24 @@ def _check(spec: Scenario) -> Checked:
                 "fail_shard_at_us must be positive, got "
                 f"{spec.fail_shard_at_us:g}"
             )
-    classes = spec.service_classes
-    if isinstance(classes, tuple):
-        classes = (
-            parse_slo_class_specs(classes, valid_endpoints=(app.endpoint,))
-            if classes
-            else None
+    if spec.topology is not None and not isinstance(spec.topology, str):
+        raise ConfigError(
+            "topology takes a registered name or None, got "
+            f"{type(spec.topology).__name__}"
         )
+    classes = spec.service_classes
+    if not isinstance(classes, tuple) or not all(
+        isinstance(text, str) for text in classes
+    ):
+        raise ConfigError(
+            "service_classes takes a tuple of endpoint=[name:]slo_us[@weight] "
+            f"specs, got {classes!r}"
+        )
+    classes = (
+        parse_slo_class_specs(classes, valid_endpoints=(app.endpoint,))
+        if classes
+        else None
+    )
     return Checked(
         spec._replace(**built), _runtime_config(spec, classes)
     )
@@ -757,7 +767,7 @@ def run_experiment(spec) -> RunResult:
 def run_http_experiment(
     system, concurrency, persistent=True, mode="lb", cores=16,
     requests_per_client=40, timeslice_us=50.0, graph_pool_size=512,
-    policy="cooperative", topology=None, service_classes=None, slo_us=None,
+    policy="cooperative", topology=None, service_classes=(), slo_us=None,
     arrival=None, total_requests=None, seed=0xF11C, allocator="static",
     admission="admit-all", class_mix=(), shards=1, routing="hash-affinity",
     fail_shard_at_us=None, faults=None,
@@ -771,7 +781,7 @@ def run_http_experiment(
 def run_memcached_experiment(
     system, cores, concurrency=128, requests_per_client=40,
     specialised_parser=True, cache_router=False, key_space=10_000,
-    value_bytes=64, policy="cooperative", topology=None, service_classes=None,
+    value_bytes=64, policy="cooperative", topology=None, service_classes=(),
     slo_us=None, arrival=None, total_requests=None, seed=0xF11C,
     allocator="static", admission="admit-all", class_mix=(), faults=None,
 ) -> RunResult:

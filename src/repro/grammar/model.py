@@ -124,10 +124,6 @@ class Field:
 
     name: Optional[str]  # None = anonymous padding (the listings' '_')
 
-    @property
-    def anonymous(self) -> bool:
-        return self.name is None
-
 
 @dataclass(frozen=True)
 class IntField(Field):

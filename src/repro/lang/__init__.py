@@ -19,7 +19,6 @@ from repro.lang.compiler import (
 )
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse
-from repro.lang.pretty import format_program
 from repro.lang.termination import check_termination
 from repro.lang.typecheck import CheckedProgram, check_program
 from repro.lang.values import Record, record_size_bytes
@@ -40,7 +39,6 @@ __all__ = [
     "compile_source",
     "tokenize",
     "parse",
-    "format_program",
     "check_termination",
     "CheckedProgram",
     "check_program",

@@ -50,10 +50,6 @@ class EndpointSpec:
     read_type: Optional[str]  # record/primitive type name, if readable
     write_type: Optional[str]
 
-    @property
-    def bidirectional(self) -> bool:
-        return self.readable and self.writable
-
 
 @dataclass(frozen=True)
 class StageSpec:

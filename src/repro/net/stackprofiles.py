@@ -26,18 +26,19 @@ docs/reproduction.md records paper-vs-measured for every figure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
 class StackProfile:
-    """CPU cost (µs) charged to the middlebox for stack operations."""
+    """CPU cost (µs) charged to the middlebox for stack operations.
+
+    Connection set-up is charged on the accept side only: an outbound
+    connect (a backend leg) costs the middlebox nothing.
+    """
 
     name: str
     #: server-side cost to accept + register a new connection
     accept_us: float
-    #: cost to initiate an outgoing connection (e.g. to a backend)
-    connect_us: float
     #: cost to tear down a connection (FIN handling, socket release)
     teardown_us: float
     #: cost of one read from a socket (syscall / ring dequeue)
@@ -78,7 +79,6 @@ class StackProfile:
 KERNEL = StackProfile(
     name="kernel",
     accept_us=120.0,
-    connect_us=130.0,
     teardown_us=90.0,
     read_op_us=2.3,
     write_op_us=2.1,
@@ -92,7 +92,6 @@ KERNEL = StackProfile(
 MTCP = StackProfile(
     name="mtcp",
     accept_us=10.0,
-    connect_us=12.0,
     teardown_us=6.0,
     read_op_us=0.9,
     write_op_us=0.85,
@@ -126,11 +125,9 @@ class CoreTopology:
     socket 0, ``c..2c-1`` socket 1, and so on; a worker count beyond
     ``sockets * cores_per_socket`` wraps around.
 
-    Socket pairs are separated by interconnect *hops*
-    (:meth:`socket_hops`): by default the sockets form a ring — adjacent
-    sockets are one QPI hop apart, opposite corners of a four-socket box
-    two — or pass ``socket_distances`` (a square hop matrix, indexed
-    ``[a][b]``) to model an arbitrary interconnect.
+    The sockets form a ring: :meth:`socket_hops` counts the interconnect
+    hops between two of them — adjacent sockets are one QPI hop apart,
+    opposite corners of a four-socket box two.
     ``remote_steal_penalty_us`` is the extra cost the mechanism charges
     a steal *per hop* between the thief's and the victim's sockets (cold
     remote cache lines + interconnect forwarding), on top of the flat
@@ -142,9 +139,6 @@ class CoreTopology:
     sockets: int
     cores_per_socket: int
     remote_steal_penalty_us: float
-    #: Optional explicit hop matrix ``socket_distances[a][b]``; ``None``
-    #: means a ring (``min(|a-b|, sockets-|a-b|)``).
-    socket_distances: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def __post_init__(self):
         if self.sockets < 1:
@@ -159,72 +153,19 @@ class CoreTopology:
                 f"remote steal penalty cannot be negative, got "
                 f"{self.remote_steal_penalty_us}"
             )
-        if self.socket_distances is not None:
-            matrix = self.socket_distances
-            if len(matrix) != self.sockets or any(
-                len(row) != self.sockets for row in matrix
-            ):
-                raise ValueError(
-                    f"socket distance matrix must be {self.sockets}x"
-                    f"{self.sockets}, got {matrix!r}"
-                )
-            for a in range(self.sockets):
-                if matrix[a][a] != 0:
-                    raise ValueError(
-                        f"socket {a} must be 0 hops from itself, got "
-                        f"{matrix[a][a]}"
-                    )
-                for b in range(self.sockets):
-                    if matrix[a][b] < 0:
-                        raise ValueError(
-                            f"hop counts cannot be negative, got "
-                            f"{matrix[a][b]} for sockets {a}->{b}"
-                        )
-                    if matrix[a][b] != matrix[b][a]:
-                        raise ValueError(
-                            f"hop matrix must be symmetric, but "
-                            f"{a}->{b} is {matrix[a][b]} while "
-                            f"{b}->{a} is {matrix[b][a]}"
-                        )
-                    if a != b and matrix[a][b] == 0:
-                        raise ValueError(
-                            f"distinct sockets {a} and {b} cannot be "
-                            "0 hops apart"
-                        )
 
     def socket_of(self, core: int) -> int:
         """Socket that core index ``core`` lives on."""
         return (core // self.cores_per_socket) % self.sockets
 
     def socket_hops(self, a: int, b: int) -> int:
-        """Interconnect hops between sockets ``a`` and ``b``.
-
-        0 for the same socket; otherwise the explicit matrix entry or
-        the ring distance.  On a two-socket box every remote pair is one
-        hop, so pre-matrix behaviour is preserved exactly.
-        """
+        """Interconnect hops between sockets ``a`` and ``b`` around the
+        ring: 0 for the same socket, 1 for every remote pair on a
+        two-socket box."""
         if a == b:
             return 0
-        if self.socket_distances is not None:
-            return self.socket_distances[a][b]
         span = abs(a - b)
         return min(span, self.sockets - span)
-
-    def distance(self, a: int, b: int) -> int:
-        """Hops between the sockets of cores ``a`` and ``b``.
-
-        0 for same-socket core pairs; cross-socket pairs report the full
-        hop count (1 on two-socket boxes, up to ``sockets // 2`` on a
-        ring), not a flat 0/1 flag.
-        """
-        return self.socket_hops(self.socket_of(a), self.socket_of(b))
-
-    def steal_penalty_us(self, thief_socket: int, victim_socket: int) -> float:
-        """Cross-socket surcharge for one steal: hops x per-hop penalty."""
-        return (
-            self.socket_hops(thief_socket, victim_socket)
-            * self.remote_steal_penalty_us
-        )
 
 
 #: Everything on one socket: no remote steals, the paper's implicit model.

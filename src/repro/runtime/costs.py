@@ -59,14 +59,15 @@ SchedulingPolicy` instance for custom parameters.
     'deadline' policy turns it into an EDF deadline at admission
     (``None`` leaves the policy's default SLO in force).
     ``service_classes`` refines that single value into per-endpoint QoS
-    tiers: a :class:`~repro.runtime.qos.ServiceClassMap` (or a dict of
-    endpoint → class shorthand, normalised here) whose classes the task
-    graph stamps per endpoint, classified tasks overriding the
-    platform-wide ``slo_us``.  ``topology`` is a
+    tiers: a :class:`~repro.runtime.qos.ServiceClassMap`, as
+    :func:`~repro.runtime.qos.parse_slo_class_specs` builds it from
+    specs, whose classes the task graph stamps per endpoint, classified
+    tasks overriding the platform-wide ``slo_us``.  ``topology`` is a
     :class:`~repro.net.stackprofiles.CoreTopology`, a registered
     topology name ('uniform', 'two-socket', 'four-socket'), or ``None``
     for the flat single-socket default; it prices cross-socket steals
-    (per interconnect hop) and feeds the 'numa' policy's placement.
+    (per hop around its ring of sockets) and feeds the 'numa' policy's
+    placement.
 
     ``allocator`` selects the elastic core-allocation policy by
     registry name (:func:`repro.runtime.allocator.registered_allocators`
@@ -100,14 +101,6 @@ SchedulingPolicy` instance for custom parameters.
             raise ValueError("timeslice must be positive")
         if self.slo_us is not None and self.slo_us <= 0:
             raise ValueError(f"slo_us must be positive, got {self.slo_us}")
-        if self.service_classes is not None:
-            from repro.runtime.qos import ServiceClassMap
-
-            # A bad spec raises ConfigError, which is a ValueError.
-            normalized = ServiceClassMap.from_spec(self.service_classes)
-            # Frozen dataclass: normalisation has to go through
-            # object.__setattr__, the same escape hatch dataclasses use.
-            object.__setattr__(self, "service_classes", normalized)
         if self.topology is not None:
             from repro.net.stackprofiles import CoreTopology, core_topology
 
@@ -125,7 +118,10 @@ SchedulingPolicy` instance for custom parameters.
         # runtime package and must not import it at load time.
         from repro.runtime.allocator import ALLOCATORS
         from repro.runtime.policy import POLICIES
+        from repro.runtime.qos import check_class_map
 
+        # A ConfigError, which is a ValueError.
+        check_class_map(self.service_classes)
         try:
             POLICIES.check(self.policy)
             ALLOCATORS.check(self.allocator)

@@ -141,8 +141,6 @@ class DispatcherTask(TaskBase):
             elapsed += self._accept_cost() + dispatcher.assign_cost_us()
             emissions.append(lambda s=socket: dispatcher.assign(s))
             self.items_processed += 1
-            if budget_us == 0.0:
-                break
             if budget_us is not None and elapsed >= budget_us:
                 break
         self.busy_us += elapsed

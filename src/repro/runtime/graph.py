@@ -85,10 +85,6 @@ class CodecRegistry:
             )
         return fn(record)
 
-    def serializer(self) -> Callable[[Record], Tuple[bytes, float]]:
-        """A dispatching serialiser usable by any output task."""
-        return self.serialize
-
 
 class OutboundTarget:
     """A backend address an outbound endpoint connects to."""
@@ -171,7 +167,7 @@ class _OutboundLeg(_BufferingSendProxy):
         self._out_task = OutputTask(
             f"g{graph.graph_id}:{name}",
             self._chan,
-            graph.registry.serializer(),
+            graph.registry.serialize,
             graph.stack,
             graph.config.cores,
             task_id=self._task_id,
@@ -340,7 +336,7 @@ class TaskGraph:
             out_task = OutputTask(
                 f"g{self.graph_id}:{client_ep.name}.out",
                 out_chan,
-                self.registry.serializer(),
+                self.registry.serialize,
                 self.stack,
                 self.config.cores,
                 close_on_eos=True,
@@ -474,7 +470,7 @@ class TaskGraph:
         out_task = OutputTask(
             f"g{self.graph_id}:{plan.sink}.out",
             last,
-            self.registry.serializer(),
+            self.registry.serialize,
             self.stack,
             self.config.cores,
             close_on_eos=True,

@@ -24,10 +24,13 @@ Consumers:
   :func:`~repro.sim.stats.class_summary` turns the log into the
   per-class completions, latency and SLO misses of the bench report.
 
-A spec ``endpoint=[name:]slo_us[@weight]`` (``Scenario.service_classes``,
-the four-socket Figure 7 row) parses through
-:func:`parse_slo_class_specs`, which rejects malformed specs with
-near-miss suggestions in the same style as unknown policy names.
+A map has one spelling: specs ``endpoint=[name:]slo_us[@weight]``
+(``Scenario.service_classes``, the four-socket Figure 7 row), which
+:func:`parse_slo_class_specs` parses into a map, rejecting malformed
+specs with near-miss suggestions in the same style as unknown policy
+names.  ``RuntimeConfig`` and ``run_scheduling_experiment`` take the
+parsed map (or ``None``) and reject anything else
+(:func:`check_class_map`).
 """
 
 from __future__ import annotations
@@ -74,31 +77,21 @@ class ServiceClass:
 class ServiceClassMap:
     """Endpoint (or ``Program:endpoint``) → :class:`ServiceClass`.
 
-    Lookups prefer the program-scoped key, so two programs sharing an
-    endpoint name (every rule graph calls its inbound endpoint
-    ``client``) can still carry different tiers on one platform.  One
-    class *name* may serve many endpoints, but only with one definition:
-    re-declaring ``gold`` with a different SLO or weight is rejected, so
-    a class means the same thing wherever it appears.
+    Built from specs by :func:`parse_slo_class_specs`, the one spelling
+    of a class map.  Lookups prefer the program-scoped key, so two
+    programs sharing an endpoint name (every rule graph calls its
+    inbound endpoint ``client``) can still carry different tiers on one
+    platform.  One class *name* may serve many endpoints, but only with
+    one definition: re-declaring ``gold`` with a different SLO or weight
+    is rejected, so a class means the same thing wherever it appears.
     """
 
-    def __init__(self, classes: Optional[Dict[str, object]] = None):
+    def __init__(self):
         self._by_endpoint: Dict[str, ServiceClass] = {}
         self._by_name: Dict[str, ServiceClass] = {}
-        for endpoint, service_class in (classes or {}).items():
-            self.assign(endpoint, service_class)
 
-    def assign(self, endpoint: str, service_class) -> None:
-        """Bind ``endpoint`` to ``service_class`` (coercing shorthand).
-
-        Shorthand: a bare number is an SLO for a class named after the
-        full endpoint key (program scope included, so two programs'
-        shorthand entries never collide); a ``{"slo_us": ...,
-        "weight": ..., "name": ...}`` dict spells out the fields.
-        """
-        if not endpoint or not str(endpoint).strip():
-            raise ConfigError("service class map needs non-empty endpoints")
-        service_class = _coerce_class(endpoint, service_class)
+    def assign(self, endpoint: str, service_class: ServiceClass) -> None:
+        """Bind ``endpoint`` to ``service_class``."""
         if endpoint in self._by_endpoint:
             raise ConfigError(
                 f"endpoint {endpoint!r} already has service class "
@@ -116,18 +109,6 @@ class ServiceClassMap:
         self._by_endpoint[endpoint] = service_class
         self._by_name[service_class.name] = service_class
 
-    @classmethod
-    def from_spec(cls, spec) -> "ServiceClassMap":
-        """Normalise ``spec`` (map instance, or dict of shorthands)."""
-        if isinstance(spec, ServiceClassMap):
-            return spec
-        if isinstance(spec, dict):
-            return cls(spec)
-        raise ConfigError(
-            "service_classes must be a ServiceClassMap or a dict of "
-            f"endpoint -> class, got {type(spec).__name__}"
-        )
-
     def class_for(
         self, endpoint: Optional[str], program: Optional[str] = None
     ) -> Optional[ServiceClass]:
@@ -141,21 +122,11 @@ class ServiceClassMap:
                 return scoped
         return self._by_endpoint.get(endpoint)
 
-    def endpoints(self) -> Tuple[str, ...]:
-        return tuple(self._by_endpoint)
-
-    def classes(self) -> Tuple[ServiceClass, ...]:
-        """The distinct classes, in first-assignment order."""
-        return tuple(self._by_name.values())
-
     def __iter__(self) -> Iterator[Tuple[str, ServiceClass]]:
         return iter(self._by_endpoint.items())
 
     def __len__(self) -> int:
         return len(self._by_endpoint)
-
-    def __bool__(self) -> bool:
-        return bool(self._by_endpoint)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ServiceClassMap):
@@ -170,31 +141,17 @@ class ServiceClassMap:
         return f"<ServiceClassMap {entries}>"
 
 
-def _coerce_class(endpoint: str, value) -> ServiceClass:
-    if isinstance(value, ServiceClass):
-        return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return ServiceClass(name=endpoint, slo_us=float(value))
-    if isinstance(value, dict):
-        unknown = set(value) - {"name", "slo_us", "weight"}
-        if unknown:
-            raise ConfigError(
-                f"service class for {endpoint!r} has unknown fields "
-                f"{sorted(unknown)}; allowed: name, slo_us, weight"
-            )
-        if "slo_us" not in value:
-            raise ConfigError(
-                f"service class for {endpoint!r} needs an 'slo_us' field"
-            )
-        return ServiceClass(
-            name=value.get("name", endpoint),
-            slo_us=value["slo_us"],
-            weight=value.get("weight", 1.0),
+def check_class_map(service_classes) -> None:
+    """Reject anything but a :class:`ServiceClassMap` or ``None``: a map
+    has one spelling, the specs :func:`parse_slo_class_specs` parses."""
+    if service_classes is not None and not isinstance(
+        service_classes, ServiceClassMap
+    ):
+        raise ConfigError(
+            "service_classes takes a ServiceClassMap built by "
+            "parse_slo_class_specs from endpoint=[name:]slo_us[@weight] "
+            f"specs, or None; got {type(service_classes).__name__}"
         )
-    raise ConfigError(
-        f"service class for {endpoint!r} must be a ServiceClass, a "
-        f"number (SLO µs), or a dict, got {type(value).__name__}"
-    )
 
 
 # -- Spec parsing -------------------------------------------------------------

@@ -527,7 +527,9 @@ class TaskBase:
 
     Subclasses provide ``has_work`` and ``step(budget_us)``; ``step``
     returns ``(virtual_us_consumed, emission_thunks)`` and must respect
-    the budget: ``None`` = run to completion, ``0`` = one item.
+    the budget: ``None`` runs to completion; otherwise the step takes
+    no further item once its elapsed virtual time reaches ``budget_us``.
+    Elapsed time never falls, so a budget of ``0`` takes one item.
 
     ``home_hint``, when set, pins the task to a worker index (modulo the
     core count) instead of hash placement — used by dispatch tasks and

@@ -88,7 +88,66 @@ def _emit_merged(out: TaskChannel, wake: Callable[[], None], items, close):
 _UNKEYED = object()
 
 
-class InputTask(TaskBase):
+class _SocketReader(TaskBase):
+    """A task that reads one connection into ``out``.
+
+    ``attach`` registers the socket's data and close callbacks: each
+    queues what arrived (a chunk, or the EOF) and marks the task
+    runnable.  The task has work while ``out`` has room and a chunk, a
+    parsed backlog or an unhandled EOF waits.
+    """
+
+    #: Whether a parser may still hold complete messages; only an
+    #: :class:`InputTask` has one.
+    _backlog = False
+
+    def __init__(
+        self,
+        name: str,
+        out: TaskChannel,
+        stack: StackProfile,
+        cores: int,
+        on_eof: Optional[Callable[[], None]] = None,
+        *,
+        task_id: int,
+    ):
+        super().__init__(name, task_id)
+        self._out = out
+        self._stack = stack
+        self._cores = cores
+        self.on_eof = on_eof
+        self._chunks = deque()
+        self.eof_seen = False
+        self._eof_handled = False
+        self._notify: Optional[Callable[[TaskBase], None]] = None
+        #: Wakes the consumer of ``out``; the task graph sets it.
+        self.wake: Callable[[], None] = _unwired
+
+    def attach(self, socket, notify: Callable[[TaskBase], None]) -> None:
+        """Bind to a socket; ``notify(task)`` marks a task runnable."""
+        self._notify = notify
+        socket.on_receive(self._on_data)
+        socket.on_close(self._on_close)
+
+    def _on_data(self, data: bytes) -> None:
+        self._chunks.append(data)
+        self._notify(self)
+
+    def _on_close(self) -> None:
+        self.eof_seen = True
+        self._notify(self)
+
+    def has_work(self) -> bool:
+        if not self._out.has_space():
+            return False
+        return (
+            bool(self._chunks)
+            or self._backlog
+            or (self.eof_seen and not self._eof_handled)
+        )
+
+
+class InputTask(_SocketReader):
     """Deserialises one connection's byte stream into typed records;
     malformed bytes end it as an EOF would.  At EOF, a task that
     ``owns_out`` charges the teardown and closes ``out``."""
@@ -106,54 +165,16 @@ class InputTask(TaskBase):
         task_id: int,
         owns_out: bool = True,
     ):
-        super().__init__(name, task_id)
+        super().__init__(name, out, stack, cores, on_eof, task_id=task_id)
         self._parser = parser
-        self._out = out
-        self._stack = stack
-        self._cores = cores
         self._tag = tag
-        self.on_eof = on_eof
         self._owns_out = owns_out
-        self._chunks = deque()
-        self.eof_seen = False
-        self._eof_handled = False
-        self._backlog = False  # parser may hold complete messages
-        self._notify: Optional[Callable[[TaskBase], None]] = None
-        #: Wakes the consumer of ``out``; the task graph sets it.
-        self.wake: Callable[[], None] = _unwired
-
-    # -- socket side --------------------------------------------------------
-
-    def attach(self, socket, notify: Callable[[TaskBase], None]) -> None:
-        """Bind to a socket; ``notify(task)`` marks a task runnable."""
-        self._notify = notify
-        socket.on_receive(self._on_data)
-        socket.on_close(self._on_close)
-
-    def _on_data(self, data: bytes) -> None:
-        self._chunks.append(data)
-        self._notify(self)
-
-    def _on_close(self) -> None:
-        self.eof_seen = True
-        self._notify(self)
 
     def detach(self, socket) -> None:
         """Stop reading ``socket``; the connection ended at its far end."""
         socket.on_receive(None)
         socket.on_close(None)
         self._eof_handled = True  # and an EOF already on its way is ignored
-
-    # -- scheduling contract ----------------------------------------------------
-
-    def has_work(self) -> bool:
-        if not self._out.has_space():
-            return False
-        return (
-            bool(self._chunks)
-            or self._backlog
-            or (self.eof_seen and not self._eof_handled)
-        )
 
     def step(self, budget_us: Optional[float]):
         # The emitted message count must respect downstream capacity: the
@@ -177,9 +198,7 @@ class InputTask(TaskBase):
                 emissions.append(self._make_emit(record))
                 self.items_processed += 1
                 headroom -= 1
-                if budget_us == 0.0 or (
-                    budget_us is not None and elapsed >= budget_us
-                ):
+                if budget_us is not None and elapsed >= budget_us:
                     self._backlog = True
                     done = True
                     break
@@ -216,7 +235,7 @@ class InputTask(TaskBase):
         return _emit_push(self._out, self.wake, item)
 
 
-class RawForwardTask(TaskBase):
+class RawForwardTask(_SocketReader):
     """Forwards one connection's byte stream without parsing.
 
     Used for pipeline rules of the form ``backends => client`` with no
@@ -225,46 +244,6 @@ class RawForwardTask(TaskBase):
     return path no computation or parsing is needed, and the data is
     forwarded without change").
     """
-
-    def __init__(
-        self,
-        name: str,
-        out: TaskChannel,
-        stack: StackProfile,
-        cores: int,
-        on_eof: Optional[Callable[[], None]] = None,
-        *,
-        task_id: int,
-    ):
-        super().__init__(name, task_id)
-        self._out = out
-        self._stack = stack
-        self._cores = cores
-        self.on_eof = on_eof
-        self._chunks = deque()
-        self._eof_seen = False
-        self._eof_handled = False
-        self._notify: Optional[Callable[[TaskBase], None]] = None
-        #: Wakes the consumer of ``out``; the task graph sets it.
-        self.wake: Callable[[], None] = _unwired
-
-    def attach(self, socket, notify: Callable[[TaskBase], None]) -> None:
-        self._notify = notify
-        socket.on_receive(self._on_data)
-        socket.on_close(self._on_close)
-
-    def _on_data(self, data: bytes) -> None:
-        self._chunks.append(data)
-        self._notify(self)
-
-    def _on_close(self) -> None:
-        self._eof_seen = True
-        self._notify(self)
-
-    def has_work(self) -> bool:
-        if not self._out.has_space():
-            return False
-        return bool(self._chunks) or (self._eof_seen and not self._eof_handled)
 
     def step(self, budget_us: Optional[float]):
         elapsed = 0.0
@@ -286,8 +265,6 @@ class RawForwardTask(TaskBase):
                 if self.on_eof is not None:
                     emissions.append(self.on_eof)
                     self.on_eof = None
-            if budget_us == 0.0:
-                break
             if budget_us is not None and elapsed >= budget_us:
                 break
         self.busy_us += elapsed
@@ -397,8 +374,6 @@ class ComputeTask(TaskBase):
                 if proxy.buffered:
                     emissions.extend(proxy.flush_thunks())
             self.items_processed += 1
-            if budget_us == 0.0:
-                break
             if budget_us is not None and elapsed >= budget_us:
                 break
         self.busy_us += elapsed
@@ -470,8 +445,6 @@ class OutputTask(TaskBase):
             self.bytes_out += len(data)
             emissions.append(lambda d=data: _send_or_drop(socket, d))
             self.items_processed += 1
-            if budget_us == 0.0:
-                break
             if budget_us is not None and elapsed >= budget_us:
                 break
         self.busy_us += elapsed

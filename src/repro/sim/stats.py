@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
@@ -84,17 +83,6 @@ class LatencySeries:
 
     def max_us(self) -> float:
         return self._ordered()[-1] if self._samples else 0.0
-
-    def count_over(self, threshold_us: Optional[float]) -> int:
-        """Samples strictly above ``threshold_us`` (0 when ``None``).
-
-        Client-side SLO accounting: with the SLO as the threshold, this
-        is the number of requests that missed it.
-        """
-        if threshold_us is None:
-            return 0
-        ordered = self._ordered()
-        return len(ordered) - bisect_right(ordered, threshold_us)
 
     def percentile_summary_ms(self) -> Dict[str, float]:
         """The figure-ready percentile series: mean/p50/p99/max in ms."""

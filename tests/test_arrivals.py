@@ -104,14 +104,6 @@ class TestStatsHelpers:
         assert series.count == 2
         assert series.mean_us() == pytest.approx(12.5)
 
-    def test_count_over(self):
-        series = LatencySeries()
-        for v in (1.0, 5.0, 10.0, 20.0):
-            series.record(v)
-        assert series.count_over(None) == 0
-        assert series.count_over(5.0) == 2
-        assert series.count_over(0.5) == 4
-
     def test_percentile_summary_ms_keys(self):
         series = LatencySeries()
         series.record(1000.0)
@@ -150,6 +142,32 @@ class TestOpenLoopClients:
         # every admission tick after the first lands in the gap series
         assert population.inter_arrivals.count == 299
         assert population.latency.count == 300
+
+    def test_slo_misses_are_latencies_strictly_above_the_slo(self):
+        """A request that takes exactly the SLO meets it; the population
+        counts the measured latencies above it, and nothing else."""
+
+        def run(slo_us):
+            engine, tcpnet, mbox, clients, _ = _static_web_testbed()
+            population = ClientPopulation(
+                engine, tcpnet, clients, mbox, 80,
+                codec=HttpRequestCodec(),
+                arrival=make_arrival("poisson", rate_rps=20_000.0),
+                n_requests=300, connections=16, slo_us=slo_us,
+            )
+            population.start()
+            engine.run()
+            return population
+
+        unbounded = run(None)
+        assert unbounded.slo_misses == 0
+        ordered = unbounded.latency._ordered()
+        for slo_us in (ordered[150], ordered[-1], ordered[0] / 2):
+            population = run(slo_us)
+            assert population.latency._ordered() == ordered
+            assert population.slo_misses == sum(
+                1 for latency in ordered if latency > slo_us
+            )
 
     def test_replay_trace_shorter_than_n_requests_finishes(self):
         engine, tcpnet, mbox, clients, _ = _static_web_testbed()

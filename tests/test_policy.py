@@ -26,7 +26,7 @@ from repro.runtime.policy import (
     make_policy,
     registered_policies,
 )
-from repro.runtime.qos import ServiceClass
+from repro.runtime.qos import parse_slo_class_specs
 from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.sim.engine import Engine
 
@@ -119,10 +119,9 @@ GOLDEN = {
 #: policy that declares ``supports_service_classes`` must pin an entry —
 #: the lockstep gate below — so QoS-consuming policies cannot drift
 #: silently any more than class-free ones can.
-TWO_CLASS_MAP = {
-    "light": ServiceClass("gold", 1_000.0, weight=4.0),
-    "heavy": ServiceClass("bronze", 50_000.0),
-}
+TWO_CLASS_MAP = parse_slo_class_specs(
+    ["light=gold:1000@4", "heavy=bronze:50000"]
+)
 
 GOLDEN_TWO_CLASS = {
     "deadline": {

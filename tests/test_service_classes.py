@@ -2,13 +2,17 @@
 
 Covers the `repro.runtime.qos` surface end to end:
 
-* :class:`ServiceClass` / :class:`ServiceClassMap` validation, shorthand
-  coercion and program-scoped lookup;
-* fuzz/round-trip guarantees — random class maps survive
-  ``RuntimeConfig`` normalisation unchanged, random well-formed
-  service class specs parse to what they say, and malformed specs
-  (unknown endpoint, zero/negative SLO, duplicate class) raise the
-  repo's clear-error style with near-miss suggestions;
+* :class:`ServiceClass` / :class:`ServiceClassMap` validation and
+  program-scoped lookup;
+* one spelling: a class map is parsed from specs, and every other
+  spelling handed to ``RuntimeConfig``, ``Scenario`` or
+  ``run_scheduling_experiment`` is a ``ConfigError`` that names the
+  spec form;
+* fuzz/round-trip guarantees — random class maps survive their specs
+  and ``RuntimeConfig`` unchanged, random well-formed service class
+  specs parse to what they say, and malformed specs (unknown endpoint,
+  zero/negative SLO, duplicate class) raise the repo's clear-error
+  style with near-miss suggestions;
 * the task graph stamps each connection task with its endpoint's class
   (platform-wide ``slo_us`` as fallback) and the platform scoreboard
   accounts completions/misses per class;
@@ -25,7 +29,9 @@ from collections import deque
 import pytest
 
 from repro.bench.scheduling import run_scheduling_experiment
+from repro.bench.testbeds import Scenario
 from repro.core.errors import ConfigError
+from repro.net.stackprofiles import TWO_SOCKET
 from repro.runtime.costs import RuntimeConfig
 from repro.runtime.graph import TaskGraph
 from repro.runtime.policy import DeadlinePolicy, PriorityPolicy
@@ -44,6 +50,8 @@ from tests.item_task import ItemTask
 
 GOLD = ServiceClass("gold", slo_us=1_000.0, weight=4.0)
 BRONZE = ServiceClass("bronze", slo_us=50_000.0)
+#: The Figure 7 workload's endpoints as the two tiers above.
+TWO_TIERS = parse_slo_class_specs(["light=gold:1000@4", "heavy=bronze:50000"])
 
 
 class TestServiceClassModel:
@@ -71,32 +79,18 @@ class TestServiceClassModel:
 
 
 class TestServiceClassMap:
-    def test_shorthand_coercion(self):
-        class_map = ServiceClassMap(
-            {
-                "express": 1_000.0,  # bare number: SLO, class named after it
-                "client": GOLD,  # ready instance
-                "bulk": {"slo_us": 9_000.0, "weight": 2.0},  # dict form
-            }
+    def test_program_scoped_lookup_wins(self):
+        class_map = parse_slo_class_specs(
+            ["Gold:client=gold:1000@4", "client=bronze:50000"]
         )
-        assert class_map.class_for("express") == ServiceClass(
-            "express", 1_000.0
-        )
-        assert class_map.class_for("client") is GOLD
-        assert class_map.class_for("bulk").weight == 2.0
+        assert class_map.class_for("client", program="Gold") == GOLD
+        assert class_map.class_for("client", program="Bronze") == BRONZE
+        assert class_map.class_for("client") == BRONZE
         assert class_map.class_for("unknown") is None
         assert class_map.class_for(None) is None
 
-    def test_program_scoped_lookup_wins(self):
-        class_map = ServiceClassMap(
-            {"Gold:client": GOLD, "client": BRONZE}
-        )
-        assert class_map.class_for("client", program="Gold") is GOLD
-        assert class_map.class_for("client", program="Bronze") is BRONZE
-        assert class_map.class_for("client") is BRONZE
-
     def test_scoped_shorthand_names_class_after_full_key(self):
-        class_map = ServiceClassMap({"Gold:client": 750.0})
+        class_map = parse_slo_class_specs(["Gold:client=750"])
         assert (
             class_map.class_for("client", program="Gold").name
             == "Gold:client"
@@ -104,48 +98,78 @@ class TestServiceClassMap:
 
     def test_scoped_shorthands_for_two_programs_do_not_collide(self):
         """The advertised use case: two programs sharing the endpoint
-        name 'client' with bare-number shorthands must coexist."""
-        class_map = ServiceClassMap(
-            {"Gold:client": 1_000.0, "Bronze:client": 50_000.0}
+        name 'client' with unnamed specs must coexist."""
+        class_map = parse_slo_class_specs(
+            ["Gold:client=1000", "Bronze:client=50000"]
         )
         assert class_map.class_for("client", program="Gold").slo_us == 1_000.0
         assert (
             class_map.class_for("client", program="Bronze").slo_us == 50_000.0
         )
-        config = RuntimeConfig(
-            service_classes={"Gold:client": 1_000.0, "Bronze:client": 50_000.0}
-        )
+        config = RuntimeConfig(service_classes=class_map)
         assert len(config.service_classes) == 2
 
     def test_duplicate_endpoint_rejected(self):
-        class_map = ServiceClassMap({"client": GOLD})
+        class_map = parse_slo_class_specs(["client=gold:1000@4"])
         with pytest.raises(ConfigError, match="already has service class"):
             class_map.assign("client", BRONZE)
 
     def test_one_class_name_many_endpoints_is_fine(self):
-        class_map = ServiceClassMap({"a": GOLD, "b": GOLD})
-        assert class_map.class_for("a") is class_map.class_for("b")
+        class_map = parse_slo_class_specs(["a=gold:1000@4", "b=gold:1000@4"])
+        assert class_map.class_for("a") == class_map.class_for("b") == GOLD
 
     def test_conflicting_class_redefinition_rejected(self):
+        class_map = ServiceClassMap()
+        class_map.assign("a", ServiceClass("gold", 1_000.0))
         with pytest.raises(ConfigError, match="defined twice"):
-            ServiceClassMap(
-                {
-                    "a": ServiceClass("gold", 1_000.0),
-                    "b": ServiceClass("gold", 2_000.0),
-                }
-            )
+            class_map.assign("b", ServiceClass("gold", 2_000.0))
 
-    @pytest.mark.parametrize(
-        "bad", [{"": 100.0}, {"x": {"wat": 1}}, {"x": {"weight": 2.0}},
-                {"x": "fast"}, {"x": True}]
-    )
-    def test_malformed_entries_rejected(self, bad):
-        with pytest.raises(ConfigError):
-            ServiceClassMap(bad)
 
-    def test_from_spec_rejects_garbage(self):
-        with pytest.raises(ConfigError):
-            ServiceClassMap.from_spec(42)
+#: Every spelling of a class map but specs (and the parsed map where a
+#: run takes one), and of a topology but a registered name, at each
+#: entry point that takes it: (call, the error's spec-form fragment).
+OTHER_SPELLINGS = {
+    "config-dict": (
+        lambda: RuntimeConfig(service_classes={"client": 500.0}),
+        "parse_slo_class_specs",
+    ),
+    "config-number": (
+        lambda: RuntimeConfig(service_classes=42), "parse_slo_class_specs"
+    ),
+    "scenario-map": (
+        lambda: Scenario(
+            app="http_lb",
+            service_classes=parse_slo_class_specs(["client=gold:2000@2"]),
+        ).check(),
+        "endpoint=[name:]slo_us[@weight]",
+    ),
+    "scenario-dict": (
+        lambda: Scenario(
+            app="http_lb", service_classes={"client": 500.0}
+        ).check(),
+        "endpoint=[name:]slo_us[@weight]",
+    ),
+    "scenario-topology": (
+        lambda: Scenario(app="http_lb", topology=TWO_SOCKET).check(),
+        "registered name",
+    ),
+    "scheduling-dict": (
+        lambda: run_scheduling_experiment(
+            "deadline", n_tasks=2, items_per_task=1, cores=1,
+            service_classes={"light": GOLD},
+        ),
+        "parse_slo_class_specs",
+    ),
+}
+
+
+class TestOneSpelling:
+    @pytest.mark.parametrize("case", sorted(OTHER_SPELLINGS))
+    def test_other_spellings_are_rejected_naming_the_spec_form(self, case):
+        call, fragment = OTHER_SPELLINGS[case]
+        with pytest.raises(ConfigError) as excinfo:
+            call()
+        assert fragment in str(excinfo.value)
 
 
 class TestSloClassSpecParsing:
@@ -214,27 +238,24 @@ class TestSloClassSpecParsing:
 
 
 class TestConfigRoundTrip:
-    def test_dict_shorthand_normalises(self):
-        config = RuntimeConfig(service_classes={"client": 500.0})
-        assert isinstance(config.service_classes, ServiceClassMap)
-        assert config.service_classes.class_for("client").slo_us == 500.0
-
     def test_map_instance_passes_through(self):
-        class_map = ServiceClassMap({"client": GOLD})
+        class_map = parse_slo_class_specs(["client=gold:1000@4"])
         config = RuntimeConfig(service_classes=class_map)
         assert config.service_classes is class_map
 
     def test_invalid_classes_surface_as_value_errors(self):
-        with pytest.raises(ValueError, match="positive SLO"):
-            RuntimeConfig(service_classes={"client": -1.0})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
+            RuntimeConfig(
+                service_classes=parse_slo_class_specs(["client=-1"])
+            )
+        with pytest.raises(ValueError, match="parse_slo_class_specs"):
             RuntimeConfig(service_classes=42)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fuzzed_maps_survive_config_round_trips(self, seed):
-        """Random well-formed class maps normalise through RuntimeConfig
-        without loss: endpoints, SLOs and weights all survive, and a
-        second round-trip is the identity."""
+        """Random well-formed class maps, written out as specs, parse
+        back without loss — endpoints (program-scoped too), SLOs and
+        weights all survive — and RuntimeConfig keeps the parsed map."""
         rng = random.Random(seed)
         entries = {}
         for index in range(rng.randint(1, 6)):
@@ -248,13 +269,19 @@ class TestConfigRoundTrip:
             entries[endpoint] = ServiceClass(
                 f"class{index}", slo_us=slo, weight=weight
             )
-        original = ServiceClassMap(dict(entries))
-        once = RuntimeConfig(service_classes=dict(entries)).service_classes
-        assert once == original
-        twice = RuntimeConfig(service_classes=once).service_classes
-        assert twice is once
+        original = ServiceClassMap()
         for endpoint, cls in entries.items():
-            assert once.class_for(endpoint) == cls
+            original.assign(endpoint, cls)
+        parsed = parse_slo_class_specs(
+            [
+                f"{endpoint}={cls.name}:{cls.slo_us!r}@{cls.weight!r}"
+                for endpoint, cls in entries.items()
+            ]
+        )
+        assert parsed == original
+        assert RuntimeConfig(service_classes=parsed).service_classes is parsed
+        for endpoint, cls in entries.items():
+            assert parsed.class_for(endpoint) == cls
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fuzzed_specs_parse_to_what_they_say(self, seed):
@@ -297,17 +324,19 @@ class TestGraphStamping:
 
     def test_classified_endpoint_overrides_platform_slo(self):
         config = RuntimeConfig(
-            slo_us=9_000.0, service_classes={"client": GOLD}
+            slo_us=9_000.0,
+            service_classes=parse_slo_class_specs(["client=gold:1000@4"]),
         )
         graph = self._bare_graph(config)
         task = ItemTask("t", 1, 1.0, 1)
         graph._add_task(task, endpoint="client")
-        assert task.service_class is GOLD
+        assert task.service_class == GOLD
         assert task.slo_us == GOLD.slo_us
 
     def test_unclassified_endpoint_falls_back_to_platform_slo(self):
         config = RuntimeConfig(
-            slo_us=9_000.0, service_classes={"client": GOLD}
+            slo_us=9_000.0,
+            service_classes=parse_slo_class_specs(["client=gold:1000@4"]),
         )
         graph = self._bare_graph(config)
         task = ItemTask("t", 1, 1.0, 1)
@@ -317,7 +346,9 @@ class TestGraphStamping:
 
     def test_program_scoped_entry_selects_by_spec_name(self):
         config = RuntimeConfig(
-            service_classes={"Gold:client": GOLD, "client": BRONZE}
+            service_classes=parse_slo_class_specs(
+                ["Gold:client=gold:1000@4", "client=bronze:50000"]
+            )
         )
         gold_task = ItemTask("g", 1, 1.0, 1)
         self._bare_graph(config, "Gold")._add_task(
@@ -327,11 +358,13 @@ class TestGraphStamping:
         self._bare_graph(config, "Other")._add_task(
             bronze_task, endpoint="client"
         )
-        assert gold_task.service_class is GOLD
-        assert bronze_task.service_class is BRONZE
+        assert gold_task.service_class == GOLD
+        assert bronze_task.service_class == BRONZE
 
     def test_no_endpoint_no_class(self):
-        config = RuntimeConfig(service_classes={"client": GOLD})
+        config = RuntimeConfig(
+            service_classes=parse_slo_class_specs(["client=gold:1000@4"])
+        )
         graph = self._bare_graph(config)
         task = ItemTask("t", 1, 1.0, 1)
         graph._add_task(task)  # e.g. the compute task
@@ -518,7 +551,9 @@ fun respond: (req: http_req) -> (http_resp)
         config = RuntimeConfig(
             cores=4,
             policy="deadline",
-            service_classes={"Gold:client": GOLD, "Bronze:client": BRONZE},
+            service_classes=parse_slo_class_specs(
+                ["Gold:client=gold:1000@4", "Bronze:client=bronze:50000"]
+            ),
         )
         platform = FlickPlatform(
             engine, net, mbox, config, http_lb.http_codec_registry()
@@ -572,16 +607,13 @@ class TestTwoClassOutcome:
         gold is the light half of the workload in both runs."""
         single = run_scheduling_experiment(
             "deadline",
-            service_classes={
-                "light": ServiceClass("uniform", 1_000.0),
-                "heavy": ServiceClass("uniform", 1_000.0),
-            },
+            service_classes=parse_slo_class_specs(
+                ["light=uniform:1000", "heavy=uniform:1000"]
+            ),
             **self.KWARGS,
         )
         tiered = run_scheduling_experiment(
-            "deadline",
-            service_classes={"light": GOLD, "heavy": BRONZE},
-            **self.KWARGS,
+            "deadline", service_classes=TWO_TIERS, **self.KWARGS
         )
         # Gold population = the light tasks, in both runs.
         single_gold_misses = sum(
@@ -599,9 +631,7 @@ class TestTwoClassOutcome:
     def test_two_class_run_is_deterministic(self):
         runs = [
             run_scheduling_experiment(
-                "deadline",
-                service_classes={"light": GOLD, "heavy": BRONZE},
-                **self.KWARGS,
+                "deadline", service_classes=TWO_TIERS, **self.KWARGS
             )
             for _ in range(2)
         ]

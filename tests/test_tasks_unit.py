@@ -1,9 +1,21 @@
-"""Unit tests for input/output/raw-forward tasks outside the full platform."""
+"""Unit tests for the connection and compute tasks outside the full
+platform: each task on its own, the socket-reader half that input and
+raw-forward tasks share, and the budget contract of ``TaskBase``."""
 
+import pytest
+
+from repro.bench.scheduling import SyntheticTask
 from repro.grammar.protocols import memcached as mc
 from repro.net.stackprofiles import KERNEL
 from repro.runtime.channel import EOS, TaskChannel
-from repro.runtime.task import InputTask, OutputTask, RawForwardTask
+from repro.runtime.dispatcher import DispatcherTask
+from repro.runtime.task import (
+    ComputeTask,
+    InputTask,
+    OutputTask,
+    RawForwardTask,
+)
+from repro.sim.engine import Engine
 
 
 class _FakeSocket:
@@ -229,3 +241,165 @@ class TestRawForwardTask:
         socket.deliver(b"x" * 10_000)
         big, _ = task.step(None)
         assert big > small
+
+
+def _input_reader(out):
+    return InputTask(
+        "in", mc.full_codec().parser(), out, KERNEL, cores=1, task_id=1
+    )
+
+
+def _raw_reader(out):
+    return RawForwardTask("fwd", out, KERNEL, cores=1, task_id=1)
+
+
+#: The two tasks that read a connection, built on one out channel.
+READERS = {"input": _input_reader, "raw": _raw_reader}
+
+
+class TestSocketReader:
+    """What an input task and a raw forwarder share: the socket's data
+    and close callbacks, the EOF flags and ``has_work``."""
+
+    def _attached(self, kind, capacity=8):
+        out = TaskChannel("out", capacity)
+        task = READERS[kind](out)
+        socket = _FakeSocket()
+        notified = []
+        task.attach(socket, notified.append)
+        return task, out, socket, notified
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_an_attached_reader_waits_for_its_socket(self, kind):
+        task, _, _, notified = self._attached(kind)
+        assert not task.has_work()
+        assert not task.eof_seen
+        assert notified == []
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_data_queues_a_chunk_and_marks_the_reader_runnable(self, kind):
+        task, _, socket, notified = self._attached(kind)
+        socket.deliver(mc.encode(mc.make_request(mc.OP_GETK, "k")))
+        assert notified == [task]
+        assert task.has_work()
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_eof_is_handled_once_and_ends_the_work(self, kind):
+        task, _, socket, notified = self._attached(kind)
+        ended = []
+        task.on_eof = lambda: ended.append(True)
+        socket.eof()
+        assert task.eof_seen
+        assert notified == [task]
+        assert task.has_work()
+        _drain(task)
+        assert ended == [True]
+        assert task.on_eof is None
+        assert not task.has_work()
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_a_full_out_channel_holds_the_reader(self, kind):
+        task, out, socket, _ = self._attached(kind, capacity=1)
+        out.push(b"occupant")
+        socket.deliver(mc.encode(mc.make_request(mc.OP_GETK, "k")))
+        socket.eof()
+        assert not task.has_work()
+        out.pop()
+        assert task.has_work()
+
+
+class _StubDispatcher:
+    """A graph dispatcher whose assignment costs nothing."""
+
+    def __init__(self):
+        self.assigned = []
+
+    def assign_cost_us(self):
+        return 0.0
+
+    def assign(self, socket):
+        self.assigned.append(socket)
+
+
+def _three_item_task(kind, free=False):
+    """A task of ``kind`` with three items ready; with ``free``, items
+    that cost no virtual time (where the task allows it)."""
+    request = mc.make_request(mc.OP_GETK, "k")
+    if kind in READERS:
+        task = READERS[kind](TaskChannel("out", 8))
+        socket = _FakeSocket()
+        task.attach(socket, lambda task: None)
+        if kind == "input":
+            socket.deliver(mc.encode(request) * 3)
+        else:
+            for chunk in (b"a", b"b", b"c"):
+                socket.deliver(chunk)
+        return task
+    if kind == "compute":
+        inbox = TaskChannel("in", 8)
+        task = ComputeTask("compute", inbox, task_id=1)
+        task.add_handler("client", lambda record: 0.0)
+        for _ in range(3):
+            inbox.push(("client", 0, request))
+        return task
+    if kind == "output":
+        inbox = TaskChannel("in", 8)
+        task = OutputTask(
+            "out", inbox, mc.full_codec().serialize, KERNEL, cores=1,
+            task_id=1,
+        )
+        task.bind_socket(_FakeSocket())
+        for _ in range(3):
+            inbox.push(request)
+        return task
+    if kind == "dispatcher":
+        task = DispatcherTask(
+            "dispatch", _StubDispatcher(),
+            (lambda: 0.0) if free else (lambda: KERNEL.accept_us),
+            task_id=1,
+        )
+        for index in range(3):
+            task.enqueue(f"socket-{index}")
+        return task
+    assert kind == "synthetic"
+    return SyntheticTask("synthetic", 3, 0 if free else 64, Engine())
+
+
+TASK_KINDS = ("compute", "dispatcher", "input", "output", "raw", "synthetic")
+
+
+class TestBudgetContract:
+    """``TaskBase``: a step takes no further item once its elapsed time
+    reaches the budget, so a zero budget takes one item per step, and
+    ``None`` runs to completion."""
+
+    @staticmethod
+    def _step(task, budget):
+        before = task.items_processed
+        _, emissions = task.step(budget)
+        for emit in emissions:
+            emit()
+        return task.items_processed - before
+
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_zero_budget_takes_at_most_one_item_per_step(self, kind):
+        task = _three_item_task(kind)
+        taken = []
+        while task.has_work():
+            taken.append(self._step(task, 0.0))
+        assert max(taken) == 1
+        assert sum(taken) == 3
+
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_no_budget_takes_every_ready_item_in_one_step(self, kind):
+        task = _three_item_task(kind)
+        assert self._step(task, None) == 3
+        assert not task.has_work()
+
+    @pytest.mark.parametrize("kind", ("dispatcher", "synthetic"))
+    def test_free_items_still_stop_a_zero_budget_step(self, kind):
+        """Elapsed time never falls, so ``0.0 >= 0.0`` ends the step
+        after one item even when the item cost nothing."""
+        task = _three_item_task(kind, free=True)
+        assert [self._step(task, 0.0) for _ in range(3)] == [1, 1, 1]
+        assert not task.has_work()

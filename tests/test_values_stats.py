@@ -152,16 +152,6 @@ class TestLatencySeries:
         series.record(40.0)
         assert series.max_us() == 40.0
         assert series.percentile_us(100) == 40.0
-        assert series.count_over(25.0) == 2
-
-    def test_count_over_is_strict_and_handles_duplicates(self):
-        series = LatencySeries()
-        for v in (1.0, 2.0, 2.0, 3.0):
-            series.record(v)
-        assert series.count_over(2.0) == 1  # strictly above
-        assert series.count_over(0.5) == 4
-        assert series.count_over(3.0) == 0
-        assert series.count_over(None) == 0
 
 
 @pytest.mark.usefixtures("traced")
