@@ -10,9 +10,10 @@ lock contention for Moxi, ...).
 
 Unlike the FLICK platform, baselines keep **persistent backend
 connections** (both Apache's ``mod_proxy`` and Nginx pool upstream
-connections), which is exactly the asymmetry that makes kernel-FLICK lose
+connections).  The paper gives this asymmetry as why kernel-FLICK loses
 the non-persistent experiment (Figure 4c) while winning the persistent
-one.
+one.  In this model a FLICK backend leg costs its first request the
+handshake round trip, and the middlebox no connect CPU.
 """
 
 from __future__ import annotations

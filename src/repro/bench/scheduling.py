@@ -74,8 +74,7 @@ class SchedulingResult:
 
     ``class_stats`` is the scheduler scoreboard's per-service-class
     summary (completions, SLO misses, latency) — keyed by class name
-    when the run carried a service-class map, by "default" otherwise;
-    ``scoreboard`` keeps the full per-completion record log behind it.
+    when the run carried a service-class map, by "default" otherwise.
     """
 
     policy: str
@@ -85,7 +84,6 @@ class SchedulingResult:
     heavy_max_ms: float
     makespan_ms: float
     class_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    scoreboard: object = None
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -171,7 +169,6 @@ def run_scheduling_experiment(
         heavy_max_ms=max(heavy_times) / 1000.0,
         makespan_ms=max(max(light_times), max(heavy_times)) / 1000.0,
         class_stats=scheduler.scoreboard.summary(),
-        scoreboard=scheduler.scoreboard,
     )
 
 

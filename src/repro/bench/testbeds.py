@@ -25,7 +25,6 @@ each app's defaults, over the same spec.
 from __future__ import annotations
 
 import random
-from itertools import chain
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.apps import hadoop_agg, http_lb, memcached_proxy
@@ -113,7 +112,6 @@ class Scenario(NamedTuple):
     mode: str = "lb"
     #: http_lb closed rule: keep-alive connections (else one per request).
     persistent: bool = True
-    timeslice_us: float = 50.0
     graph_pool_size: int = 512
     allocator: object = "static"
     #: Admission policy and class labels (request/response apps).
@@ -471,7 +469,6 @@ def _runtime_config(spec: Scenario, classes) -> RuntimeConfig:
     return RuntimeConfig(
         cores=spec.cores,
         stack=_stack_of(spec.system),
-        timeslice_us=spec.timeslice_us,
         graph_pool_size=spec.graph_pool_size,
         policy=spec.policy,
         topology=spec.topology,
@@ -663,10 +660,7 @@ def _scheduler_entry(spec: Scenario, platforms, client_outcomes) -> dict:
     return {
         "classes": (
             class_summary(
-                chain.from_iterable(
-                    p.scoreboard.records.rows() for p in platforms
-                ),
-                client_outcomes,
+                [p.scoreboard for p in platforms], client_outcomes
             )
             if platforms
             else {}
@@ -766,7 +760,7 @@ def run_experiment(spec) -> RunResult:
 
 def run_http_experiment(
     system, concurrency, persistent=True, mode="lb", cores=16,
-    requests_per_client=40, timeslice_us=50.0, graph_pool_size=512,
+    requests_per_client=40, graph_pool_size=512,
     policy="cooperative", topology=None, service_classes=(), slo_us=None,
     arrival=None, total_requests=None, seed=0xF11C, allocator="static",
     admission="admit-all", class_mix=(), shards=1, routing="hash-affinity",

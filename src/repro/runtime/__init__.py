@@ -19,7 +19,7 @@ from repro.runtime.qos import (
     parse_slo_class,
     parse_slo_class_specs,
 )
-from repro.runtime.scheduler import Scheduler, StealRecord, TaskBase
+from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.runtime.task import ComputeTask, InputTask, MergeTask, OutputTask
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "parse_slo_class",
     "parse_slo_class_specs",
     "Scheduler",
-    "StealRecord",
     "TaskBase",
     "ComputeTask",
     "InputTask",

@@ -66,7 +66,6 @@ class GraphDispatcher:
         self.group_size = group_size
         self._sink_connector = sink_connector
         self._pending_group: List = []
-        self.active_graphs = 0
         self.total_graphs = 0
 
     def assign_cost_us(self) -> float:
@@ -82,7 +81,6 @@ class GraphDispatcher:
         """
         if self._sink_connector is None:
             graph = self._build_graph()
-            self.active_graphs += 1
             self.total_graphs += 1
             graph.bind_client(socket)
             return
@@ -91,14 +89,12 @@ class GraphDispatcher:
             return
         sockets, self._pending_group = self._pending_group, []
         graph = self._build_graph()
-        self.active_graphs += 1
         self.total_graphs += 1
         self._sink_connector(
             lambda sink_socket: graph.bind_group(sockets, sink_socket)
         )
 
     def graph_finished(self, graph) -> None:
-        self.active_graphs -= 1
         self.pool.give_back()
 
 

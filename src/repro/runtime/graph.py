@@ -8,8 +8,11 @@ A :class:`TaskGraph` is one instance of a FLICK process bound to real
   each outbound (backend) leg — channel, output task, connection,
   return-path task — is built by the first value sent to it
   (:class:`_OutboundLeg`) and torn down with the graph.  FLICK does not
-  pool backend connections, which is exactly why the paper's
-  non-persistent kernel numbers trail Nginx (section 6.3).
+  pool backend connections, which section 6.3 of the paper gives as why
+  its non-persistent kernel numbers trail Nginx.  The model charges an
+  unpooled leg the handshake round trip before its first request
+  leaves, and no connect CPU: of connection set-up, only the inbound
+  accept costs the middlebox CPU.
 * **foldt graphs** (Hadoop aggregator): one input task per mapper
   connection, a binary tree of merge tasks, and one output task to the
   reducer (Figure 3c: 8 inputs, 7 compute, 1 output).

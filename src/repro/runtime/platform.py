@@ -79,7 +79,6 @@ class ProgramInstance:
             )
             self._dispatch_tasks.append(task)
         self._rr = 0
-        self.connections_accepted = 0
 
     def _build_graph(self) -> TaskGraph:
         return TaskGraph(
@@ -98,7 +97,6 @@ class ProgramInstance:
 
     def on_connection(self, socket) -> None:
         """Application-dispatcher entry: route an accepted connection."""
-        self.connections_accepted += 1
         task = self._dispatch_tasks[self._rr % len(self._dispatch_tasks)]
         self._rr += 1
         task.enqueue(socket)

@@ -22,10 +22,11 @@ Mechanism invariants, independent of policy:
   O(1) — then sleeps until new work arrives; every steal is charged
   ``STEAL_US`` (plus the topology's per-hop penalty times the socket
   distance between thief and victim) and every scheduling decision
-  ``SCHEDULE_US``, and is appended to :attr:`Scheduler.steal_log`.  A
-  policy may batch a steal (``steal_count``): the thief runs the first
-  stolen task and moves the rest to its own queue, paying the steal
-  cost once for the whole batch.
+  ``SCHEDULE_US``; the thief's ``steals``, ``stolen_tasks`` and
+  ``steal_us`` counters sum them.  A policy may batch a steal
+  (``steal_count``): the thief runs the first stolen task and moves the
+  rest to its own queue, paying the steal cost once for the whole
+  batch.
 * A scheduled task runs until its ``step(budget)`` contract returns:
   ``budget`` is a float timeslice in virtual µs, ``0.0`` for one item,
   or ``None`` for run-to-completion — whatever the policy dictates.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, NamedTuple, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.core.errors import RuntimeFlickError
 from repro.core.ids import stable_hash
@@ -49,7 +50,7 @@ from repro.runtime.allocator import AllocView, resolve_allocator
 from repro.runtime.costs import SCHEDULE_US, STEAL_US
 from repro.runtime.policy import overridden_hook, resolve_policy
 from repro.sim.engine import Engine
-from repro.sim.stats import ColumnLog, SloScoreboard
+from repro.sim.stats import SloScoreboard
 
 # Task scheduling states.
 IDLE = 0
@@ -57,37 +58,10 @@ QUEUED = 1
 RUNNING = 2
 
 
-class StealRecord(NamedTuple):
-    """One steal operation, as the mechanism performed and priced it.
-
-    ``queue_lens`` snapshots every worker's queue length at the moment
-    the policy chose the victim (before any task moved), so tests can
-    reconstruct what the thief could see — e.g. that a hierarchical
-    policy really stole from the nearest non-empty socket.  It is
-    captured only on topological schedulers (empty tuple on flat ones),
-    keeping the flat steal path free of the O(cores) walk.  ``hops`` is
-    the socket distance the steal crossed (0 on-socket) and ``cost_us``
-    the full charge: ``STEAL_US`` plus ``hops`` x the topology's per-hop
-    penalty.  :attr:`Scheduler.steal_log` stores these as columns (six
-    ``int`` arrays, a ``double`` array and a list of the snapshots) and
-    builds a record when it is read.
-    """
-
-    thief: int
-    victim: int
-    thief_socket: int
-    victim_socket: int
-    tasks: int
-    hops: int
-    cost_us: float
-    queue_lens: Tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class AllocRecord:
     """One applied core-allocation change, as the mechanism performed it.
 
-    The analogue of :class:`StealRecord` for the allocation plane:
     ``active_before``/``active_after`` are the active worker index sets
     around the change, ``parked``/``unparked`` the indices that moved
     between them, ``moved_tasks`` how many queued tasks the mechanism
@@ -223,7 +197,6 @@ class Scheduler:
             for i in range(cores)
         ]
         self.allocator = resolve_allocator(allocator)
-        self.allocator_name = self.allocator.name
         if self.allocator.is_static:
             # Byte-identity contract: `_active` *is* the worker list, so
             # placement and victim selection see the exact object a
@@ -239,11 +212,6 @@ class Scheduler:
         self._started = False
         self._queued = 0  # tasks waiting in worker queues
         self.tasks_executed = 0
-        #: One :class:`StealRecord` per steal operation, in order, kept
-        #: as columns: a flat steal costs 40 bytes, not a tuple.
-        self.steal_log: ColumnLog[StealRecord] = ColumnLog(
-            StealRecord, "iiiiiidO"
-        )
         #: One :class:`AllocRecord` per applied allocation change.
         self.alloc_log: list = []
         #: Per-service-class completion/latency/SLO-miss accounting.
@@ -433,8 +401,7 @@ class Scheduler:
                 admitted, task.admitted_at = task.admitted_at, None
                 service_class = task.service_class
                 self.scoreboard.record(
-                    task.task_id,
-                    task.name,
+                    task,
                     "default" if service_class is None else service_class.name,
                     admitted,
                     self.engine.now,
@@ -485,17 +452,6 @@ class Scheduler:
         victim = self._select_victim(worker, self._active)
         if victim is None or not victim.queue:
             return None, 0.0
-        topology = self.topology
-        # Snapshot before any task moves: the steal log must show what
-        # the policy's victim choice was made against.  The O(cores)
-        # walk is only paid on topological schedulers, where steal
-        # distance is a property worth reconstructing; flat schedulers
-        # log the steal with an empty snapshot.
-        queue_lens = (
-            tuple(len(w.queue) for w in self._workers)
-            if topology is not None
-            else ()
-        )
         steal_count = self._steal_count
         count = 1 if steal_count is None else max(
             1, min(int(steal_count(worker, victim)), len(victim.queue))
@@ -508,17 +464,15 @@ class Scheduler:
         for _ in range(count - 1):
             worker.queue.append(victim.queue.popleft())
         cost = STEAL_US
-        hops = 0
+        topology = self.topology
         if topology is not None and worker.socket != victim.socket:
-            hops = topology.socket_hops(worker.socket, victim.socket)
-            cost += hops * topology.remote_steal_penalty_us
+            cost += (
+                topology.socket_hops(worker.socket, victim.socket)
+                * topology.remote_steal_penalty_us
+            )
         worker.steals += 1
         worker.stolen_tasks += count
         worker.steal_us += cost
-        self.steal_log.append(
-            worker.index, victim.index, worker.socket, victim.socket,
-            count, hops, cost, queue_lens,
-        )
         return task, cost
 
 

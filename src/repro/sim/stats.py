@@ -1,9 +1,9 @@
 """Measurement helpers for simulated experiments.
 
 :class:`LatencySeries` collects per-request latencies;
-:class:`SloScoreboard` logs task busy periods in a :class:`ColumnLog`
-and :func:`class_summary` derives the per-service-class completions,
-latency and SLO misses from such logs; :class:`IntervalSeries` records
+:class:`SloScoreboard` accounts task busy periods per service class
+and :func:`class_summary` merges such boards into the per-class
+completions, latency and SLO misses; :class:`IntervalSeries` records
 the gaps between successive events (the realised inter-arrival times of
 an open-loop workload).  Summaries report virtual-µs durations in the
 milliseconds the paper's figures use.
@@ -14,11 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import (
-    Dict, Generic, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
-    Tuple, TypeVar,
-)
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.core.units import millis
 
@@ -26,7 +22,7 @@ from repro.core.units import millis
 class LatencySeries:
     """Collects latency samples (virtual µs).
 
-    Percentile/max/count-over accessors share one cached sorted view,
+    Percentile and max accessors share one cached sorted view,
     invalidated by a dirty bit on :meth:`record` — a full report
     (:meth:`percentile_summary_ms`) costs one O(n log n) sort no matter
     how many quantiles it reads, instead of one sort *per accessor* as
@@ -115,127 +111,16 @@ class IntervalSeries(LatencySeries):
         self._last_us = now_us
 
 
-_Row = TypeVar("_Row", bound=tuple)
-
-
-def _realign(columns: Tuple) -> None:
-    """Drop a half-appended row: every column back to the shortest."""
-    rows = min(map(len, columns))
-    for column in columns:
-        del column[rows:]
-
-
-@lru_cache(maxsize=None)
-def _appender_factory(width: int):
-    """``bind(p0, ..., pn, columns)`` returning ``append(v0, ..., vn)``,
-    which calls ``pi(vi)`` for every column, spelled out one call per
-    column as :func:`collections.namedtuple` spells out its ``__new__``
-    (a loop over the columns costs three times the appends themselves).
-    A value a column refuses leaves no part of its row behind.  Compiled
-    once per width: schedulers are built by the thousand in tests."""
-    puts = ", ".join(f"p{i}" for i in range(width))
-    values = ", ".join(f"v{i}" for i in range(width))
-    calls = "; ".join(f"p{i}(v{i})" for i in range(width))
-    source = (
-        f"def bind({puts}, columns):\n"
-        f"    def append({values}):\n"
-        f"        try:\n"
-        f"            {calls}\n"
-        f"        except BaseException:\n"
-        f"            _realign(columns)\n"
-        f"            raise\n"
-        f"    return append\n"
-    )
-    namespace = {"_realign": _realign}
-    exec(source, namespace)
-    return namespace["bind"]
-
-
-class ColumnLog(Generic[_Row]):
-    """An append-only log of ``row`` NamedTuples, kept one column per field.
-
-    ``typecodes`` has one character per field of ``row``: an
-    :mod:`array` typecode (``q``, ``i``, ``d``, ...) stores that field
-    as raw numbers, and ``O`` stores it in a list (a name, an SLO that
-    may be ``None``, a tuple), which holds one pointer to an object the
-    caller already shares.  A row so costs a few machine words instead
-    of a tuple and a float object per time stamp.
-
-    ``append(*values)`` takes every field's value, in field order.
-    Reading builds the rows: ``len``, ``bool`` and iteration answer as
-    a list of ``row`` values would.  :meth:`rows` yields plain tuples,
-    for a reader that only unpacks them.
-    """
-
-    __slots__ = ("_make", "_columns", "append")
-
-    def __init__(self, row: type, typecodes: str):
-        if len(typecodes) != len(row._fields):
-            raise ValueError(
-                f"{row.__name__} has {len(row._fields)} fields, "
-                f"got typecodes {typecodes!r}"
-            )
-        self._make = row._make
-        self._columns: Tuple = tuple(
-            [] if code == "O" else array(code) for code in typecodes
-        )
-        self.append = _appender_factory(len(typecodes))(
-            *(column.append for column in self._columns), self._columns
-        )
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __iter__(self) -> Iterator[_Row]:
-        return map(self._make, zip(*self._columns))
-
-    def rows(self) -> Iterator[tuple]:
-        """Every row as a plain tuple, in order."""
-        return zip(*self._columns)
-
-
-class SloRecord(NamedTuple):
-    """One accounted busy period of a task: admission to drain.
-
-    ``slo_us`` is the latency target the task carried (its service
-    class's SLO, or the platform-wide one); ``None`` means the task was
-    unclassified and cannot miss.
-    """
-
-    task_id: int
-    task: str
-    service_class: str
-    admitted_us: float
-    completed_us: float
-    slo_us: Optional[float] = None
-
-    @property
-    def latency_us(self) -> float:
-        return self.completed_us - self.admitted_us
-
-    @property
-    def deadline_us(self) -> Optional[float]:
-        """Absolute deadline: admission + SLO (``None`` without one)."""
-        if self.slo_us is None:
-            return None
-        return self.admitted_us + self.slo_us
-
-    @property
-    def missed(self) -> bool:
-        deadline = self.deadline_us
-        return deadline is not None and self.completed_us > deadline
-
-
 def class_summary(
-    records: Iterable[tuple],
+    scoreboards: Iterable[SloScoreboard],
     client_outcomes: Optional[Mapping[str, Mapping[str, int]]] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Per-class aggregate dict (plain numbers, safe to pin golden).
 
-    Completions, SLO misses and latency come from the busy-period
-    ``records``, :class:`SloRecord` values or plain tuples in its field
-    order (every platform's, in shard order for a fleet, so each class's
-    samples and their float sums are in a fixed order);
+    Completions, SLO misses and latency come from ``scoreboards`` (every
+    platform's, in shard order for a fleet): each class's samples are
+    merged board by board, so their order and float sums are fixed, and
+    classes appear in the order they first closed a busy period.
     ``shed`` and ``retried`` come from ``client_outcomes``, the client
     population's per-class table (:meth:`~repro.workloads.arrivals.
     ClientPopulation.admission_summary`), because a shed or retried
@@ -245,15 +130,15 @@ def class_summary(
     """
     latency: Dict[str, LatencySeries] = {}
     misses: Dict[str, int] = {}
-    for _, _, name, admitted_us, completed_us, slo_us in records:
-        series = latency.get(name)
-        if series is None:
-            series = latency[name] = LatencySeries()
-            misses[name] = 0
-        # SloRecord.missed and .latency_us, spelled out.
-        if slo_us is not None and completed_us > admitted_us + slo_us:
-            misses[name] += 1
-        series.record(completed_us - admitted_us)
+    for board in scoreboards:
+        for name, series in board.latency.items():
+            merged = latency.get(name)
+            if merged is None:
+                merged = latency[name] = LatencySeries()
+                misses[name] = 0
+            merged._samples.extend(series._samples)
+            merged._dirty = True
+            misses[name] += board.misses[name]
     clients = client_outcomes or {}
     names = dict.fromkeys(latency)
     names.update(
@@ -278,48 +163,54 @@ def class_summary(
 
 
 class SloScoreboard:
-    """The scheduler's log of task busy periods, one row each.
+    """The scheduler's per-service-class account of task busy periods.
 
-    The scheduling mechanism records one row per task *busy period*
-    (admission to drain, matching the 'deadline' policy's SLO clock);
-    classes are the :class:`~repro.runtime.qos.ServiceClass` names
-    stamped by the task graph, with unclassified tasks pooled under
-    ``"default"``.  :attr:`records` is the only state, a
-    :class:`ColumnLog` of :class:`SloRecord`: the task id and both time
-    stamps are stored as numbers, the names and the SLO as references
-    to the task's own objects.  :func:`class_summary` derives every
-    per-class aggregate from its :meth:`~ColumnLog.rows` once the run
-    is over.
+    The scheduling mechanism closes one *busy period* per task
+    admission (admission to drain, matching the 'deadline' policy's SLO
+    clock) and hands it to :meth:`record`; classes are the
+    :class:`~repro.runtime.qos.ServiceClass` names stamped by the task
+    graph, with unclassified tasks pooled under ``"default"``.  Per
+    class, in the order classes first appear, the board keeps exactly
+    what :func:`class_summary` reads: one latency sample per busy
+    period (8 bytes in a :class:`LatencySeries`) in :attr:`latency`,
+    and in :attr:`misses` how many periods overran their SLO.
     """
 
     def __init__(self):
-        self.records: ColumnLog[SloRecord] = ColumnLog(SloRecord, "qOOddO")
+        self.latency: Dict[str, LatencySeries] = {}
+        self.misses: Dict[str, int] = {}
 
     def record(
         self,
-        task_id: int,
-        task: str,
+        task,
         service_class: str,
         admitted_us: float,
         completed_us: float,
         slo_us: Optional[float] = None,
     ) -> None:
+        """Account ``task``'s busy period under ``service_class``; it
+        misses when it drained after ``admitted_us + slo_us`` (never
+        without an SLO)."""
         if completed_us < admitted_us:
             raise ValueError(
-                f"task {task!r} completed at {completed_us} before its "
-                f"admission at {admitted_us}"
+                f"task {task.name!r} completed at {completed_us} before "
+                f"its admission at {admitted_us}"
             )
-        self.records.append(
-            task_id, task, service_class, admitted_us, completed_us, slo_us
-        )
+        series = self.latency.get(service_class)
+        if series is None:
+            series = self.latency[service_class] = LatencySeries()
+            self.misses[service_class] = 0
+        if slo_us is not None and completed_us > admitted_us + slo_us:
+            self.misses[service_class] += 1
+        series.record(completed_us - admitted_us)
 
     @property
     def total_completions(self) -> int:
-        return len(self.records)
+        return sum(map(len, self.latency.values()))
 
     def summary(self) -> Dict[str, Dict[str, float]]:
-        """:func:`class_summary` of this scheduler's records alone."""
-        return class_summary(self.records.rows())
+        """:func:`class_summary` of this scheduler's busy periods alone."""
+        return class_summary([self])
 
 
 @dataclass

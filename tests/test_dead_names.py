@@ -1,5 +1,6 @@
 """No dead names: every function and class under ``src/`` is named
-somewhere besides its own definition.
+somewhere besides its own definition, and every attribute stored on
+``self`` under ``src/`` is read somewhere.
 
 A name that occurs exactly once across ``src/``, ``tests/``,
 ``benchmarks/`` and ``examples/`` — at its ``def`` or ``class`` — is code
@@ -8,6 +9,11 @@ whole text, so a name used only in generated source, an f-string or a
 ``getattr`` string still counts as used.  Dunder methods are exempt
 (Python calls them), and so are decorated classes: registry entries are
 reached through their decorator, by name.
+
+An attribute is state nothing consults when no tree reads its name: no
+attribute load (``x.name``; ``self.name += 1`` is a store), no keyword
+argument ``name=`` and no identifier ``name`` inside a string constant
+(generated code, ``getattr`` names, ``__slots__``).
 """
 
 import ast
@@ -39,9 +45,49 @@ def _dead_names(root=ROOT):
     return dead
 
 
+def _write_only_attributes(root=ROOT):
+    """``path:line name`` of the first ``self.name`` store under ``src/``
+    of every attribute name that no tree reads."""
+    reads = set()
+    stores = {}
+    for tree in TREES:
+        for path in sorted((root / tree).rglob("*.py")):
+            module = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(module):
+                if isinstance(node, ast.Attribute):
+                    if isinstance(node.ctx, ast.Load):
+                        reads.add(node.attr)
+                    elif (
+                        tree == "src"
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    ):
+                        where = (str(path.relative_to(root)), node.lineno)
+                        stores[node.attr] = min(
+                            stores.get(node.attr, where), where
+                        )
+                elif isinstance(node, ast.keyword) and node.arg:
+                    reads.add(node.arg)
+                elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ):
+                    reads.update(IDENTIFIER.findall(node.value))
+    return sorted(
+        f"{path}:{line} {name}"
+        for name, (path, line) in stores.items()
+        if name not in reads
+    )
+
+
 def test_every_function_and_class_under_src_is_referenced():
     dead = _dead_names()
     assert not dead, "defined and referenced nowhere: " + "; ".join(dead)
+
+
+def test_every_attribute_stored_under_src_is_read():
+    unread = _write_only_attributes()
+    assert not unread, "stored and read nowhere: " + "; ".join(unread)
 
 
 def _tree(tmp_path, src, tests=""):
@@ -89,3 +135,45 @@ def test_decorated_classes_and_dunders_are_exempt(tmp_path):
     # Only classes are reached through their decorator; a decorated
     # function still needs a caller.
     assert _dead_names(root) == ["src/mod.py:12 decorated_function"]
+
+
+def test_an_attribute_only_stored_is_flagged_at_its_first_store(tmp_path):
+    root = _tree(
+        tmp_path,
+        "class Counter:\n"
+        "    def __init__(self):\n"
+        "        self.hits = 0\n"
+        "        self.total = 0\n\n"
+        "    def bump(self):\n"
+        "        self.hits += 1\n"
+        "        self.total = self.total + 1\n",
+    )
+    # An augmented assignment stores; only ``total`` is ever loaded.
+    assert _write_only_attributes(root) == ["src/mod.py:3 hits"]
+
+
+def test_a_load_keyword_or_string_anywhere_counts_as_a_read(tmp_path):
+    root = _tree(
+        tmp_path,
+        "class Holder:\n"
+        "    __slots__ = ('slotted',)\n\n"
+        "    def __init__(self):\n"
+        "        self.slotted = 1\n"
+        "        self.by_keyword = 2\n"
+        "        self.by_getattr = 3\n"
+        "        self.by_test = 4\n"
+        "        self.by_source = 5\n\n"
+        "    def copy(self):\n"
+        "        return dict(by_keyword=getattr(self, 'by_getattr'))\n\n\n"
+        "SOURCE = 'def peek(h):\\n    return h.by_source\\n'\n",
+        tests="def test_it(holder):\n    assert holder.by_test == 4\n",
+    )
+    assert _write_only_attributes(root) == []
+
+
+def test_a_store_on_another_object_is_not_checked(tmp_path):
+    root = _tree(
+        tmp_path,
+        "def stamp(task):\n    task.stamped = True\n",
+    )
+    assert _write_only_attributes(root) == []

@@ -5,17 +5,19 @@ opposite ones two, with steals priced per hop.  The ``numa`` policy must
 steal *hierarchically* — own socket, then nearest non-empty socket,
 widening one tier at a time — which these tests verify two ways:
 
-* a property test reconstructs every steal from the scheduler's steal
-  log (which snapshots all queue lengths at victim-selection time) and
-  checks it took from the nearest non-empty socket, and that the total
-  steal cost decomposes exactly into ``steals * STEAL_US + hops *
-  per-hop penalty``;
+* a property test watches every steal through the policy's
+  ``select_victim`` hook (wrapped on the instance, so it sees the
+  queues each victim was chosen against) and checks it took from the
+  nearest non-empty socket, and that each thief's steal cost
+  decomposes exactly into ``steals * STEAL_US + hops * per-hop
+  penalty``;
 * an outcome test pits hierarchical stealing against PR 2's flat
   local-then-anywhere order on the same four-socket workload and
   requires strictly lower cross-socket steal cost.
 """
 
 import random
+from typing import NamedTuple, Tuple
 
 import pytest
 
@@ -27,7 +29,7 @@ from repro.net.stackprofiles import (
     CoreTopology,
 )
 from repro.runtime.costs import STEAL_US
-from repro.runtime.policy import NumaPolicy
+from repro.runtime.policy import NumaPolicy, resolve_policy
 from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
 
@@ -35,6 +37,48 @@ from tests.item_task import ItemTask
 
 SEEDS = (3, 11, 42)
 CORES = 16  # the full four-socket box: 4 sockets x 4 cores
+
+
+class Steal(NamedTuple):
+    """One steal the mechanism made, as the policy chose it."""
+
+    thief: int
+    victim: int
+    hops: int
+    #: Every candidate queue's length when the victim was chosen.
+    queue_lens: Tuple[int, ...]
+
+
+def watch_steals(policy):
+    """``(policy, steals)``: ``policy`` (a name or an instance) with its
+    ``select_victim`` wrapped, and the list of :class:`Steal` it fills.
+
+    Wrap before a scheduler adopts the policy, which binds the hook
+    once.  A chosen victim with a queued task is a steal: the mechanism
+    takes from every such victim, and from no other.  ``hops`` is the
+    distance on the four-socket ring (0 on a flat scheduler, whose
+    workers are all on socket 0).
+    """
+    policy = resolve_policy(policy)
+    steals = []
+    choose = policy.select_victim
+
+    def recording(worker, workers):
+        queue_lens = tuple(len(w.queue) for w in workers)
+        victim = choose(worker, workers)
+        if victim is not None and victim.queue:
+            hops = FOUR_SOCKET.socket_hops(worker.socket, victim.socket)
+            steals.append(
+                Steal(worker.index, victim.index, hops, queue_lens)
+            )
+        return victim
+
+    policy.select_victim = recording
+    return policy, steals
+
+
+def remote_cost(steals) -> float:
+    return sum(s.hops * FOUR_SOCKET.remote_steal_penalty_us for s in steals)
 
 
 def run_four_socket_workload(policy, seed, n_tasks=48):
@@ -69,6 +113,12 @@ def run_four_socket_workload(policy, seed, n_tasks=48):
     engine.run()
     assert all(t.remaining == 0 for t in tasks)
     return scheduler
+
+
+def four_socket_steals(policy, seed):
+    """``(scheduler, steals)`` of one :func:`run_four_socket_workload`."""
+    policy, steals = watch_steals(policy)
+    return run_four_socket_workload(policy, seed), steals
 
 
 class TestSocketDistanceMatrix:
@@ -110,45 +160,46 @@ class TestSocketDistanceMatrix:
 class TestHierarchicalStealProperty:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_numa_steal_is_from_the_nearest_nonempty_socket(self, seed):
-        """Reconstructed from the steal log: at victim-selection time no
-        socket closer to the thief held any queued work."""
-        scheduler = run_four_socket_workload("numa", seed)
-        assert scheduler.steal_log, "workload produced no steals"
+        """At victim-selection time no socket closer to the thief held
+        any queued work."""
+        scheduler, steals = four_socket_steals("numa", seed)
+        assert steals, "workload produced no steals"
         sockets = [w.socket for w in scheduler._workers]
-        for record in scheduler.steal_log:
+        for steal in steals:
             non_empty_hops = {
-                FOUR_SOCKET.socket_hops(record.thief_socket, sockets[i])
-                for i, qlen in enumerate(record.queue_lens)
-                if qlen > 0 and i != record.thief
+                FOUR_SOCKET.socket_hops(sockets[steal.thief], sockets[i])
+                for i, qlen in enumerate(steal.queue_lens)
+                if qlen > 0 and i != steal.thief
             }
             assert non_empty_hops, "steal with no visible victim work"
-            assert record.hops == min(non_empty_hops), (
-                f"thief {record.thief} (socket {record.thief_socket}) "
-                f"stole {record.hops} hops away while a socket "
+            assert steal.hops == min(non_empty_hops), (
+                f"thief {steal.thief} (socket {sockets[steal.thief]}) "
+                f"stole {steal.hops} hops away while a socket "
                 f"{min(non_empty_hops)} hops away had work"
             )
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("name", ("numa", "cooperative", "steal-half"))
     def test_steal_cost_decomposes_into_base_plus_hops(self, name, seed):
-        """total steal cost == steals * STEAL_US + Σ hops * per-hop
-        penalty, for any policy's steal pattern."""
-        scheduler = run_four_socket_workload(name, seed)
-        log = scheduler.steal_log
-        assert len(log) == scheduler.total_steals
-        assert sum(r.tasks for r in log) == scheduler.total_stolen_tasks
+        """Each thief's steal cost is, term by term, STEAL_US + hops x
+        per-hop penalty per steal, for any policy's steal pattern."""
+        scheduler, steals = four_socket_steals(name, seed)
+        assert len(steals) == scheduler.total_steals > 0
         expected = (
             scheduler.total_steals * STEAL_US
-            + sum(r.hops for r in log) * FOUR_SOCKET.remote_steal_penalty_us
+            + sum(s.hops for s in steals) * FOUR_SOCKET.remote_steal_penalty_us
         )
         assert scheduler.total_steal_us == pytest.approx(expected)
-        for record in log:
-            assert record.hops == FOUR_SOCKET.socket_hops(
-                record.thief_socket, record.victim_socket
-            )
-            assert record.cost_us == pytest.approx(
-                STEAL_US + record.hops * FOUR_SOCKET.remote_steal_penalty_us
-            )
+        for worker in scheduler._workers:
+            mine = [s for s in steals if s.thief == worker.index]
+            assert len(mine) == worker.steals
+            charged = 0.0
+            for steal in mine:
+                assert steal.victim != worker.index
+                charged += (
+                    STEAL_US + steal.hops * FOUR_SOCKET.remote_steal_penalty_us
+                )
+            assert charged == worker.steal_us
 
 
 class _FlatNumaPolicy(NumaPolicy):
@@ -177,7 +228,7 @@ class _FlatNumaPolicy(NumaPolicy):
         return local if local is not None else remote
 
 
-def run_steal_gradient_workload(policy):
+def steal_gradient_steals(policy):
     """A deterministic steal gradient on the four-socket ring.
 
     Socket 0's cores carry tiny tasks (they drain first and turn
@@ -187,8 +238,9 @@ def run_steal_gradient_workload(policy):
     flat policy's only signal — points two hops out, so
     local-then-anywhere burns far steals on work that never needed to
     move, while the hierarchy feeds the thieves from the one-hop
-    surplus.
+    surplus.  Returns the steals the run made.
     """
+    policy, steals = watch_steals(policy)
     engine = Engine()
     scheduler = Scheduler(engine, CORES, 50.0, policy, FOUR_SOCKET)
     tasks = []
@@ -208,14 +260,7 @@ def run_steal_gradient_workload(policy):
         scheduler.notify_runnable(task)
     engine.run()
     assert all(t.remaining == 0 for t in tasks)
-    return scheduler
-
-
-def _remote_cost(scheduler) -> float:
-    return sum(
-        r.hops * FOUR_SOCKET.remote_steal_penalty_us
-        for r in scheduler.steal_log
-    )
+    return steals
 
 
 class TestHierarchicalBeatsFlat:
@@ -223,16 +268,16 @@ class TestHierarchicalBeatsFlat:
         """Acceptance: on four-socket the hierarchical order pays
         strictly less cross-socket steal cost than PR 2's
         local-then-anywhere order on the identical workload."""
-        hierarchical = run_steal_gradient_workload("numa")
-        flat = run_steal_gradient_workload(_FlatNumaPolicy())
-        assert any(r.hops > 1 for r in flat.steal_log), (
+        hierarchical = steal_gradient_steals("numa")
+        flat = steal_gradient_steals(_FlatNumaPolicy())
+        assert any(s.hops > 1 for s in flat), (
             "workload never tempted the flat policy into a far steal; "
             "the comparison would be vacuous"
         )
-        assert _remote_cost(hierarchical) < _remote_cost(flat)
+        assert remote_cost(hierarchical) < remote_cost(flat)
         # The hierarchy also keeps every steal within one hop here: the
         # one-hop tier never runs dry, so two-hop steals never happen.
-        assert max(r.hops for r in hierarchical.steal_log) == 1
+        assert max(s.hops for s in hierarchical) == 1
 
     def test_randomized_workloads_never_pay_more(self):
         """Across the seeded random workloads the hierarchy is never
@@ -241,10 +286,8 @@ class TestHierarchicalBeatsFlat:
         tier, where the two orders coincide)."""
         totals = [0.0, 0.0]
         for seed in SEEDS:
-            hierarchical = _remote_cost(run_four_socket_workload("numa", seed))
-            flat = _remote_cost(
-                run_four_socket_workload(_FlatNumaPolicy(), seed)
-            )
+            hierarchical = remote_cost(four_socket_steals("numa", seed)[1])
+            flat = remote_cost(four_socket_steals(_FlatNumaPolicy(), seed)[1])
             assert hierarchical <= flat, f"seed {seed}"
             totals[0] += hierarchical
             totals[1] += flat
@@ -254,7 +297,8 @@ class TestHierarchicalBeatsFlat:
         """Flat schedulers bind no topology: the hierarchical order
         degenerates to socket-0-everywhere, longest queue."""
         engine = Engine()
-        scheduler = Scheduler(engine, 4, 50.0, "numa")
+        policy, steals = watch_steals("numa")
+        scheduler = Scheduler(engine, 4, 50.0, policy)
         tasks = [ItemTask(f"t{i}", 20, 2.0, next(engine.task_ids)) for i in range(8)]
         for task in tasks:
             task.home_hint = 0
@@ -263,7 +307,7 @@ class TestHierarchicalBeatsFlat:
             scheduler.notify_runnable(task)
         engine.run()
         assert all(t.remaining == 0 for t in tasks)
-        assert all(r.hops == 0 for r in scheduler.steal_log)
+        assert steals and all(s.hops == 0 for s in steals)
         assert scheduler.total_steal_us == pytest.approx(
             scheduler.total_steals * STEAL_US
         )

@@ -122,11 +122,24 @@ class BudgetRecorder:
         policy.budget = recording
 
 
-def run_workload(policy, seed, topology=None):
-    """One randomized run; returns ``(scheduler, tasks)`` at quiescence."""
+def run_workload(policy, seed, topology=None, periods=None):
+    """One randomized run; returns ``(scheduler, tasks)`` at quiescence.
+
+    ``periods``, a list, receives every busy period the scheduler
+    records, as the arguments of its scoreboard's ``record``:
+    ``(task, service_class, admitted_us, completed_us, slo_us)``.
+    """
     rng = random.Random(seed)
     engine = Engine()
     scheduler = Scheduler(engine, CORES, 50.0, policy, topology)
+    if periods is not None:
+        record = scheduler.scoreboard.record
+
+        def recording(*args):
+            periods.append(args)
+            record(*args)
+
+        scheduler.scoreboard.record = recording
     tasks = []
     for index in range(N_TASKS):
         task = HarnessTask(
@@ -250,15 +263,16 @@ class TestPolicyInvariants:
         """Scoreboard conservation: per-class completion counts sum to
         the total, and every admitted task is accounted exactly once
         (this workload admits each task a single time)."""
-        scheduler, tasks = run_workload(make_policy(name), seed)
+        periods = []
+        scheduler, tasks = run_workload(make_policy(name), seed, periods=periods)
         scoreboard = scheduler.scoreboard
         by_class = {
             name: stats["completions"]
             for name, stats in scoreboard.summary().items()
         }
         assert sum(by_class.values()) == scoreboard.total_completions
-        assert scoreboard.total_completions == len(scoreboard.records)
-        recorded_ids = sorted(r.task_id for r in scoreboard.records)
+        assert scoreboard.total_completions == len(periods)
+        recorded_ids = sorted(period[0].task_id for period in periods)
         assert recorded_ids == sorted(t.task_id for t in tasks)
         # The class breakdown mirrors what was stamped on the tasks.
         expected = {}
@@ -268,22 +282,26 @@ class TestPolicyInvariants:
         assert by_class == expected
 
     def test_slo_deadline_never_precedes_admission(self, name, seed):
-        """Scoreboard coherence: every record's completion and deadline
-        sit at or after its admission, and classified records carry
-        their class's SLO."""
-        scheduler, tasks = run_workload(make_policy(name), seed)
-        classes = {t.task_id: t.service_class for t in tasks}
-        for record in scheduler.scoreboard.records:
-            assert record.completed_us >= record.admitted_us
-            assert record.latency_us >= 0.0
-            deadline = record.deadline_us
-            if deadline is not None:
-                assert deadline >= record.admitted_us
-                assert record.missed == (record.completed_us > deadline)
-            service_class = classes[record.task_id]
-            if service_class is not None:
-                assert record.service_class == service_class.name
-                assert record.slo_us == service_class.slo_us
+        """Scoreboard coherence: every busy period's completion and
+        deadline sit at or after its admission, classified periods carry
+        their class's SLO, and each class's misses are its periods that
+        drained after their deadline."""
+        periods = []
+        scheduler, _ = run_workload(make_policy(name), seed, periods=periods)
+        misses = {}
+        for task, class_name, admitted_us, completed_us, slo_us in periods:
+            assert completed_us >= admitted_us
+            missed = False
+            if slo_us is not None:
+                deadline = admitted_us + slo_us
+                assert deadline >= admitted_us
+                missed = completed_us > deadline
+            misses[class_name] = misses.get(class_name, 0) + missed
+            if task.service_class is not None:
+                assert class_name == task.service_class.name
+                assert slo_us == task.service_class.slo_us
+        summary = scheduler.scoreboard.summary()
+        assert {n: s["misses"] for n, s in summary.items()} == misses
 
     def test_slo_miss_counts_are_seed_deterministic(self, name, seed):
         """Identical seeds must yield identical per-class SLO misses."""

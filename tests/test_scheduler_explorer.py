@@ -34,9 +34,9 @@ and at quiescence:
   pipeline);
 * no lost wakeup: no task ``has_work()``, every task is idle and every
   worker queue is empty;
-* ``steal_log`` iterates as ``StealRecord`` values that replay to the
-  per-worker ``steals`` / ``stolen_tasks`` / ``steal_us``;
-* scoreboard busy periods balance: one record per admission, none open.
+* scoreboard busy periods balance: one recorded period per admission
+  (seen through the scoreboard's ``record``, wrapped on the instance),
+  in order, none open.
 
 Each test prints how many schedules and post-event states it checked
 (``pytest -s``) and asserts both counts (``SCHEDULES``, ``STATES``).
@@ -53,7 +53,7 @@ import pytest
 from repro.runtime.allocator import make_allocator
 from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.policy import registered_policies
-from repro.runtime.scheduler import IDLE, Scheduler, StealRecord, TaskBase
+from repro.runtime.scheduler import IDLE, Scheduler, TaskBase
 from repro.sim.engine import Engine
 from tests.explore import timings
 
@@ -261,7 +261,16 @@ class _Run:
         self.was_sleeping = [False] * workers
         self.admitted = {task: None for task in self.tasks}
         self.admissions = {task: 0 for task in self.tasks}
+        self.periods = {task: [] for task in self.tasks}
         self.pending_seen = 0
+        scoreboard = self.scheduler.scoreboard
+        record = scoreboard.record
+
+        def recording(task, service_class, admitted_us, completed_us, slo_us):
+            self.periods[task].append((admitted_us, completed_us))
+            record(task, service_class, admitted_us, completed_us, slo_us)
+
+        scoreboard.record = recording
 
     def fire(self, stimulus):
         scheduler = self.scheduler
@@ -325,26 +334,15 @@ class _Run:
             assert not task.has_work(), f"lost wakeup: {task.name} has work"
             assert task.sched_state == IDLE
         assert not any(w.queue for w in scheduler._workers), "task left queued"
-        steals = list(scheduler.steal_log)
-        assert all(type(r) is StealRecord for r in steals)
-        assert len(steals) == len(scheduler.steal_log)
-        for worker in scheduler._workers:
-            mine = [r for r in steals if r.thief == worker.index]
-            assert all(r.victim != worker.index for r in mine)
-            assert len(mine) == worker.steals, "steal_log replay"
-            assert sum(r.tasks for r in mine) == worker.stolen_tasks
-            charged = 0.0
-            for record in mine:
-                charged += record.cost_us
-            assert charged == worker.steal_us
-        records = scheduler.scoreboard.records
         for task in self.tasks:
             assert task.admitted_at is None, f"{task.name} busy period open"
-            periods = [r for r in records if r.task_id == task.task_id]
+            periods = self.periods[task]
             assert len(periods) == self.admissions[task], "busy periods"
-            for earlier, later in zip(periods, periods[1:]):
-                assert earlier.completed_us <= later.admitted_us
-            assert all(r.admitted_us <= r.completed_us for r in periods)
+            for (_, completed_us), (admitted_us, _) in zip(
+                periods, periods[1:]
+            ):
+                assert completed_us <= admitted_us
+            assert all(admitted <= completed for admitted, completed in periods)
 
 
 def _stimuli_for(shape, allocator):
@@ -399,7 +397,7 @@ def test_every_small_schedule(policy, allocator):
                 run = _Run(policy, allocator, workers, shape, capacity)
                 states += run.run(timing)
                 schedules += 1
-                steals += len(run.scheduler.steal_log)
+                steals += run.scheduler.total_steals
                 pending += run.pending_seen
                 for record in run.scheduler.alloc_log:
                     parks += bool(record.parked)

@@ -44,7 +44,7 @@ from repro.runtime.qos import (
 )
 from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
-from repro.sim.stats import SloRecord, SloScoreboard
+from repro.sim.stats import SloScoreboard
 
 from tests.item_task import ItemTask
 
@@ -372,56 +372,60 @@ class TestGraphStamping:
         assert not hasattr(task, "slo_us")
 
 
+def watch_periods(scoreboard):
+    """Wrap ``scoreboard``'s ``record`` on the instance; return the list
+    of busy periods it fills, each the call's arguments: ``(task,
+    service_class, admitted_us, completed_us, slo_us)``."""
+    periods = []
+    record = scoreboard.record
+
+    def recording(*args):
+        periods.append(args)
+        record(*args)
+
+    scoreboard.record = recording
+    return periods
+
+
 class TestScoreboard:
     def test_rejects_time_travel(self):
         scoreboard = SloScoreboard()
-        with pytest.raises(ValueError):
-            scoreboard.record(1, "t", "gold", 10.0, 5.0, 100.0)
-        # Rejected before the first column append: no half-written row.
-        records = scoreboard.records
-        assert not records and len(records) == 0 == len(list(records))
-        # A time stamp the double column refuses after three columns
-        # took their values: the row is dropped from every column.
-        with pytest.raises(TypeError):
-            scoreboard.record(2, "t", "gold", "10", "50", 100.0)
-        assert len(records) == 0 == len(list(records))
-        scoreboard.record(3, "t", "gold", 10.0, 50.0, 100.0)
-        assert list(records) == [SloRecord(3, "t", "gold", 10.0, 50.0, 100.0)]
+        task = ItemTask("t", 1, 1.0, 1)
+        with pytest.raises(ValueError, match="'t' completed at 5.0"):
+            scoreboard.record(task, "gold", 10.0, 5.0, 100.0)
+        # Rejected before anything is kept: no class, no sample.
+        assert scoreboard.total_completions == 0
+        assert scoreboard.summary() == {}
+        scoreboard.record(task, "gold", 10.0, 50.0, 100.0)
+        assert scoreboard.total_completions == 1
 
     def test_counts_and_misses(self):
         scoreboard = SloScoreboard()
-        scoreboard.record(1, "a", "gold", 0.0, 500.0, 1_000.0)  # met
-        scoreboard.record(2, "b", "gold", 0.0, 1_500.0, 1_000.0)  # missed
-        scoreboard.record(3, "c", "bronze", 0.0, 400.0, 50_000.0)
-        scoreboard.record(4, "d", "default", 0.0, 9.0)  # no SLO, no miss
-        assert scoreboard.total_completions == 4
-        # The log reads as the list of SloRecords it replaces.
-        expected = [
-            SloRecord(1, "a", "gold", 0.0, 500.0, 1_000.0),
-            SloRecord(2, "b", "gold", 0.0, 1_500.0, 1_000.0),
-            SloRecord(3, "c", "bronze", 0.0, 400.0, 50_000.0),
-            SloRecord(4, "d", "default", 0.0, 9.0, None),
-        ]
-        records = scoreboard.records
-        assert len(records) == 4 and bool(records)
-        assert list(records) == expected
-        assert all(type(r) is SloRecord for r in records)
-        assert [r.missed for r in records] == [False, True, False, False]
-        assert list(records.rows()) == [tuple(r) for r in expected]
+        tasks = [ItemTask(name, 1, 1.0, i) for i, name in enumerate("abcde")]
+        scoreboard.record(tasks[0], "gold", 0.0, 500.0, 1_000.0)  # met
+        scoreboard.record(tasks[1], "gold", 0.0, 1_500.0, 1_000.0)  # missed
+        scoreboard.record(tasks[2], "bronze", 0.0, 400.0, 50_000.0)
+        scoreboard.record(tasks[3], "default", 0.0, 9.0)  # no SLO, no miss
+        # Draining exactly at the deadline meets it.
+        scoreboard.record(tasks[4], "gold", 100.0, 1_100.0, 1_000.0)
+        assert scoreboard.total_completions == 5
         summary = scoreboard.summary()
+        # Classes in the order they first closed a busy period.
         assert {n: s["completions"] for n, s in summary.items()} == {
-            "gold": 2, "bronze": 1, "default": 1
+            "gold": 3, "bronze": 1, "default": 1
         }
+        assert list(summary) == ["gold", "bronze", "default"]
         assert {n: s["misses"] for n, s in summary.items()} == {
             "gold": 1, "bronze": 0, "default": 0
         }
-        assert summary["gold"]["completions"] == 2
-        assert summary["gold"]["misses"] == 1
         assert summary["gold"]["mean_ms"] == pytest.approx(1.0)
+        assert summary["gold"]["max_ms"] == pytest.approx(1.5)
+        assert summary["default"]["mean_ms"] == pytest.approx(0.009)
 
     def test_scheduler_accounts_classified_tasks(self):
         engine = Engine()
         scheduler = Scheduler(engine, 2, 50.0, "deadline")
+        periods = watch_periods(scheduler.scoreboard)
         gold_task = ItemTask("g", 4, 2.0, next(engine.task_ids))
         gold_task.service_class = GOLD
         gold_task.slo_us = GOLD.slo_us
@@ -434,16 +438,18 @@ class TestScoreboard:
         assert {n: s["completions"] for n, s in summary.items()} == {
             "gold": 1, "default": 1
         }
-        record = next(
-            r for r in scheduler.scoreboard.records if r.task == "g"
+        (task, class_name, admitted_us, completed_us, slo_us), = (
+            period for period in periods if period[0] is gold_task
         )
-        assert record.slo_us == GOLD.slo_us
-        assert record.admitted_us == 0.0
-        assert not record.missed
+        assert class_name == "gold" and slo_us == GOLD.slo_us
+        assert admitted_us == 0.0
+        assert completed_us <= admitted_us + slo_us
+        assert summary["gold"]["misses"] == 0
 
     def test_readmission_opens_a_new_busy_period(self):
         engine = Engine()
         scheduler = Scheduler(engine, 1, 50.0, "cooperative")
+        periods = watch_periods(scheduler.scoreboard)
         task = ItemTask("t", 3, 2.0, next(engine.task_ids))
         scheduler.start()
         scheduler.notify_runnable(task)
@@ -451,10 +457,12 @@ class TestScoreboard:
         task.remaining = 2  # new work arrives later
         scheduler.notify_runnable(task)
         engine.run()
-        records = [r for r in scheduler.scoreboard.records if r.task == "t"]
-        assert len(records) == 2
-        assert records[1].admitted_us > records[0].admitted_us
-        assert records[1].admitted_us >= records[0].completed_us
+        stamps = [(p[2], p[3]) for p in periods if p[0] is task]
+        assert len(stamps) == 2
+        (first_admitted, first_completed), (admitted, _) = stamps
+        assert admitted > first_admitted
+        assert admitted >= first_completed
+        assert scheduler.scoreboard.total_completions == 2
 
 
 class TestPolicyConsumption:
@@ -561,6 +569,7 @@ fun respond: (req: http_req) -> (http_resp)
         program = compile_source(source)
         platform.register_program(program, "Gold", 8001)
         platform.register_program(program, "Bronze", 8002)
+        periods = watch_periods(platform.scoreboard)
         platform.start()
         pops = []
         for hosts, port in ((gold_hosts, 8001), (bronze_hosts, 8002)):
@@ -571,27 +580,27 @@ fun respond: (req: http_req) -> (http_resp)
             pop.start()
             pops.append(pop)
         engine.run()
-        return platform, pops
+        return platform, pops, periods
 
     def test_two_programs_account_under_their_own_classes(self):
-        platform, pops = self._run_two_tier_platform()
+        platform, pops, periods = self._run_two_tier_platform()
         assert all(pop.finished and pop.errors == 0 for pop in pops)
         summary = platform.scoreboard.summary()
         assert summary["gold"]["completions"] > 0
         assert summary["bronze"]["completions"] > 0
-        # Classified records carry their class SLO, and the connection
-        # tasks really are the programs' endpoint tasks.
-        for record in platform.scoreboard.records:
-            if record.service_class == "gold":
-                assert record.slo_us == GOLD.slo_us
-            elif record.service_class == "bronze":
-                assert record.slo_us == BRONZE.slo_us
+        # Classified busy periods carry their class SLO, and the
+        # connection tasks really are the programs' endpoint tasks.
+        for _, class_name, _, _, slo_us in periods:
+            if class_name == "gold":
+                assert slo_us == GOLD.slo_us
+            elif class_name == "bronze":
+                assert slo_us == BRONZE.slo_us
         # The compute stage — the request processing itself — is
         # classified too, not just the socket tasks around it.
         compute_classes = {
-            r.service_class
-            for r in platform.scoreboard.records
-            if r.task.endswith(":compute")
+            class_name
+            for task, class_name, *_ in periods
+            if task.name.endswith(":compute")
         }
         assert {"gold", "bronze"} <= compute_classes
 
@@ -601,26 +610,33 @@ class TestTwoClassOutcome:
 
     KWARGS = dict(n_tasks=40, items_per_task=40, cores=8)
 
-    def test_gold_misses_strictly_fewer_than_single_class(self):
+    def test_gold_misses_strictly_fewer_than_single_class(self, monkeypatch):
         """gold=1ms/bronze=50ms under 'deadline' beats a single-class
         platform at equal load: strictly fewer gold SLO misses, where
         gold is the light half of the workload in both runs."""
-        single = run_scheduling_experiment(
+        light_misses = []
+        record = SloScoreboard.record
+
+        def recording(board, task, class_name, admitted_us, completed_us, slo_us):
+            if task.name.startswith("light"):
+                light_misses.append(completed_us > admitted_us + slo_us)
+            record(board, task, class_name, admitted_us, completed_us, slo_us)
+
+        monkeypatch.setattr(SloScoreboard, "record", recording)
+        run_scheduling_experiment(
             "deadline",
             service_classes=parse_slo_class_specs(
                 ["light=uniform:1000", "heavy=uniform:1000"]
             ),
             **self.KWARGS,
         )
+        monkeypatch.undo()
         tiered = run_scheduling_experiment(
             "deadline", service_classes=TWO_TIERS, **self.KWARGS
         )
         # Gold population = the light tasks, in both runs.
-        single_gold_misses = sum(
-            1
-            for r in single.scoreboard.records
-            if r.task.startswith("light") and r.missed
-        )
+        assert len(light_misses) == self.KWARGS["n_tasks"] / 2
+        single_gold_misses = sum(light_misses)
         gold_stats = tiered.class_stats["gold"]
         assert gold_stats["completions"] == self.KWARGS["n_tasks"] / 2
         assert gold_stats["misses"] < single_gold_misses

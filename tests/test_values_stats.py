@@ -1,6 +1,7 @@
 """Tests for runtime values, measurement helpers and report rendering."""
 
 import gc
+import random
 import tracemalloc
 
 import pytest
@@ -16,7 +17,9 @@ from repro.core.units import (
 from repro.lang.values import Record, record_size_bytes
 from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
-from repro.sim.stats import LatencySeries, RunResult, SloScoreboard
+from repro.sim.stats import (
+    LatencySeries, RunResult, SloScoreboard, class_summary,
+)
 
 from tests.item_task import ItemTask
 
@@ -155,14 +158,14 @@ class TestLatencySeries:
 
 
 @pytest.mark.usefixtures("traced")
-class TestLogMemory:
-    """The run-length logs cost a few machine words per row.
+class TestBoundedState:
+    """The scheduler keeps per-class aggregates, not per-event logs: a
+    busy period costs the scoreboard one 8-byte latency sample, and a
+    steal costs nothing beyond the thief's counters."""
 
-    A list of NamedTuples paid about 180 bytes per busy period (a tuple
-    and two floats) and 120 per steal; columns of numbers pay 50 and 40.
-    """
-
-    ROW_BYTES = 64
+    #: A class's series, array and dict entries, plus its array's
+    #: growth slack at this size (an ``array`` over-allocates 1/16).
+    CLASS_BYTES = 1024
 
     @pytest.fixture
     def traced(self):
@@ -171,39 +174,71 @@ class TestLogMemory:
         yield
         tracemalloc.stop()
 
-    def test_busy_periods(self):
+    def test_a_busy_period_costs_one_sample(self):
         scoreboard = SloScoreboard()
-        names = [f"conn{i}:compute" for i in range(8)]
-        slo_us = 5_000.0
+        tasks = [ItemTask(f"conn{i}:compute", 1, 1.0, i) for i in range(8)]
+        classes = [f"class{i}" for i in range(8)]
+        periods = 10_000
         before = tracemalloc.get_traced_memory()[0]
-        for i in range(10_000):
+        for i in range(periods):
             # Fresh floats per period, as the engine's clock makes them.
             admitted_us = i * 12.5
             scoreboard.record(
-                i + 1_000, names[i % 8], "default", admitted_us,
-                admitted_us + 7.25, slo_us,
+                tasks[i % 8], classes[i % 8], admitted_us,
+                admitted_us + 7.25, 5_000.0,
             )
         grown = tracemalloc.get_traced_memory()[0] - before
-        assert len(scoreboard.records) == 10_000
-        assert grown / 10_000 <= self.ROW_BYTES
+        assert scoreboard.total_completions == periods
+        assert grown <= 8 * periods + self.CLASS_BYTES * len(classes)
 
-    def test_steals(self):
-        # Every task pinned to worker 0: the other seven steal most of them.
-        engine = Engine()
-        scheduler = Scheduler(engine, 8, 50.0, "cooperative")
-        scheduler.start()
-        for index in range(6_000):
-            task = ItemTask(f"t{index}", 1, 2.0, next(engine.task_ids))
-            task.home_hint = 0
-            scheduler.notify_runnable(task)
-        engine.run()
-        steals = len(scheduler.steal_log)
-        assert steals >= 5_000
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-        scheduler.steal_log = None
-        freed = held - tracemalloc.get_traced_memory()[0]
-        assert freed / steals <= self.ROW_BYTES
+    def test_steals_leave_nothing_behind(self):
+        def freed_by_the_scheduler(n_tasks):
+            # Every task pinned to worker 0: the other seven steal
+            # most of them.
+            engine = Engine()
+            scheduler = Scheduler(engine, 8, 50.0, "cooperative")
+            scheduler.start()
+            for index in range(n_tasks):
+                task = ItemTask(f"t{index}", 1, 2.0, next(engine.task_ids))
+                task.home_hint = 0
+                scheduler.notify_runnable(task)
+            del task
+            engine.run()
+            steals = scheduler.total_steals
+            scoreboard = scheduler.scoreboard  # noqa: F841 - kept alive
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del scheduler
+            gc.collect()
+            return steals, held - tracemalloc.get_traced_memory()[0]
+
+        few_steals, few_bytes = freed_by_the_scheduler(1_500)
+        many_steals, many_bytes = freed_by_the_scheduler(6_000)
+        assert many_steals - few_steals >= 3_500
+        assert many_bytes - few_bytes < many_steals - few_steals
+
+
+def test_class_summary_merges_shards_in_order():
+    """A fleet's per-class summary is the summary of each class's
+    samples concatenated in shard order, bit for bit, with classes in
+    the order they first appear across the shards."""
+    rng = random.Random(5)
+    task = ItemTask("t", 1, 1.0, 1)
+    shards = [SloScoreboard(), SloScoreboard()]
+    concatenated = SloScoreboard()
+    for shard, names in zip(shards, (("gold", "default"), ("bronze", "gold"))):
+        for _ in range(300):
+            name = rng.choice(names)
+            admitted_us = rng.uniform(0.0, 10_000.0)
+            completed_us = admitted_us + rng.expovariate(1 / 300.0)
+            slo_us = None if name == "default" else 400.0
+            for board in (shard, concatenated):
+                board.record(task, name, admitted_us, completed_us, slo_us)
+    merged = class_summary(shards)
+    assert merged == concatenated.summary()
+    assert list(merged) == list(concatenated.summary())
+    assert list(merged)[-1] == "bronze"  # only the second shard has it
+    assert 0 < merged["gold"]["misses"] < merged["gold"]["completions"]
 
 
 class TestReport:
