@@ -593,8 +593,8 @@ class AdaptiveTimeslicePolicy(SchedulingPolicy):
 
     The band defaults scale with the configured quantum — ``min_us =
     timeslice_us / 5`` and ``max_us = timeslice_us * 2``, i.e. the
-    paper's 10-100 µs at the default 50 µs timeslice — so
-    ``RuntimeConfig(timeslice_us=...)`` moves the whole band; pass
+    paper's 10-100 µs at the default 50 µs timeslice — so the
+    ``timeslice_us`` the policy is built with moves the whole band; pass
     explicit bounds to pin it instead.
     """
 

@@ -13,7 +13,8 @@ reached through their decorator, by name.
 An attribute is state nothing consults when no tree reads its name: no
 attribute load (``x.name``; ``self.name += 1`` is a store), no keyword
 argument ``name=`` and no identifier ``name`` inside a string constant
-(generated code, ``getattr`` names, ``__slots__``).
+(generated code, ``getattr`` names, ``__slots__``).  Docstrings are not
+string constants here: prose that names an attribute does not read it.
 """
 
 import ast
@@ -25,6 +26,19 @@ ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "benchmarks", "examples")
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _docstrings(module):
+    """The ``id`` of every docstring constant in ``module``."""
+    found = set()
+    for node in ast.walk(module):
+        if isinstance(node, (ast.Module, *DEFINITIONS)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(
+                first.value, ast.Constant
+            ):
+                found.add(id(first.value))
+    return found
 
 
 def _dead_names(root=ROOT):
@@ -53,6 +67,7 @@ def _write_only_attributes(root=ROOT):
     for tree in TREES:
         for path in sorted((root / tree).rglob("*.py")):
             module = ast.parse(path.read_text(encoding="utf-8"))
+            docstrings = _docstrings(module)
             for node in ast.walk(module):
                 if isinstance(node, ast.Attribute):
                     if isinstance(node.ctx, ast.Load):
@@ -69,8 +84,10 @@ def _write_only_attributes(root=ROOT):
                         )
                 elif isinstance(node, ast.keyword) and node.arg:
                     reads.add(node.arg)
-                elif isinstance(node, ast.Constant) and isinstance(
-                    node.value, str
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in docstrings
                 ):
                     reads.update(IDENTIFIER.findall(node.value))
     return sorted(
@@ -169,6 +186,24 @@ def test_a_load_keyword_or_string_anywhere_counts_as_a_read(tmp_path):
         tests="def test_it(holder):\n    assert holder.by_test == 4\n",
     )
     assert _write_only_attributes(root) == []
+
+
+def test_a_docstring_naming_an_attribute_does_not_read_it(tmp_path):
+    root = _tree(
+        tmp_path,
+        '"""Counts ``pending`` work."""\n\n\n'
+        "class Queue:\n"
+        '    """Keeps ``pending`` and ``closed``."""\n\n'
+        "    def __init__(self):\n"
+        '        """Sets ``pending``."""\n'
+        "        self.pending = 0\n"
+        "        self.closed = False\n",
+        tests='"""Checks ``closed``."""\n',
+    )
+    assert _write_only_attributes(root) == [
+        "src/mod.py:10 closed",
+        "src/mod.py:9 pending",
+    ]
 
 
 def test_a_store_on_another_object_is_not_checked(tmp_path):

@@ -10,7 +10,8 @@ widening one tier at a time — which these tests verify two ways:
   queues each victim was chosen against) and checks it took from the
   nearest non-empty socket, and that each thief's steal cost
   decomposes exactly into ``steals * STEAL_US + hops * per-hop
-  penalty``;
+  penalty``, and (with ``steal_count`` wrapped too) that each thief's
+  stolen-task count is the sum of its steals' batch sizes;
 * an outcome test pits hierarchical stealing against PR 2's flat
   local-then-anywhere order on the same four-socket workload and
   requires strictly lower cross-socket steal cost.
@@ -29,7 +30,7 @@ from repro.net.stackprofiles import (
     CoreTopology,
 )
 from repro.runtime.costs import STEAL_US
-from repro.runtime.policy import NumaPolicy, resolve_policy
+from repro.runtime.policy import NumaPolicy, overridden_hook, resolve_policy
 from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
 
@@ -47,6 +48,8 @@ class Steal(NamedTuple):
     hops: int
     #: Every candidate queue's length when the victim was chosen.
     queue_lens: Tuple[int, ...]
+    #: Tasks the steal moved: the policy's clamped ``steal_count``, or 1.
+    tasks: int = 1
 
 
 def watch_steals(policy):
@@ -57,11 +60,24 @@ def watch_steals(policy):
     once.  A chosen victim with a queued task is a steal: the mechanism
     takes from every such victim, and from no other.  ``hops`` is the
     distance on the four-socket ring (0 on a flat scheduler, whose
-    workers are all on socket 0).
+    workers are all on socket 0).  A policy that overrides
+    ``steal_count`` has it wrapped too, and each steal records the batch
+    size the mechanism takes: the request clamped to ``1..len(queue)``.
     """
     policy = resolve_policy(policy)
     steals = []
     choose = policy.select_victim
+    count = overridden_hook(policy, "steal_count")
+
+    if count is not None:
+
+        def counting(worker, victim):
+            requested = count(worker, victim)
+            batch = max(1, min(int(requested), len(victim.queue)))
+            steals[-1] = steals[-1]._replace(tasks=batch)
+            return requested
+
+        policy.steal_count = counting
 
     def recording(worker, workers):
         queue_lens = tuple(len(w.queue) for w in workers)
@@ -182,7 +198,8 @@ class TestHierarchicalStealProperty:
     @pytest.mark.parametrize("name", ("numa", "cooperative", "steal-half"))
     def test_steal_cost_decomposes_into_base_plus_hops(self, name, seed):
         """Each thief's steal cost is, term by term, STEAL_US + hops x
-        per-hop penalty per steal, for any policy's steal pattern."""
+        per-hop penalty per steal, for any policy's steal pattern, and
+        its stolen-task count is the sum of its steals' batch sizes."""
         scheduler, steals = four_socket_steals(name, seed)
         assert len(steals) == scheduler.total_steals > 0
         expected = (
@@ -193,6 +210,7 @@ class TestHierarchicalStealProperty:
         for worker in scheduler._workers:
             mine = [s for s in steals if s.thief == worker.index]
             assert len(mine) == worker.steals
+            assert sum(s.tasks for s in mine) == worker.stolen_tasks
             charged = 0.0
             for steal in mine:
                 assert steal.victim != worker.index
@@ -200,6 +218,30 @@ class TestHierarchicalStealProperty:
                     STEAL_US + steal.hops * FOUR_SOCKET.remote_steal_penalty_us
                 )
             assert charged == worker.steal_us
+
+    @pytest.mark.parametrize("name", ("numa", "cooperative", "steal-half"))
+    def test_stolen_tasks_are_the_batch_sizes_summed(self, name):
+        """Every task a steal moves is counted once, on its thief: with
+        all the work piled on core 0, steal-half moves real batches."""
+        policy, steals = watch_steals(name)
+        engine = Engine()
+        scheduler = Scheduler(engine, CORES, 50.0, policy, FOUR_SOCKET)
+        tasks = [
+            ItemTask(f"t{i}", 20, 2.0, next(engine.task_ids)) for i in range(48)
+        ]
+        for task in tasks:
+            task.home_hint = 0
+        scheduler.start()
+        for task in tasks:
+            scheduler.notify_runnable(task)
+        engine.run()
+        assert all(t.remaining == 0 for t in tasks)
+        assert len(steals) == scheduler.total_steals > 0
+        if name == "steal-half":
+            assert any(s.tasks > 1 for s in steals), "no batch steal"
+        for worker in scheduler._workers:
+            mine = [s for s in steals if s.thief == worker.index]
+            assert sum(s.tasks for s in mine) == worker.stolen_tasks
 
 
 class _FlatNumaPolicy(NumaPolicy):
