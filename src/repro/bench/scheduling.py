@@ -100,7 +100,6 @@ def run_scheduling_experiment(
     n_tasks: int = 200,
     items_per_task: int = 200,
     cores: int = 16,
-    timeslice_us: float = 50.0,
     topology=None,
     service_classes=None,
 ) -> SchedulingResult:
@@ -122,7 +121,7 @@ def run_scheduling_experiment(
     """
     check_class_map(service_classes)
     engine = Engine()
-    scheduler = Scheduler(engine, cores, timeslice_us, policy, topology)
+    scheduler = Scheduler(engine, cores, policy=policy, topology=topology)
     tasks: List[SyntheticTask] = []
     for index in range(n_tasks):
         is_light = index % 2 == 0

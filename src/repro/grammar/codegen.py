@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import GrammarError, ParseError, SerializeError
 from repro.grammar.engine import (
-    _COMPACT_THRESHOLD,
     MAX_FILL_BYTES,
     OPS_PER_DECODED_BYTE,
     OPS_PER_FIELD,
@@ -155,7 +154,7 @@ _POLL_HEAD = """\
 _POLL_TAIL = """\
     self.ops += {ops}
     p += {size}
-    if p > {threshold}:
+    if p >= len(buf) - p:
         del buf[:p]
         p = 0
     self._pos = p
@@ -312,7 +311,6 @@ def parser_source(unit: Unit, decoded: frozenset) -> Tuple[str, int]:
         _POLL_TAIL.format(
             ops=_ops(len(unit.fields), weighted),
             size=at(),
-            threshold=_COMPACT_THRESHOLD,
             first_need=first_need,
         )
     )
@@ -645,7 +643,6 @@ def text_parser_source(unit: Unit, decoded: frozenset) -> Tuple[str, int]:
         _POLL_TAIL.format(
             ops=_ops(len(unit.fields), weighted),
             size=end,
-            threshold=_COMPACT_THRESHOLD,
             first_need=len(_HEAD_END),
         )
     )

@@ -62,12 +62,6 @@ OPS_PER_RAW_COPY_BYTE = 1.0 / 256.0
 #: a length above this is refused with SerializeError, not allocated.
 MAX_FILL_BYTES = 1 << 20
 
-#: A parser drops consumed bytes once this many have piled up: what an
-#: idle connection's parser holds on to.  HTTP's many connections make it
-#: show: at 64 KiB, http-overload's peak RSS rises above the hand-written
-#: parser's, which dropped consumed bytes per message.
-_COMPACT_THRESHOLD = 1 << 12
-
 
 class UnitParser:
     """Resumable parser for one byte stream of a unit's messages.
@@ -85,7 +79,11 @@ class UnitParser:
 
     def __init__(self):
         self._buf = bytearray()
-        self._pos = 0  # start of the in-progress message in _buf
+        # Start of the in-progress message in _buf.  A completed message
+        # drops the consumed bytes when they are at least as many as the
+        # rest: an idle parser holds none, and moving the rest down never
+        # copies more bytes than the drop frees.
+        self._pos = 0
         self._need = self.first_need
         self._scan = 0
         self.ops = 0.0

@@ -46,13 +46,13 @@ def ops_to_us(ops: float) -> float:
 class RuntimeConfig:
     """Tunables of one FLICK platform instance.
 
-    ``timeslice_us`` is the cooperative scheduling quantum (section 5:
-    "typically 10-100 µs").  ``policy`` selects a scheduling policy by
-    registry name (any name in
-    :func:`repro.runtime.policy.registered_policies` — the paper's
+    ``policy`` selects a scheduling policy by registry name (any name
+    in :func:`repro.runtime.policy.registered_policies` — the paper's
     'cooperative', 'non_cooperative' and 'round_robin' plus the
     extensions) or is a ready :class:`~repro.runtime.policy.\
-SchedulingPolicy` instance for custom parameters.
+SchedulingPolicy` instance for custom parameters.  The cooperative
+    quantum (section 5: "typically 10-100 µs") is the policy's own: a
+    name gets the scheduler's 50 µs default, an instance keeps its own.
 
     ``slo_us`` is the per-connection service-level objective: the task
     graph stamps it on every task of an accepted connection, and the
@@ -85,7 +85,6 @@ SchedulingPolicy` instance for custom parameters.
     """
 
     cores: int = 16
-    timeslice_us: float = 50.0
     policy: object = "cooperative"
     slo_us: Optional[float] = None
     service_classes: object = None
@@ -97,8 +96,6 @@ SchedulingPolicy` instance for custom parameters.
     def __post_init__(self):
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
-        if self.timeslice_us <= 0:
-            raise ValueError("timeslice must be positive")
         if self.slo_us is not None and self.slo_us <= 0:
             raise ValueError(f"slo_us must be positive, got {self.slo_us}")
         if self.topology is not None:

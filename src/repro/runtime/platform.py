@@ -132,8 +132,7 @@ class FlickPlatform:
         self.scheduler = Scheduler(
             engine,
             self.config.cores,
-            self.config.timeslice_us,
-            self.config.policy,
+            policy=self.config.policy,
             topology=self.config.topology,
             allocator=self.config.allocator,
         )

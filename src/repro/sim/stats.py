@@ -6,50 +6,40 @@ and :func:`class_summary` merges such boards into the per-class
 completions, latency and SLO misses; :class:`IntervalSeries` records
 the gaps between successive events (the realised inter-arrival times of
 an open-loop workload).  Summaries report virtual-µs durations in the
-milliseconds the paper's figures use.
+milliseconds the paper's figures use.  A series keeps its samples and
+no view of them: a report sorts a local copy, and a single percentile
+(``class_summary``'s p99) selects in place.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.units import millis
 
 
 class LatencySeries:
-    """Collects latency samples (virtual µs).
+    """Collects latency samples (virtual µs): an ``array('d')``, 8 bytes
+    each, in record order, and no sorted view of them.
 
-    Percentile and max accessors share one cached sorted view,
-    invalidated by a dirty bit on :meth:`record` — a full report
-    (:meth:`percentile_summary_ms`) costs one O(n log n) sort no matter
-    how many quantiles it reads, instead of one sort *per accessor* as
-    the seed did.  With million-sample scenario series the repeated
-    sorts showed up in wall-clock.  The samples are an ``array('d')``:
-    8 bytes each instead of a list slot plus a float object.
+    :meth:`percentile_summary_ms` sorts one local copy; :meth:`percentile_us`
+    selects (:func:`_percentile`), so p99 lists the top 1% of the samples,
+    not all of them.  Both read the same order statistics because equal
+    floats are interchangeable, which NaN is not: :meth:`record` rejects it.
     """
 
     def __init__(self):
         self._samples = array("d")
-        self._sorted: List[float] = []
-        self._dirty = False
 
     def record(self, latency_us: float) -> None:
-        if latency_us < 0:
-            raise ValueError(f"negative latency {latency_us}")
+        if not latency_us >= 0.0:
+            raise ValueError(f"latency must be >= 0, got {latency_us}")
         self._samples.append(latency_us)
-        self._dirty = True
-
-    def _ordered(self) -> List[float]:
-        if self._dirty:
-            self._sorted = sorted(self._samples)
-            self._dirty = False
-        return self._sorted
-
-    def __len__(self) -> int:
-        return len(self._samples)
 
     @property
     def count(self) -> int:
@@ -64,30 +54,52 @@ class LatencySeries:
         return millis(self.mean_us())
 
     def percentile_us(self, p: float) -> float:
-        if not self._samples:
-            return 0.0
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile out of range: {p}")
-        ordered = self._ordered()
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = math.floor(rank)
-        high = math.ceil(rank)
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
+        return _percentile(self._samples, len(self._samples), p)
 
     def max_us(self) -> float:
-        return self._ordered()[-1] if self._samples else 0.0
+        return max(self._samples, default=0.0)
 
     def percentile_summary_ms(self) -> Dict[str, float]:
         """The figure-ready percentile series: mean/p50/p99/max in ms."""
+        ordered = sorted(self._samples)
+        n = len(ordered)
         return {
             "mean": self.mean_ms(),
-            "p50": millis(self.percentile_us(50.0)),
-            "p99": millis(self.percentile_us(99.0)),
-            "max": millis(self.max_us()),
+            "p50": millis(_interpolated(ordered, n, 50.0)),
+            "p99": millis(_interpolated(ordered, n, 99.0)),
+            "max": millis(ordered[-1] if n else 0.0),
         }
+
+
+def _interpolated(tail: Sequence[float], n: int, p: float) -> float:
+    """The ``p``-th percentile of ``n`` samples (0.0 for none), linear
+    between the order statistics around rank ``p / 100 * (n - 1)``, read
+    from ``tail``: the largest samples in ascending order, all of those
+    at or above that rank."""
+    if not n:
+        return 0.0
+    rank = (p / 100.0) * (n - 1)
+    low = math.floor(rank)
+    i = low - (n - len(tail))
+    frac = rank - low
+    if not frac:
+        return tail[i]
+    return tail[i] * (1 - frac) + tail[i + 1] * frac
+
+
+def _percentile(samples: Iterable[float], n: int, p: float) -> float:
+    """:func:`_interpolated` over the samples at or above the rank, which
+    one pass selects (:func:`heapq.nlargest`) without copying the rest.
+    A heap entry costs more than a sorted float, so a tail of more than
+    half the samples is read from one sorted copy instead."""
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile out of range: {p}")
+    k = n - math.floor((p / 100.0) * (n - 1))
+    if 2 * k > n:
+        return _interpolated(sorted(samples), n, p)
+    tail = heapq.nlargest(k, samples)
+    tail.reverse()
+    return _interpolated(tail, n, p)
 
 
 class IntervalSeries(LatencySeries):
@@ -119,8 +131,9 @@ def class_summary(
 
     Completions, SLO misses and latency come from ``scoreboards`` (every
     platform's, in shard order for a fleet): each class's samples are
-    merged board by board, so their order and float sums are fixed, and
-    classes appear in the order they first closed a busy period.
+    read board by board where they lie, never concatenated, so their
+    order and float sums are fixed, and classes appear in the order they
+    first closed a busy period.
     ``shed`` and ``retried`` come from ``client_outcomes``, the client
     population's per-class table (:meth:`~repro.workloads.arrivals.
     ClientPopulation.admission_summary`), because a shed or retried
@@ -128,19 +141,14 @@ def class_summary(
     ever shed or retried still appears, with zeroed completion and
     latency fields: it is an outcome, not an accounting gap.
     """
-    latency: Dict[str, LatencySeries] = {}
+    samples: Dict[str, List[array]] = {}
     misses: Dict[str, int] = {}
     for board in scoreboards:
         for name, series in board.latency.items():
-            merged = latency.get(name)
-            if merged is None:
-                merged = latency[name] = LatencySeries()
-                misses[name] = 0
-            merged._samples.extend(series._samples)
-            merged._dirty = True
-            misses[name] += board.misses[name]
+            samples.setdefault(name, []).append(series._samples)
+            misses[name] = misses.get(name, 0) + board.misses[name]
     clients = client_outcomes or {}
-    names = dict.fromkeys(latency)
+    names = dict.fromkeys(samples)
     names.update(
         (name, None)
         for name, row in clients.items()
@@ -148,16 +156,17 @@ def class_summary(
     )
     report: Dict[str, Dict[str, float]] = {}
     for name in names:
-        series = latency.get(name) or LatencySeries()
+        arrays = samples.get(name, ())
+        count = sum(map(len, arrays))
         row = clients.get(name, {})
         report[name] = {
-            "completions": series.count,
+            "completions": count,
             "misses": misses.get(name, 0),
             "shed": row.get("shed", 0),
             "retried": row.get("retried", 0),
-            "mean_ms": series.mean_ms(),
-            "p99_ms": millis(series.percentile_us(99.0)),
-            "max_ms": millis(series.max_us()),
+            "mean_ms": millis(sum(chain.from_iterable(arrays)) / count if count else 0.0),
+            "p99_ms": millis(_percentile(chain.from_iterable(arrays), count, 99.0)),
+            "max_ms": millis(max(chain.from_iterable(arrays), default=0.0)),
         }
     return report
 
@@ -206,7 +215,7 @@ class SloScoreboard:
 
     @property
     def total_completions(self) -> int:
-        return sum(map(len, self.latency.values()))
+        return sum(series.count for series in self.latency.values())
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """:func:`class_summary` of this scheduler's busy periods alone."""

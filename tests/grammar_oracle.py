@@ -19,7 +19,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.errors import GrammarError, ParseError, SerializeError
 from repro.grammar.engine import (
-    _COMPACT_THRESHOLD,
     MAX_FILL_BYTES,
     OPS_PER_DECODED_BYTE,
     OPS_PER_FIELD,
@@ -224,12 +223,13 @@ class IncrementalUnitParser:
         }
         record = Record(codec.unit.name, fields, raw)
         record.spans = dict(self._spans)
-        # Reset per-message state and compact the buffer when it grows.
+        # Reset per-message state; drop the consumed bytes once they are
+        # at least as many as the rest.
         self._msg_start = self._pos
         self._field_idx = 0
         self._values = {}
         self._spans = {}
-        if self._pos > _COMPACT_THRESHOLD:
+        if self._pos >= len(self._buf) - self._pos:
             del self._buf[: self._pos]
             self._msg_start -= self._pos
             self._pos = 0

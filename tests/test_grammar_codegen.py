@@ -104,6 +104,7 @@ def parse_both(unit, project, chunks, take_every=0):
             kind_ref, expected = _outcome(theirs.poll)
             assert kind == kind_ref, (got, expected)
             assert ours.pending_bytes() == theirs.pending_bytes()
+            assert ours._pos <= ours.pending_bytes()  # no more consumed than left
             if kind == "error":
                 assert got is expected is ParseError
                 return pairs
@@ -235,11 +236,14 @@ class TestProtocols:
             assert [(r.key, r.value) for r, _ in parsed] == pairs
 
     def test_buffer_compaction_keeps_offsets(self):
-        """Past ``_COMPACT_THRESHOLD`` both parsers drop consumed bytes."""
+        """Both parsers drop consumed bytes mid-buffer, and records,
+        spans and ``pending_bytes()`` do not see it."""
         one = mc.encode(mc.make_response(mc.OP_GETK, "key", b"v" * 3000))
         data = one * 60
         pairs = parse_both(mc.MEMCACHED_UNIT, {"opcode", "key"}, [data, one[:10], one[10:]])
         assert len(pairs) == 61
+        # Spans are relative to each message, wherever it sat in the buffer.
+        assert all(ours.spans == pairs[0][0].spans for ours, _ in pairs)
 
     @pytest.mark.parametrize("project", MEMCACHED_PROJECTIONS)
     def test_memcached_serialize_clean_dirty_spliced(self, project):
@@ -763,3 +767,48 @@ class TestExplainability:
         shown = block[len("```python"):-len("```")].strip()
         source = mc.specialized_codec().source
         assert shown == source[: source.index("_pack0 = ")].strip()
+
+
+def _wire_units():
+    """A codec and the bytes of three messages (three requests and three
+    responses for memcached) for each unit the platform parses:
+    memcached, hadoop and both HTTP units."""
+    from repro.grammar.protocols import http
+
+    requests = (http.make_request("GET", f"/{i}", body=b"x" * i) for i in range(3))
+    responses = (http.make_response(body=b"y" * (9 * i)) for i in range(3))
+    return [
+        pytest.param(mc.specialized_codec(), memcached_stream(3), id="memcached"),
+        pytest.param(
+            hadoop.codec(),
+            hadoop.encode_pairs([("a", "1"), ("bb", "22"), ("", "")]),
+            id="hadoop",
+        ),
+        pytest.param(
+            http.request_codec(), b"".join(r.raw for r in requests), id="http-request"
+        ),
+        pytest.param(
+            http.response_codec(), b"".join(r.raw for r in responses), id="http-response"
+        ),
+    ]
+
+
+@pytest.mark.parametrize("codec, data", _wire_units())
+class TestIdleParserHoldsNothing:
+    """A parser keeps no consumed bytes once they are at least as many
+    as the unconsumed ones, so an idle parser holds nothing."""
+
+    def test_whole_messages_leave_an_empty_buffer(self, codec, data):
+        parser = codec.parser()
+        parser.feed(data)
+        assert len(list(parser.messages())) in (3, 6)
+        assert len(parser._buf) == 0
+
+    def test_consumed_bytes_never_exceed_the_rest(self, codec, data):
+        parser = codec.parser()
+        done = 0
+        for i in range(len(data)):
+            parser.feed(data[i : i + 1])
+            done += len(list(parser.messages()))
+            assert parser._pos <= len(parser._buf) - parser._pos
+        assert done in (3, 6) and len(parser._buf) == 0

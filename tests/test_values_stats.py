@@ -1,11 +1,16 @@
 """Tests for runtime values, measurement helpers and report rendering."""
 
 import gc
+import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench.testbeds import Scenario, run_experiment
 from repro.core.errors import RuntimeFlickError
 from repro.core.units import (
     millis,
@@ -18,7 +23,7 @@ from repro.lang.values import Record, record_size_bytes
 from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
 from repro.sim.stats import (
-    LatencySeries, RunResult, SloScoreboard, class_summary,
+    IntervalSeries, LatencySeries, RunResult, SloScoreboard, class_summary,
 )
 
 from tests.item_task import ItemTask
@@ -138,15 +143,32 @@ class TestLatencySeries:
         with pytest.raises(ValueError):
             LatencySeries().record(-1)
 
+    def test_nan_rejected(self):
+        # NaN compares unequal to everything: a sort and a selection
+        # could then disagree on the order statistics.
+        series = LatencySeries()
+        with pytest.raises(ValueError):
+            series.record(float("nan"))
+        assert series.count == 0
+
+    def test_nan_gap_rejected(self):
+        series = IntervalSeries()
+        series.observe(10.0)
+        with pytest.raises(ValueError):
+            series.observe(float("nan"))
+        late = IntervalSeries()
+        late.observe(float("nan"))  # the first observation has no gap
+        with pytest.raises(ValueError):
+            late.observe(10.0)
+        assert series.count == late.count == 0
+
     def test_bad_percentile_rejected(self):
         series = LatencySeries()
         series.record(1)
         with pytest.raises(ValueError):
             series.percentile_us(101)
 
-    def test_sorted_cache_invalidated_by_record(self):
-        # The sorted view is cached between reads; a record() in between
-        # must invalidate it, not serve stale quantiles.
+    def test_reads_see_every_record(self):
         series = LatencySeries()
         for v in (30.0, 10.0, 20.0):
             series.record(v)
@@ -155,6 +177,88 @@ class TestLatencySeries:
         series.record(40.0)
         assert series.max_us() == 40.0
         assert series.percentile_us(100) == 40.0
+
+
+# ---------------------------------------------------------------------------
+# Selection and sorting report the same floats
+# ---------------------------------------------------------------------------
+
+PERCENTILES = (0.0, 50.0, 90.0, 99.0, 99.9, 100.0)
+
+#: Non-negative floats, infinity included, with few distinct values
+#: mixed in so that ties are common.
+SAMPLE = st.floats(min_value=0.0, allow_nan=False) | st.sampled_from([0.0, 1.5, 7.0])
+
+
+def sorted_percentile(samples, p):
+    """The percentile by the definition: sort, then interpolate linearly
+    between the closest ranks."""
+    ordered = sorted(samples)
+    rank = (p / 100.0) * (len(ordered) - 1)
+    low, high = math.floor(rank), math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    frac = rank - low
+    return ordered[low] * (1 - frac) + ordered[high] * frac
+
+
+def sorted_summary_ms(samples):
+    return {
+        "mean": millis(sum(samples) / len(samples)),
+        "p50": millis(sorted_percentile(samples, 50.0)),
+        "p99": millis(sorted_percentile(samples, 99.0)),
+        "max": millis(sorted(samples)[-1]),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SAMPLE, min_size=1, max_size=400))
+def test_series_reads_equal_the_sorted_reference(samples):
+    series = LatencySeries()
+    for sample in samples:
+        series.record(sample)
+    for p in PERCENTILES:
+        assert series.percentile_us(p) == sorted_percentile(samples, p)
+    assert series.max_us() == max(samples)
+    assert series.mean_us() == sum(samples) / len(samples)
+    assert series.percentile_summary_ms() == sorted_summary_ms(samples)
+
+
+#: One busy period: its class, its latency and whether it has an SLO.
+PERIOD = st.tuples(st.sampled_from(["gold", "bronze", "default"]), SAMPLE, st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(PERIOD, max_size=120), min_size=1, max_size=3))
+def test_class_summary_equals_the_concatenated_reference(shards):
+    """Over 1-3 boards, each class's numbers are those of its samples
+    concatenated in shard order and sorted."""
+    task = ItemTask("t", 1, 1.0, 1)
+    boards = []
+    samples, misses = {}, {}
+    for periods in shards:
+        board = SloScoreboard()
+        for name, latency_us, has_slo in periods:
+            slo_us = 100.0 if has_slo else None
+            board.record(task, name, 0.0, latency_us, slo_us)
+            samples.setdefault(name, []).append(latency_us)
+            misses[name] = misses.get(name, 0) + (has_slo and latency_us > slo_us)
+        boards.append(board)
+    expected = {
+        name: {
+            "completions": len(values),
+            "misses": misses[name],
+            "shed": 0,
+            "retried": 0,
+            "mean_ms": millis(sum(values) / len(values)),
+            "p99_ms": millis(sorted_percentile(values, 99.0)),
+            "max_ms": millis(max(values)),
+        }
+        for name, values in samples.items()
+    }
+    summary = class_summary(boards)
+    assert summary == expected
+    assert list(summary) == list(expected)
 
 
 @pytest.mark.usefixtures("traced")
@@ -216,6 +320,53 @@ class TestBoundedState:
         many_steals, many_bytes = freed_by_the_scheduler(6_000)
         assert many_steals - few_steals >= 3_500
         assert many_bytes - few_bytes < many_steals - few_steals
+
+    def test_a_report_keeps_no_copy_of_the_samples(self):
+        """``class_summary`` reads a board's samples where they lie: its
+        peak is a small multiple of the p99 tail, not a sorted list of
+        every sample (32 bytes each) next to a merged array."""
+        n = 200_000
+        rng = random.Random(3)
+        task = ItemTask("t", 1, 1.0, 1)
+        board = SloScoreboard()
+        tracemalloc.stop()  # fill the board untraced: the report is measured
+        for _ in range(n):
+            board.record(task, "gold", 0.0, rng.expovariate(0.01), 250.0)
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        summary = class_summary([board])
+        assert summary["gold"]["completions"] == n
+        assert tracemalloc.get_traced_memory()[1] - before < 2 * n + 64 * 1024
+
+        series = board.latency["gold"]
+        series.percentile_summary_ms()
+        kept = [
+            name for name, value in vars(series).items()
+            if value is not series._samples and isinstance(value, (list, array))
+        ]
+        assert kept == []
+
+    def test_a_run_grows_by_its_samples(self):
+        """A memcached proxy run's traced peak grows by what its series
+        hold per request (a client latency, an arrival gap, about five
+        busy periods, 8 bytes each) plus one sorted report, not by
+        copies of them or by parsed bytes kept per connection."""
+        spec = Scenario(
+            app="memcached_proxy", arrival="poisson",
+            arrival_params=(("rate_rps", 40_000.0),),
+            concurrency=4, key_space=64, total_requests=50,
+        )
+        run_experiment(spec)  # compiled program and codecs are cached
+
+        def peak(total_requests):
+            gc.collect()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run_experiment(spec._replace(total_requests=total_requests))
+            return tracemalloc.get_traced_memory()[1] - before
+
+        small, large = 500, 1_500
+        assert peak(large) - peak(small) <= 128 * (large - small)
 
 
 def test_class_summary_merges_shards_in_order():
