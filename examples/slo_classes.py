@@ -6,7 +6,7 @@ Two angles on the service-class QoS subsystem:
 
 1. **Platform threading** — two compiled FLICK programs (``Gold`` and
    ``Bronze``) run on one platform under the ``deadline`` policy.  A
-   :class:`~repro.runtime.qos.ServiceClassMap` parsed from program-scoped
+   :class:`~repro.runtime.qos.ServiceClassMap` parsed from per-endpoint
    specs gives gold connections a 1 ms SLO (weight 4) and bronze ones 50 ms
    (weight 1); the task graphs stamp each connection task with its
    endpoint's class and the scheduler's scoreboard reports completions,
@@ -37,20 +37,20 @@ type http_resp: record
     status : integer
     body : string
 
-proc Gold: (http_req/http_resp client)
-    client => respond() => client
+proc Gold: (http_req/http_resp gold)
+    gold => respond() => gold
 
-proc Bronze: (http_req/http_resp client)
-    client => respond() => client
+proc Bronze: (http_req/http_resp bronze)
+    bronze => respond() => bronze
 
 fun respond: (req: http_req) -> (http_resp)
     http_resp(200, "ok")
 """
 
-#: Program-scoped specs: both procs call their inbound endpoint
-#: ``client``, so the tier is selected by "Program:endpoint".
+#: Each proc names its inbound endpoint after its tier, so one map
+#: classifies both programs by endpoint name.
 SERVICE_CLASSES = parse_slo_class_specs(
-    ["Gold:client=gold:1000@4", "Bronze:client=bronze:50000"]
+    ["gold=gold:1000@4", "bronze=bronze:50000"]
 )
 
 

@@ -36,8 +36,6 @@ class CorePool:
         self.engine = engine
         self.cores = cores
         self._free_at = [0.0] * cores
-        self.busy_us = 0.0
-        self.jobs = 0
 
     def submit(self, service_us: float, callback: Callable[[], None]) -> float:
         """Queue a job of ``service_us``; returns its completion time."""
@@ -46,8 +44,6 @@ class CorePool:
         start = max(now, self._free_at[idx])
         end = start + service_us
         self._free_at[idx] = end
-        self.busy_us += service_us
-        self.jobs += 1
         self.engine.at(end, callback)
         return end
 

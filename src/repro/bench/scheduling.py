@@ -55,7 +55,6 @@ class SyntheticTask(TaskBase):
         while self._remaining > 0:
             self._remaining -= 1
             elapsed += self._item_cost
-            self.items_processed += 1
             if budget_us is not None and elapsed >= budget_us:
                 break
         emissions = []
@@ -84,15 +83,6 @@ class SchedulingResult:
     heavy_max_ms: float
     makespan_ms: float
     class_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "light_mean_ms": self.light_mean_ms,
-            "heavy_mean_ms": self.heavy_mean_ms,
-            "light_max_ms": self.light_max_ms,
-            "heavy_max_ms": self.heavy_max_ms,
-            "makespan_ms": self.makespan_ms,
-        }
 
 
 def run_scheduling_experiment(

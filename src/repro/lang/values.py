@@ -85,9 +85,6 @@ class Record:
     def items(self) -> Iterator[Tuple[str, object]]:
         return iter(self._fields.items())
 
-    def as_dict(self) -> Dict[str, object]:
-        return dict(self._fields)
-
     def copy(self) -> "Record":
         return Record(self._type_name, self._fields, self.raw)
 

@@ -49,9 +49,6 @@ class TcpSocket:
         self._peer_closed = False
         self._flush_scheduled = False
         self._close_delivered = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.bytes_dropped = 0
 
     # -- sending ------------------------------------------------------------
 
@@ -61,7 +58,6 @@ class TcpSocket:
             raise SimulationError(f"send on closed socket {self.conn_id}")
         if not data:
             return
-        self.bytes_sent += len(data)
         peer = self.peer
         self._net.network.deliver(
             self.host, peer.host, len(data), peer._on_data, data
@@ -117,11 +113,7 @@ class TcpSocket:
 
     def _on_data(self, data: bytes) -> None:
         if self.closed:
-            # Locally closed: bytes still in flight are dropped on the
-            # floor, but accounted for rather than silently lost.
-            self.bytes_dropped += len(data)
-            return
-        self.bytes_received += len(data)
+            return  # locally closed: bytes still in flight are dropped
         if self._recv_callback is not None and not self._recv_buffer:
             self._recv_callback(data)
         else:

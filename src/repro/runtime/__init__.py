@@ -2,7 +2,7 @@
 
 from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.costs import OP_US, RuntimeConfig, ops_to_us
-from repro.runtime.dispatcher import DispatcherTask, GraphDispatcher, GraphPool
+from repro.runtime.dispatcher import DispatcherTask, GraphDispatcher
 from repro.runtime.graph import Bindings, CodecRegistry, OutboundTarget, TaskGraph
 from repro.runtime.platform import FlickPlatform, ProgramInstance
 from repro.runtime.policy import (
@@ -30,7 +30,6 @@ __all__ = [
     "ops_to_us",
     "DispatcherTask",
     "GraphDispatcher",
-    "GraphPool",
     "Bindings",
     "CodecRegistry",
     "OutboundTarget",

@@ -23,9 +23,9 @@ has elapsed since the previous one — the mechanism-enforced hysteresis
 that the conformance harness (``tests/test_allocator_invariants.py``)
 checks from the alloc log.
 
-Two policies ship built in: ``static`` (today's fixed worker set —
-the default, and byte-identical to a scheduler with no allocator at
-all) and ``queue-depth`` (grow when the mean backlog per active worker
+Two policies ship built in: ``static`` (the fixed worker set, and the
+default: its ticks always ask for every core, so nothing changes) and
+``queue-depth`` (grow when the mean backlog per active worker
 crosses a high watermark, shrink below a low one; the
 ``http-ramp-elastic`` scenario pins it).  Like scheduling policies,
 unknown names get near-miss suggestions.
@@ -63,11 +63,6 @@ class AllocationPolicy:
 
     #: Registry key; subclasses must override.
     name = "abstract"
-
-    #: A static policy never changes the worker set; the scheduler
-    #: skips the allocation tick machinery entirely, so its schedules
-    #: are byte-identical to a scheduler built without an allocator.
-    is_static = False
 
     def __init__(
         self,
@@ -119,15 +114,10 @@ resolve_allocator = ALLOCATORS.resolve
 
 @register_allocator
 class StaticAllocator(AllocationPolicy):
-    """Today's behaviour: every core active for the whole run.
-
-    The scheduler recognises ``is_static`` and skips the allocation
-    tick machinery entirely, so a ``static`` run is byte-identical to
-    one on a scheduler that predates elastic allocation.
-    """
+    """Every core active for the whole run: each tick asks for all of
+    them, so the mechanism never parks a worker or logs a change."""
 
     name = "static"
-    is_static = True
 
     def target_workers(self, view: AllocView) -> int:
         return view.cores

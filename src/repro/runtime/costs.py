@@ -52,7 +52,7 @@ class RuntimeConfig:
     extensions) or is a ready :class:`~repro.runtime.policy.\
 SchedulingPolicy` instance for custom parameters.  The cooperative
     quantum (section 5: "typically 10-100 µs") is the policy's own: a
-    name gets the scheduler's 50 µs default, an instance keeps its own.
+    name gets its class's 50 µs default, an instance keeps its own.
 
     ``slo_us`` is the per-connection service-level objective: the task
     graph stamps it on every task of an accepted connection, and the
@@ -61,17 +61,18 @@ SchedulingPolicy` instance for custom parameters.  The cooperative
     ``service_classes`` refines that single value into per-endpoint QoS
     tiers: a :class:`~repro.runtime.qos.ServiceClassMap`, as
     :func:`~repro.runtime.qos.parse_slo_class_specs` builds it from
-    specs, whose classes the task graph stamps per endpoint, classified
-    tasks overriding the platform-wide ``slo_us``.  ``topology`` is a
-    :class:`~repro.net.stackprofiles.CoreTopology`, a registered
-    topology name ('uniform', 'two-socket', 'four-socket'), or ``None``
-    for the flat single-socket default; it prices cross-socket steals
-    (per hop around its ring of sockets) and feeds the 'numa' policy's
-    placement.
+    specs, whose classes the task graph stamps by endpoint name (the
+    same name means the same tier in every program on the platform),
+    classified tasks overriding the platform-wide ``slo_us``.
+    ``topology`` is a :class:`~repro.net.stackprofiles.CoreTopology`, a
+    registered topology name ('uniform', 'two-socket', 'four-socket'),
+    or ``None`` for the flat single-socket default; it prices
+    cross-socket steals (per hop around its ring of sockets) and feeds
+    the 'numa' policy's placement.
 
     ``allocator`` selects the elastic core-allocation policy by
     registry name (:func:`repro.runtime.allocator.registered_allocators`
-    — 'static' keeps every core active, today's behaviour) or is a
+    — 'static', the default, keeps every core active) or is a
     ready :class:`~repro.runtime.allocator.AllocationPolicy` instance.
     Admission control is not a platform tunable: it sits in the
     client population in front of the platform

@@ -24,35 +24,14 @@ from repro.runtime.costs import GRAPH_BUILD_US, GRAPH_RECYCLE_US
 from repro.runtime.scheduler import TaskBase
 
 
-class GraphPool:
-    """Pre-allocated pool of task graphs, modelled as a credit counter."""
-
-    def __init__(self, size: int):
-        self.capacity = size
-        self._available = size
-        self.hits = 0
-        self.misses = 0
-
-    def take(self) -> bool:
-        """True (and a recycle-cost assignment) when the pool has a graph."""
-        if self._available > 0:
-            self._available -= 1
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def give_back(self) -> None:
-        if self._available < self.capacity:
-            self._available += 1
-
-    @property
-    def available(self) -> int:
-        return self._available
-
-
 class GraphDispatcher:
-    """Assigns connections to graphs; pools finished graphs."""
+    """Assigns connections to graphs; pools finished graphs.
+
+    The pre-allocated pool is a credit count: an assignment that finds a
+    pooled graph takes a credit and pays ``GRAPH_RECYCLE_US``, one that
+    finds none pays ``GRAPH_BUILD_US``, and a finished graph returns its
+    credit, up to ``pool_size``.
+    """
 
     def __init__(
         self,
@@ -62,15 +41,18 @@ class GraphDispatcher:
         sink_connector: Optional[Callable[[Callable], None]] = None,
     ):
         self._build_graph = build_graph
-        self.pool = GraphPool(pool_size)
+        self._pool_size = pool_size
+        self._pooled = pool_size
         self.group_size = group_size
         self._sink_connector = sink_connector
         self._pending_group: List = []
-        self.total_graphs = 0
 
     def assign_cost_us(self) -> float:
         """CPU cost of the next assignment (pool hit vs miss)."""
-        return GRAPH_RECYCLE_US if self.pool.take() else GRAPH_BUILD_US
+        if self._pooled > 0:
+            self._pooled -= 1
+            return GRAPH_RECYCLE_US
+        return GRAPH_BUILD_US
 
     def assign(self, socket) -> None:
         """Attach ``socket`` to a (possibly new) task graph.
@@ -80,22 +62,20 @@ class GraphDispatcher:
         mappers — into one combine-tree graph per reducer.
         """
         if self._sink_connector is None:
-            graph = self._build_graph()
-            self.total_graphs += 1
-            graph.bind_client(socket)
+            self._build_graph().bind_client(socket)
             return
         self._pending_group.append(socket)
         if len(self._pending_group) < max(1, self.group_size):
             return
         sockets, self._pending_group = self._pending_group, []
         graph = self._build_graph()
-        self.total_graphs += 1
         self._sink_connector(
             lambda sink_socket: graph.bind_group(sockets, sink_socket)
         )
 
     def graph_finished(self, graph) -> None:
-        self.pool.give_back()
+        if self._pooled < self._pool_size:
+            self._pooled += 1
 
 
 class DispatcherTask(TaskBase):
@@ -111,7 +91,7 @@ class DispatcherTask(TaskBase):
         self,
         name: str,
         graph_dispatcher: GraphDispatcher,
-        accept_cost: Callable[[], float],
+        accept_cost: float,
         home_hint: Optional[int] = None,
         *,
         task_id: int,
@@ -134,9 +114,8 @@ class DispatcherTask(TaskBase):
         dispatcher = self._dispatcher
         while self._pending:
             socket = self._pending.popleft()
-            elapsed += self._accept_cost() + dispatcher.assign_cost_us()
+            elapsed += self._accept_cost + dispatcher.assign_cost_us()
             emissions.append(lambda s=socket: dispatcher.assign(s))
-            self.items_processed += 1
             if budget_us is not None and elapsed >= budget_us:
                 break
         self.busy_us += elapsed

@@ -269,9 +269,7 @@ class TaskGraph:
     def _add_task(self, task, endpoint: Optional[str] = None) -> None:
         service_class = None
         if self.config.service_classes is not None:
-            service_class = self.config.service_classes.class_for(
-                endpoint, self.spec.name
-            )
+            service_class = self.config.service_classes.class_for(endpoint)
         if service_class is not None:
             # Per-endpoint QoS tier: the class SLO overrides the
             # platform-wide one, and weighted policies read the class
@@ -418,7 +416,6 @@ class TaskGraph:
                 f"process {spec.name!r} has no foldt aggregation"
             )
         source_ep = spec.endpoint(plan.source)
-        sink_ep = spec.endpoint(plan.sink)
         handler = build_foldt_handler(self.program, plan)
         if self.bindings.native_foldt is not None:
             key_fn, combine_fn = self.bindings.native_foldt
@@ -482,7 +479,6 @@ class TaskGraph:
         out_task.bind_socket(sink_socket)
         self._wire(last_producer, out_task)
         self._add_task(out_task, endpoint=plan.sink)
-        del sink_ep
 
     # -- close ----------------------------------------------------------------
 

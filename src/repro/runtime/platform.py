@@ -18,7 +18,7 @@ from repro.net.simnet import Host
 from repro.net.stackprofiles import StackProfile, profile
 from repro.net.tcp import TcpNetwork
 from repro.runtime.costs import RuntimeConfig
-from repro.runtime.dispatcher import DispatcherTask, GraphDispatcher, GraphPool
+from repro.runtime.dispatcher import DispatcherTask, GraphDispatcher
 from repro.runtime.graph import Bindings, CodecRegistry, TaskGraph
 from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import Engine
@@ -67,13 +67,15 @@ class ProgramInstance:
             group_size=bindings.group_size,
             sink_connector=sink_connector,
         )
+        accept_cost = platform.stack.accept_us + platform.stack.op_overhead_us(
+            platform.config.cores
+        )
         self._dispatch_tasks: List[DispatcherTask] = []
         for core in range(platform.config.cores):
             task = DispatcherTask(
                 f"{proc_name}:dispatch{core}",
                 self.graph_dispatcher,
-                accept_cost=lambda: platform.stack.accept_us
-                + platform.stack.op_overhead_us(platform.config.cores),
+                accept_cost=accept_cost,
                 home_hint=core,
                 task_id=next(platform.engine.task_ids),
             )
@@ -101,10 +103,6 @@ class ProgramInstance:
         self._rr += 1
         task.enqueue(socket)
         self.platform.scheduler.notify_runnable(task)
-
-    @property
-    def pool(self) -> GraphPool:
-        return self.graph_dispatcher.pool
 
 
 class FlickPlatform:

@@ -187,13 +187,8 @@ POLICIES = Registry(
 )
 register_policy = POLICIES.register
 registered_policies = POLICIES.names
-
-
-def make_policy(
-    name: str, timeslice_us: float = 50.0, **kwargs
-) -> SchedulingPolicy:
-    """Instantiate the registered policy ``name``."""
-    return POLICIES.make(name, timeslice_us=timeslice_us, **kwargs)
+make_policy = POLICIES.make
+resolve_policy = POLICIES.resolve
 
 
 def overridden_hook(policy: SchedulingPolicy, name: str):
@@ -206,14 +201,6 @@ def overridden_hook(policy: SchedulingPolicy, name: str):
     ):
         return None
     return getattr(policy, name)
-
-
-def resolve_policy(spec, timeslice_us: float = 50.0) -> SchedulingPolicy:
-    """Accept a policy name or a ready instance; return an instance
-    (a ready instance keeps the timeslice it was built with)."""
-    if isinstance(spec, str):
-        return make_policy(spec, timeslice_us)
-    return POLICIES.resolve(spec)
 
 
 # -- the three paper policies (Figure 7) -------------------------------------

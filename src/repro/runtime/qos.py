@@ -5,8 +5,9 @@ predictable latency, but a single platform-wide ``slo_us`` cannot say
 "gold traffic gets 1 ms, bronze gets 50 ms" on one shared middlebox.  A
 :class:`ServiceClass` names one QoS tier (an SLO in virtual µs plus a
 scheduling weight); a :class:`ServiceClassMap` assigns tiers to channel
-endpoints — optionally scoped to one program via ``"Program:endpoint"``
-keys — and is threaded ``RuntimeConfig(service_classes=...)`` →
+endpoints by name — two programs on one platform that need different
+tiers give their endpoints different names — and is threaded
+``RuntimeConfig(service_classes=...)`` →
 :class:`~repro.runtime.platform.FlickPlatform` →
 :class:`~repro.runtime.graph.TaskGraph`, which stamps every connection
 task with its endpoint's class (``task.service_class`` and
@@ -75,15 +76,14 @@ class ServiceClass:
 
 
 class ServiceClassMap:
-    """Endpoint (or ``Program:endpoint``) → :class:`ServiceClass`.
+    """Endpoint name → :class:`ServiceClass`.
 
     Built from specs by :func:`parse_slo_class_specs`, the one spelling
-    of a class map.  Lookups prefer the program-scoped key, so two
-    programs sharing an endpoint name (every rule graph calls its
-    inbound endpoint ``client``) can still carry different tiers on one
-    platform.  One class *name* may serve many endpoints, but only with
-    one definition: re-declaring ``gold`` with a different SLO or weight
-    is rejected, so a class means the same thing wherever it appears.
+    of a class map.  An endpoint name means one tier in every program
+    on the platform.  One class *name* may serve many endpoints, but
+    only with one definition: re-declaring ``gold`` with a different SLO
+    or weight is rejected, so a class means the same thing wherever it
+    appears.
     """
 
     def __init__(self):
@@ -109,17 +109,8 @@ class ServiceClassMap:
         self._by_endpoint[endpoint] = service_class
         self._by_name[service_class.name] = service_class
 
-    def class_for(
-        self, endpoint: Optional[str], program: Optional[str] = None
-    ) -> Optional[ServiceClass]:
-        """The class bound to ``endpoint``, preferring a program-scoped
-        ``"Program:endpoint"`` entry; ``None`` when unclassified."""
-        if endpoint is None:
-            return None
-        if program is not None:
-            scoped = self._by_endpoint.get(f"{program}:{endpoint}")
-            if scoped is not None:
-                return scoped
+    def class_for(self, endpoint: Optional[str]) -> Optional[ServiceClass]:
+        """The class bound to ``endpoint``; ``None`` when unclassified."""
         return self._by_endpoint.get(endpoint)
 
     def __iter__(self) -> Iterator[Tuple[str, ServiceClass]]:
@@ -179,6 +170,12 @@ def parse_slo_class(
         raise ConfigError(
             f"malformed service class spec {spec!r}: empty endpoint name"
         )
+    if ":" in endpoint:
+        raise ConfigError(
+            f"malformed service class spec {spec!r}: endpoint {endpoint!r} "
+            "is not an endpoint name; a spec names the bare endpoint, "
+            "endpoint=[name:]slo_us[@weight]"
+        )
     if valid_endpoints is not None and endpoint not in valid_endpoints:
         message = (
             f"unknown endpoint {endpoint!r} in service class spec {spec!r}; "
@@ -200,11 +197,6 @@ def parse_slo_class(
             f"malformed service class spec {spec!r}: SLO {slo_text.strip()!r} "
             "is not a number of µs"
         ) from None
-    if slo_us <= 0:
-        raise ConfigError(
-            f"malformed service class spec {spec!r}: SLO must be a positive "
-            f"number of µs, got {slo_us:g}"
-        )
     weight = 1.0
     if weight_text:
         try:
@@ -214,12 +206,13 @@ def parse_slo_class(
                 f"malformed service class spec {spec!r}: weight "
                 f"{weight_text.strip()!r} is not a number"
             ) from None
-        if weight <= 0:
-            raise ConfigError(
-                f"malformed service class spec {spec!r}: weight must be "
-                f"positive, got {weight:g}"
-            )
-    return endpoint, ServiceClass(name=name, slo_us=slo_us, weight=weight)
+    try:
+        service_class = ServiceClass(name=name, slo_us=slo_us, weight=weight)
+    except ConfigError as exc:
+        raise ConfigError(
+            f"malformed service class spec {spec!r}: {exc}"
+        ) from None
+    return endpoint, service_class
 
 
 def parse_slo_class_specs(

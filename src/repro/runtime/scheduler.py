@@ -4,10 +4,14 @@ This module is the mechanism half of a policy/mechanism split: it owns
 the workers, their FIFO task queues, sleep/wake bookkeeping and CPU cost
 accounting, and delegates every scheduling *decision* — budget, home
 placement, victim selection, local pick order, batching — to a
-:class:`~repro.runtime.policy.SchedulingPolicy` object.  Policies are
+:class:`~repro.runtime.policy.SchedulingPolicy` object, which also owns
+the cooperative quantum, and how many workers are active to an
+:class:`~repro.runtime.allocator.AllocationPolicy`.  Policies are
 selected by registry name (or passed as instances); the three paper
 policies reproduce Figure 7 exactly, and new policies plug in without
-touching this file.
+touching this file.  There is one path through the mechanism for every
+allocator: the default ``static`` one ticks like the others and never
+asks for a change.
 
 Mechanism invariants, independent of policy:
 
@@ -110,10 +114,9 @@ class Scheduler:
 
     ``policy`` may be a registered policy name (see
     :func:`repro.runtime.policy.registered_policies`) or a
-    :class:`~repro.runtime.policy.SchedulingPolicy` instance.  A name is
-    instantiated with ``timeslice_us``; an instance keeps its own
-    timeslice (set it on the instance), and ``self.timeslice_us`` always
-    reports the effective value.
+    :class:`~repro.runtime.policy.SchedulingPolicy` instance.  The
+    policy owns the timeslice: a name gets its class's default quantum,
+    and an instance keeps the one it was built with.
 
     ``topology`` (a :class:`~repro.net.stackprofiles.CoreTopology`, a
     registered topology name, or ``None`` for the flat default) labels
@@ -129,16 +132,15 @@ class Scheduler:
     workers first (so the active set is always the worker prefix),
     drains a parked worker's queue back onto active workers, and logs
     every applied change as an :class:`AllocRecord` in
-    :attr:`alloc_log`.  The default ``static`` allocator disables the
-    tick machinery entirely and is byte-identical to pre-allocator
-    schedulers.
+    :attr:`alloc_log`.  The default ``static`` allocator is an ordinary
+    policy: its ticks run, always ask for every core, and so never
+    change (or log) anything.
     """
 
     def __init__(
         self,
         engine: Engine,
         cores: int,
-        timeslice_us: float = 50.0,
         policy="cooperative",
         topology=None,
         allocator="static",
@@ -157,11 +159,7 @@ class Scheduler:
         self.engine = engine
         self.cores = cores
         self.topology = topology
-        self.policy = resolve_policy(policy, timeslice_us)
-        # The policy's timeslice is the effective one: a passed-in
-        # instance keeps the budget it was built with, and this
-        # attribute must not misreport it.
-        self.timeslice_us = self.policy.timeslice_us
+        self.policy = resolve_policy(policy)
         bound = self.policy._bound_engine
         if bound is engine or (bound is not None and bound.pending() > 0):
             # Two live schedulers must not share one policy's mutable
@@ -197,16 +195,7 @@ class Scheduler:
             for i in range(cores)
         ]
         self.allocator = resolve_allocator(allocator)
-        if self.allocator.is_static:
-            # Byte-identity contract: `_active` *is* the worker list, so
-            # placement and victim selection see the exact object a
-            # pre-allocator scheduler would (NumA's group cache included)
-            # and no tick ever runs.
-            self._active = self._workers
-            self._alloc_enabled = False
-        else:
-            self._active = list(self._workers)
-            self._alloc_enabled = True
+        self._active = list(self._workers)
         self._next_alloc_at = self.allocator.tick_us
         self._last_alloc_change_at = -math.inf
         self._started = False
@@ -272,7 +261,7 @@ class Scheduler:
 
     def notify_runnable(self, task) -> None:
         """Called when a task gains input; enqueues it exactly once."""
-        if self._alloc_enabled and self.engine.now >= self._next_alloc_at:
+        if self.engine.now >= self._next_alloc_at:
             self._allocation_tick()
         if task.sched_state == QUEUED:
             return
@@ -407,15 +396,14 @@ class Scheduler:
                     self.engine.now,
                     getattr(task, "slo_us", None),
                 )
-        if self._alloc_enabled:
-            if self.engine.now >= self._next_alloc_at:
-                self._allocation_tick()
-            if not worker.active:
-                # Parked: queue already drained, nothing new can be
-                # placed here, and _wake skips parked workers — only an
-                # unpark rouses it.
-                worker.sleeping = True
-                return
+        if self.engine.now >= self._next_alloc_at:
+            self._allocation_tick()
+        if not worker.active:
+            # Parked: queue already drained, nothing new can be placed
+            # here, and _wake skips parked workers — only an unpark
+            # rouses it.
+            worker.sleeping = True
+            return
         queue = worker.queue
         if queue:
             self._queued -= 1
@@ -513,7 +501,6 @@ class TaskBase:
         self.placement_hash = stable_hash(task_id)
         self.sched_state = IDLE
         self.pending_wakeup = False
-        self.items_processed = 0
         self.busy_us = 0.0
 
     def has_work(self) -> bool:

@@ -196,7 +196,6 @@ class InputTask(_SocketReader):
                     break
                 elapsed += ops_to_us(self._parser.take_ops())
                 emissions.append(self._make_emit(record))
-                self.items_processed += 1
                 headroom -= 1
                 if budget_us is not None and elapsed >= budget_us:
                     self._backlog = True
@@ -258,7 +257,6 @@ class RawForwardTask(_SocketReader):
                 chunk = self._chunks.popleft()
                 elapsed += self._stack.read_cost_us(len(chunk), self._cores)
                 emissions.append(_emit_push(out, wake, chunk))
-                self.items_processed += 1
                 headroom -= 1
             else:
                 self._eof_handled = True
@@ -373,7 +371,6 @@ class ComputeTask(TaskBase):
             for proxy in self._proxies:
                 if proxy.buffered:
                     emissions.extend(proxy.flush_thunks())
-            self.items_processed += 1
             if budget_us is not None and elapsed >= budget_us:
                 break
         self.busy_us += elapsed
@@ -386,13 +383,10 @@ def _send_or_drop(socket, data: bytes) -> None:
     A connection can die under a running program — the peer vanished or
     a front-end router severed the pipe — with responses still queued
     behind the compute.  A real middlebox takes EPIPE and drops the
-    write; here the bytes land in the socket's ``bytes_dropped``
-    accounting instead of raising out of the scheduler.
+    write; so does this, instead of raising out of the scheduler.
     """
-    if socket.closed:
-        socket.bytes_dropped += len(data)
-        return
-    socket.send(data)
+    if not socket.closed:
+        socket.send(data)
 
 
 class OutputTask(TaskBase):
@@ -416,7 +410,6 @@ class OutputTask(TaskBase):
         self._cores = cores
         self._socket = None
         self._close_on_eos = close_on_eos
-        self.bytes_out = 0
 
     def bind_socket(self, socket) -> None:
         self._socket = socket
@@ -442,9 +435,7 @@ class OutputTask(TaskBase):
                 data, ops = self._serialize(item)
             elapsed += ops_to_us(ops)
             elapsed += self._stack.write_cost_us(len(data), self._cores)
-            self.bytes_out += len(data)
             emissions.append(lambda d=data: _send_or_drop(socket, d))
-            self.items_processed += 1
             if budget_us is not None and elapsed >= budget_us:
                 break
         self.busy_us += elapsed
@@ -555,7 +546,6 @@ class MergeTask(TaskBase):
                 merged.append(pending)
                 pending, pkey = element, ekey
                 headroom -= 1
-            self.items_processed += 1
             if not headroom or (budget_us is not None and elapsed >= budget_us):
                 break
         self._left_key, self._right_key = lkey, rkey

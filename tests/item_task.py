@@ -22,7 +22,6 @@ class ItemTask(TaskBase):
         while self.remaining > 0:
             self.remaining -= 1
             elapsed += self.cost_us
-            self.items_processed += 1
             if budget_us == 0.0:
                 break
             if budget_us is not None and elapsed >= budget_us:

@@ -11,7 +11,7 @@ engine's firing order.
 One consumer: ``tests/test_merge_oracle.py`` drives it and the
 production merge through the same deliveries, closes, slices and
 drains, and requires the same output stream, per-slice ``elapsed``,
-``busy_us``, ``items_processed`` and exception class.  Nothing under
+``busy_us``, input records popped and exception class.  Nothing under
 ``src/`` imports this module.
 """
 
@@ -126,7 +126,6 @@ class ReferenceMergeTask(TaskBase):
                     emissions.append(_emit_push(out, wake, done))
                     headroom -= 1
                     self._pending = element
-                self.items_processed += 1
                 if not headroom:
                     break
             elif self._left.exhausted() and self._right.exhausted():

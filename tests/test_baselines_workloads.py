@@ -42,14 +42,12 @@ class TestCorePool:
         engine.run()
         assert done == [10, 10]
 
-    def test_busy_accounting(self):
+    def test_jobs_fill_every_core_before_queueing(self):
         engine = Engine()
         pool = CorePool(engine, 4)
-        for _ in range(8):
-            pool.submit(5, lambda: None)
+        ends = [pool.submit(5, lambda: None) for _ in range(8)]
         engine.run()
-        assert pool.busy_us == 40
-        assert pool.jobs == 8
+        assert ends == [5] * 4 + [10] * 4
 
 
 def _topology():

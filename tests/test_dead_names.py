@@ -10,11 +10,16 @@ whole text, so a name used only in generated source, an f-string or a
 (Python calls them), and so are decorated classes: registry entries are
 reached through their decorator, by name.
 
-An attribute is state nothing consults when no tree reads its name: no
-attribute load (``x.name``; ``self.name += 1`` is a store), no keyword
-argument ``name=`` and no identifier ``name`` inside a string constant
-(generated code, ``getattr`` names, ``__slots__``).  Docstrings are not
-string constants here: prose that names an attribute does not read it.
+An attribute is state nothing consults when neither the product nor
+what runs it (``src/``, ``benchmarks/``, ``examples/``) reads its name:
+no attribute load (``x.name``; ``self.name += 1`` is a store), no
+keyword argument ``name=`` and no identifier ``name`` inside a string
+constant (generated code, ``getattr`` names, ``__slots__``).  Docstrings
+are not string constants here: prose that names an attribute does not
+read it.  A read in ``tests/`` does not count: a counter the runtime
+keeps on every send or item for tests alone is a cost the product pays
+for nothing, and a test can observe the same behaviour through what the
+product emits.  Only :data:`ACCOUNTING` is exempt.
 """
 
 import ast
@@ -24,6 +29,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "benchmarks", "examples")
+#: The trees whose reads keep a stored attribute alive.
+READERS = ("src", "benchmarks", "examples")
+#: Kept whoever reads them: the per-task and per-worker busy time and
+#: the count of scheduled slices are the accounting a worker's busy
+#: time decomposes into (task ``busy_us`` + slices x ``SCHEDULE_US`` +
+#: ``steal_us``), which ``test_policy_invariants.py`` checks on every
+#: policy and the operational-law identities of ROADMAP.md build on.
+ACCOUNTING = ("busy_us", "tasks_executed")
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -61,10 +74,10 @@ def _dead_names(root=ROOT):
 
 def _write_only_attributes(root=ROOT):
     """``path:line name`` of the first ``self.name`` store under ``src/``
-    of every attribute name that no tree reads."""
-    reads = set()
+    of every attribute name that no tree in :data:`READERS` reads."""
+    reads = set(ACCOUNTING)
     stores = {}
-    for tree in TREES:
+    for tree in READERS:
         for path in sorted((root / tree).rglob("*.py")):
             module = ast.parse(path.read_text(encoding="utf-8"))
             docstrings = _docstrings(module)
@@ -169,7 +182,7 @@ def test_an_attribute_only_stored_is_flagged_at_its_first_store(tmp_path):
     assert _write_only_attributes(root) == ["src/mod.py:3 hits"]
 
 
-def test_a_load_keyword_or_string_anywhere_counts_as_a_read(tmp_path):
+def test_a_load_keyword_or_string_in_the_product_counts_as_a_read(tmp_path):
     root = _tree(
         tmp_path,
         "class Holder:\n"
@@ -178,14 +191,38 @@ def test_a_load_keyword_or_string_anywhere_counts_as_a_read(tmp_path):
         "        self.slotted = 1\n"
         "        self.by_keyword = 2\n"
         "        self.by_getattr = 3\n"
-        "        self.by_test = 4\n"
+        "        self.by_example = 4\n"
         "        self.by_source = 5\n\n"
         "    def copy(self):\n"
         "        return dict(by_keyword=getattr(self, 'by_getattr'))\n\n\n"
         "SOURCE = 'def peek(h):\\n    return h.by_source\\n'\n",
-        tests="def test_it(holder):\n    assert holder.by_test == 4\n",
+    )
+    (root / "examples").mkdir()
+    (root / "examples" / "demo.py").write_text(
+        "def show(holder):\n    print(holder.by_example)\n", encoding="utf-8"
     )
     assert _write_only_attributes(root) == []
+
+
+def test_an_attribute_only_a_test_reads_is_flagged(tmp_path):
+    root = _tree(
+        tmp_path,
+        "class Socket:\n"
+        "    def __init__(self):\n"
+        "        self.bytes_sent = 0\n"
+        "        self.busy_us = 0.0\n\n"
+        "    def send(self, data):\n"
+        "        self.bytes_sent += len(data)\n"
+        "        self.busy_us += 1.0\n",
+        tests=(
+            "def test_it(socket):\n"
+            "    assert socket.bytes_sent == 5\n"
+            "    assert socket.busy_us == 1.0\n"
+        ),
+    )
+    # A test's read keeps nothing alive; only the named accounting is
+    # exempt.
+    assert _write_only_attributes(root) == ["src/mod.py:3 bytes_sent"]
 
 
 def test_a_docstring_naming_an_attribute_does_not_read_it(tmp_path):

@@ -29,13 +29,23 @@ class TestGraphDispatcher:
         dispatcher.graph_finished(object())
         assert dispatcher.assign_cost_us() == GRAPH_RECYCLE_US
 
+    def test_graph_finished_refills_no_more_than_the_pool_size(self):
+        dispatcher = GraphDispatcher(lambda: None, pool_size=1)
+        dispatcher.graph_finished(object())  # the pool is already full
+        assert dispatcher.assign_cost_us() == GRAPH_RECYCLE_US
+        assert dispatcher.assign_cost_us() == GRAPH_BUILD_US
+
+    def test_zero_pool_always_builds(self):
+        dispatcher = GraphDispatcher(lambda: None, pool_size=0)
+        dispatcher.graph_finished(object())
+        assert dispatcher.assign_cost_us() == GRAPH_BUILD_US
+
     def test_rule_graph_per_connection(self):
         log = []
         dispatcher = GraphDispatcher(lambda: _FakeGraph(log), pool_size=4)
         dispatcher.assign("s1")
         dispatcher.assign("s2")
         assert log == [("bind", "s1"), ("bind", "s2")]
-        assert dispatcher.total_graphs == 2
 
     def test_foldt_groups_connections(self):
         log = []
@@ -72,14 +82,13 @@ class TestGraphDispatcher:
             ("group", ("a", "b"), "sink"),
             ("group", ("c", "d"), "sink"),
         ]
-        assert dispatcher.total_graphs == 2
 
 
 class TestDispatcherTask:
     def _make(self, accept_us=10.0, pool_size=8):
         log = []
         dispatcher = GraphDispatcher(lambda: _FakeGraph(log), pool_size)
-        task = DispatcherTask("d", dispatcher, lambda: accept_us, task_id=1)
+        task = DispatcherTask("d", dispatcher, accept_us, task_id=1)
         return task, dispatcher, log
 
     def test_step_charges_accept_and_assignment(self):

@@ -101,7 +101,7 @@ def run_four_socket_workload(policy, seed, n_tasks=48):
     """A randomized, imbalanced workload on the four-socket ring."""
     rng = random.Random(seed)
     engine = Engine()
-    scheduler = Scheduler(engine, CORES, 50.0, policy, FOUR_SOCKET)
+    scheduler = Scheduler(engine, CORES, policy, FOUR_SOCKET)
     tasks = []
     for index in range(n_tasks):
         task = ItemTask(
@@ -225,7 +225,7 @@ class TestHierarchicalStealProperty:
         all the work piled on core 0, steal-half moves real batches."""
         policy, steals = watch_steals(name)
         engine = Engine()
-        scheduler = Scheduler(engine, CORES, 50.0, policy, FOUR_SOCKET)
+        scheduler = Scheduler(engine, CORES, policy, FOUR_SOCKET)
         tasks = [
             ItemTask(f"t{i}", 20, 2.0, next(engine.task_ids)) for i in range(48)
         ]
@@ -284,7 +284,7 @@ def steal_gradient_steals(policy):
     """
     policy, steals = watch_steals(policy)
     engine = Engine()
-    scheduler = Scheduler(engine, CORES, 50.0, policy, FOUR_SOCKET)
+    scheduler = Scheduler(engine, CORES, policy, FOUR_SOCKET)
     tasks = []
     for core in range(0, 4):  # socket 0: drains almost immediately
         tasks.append(ItemTask(f"s0c{core}", 2, 1.0, next(engine.task_ids)))
@@ -340,7 +340,7 @@ class TestHierarchicalBeatsFlat:
         degenerates to socket-0-everywhere, longest queue."""
         engine = Engine()
         policy, steals = watch_steals("numa")
-        scheduler = Scheduler(engine, 4, 50.0, policy)
+        scheduler = Scheduler(engine, 4, policy)
         tasks = [ItemTask(f"t{i}", 20, 2.0, next(engine.task_ids)) for i in range(8)]
         for task in tasks:
             task.home_hint = 0
@@ -366,7 +366,7 @@ def test_numa_on_two_sockets_pays_less_steal_cost_than_cooperative():
     costs = {}
     for policy in ("cooperative", "numa"):
         engine = Engine()
-        scheduler = Scheduler(engine, 16, 50.0, policy, "two-socket")
+        scheduler = Scheduler(engine, 16, policy, "two-socket")
         tasks = []
         for name, count, home in (("a", 40, 0), ("b", 20, 8)):
             for i in range(count):

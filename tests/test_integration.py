@@ -4,7 +4,7 @@ platform (compiled FLICK programs, codecs, scheduler, simulated TCP)."""
 from repro.apps import hadoop_agg, http_lb, memcached_proxy
 from repro.core.units import GBPS
 from repro.net.tcp import TcpNetwork
-from repro.runtime.costs import RuntimeConfig
+from repro.runtime.costs import GRAPH_RECYCLE_US, RuntimeConfig
 from repro.runtime.graph import OutboundTarget
 from repro.runtime.platform import FlickPlatform
 from repro.sim.engine import Engine
@@ -340,6 +340,15 @@ class TestPlatformBehaviour:
         instance = platform.register_program(
             http_lb.compile_static_web(), "StaticWeb", 80
         )
+        dispatcher = instance.graph_dispatcher
+        costs = []
+        assign_cost_us = dispatcher.assign_cost_us
+
+        def recorded():
+            costs.append(assign_cost_us())
+            return costs[-1]
+
+        dispatcher.assign_cost_us = recorded
         platform.start()
         pop = ClientPopulation(
             engine, net, clients, mbox, 80, HttpRequestCodec(), connections=3,
@@ -347,7 +356,10 @@ class TestPlatformBehaviour:
         )
         pop.start()
         engine.run()
-        assert instance.pool.hits > 0
+        # More connections than pooled graphs, and every one recycled:
+        # finished graphs went back to the pool.
+        assert len(costs) > 4
+        assert set(costs) == {GRAPH_RECYCLE_US}
 
     def test_globals_shared_across_graphs(self):
         """The Listing 1 cache is per-process: a response cached via one

@@ -5,7 +5,7 @@ became one loop over locals that computes each record's key once and
 pushes a slice's records in one emission.  The contract is that none
 of that is visible: the same deliveries, closes, slices and drains give
 the same output stream, the same per-slice ``elapsed``, ``busy_us`` and
-``items_processed``, the same ``has_work`` answers and the same
+input records popped, the same ``has_work`` answers and the same
 exception.  Both foldt pairs the platform runs are checked, the native
 key/combine and the FLICK-compiled ``build_foldt_handler`` pair, and a
 third whose combine changes the key.
@@ -28,6 +28,7 @@ from repro.apps.hadoop_agg import _native_combine, _native_key, compile_hadoop
 from repro.lang.compiler import build_foldt_handler
 from repro.lang.values import Record
 from repro.runtime.channel import EOS, TaskChannel
+from repro.runtime.policy import make_policy
 from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.runtime.task import MergeTask
 from repro.sim.engine import Engine
@@ -126,9 +127,13 @@ def _drive(task_cls, pair, left_side, right_side, script, capacity):
     chunks = {"l": _chunks(left_side, 0), "r": _chunks(right_side, 3)}
     trace = []
 
+    def queued():
+        return len(chans["l"]) + len(chans["r"])
+
     def slice_(budget):
+        before = queued()
         elapsed, emissions = task.step(budget)
-        trace.append(("step", elapsed, task.busy_us, task.items_processed))
+        trace.append(("step", elapsed, task.busy_us, before - queued()))
         for emit in emissions:
             emit()
         trace.append(("has_work", task.has_work()))
@@ -219,7 +224,9 @@ class _Reader(TaskBase):
 def _scheduled(task_cls, pair, left_side, right_side, gaps, policy, slice_us,
                cores, capacity):
     engine = Engine()
-    sched = Scheduler(engine, cores, slice_us, policy=policy)
+    sched = Scheduler(
+        engine, cores, make_policy(policy, timeslice_us=slice_us)
+    )
     chans = {"l": TaskChannel("l", 256), "r": TaskChannel("r", 256)}
     out = TaskChannel("o", capacity)
     merge = task_cls(
@@ -240,7 +247,7 @@ def _scheduled(task_cls, pair, left_side, right_side, gaps, policy, slice_us,
         seen.append(("raised", type(exc).__name__))
     return (
         seen, engine.now, sched.tasks_executed,
-        merge.busy_us, merge.items_processed,
+        merge.busy_us, [len(chan) for chan in chans.values()],
     )
 
 

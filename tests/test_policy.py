@@ -205,7 +205,7 @@ class TestRegistry:
         assert registered_policies()[:3] == PAPER_POLICIES
 
     def test_scheduler_exposes_policy_name(self):
-        sched = Scheduler(Engine(), 2, 50.0, "locality")
+        sched = Scheduler(Engine(), 2, "locality")
         assert sched.policy_name == "locality"
         assert isinstance(sched.policy, LocalityPolicy)
 
@@ -274,7 +274,7 @@ class TestGoldenParity:
         second = run_scheduling_experiment(
             "cooperative", n_tasks=40, items_per_task=40, cores=4
         )
-        assert first.as_dict() == second.as_dict()
+        assert first == second
 
 
 class _FakeWorker:
@@ -328,7 +328,7 @@ class TestBatchPolicy:
 
         def decisions(policy):
             engine = Engine()
-            sched = Scheduler(engine, 2, 50.0, policy)
+            sched = Scheduler(engine, 2, policy)
             tasks = [ItemTask(f"t{i}", 64, 2.0, next(engine.task_ids)) for i in range(4)]
             sched.start()
             for t in tasks:
@@ -372,41 +372,43 @@ class TestPriorityPolicy:
         assert policy._mean_cost[task.task_id] == pytest.approx(15.0)
 
     def test_scheduler_adopts_instance_timeslice(self):
-        """A passed-in instance keeps its own budget, and the scheduler
-        reports the effective value instead of the ignored argument."""
+        """The quantum is the policy's: a passed-in instance keeps its
+        own budget, and a name gets its class's 50 µs default."""
         sched = Scheduler(
-            Engine(), 1, timeslice_us=10.0,
-            policy=CooperativePolicy(timeslice_us=25.0),
+            Engine(), 1, policy=CooperativePolicy(timeslice_us=25.0)
         )
-        assert sched.timeslice_us == 25.0
         assert sched.policy.budget(None) == 25.0
-        # Name specs still take the scheduler's timeslice.
-        sched = Scheduler(Engine(), 1, timeslice_us=10.0, policy="cooperative")
-        assert sched.timeslice_us == 10.0
-        assert sched.policy.budget(None) == 10.0
+        sched = Scheduler(Engine(), 1, policy="cooperative")
+        assert sched.policy.budget(None) == 50.0
+
+    def test_a_positional_timeslice_is_rejected(self):
+        """The scheduler takes no quantum: a number where the policy
+        belongs is refused, not read as a timeslice."""
+        with pytest.raises(RuntimeFlickError, match="got float"):
+            Scheduler(Engine(), 1, 20.0)
 
     def test_instance_shared_across_live_engines_rejected(self):
         """An engine with events still in flight counts as live: its
         policy instance cannot be adopted by another scheduler."""
         policy = PriorityPolicy()
         engine_a = Engine()
-        sched_a = Scheduler(engine_a, 2, 50.0, policy)
+        sched_a = Scheduler(engine_a, 2, policy)
         sched_a.start()  # worker processes now pending on engine_a
         with pytest.raises(RuntimeFlickError):
-            Scheduler(Engine(), 2, 50.0, policy)
+            Scheduler(Engine(), 2, policy)
         engine_a.run()  # drains: sequential reuse becomes legal again
-        Scheduler(Engine(), 2, 50.0, policy)
+        Scheduler(Engine(), 2, policy)
 
     def test_instance_shared_within_one_simulation_rejected(self):
         """Two schedulers on the same engine must not share one policy's
         mutable state; sequential reuse (fresh engine) stays allowed."""
         engine = Engine()
         policy = PriorityPolicy()
-        Scheduler(engine, 2, 50.0, policy)
+        Scheduler(engine, 2, policy)
         with pytest.raises(RuntimeFlickError):
-            Scheduler(engine, 2, 50.0, policy)
+            Scheduler(engine, 2, policy)
         # A fresh engine (a new run) may adopt the same instance.
-        Scheduler(Engine(), 2, 50.0, policy)
+        Scheduler(Engine(), 2, policy)
 
     def test_completed_tasks_evicted_from_cost_map(self):
         """Priority's EWMA map stays bounded: entries are dropped once a
@@ -430,7 +432,7 @@ class TestPriorityPolicy:
         second = run_scheduling_experiment(
             policy, n_tasks=8, items_per_task=40, cores=1
         )
-        assert first.as_dict() == second.as_dict()
+        assert first == second
 
     def test_next_local_pops_cheapest_and_keeps_order(self):
         from collections import deque
@@ -669,19 +671,19 @@ class TestPlacementHash:
 
 class TestSchedulerTopology:
     def test_workers_labelled_with_sockets(self):
-        sched = Scheduler(Engine(), 16, 50.0, "numa", topology="two-socket")
+        sched = Scheduler(Engine(), 16, "numa", topology="two-socket")
         sockets = [w.socket for w in sched._workers]
         assert sockets == [0] * 8 + [1] * 8
         assert sched.topology.name == "two-socket"
 
     def test_flat_default_is_all_socket_zero(self):
-        sched = Scheduler(Engine(), 4, 50.0, "cooperative")
+        sched = Scheduler(Engine(), 4, "cooperative")
         assert all(w.socket == 0 for w in sched._workers)
         assert sched.topology is None
 
     def test_unknown_topology_name_rejected(self):
         with pytest.raises(RuntimeFlickError, match="unknown core topology"):
-            Scheduler(Engine(), 4, 50.0, "cooperative", topology="mesh")
+            Scheduler(Engine(), 4, "cooperative", topology="mesh")
 
     def test_degenerate_topologies_rejected(self):
         from repro.net.stackprofiles import CoreTopology
@@ -705,7 +707,7 @@ class TestSchedulerTopology:
             remote_steal_penalty_us=5.0,
         )
         engine = Engine()
-        sched = Scheduler(engine, 2, 50.0, "cooperative", topology=tiny)
+        sched = Scheduler(engine, 2, "cooperative", topology=tiny)
         tasks = [ItemTask(f"t{i}", 30, 2.0, next(engine.task_ids)) for i in range(4)]
         for task in tasks:
             task.home_hint = 0  # all work lands on socket-0's core
@@ -787,7 +789,7 @@ class TestStealHalfPolicy:
         from repro.runtime.costs import STEAL_US
 
         engine = Engine()
-        sched = Scheduler(engine, 2, 50.0, "steal-half")
+        sched = Scheduler(engine, 2, "steal-half")
         tasks = [ItemTask(f"t{i}", 20, 2.0, next(engine.task_ids)) for i in range(8)]
         for task in tasks:
             task.home_hint = 0  # force an imbalance worth batch-stealing
@@ -809,7 +811,7 @@ class TestStealHalfPolicy:
 
         def steals(policy):
             engine = Engine()
-            sched = Scheduler(engine, 4, 50.0, policy)
+            sched = Scheduler(engine, 4, policy)
             tasks = [ItemTask(f"t{i}", 16, 4.0, next(engine.task_ids)) for i in range(16)]
             for task in tasks:
                 task.home_hint = 0
@@ -837,7 +839,7 @@ class TestSweepDeterminism:
         )
         assert set(first) == set(second) == set(names)
         for name in names:
-            assert first[name].as_dict() == second[name].as_dict(), name
+            assert first[name] == second[name], name
 
 
 class TestPlatformPolicyThreading:

@@ -141,6 +141,8 @@ class TestSharedContract:
         assert getattr(module, f"registered_{axis.plural}")() == (
             registry.names()
         )
+        assert getattr(module, f"make_{axis.verb}") == registry.make
+        assert getattr(module, f"resolve_{axis.verb}") == registry.resolve
         made = getattr(module, f"make_{axis.verb}")(axis.buildable)
         assert type(made) is registry.classes[axis.buildable]
         assert getattr(module, f"resolve_{axis.verb}")(made) is made
@@ -222,9 +224,7 @@ class TestSharedContract:
         )
 
 
-@pytest.mark.parametrize(
-    "axis", AXIS_CASES[1:], ids=[axis.verb for axis in AXIS_CASES[1:]]
-)
+@per_axis
 def test_resolve_never_drops_keywords(axis):
     """``resolve_*(instance, **params)`` used to return the instance and
     discard ``params``; an instance carries its own parameters, so the
@@ -238,10 +238,11 @@ def test_resolve_never_drops_keywords(axis):
 
 
 def test_resolve_policy_keeps_its_timeslice():
-    made = policy.resolve_policy("cooperative", timeslice_us=30.0)
-    assert made.timeslice_us == 30.0
+    """The quantum is the policy's: a name gets the 50 µs default, and
+    an instance keeps the one it was built with."""
+    assert policy.resolve_policy("cooperative").timeslice_us == 50.0
     ready = policy.CooperativePolicy(timeslice_us=25.0)
-    assert policy.resolve_policy(ready, timeslice_us=30.0) is ready
+    assert policy.resolve_policy(ready) is ready
     assert ready.timeslice_us == 25.0
 
 

@@ -23,10 +23,10 @@ from repro.net.faults import make_fault
 from repro.net.tcp import TcpNetwork
 from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.costs import RuntimeConfig
-from repro.runtime.dispatcher import GraphPool
 from repro.runtime.graph import OutboundTarget, TaskGraph
 from repro.runtime import platform as platform_module
 from repro.runtime.platform import FlickPlatform
+from repro.runtime.policy import CooperativePolicy
 from repro.runtime.scheduler import Scheduler, TaskBase
 from repro.runtime.task import MergeTask
 from repro.sim.engine import Engine
@@ -251,7 +251,7 @@ class _CountingTask(TaskBase):
 class TestScheduler:
     def test_single_task_runs_to_completion(self):
         engine = Engine()
-        sched = Scheduler(engine, 1, 50.0)
+        sched = Scheduler(engine, 1)
         task = _CountingTask("t", 10, 5.0, engine)
         sched.start()
         sched.notify_runnable(task)
@@ -262,7 +262,7 @@ class TestScheduler:
     def test_timeslice_respected(self):
         """No single scheduling of a task exceeds timeslice + one item."""
         engine = Engine()
-        sched = Scheduler(engine, 1, timeslice_us=20.0)
+        sched = Scheduler(engine, 1, CooperativePolicy(timeslice_us=20.0))
         task = _CountingTask("t", 100, 6.0, engine)
         sched.start()
         sched.notify_runnable(task)
@@ -272,7 +272,7 @@ class TestScheduler:
 
     def test_work_stealing(self):
         engine = Engine()
-        sched = Scheduler(engine, 4, 50.0)
+        sched = Scheduler(engine, 4)
         tasks = [_CountingTask(f"t{i}", 40, 5.0, engine) for i in range(8)]
         sched.start()
         for t in tasks:
@@ -286,7 +286,7 @@ class TestScheduler:
     def test_parallel_speedup(self):
         def run(cores):
             engine = Engine()
-            sched = Scheduler(engine, cores, 50.0)
+            sched = Scheduler(engine, cores)
             tasks = [_CountingTask(f"t{i}", 50, 4.0, engine) for i in range(16)]
             sched.start()
             for t in tasks:
@@ -298,7 +298,7 @@ class TestScheduler:
 
     def test_no_duplicate_enqueue(self):
         engine = Engine()
-        sched = Scheduler(engine, 2, 50.0)
+        sched = Scheduler(engine, 2)
         task = _CountingTask("t", 5, 1.0, engine)
         sched.start()
         for _ in range(10):
@@ -308,7 +308,7 @@ class TestScheduler:
 
     def test_utilisation_bounded(self):
         engine = Engine()
-        sched = Scheduler(engine, 2, 50.0)
+        sched = Scheduler(engine, 2)
         tasks = [_CountingTask(f"t{i}", 30, 5.0, engine) for i in range(4)]
         sched.start()
         for t in tasks:
@@ -318,7 +318,7 @@ class TestScheduler:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(Exception):
-            Scheduler(Engine(), 2, 50.0, "fifo")
+            Scheduler(Engine(), 2, "fifo")
 
 
 class TestSchedulerWakeups:
@@ -329,7 +329,7 @@ class TestSchedulerWakeups:
 
     def test_wake_rouses_only_home_worker(self):
         engine = Engine()
-        sched = Scheduler(engine, 3, 50.0)
+        sched = Scheduler(engine, 3)
         sched.start()
         engine.run()  # no work: all three workers go to sleep
         assert len(self._sleeping(sched)) == 3
@@ -346,7 +346,7 @@ class TestSchedulerWakeups:
 
     def test_busy_home_wakes_exactly_one_thief(self):
         engine = Engine()
-        sched = Scheduler(engine, 3, 50.0)
+        sched = Scheduler(engine, 3)
         sched.start()
         engine.run()
         first = _CountingTask("first", 40, 5.0, engine)
@@ -370,7 +370,7 @@ class TestSchedulerWakeups:
 
     def test_notify_while_queued_enqueues_once(self):
         engine = Engine()
-        sched = Scheduler(engine, 2, 50.0)
+        sched = Scheduler(engine, 2)
         task = _CountingTask("t", 3, 1.0, engine)
         task.home_hint = 0
         sched.start()
@@ -384,7 +384,7 @@ class TestSchedulerWakeups:
         """A task notified while RUNNING (e.g. by its own emissions) is
         re-enqueued exactly once, after the timeslice ends."""
         engine = Engine()
-        sched = Scheduler(engine, 1, 50.0)
+        sched = Scheduler(engine, 1)
 
         class SelfNotifyingTask(TaskBase):
             def __init__(self):
@@ -437,7 +437,7 @@ def _mk(key, value="1"):
 class TestMergeTask:
     def _run_merge(self, left_items, right_items):
         engine = Engine()
-        sched = Scheduler(engine, 1, 50.0)
+        sched = Scheduler(engine, 1)
         left = TaskChannel("l", 64)
         right = TaskChannel("r", 64)
         out = TaskChannel("o", 64)
@@ -487,24 +487,6 @@ class TestMergeTask:
     def test_duplicates_within_one_stream(self):
         out = self._run_merge([_mk("a", "1"), _mk("a", "2")], [_mk("a", "4")])
         assert out == [("a", "7")]
-
-
-class TestGraphPool:
-    def test_hits_then_misses(self):
-        pool = GraphPool(2)
-        assert pool.take() and pool.take()
-        assert not pool.take()
-        assert pool.hits == 2 and pool.misses == 1
-
-    def test_give_back_capped(self):
-        pool = GraphPool(1)
-        pool.give_back()
-        assert pool.available == 1
-
-    def test_zero_pool_always_misses(self):
-        pool = GraphPool(0)
-        assert not pool.take()
-        assert pool.misses == 1
 
 
 # -- what a connection builds, and what it lets go of -----------------------
@@ -767,22 +749,21 @@ def test_tasks_woken_after_teardown_are_still_charged():
     opens 182 µs after the send and connects at 254, the backend answers
     at 308 and the reply lands at 392; a close at +160 / +240 / +450
     tears the graph down at +286 / +366 / +576.  Every task's
-    ``(name, busy_us, items_processed)`` and the scheduler's total busy
-    time are pinned to the digest recorded before any reference cycle
-    was broken: dropping a reference at its last use charges the same
-    work.  (A close before the leg connects is the case
+    ``(name, busy_us)`` and the scheduler's total busy time are pinned
+    to the digest of the code before any reference cycle was broken:
+    dropping a reference at its last use charges the same work.  (A close before the leg connects is the case
     ``test_a_leg_connected_after_teardown_is_closed`` changed on
     purpose, so it is not here.)"""
     graphs, _backends, replies = _staggered_closes((160.0, 240.0, 450.0))
     rows = [
-        (task.name, task.busy_us, task.items_processed)
+        (task.name, task.busy_us)
         for graph in graphs
         for task in graph.tasks
     ]
     rows.append(graphs[0].scheduler.total_busy_us)
     assert len(graphs) == 3 and len(replies) == 1
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "f0242110aac344cefea8312664c87eba38e86c403e202bc1ca516aaef50c63da"
+        "de1c36bff3282f6a864f2135eff7aaf29a46c9c40526e7ab976ad261e84ad73e"
     )
 
 

@@ -52,7 +52,7 @@ import pytest
 
 from repro.runtime.allocator import make_allocator
 from repro.runtime.channel import EOS, TaskChannel
-from repro.runtime.policy import registered_policies
+from repro.runtime.policy import make_policy, registered_policies
 from repro.runtime.scheduler import IDLE, Scheduler, TaskBase
 from repro.sim.engine import Engine
 from tests.explore import timings
@@ -251,8 +251,7 @@ class _Run:
         self.scheduler = Scheduler(
             self.engine,
             workers,
-            TIMESLICE_US,
-            policy,
+            make_policy(policy, timeslice_us=TIMESLICE_US),
             allocator=_allocator(allocator),
         )
         build = SHAPES[shape][0]
@@ -287,10 +286,7 @@ class _Run:
                 scheduler.notify_runnable(source)
         elif kind == "wake":
             scheduler.notify_runnable(self.tasks[-1])
-        elif (
-            scheduler._alloc_enabled
-            and self.engine.now >= scheduler._next_alloc_at
-        ):
+        elif self.engine.now >= scheduler._next_alloc_at:
             scheduler._allocation_tick()
 
     def check(self):

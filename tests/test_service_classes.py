@@ -79,35 +79,26 @@ class TestServiceClassModel:
 
 
 class TestServiceClassMap:
-    def test_program_scoped_lookup_wins(self):
+    def test_lookup_by_endpoint_name(self):
         class_map = parse_slo_class_specs(
-            ["Gold:client=gold:1000@4", "client=bronze:50000"]
+            ["gold=gold:1000@4", "client=bronze:50000"]
         )
-        assert class_map.class_for("client", program="Gold") == GOLD
-        assert class_map.class_for("client", program="Bronze") == BRONZE
+        assert class_map.class_for("gold") == GOLD
         assert class_map.class_for("client") == BRONZE
         assert class_map.class_for("unknown") is None
         assert class_map.class_for(None) is None
 
-    def test_scoped_shorthand_names_class_after_full_key(self):
-        class_map = parse_slo_class_specs(["Gold:client=750"])
-        assert (
-            class_map.class_for("client", program="Gold").name
-            == "Gold:client"
-        )
-
-    def test_scoped_shorthands_for_two_programs_do_not_collide(self):
-        """The advertised use case: two programs sharing the endpoint
-        name 'client' with unnamed specs must coexist."""
-        class_map = parse_slo_class_specs(
-            ["Gold:client=1000", "Bronze:client=50000"]
-        )
-        assert class_map.class_for("client", program="Gold").slo_us == 1_000.0
-        assert (
-            class_map.class_for("client", program="Bronze").slo_us == 50_000.0
-        )
-        config = RuntimeConfig(service_classes=class_map)
-        assert len(config.service_classes) == 2
+    def test_a_program_scoped_key_is_rejected(self):
+        """An endpoint means one tier in every program: a spec naming
+        ``Program:endpoint`` would classify nothing, so it is refused
+        with the one spelling."""
+        for spec in ("Gold:client=750", "Gold:client=gold:1000@4"):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_slo_class_specs([spec])
+            message = str(excinfo.value)
+            assert "malformed service class spec" in message
+            assert repr(spec) in message
+            assert "endpoint=[name:]slo_us[@weight]" in message
 
     def test_duplicate_endpoint_rejected(self):
         class_map = parse_slo_class_specs(["client=gold:1000@4"])
@@ -198,11 +189,11 @@ class TestSloClassSpecParsing:
             ("=1000", "empty endpoint"),
             ("gold=fast", "is not a number"),
             ("light=gold:fast", "is not a number of µs"),
-            ("gold=0", "must be a positive"),
-            ("gold=-3", "must be a positive"),
+            ("gold=0", "needs a positive SLO"),
+            ("gold=-3", "needs a positive SLO"),
             ("gold=1000@heavy", "is not a number"),
-            ("gold=1000@0", "weight must be positive"),
-            ("gold=1000@-2", "weight must be positive"),
+            ("gold=1000@0", "needs a positive weight"),
+            ("gold=1000@-2", "needs a positive weight"),
         ],
     )
     def test_malformed_specs_have_clear_errors(self, spec, fragment):
@@ -254,14 +245,12 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("seed", range(8))
     def test_fuzzed_maps_survive_config_round_trips(self, seed):
         """Random well-formed class maps, written out as specs, parse
-        back without loss — endpoints (program-scoped too), SLOs and
-        weights all survive — and RuntimeConfig keeps the parsed map."""
+        back without loss — endpoints, SLOs and weights all survive —
+        and RuntimeConfig keeps the parsed map."""
         rng = random.Random(seed)
         entries = {}
         for index in range(rng.randint(1, 6)):
             endpoint = f"ep{index}"
-            if rng.random() < 0.3:
-                endpoint = f"Prog{rng.randint(0, 2)}:{endpoint}"
             slo = rng.choice((10.0, 500.0, 1_000.0, 50_000.0)) * (
                 1 + rng.random()
             )
@@ -311,15 +300,10 @@ class TestConfigRoundTrip:
 
 
 class TestGraphStamping:
-    def _bare_graph(self, config, spec_name="Prog"):
+    def _bare_graph(self, config):
         graph = object.__new__(TaskGraph)
         graph.config = config
         graph.tasks = []
-
-        class _Spec:
-            name = spec_name
-
-        graph.spec = _Spec()
         return graph
 
     def test_classified_endpoint_overrides_platform_slo(self):
@@ -344,22 +328,19 @@ class TestGraphStamping:
         assert task.service_class is None
         assert task.slo_us == 9_000.0
 
-    def test_program_scoped_entry_selects_by_spec_name(self):
+    def test_an_endpoint_name_selects_the_class_in_every_graph(self):
         config = RuntimeConfig(
             service_classes=parse_slo_class_specs(
-                ["Gold:client=gold:1000@4", "client=bronze:50000"]
+                ["gold=gold:1000@4", "client=bronze:50000"]
             )
         )
         gold_task = ItemTask("g", 1, 1.0, 1)
-        self._bare_graph(config, "Gold")._add_task(
-            gold_task, endpoint="client"
-        )
-        bronze_task = ItemTask("b", 1, 1.0, 2)
-        self._bare_graph(config, "Other")._add_task(
-            bronze_task, endpoint="client"
-        )
+        self._bare_graph(config)._add_task(gold_task, endpoint="gold")
+        bronze_tasks = [ItemTask(f"b{i}", 1, 1.0, 2 + i) for i in range(2)]
+        for task in bronze_tasks:
+            self._bare_graph(config)._add_task(task, endpoint="client")
         assert gold_task.service_class == GOLD
-        assert bronze_task.service_class == BRONZE
+        assert [t.service_class for t in bronze_tasks] == [BRONZE, BRONZE]
 
     def test_no_endpoint_no_class(self):
         config = RuntimeConfig(
@@ -424,7 +405,7 @@ class TestScoreboard:
 
     def test_scheduler_accounts_classified_tasks(self):
         engine = Engine()
-        scheduler = Scheduler(engine, 2, 50.0, "deadline")
+        scheduler = Scheduler(engine, 2, "deadline")
         periods = watch_periods(scheduler.scoreboard)
         gold_task = ItemTask("g", 4, 2.0, next(engine.task_ids))
         gold_task.service_class = GOLD
@@ -448,7 +429,7 @@ class TestScoreboard:
 
     def test_readmission_opens_a_new_busy_period(self):
         engine = Engine()
-        scheduler = Scheduler(engine, 1, 50.0, "cooperative")
+        scheduler = Scheduler(engine, 1, "cooperative")
         periods = watch_periods(scheduler.scoreboard)
         task = ItemTask("t", 3, 2.0, next(engine.task_ids))
         scheduler.start()
@@ -542,11 +523,11 @@ type http_resp: record
     status : integer
     body : string
 
-proc Gold: (http_req/http_resp client)
-    client => respond() => client
+proc Gold: (http_req/http_resp gold)
+    gold => respond() => gold
 
-proc Bronze: (http_req/http_resp client)
-    client => respond() => client
+proc Bronze: (http_req/http_resp bronze)
+    bronze => respond() => bronze
 
 fun respond: (req: http_req) -> (http_resp)
     http_resp(200, "ok")
@@ -560,7 +541,7 @@ fun respond: (req: http_req) -> (http_resp)
             cores=4,
             policy="deadline",
             service_classes=parse_slo_class_specs(
-                ["Gold:client=gold:1000@4", "Bronze:client=bronze:50000"]
+                ["gold=gold:1000@4", "bronze=bronze:50000"]
             ),
         )
         platform = FlickPlatform(
@@ -651,5 +632,5 @@ class TestTwoClassOutcome:
             )
             for _ in range(2)
         ]
-        assert runs[0].as_dict() == runs[1].as_dict()
+        assert runs[0] == runs[1]
         assert runs[0].class_stats == runs[1].class_stats

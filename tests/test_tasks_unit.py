@@ -157,7 +157,6 @@ class TestOutputTask:
         inbox.push(record)
         _drain(task)
         assert socket.sent == [mc.encode(record)]
-        assert task.bytes_out == len(socket.sent[0])
 
     def test_raw_bytes_pass_through(self):
         inbox = TaskChannel("in", 8)
@@ -323,10 +322,14 @@ class _StubDispatcher:
 
 def _three_item_task(kind, free=False):
     """A task of ``kind`` with three items ready; with ``free``, items
-    that cost no virtual time (where the task allows it)."""
+    that cost no virtual time (where the task allows it).  Returns the
+    task and a count of the items it has taken so far, read off what
+    the task produces or consumes: records pushed, inbox pops, sends,
+    assignments, or the synthetic task's remaining work."""
     request = mc.make_request(mc.OP_GETK, "k")
     if kind in READERS:
-        task = READERS[kind](TaskChannel("out", 8))
+        out = TaskChannel("out", 8)
+        task = READERS[kind](out)
         socket = _FakeSocket()
         task.attach(socket, lambda task: None)
         if kind == "input":
@@ -334,35 +337,37 @@ def _three_item_task(kind, free=False):
         else:
             for chunk in (b"a", b"b", b"c"):
                 socket.deliver(chunk)
-        return task
+        return task, lambda: len(out)
     if kind == "compute":
         inbox = TaskChannel("in", 8)
         task = ComputeTask("compute", inbox, task_id=1)
         task.add_handler("client", lambda record: 0.0)
         for _ in range(3):
             inbox.push(("client", 0, request))
-        return task
+        return task, lambda: 3 - len(inbox)
     if kind == "output":
         inbox = TaskChannel("in", 8)
         task = OutputTask(
             "out", inbox, mc.full_codec().serialize, KERNEL, cores=1,
             task_id=1,
         )
-        task.bind_socket(_FakeSocket())
+        socket = _FakeSocket()
+        task.bind_socket(socket)
         for _ in range(3):
             inbox.push(request)
-        return task
+        return task, lambda: len(socket.sent)
     if kind == "dispatcher":
+        dispatcher = _StubDispatcher()
         task = DispatcherTask(
-            "dispatch", _StubDispatcher(),
-            (lambda: 0.0) if free else (lambda: KERNEL.accept_us),
+            "dispatch", dispatcher, 0.0 if free else KERNEL.accept_us,
             task_id=1,
         )
         for index in range(3):
             task.enqueue(f"socket-{index}")
-        return task
+        return task, lambda: len(dispatcher.assigned)
     assert kind == "synthetic"
-    return SyntheticTask("synthetic", 3, 0 if free else 64, Engine())
+    task = SyntheticTask("synthetic", 3, 0 if free else 64, Engine())
+    return task, lambda: 3 - task._remaining
 
 
 TASK_KINDS = ("compute", "dispatcher", "input", "output", "raw", "synthetic")
@@ -374,32 +379,32 @@ class TestBudgetContract:
     ``None`` runs to completion."""
 
     @staticmethod
-    def _step(task, budget):
-        before = task.items_processed
+    def _step(task, taken, budget):
+        before = taken()
         _, emissions = task.step(budget)
         for emit in emissions:
             emit()
-        return task.items_processed - before
+        return taken() - before
 
     @pytest.mark.parametrize("kind", TASK_KINDS)
     def test_zero_budget_takes_at_most_one_item_per_step(self, kind):
-        task = _three_item_task(kind)
-        taken = []
+        task, taken = _three_item_task(kind)
+        per_step = []
         while task.has_work():
-            taken.append(self._step(task, 0.0))
-        assert max(taken) == 1
-        assert sum(taken) == 3
+            per_step.append(self._step(task, taken, 0.0))
+        assert max(per_step) == 1
+        assert sum(per_step) == 3
 
     @pytest.mark.parametrize("kind", TASK_KINDS)
     def test_no_budget_takes_every_ready_item_in_one_step(self, kind):
-        task = _three_item_task(kind)
-        assert self._step(task, None) == 3
+        task, taken = _three_item_task(kind)
+        assert self._step(task, taken, None) == 3
         assert not task.has_work()
 
     @pytest.mark.parametrize("kind", ("dispatcher", "synthetic"))
     def test_free_items_still_stop_a_zero_budget_step(self, kind):
         """Elapsed time never falls, so ``0.0 >= 0.0`` ends the step
         after one item even when the item cost nothing."""
-        task = _three_item_task(kind, free=True)
-        assert [self._step(task, 0.0) for _ in range(3)] == [1, 1, 1]
+        task, taken = _three_item_task(kind, free=True)
+        assert [self._step(task, taken, 0.0) for _ in range(3)] == [1, 1, 1]
         assert not task.has_work()

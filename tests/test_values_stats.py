@@ -300,7 +300,7 @@ class TestBoundedState:
             # Every task pinned to worker 0: the other seven steal
             # most of them.
             engine = Engine()
-            scheduler = Scheduler(engine, 8, 50.0, "cooperative")
+            scheduler = Scheduler(engine, 8, "cooperative")
             scheduler.start()
             for index in range(n_tasks):
                 task = ItemTask(f"t{index}", 1, 2.0, next(engine.task_ids))
