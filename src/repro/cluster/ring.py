@@ -5,7 +5,9 @@ each on a 64-bit ring, and a key belongs to the first point clockwise
 from its own hash.  Hashing is :func:`hashlib.blake2b` keyed by the
 ring's seed, so lookups are deterministic across processes and Python
 versions (``hash()`` randomisation never leaks in) and two rings built
-with the same seed agree point for point.
+with the same seed agree point for point.  ``hashlib`` is imported when
+the first ring is built: importing it loads OpenSSL (~3.4 MiB resident),
+and a run without a fleet builds no ring.
 
 Consistent hashing's contract — the reason the router uses it — is
 *minimal disruption*: adding a shard only claims keys for the new shard
@@ -18,7 +20,6 @@ locked by hypothesis tests (``tests/test_hash_ring.py``).
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right, insort
 from typing import Iterable, List, Tuple
 
@@ -48,6 +49,9 @@ class HashRing:
         self.vnodes = int(vnodes)
         self.seed = int(seed)
         self._key = self.seed.to_bytes(8, "little", signed=False)
+        from hashlib import blake2b
+
+        self._blake2b = blake2b
         #: Sorted ``(point_hash, shard_id)`` pairs; the shard id breaks
         #: point-hash ties, so iteration order is fully deterministic.
         self._points: List[Tuple[int, int]] = []
@@ -58,7 +62,7 @@ class HashRing:
     # -- hashing -------------------------------------------------------------
 
     def _hash(self, data: str) -> int:
-        digest = hashlib.blake2b(
+        digest = self._blake2b(
             data.encode("utf-8"), digest_size=8, key=self._key
         ).digest()
         return int.from_bytes(digest, "big")

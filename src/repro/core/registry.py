@@ -12,7 +12,6 @@ error, name-or-instance resolution — is written here, once.
 
 from __future__ import annotations
 
-import difflib
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Type
 
 
@@ -29,6 +28,9 @@ def closest_name(name: str, candidates: Iterable[str]) -> Optional[str]:
     for candidate in ordered:
         if candidate.lower().replace("-", "").replace("_", "") == canon:
             return candidate
+    # Imported here, not at module load: only a typo reaches this line.
+    import difflib
+
     matches = difflib.get_close_matches(name, ordered, n=1)
     return matches[0] if matches else None
 

@@ -641,7 +641,6 @@ class CompiledExec:
     """
 
     def __init__(self, checked: CheckedProgram):
-        self._checked = checked
         self.ops_cell: List[int] = [0]
         self._emitter = _Emitter(checked)
         namespace: Dict[str, object] = {

@@ -116,7 +116,9 @@ class _SocketReader(TaskBase):
         self._stack = stack
         self._cores = cores
         self.on_eof = on_eof
-        self._chunks = deque()
+        #: Chunks not yet read: ``()`` while none wait, as in a
+        #: :class:`TaskChannel`; a deque only while some do.
+        self._chunks = ()
         self.eof_seen = False
         self._eof_handled = False
         self._notify: Optional[Callable[[TaskBase], None]] = None
@@ -130,6 +132,8 @@ class _SocketReader(TaskBase):
         socket.on_close(self._on_close)
 
     def _on_data(self, data: bytes) -> None:
+        if not self._chunks:
+            self._chunks = deque()
         self._chunks.append(data)
         self._notify(self)
 
@@ -203,8 +207,11 @@ class InputTask(_SocketReader):
                     break
             if done or headroom <= 0:
                 break
-            if self._chunks:
-                chunk = self._chunks.popleft()
+            chunks = self._chunks
+            if chunks:
+                chunk = chunks.popleft()
+                if not chunks:
+                    self._chunks = ()
                 try:
                     self._parser.feed(chunk)
                 except ParseError:
@@ -251,10 +258,13 @@ class RawForwardTask(_SocketReader):
         # Pushes land only after the slice, so count the room they take.
         headroom = out.capacity - len(out)
         while self.has_work():
-            if self._chunks:
+            chunks = self._chunks
+            if chunks:
                 if headroom <= 0:
                     break
-                chunk = self._chunks.popleft()
+                chunk = chunks.popleft()
+                if not chunks:
+                    self._chunks = ()
                 elapsed += self._stack.read_cost_us(len(chunk), self._cores)
                 emissions.append(_emit_push(out, wake, chunk))
                 headroom -= 1

@@ -14,12 +14,16 @@ An attribute is state nothing consults when neither the product nor
 what runs it (``src/``, ``benchmarks/``, ``examples/``) reads its name:
 no attribute load (``x.name``; ``self.name += 1`` is a store), no
 keyword argument ``name=`` and no identifier ``name`` inside a string
-constant (generated code, ``getattr`` names, ``__slots__``).  Docstrings
-are not string constants here: prose that names an attribute does not
-read it.  A read in ``tests/`` does not count: a counter the runtime
-keeps on every send or item for tests alone is a cost the product pays
-for nothing, and a test can observe the same behaviour through what the
-product emits.  Only :data:`ACCOUNTING` is exempt.
+constant (generated code, ``getattr`` names, ``__slots__``).  A read as
+``self.name`` is a read of one class's attribute: it keeps alive only
+the stores of the class whose method makes it, of that class's
+ancestors and of its descendants, so ``B`` reading its own ``x`` does
+not keep an unrelated ``A.x`` alive.  Docstrings are not string
+constants here: prose that names an attribute does not read it.  A
+read in ``tests/`` does not count: a counter the runtime keeps on every
+send or item for tests alone is a cost the product pays for nothing,
+and a test can observe the same behaviour through what the product
+emits.  Only :data:`ACCOUNTING` is exempt.
 """
 
 import ast
@@ -72,41 +76,106 @@ def _dead_names(root=ROOT):
     return dead
 
 
+class _AttributeUses(ast.NodeVisitor):
+    """One module's attribute stores and reads, each ``self.name`` one
+    under the class whose method holds it."""
+
+    def __init__(self, uses, module, path):
+        self.uses = uses
+        self.docstrings = _docstrings(module)
+        #: The module's path under ``src/``, or ``None``: its stores are
+        #: not checked.
+        self.path = path
+        self.cls = None
+
+    def visit_ClassDef(self, node):
+        self.uses.bases.setdefault(node.name, set()).update(
+            base.id if isinstance(base, ast.Name) else base.attr
+            for base in node.bases
+            if isinstance(base, (ast.Name, ast.Attribute))
+        )
+        outer, self.cls = self.cls, node.name
+        self.generic_visit(node)
+        self.cls = outer
+
+    def visit_Attribute(self, node):
+        on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+        if isinstance(node.ctx, ast.Load):
+            if on_self and self.cls is not None:
+                self.uses.self_reads.setdefault(self.cls, set()).add(node.attr)
+            else:
+                self.uses.reads.add(node.attr)
+        elif on_self and self.path is not None:
+            key, where = (self.cls, node.attr), (self.path, node.lineno)
+            self.uses.stores[key] = min(self.uses.stores.get(key, where), where)
+        self.generic_visit(node)
+
+    def visit_keyword(self, node):
+        if node.arg:
+            self.uses.reads.add(node.arg)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and id(node) not in self.docstrings:
+            self.uses.reads.update(IDENTIFIER.findall(node.value))
+
+
+class _Uses:
+    def __init__(self):
+        #: ``(class, name)`` → first ``(path, line)`` of a ``self.name``
+        #: store under ``src/``; the class is ``None`` outside a class.
+        self.stores = {}
+        #: Names read other than as ``self.name`` inside a class: on
+        #: another object, as a keyword, in a string.  Such a read may
+        #: be of any class's attribute.
+        self.reads = set(ACCOUNTING)
+        #: Class name → the names its methods read as ``self.name``.
+        self.self_reads = {}
+        #: Class name → the names of its bases.
+        self.bases = {}
+
+    def _closure(self, cls, step):
+        found, todo = {cls}, [cls]
+        while todo:
+            for other in step(todo.pop()):
+                if other not in found:
+                    found.add(other)
+                    todo.append(other)
+        return found
+
+    def related(self, cls):
+        """``cls``, its ancestors and its descendants: the classes whose
+        methods may see ``cls``'s attributes on ``self``."""
+        bases = self.bases
+        ancestors = self._closure(cls, lambda c: bases.get(c, ()))
+        descendants = self._closure(
+            cls, lambda c: [sub for sub, of in bases.items() if c in of]
+        )
+        return ancestors | descendants
+
+    def is_read(self, cls, name):
+        return name in self.reads or any(
+            name in self.self_reads.get(other, ())
+            for other in self.related(cls)
+        )
+
+
 def _write_only_attributes(root=ROOT):
-    """``path:line name`` of the first ``self.name`` store under ``src/``
-    of every attribute name that no tree in :data:`READERS` reads."""
-    reads = set(ACCOUNTING)
-    stores = {}
+    """``path:line Class.name`` of the first ``self.name`` store under
+    ``src/`` of every attribute that no tree in :data:`READERS` reads.
+    A read as ``self.name`` counts only for the class whose method makes
+    it, that class's ancestors and its descendants; any other read
+    counts for every class with an attribute of that name."""
+    uses = _Uses()
     for tree in READERS:
         for path in sorted((root / tree).rglob("*.py")):
             module = ast.parse(path.read_text(encoding="utf-8"))
-            docstrings = _docstrings(module)
-            for node in ast.walk(module):
-                if isinstance(node, ast.Attribute):
-                    if isinstance(node.ctx, ast.Load):
-                        reads.add(node.attr)
-                    elif (
-                        tree == "src"
-                        and isinstance(node.ctx, ast.Store)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == "self"
-                    ):
-                        where = (str(path.relative_to(root)), node.lineno)
-                        stores[node.attr] = min(
-                            stores.get(node.attr, where), where
-                        )
-                elif isinstance(node, ast.keyword) and node.arg:
-                    reads.add(node.arg)
-                elif (
-                    isinstance(node, ast.Constant)
-                    and isinstance(node.value, str)
-                    and id(node) not in docstrings
-                ):
-                    reads.update(IDENTIFIER.findall(node.value))
+            checked = str(path.relative_to(root)) if tree == "src" else None
+            _AttributeUses(uses, module, checked).visit(module)
     return sorted(
-        f"{path}:{line} {name}"
-        for name, (path, line) in stores.items()
-        if name not in reads
+        f"{path}:{line} " + (name if cls is None else f"{cls}.{name}")
+        for (cls, name), (path, line) in uses.stores.items()
+        if not uses.is_read(cls, name)
     )
 
 
@@ -179,7 +248,7 @@ def test_an_attribute_only_stored_is_flagged_at_its_first_store(tmp_path):
         "        self.total = self.total + 1\n",
     )
     # An augmented assignment stores; only ``total`` is ever loaded.
-    assert _write_only_attributes(root) == ["src/mod.py:3 hits"]
+    assert _write_only_attributes(root) == ["src/mod.py:3 Counter.hits"]
 
 
 def test_a_load_keyword_or_string_in_the_product_counts_as_a_read(tmp_path):
@@ -222,7 +291,7 @@ def test_an_attribute_only_a_test_reads_is_flagged(tmp_path):
     )
     # A test's read keeps nothing alive; only the named accounting is
     # exempt.
-    assert _write_only_attributes(root) == ["src/mod.py:3 bytes_sent"]
+    assert _write_only_attributes(root) == ["src/mod.py:3 Socket.bytes_sent"]
 
 
 def test_a_docstring_naming_an_attribute_does_not_read_it(tmp_path):
@@ -238,9 +307,67 @@ def test_a_docstring_naming_an_attribute_does_not_read_it(tmp_path):
         tests='"""Checks ``closed``."""\n',
     )
     assert _write_only_attributes(root) == [
-        "src/mod.py:10 closed",
-        "src/mod.py:9 pending",
+        "src/mod.py:10 Queue.closed",
+        "src/mod.py:9 Queue.pending",
     ]
+
+
+def test_a_self_read_counts_only_for_its_own_class(tmp_path):
+    root = _tree(
+        tmp_path,
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.x = 1\n\n\n"
+        "class B:\n"
+        "    def __init__(self):\n"
+        "        self.x = 2\n\n"
+        "    def get(self):\n"
+        "        return self.x\n",
+    )
+    assert _write_only_attributes(root) == ["src/mod.py:3 A.x"]
+
+
+def test_a_self_read_counts_across_a_class_hierarchy(tmp_path):
+    root = _tree(
+        tmp_path,
+        "class Base:\n"
+        "    def __init__(self):\n"
+        "        self.chunks = ()\n\n"
+        "    def ready(self):\n"
+        "        return bool(self.hint)\n\n\n"
+        "class Reader(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+        "        self.hint = 1\n\n"
+        "    def step(self):\n"
+        "        return self.chunks, self.note\n\n\n"
+        "class Sibling(Base):\n"
+        "    def __init__(self):\n"
+        "        self.note = None\n\n\n"
+        "class Other:\n"
+        "    def __init__(self):\n"
+        "        self.chunks = self.hint = None\n",
+    )
+    # The subclass reads what its base stores, and the base reads what
+    # its subclass stores; a sibling or an unrelated class with the same
+    # names does not share the reads.
+    assert _write_only_attributes(root) == [
+        "src/mod.py:20 Sibling.note",
+        "src/mod.py:25 Other.chunks",
+        "src/mod.py:25 Other.hint",
+    ]
+
+
+def test_a_read_on_another_object_counts_for_every_class(tmp_path):
+    root = _tree(
+        tmp_path,
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.x = 1\n\n\n"
+        "def show(a):\n"
+        "    return a.x\n",
+    )
+    assert _write_only_attributes(root) == []
 
 
 def test_a_store_on_another_object_is_not_checked(tmp_path):

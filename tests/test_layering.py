@@ -7,9 +7,15 @@ in ``docs/architecture.md``).  ``net/faults.py`` once reached *up* into
 ``repro.core.registry``, and this test keeps the inversion from coming
 back.  It walks the AST, so an import hidden inside a function counts.
 
-The simulator is also pure standard library at run time: importing
-``numpy`` costs every run ~0.1 s of set-up and ~13 MiB of resident
-memory, which the ledger's ``setup_s`` and ``peak_rss_mb`` would carry.
+The simulator is also pure standard library at run time, and a run
+imports only what it uses: ``numpy`` would cost every run ~0.1 s of
+set-up and ~13 MiB of resident memory, ``hashlib`` loads OpenSSL
+(``_hashlib``, ~3.4 MiB) although only a fleet's hash ring needs it, and
+``difflib`` serves only the near-miss hint of a mistyped name.  The
+ledger's ``setup_s`` and ``peak_rss_mb`` would carry each of them.  A
+fresh interpreter checks that none is loaded after importing the
+testbeds and after a quick run of each app, and that a two-shard run
+still imports ``hashlib`` for its ring.
 
 And there is one way to run a handler: generated code.  The reference
 interpreter lives test-side (``tests/lang_oracle.py``), nothing under
@@ -55,15 +61,36 @@ def test_lower_layers_do_not_import_upper_layers(package):
     assert not offenders, "upward imports: " + "; ".join(offenders)
 
 
-def test_importing_the_testbeds_does_not_import_numpy():
+#: Modules no single-platform run uses; each costs resident memory.
+UNUSED_AT_RUN_TIME = ("numpy", "_hashlib", "ssl", "difflib")
+
+_RUN_PROBE = f"""
+import sys
+from repro.bench.testbeds import Scenario, run_experiment
+
+def loaded(when):
+    found = [name for name in {UNUSED_AT_RUN_TIME!r} if name in sys.modules]
+    if found:
+        sys.exit(f"{{when}}: {{', '.join(found)}} imported")
+
+loaded("after the import")
+run_experiment(Scenario(app="memcached_proxy", concurrency=4, total_requests=64))
+run_experiment(Scenario(app="http_lb", concurrency=4, total_requests=64))
+run_experiment(Scenario(app="hadoop_agg", n_mappers=2, data_kb_per_mapper=4))
+loaded("after a run of each app")
+fleet = run_experiment(
+    Scenario(app="http_lb", concurrency=4, total_requests=64, shards=2)
+)
+assert fleet.entry["cluster"]["shards"] == 2, fleet.entry["cluster"]
+assert "hashlib" in sys.modules, "the two-shard run built no ring"
+"""
+
+
+def test_a_run_imports_only_what_it_uses():
     # A fresh interpreter: this one may have numpy loaded already
     # (hypothesis imports it when it is installed).
-    probe = (
-        "import sys, repro.bench.testbeds; "
-        "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)"
-    )
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True
+        [sys.executable, "-c", _RUN_PROBE], capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
 

@@ -6,7 +6,7 @@ import gc
 import hashlib
 import re
 import weakref
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -92,6 +92,48 @@ class TestChannel:
         assert not chan.at_eos()
         chan.pop()
         assert chan.at_eos()
+
+    @staticmethod
+    def _state(chan):
+        """The consumer's view, and whether a deque is held."""
+        return (
+            len(chan), chan.ready(), chan.peek(), chan.at_eos(),
+            isinstance(chan._queue, deque),
+        )
+
+    def test_empty_to_full_to_empty(self):
+        """A deque is held only while items wait: the first push creates
+        it, the pop that drains the channel drops it, and a refill
+        creates a new one."""
+        chan = TaskChannel("c", 2)
+        assert self._state(chan) == (0, False, None, False, False)
+        chan.push("a")
+        assert self._state(chan) == (1, True, "a", False, True)
+        chan.push("b")
+        with pytest.raises(ChannelFull):
+            chan.push("c")
+        assert self._state(chan) == (2, True, "a", False, True)
+        assert chan.pop() == "a"
+        assert self._state(chan) == (1, True, "b", False, True)
+        assert chan.pop() == "b"
+        assert self._state(chan) == (0, False, None, False, False)
+        chan.push("d")
+        assert self._state(chan) == (1, True, "d", False, True)
+        assert chan.pop() == "d"
+        assert self._state(chan) == (0, False, None, False, False)
+
+    def test_close_on_an_empty_channel(self):
+        chan = TaskChannel("c", 2)
+        assert chan.close()
+        assert self._state(chan) == (0, False, None, True, True)
+        assert not chan.exhausted()
+        assert chan.pop() is EOS
+        assert self._state(chan) == (0, False, None, True, False)
+        assert chan.exhausted()
+        with pytest.raises(ChannelClosed):
+            chan.pop()
+        assert not chan.close()
+        assert self._state(chan) == (0, False, None, True, False)
 
 
 class _ScanChannel:
@@ -189,6 +231,8 @@ def _check_sequence(capacity, ops):
         trail = ops[: step + 1]
         assert _apply(real, op, step) == _apply(model, op, step), trail
         assert _observe(real) == _observe(model), trail
+        # A deque is held exactly while something is queued.
+        assert isinstance(real._queue, deque) == bool(model.queue), trail
 
 
 class TestChannelAgainstScanModel:

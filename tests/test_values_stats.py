@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from array import array
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +21,17 @@ from repro.core.units import (
     transmission_time_us,
 )
 from repro.lang.values import Record, record_size_bytes
+from repro.net.stackprofiles import KERNEL
+from repro.runtime.channel import TaskChannel
 from repro.runtime.scheduler import Scheduler
+from repro.runtime.task import RawForwardTask
 from repro.sim.engine import Engine
 from repro.sim.stats import (
     IntervalSeries, LatencySeries, RunResult, SloScoreboard, class_summary,
 )
 
 from tests.item_task import ItemTask
+from tests.test_tasks_unit import _drain, _FakeSocket
 
 
 class TestRecord:
@@ -265,7 +270,9 @@ def test_class_summary_equals_the_concatenated_reference(shards):
 class TestBoundedState:
     """The scheduler keeps per-class aggregates, not per-event logs: a
     busy period costs the scoreboard one 8-byte latency sample, and a
-    steal costs nothing beyond the thief's counters."""
+    steal costs nothing beyond the thief's counters.  A channel or
+    socket reader that has carried items and drained them holds no
+    queue."""
 
     #: A class's series, array and dict entries, plus its array's
     #: growth slack at this size (an ``array`` over-allocates 1/16).
@@ -345,6 +352,51 @@ class TestBoundedState:
             if value is not series._samples and isinstance(value, (list, array))
         ]
         assert kept == []
+
+    #: A drained channel: the object, its dict and its name.  An empty
+    #: ``deque`` alone is 760 bytes on CPython 3.11.
+    CHANNEL_BYTES = 320
+    #: A drained socket reader with its out channel and socket stub.
+    READER_BYTES = 1024
+
+    @staticmethod
+    def _freed_per_object(objects):
+        """Traced bytes that dropping ``objects`` frees, per object: what
+        they hold, and not what a shared cache kept of them."""
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        count = len(objects)
+        objects.clear()
+        gc.collect()
+        return (held - tracemalloc.get_traced_memory()[0]) / count
+
+    def test_drained_channels_hold_no_deque(self, traced):
+        channels = [TaskChannel(f"c{i}", 8) for i in range(1_000)]
+        for chan in channels:
+            for item in range(3):
+                chan.push(item)
+            assert [chan.pop() for _ in range(3)] == [0, 1, 2]
+        assert not [c for c in channels if isinstance(c._queue, deque)]
+        assert self._freed_per_object(channels) <= self.CHANNEL_BYTES
+
+    def test_drained_socket_readers_hold_no_deque(self, traced):
+        readers, runnable = [], []
+        for i in range(1_000):
+            out = TaskChannel("out", 8)
+            reader = RawForwardTask("fwd", out, KERNEL, cores=1, task_id=i)
+            socket = _FakeSocket()
+            reader.attach(socket, runnable.append)
+            socket.deliver(b"chunk-1")
+            socket.deliver(b"chunk-2")
+            _drain(reader)
+            assert [out.pop(), out.pop()] == [b"chunk-1", b"chunk-2"]
+            readers.append((reader, socket))
+            runnable.clear()
+        assert not [
+            r for r, _ in readers
+            if isinstance(r._chunks, deque) or isinstance(r._out._queue, deque)
+        ]
+        assert self._freed_per_object(readers) <= self.READER_BYTES
 
     def test_a_run_grows_by_its_samples(self):
         """A memcached proxy run's traced peak grows by what its series
