@@ -54,18 +54,20 @@ NATIVE_COMBINE_OPS = 2.0
 
 
 def _native_key(record):
-    return record.key
+    return record._fields["key"]
 
 
 def _native_combine(left, right):
     """Native equivalent of the FLICK combine body (property-tested)."""
-    value = str(int(left.value) + int(right.value))
+    fields = left._fields
+    key = fields["key"]
+    value = str(int(fields["value"]) + int(right._fields["value"]))
     merged = Record(
         "kv",
         {
-            "key_len": len(left.key.encode("utf-8")),
+            "key_len": len(key.encode("utf-8")),
             "value_len": len(value.encode("utf-8")),
-            "key": left.key,
+            "key": key,
             "value": value,
         },
     )

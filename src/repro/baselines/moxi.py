@@ -79,5 +79,5 @@ class MoxiProxy:
         if client.closed:
             return
         raw = request.raw if request.raw is not None else mc.encode(request)
-        index = stable_hash(request.key) % len(self.backends)
+        index = stable_hash(request._fields["key"]) % len(self.backends)
         self._upstreams[index].forward(client, raw)

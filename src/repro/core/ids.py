@@ -40,6 +40,20 @@ def _fnv1a(data) -> int:
 _fnv1a_memo = functools.lru_cache(maxsize=1 << 12, typed=True)(_fnv1a)
 
 
+def hash_fold(h: int, part) -> int:
+    """One step of a tuple's hash: fold ``part``'s hash into ``h``.
+
+    ``hash_fold(stable_hash(t), part) == stable_hash(t + (part,))`` for
+    any tuple ``t``, so a caller that hashes many tuples sharing a
+    prefix hashes the prefix once and extends it.
+    """
+    try:
+        part = _fnv1a_memo(part)
+    except TypeError:  # a tuple, a bytearray, or not supported
+        part = stable_hash(part) if isinstance(part, tuple) else _fnv1a(part)
+    return (h ^ part) * _FNV_PRIME & _MASK64
+
+
 def stable_hash(data) -> int:
     """Return a deterministic 64-bit FNV-1a hash of ``data``.
 
@@ -47,15 +61,12 @@ def stable_hash(data) -> int:
     this covers everything FLICK programs are allowed to hash.  An int
     hashes its 8 signed little-endian bytes, or, outside the signed
     64-bit range, its shortest signed little-endian bytes (9 or more).
+    A tuple folds its parts' hashes (:func:`hash_fold`).
     """
     if isinstance(data, tuple):
         h = _FNV_OFFSET
         for part in data:  # one loop; recursion only for a nested tuple
-            try:
-                part = _fnv1a_memo(part)
-            except TypeError:  # a tuple, a bytearray, or not supported
-                part = stable_hash(part) if isinstance(part, tuple) else _fnv1a(part)
-            h = (h ^ part) * _FNV_PRIME & _MASK64
+            h = hash_fold(h, part)
         return h
     try:
         return _fnv1a_memo(data)

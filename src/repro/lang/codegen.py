@@ -176,15 +176,14 @@ def _record_builder(type_name: str) -> Callable:
     would copy the dict a second time — construction is on the
     per-request hot path."""
     new = Record.__new__
-    store = object.__setattr__
 
     def build(fields: Dict[str, object]) -> Record:
         record = new(Record)
-        store(record, "_type_name", type_name)
-        store(record, "_fields", fields)
-        store(record, "raw", None)
-        store(record, "dirty", False)
-        store(record, "spans", None)
+        record._type_name = type_name
+        record._fields = fields
+        record.raw = None
+        record.dirty = False
+        record.spans = None
         return record
 
     return build

@@ -370,7 +370,7 @@ class MemcachedRequestCodec(RequestCodec):
         return mc.specialized_codec({"magic_code"}).parser()
 
     def is_error(self, message) -> bool:
-        return message.magic_code != mc.MAGIC_RESPONSE
+        return message._fields["magic_code"] != mc.MAGIC_RESPONSE
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +687,9 @@ class _Connection:
         #: (admitted_us, service_class, attempt, n) of requests in flight
         #: (or queued behind the connect), oldest first.
         self.outstanding: deque = deque()
-        #: Requests admitted before the connect completed.
-        self._backlog: deque = deque()
+        #: Requests admitted before the connect completed: ``()`` while
+        #: none waits, a deque only between an offer and the connect.
+        self._backlog = ()
         self._connecting = False
         #: Responses drained since the last (re)connect — the
         #: ``conn-churn`` recycle clock.
@@ -718,6 +719,8 @@ class _Connection:
             socket.on_close(lambda: self._on_peer_close(socket))
             while self._backlog and not socket.closed:
                 self.socket.send(self._backlog.popleft())
+            if not self._backlog:
+                self._backlog = ()
             if self.pop.arrival is None:
                 self._next()
 
@@ -741,6 +744,8 @@ class _Connection:
     def admit(self, payload: bytes, request: tuple) -> None:
         self.outstanding.append(request)
         if self.socket is None:
+            if not self._backlog:
+                self._backlog = deque()
             self._backlog.append(payload)
             # A retry can land on a connection that died after admission
             # closed (no auto-reconnect then) — reopen on demand or the
@@ -772,7 +777,7 @@ class _Connection:
         self.socket = None
         if not socket.closed:
             socket.close()
-        self._backlog.clear()
+        self._backlog = ()
         for _, service_class, _, _ in self.outstanding:
             pop.failed += 1
             pop.per_class[service_class]["failed"] += 1

@@ -180,16 +180,19 @@ class BackendMemcachedServer(_FaultableBackend):
     def _respond(self, socket: TcpSocket, request) -> None:
         if socket.closed:
             return
-        opcode = request.opcode
-        key = request.key
+        fields = request._fields
+        opcode = fields["opcode"]
+        key = fields["key"]
         if opcode == mc.OP_SET:
-            self.store[key] = bytes(request.value)
-            response = mc.make_response(opcode, key, b"", opaque=request.opaque)
+            self.store[key] = bytes(fields["value"])
+            response = mc.make_response(
+                opcode, key, b"", opaque=fields["opaque"]
+            )
         else:
             value = self.store.get(key)
             if value is None:
                 value = self.value_fn(key)
             response = mc.make_response(
-                opcode, key, value, opaque=request.opaque
+                opcode, key, value, opaque=fields["opaque"]
             )
         socket.send(mc.encode(response))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
-from repro.core.ids import stable_hash
+from repro.core.ids import hash_fold, stable_hash
 from repro.grammar.protocols import hadoop
 from repro.net.simnet import Host
 from repro.net.tcp import TcpNetwork, TcpSocket
@@ -22,17 +22,20 @@ from repro.sim.engine import Engine
 
 _CHUNK_BYTES = 8 * 1024
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+#: The prefixes :func:`make_word` extends with :func:`hash_fold`.
+_WORD = stable_hash(("word",))
+_MORE = stable_hash(("more",))
 
 
 def make_word(index: int, word_len: int) -> str:
     """Deterministic pseudo-random word of exactly ``word_len`` chars."""
-    h = stable_hash(("word", index, word_len))
+    h = hash_fold(hash_fold(_WORD, index), word_len)
     chars = []
     for _ in range(word_len):
         chars.append(_ALPHABET[h % 26])
         h //= 26
-        if h == 0:
-            h = stable_hash(("more", index, len(chars)))
+        if h == 0:  # ~13 chars in: ``stable_hash(("more", index, n))``
+            h = hash_fold(hash_fold(_MORE, index), len(chars))
     return "".join(chars)
 
 
@@ -47,11 +50,15 @@ def mapper_pairs(
     """One mapper's sorted (word, count) pairs over a job's ``words``."""
     pair_bytes = 2 + 4 + len(words[0]) + 2  # key/value lens + key + ~value
     n_pairs = max(1, total_bytes // pair_bytes)
+    n_words = len(words)
+    mapper = stable_hash((mapper_index,))
     pairs: List[Tuple[str, str]] = []
     for i in range(n_pairs):
-        word = words[stable_hash((mapper_index, i)) % len(words)]
-        count = 1 + stable_hash((mapper_index, i, "c")) % 9
-        pairs.append((word, str(count)))
+        # ``stable_hash((mapper_index, i))`` picks the word and
+        # ``stable_hash((mapper_index, i, "c"))`` the count.
+        h = hash_fold(mapper, i)
+        count = 1 + hash_fold(h, "c") % 9
+        pairs.append((words[h % n_words], str(count)))
     pairs.sort(key=itemgetter(0))
     # Pre-combine duplicates within the mapper (mappers run combiners
     # locally in Hadoop), keeping each stream's keys unique and sorted.
@@ -130,7 +137,8 @@ class ReducerSink:
             self.bytes_received += len(data)
             self.parser.feed(data)
             for record in self.parser.messages():
-                self.pairs.append((record.key, record.value))
+                fields = record._fields
+                self.pairs.append((fields["key"], fields["value"]))
 
         socket.on_receive(on_data)
         socket.on_close(self._on_close)

@@ -169,6 +169,27 @@ class TestOpenLoopClients:
                 1 for latency in ordered if latency > slo_us
             )
 
+    def test_a_flushed_backlog_holds_no_deque(self):
+        """Requests offered before the connect completes wait in a
+        deque; the connect flushes it, and the connection holds ``()``
+        again (an empty deque is 760 B on CPython 3.11)."""
+        engine, tcpnet, mbox, clients, _ = _static_web_testbed()
+        population = ClientPopulation(
+            engine, tcpnet, clients, mbox, 80,
+            codec=HttpRequestCodec(),
+            arrival=make_arrival("replay", timestamps_us=[0.0] * 8),
+            n_requests=8, connections=4,
+        )
+        population.start()
+        waiting = []
+        engine.schedule(1.0, lambda: waiting.extend(
+            len(conn._backlog) for conn in population._conns
+        ))
+        engine.run()
+        assert waiting == [2, 2, 2, 2]
+        assert population.finished and population.latency.count == 8
+        assert [conn._backlog for conn in population._conns] == [()] * 4
+
     def test_replay_trace_shorter_than_n_requests_finishes(self):
         engine, tcpnet, mbox, clients, _ = _static_web_testbed()
         population = ClientPopulation(

@@ -9,6 +9,7 @@ from repro.baselines.base import CorePool
 from repro.baselines.moxi import MoxiProxy
 from repro.baselines.nginx import NginxServer
 from repro.bench import testbeds
+from repro.core.ids import stable_hash
 from repro.core.units import GBPS
 from repro.grammar.protocols import hadoop
 from repro.net.tcp import TcpNetwork
@@ -20,7 +21,12 @@ from repro.workloads.arrivals import (
     MemcachedRequestCodec,
 )
 from repro.workloads.backends import BackendMemcachedServer, BackendWebServer
-from repro.workloads.hadoop_mappers import generate_mapper_output, make_word
+from repro.workloads.hadoop_mappers import (
+    generate_mapper_output,
+    make_vocabulary,
+    make_word,
+    mapper_pairs,
+)
 
 
 class TestCorePool:
@@ -141,10 +147,24 @@ class TestMoxi:
 
 class TestWorkloadGenerators:
     def test_make_word_length_and_determinism(self):
-        for n in (8, 12, 16):
-            word = make_word(7, n)
-            assert len(word) == n
-            assert word == make_word(7, n)
+        """``make_word`` folds from prefixes; its words are the ones
+        whole-tuple hashes give.  Past ~13 chars a word's hash runs out
+        (26**14 > 2**64), so 16-char words take the ``"more"`` re-hash."""
+
+        def tuple_word(index, word_len):
+            h = stable_hash(("word", index, word_len))
+            chars = []
+            for _ in range(word_len):
+                chars.append("abcdefghijklmnopqrstuvwxyz"[h % 26])
+                h //= 26
+                if h == 0:
+                    h = stable_hash(("more", index, len(chars)))
+            return "".join(chars)
+
+        for n in (1, 8, 12, 13, 14, 16, 30):
+            for index in (0, 7, 4095, 2 ** 63):
+                word = make_word(index, n)
+                assert len(word) == n and word == tuple_word(index, n)
 
     def test_mapper_output_sorted_unique(self):
         pairs = generate_mapper_output(0, 8_000, 8, vocabulary=64)
@@ -163,7 +183,8 @@ class TestWorkloadGenerators:
 
     #: sha256 of eight mappers' wire payloads in mapper order, 48 KiB
     #: each over a 4,096-word vocabulary (the hadoop-agg job), pinned
-    #: while every mapper still built the vocabulary itself.
+    #: while every mapper still built the vocabulary itself and still
+    #: hashed each pair's two tuples whole.
     MAPPER_INPUT_SHA256 = {
         8: "cbaea33e13864d547b803a0caa17901678510e34401fd06f683ffcb31383c77d",
         12: "fff439493105efcbf0f9275ff70d720bfaf466e620feaa41df06f939ea72f05c",
@@ -172,13 +193,18 @@ class TestWorkloadGenerators:
 
     @pytest.mark.parametrize("word_len", sorted(MAPPER_INPUT_SHA256))
     def test_mapper_input_is_pinned(self, word_len):
-        """The public generator and the job's once-built vocabulary give
-        the same bytes."""
-        public = hashlib.sha256()
+        """The synthesis (one vocabulary, then each mapper's pairs), the
+        public generator and the job's mappers give the same bytes."""
+        words = make_vocabulary(4096, word_len)
+        synthesised, public = hashlib.sha256(), hashlib.sha256()
         for i in range(8):
+            synthesised.update(hadoop.encode_pairs(
+                mapper_pairs(i, 48 * 1024, words)
+            ))
             public.update(hadoop.encode_pairs(
                 generate_mapper_output(i, 48 * 1024, word_len, vocabulary=4096)
             ))
+        assert synthesised.hexdigest() == self.MAPPER_INPUT_SHA256[word_len]
         assert public.hexdigest() == self.MAPPER_INPUT_SHA256[word_len]
         engine = Engine()
         net = TcpNetwork(engine)

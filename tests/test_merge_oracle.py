@@ -24,7 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.hadoop_agg import _native_combine, _native_key, compile_hadoop
+from repro.apps.hadoop_agg import (
+    NATIVE_COMBINE_OPS,
+    _native_combine,
+    _native_key,
+    compile_hadoop,
+)
 from repro.lang.compiler import build_foldt_handler
 from repro.lang.values import Record
 from repro.runtime.channel import EOS, TaskChannel
@@ -304,3 +309,30 @@ def test_a_slice_stops_at_its_out_channel_headroom():
             50.0, 1, 2,
         )
         assert not any(kind == "raised" for kind, _ in seen)
+
+
+def _attribute_combine(left, right):
+    """``_native_combine`` as it read its fields before, through
+    ``Record.__getattr__``."""
+    value = str(int(left.value) + int(right.value))
+    merged = _kv(left.key, value)
+    return merged, NATIVE_COMBINE_OPS
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.tuples(st.text(min_size=1, max_size=12), st.text(max_size=12)),
+    values=st.tuples(st.integers(), st.integers()),
+)
+def test_native_combine_equals_its_attribute_form(keys, values):
+    """The native pair reads ``_fields``; the merged record, its field
+    order and its op charge are the ones the attribute reads gave, for
+    any key (non-ASCII ones change ``key_len``) and any count."""
+    left = _kv(keys[0], str(values[0]))
+    right = _kv(keys[1], str(values[1]))
+    merged, ops = _native_combine(left, right)
+    expected, expected_ops = _attribute_combine(left, right)
+    assert merged == expected and ops == expected_ops
+    assert merged.keys() == expected.keys()
+    assert (merged.raw, merged.dirty) == (None, False)
+    assert _native_key(left) == left.key and _native_key(right) == right.key

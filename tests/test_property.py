@@ -6,7 +6,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ids import stable_hash
+from repro.core.ids import hash_fold, stable_hash
 from repro.grammar.engine import make_codec
 from repro.grammar.model import DataField, FieldRef, IntField, Unit
 from repro.grammar.protocols import hadoop, http
@@ -121,20 +121,28 @@ class TestStableHash:
             assert stable_hash((1, raw)) == stable_hash((1, b"\x00\xff"))
             assert stable_hash(((raw,),)) == stable_hash(((b"\x00\xff",),))
         assert stable_hash(((1, "a"), (b"b", -2))) == 0x0248BDF79F28A084
-        for unsupported in ((1, 1.0), (1, [1]), ("a", (None,))):
-            with pytest.raises(TypeError):
+        for unsupported in ((1, 1.0), (1, [1]), ("a", (None,)), (None,)):
+            with pytest.raises(TypeError) as whole:
                 stable_hash(unsupported)
+            with pytest.raises(TypeError) as step:  # the last fold step alone
+                hash_fold(stable_hash(unsupported[:-1]), unsupported[-1])
+            assert str(step.value) == str(whole.value)
 
     @given(
         st.recursive(
             st.one_of(st.text(max_size=6), st.binary(max_size=6),
-                      st.integers(-(2 ** 63), 2 ** 63 - 1)),
+                      st.binary(max_size=6).map(bytearray),
+                      st.integers(-(2 ** 63), 2 ** 63 - 1),
+                      st.integers(2 ** 63, 2 ** 72)),
             lambda parts: st.lists(parts, max_size=4).map(tuple),
             max_leaves=12,
         )
     )
     def test_tuple_fold_matches_a_recursive_fold(self, data):
         assert stable_hash(data) == _reference_fold(data)
+        if isinstance(data, tuple) and data:
+            # A prefix hashed once and extended by one fold step.
+            assert hash_fold(stable_hash(data[:-1]), data[-1]) == stable_hash(data)
 
 
 def _reference_fold(data) -> int:
@@ -148,8 +156,10 @@ def _reference_fold(data) -> int:
         return h
     if isinstance(data, str):
         data = data.encode("utf-8")
-    elif isinstance(data, int):
-        data = data.to_bytes(8, "little", signed=True)
+    elif isinstance(data, int):  # its shortest signed bytes, at least 8
+        magnitude = data if data >= 0 else ~data
+        width = max(8, (magnitude.bit_length() + 8) // 8)
+        data = data.to_bytes(width, "little", signed=True)
     for byte in data:
         h = ((h ^ byte) * prime) & mask
     return h

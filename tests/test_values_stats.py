@@ -3,9 +3,10 @@
 import gc
 import math
 import random
+import sys
 import tracemalloc
 from array import array
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,45 @@ class TestRecord:
 
     def test_repr_readable(self):
         assert "t(x=1)" == repr(Record("t", {"x": 1}))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # Native foldt: ``_native_key``, ``_native_combine`` and the
+            # reducer sink read every merged record.
+            Scenario(app="hadoop_agg", data_kb_per_mapper=4, n_mappers=4),
+            # The GETK client, the proxy's generated code and the backend.
+            Scenario(
+                app="memcached_proxy", arrival="poisson",
+                arrival_params=(("rate_rps", 40_000.0),), concurrency=8,
+                total_requests=256,
+            ),
+            Scenario(
+                app="memcached_proxy", system="moxi", concurrency=8,
+                total_requests=256,
+            ),
+            Scenario(app="http_lb", concurrency=8, requests_per_client=8),
+        ],
+        ids=["hadoop-native-foldt", "memcached-open-loop", "moxi", "http-lb"],
+    )
+    def test_run_paths_read_fields_without_the_fallback(self, spec, monkeypatch):
+        """A ``record.name`` read fails the slot lookup first, and CPython
+        builds an ``AttributeError`` before it calls ``__getattr__``
+        (over ten times a ``_fields[name]`` read).  The patched fallback
+        notes its caller and still answers, so one run names every such
+        reader."""
+        fallback = Record.__getattr__
+        callers = Counter()
+
+        def noting_fallback(record, name):
+            code = sys._getframe(1).f_code
+            callers[getattr(code, "co_qualname", code.co_name)] += 1  # 3.11+ has it
+            return fallback(record, name)
+
+        monkeypatch.setattr(Record, "__getattr__", noting_fallback)
+        result = run_experiment(spec)
+        assert result.throughput > 0
+        assert not callers, f"fallback field reads: {dict(callers)}"
 
 
 class TestRecordSize:
