@@ -226,10 +226,6 @@ class ShardRouter:
         self.tcpnet.listen(self.host, self.port, self._on_client)
 
     @property
-    def shards(self) -> int:
-        return len(self._shards)
-
-    @property
     def alive_shards(self) -> int:
         return sum(1 for s in self._shards if s.alive)
 

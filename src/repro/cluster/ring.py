@@ -91,16 +91,8 @@ class HashRing:
         self._shards.remove(shard_id)
         self._points = [p for p in self._points if p[1] != shard_id]
 
-    @property
-    def shard_ids(self) -> Tuple[int, ...]:
-        """Current members, ascending."""
-        return tuple(sorted(self._shards))
-
     def __len__(self) -> int:
         return len(self._shards)
-
-    def __contains__(self, shard_id: int) -> bool:
-        return shard_id in self._shards
 
     # -- lookup --------------------------------------------------------------
 

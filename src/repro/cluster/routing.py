@@ -74,9 +74,6 @@ class RoutingPolicy:
         """
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.__class__.__name__} {self.name!r}>"
-
 
 # -- registry ----------------------------------------------------------------
 

@@ -15,11 +15,6 @@ MILLISECONDS = 1_000.0
 SECONDS = 1_000_000.0
 
 
-def seconds(us: float) -> float:
-    """Convert a virtual-time duration in microseconds to seconds."""
-    return us / SECONDS
-
-
 def millis(us: float) -> float:
     """Convert a virtual-time duration in microseconds to milliseconds."""
     return us / MILLISECONDS
@@ -38,17 +33,6 @@ BITS_PER_SECOND = 1.0
 KBPS = 1_000.0
 MBPS = 1_000_000.0
 GBPS = 1_000_000_000.0
-
-
-def transmission_time_us(nbytes: float, rate_bps: float) -> float:
-    """Time (µs) to push ``nbytes`` through a link of ``rate_bps`` bits/s.
-
-    ``nbytes`` may be fractional: wire-overhead inflation produces
-    non-integral wire-byte counts and the fraction must be charged.
-    """
-    if rate_bps <= 0:
-        raise ValueError(f"rate must be positive, got {rate_bps}")
-    return (nbytes * 8.0) / rate_bps * SECONDS
 
 
 def throughput_mbps(nbytes: int, duration_us: float) -> float:

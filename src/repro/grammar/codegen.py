@@ -295,14 +295,9 @@ def parser_source(unit: Unit, decoded: frozenset) -> Tuple[str, int]:
     need_bytes()
 
     emit(f"raw = bytes(buf[p:p + {at()}])")
-    # ``__new__`` plus slot stores, as ``lang/codegen.py`` builds records:
-    # ``Record.__init__`` would copy the field dict a second time.
-    emit("record = _new_record(Record)")
-    emit(f"record._type_name = {label!r}")
-    low.emit_dict("record._fields", values)
-    emit("record.raw = raw")
-    emit("record.dirty = False")
-    low.emit_dict("record.spans", spans)
+    low.emit_dict("fields", values)
+    low.emit_dict("spans", spans)
+    emit(f"record = Record({label!r}, fields, raw, spans)")
     weighted = [
         (decoded_sizes, OPS_PER_DECODED_BYTE),
         (skipped_sizes, OPS_PER_SKIPPED_BYTE),
@@ -628,15 +623,11 @@ def text_parser_source(unit: Unit, decoded: frozenset) -> Tuple[str, int]:
         values[f.name] = f"raw[h:{end}]"
 
     emit(f"raw = bytes(buf[p:p + {end}])")
-    emit("record = _new_record(Record)")
-    emit(f"record._type_name = {label!r}")
     low.emit_dict(
-        "record._fields",
+        "fields",
         [f"{f.name!r}: {values[f.name]}" for f in unit.fields if f.name in decoded],
     )
-    emit("record.raw = raw")
-    emit("record.dirty = False")
-    emit("record.spans = None")
+    emit(f"record = Record({label!r}, fields, raw)")
     emit("self._scan = 0")
     weighted = [(["h"], OPS_PER_DECODED_BYTE), ([size] if size else [], OPS_PER_RAW_COPY_BYTE)]
     low.lines.append(
@@ -721,7 +712,6 @@ RUNTIME_NAMESPACE = {
     "ParseError": ParseError,
     "SerializeError": SerializeError,
     "Record": Record,
-    "_new_record": Record.__new__,
     "_struct": struct.Struct,
     "_struct_error": struct.error,
     "_span_bytes": _span_bytes,

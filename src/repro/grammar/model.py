@@ -290,12 +290,6 @@ class Unit:
             # serialize_expr may reference later fields via $$; validated
             # at serialisation time instead.
 
-    def field_named(self, name: str) -> Field:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
     def named_fields(self) -> Tuple[Field, ...]:
         return tuple(f for f in self.fields if f.name is not None)
 

@@ -10,7 +10,7 @@ data type" grammar in the paper's terms (section 4.2).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from repro.grammar.dsl import parse_unit
 from repro.grammar.engine import UnitCodec, make_codec
@@ -61,7 +61,3 @@ def encode_pairs(pairs: Iterable[Tuple[str, str]]) -> bytes:
         out.extend(data)
     return bytes(out)
 
-
-def decode_pairs(data: bytes) -> List[Tuple[str, str]]:
-    """Parse a complete mapper stream back into (key, value) tuples."""
-    return [(r.key, r.value) for r in codec().parse_all(data)]

@@ -21,7 +21,7 @@ from repro.lang.lexer import tokenize
 from repro.lang.parser import parse
 from repro.lang.termination import check_termination
 from repro.lang.typecheck import CheckedProgram, check_program
-from repro.lang.values import Record, record_size_bytes
+from repro.lang.values import Record
 
 __all__ = [
     "CompiledExec",
@@ -43,5 +43,4 @@ __all__ = [
     "CheckedProgram",
     "check_program",
     "Record",
-    "record_size_bytes",
 ]

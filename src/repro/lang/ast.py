@@ -331,24 +331,6 @@ class Program(Node):
     procs: Tuple[ProcDecl, ...] = ()
     funs: Tuple[FunDecl, ...] = ()
 
-    def type_named(self, name: str) -> TypeDecl:
-        for decl in self.types:
-            if decl.name == name:
-                return decl
-        raise KeyError(name)
-
-    def proc_named(self, name: str) -> ProcDecl:
-        for decl in self.procs:
-            if decl.name == name:
-                return decl
-        raise KeyError(name)
-
-    def fun_named(self, name: str) -> FunDecl:
-        for decl in self.funs:
-            if decl.name == name:
-                return decl
-        raise KeyError(name)
-
 
 def walk(node: Node):
     """Yield ``node`` and every AST node reachable from it (pre-order)."""

@@ -112,7 +112,14 @@ def _make_helpers(ops: List[int]) -> Dict[str, Callable]:
 
     def _fset(value, obj, name: str) -> None:
         if isinstance(obj, Record):
-            obj.set(name, value)
+            fields = obj._fields
+            if name not in fields:
+                raise RuntimeFlickError(
+                    f"record {obj._type_name!r} has no field {name!r}; "
+                    "fields cannot be added at run time"
+                )
+            fields[name] = value
+            obj.dirty = True
             return
         raise RuntimeFlickError(
             f"cannot assign field of {type(obj).__name__}"
@@ -168,28 +175,7 @@ def _make_helpers(ops: List[int]) -> Dict[str, Callable]:
     }
 
 
-def _record_builder(type_name: str) -> Callable:
-    """Fast record builder: takes the ready field dict (the emitter
-    inlines it as a literal, keys in declaration order, so the result is
-    exactly ``Interpreter.make_record``'s).  Builds the instance with
-    ``__new__`` + slot stores instead of ``Record.__init__``, which
-    would copy the dict a second time — construction is on the
-    per-request hot path."""
-    new = Record.__new__
-
-    def build(fields: Dict[str, object]) -> Record:
-        record = new(Record)
-        record._type_name = type_name
-        record._fields = fields
-        record.raw = None
-        record.dirty = False
-        record.spans = None
-        return record
-
-    return build
-
-
-def _record_ctor(type_name: str, names: Tuple[str, ...], build: Callable) -> Callable:
+def _record_ctor(type_name: str, names: Tuple[str, ...]) -> Callable:
     """Positional constructor matching ``Interpreter.make_record``."""
     arity = len(names)
 
@@ -198,7 +184,7 @@ def _record_ctor(type_name: str, names: Tuple[str, ...], build: Callable) -> Cal
             raise RuntimeFlickError(
                 f"constructor {type_name!r} expects {arity} values"
             )
-        return build(dict(zip(names, values)))
+        return Record(type_name, dict(zip(names, values)))
 
     return ctor
 
@@ -290,9 +276,8 @@ class _Emitter:
             return f"_unbound({e.name!r})", 1
         if isinstance(e, ast.FieldAccess):
             obj, n = self.expr(e.obj, scope)
-            # Direct slot read: safe for type-checked programs (the
-            # typechecker proves obj is a record with this field) and
-            # bypasses Record.get's try/except on the hot path.
+            # A dict read: the typechecker proves obj is a record with
+            # this field (see Record on why not ``obj.field``).
             return f"({obj})._fields[{e.field!r}]", n + 1
         if isinstance(e, ast.Index):
             obj, no = self.expr(e.obj, scope)
@@ -342,7 +327,7 @@ class _Emitter:
                     f"{fname!r}: {code}"
                     for fname, code in zip(names, parts)
                 )
-                return f"_rec_{name}({{{fields}}})", total
+                return f"_Record({name!r}, {{{fields}}})", total
             # Arity mismatch cannot pass the typechecker; keep the
             # checked positional constructor for defence in depth.
             return f"_rec_chk_{name}({joined})", total
@@ -571,14 +556,6 @@ class CompiledRuleHandler:
         )
         self._cell = executor.ops_cell
 
-    @property
-    def source(self) -> str:
-        return self._rule.source
-
-    @property
-    def sink(self) -> Optional[str]:
-        return self._rule.sink
-
     def __call__(self, message) -> int:
         cell = self._cell
         cell[0] = 0
@@ -634,8 +611,8 @@ class CompiledExec:
     """The generated code of one checked program.
 
     The runtime uses ``eval_const``, ``rule_handler`` and
-    ``foldt_handler``; ``reset_ops``/``call_function`` are what the
-    differential suite drives against the oracle, holding this class to
+    ``foldt_handler``.  The differential suite drives its functions
+    against the oracle (``tests/lang_oracle.py``), holding it to
     identical values *and* identical op counts.
     """
 
@@ -645,15 +622,14 @@ class CompiledExec:
         namespace: Dict[str, object] = {
             "__builtins__": {},
             "_ops": self.ops_cell,
+            "_Record": Record,
         }
         namespace.update(_make_helpers(self.ops_cell))
         for name, builtin in BUILTINS.items():
             namespace[f"_b_{name}"] = builtin.impl
         for rec_name, rec_type in checked.records.items():
-            build = _record_builder(rec_name)
-            namespace[f"_rec_{rec_name}"] = build
             namespace[f"_rec_chk_{rec_name}"] = _record_ctor(
-                rec_name, rec_type.field_names(), build
+                rec_name, rec_type.field_names()
             )
         funs = checked.program.funs
         chunks = [self._emitter.function_source(f) for f in funs]
@@ -663,9 +639,6 @@ class CompiledExec:
         self._funs: Dict[str, Callable] = {
             f.name: namespace[f"_fn_{f.name}"] for f in funs
         }
-        self._arities: Dict[str, int] = {
-            f.name: len(f.params) for f in funs
-        }
         # Lazy caches keyed by id(); the AST node is pinned alongside the
         # compiled function so the id cannot be reused while cached.
         self._consts: Dict[int, Tuple[ast.Expr, Callable]] = {}
@@ -673,31 +646,12 @@ class CompiledExec:
 
     # -- direct execution -------------------------------------------------
 
-    def reset_ops(self) -> int:
-        """Return the operation count accumulated since the last reset."""
-        cell = self.ops_cell
-        count = cell[0]
-        cell[0] = 0
-        return count
-
     def function(self, name: str) -> Callable:
         """The generated function object for user function ``name``."""
         fn = self._funs.get(name)
         if fn is None:
             raise RuntimeFlickError(f"unknown function {name!r}")
         return fn
-
-    def call_function(self, name: str, args: Sequence[object]):
-        """Invoke user function ``name`` with evaluated ``args``."""
-        fn = self._funs.get(name)
-        if fn is None:
-            raise RuntimeFlickError(f"unknown function {name!r}")
-        arity = self._arities[name]
-        if len(args) != arity:
-            raise RuntimeFlickError(
-                f"{name!r} expects {arity} argument(s), got {len(args)}"
-            )
-        return fn(*args)
 
     def eval_const(self, expr: ast.Expr):
         """Evaluate a closed expression (e.g. a global initialiser)."""

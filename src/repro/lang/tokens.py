@@ -92,8 +92,3 @@ class Token:
     kind: str
     value: Optional[object]
     location: SourceLocation
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.value is not None and self.kind in (NAME, INT, STRING):
-            return f"Token({self.kind}={self.value!r}@{self.location})"
-        return f"Token({self.kind}@{self.location})"

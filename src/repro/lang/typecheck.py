@@ -39,9 +39,6 @@ class CheckedProgram:
     proc_params: Dict[str, Tuple[Tuple[str, ty.Type], ...]]
     accessed_fields: Dict[str, frozenset] = field(default_factory=dict)
 
-    def record(self, name: str) -> ty.RecordType:
-        return self.records[name]
-
 
 class _Scope:
     """A lexical scope chain of variable bindings."""

@@ -78,9 +78,6 @@ class FaultPolicy:
         """JSON-ready parameterisation (mirrors the constructor)."""
         return {}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.__class__.__name__} {self.name!r}>"
-
 
 # -- registry ----------------------------------------------------------------
 

@@ -46,18 +46,13 @@ class RateLimiter:
         """Claim the resource; returns the time the last bit leaves.
 
         The frame starts when both it and the resource are ready and
-        takes ``transmission_time_us`` of its wire bytes, written out
-        here in that function's order of operations.
+        takes its wire bytes' bits over ``rate_bps``, in µs.
         """
         free_at = self._free_at
         start = free_at if free_at > now_us else now_us
         end = start + nbytes * WIRE_OVERHEAD * 8.0 / self.rate_bps * SECONDS
         self._free_at = end
         return end
-
-    @property
-    def busy_until(self) -> float:
-        return self._free_at
 
 
 @dataclass
@@ -109,9 +104,6 @@ class Network:
         self._hosts[name] = host
         return host
 
-    def host(self, name: str) -> Host:
-        return self._hosts[name]
-
     def _path(self, src: Host, dst: Host) -> _Path:
         """The limiters a frame from ``src`` to ``dst`` crosses, built
         on the pair's first frame and kept."""
@@ -139,7 +131,7 @@ class Network:
         pay per-hop latency and — like any other frame — claim their
         place in the sender's NIC queue, so a FIN can never leave the
         host ahead of data still serialising behind
-        ``src.tx.busy_until``.
+        ``src.tx._free_at``.
         """
         try:
             tx, trunk, rx = self._paths[src.name, dst.name]

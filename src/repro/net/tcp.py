@@ -36,11 +36,10 @@ from repro.sim.engine import Engine
 class TcpSocket:
     """One endpoint of an established simulated TCP connection."""
 
-    def __init__(self, net: "TcpNetwork", host: Host, conn_id: str, role: str):
+    def __init__(self, net: "TcpNetwork", host: Host, conn_id: str):
         self._net = net
         self.host = host
         self.conn_id = conn_id
-        self.role = role  # 'client' or 'server'
         self.peer: Optional["TcpSocket"] = None
         self.closed = False
         self._recv_buffer: List[bytes] = []
@@ -141,9 +140,6 @@ class TcpSocket:
         self._recv_callback = None
         self._close_callback = None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TcpSocket({self.conn_id}:{self.role}@{self.host.name})"
-
 
 class TcpNetwork:
     """Listener registry and connection establishment over a Network."""
@@ -189,8 +185,8 @@ class TcpNetwork:
                 f"connection refused: nothing listening on {dst.name}:{port}"
             )
         conn_id = self._conn_ids.next_id()
-        client = TcpSocket(self, src, conn_id, "client")
-        server = TcpSocket(self, dst, conn_id, "server")
+        client = TcpSocket(self, src, conn_id)
+        server = TcpSocket(self, dst, conn_id)
         client.peer = server
         server.peer = client
 

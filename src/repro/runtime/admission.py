@@ -57,9 +57,6 @@ class AdmissionPolicy:
         """Whether this arrival enters the platform (``False`` = shed)."""
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.__class__.__name__} {self.name!r}>"
-
 
 # -- registry ----------------------------------------------------------------
 

@@ -88,9 +88,6 @@ class AllocationPolicy:
         into ``[1, view.cores]``)."""
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.__class__.__name__} {self.name!r}>"
-
 
 # -- registry ----------------------------------------------------------------
 

@@ -166,7 +166,7 @@ class _OutboundLeg(_BufferingSendProxy):
     def _open(self) -> None:
         graph, ep, target = self._graph, self._ep, self._target
         name = f"{ep.name}[{self._index}].out"
-        self._chan = graph._channel(name)
+        self._chan = TaskChannel(name)
         self._out_task = OutputTask(
             f"g{graph.graph_id}:{name}",
             self._chan,
@@ -263,9 +263,6 @@ class TaskGraph:
 
     # -- helpers ------------------------------------------------------------
 
-    def _channel(self, name: str) -> TaskChannel:
-        return TaskChannel(f"g{self.graph_id}:{name}")
-
     def _add_task(self, task, endpoint: Optional[str] = None) -> None:
         service_class = None
         if self.config.service_classes is not None:
@@ -308,7 +305,7 @@ class TaskGraph:
         client_ep = client_endpoints[0]
 
         self._client_socket = client_socket
-        inbox = self._channel("compute.in")
+        inbox = TaskChannel("compute.in")
         compute = ComputeTask(
             f"g{self.graph_id}:compute", inbox, task_id=next(self._task_ids)
         )
@@ -333,7 +330,7 @@ class TaskGraph:
 
         # Client-facing output task (responses back to the client).
         if client_ep.writable:
-            out_chan = self._channel(f"{client_ep.name}.out")
+            out_chan = TaskChannel(f"{client_ep.name}.out")
             out_task = OutputTask(
                 f"g{self.graph_id}:{client_ep.name}.out",
                 out_chan,
@@ -426,7 +423,7 @@ class TaskGraph:
         # channel and the producer that feeds it (and wakes its reader).
         streams: List[Tuple[TaskChannel, object]] = []
         for index, socket in enumerate(mapper_sockets):
-            chan = self._channel(f"{plan.source}[{index}]")
+            chan = TaskChannel(f"{plan.source}[{index}]")
             in_task = InputTask(
                 f"g{self.graph_id}:{plan.source}[{index}].in",
                 self.registry.new_parser(source_ep.read_type),
@@ -447,7 +444,7 @@ class TaskGraph:
                 (left, left_producer), (right, right_producer) = (
                     streams[pair_idx : pair_idx + 2]
                 )
-                out = self._channel(f"merge.l{level}.{pair_idx // 2}")
+                out = TaskChannel(f"merge.l{level}.{pair_idx // 2}")
                 merge = MergeTask(
                     f"g{self.graph_id}:merge.l{level}.{pair_idx // 2}",
                     left,

@@ -103,14 +103,6 @@ class SchedulingPolicy:
         """Timeslice for one ``task.step`` call (µs, ``0.0``, or ``None``)."""
         return self.timeslice_us
 
-    def max_budget_us(self) -> float:
-        """Upper bound every finite ``budget()`` return respects.
-
-        Part of the policy contract checked by the invariant harness:
-        a finite budget is always in ``[0, max_budget_us()]``.
-        """
-        return self.timeslice_us
-
     def steps_per_decision(self, task) -> int:
         """How many ``step`` calls one scheduling decision amortises."""
         return 1
@@ -620,9 +612,6 @@ class AdaptiveTimeslicePolicy(SchedulingPolicy):
 
     def reset(self) -> None:
         self._depth_ewma = 0.0
-
-    def max_budget_us(self) -> float:
-        return self.max_us
 
     def budget(self, task) -> Optional[float]:
         pressure = min(1.0, self._depth_ewma / self.depth_saturation)

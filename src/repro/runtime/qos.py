@@ -119,11 +119,6 @@ class ServiceClassMap:
     def __len__(self) -> int:
         return len(self._by_endpoint)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ServiceClassMap):
-            return NotImplemented
-        return self._by_endpoint == other._by_endpoint
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         entries = ", ".join(
             f"{ep}={sc.name}:{sc.slo_us:g}@{sc.weight:g}"

@@ -234,10 +234,6 @@ class Scheduler:
         return tuple(len(w.queue) for w in self._workers)
 
     @property
-    def total_busy_us(self) -> float:
-        return sum(w.busy_us for w in self._workers)
-
-    @property
     def total_steals(self) -> int:
         """Steal operations across all workers (a batch counts once)."""
         return sum(w.steals for w in self._workers)
@@ -251,11 +247,6 @@ class Scheduler:
     def total_steal_us(self) -> float:
         """Total steal cost charged, including cross-socket penalties."""
         return sum(w.steal_us for w in self._workers)
-
-    def utilisation(self, duration_us: float) -> float:
-        if duration_us <= 0:
-            return 0.0
-        return self.total_busy_us / (duration_us * self.cores)
 
     # -- task admission -----------------------------------------------------------
 
@@ -508,6 +499,3 @@ class TaskBase:
 
     def step(self, budget_us: Optional[float]):
         raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.__class__.__name__} {self.name} #{self.task_id}>"

@@ -328,9 +328,6 @@ class ChannelArrayView:
     def __getitem__(self, index: int):
         return self._proxies[index]
 
-    def __iter__(self):
-        return iter(self._proxies)
-
 
 class ComputeTask(TaskBase):
     """Executes compiled FLICK routing rules on tagged messages.

@@ -56,9 +56,6 @@ class LatencySeries:
     def percentile_us(self, p: float) -> float:
         return _percentile(self._samples, len(self._samples), p)
 
-    def max_us(self) -> float:
-        return max(self._samples, default=0.0)
-
     def percentile_summary_ms(self) -> Dict[str, float]:
         """The figure-ready percentile series: mean/p50/p99/max in ms."""
         ordered = sorted(self._samples)

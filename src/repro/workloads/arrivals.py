@@ -62,10 +62,11 @@ US_PER_S = 1_000_000.0
 class ArrivalProcess:
     """Emits inter-arrival gaps (virtual µs) for an open-loop source.
 
-    Subclasses override :meth:`gaps`; randomised processes draw from the
-    ``rng`` handed in by the population so one seed reproduces the whole
-    run.  A process may be finite (``replay``) — the population stops
-    admitting when the iterator is exhausted.
+    Subclasses override :meth:`gaps`, or :meth:`stamps` when the
+    instants themselves are given (``replay``); randomised processes
+    draw from the ``rng`` handed in by the population so one seed
+    reproduces the whole run.  A process may be finite (``replay``) —
+    the population stops admitting when the iterator is exhausted.
     """
 
     #: Registry key; subclasses must override.
@@ -276,14 +277,8 @@ class ReplayArrivals(ArrivalProcess):
             )
         self.timestamps_us = trace
 
-    def gaps(self, rng: random.Random) -> Iterator[float]:
-        previous = 0.0
-        for stamp in self.timestamps_us:
-            yield stamp - previous
-            previous = stamp
-
     def stamps(self, rng: random.Random) -> Iterator[float]:
-        # The trace itself: summing its gaps back can land an ulp off.
+        # The trace itself, not gaps: summing them back lands ulps off.
         return iter(self.timestamps_us)
 
     def describe(self) -> str:

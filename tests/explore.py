@@ -1,10 +1,12 @@
 """Shared pieces of the exhaustive explorers (``tests/test_*_explorer.py``):
-every timing of a stimulus set, a socket that logs what the test does
-not hold, and the quiescence check."""
+every timing of a stimulus set, an engine that checks the state after
+every event, a socket that logs what the test does not hold, and the
+quiescence check."""
 
 import itertools
 
 from repro.net import tcp
+from repro.sim.engine import Engine
 
 
 def timings(stimuli, before, times):
@@ -25,16 +27,37 @@ def timings(stimuli, before, times):
             yield [(stamps[i], stimuli[s]) for i, s in enumerate(order)]
 
 
+class CheckedEngine(Engine):
+    """The product engine, calling ``check()`` after every event.  An
+    explorer pins the entries its runs file (``engine._seq``), so an
+    entry point that bypasses ``schedule`` and ``at`` fails it."""
+
+    def __init__(self, check):
+        super().__init__()
+        self.check = check
+
+    def schedule(self, delay, callback, *args):
+        super().schedule(delay, self._checked, callback, args)
+
+    def at(self, when, callback, *args):
+        super().at(when, self._checked, callback, args)
+
+    def _checked(self, callback, args):
+        callback(*args)
+        self.check()
+
+
 class LoggingSocket(tcp.TcpSocket):
     """A TCP endpoint that logs on its network every connection, every
-    close, and what each client end sends and is handed, so a run can be
-    checked without the test holding either end.  A send on a closed
-    socket fails the run where it happens."""
+    close, and what each client end (built first) sends and is handed, so
+    a run can be checked without the test holding either end.  A send on
+    a closed socket fails the run where it happens."""
 
-    def __init__(self, net, host, conn_id, role):
-        super().__init__(net, host, conn_id, role)
+    def __init__(self, net, host, conn_id):
+        super().__init__(net, host, conn_id)
+        self.role = "server" if conn_id in net.conn_ids else "client"
         net.conn_ids.add(conn_id)
-        if role == "client":
+        if self.role == "client":
             net.wire[conn_id] = (host.name, [], [])
 
     def send(self, data):
@@ -79,12 +102,13 @@ def logged_network(engine):
     return net
 
 
-def check_quiescent(engine, net, horizon_us):
+def check_quiescent(engine, horizon_us, net=None):
     """Run ``engine`` to ``horizon_us``: nothing may be left runnable,
-    and every connection is closed on both sides or on neither."""
+    and every connection of ``net`` is closed on both sides or on
+    neither."""
     engine.run(until=horizon_us)
     assert engine.pending() == 0, "the engine does not quiesce"
-    for conn_id in net.conn_ids:
+    for conn_id in net.conn_ids if net else ():
         ends = {
             (conn_id, "client") in net.closed_ends,
             (conn_id, "server") in net.closed_ends,

@@ -304,7 +304,7 @@ class OracleCodec:
         raw = record.raw
         for f in unit.named_fields():
             if f.name in record:
-                values[f.name] = record[f.name]
+                values[f.name] = record._fields[f.name]
         # Pass 1: invert simple length references from payload sizes.
         for f in unit.fields:
             if isinstance(f, DataField) and f.name is not None:

@@ -33,6 +33,18 @@ from repro.lang.typecheck import CheckedProgram
 from repro.lang.values import Record
 
 
+def assign_field(record, name, value) -> None:
+    """FLICK's ``record.name = value``: the field must exist, and the
+    record no longer matches its ``raw`` bytes."""
+    if name not in record._fields:
+        raise RuntimeFlickError(
+            f"record {record.type_name!r} has no field {name!r}; "
+            "fields cannot be added at run time"
+        )
+    record._fields[name] = value
+    record.dirty = True
+
+
 class _Env:
     """Chained mutable variable environment."""
 
@@ -175,7 +187,7 @@ class Interpreter:
         if isinstance(target, ast.FieldAccess):
             obj = self._eval(target.obj, env)
             if isinstance(obj, Record):
-                obj.set(target.field, value)
+                assign_field(obj, target.field, value)
                 return
             raise RuntimeFlickError(
                 f"cannot assign field of {type(obj).__name__}"
@@ -223,7 +235,11 @@ class Interpreter:
         if isinstance(expr, ast.FieldAccess):
             obj = self._eval(expr.obj, env)
             if isinstance(obj, Record):
-                return obj.get(expr.field)
+                if expr.field not in obj._fields:
+                    raise RuntimeFlickError(
+                        f"record {obj.type_name!r} has no field {expr.field!r}"
+                    )
+                return obj._fields[expr.field]
             raise RuntimeFlickError(
                 f"cannot read field {expr.field!r} of {type(obj).__name__}"
             )
@@ -473,9 +489,38 @@ def oracle_for(program: CompiledProgram) -> Interpreter:
     return oracle
 
 
-#: The two sides of every comparison: program -> executor.  Bound here,
-#: so "generated" stays the product even inside :func:`under_oracle`.
-EXECUTORS = {"generated": CompiledProgram.executor, "oracle": oracle_for}
+#: Bound here, so "generated" stays the product inside :func:`under_oracle`.
+_product_executor = CompiledProgram.executor
+
+
+class _Generated:
+    """The product's executor behind the oracle's call surface
+    (``reset_ops``, ``call_function``); anything else is the product's."""
+
+    def __init__(self, program):
+        self._exec = _product_executor(program)
+        self._arities = {f.name: len(f.params) for f in program.checked.program.funs}
+
+    def __getattr__(self, name):
+        return getattr(self._exec, name)
+
+    def reset_ops(self) -> int:
+        cell = self._exec.ops_cell
+        count, cell[0] = cell[0], 0
+        return count
+
+    def call_function(self, name: str, args: Sequence[object]):
+        fn = self._exec.function(name)
+        arity = self._arities[name]
+        if len(args) != arity:
+            raise RuntimeFlickError(
+                f"{name!r} expects {arity} argument(s), got {len(args)}"
+            )
+        return fn(*args)
+
+
+#: The two sides of every comparison: program -> executor.
+EXECUTORS = {"generated": _Generated, "oracle": oracle_for}
 
 
 def under_oracle(fn):

@@ -153,7 +153,7 @@ def snapshot(scheduler, tasks):
             for t in tasks
         ],
         "executed": scheduler.tasks_executed,
-        "busy_us": scheduler.total_busy_us,
+        "busy_us": sum(w.busy_us for w in scheduler._workers),
         "steals": scheduler.total_steals,
         "alloc_log": list(scheduler.alloc_log),
         "active": scheduler.active_worker_indices(),

@@ -69,7 +69,8 @@ class TestProcesses:
 
     def test_replay_reproduces_the_trace(self):
         process = make_arrival("replay", timestamps_us=[5, 5, 30, 100])
-        assert take(process, 10) == [5.0, 0.0, 25.0, 70.0]
+        stamps = itertools.islice(process.stamps(random.Random(7)), 10)
+        assert list(stamps) == [5.0, 5.0, 30.0, 100.0]
 
     @pytest.mark.parametrize("name", ["bursty", "poisson", "ramp"])
     def test_stamps_are_the_running_sum_of_gaps(self, name):
@@ -81,11 +82,11 @@ class TestProcesses:
         assert list(stamps) == list(itertools.accumulate(take(process, 200)))
 
     def test_replay_stamps_are_the_trace(self):
-        """A trace's instants are its stamps, not its gaps summed back:
+        """A trace's instants are its stamps, not gaps summed back:
         ``305.7 + (834.1 - 305.7)`` lands an ulp above ``834.1``."""
         process = make_arrival("replay", timestamps_us=[305.7, 834.1])
         assert list(process.stamps(random.Random(7))) == [305.7, 834.1]
-        assert list(itertools.accumulate(take(process, 2))) != [305.7, 834.1]
+        assert 305.7 + (834.1 - 305.7) != 834.1
 
     def test_replay_rejects_bad_traces(self):
         with pytest.raises(ConfigError, match="non-empty"):

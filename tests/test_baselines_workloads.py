@@ -117,6 +117,13 @@ class TestHttpBaselines:
         low = server.request_overhead_us()
         assert high > 10 * low
 
+    def test_a_client_close_releases_its_connection(self):
+        engine, net, mbox, clients, _ = _topology()
+        server = NginxServer(engine, net, mbox, 80, cores=4)
+        net.connect(clients[0], mbox, 80, lambda socket: socket.close())
+        engine.run()
+        assert server.active_connections == 0 and server.requests_served == 0
+
 
 class TestMoxi:
     def test_routes_and_responds(self):

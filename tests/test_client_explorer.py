@@ -233,7 +233,7 @@ class _Run:
         self.population.start()
         for at, stimulus in timing:
             self.engine.at(at, self.server.fire, stimulus)
-        check_quiescent(self.engine, self.net, HORIZON_US)
+        check_quiescent(self.engine, HORIZON_US, self.net)
         self.check()
 
     def measured(self):

@@ -287,7 +287,7 @@ class _Run:
     def run(self, timing, variants):
         for at, stimulus in timing:
             self.engine.at(at, self.fire, stimulus, variants)
-        check_quiescent(self.engine, self.net, HORIZON_US)
+        check_quiescent(self.engine, HORIZON_US, self.net)
         self.check_quiescent()
         closed = [
             weakref.ref(graph)

@@ -155,7 +155,7 @@ class TestShardRouterMechanism:
         router.fail_shard(1)
         assert router.alive_shards == 1
         assert router.failed_shards == [1]
-        assert 1 not in router._ring
+        assert 1 not in router._ring._shards
         # failing a dead shard is a no-op, not an error
         assert router.fail_shard(1) == 0
         assert router.failed_shards == [1]
@@ -175,9 +175,26 @@ class TestShardRouterMechanism:
         router.fail_shard(1)
         view = router._view()
         assert len(view.shards) == 3
-        assert 1 not in view.ring
+        assert 1 not in view.ring._shards
         for i in range(50):
             assert router.policy.choose_shard(f"conn-{i}", view) != 1
+
+    @pytest.mark.parametrize("closer", ["client", "shard"])
+    def test_a_close_at_either_end_releases_the_pipe(self, closer):
+        router = self._router()
+        tcpnet = router.tcpnet
+        shard_ends, client_ends = [], []
+        for shard in router._shards:
+            tcpnet.listen(shard.host, 80, shard_ends.append)
+        router.start()
+        client = tcpnet.add_host("client", 10 * GBPS, "core")
+        tcpnet.connect(client, router.host, 80, client_ends.append)
+        router.engine.run()
+        assert len(shard_ends) == len(client_ends) == 1 and router._pipes
+        (client_ends if closer == "client" else shard_ends)[0].close()
+        router.engine.run()
+        assert not router._pipes
+        assert [shard.connections for shard in router._shards] == [0, 0]
 
     def test_fail_shard_at_bad_index_rejected(self):
         router = self._router()

@@ -1,14 +1,15 @@
-"""No dead names: every function and class under ``src/`` is named
-somewhere besides its own definition, and every attribute stored on
-``self`` under ``src/`` is read somewhere.
+"""No dead names: every function and class under ``src/`` is named by
+the product or what runs it besides its own definition, and every
+attribute stored on ``self`` under ``src/`` is read there.
 
-A name that occurs exactly once across ``src/``, ``tests/``,
-``benchmarks/`` and ``examples/`` — at its ``def`` or ``class`` — is code
-nothing calls, and it goes.  Identifiers are counted as tokens of the
-whole text, so a name used only in generated source, an f-string or a
-``getattr`` string still counts as used.  Dunder methods are exempt
-(Python calls them), and so are decorated classes: registry entries are
-reached through their decorator, by name.
+A name that occurs exactly once across ``src/``, ``benchmarks/`` and
+``examples/`` — at its ``def`` or ``class`` — is code nothing but a test
+calls, and it goes (or moves test-side, next to the test that needs
+it).  Identifiers are counted as tokens of the whole text, so a name
+used only in generated source, an f-string or a ``getattr`` string still
+counts as used.  Dunder methods are exempt (Python calls them), and so
+are decorated classes: registry entries are reached through their
+decorator, by name.
 
 An attribute is state nothing consults when neither the product nor
 what runs it (``src/``, ``benchmarks/``, ``examples/``) reads its name:
@@ -32,8 +33,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TREES = ("src", "tests", "benchmarks", "examples")
-#: The trees whose reads keep a stored attribute alive.
+#: The trees whose uses keep a definition or a stored attribute alive.
 READERS = ("src", "benchmarks", "examples")
 #: Kept whoever reads them: the per-task and per-worker busy time and
 #: the count of scheduled slices are the accounting a worker's busy
@@ -60,7 +60,7 @@ def _docstrings(module):
 
 def _dead_names(root=ROOT):
     uses = Counter()
-    for tree in TREES:
+    for tree in READERS:
         for path in (root / tree).rglob("*.py"):
             uses.update(IDENTIFIER.findall(path.read_text(encoding="utf-8")))
     dead = []
@@ -181,7 +181,7 @@ def _write_only_attributes(root=ROOT):
 
 def test_every_function_and_class_under_src_is_referenced():
     dead = _dead_names()
-    assert not dead, "defined and referenced nowhere: " + "; ".join(dead)
+    assert not dead, "defined and referenced by no product code: " + "; ".join(dead)
 
 
 def test_every_attribute_stored_under_src_is_read():
@@ -214,12 +214,26 @@ def test_a_name_defined_once_is_flagged_with_its_line(tmp_path):
 def test_a_use_in_another_tree_or_a_string_counts(tmp_path):
     root = _tree(
         tmp_path,
-        "def by_test():\n    pass\n\n\n"
+        "def by_example():\n    pass\n\n\n"
         "def by_getattr():\n    pass\n\n\n"
         "HOOK = getattr(object(), 'by_getattr', None)\n",
-        tests="from mod import by_test\n",
+    )
+    (root / "examples").mkdir()
+    (root / "examples" / "demo.py").write_text(
+        "from mod import by_example\n", encoding="utf-8"
     )
     assert _dead_names(root) == []
+
+
+def test_a_name_only_a_test_uses_is_flagged(tmp_path):
+    root = _tree(
+        tmp_path,
+        "def helper():\n    pass\n\n\n"
+        "def for_tests():\n    return helper()\n",
+        tests="from mod import for_tests, helper\n",
+    )
+    # A test's call keeps nothing alive; a call under src/ does.
+    assert _dead_names(root) == ["src/mod.py:5 for_tests"]
 
 
 def test_decorated_classes_and_dunders_are_exempt(tmp_path):

@@ -21,6 +21,7 @@ from repro.grammar.model import (
 )
 from repro.lang.values import Record
 from tests.grammar_oracle import eval_expr
+from tests.lang_oracle import assign_field
 
 SIMPLE = """
 type msg = unit {
@@ -93,7 +94,7 @@ class TestDsl:
         names = [f.name for f in MEMCACHED_UNIT.fields]
         assert "opcode" in names and "value_len" in names
         assert None in names  # the anonymous reserved byte
-        var = MEMCACHED_UNIT.field_named("value_len")
+        var = MEMCACHED_UNIT.fields[names.index("value_len")]
         assert isinstance(var, VarField)
         assert var.serialize_target == "total_len"
 
@@ -282,7 +283,7 @@ class TestCodec:
         codec = self.codec()
         data, _ = codec.serialize(Record("msg", {"tag": 1, "body_len": 2, "body": b"ab"}))
         parsed = codec.parse_all(data)[0]
-        parsed.set("body", b"longer body")
+        assign_field(parsed, "body", b"longer body")
         out, _ = codec.serialize(parsed)
         again = codec.parse_all(out)[0]
         assert again.body == b"longer body"
@@ -376,7 +377,7 @@ class TestSpecialisation:
         spec = mc.specialized_codec(frozenset({"opcode", "key"}))
         raw = mc.encode(mc.make_request(mc.OP_GETK, "aaaa"))
         parsed = spec.parse_all(raw)[0]
-        parsed.set("key", "bbbbbb")
+        assign_field(parsed, "key", "bbbbbb")
         out, _ = spec.serialize(parsed)
         again = mc.full_codec().parse_all(out)[0]
         assert again.key == "bbbbbb"

@@ -44,7 +44,6 @@ class TestBalance:
 
     def test_every_shard_owns_points(self):
         ring = HashRing(range(8))
-        assert set(ring.shard_ids) == set(range(8))
         seen = {ring.lookup(key) for key in KEYS}
         assert seen == set(range(8))
 
@@ -152,11 +151,10 @@ class TestMembershipApi:
         with pytest.raises(ConfigError, match="vnodes"):
             HashRing(vnodes=0)
 
-    def test_len_contains(self):
+    def test_len_and_members(self):
         ring = HashRing([0, 2])
         assert len(ring) == 2
-        assert 2 in ring and 1 not in ring
-        assert ring.shard_ids == (0, 2)
+        assert sorted(ring.lookup_chain("k", 3)) == [0, 2]
         assert ring.vnodes == DEFAULT_VNODES
 
     def test_chain_distinct_and_capped(self):

@@ -127,6 +127,21 @@ class TestBuiltins:
         src = "fun f: (a: integer, b: integer) -> (integer)\n    min(a, b) + max(a, b)\n"
         assert call(src, "f", 3, 9) == 12
 
+    def test_all_ready(self):
+        """Listing 3's guard: true when every channel of the array holds
+        a value (the runtime's merge tree decides this itself)."""
+        src = (
+            "type kv: record\n    k : integer\n"
+            "fun f: ([kv/-] cs) -> (boolean)\n    all_ready(cs)\n"
+        )
+
+        class Chan:
+            def __init__(self, ready):
+                self.ready = lambda: ready
+
+        assert call(src, "f", [Chan(True), Chan(True)]) is True
+        assert call(src, "f", [Chan(True), Chan(False)]) is False
+
 
 class TestRecordsAndDicts:
     SRC = (

@@ -333,6 +333,6 @@ def test_native_combine_equals_its_attribute_form(keys, values):
     merged, ops = _native_combine(left, right)
     expected, expected_ops = _attribute_combine(left, right)
     assert merged == expected and ops == expected_ops
-    assert merged.keys() == expected.keys()
+    assert list(merged._fields) == list(expected._fields)
     assert (merged.raw, merged.dirty) == (None, False)
     assert _native_key(left) == left.key and _native_key(right) == right.key

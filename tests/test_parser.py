@@ -6,6 +6,10 @@ from repro.core.errors import FlickSyntaxError
 from repro.lang import ast
 from repro.lang.parser import parse
 
+
+def _named(decls, name):
+    return next(decl for decl in decls if decl.name == name)
+
 MEMCACHED_SHORT = """
 type cmd: record
     key : string
@@ -75,24 +79,24 @@ class TestListings:
 
     def test_memcached_full_parses(self):
         prog = parse(MEMCACHED_FULL)
-        assert prog.proc_named("memcached")
-        assert prog.fun_named("update_cache")
-        assert prog.fun_named("test_cache")
+        assert _named(prog.procs, "memcached")
+        assert _named(prog.funs, "update_cache")
+        assert _named(prog.funs, "test_cache")
 
     def test_hadoop_parses(self):
         prog = parse(HADOOP)
-        proc = prog.proc_named("hadoop")
+        proc = _named(prog.procs, "hadoop")
         assert isinstance(proc.body[0], ast.IfStmt)
 
     def test_anonymous_fields(self):
         prog = parse(MEMCACHED_FULL)
-        fields = prog.type_named("cmd").fields
+        fields = _named(prog.types, "cmd").fields
         assert fields[2].name is None
         assert fields[3].name == "key"
 
     def test_field_attrs_are_expressions(self):
         prog = parse(MEMCACHED_FULL)
-        key_field = prog.type_named("cmd").fields[3]
+        key_field = _named(prog.types, "cmd").fields[3]
         attrs = dict(key_field.attrs)
         assert isinstance(attrs["size"], ast.Var)
         assert attrs["size"].name == "keylen"
@@ -101,7 +105,7 @@ class TestListings:
 class TestProcesses:
     def test_channel_param_directions(self):
         prog = parse(MEMCACHED_SHORT)
-        params = prog.proc_named("Memcached").params
+        params = _named(prog.procs, "Memcached").params
         client = params[0].type
         assert isinstance(client, ast.ChannelType)
         assert not client.is_array
@@ -110,19 +114,19 @@ class TestProcesses:
 
     def test_write_only_channel(self):
         prog = parse(HADOOP)
-        reducer = prog.proc_named("hadoop").params[1].type
+        reducer = _named(prog.procs, "hadoop").params[1].type
         assert reducer.read is None
         assert reducer.write == ast.NamedType("kv")
 
     def test_read_only_channel_array(self):
         prog = parse(HADOOP)
-        mappers = prog.proc_named("hadoop").params[0].type
+        mappers = _named(prog.procs, "hadoop").params[0].type
         assert mappers.read == ast.NamedType("kv")
         assert mappers.write is None
 
     def test_pipeline_stages(self):
         prog = parse(MEMCACHED_SHORT)
-        body = prog.proc_named("Memcached").body
+        body = _named(prog.procs, "Memcached").body
         forward = body[0]
         assert isinstance(forward, ast.PipelineStmt)
         assert forward.stages[0].expr == ast.Var(
@@ -133,13 +137,13 @@ class TestProcesses:
 
     def test_global_declaration(self):
         prog = parse(MEMCACHED_FULL)
-        body = prog.proc_named("memcached").body
+        body = _named(prog.procs, "memcached").body
         assert isinstance(body[0], ast.GlobalDecl)
         assert body[0].name == "cache"
 
     def test_foldt_structure(self):
         prog = parse(HADOOP)
-        if_stmt = prog.proc_named("hadoop").body[0]
+        if_stmt = _named(prog.procs, "hadoop").body[0]
         let = if_stmt.then_body[0]
         assert isinstance(let.value, ast.FoldTExpr)
         assert let.value.elem_var == "elem"
@@ -153,7 +157,7 @@ class TestExpressions:
         prog = parse(
             f"fun f: (x: integer) -> (integer)\n    {text}\n"
         )
-        stmt = prog.fun_named("f").body[-1]
+        stmt = _named(prog.funs, "f").body[-1]
         return stmt.expr if isinstance(stmt, ast.ExprStmt) else stmt
 
     def test_precedence_mod_binds_tighter_than_comparison(self):
@@ -227,5 +231,5 @@ class TestErrors:
             "    elif x = 2:\n        2\n"
             "    else:\n        3\n"
         )
-        top = prog.fun_named("f").body[0]
+        top = _named(prog.funs, "f").body[0]
         assert isinstance(top.else_body[0], ast.IfStmt)

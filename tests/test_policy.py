@@ -548,7 +548,6 @@ class TestDeadlinePolicy:
         # No engine bound: now == 0, slack == slo.
         assert policy.budget(relaxed) == 50.0
         assert policy.budget(tight) == 5.0  # floored, still progresses
-        assert policy.max_budget_us() == 50.0
 
     def test_deadline_clock_restarts_after_drain(self):
         policy = DeadlinePolicy(default_slo_us=100.0)
@@ -738,7 +737,6 @@ class TestAdaptiveTimeslicePolicy:
     def test_budget_starts_wide_open(self):
         policy = AdaptiveTimeslicePolicy(min_us=10.0, max_us=100.0)
         assert policy.budget(None) == 100.0
-        assert policy.max_budget_us() == 100.0
 
     def test_band_defaults_scale_with_the_configured_timeslice(self):
         """The configured quantum is not ignored: it anchors the band
@@ -747,7 +745,6 @@ class TestAdaptiveTimeslicePolicy:
         assert (default.min_us, default.max_us) == (10.0, 100.0)
         scaled = AdaptiveTimeslicePolicy(timeslice_us=20.0)
         assert (scaled.min_us, scaled.max_us) == (4.0, 40.0)
-        assert scaled.max_budget_us() == 40.0
 
     def test_deep_queues_shrink_the_budget_within_band(self):
         policy = AdaptiveTimeslicePolicy(min_us=10.0, max_us=100.0)

@@ -13,7 +13,8 @@ regression coverage the moment it is registered:
   exactly into task work + per-decision ``SCHEDULE_US`` + charged steal
   costs (including topology penalties);
 * **budget bounds** — every finite value a policy's ``budget()`` hook
-  returns lies in ``[0, policy.max_budget_us()]``;
+  returns lies in ``[0, cap]``: the adaptive band's ``max_us``, every
+  other policy's ``timeslice_us``;
 * **determinism** — identical seeds produce identical schedules;
 * **reusability** — ``reset()`` (fired when a scheduler adopts the
   policy) restores a used instance to a state indistinguishable from a
@@ -181,7 +182,7 @@ def snapshot(scheduler, tasks):
             for t in tasks
         ],
         "executed": scheduler.tasks_executed,
-        "busy_us": scheduler.total_busy_us,
+        "busy_us": sum(w.busy_us for w in scheduler._workers),
         "steals": scheduler.total_steals,
         "stolen_tasks": scheduler.total_stolen_tasks,
         "slo_summary": scheduler.scoreboard.summary(),
@@ -203,7 +204,7 @@ def check_steal_accounting(scheduler, tasks):
     if scheduler.total_steals == 0:
         assert scheduler.total_stolen_tasks == 0
         assert scheduler.total_steal_us == 0.0
-    assert scheduler.total_busy_us == pytest.approx(
+    assert sum(w.busy_us for w in scheduler._workers) == pytest.approx(
         sum(t.busy_us for t in tasks)
         + scheduler.tasks_executed * SCHEDULE_US
         + scheduler.total_steal_us
@@ -212,7 +213,8 @@ def check_steal_accounting(scheduler, tasks):
 
 def check_budget_bounds(recorder):
     assert recorder.budgets, "no scheduling decision recorded a budget"
-    cap = recorder.policy.max_budget_us()
+    policy = recorder.policy
+    cap = getattr(policy, "max_us", policy.timeslice_us)
     for budget in recorder.budgets:
         if budget is None:  # run-to-completion is always legal
             continue

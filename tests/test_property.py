@@ -13,6 +13,7 @@ from repro.grammar.protocols import hadoop, http
 from repro.grammar.protocols import memcached as mc
 from repro.lang.values import Record
 from tests.lang_oracle import oracle_for
+from tests.test_protocols import decode_pairs
 
 keys = st.text(string.ascii_lowercase, min_size=1, max_size=32)
 values = st.binary(min_size=0, max_size=200)
@@ -214,7 +215,7 @@ class TestHadoopRoundTrip:
     @given(st.lists(st.tuples(keys, st.text(string.digits, min_size=1, max_size=6)), max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_pairs_round_trip(self, pairs):
-        assert hadoop.decode_pairs(hadoop.encode_pairs(pairs)) == pairs
+        assert decode_pairs(hadoop.encode_pairs(pairs)) == pairs
 
 
 class TestHttpRoundTrip:

@@ -25,6 +25,7 @@ from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.costs import RuntimeConfig
 from repro.runtime.graph import OutboundTarget, TaskGraph
 from repro.runtime import platform as platform_module
+from repro.runtime import graph as graph_module
 from repro.runtime.platform import FlickPlatform
 from repro.runtime.policy import CooperativePolicy
 from repro.runtime.scheduler import Scheduler, TaskBase
@@ -358,7 +359,8 @@ class TestScheduler:
         for t in tasks:
             sched.notify_runnable(t)
         engine.run()
-        assert 0.0 < sched.utilisation(engine.now) <= 1.0
+        busy_us = sum(w.busy_us for w in sched._workers)
+        assert 0.0 < busy_us / (engine.now * sched.cores) <= 1.0
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(Exception):
@@ -731,7 +733,7 @@ class TestBackendCloseTeardown:
         the client; its EOF must neither close that inbox nor charge a
         teardown.  One client pipelines GETKs 100 µs apart and every
         backend goes down at 1000 µs: the platform closes the client,
-        where ``ChannelClosed`` (a push into ``g1:compute.in``) used to
+        where ``ChannelClosed`` (a push into ``compute.in``) used to
         escape ``engine.run()`` at t = 1160.9 µs."""
         engine, net, mbox, hosts, backends, graphs = _proxy_testbed(
             "cache-router"
@@ -804,7 +806,7 @@ def test_tasks_woken_after_teardown_are_still_charged():
         for graph in graphs
         for task in graph.tasks
     ]
-    rows.append(graphs[0].scheduler.total_busy_us)
+    rows.append(sum(w.busy_us for w in graphs[0].scheduler._workers))
     assert len(graphs) == 3 and len(replies) == 1
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "de1c36bff3282f6a864f2135eff7aaf29a46c9c40526e7ab976ad261e84ad73e"
@@ -830,15 +832,16 @@ def test_every_runtime_config_field_is_read_by_the_platform():
 
 def test_graph_channels_take_the_task_channel_default_capacity(monkeypatch):
     """A graph's channels are bounded at ``TaskChannel``'s default, the
-    one capacity every configuration used; no config field sets it."""
+    one capacity every configuration used; no config field sets it.  A
+    channel is named by its role in the graph alone (``compute.in``):
+    nothing formats the graph id into it."""
     made = []
-    channel = TaskGraph._channel
 
-    def recording(graph, name):
-        made.append(channel(graph, name))
+    def recording(name):
+        made.append(TaskChannel(name))
         return made[-1]
 
-    monkeypatch.setattr(TaskGraph, "_channel", recording)
+    monkeypatch.setattr(graph_module, "TaskChannel", recording)
     engine, net, mbox, hosts, _backends, graphs = _proxy_testbed()
     replies = []
     raw = http.make_request("GET", "/", keep_alive=False).raw
@@ -849,9 +852,7 @@ def test_graph_channels_take_the_task_channel_default_capacity(monkeypatch):
     assert {chan.capacity for chan in made} == {
         TaskChannel("default").capacity
     }
-    assert all(
-        chan.name.startswith(f"g{graphs[0].graph_id}:") for chan in made
-    )
+    assert "compute.in" in {chan.name for chan in made}
 
 
 def cyclic_garbage(run):

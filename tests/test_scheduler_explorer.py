@@ -54,8 +54,7 @@ from repro.runtime.allocator import make_allocator
 from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.policy import make_policy, registered_policies
 from repro.runtime.scheduler import IDLE, Scheduler, TaskBase
-from repro.sim.engine import Engine
-from tests.explore import timings
+from tests.explore import CheckedEngine, check_quiescent, timings
 
 #: Stimulus timestamps (virtual µs).  One item costs ITEM_US, so a
 #: stimulus at 3.0 lands inside the second timeslice of the run.
@@ -63,6 +62,7 @@ TIMES = (0.0, 3.0)
 ITEM_US = 2.0
 TIMESLICE_US = 5.0  # the smallest the deadline policy accepts
 EVENT_LIMIT = 2_000
+HORIZON_US = 1_000.0
 WORKER_COUNTS = (2, 3)
 CAPACITIES = (1, 2)
 ALLOCATORS = ("static", "queue-depth")
@@ -217,37 +217,11 @@ SHAPES = {
 }
 
 
-class _CheckedEngine(Engine):
-    """The product engine, running ``check`` after every event.
-
-    Every entry is filed through ``schedule`` or ``at``;
-    :data:`STATES` pins how many events the runs check, so an entry
-    point that bypasses these wrappers fails the test.
-    """
-
-    def __init__(self, check):
-        super().__init__()
-        self.check = check
-        self.events = 0
-
-    def schedule(self, delay, callback, *args):
-        super().schedule(delay, self._checked, callback, args)
-
-    def at(self, when, callback, *args):
-        super().at(when, self._checked, callback, args)
-
-    def _checked(self, callback, args):
-        callback(*args)
-        self.events += 1
-        assert self.events <= EVENT_LIMIT, "the engine does not quiesce"
-        self.check()
-
-
 class _Run:
     """One configuration under one timing, checked as it runs."""
 
     def __init__(self, policy, allocator, workers, shape, capacity):
-        self.engine = _CheckedEngine(self.check)
+        self.engine = CheckedEngine(self.check)
         self.scheduler = Scheduler(
             self.engine,
             workers,
@@ -290,6 +264,7 @@ class _Run:
             scheduler._allocation_tick()
 
     def check(self):
+        assert self.engine._seq <= EVENT_LIMIT, "the engine does not quiesce"
         scheduler = self.scheduler
         workers = scheduler._workers
         assert scheduler._queued == sum(
@@ -314,9 +289,9 @@ class _Run:
         self.scheduler.start()
         for at, stimulus in timing:
             self.engine.at(at, self.fire, stimulus)
-        self.engine.run()
+        check_quiescent(self.engine, HORIZON_US)
         self.check_quiescent()
-        return self.engine.events
+        return self.engine._seq
 
     def check_quiescent(self):
         scheduler = self.scheduler
@@ -356,7 +331,7 @@ def _stimuli_for(shape, allocator):
 SCHEDULES = {"static": (4 + 8) * 5 * 4, "queue-depth": (20 + 40) * 6 * 4}
 
 #: Post-event states checked per (policy, allocator), summed over every
-#: schedule: the count of engine events the runs fire, each followed by
+#: schedule: the count of engine events the runs file, each followed by
 #: ``check``.  A hook that stopped seeing some events would check fewer.
 STATES = {
     ("adaptive-timeslice", "static"): 5207,

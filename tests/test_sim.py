@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
-from repro.core.units import GBPS, MBPS
-from repro.core.units import transmission_time_us
+from repro.core.units import GBPS, MBPS, SECONDS
 from repro.net.simnet import HOP_LATENCY_US, Network, RateLimiter, WIRE_OVERHEAD
 from repro.net.tcp import TcpNetwork
 from repro.sim.engine import Engine
+
+
+def transmission_time_us(nbytes, rate_bps):
+    """Time (µs) to push ``nbytes`` through a link of ``rate_bps`` bits/s:
+    the cost model the reference limiters below charge."""
+    return nbytes * 8.0 / rate_bps * SECONDS
 
 
 class TestEngine:
@@ -170,7 +175,7 @@ class TestControlFrameOrdering:
     They pin the fix for the seed bug where ``deliver()`` set
     ``depart = now`` for ``nbytes == 0``, letting a FIN (or SYN) leave
     the host immediately while earlier-sent data was still serialising
-    behind ``src.tx.busy_until`` — delivering EOF before bytes on a
+    behind ``src.tx._free_at`` — delivering EOF before bytes on a
     supposedly ordered stream.
     """
 
@@ -184,7 +189,7 @@ class TestControlFrameOrdering:
         b = net.add_host("b", 1 * GBPS, "core")
         c = net.add_host("c", 10 * GBPS, "core")
         net.deliver(a, b, 1_000_000, lambda: None)
-        tx_busy_until = a.tx.busy_until
+        tx_busy_until = a.tx._free_at
         assert tx_busy_until > 8_000
         fin_arrival = net.deliver(a, c, 0, lambda: None)
         assert fin_arrival >= tx_busy_until
@@ -403,10 +408,10 @@ class TestDeliverDifferential:
         # time; same-time arrivals fire in send order.
         assert fired == sorted(expected, key=lambda e: (e[2], e[0]))
         for node in nodes:
-            assert node.tx.busy_until == ref.tx[node.name].busy_until
-            assert node.rx.busy_until == ref.rx[node.name].busy_until
+            assert node.tx._free_at == ref.tx[node.name].busy_until
+            assert node.rx._free_at == ref.rx[node.name].busy_until
         assert {
-            key: trunk.busy_until for key, trunk in net._trunks.items()
+            key: trunk._free_at for key, trunk in net._trunks.items()
         } == {key: trunk.busy_until for key, trunk in ref.trunks.items()}
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import FlickTypeError
+from repro.lang import types as ty
 from repro.lang.parser import parse
 from repro.lang.typecheck import check_program
 from tests.test_parser import HADOOP, MEMCACHED_FULL, MEMCACHED_SHORT
@@ -321,3 +322,18 @@ class TestPipelines:
                 "type a: record\n    x : string\n"
                 + fun_src("a/a c, v: a", "", "c => g2() => c")
             )
+
+
+def test_types_print_as_flick_spells_them():
+    """Type errors quote types in FLICK's own spelling."""
+    kv = ty.RecordType("kv", ())
+    shown = [
+        ty.INTEGER, ty.STRING, ty.BOOLEAN, ty.UNIT, ty.ANY,
+        ty.DictMapType(ty.STRING, kv), ty.ListSeqType(ty.INTEGER),
+        ty.RefCellType(kv), ty.ChannelEndType(kv, None, is_array=True),
+        ty.ChannelEndType(None, kv), ty.FunType((ty.INTEGER, kv), (ty.BOOLEAN,)),
+    ]
+    assert [str(t) for t in shown] == [
+        "integer", "string", "boolean", "unit", "any", "dict<string*kv>",
+        "list<integer>", "ref kv", "[kv/-]", "-/kv", "(integer, kv) -> (boolean)",
+    ]
