@@ -13,8 +13,8 @@ import itertools
 from typing import Iterator
 
 _FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+FNV_PRIME = 0x100000001B3
+MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _fnv1a(data) -> int:
@@ -30,14 +30,16 @@ def _fnv1a(data) -> int:
         raise TypeError(f"stable_hash does not support {type(data).__name__}")
     h = _FNV_OFFSET
     for byte in bytes(data):
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+        h = ((h ^ byte) * FNV_PRIME) & MASK64
     return h
 
 
 # The same few keys, ids and small integers are hashed once per request;
 # the byte loop is pure Python.  ``typed`` keeps ``1.0`` from being served
 # the answer for ``1``; the bound keeps one-shot ids from accumulating.
-_fnv1a_memo = functools.lru_cache(maxsize=1 << 12, typed=True)(_fnv1a)
+# A loop that folds many parts takes :func:`hash_fold`'s step inline:
+# ``(h ^ fnv1a_memo(part)) * FNV_PRIME & MASK64``.
+fnv1a_memo = functools.lru_cache(maxsize=1 << 12, typed=True)(_fnv1a)
 
 
 def hash_fold(h: int, part) -> int:
@@ -48,10 +50,10 @@ def hash_fold(h: int, part) -> int:
     prefix hashes the prefix once and extends it.
     """
     try:
-        part = _fnv1a_memo(part)
+        part = fnv1a_memo(part)
     except TypeError:  # a tuple, a bytearray, or not supported
         part = stable_hash(part) if isinstance(part, tuple) else _fnv1a(part)
-    return (h ^ part) * _FNV_PRIME & _MASK64
+    return (h ^ part) * FNV_PRIME & MASK64
 
 
 def stable_hash(data) -> int:
@@ -69,7 +71,7 @@ def stable_hash(data) -> int:
             h = hash_fold(h, part)
         return h
     try:
-        return _fnv1a_memo(data)
+        return fnv1a_memo(data)
     except TypeError:  # unhashable (bytearray), or not supported at all
         return _fnv1a(data)
 

@@ -39,25 +39,15 @@ def codec() -> UnitCodec:
     return _CODEC
 
 
-def make_pair(key: str, value: str) -> Record:
-    """Build a key/value record as produced by a mapper."""
-    return Record(
-        "kv",
-        {
-            "key_len": len(key.encode("utf-8")),
-            "value_len": len(value.encode("utf-8")),
-            "key": key,
-            "value": value,
-        },
-    )
-
-
 def encode_pairs(pairs: Iterable[Tuple[str, str]]) -> bytes:
-    """Serialise (key, value) tuples into one mapper output stream."""
-    c = codec()
-    out = bytearray()
-    for key, value in pairs:
-        data, _ = c.serialize(make_pair(key, value))
-        out.extend(data)
-    return bytes(out)
+    """Serialise (key, value) tuples into one mapper output stream.
 
+    Each pair goes through the generated encoder as a record of its key
+    and value alone: the encoder computes both length prefixes from the
+    encoded payloads, so the record needs no ``key_len``/``value_len``.
+    """
+    serialize = codec().serialize
+    return b"".join(
+        [serialize(Record("kv", {"key": key, "value": value}))[0]
+         for key, value in pairs]
+    )

@@ -3,13 +3,24 @@
 A channel carries values from its producers to exactly one consumer
 task, and holds no reference to either.  The producer wakes the
 consumer: each producer holds a ``wake`` callable (the task graph
-builds it from the consumer) and calls it after every push and after
-the close that ends the stream.  So nothing leads from a channel back
-to the task that reads it, and a closed connection's channels and
-tasks are freed by reference counting.  Capacity is finite so the
-graphs of section 5 have bounded memory, and producers must check
-:meth:`has_space` — input tasks stop draining their socket when
-downstream is full, which is the platform's backpressure mechanism.
+builds it from the consumer) and calls it after what it pushed is in
+the channel and after the close that ends the stream.  So nothing leads
+from a channel back to the task that reads it, and a closed
+connection's channels and tasks are freed by reference counting.
+
+The unit of hand-off is the timeslice, not the item.  A producer's
+slice is one emission per out channel: :meth:`TaskChannel.push_run`
+puts the slice's items in, in order (an empty channel takes the
+producer's deque over as its queue instead of copying it), and then the consumer is woken once.  A consumer reads the same way: :meth:`TaskChannel.run` hands a
+compute, output or merge task the queued run and its data count once
+per slice, the task pops heads straight off the run, and
+:meth:`TaskChannel.settle` gives the channel back its empty state when
+the slice ends.
+
+Capacity is finite so the graphs of section 5 have bounded memory, and
+producers must check :meth:`has_space` — input tasks stop draining
+their socket when downstream is full, which is the platform's
+backpressure mechanism.
 
 A channel is empty nearly all the time, and an empty ``deque`` still
 takes 760 bytes on CPython 3.11, its first 64-slot block included: an
@@ -59,6 +70,23 @@ class TaskChannel:
             queue = self._queue = deque()
         queue.append(item)
 
+    def push_run(self, run: deque) -> None:
+        """Push the items of ``run`` in order, all or none: a run past the
+        capacity raises :class:`ChannelFull` with nothing pushed.  An
+        empty channel takes ``run`` itself as its queue, so the caller
+        hands the run over and does not touch it again."""
+        if self.closed:
+            raise ChannelClosed(f"push into closed channel {self.name!r}")
+        queue = self._queue
+        if len(queue) + len(run) > self.capacity:
+            raise ChannelFull(
+                f"channel {self.name!r} is full ({self.capacity} items)"
+            )
+        if queue:
+            queue.extend(run)
+        elif run:
+            self._queue = run
+
     def close(self) -> bool:
         """Producer is done; consumer sees EOS after draining.
 
@@ -84,23 +112,27 @@ class TaskChannel:
     def ready(self) -> bool:
         """True if a data item (not EOS) is available."""
         # ``len(self) > 0`` spelled out: a merge node asks it of both
-        # inputs once per record it takes.
+        # inputs each time the scheduler asks whether it has work.
         return len(self._queue) > (self.closed and not self._eos_delivered)
 
     def empty(self) -> bool:
         return not self._queue
 
-    def peek(self):
-        """The next data item, or None (EOS is not peekable)."""
-        if self._queue and self._queue[0] is not EOS:
-            return self._queue[0]
-        return None
+    def run(self):
+        """The queued run and how many data items lead it.
 
-    def at_eos(self) -> bool:
-        """True once the producer closed and all data was consumed."""
-        return self._eos_delivered or (
-            self.closed and len(self._queue) == 1 and self._queue[0] is EOS
-        )
+        The consumer may ``popleft`` up to that many items straight off
+        the run (never the EOS that may follow them: :meth:`pop` takes
+        that); it then calls :meth:`settle`.  No producer may touch the
+        channel in between.
+        """
+        queue = self._queue
+        return queue, len(queue) - (self.closed and not self._eos_delivered)
+
+    def settle(self) -> None:
+        """Close a read of :meth:`run`: a drained run is dropped."""
+        if not self._queue:
+            self._queue = ()
 
     def exhausted(self) -> bool:
         """True when EOS has been popped: no more data will ever arrive."""

@@ -401,6 +401,10 @@ class Scheduler:
             pick = self._next_local
             task = queue.popleft() if pick is None else pick(worker)
             steal_us = 0.0
+        elif not self._queued:
+            # Every queue is empty: nothing to steal.
+            worker.sleeping = True
+            return
         else:
             task, steal_us = self._steal(worker)
             if task is None:
@@ -425,9 +429,8 @@ class Scheduler:
 
     def _steal(self, worker: _Worker):
         """A task for ``worker``, whose own queue is empty, taken from
-        another queue, plus the steal cost it incurred (µs)."""
-        if not self._queued:
-            return None, 0.0  # every queue is empty: nothing to steal
+        another queue, plus the steal cost it incurred (µs).  Some queue
+        holds a task: :meth:`_run` asks only then."""
         victim = self._select_victim(worker, self._active)
         if victim is None or not victim.queue:
             return None, 0.0

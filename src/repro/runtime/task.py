@@ -18,11 +18,28 @@ All tasks follow the deferred-emission contract of the scheduler: side
 effects produced during a timeslice are returned as thunks and performed
 only after the timeslice's virtual time has elapsed.
 
+Hand-off: a producer's slice is one emission per out channel.  An
+input, raw-forward or merge task collects the slice's items in a deque
+and emits one thunk that pushes them all, in order, with
+:meth:`~repro.runtime.channel.TaskChannel.push_run` (an empty channel
+takes the deque over as its queue) and then wakes the consumer once; a
+close that ends the stream is one more emission after it.  An output
+task emits one thunk that sends the slice's buffers in order, one
+``send`` each.  A compute task is the exception: its handlers' sends
+interleave across channels record by record, and the order in which
+consumers wake decides where they queue, so each send stays its own
+emission.  A consumer (compute, output and merge tasks) reads each
+input's queued run once per slice and pops its items straight off it.
+What is charged stays per record: the dispatch cost, the parser's and
+the combine's ops, and the budget and headroom checks.
+
 Who wakes whom: a socket's data and close callbacks wake the task that
 reads it (``attach`` hands the task the scheduler's ``notify_runnable``,
 which it calls with itself, so a task holds no closure over itself);
 a producer's ``wake``, set by the task graph, wakes the consumer of its
-out channel after each push and after the close.  Nothing leads from a
+out channel after the slice's items are in it and after the close.  A
+second wake at the same instant changes nothing: the consumer is
+already queued, or running with a wake-up pending.  Nothing leads from a
 consumer back to its producers, and a task drops the references that
 lead back to its graph once it has used them for the last time — the
 end-of-stream callback once emitted (the graph's close drops the rest),
@@ -47,13 +64,14 @@ def _unwired() -> None:
     """The ``wake`` of a producer whose channel no task reads."""
 
 
-def _emit_push(out: TaskChannel, wake: Callable[[], None], item):
-    """An emission: ``item`` enters ``out``, then its consumer wakes; a
-    push after the close is dropped, as :func:`_send_or_drop` drops."""
+def _emit_run(out: TaskChannel, wake: Callable[[], None], run: deque):
+    """An emission: the items of ``run`` enter ``out`` in order, then its
+    consumer wakes once; a run after the close is dropped, as
+    :func:`_emit_sends` drops a write to a closed socket."""
 
     def emit() -> None:
         if not out.closed:
-            out.push(item)
+            out.push_run(run)
             wake()
 
     return emit
@@ -66,20 +84,6 @@ def _emit_close(out: TaskChannel, wake: Callable[[], None]):
     def emit() -> None:
         if out.close():
             wake()
-
-    return emit
-
-
-def _emit_merged(out: TaskChannel, wake: Callable[[], None], items, close):
-    """An emission: ``items`` enter ``out``, which closes if ``close``, and
-    its consumer wakes once (a second wake would change nothing)."""
-
-    def emit() -> None:
-        for item in items:
-            out.push(item)
-        if close:
-            out.close()
-        wake()
 
     return emit
 
@@ -185,9 +189,10 @@ class InputTask(_SocketReader):
         # out-channel only fills after emissions run, so track headroom
         # locally within this timeslice.
         elapsed = 0.0
-        emissions: List[Callable[[], None]] = []
+        run = deque()
+        tag = self._tag
         headroom = self._out.capacity - len(self._out)
-        done = False
+        done = eof = False
         while not done:
             # Drain parsed messages first (backlog from a previous slice).
             while headroom > 0:
@@ -199,7 +204,7 @@ class InputTask(_SocketReader):
                     self._backlog = False
                     break
                 elapsed += ops_to_us(self._parser.take_ops())
-                emissions.append(self._make_emit(record))
+                run.append(record if tag is None else (tag[0], tag[1], record))
                 headroom -= 1
                 if budget_us is not None and elapsed >= budget_us:
                     self._backlog = True
@@ -221,24 +226,22 @@ class InputTask(_SocketReader):
                 if budget_us is not None and elapsed >= budget_us:
                     break
             elif self.eof_seen and not self._eof_handled:
-                self._eof_handled = True
+                self._eof_handled = eof = True
                 if self._owns_out:
                     elapsed += self._stack.teardown_us
-                    emissions.append(_emit_close(self._out, self.wake))
-                if self.on_eof is not None:
-                    # Emitted once; holding it on would pin the graph.
-                    emissions.append(self.on_eof)
-                    self.on_eof = None
                 break
             else:
                 break
         self.busy_us += elapsed
+        emissions = [_emit_run(self._out, self.wake, run)] if run else []
+        if eof:
+            if self._owns_out:
+                emissions.append(_emit_close(self._out, self.wake))
+            if self.on_eof is not None:
+                # Emitted once; holding it on would pin the graph.
+                emissions.append(self.on_eof)
+                self.on_eof = None
         return elapsed, emissions
-
-    def _make_emit(self, record: Record) -> Callable[[], None]:
-        tag = self._tag
-        item = record if tag is None else (tag[0], tag[1], record)
-        return _emit_push(self._out, self.wake, item)
 
 
 class RawForwardTask(_SocketReader):
@@ -253,8 +256,9 @@ class RawForwardTask(_SocketReader):
 
     def step(self, budget_us: Optional[float]):
         elapsed = 0.0
-        emissions: List[Callable[[], None]] = []
-        out, wake = self._out, self.wake
+        run = deque()
+        on_eof = None
+        out = self._out
         # Pushes land only after the slice, so count the room they take.
         headroom = out.capacity - len(out)
         while self.has_work():
@@ -266,16 +270,18 @@ class RawForwardTask(_SocketReader):
                 if not chunks:
                     self._chunks = ()
                 elapsed += self._stack.read_cost_us(len(chunk), self._cores)
-                emissions.append(_emit_push(out, wake, chunk))
+                run.append(chunk)
                 headroom -= 1
             else:
+                # No chunk waits: the EOF follows the slice's run.
                 self._eof_handled = True
-                if self.on_eof is not None:
-                    emissions.append(self.on_eof)
-                    self.on_eof = None
+                on_eof, self.on_eof = self.on_eof, None
             if budget_us is not None and elapsed >= budget_us:
                 break
         self.busy_us += elapsed
+        emissions = [_emit_run(out, self.wake, run)] if run else []
+        if on_eof is not None:
+            emissions.append(on_eof)
         return elapsed, emissions
 
 
@@ -356,18 +362,15 @@ class ComputeTask(TaskBase):
     def step(self, budget_us: Optional[float]):
         elapsed = 0.0
         emissions: List[Callable[[], None]] = []
-        while self.has_work():
-            item = self.inbox.pop()
-            if item is EOS:
-                # Nothing is handled or sent after EOS, and the handlers'
-                # context and the proxies lead back to the graph.
-                self._handlers = {}
-                self._proxies = []
-                break
-            endpoint, _index, record = item
+        inbox = self.inbox
+        run, count = inbox.run()
+        while count:
+            endpoint, _index, record = run.popleft()
+            count -= 1
             elapsed += TASK_DISPATCH_US
             handlers = self._handlers.get(endpoint, ())
             if not handlers:
+                inbox.settle()
                 raise RuntimeFlickError(
                     f"compute task {self.name!r}: no rule consumes messages "
                     f"from endpoint {endpoint!r}"
@@ -380,20 +383,34 @@ class ComputeTask(TaskBase):
                     emissions.extend(proxy.flush_thunks())
             if budget_us is not None and elapsed >= budget_us:
                 break
+        else:
+            if run:  # the EOS behind the data
+                inbox.pop()
+                # Nothing is handled or sent after EOS, and the handlers'
+                # context and the proxies lead back to the graph.
+                self._handlers = {}
+                self._proxies = []
+        inbox.settle()
         self.busy_us += elapsed
         return elapsed, emissions
 
 
-def _send_or_drop(socket, data: bytes) -> None:
-    """Write to ``socket`` unless it already closed (the EPIPE case).
+def _emit_sends(socket, buffers: List[bytes]):
+    """An emission: ``buffers`` go out on ``socket`` in order, one
+    ``send`` each, and each is dropped if the socket closed (EPIPE).
 
     A connection can die under a running program — the peer vanished or
     a front-end router severed the pipe — with responses still queued
     behind the compute.  A real middlebox takes EPIPE and drops the
     write; so does this, instead of raising out of the scheduler.
     """
-    if not socket.closed:
-        socket.send(data)
+
+    def emit() -> None:
+        for data in buffers:
+            if not socket.closed:
+                socket.send(data)
+
+    return emit
 
 
 class OutputTask(TaskBase):
@@ -426,15 +443,16 @@ class OutputTask(TaskBase):
 
     def step(self, budget_us: Optional[float]):
         elapsed = 0.0
-        emissions: List[Callable[[], None]] = []
         socket = self._socket
-        while self.has_work():
-            item = self.inbox.pop()
-            if item is EOS:
-                if self._close_on_eos:
-                    elapsed += self._stack.teardown_us
-                    emissions.append(socket.close)
-                break
+        if socket is None:
+            return elapsed, []
+        buffers: List[bytes] = []
+        close = False
+        inbox = self.inbox
+        run, count = inbox.run()
+        while count:
+            item = run.popleft()
+            count -= 1
             if isinstance(item, (bytes, bytearray)):
                 # Raw forwarding path: bytes cross unparsed and unserialised.
                 data, ops = bytes(item), len(item) / 256.0
@@ -442,10 +460,20 @@ class OutputTask(TaskBase):
                 data, ops = self._serialize(item)
             elapsed += ops_to_us(ops)
             elapsed += self._stack.write_cost_us(len(data), self._cores)
-            emissions.append(lambda d=data: _send_or_drop(socket, d))
+            buffers.append(data)
             if budget_us is not None and elapsed >= budget_us:
                 break
+        else:
+            if run:  # the EOS behind the data
+                inbox.pop()
+                if self._close_on_eos:
+                    elapsed += self._stack.teardown_us
+                    close = True
+        inbox.settle()
         self.busy_us += elapsed
+        emissions = [_emit_sends(socket, buffers)] if buffers else []
+        if close:
+            emissions.append(socket.close)
         return elapsed, emissions
 
 
@@ -481,53 +509,55 @@ class MergeTask(TaskBase):
         #: Wakes the consumer of ``out``; the task graph sets it.
         self.wake: Callable[[], None] = _unwired
 
-    @staticmethod
-    def _finished(chan: TaskChannel) -> bool:
-        """No further data will ever arrive on ``chan``."""
-        return chan.exhausted() or chan.at_eos()
-
     def has_work(self) -> bool:
         if self._done or not self._out.has_space():
             return False
+        # The next record is decidable once each input holds one or has
+        # closed (a closed input holds only what comes before its EOS).
         left, right = self._left, self._right
-        if left.ready() and (right.ready() or self._finished(right)):
-            return True
-        if right.ready() and self._finished(left):
-            return True
-        return self._finished(left) and self._finished(right)
+        return (left.ready() or left.closed) and (right.ready() or right.closed)
 
     def step(self, budget_us: Optional[float]):
-        # One loop over locals.  A record's key is computed once, when the
-        # merge first looks at it as a head, and kept while it is a head
-        # or pending: only this task pops its inputs, so it stays valid.
-        # The out channel fills only when the slice's emission runs, so
-        # the slice stops taking records once its output fills the
-        # headroom the channel had when it began.
+        # One loop over locals.  Each input's queued run and data count
+        # are read once; records are popped straight off the runs, and
+        # the channels settle when the slice ends.  Only this task pops
+        # its inputs and no producer runs during the slice, so a count
+        # stays exact and a closed input stays closed.  A record's key
+        # is computed once, when the merge first looks at it as a head,
+        # and kept while it is a head or pending.  The out channel fills
+        # only when the slice's emission runs, so the slice stops taking
+        # records once its output fills the headroom the channel had
+        # when it began.
         elapsed = 0.0
         headroom = self._out.capacity - len(self._out)
         if self._done or headroom <= 0:
             return elapsed, []
         left, right, key = self._left, self._right, self._key
+        lrun, lcount = left.run()
+        rrun, rcount = right.run()
+        lclosed, rclosed = left.closed, right.closed
         lkey, rkey = self._left_key, self._right_key
         pending, pkey = self._pending, self._pending_key
-        merged: List[Record] = []
+        merged = deque()
         while True:
-            if left.ready():
+            if lcount:
                 if lkey is _UNKEYED:
-                    lkey = key(left.peek())
-                if right.ready():
+                    lkey = key(lrun[0])
+                if rcount:
                     if rkey is _UNKEYED:
-                        rkey = key(right.peek())
+                        rkey = key(rrun[0])
                     from_left = lkey <= rkey
-                elif self._finished(right):
+                elif rclosed:
                     from_left = True
                 else:
                     break
-            elif right.ready() and self._finished(left):
+            elif not lclosed:
+                break
+            elif rcount:
                 if rkey is _UNKEYED:
-                    rkey = key(right.peek())
+                    rkey = key(rrun[0])
                 from_left = False
-            elif self._finished(left) and self._finished(right):
+            elif rclosed:
                 for chan in (left, right):
                     if not chan.exhausted():
                         chan.pop()  # consume the EOS marker
@@ -539,9 +569,11 @@ class MergeTask(TaskBase):
             else:
                 break
             if from_left:
-                element, ekey, lkey = left.pop(), lkey, _UNKEYED
+                element, ekey, lkey = lrun.popleft(), lkey, _UNKEYED
+                lcount -= 1
             else:
-                element, ekey, rkey = right.pop(), rkey, _UNKEYED
+                element, ekey, rkey = rrun.popleft(), rkey, _UNKEYED
+                rcount -= 1
             elapsed += TASK_DISPATCH_US
             if pending is None:
                 pending, pkey = element, ekey
@@ -555,9 +587,12 @@ class MergeTask(TaskBase):
                 headroom -= 1
             if not headroom or (budget_us is not None and elapsed >= budget_us):
                 break
+        left.settle()
+        right.settle()
         self._left_key, self._right_key = lkey, rkey
         self._pending, self._pending_key = pending, pkey
         self.busy_us += elapsed
-        if not (merged or self._done):
-            return elapsed, []
-        return elapsed, [_emit_merged(self._out, self.wake, merged, self._done)]
+        emissions = [_emit_run(self._out, self.wake, merged)] if merged else []
+        if self._done:
+            emissions.append(_emit_close(self._out, self.wake))
+        return elapsed, emissions

@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
-from repro.core.ids import hash_fold, stable_hash
+from repro.core.ids import FNV_PRIME, MASK64, fnv1a_memo, hash_fold, stable_hash
 from repro.grammar.protocols import hadoop
 from repro.net.simnet import Host
 from repro.net.tcp import TcpNetwork, TcpSocket
@@ -52,12 +52,14 @@ def mapper_pairs(
     n_pairs = max(1, total_bytes // pair_bytes)
     n_words = len(words)
     mapper = stable_hash((mapper_index,))
+    c = stable_hash("c")
     pairs: List[Tuple[str, str]] = []
     for i in range(n_pairs):
         # ``stable_hash((mapper_index, i))`` picks the word and
-        # ``stable_hash((mapper_index, i, "c"))`` the count.
-        h = hash_fold(mapper, i)
-        count = 1 + hash_fold(h, "c") % 9
+        # ``stable_hash((mapper_index, i, "c"))`` the count: two
+        # :func:`hash_fold` steps, taken inline.
+        h = (mapper ^ fnv1a_memo(i)) * FNV_PRIME & MASK64
+        count = 1 + ((h ^ c) * FNV_PRIME & MASK64) % 9
         pairs.append((words[h % n_words], str(count)))
     pairs.sort(key=itemgetter(0))
     # Pre-combine duplicates within the mapper (mappers run combiners

@@ -13,6 +13,10 @@ production merge through the same deliveries, closes, slices and
 drains, and requires the same output stream, per-slice ``elapsed``,
 ``busy_us``, input records popped and exception class.  Nothing under
 ``src/`` imports this module.
+
+It reads its inputs one item at a time, through the channel observers
+the merge asked before it read runs: :func:`_peek` and :func:`_at_eos`
+keep their definitions here, next to their one reader.
 """
 
 from __future__ import annotations
@@ -20,13 +24,29 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.lang.values import Record
-from repro.runtime.channel import TaskChannel
+from repro.runtime.channel import EOS, TaskChannel
 from repro.runtime.costs import TASK_DISPATCH_US, ops_to_us
 from repro.runtime.scheduler import TaskBase
 
 
 def _unwired() -> None:
     """The ``wake`` of a merge whose channel no task reads."""
+
+
+def _peek(chan: TaskChannel):
+    """The next data item, or None (EOS is not peekable)."""
+    queue = chan._queue
+    if queue and queue[0] is not EOS:
+        return queue[0]
+    return None
+
+
+def _at_eos(chan: TaskChannel) -> bool:
+    """True once the producer closed and all data was consumed."""
+    queue = chan._queue
+    return chan.exhausted() or (
+        chan.closed and len(queue) == 1 and queue[0] is EOS
+    )
 
 
 def _emit_push(out: TaskChannel, wake: Callable[[], None], item):
@@ -72,7 +92,7 @@ class ReferenceMergeTask(TaskBase):
     @staticmethod
     def _finished(chan: TaskChannel) -> bool:
         """No further data will ever arrive on ``chan``."""
-        return chan.exhausted() or chan.at_eos()
+        return chan.exhausted() or _at_eos(chan)
 
     def has_work(self) -> bool:
         if self._done or not self._out.has_space():
@@ -87,8 +107,8 @@ class ReferenceMergeTask(TaskBase):
     def _take_next(self) -> Optional[Record]:
         """Pop the smaller-keyed head, if the choice is decidable."""
         left, right = self._left, self._right
-        lhead = left.peek() if left.ready() else None
-        rhead = right.peek() if right.ready() else None
+        lhead = _peek(left) if left.ready() else None
+        rhead = _peek(right) if right.ready() else None
         if lhead is not None and rhead is not None:
             if self._key(lhead) <= self._key(rhead):
                 return left.pop()
@@ -101,7 +121,7 @@ class ReferenceMergeTask(TaskBase):
 
     def _drain_eos(self) -> None:
         for chan in (self._left, self._right):
-            if chan.at_eos() and not chan.exhausted():
+            if _at_eos(chan) and not chan.exhausted():
                 chan.pop()  # consume the EOS marker
 
     def step(self, budget_us: Optional[float]):

@@ -275,7 +275,9 @@ class TestProtocols:
             mc.make_response(mc.OP_GET, "abc", b"", status=mc.STATUS_KEY_NOT_FOUND),
         ):
             assert serialize_both(mc.MEMCACHED_UNIT, None, record, _copy(record))[0] == "ok"
-        pair = hadoop.make_pair("wörd", "12")
+        pair = Record(
+            "kv", {"key_len": 5, "value_len": 2, "key": "wörd", "value": "12"}
+        )
         assert serialize_both(hadoop.HADOOP_UNIT, None, pair, _copy(pair))[0] == "ok"
 
 

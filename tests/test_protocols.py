@@ -151,8 +151,9 @@ class TestHadoop:
         pairs = [("clé", "1")]
         assert decode_pairs(hadoop.encode_pairs(pairs)) == pairs
 
-    def test_make_pair_lengths(self):
-        rec = hadoop.make_pair("ab", "xyz")
+    def test_encoded_pair_lengths(self):
+        """The encoder writes both length prefixes from the payloads."""
+        rec = hadoop.codec().parse_all(hadoop.encode_pairs([("ab", "xyz")]))[0]
         assert rec.key_len == 2 and rec.value_len == 3
 
     def test_incremental_stream(self):

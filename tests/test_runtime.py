@@ -83,22 +83,66 @@ class TestChannel:
     def test_peek_skips_nothing(self):
         chan = TaskChannel("c", 8)
         chan.push("a")
-        assert chan.peek() == "a"
+        assert _peek(chan) == "a"
         assert chan.pop() == "a"
 
     def test_at_eos_only_when_drained(self):
         chan = TaskChannel("c", 8)
         chan.push("a")
         chan.close()
-        assert not chan.at_eos()
+        assert not _at_eos(chan)
         chan.pop()
-        assert chan.at_eos()
+        assert _at_eos(chan)
+
+    def test_push_run_is_all_or_nothing(self):
+        chan = TaskChannel("c", 3)
+        chan.push("a")
+        with pytest.raises(ChannelFull):
+            chan.push_run(deque(["b", "c", "d"]))
+        assert len(chan) == 1
+        chan.push_run(deque(["b", "c"]))
+        assert [chan.pop() for _ in range(3)] == ["a", "b", "c"]
+        chan.push_run(deque())
+        assert not isinstance(chan._queue, deque)
+        chan.close()
+        with pytest.raises(ChannelClosed):
+            chan.push_run(deque(["e"]))
+
+    def test_an_empty_channel_takes_the_run_over(self):
+        """The run becomes the queue: no copy, and it stays bounded."""
+        chan = TaskChannel("c", 2)
+        run = deque(["a", "b"])
+        chan.push_run(run)
+        assert chan._queue is run
+        with pytest.raises(ChannelFull):
+            chan.push_run(deque(["c"]))
+        assert [chan.pop(), chan.pop()] == ["a", "b"]
+
+    def test_a_run_read_pops_data_and_settles_empty(self):
+        """A consumer pops heads straight off the run, never the EOS
+        behind them, and the drained channel settles back to ``()``."""
+        chan = TaskChannel("c", 4)
+        chan.push_run(deque(["a", "b"]))
+        run, count = chan.run()
+        assert (list(run), count) == (["a", "b"], 2)
+        assert [run.popleft(), run.popleft()] == ["a", "b"]
+        chan.settle()
+        assert chan._queue == () and chan.empty()
+        chan.push("c")
+        chan.close()
+        run, count = chan.run()
+        assert (list(run), count) == (["c", EOS], 1)
+        run.popleft()
+        chan.settle()
+        assert _at_eos(chan) and not chan.exhausted()
+        assert chan.pop() is EOS
+        assert chan.run() == ((), 0)
 
     @staticmethod
     def _state(chan):
         """The consumer's view, and whether a deque is held."""
         return (
-            len(chan), chan.ready(), chan.peek(), chan.at_eos(),
+            len(chan), chan.ready(), _peek(chan), _at_eos(chan),
             isinstance(chan._queue, deque),
         )
 
@@ -137,17 +181,36 @@ class TestChannel:
         assert self._state(chan) == (0, False, None, True, False)
 
 
+def _peek(chan):
+    """The next data item, or None (EOS is not peekable), read off the
+    channel's run."""
+    run, count = chan.run()
+    return run[0] if count else None
+
+
+def _at_eos(chan):
+    """True once the producer closed and all data was consumed."""
+    return chan.closed and not chan.run()[1]
+
+
 class _ScanChannel:
     """Reference model: the channel as it was defined while ``__len__``
-    scanned the queue.  Kept test-side so the O(1) arithmetic in
-    :class:`TaskChannel` is checked against the definition, not against
-    itself."""
+    scanned the queue and a consumer read it one item at a time.  Kept
+    test-side so the O(1) arithmetic and the run reads in
+    :class:`TaskChannel` are checked against the definition, not
+    against themselves."""
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.queue = []
         self.closed = False
         self.eos_delivered = False
+
+    def copy(self):
+        twin = _ScanChannel(self.capacity)
+        twin.queue = list(self.queue)
+        twin.closed, twin.eos_delivered = self.closed, self.eos_delivered
+        return twin
 
     def has_space(self):
         return len(self.queue) < self.capacity
@@ -158,6 +221,15 @@ class _ScanChannel:
         if len(self.queue) >= self.capacity:
             raise ChannelFull("full")
         self.queue.append(item)
+
+    def push_run(self, items):
+        """Each item pushed in turn, or none if one would not fit."""
+        if self.closed:
+            raise ChannelClosed("closed")
+        if len(self.queue) + len(items) > self.capacity:
+            raise ChannelFull("full")
+        for item in items:
+            self.push(item)
 
     def close(self):
         if self.closed:
@@ -196,23 +268,56 @@ class _ScanChannel:
             self.eos_delivered = True
         return item
 
+    def take(self):
+        """A merge's read: the next data item if one is ready."""
+        return self.pop() if self.ready() else None
 
-_CHANNEL_OPS = ("push", "pop", "close")
+
+_CHANNEL_OPS = ("push", "push_run", "pop", "take", "close")
+
+
+def _copy(chan):
+    """A twin of ``chan`` that shares no queue with it."""
+    twin = TaskChannel(chan.name, chan.capacity)
+    twin.closed, twin._eos_delivered = chan.closed, chan._eos_delivered
+    if chan._queue:
+        twin._queue = deque(chan._queue)
+    return twin
+
+
+def _take(chan):
+    """The merge's read: pop the run's head if it is data, then settle."""
+    run, count = chan.run()
+    item = run.popleft() if count else None
+    chan.settle()
+    return item
 
 
 def _apply(chan, op, item):
-    """Run one operation; the outcome is its value or exception class."""
+    """Run one operation; the outcome is its value or exception class.
+    A run push carries 0, 1 or 2 items, by the step's number."""
     try:
         if op == "push":
             return chan.push(item)
+        if op == "push_run":
+            return chan.push_run(deque((item, k) for k in range(item % 3)))
         if op == "pop":
             return chan.pop()
+        if op == "take":
+            return chan.take() if isinstance(chan, _ScanChannel) else _take(chan)
         return chan.close()
     except (ChannelClosed, ChannelFull) as exc:
         return type(exc)
 
 
 def _observe(chan):
+    if isinstance(chan, _ScanChannel):
+        peek, at_eos = chan.peek(), chan.at_eos()
+        run = (tuple(chan.queue), len(chan))
+    else:
+        peek, at_eos = _peek(chan), _at_eos(chan)
+        queue, count = chan.run()
+        run = (tuple(queue), count)
     length = len(chan)
     assert type(length) is int
     return (
@@ -220,41 +325,62 @@ def _observe(chan):
         chan.ready(),
         chan.empty(),
         chan.has_space(),
-        chan.peek(),
-        chan.at_eos(),
+        peek,
+        at_eos,
         chan.exhausted(),
+        run,
     )
+
+
+def _check_step(real, model, op, step, trail):
+    """Apply ``op`` to both; they must agree on it and on every view."""
+    assert _apply(real, op, step) == _apply(model, op, step), trail
+    assert _observe(real) == _observe(model), trail
+    # A deque is held exactly while something is queued.
+    assert isinstance(real._queue, deque) == bool(model.queue), trail
 
 
 def _check_sequence(capacity, ops):
     real, model = TaskChannel("c", capacity), _ScanChannel(capacity)
     for step, op in enumerate(ops):
-        trail = ops[: step + 1]
-        assert _apply(real, op, step) == _apply(model, op, step), trail
-        assert _observe(real) == _observe(model), trail
-        # A deque is held exactly while something is queued.
-        assert isinstance(real._queue, deque) == bool(model.queue), trail
+        _check_step(real, model, op, step, ops[: step + 1])
 
 
 class TestChannelAgainstScanModel:
     """``TaskChannel`` vs its old definition over a stated space: every
-    sequence of push/pop/close up to length 8 on a capacity-2 channel
-    (9,841 sequences) — every observer after every call, and the
-    exception class of every call."""
+    sequence of push / run push / pop / run read / close up to length 8
+    on a capacity-2 channel (488,281 sequences) — every observer after
+    every call, and the exception class of every call.
+
+    Each sequence extends its prefix's states by one call.  What follows
+    a prefix depends only on both channels' whole state and the step
+    number, so a prefix that reaches a (state, step) already explored
+    counts its extensions as checked without repeating them."""
 
     def test_every_sequence_up_to_length_8(self):
-        checked = 0
+        explored = {}
 
-        def extend(prefix):
-            nonlocal checked
-            _check_sequence(2, prefix)
-            checked += 1
-            if len(prefix) < 8:
+        def extend(real, model, prefix):
+            depth = len(prefix)
+            seen = (
+                type(real._queue), tuple(real._queue), real.closed,
+                real._eos_delivered, tuple(model.queue), model.closed,
+                model.eos_delivered, depth,
+            )
+            if seen in explored:
+                return explored[seen]
+            checked = 1
+            if depth < 8:
                 for op in _CHANNEL_OPS:
-                    extend(prefix + (op,))
+                    twin, twin_model = _copy(real), model.copy()
+                    trail = prefix + (op,)
+                    _check_step(twin, twin_model, op, depth, trail)
+                    checked += extend(twin, twin_model, trail)
+            explored[seen] = checked
+            return checked
 
-        extend(())
-        assert checked == sum(3**n for n in range(9))
+        checked = extend(TaskChannel("c", 2), _ScanChannel(2), ())
+        assert checked == sum(5**n for n in range(9))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from(_CHANNEL_OPS), max_size=400))

@@ -2,6 +2,8 @@
 platform: each task on its own, the socket-reader half that input and
 raw-forward tasks share, and the budget contract of ``TaskBase``."""
 
+from collections import deque
+
 import pytest
 
 from repro.bench.scheduling import SyntheticTask
@@ -75,9 +77,9 @@ class TestInputTask:
         record = out.pop()
         assert record.key == "k1"
 
-    def test_each_push_and_the_close_wake_the_consumer(self):
-        """The producer wakes its out channel's reader, each time after
-        the item is in the channel."""
+    def test_a_slice_and_the_close_each_wake_the_consumer_once(self):
+        """The producer wakes its out channel's reader once the slice's
+        every item is in the channel, and once after the close."""
         task, out, socket, _ = self._make()
         woken = []
         task.wake = lambda: woken.append(len(out))
@@ -85,7 +87,7 @@ class TestInputTask:
         socket.deliver(raw * 2)
         socket.eof()
         _drain(task)
-        assert woken == [1, 2, 2]  # two records, then EOS
+        assert woken == [2, 2]  # both records, then EOS
 
     def test_partial_message_waits(self):
         task, out, socket, _ = self._make()
@@ -167,6 +169,21 @@ class TestOutputTask:
         _drain(task)
         assert socket.sent == [b"raw-bytes"]
 
+    def test_a_slice_sends_each_buffer_and_drops_them_once_closed(self):
+        """One emission sends the slice's buffers in order, one ``send``
+        each; once the socket closes under it (the peer reset after the
+        first), the rest are dropped, as a middlebox drops on EPIPE."""
+        inbox = TaskChannel("in", 8)
+        task = OutputTask("out", inbox, lambda r: (b"", 0.0), KERNEL, cores=1, task_id=1)
+        socket = _FakeSocket()
+        socket.send = lambda data: (socket.sent.append(data), socket.close())
+        task.bind_socket(socket)
+        inbox.push_run(deque([b"a", b"b", b"c"]))
+        _, emissions = task.step(None)
+        assert len(emissions) == 1
+        emissions[0]()
+        assert socket.sent == [b"a"]
+
     def test_unbound_task_has_no_work(self):
         inbox = TaskChannel("in", 8)
         task = OutputTask("out", inbox, lambda r: (b"", 0.0), KERNEL, cores=1, task_id=1)
@@ -222,7 +239,7 @@ class TestRawForwardTask:
         for chunk in (b"a", b"b", b"c"):
             socket.deliver(chunk)
         _, emissions = task.step(None)
-        assert len(emissions) == 2
+        assert len(emissions) == 1  # the slice's run of two chunks
         for emit in emissions:
             emit()  # ChannelFull if the slice overran the headroom
         assert not task.has_work()
